@@ -18,8 +18,8 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .energy import ElasticModel, diffuse_energy
-from .fields import Grid, ScalarField, write_field
+from .energy import DEGRADATIONS, ETA_RULES, ElasticModel, diffuse_energy
+from .fields import Grid, ScalarField, _write_atomic, write_field
 from .harness import SweepPlan, gamma_sweep
 from .potentials import (PotentialSet, check_admissibility, fracture_density,
                          make_default_potentials, surface_density)
@@ -261,22 +261,14 @@ def _build_elastic(sec: dict, dim: int) -> tuple[ElasticModel, list[str]]:
                               "(a11 a12 a22) components")
             e0 = np.zeros((2, 2))
     psi_name = sec.get("psi", "quadratic")
-    if psi_name == "quadratic":
-        psi, dpsi = (lambda z: np.asarray(z) ** 2), (lambda z: 2.0 * np.asarray(z))
-    elif psi_name == "linear":
-        psi, dpsi = (lambda z: np.asarray(z) * 1.0), (lambda z: np.ones_like(np.asarray(z, dtype=float)))
-    else:
+    if psi_name not in DEGRADATIONS:
         violations.append(f"[elastic] unknown psi {psi_name!r} (quadratic|linear)")
-        psi, dpsi = (lambda z: np.asarray(z) ** 2), (lambda z: 2.0 * np.asarray(z))
+    psi, dpsi = DEGRADATIONS.get(psi_name, DEGRADATIONS["quadratic"])
     eta_name = sec.get("eta_rule", "delta_squared")
-    if eta_name == "delta_squared":
-        eta = lambda d: d * d  # noqa: E731
-    elif eta_name == "delta_cubed":
-        eta = lambda d: d ** 3  # noqa: E731
-    else:
+    if eta_name not in ETA_RULES:
         violations.append(f"[elastic] unknown eta_rule {eta_name!r} "
                           "(delta_squared|delta_cubed)")
-        eta = lambda d: d * d  # noqa: E731
+    eta = ETA_RULES.get(eta_name, ETA_RULES["delta_squared"])
     try:
         model = ElasticModel(lame_lambda=float(sec.get("lame_lambda", "0")),
                              lame_mu=float(sec.get("lame_mu", "0.5")),
@@ -366,15 +358,12 @@ def emit_config(cfg: RunConfig) -> str:
 
 
 def _write_manifest(cfg: RunConfig, command: str) -> None:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, "manifest.txt")
-    with open(path, "w") as fh:
-        fh.write(f"command = {command}\n")
-        fh.write(f"phasefrac = {__version__}\n")
-        fh.write(f"numpy = {np.__version__}\n")
-        fh.write(f"python = {sys.version.split()[0]}\n")
-        fh.write(f"seed = {cfg.seed}\n\n")
-        fh.write(emit_config(cfg))
+    _write_atomic(os.path.join(cfg.out_dir, "manifest.txt"),
+                  f"command = {command}\n"
+                  f"phasefrac = {__version__}\n"
+                  f"numpy = {np.__version__}\n"
+                  f"python = {sys.version.split()[0]}\n"
+                  f"seed = {cfg.seed}\n\n" + emit_config(cfg))
 
 
 def _emit(cfg: RunConfig, *msg) -> None:
@@ -382,21 +371,12 @@ def _emit(cfg: RunConfig, *msg) -> None:
         print(*msg)
 
 
-def _write_atomic(path: str, text: str, keep_partial: bool = False) -> None:
-    partial = path + ".partial"
-    with open(partial, "w") as fh:
-        fh.write(text)
-    if not keep_partial:
-        os.replace(partial, path)
-
-
 def _cmd_check(cfg: RunConfig) -> int:
     report = check_admissibility(cfg.potentials, cfg.m_samples)
     _emit(cfg, report.summary())
     _emit(cfg, f"alpha_surf = {surface_density(cfg.potentials):.12g}")
     _emit(cfg, f"alpha_frac = {fracture_density(cfg.potentials):.12g}")
-    with open(os.path.join(cfg.out_dir, "admissibility.txt"), "w") as fh:
-        fh.write(report.summary() + "\n")
+    _write_atomic(os.path.join(cfg.out_dir, "admissibility.txt"), report.summary() + "\n")
     return 0 if report.passed else 1
 
 

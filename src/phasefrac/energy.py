@@ -15,13 +15,14 @@ finite differences in the test suite.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .fields import (Grid, ScalarField, SymTensorField, VectorField, gradient,
-                     gradient_adjoint, integrate, sym_gradient, sym_gradient_adjoint)
+from .fields import (Grid, ScalarField, VectorField, _gradient, _gradient_adjoint,
+                     _sym_gradient, _sym_gradient_adjoint, integrate)
 from .potentials import PotentialSet
 
 
@@ -33,8 +34,26 @@ def _dpsi_quadratic(z):
     return 2.0 * np.asarray(z)
 
 
+def _psi_linear(z):
+    return np.asarray(z) * 1.0
+
+
+def _dpsi_linear(z):
+    return np.ones_like(np.asarray(z, dtype=float))
+
+
 def _eta_delta_squared(delta: float) -> float:
     return delta * delta
+
+
+def _eta_delta_cubed(delta: float) -> float:
+    return delta ** 3
+
+
+# by name: the degradation psi with its derivative, and the rule delta -> eta
+DEGRADATIONS = {"quadratic": (_psi_quadratic, _dpsi_quadratic),
+                "linear": (_psi_linear, _dpsi_linear)}
+ETA_RULES = {"delta_squared": _eta_delta_squared, "delta_cubed": _eta_delta_cubed}
 
 
 @dataclass(frozen=True)
@@ -102,10 +121,7 @@ class DiffuseState:
         return self.c.grid
 
     def replace(self, **kw) -> "DiffuseState":
-        parts = {"c": self.c, "u": self.u, "z": self.z,
-                 "eps": self.eps, "delta": self.delta}
-        parts.update(kw)
-        return DiffuseState(**parts)
+        return dataclasses.replace(self, **kw)
 
 
 @dataclass(frozen=True)
@@ -133,82 +149,81 @@ class EnergyBreakdown:
                    clamped_cells)
 
 
-def _misfit(s: DiffuseState, M: ElasticModel) -> np.ndarray:
-    """xi = e(u) - c e0 per cell."""
-    eu = sym_gradient(s.u).values
-    return eu - s.c.values[..., None, None] * M.e0
-
-
-def _clamped_z(s: DiffuseState) -> tuple[np.ndarray, int]:
-    z = s.z.values
-    clamped = int(np.count_nonzero((z < 0.0) | (z > 1.0)))
-    return np.clip(z, 0.0, 1.0), clamped
-
-
 def _raise_nonfinite(density: np.ndarray, label: str) -> None:
     if not np.all(np.isfinite(density)):
         idx = np.unravel_index(int(np.argmax(~np.isfinite(density))), density.shape)
         raise ValueError(f"non-finite {label} density at cell {tuple(int(i) for i in idx)}")
 
 
+def _integral(density: np.ndarray, label: str, vol: float) -> float:
+    _raise_nonfinite(density, label)
+    return float(vol * density.sum())
+
+
+def _stress_divergence(grid: Grid, M: ElasticModel, weight: np.ndarray,
+                       xi: np.ndarray) -> np.ndarray:
+    """vol * e*^T[weight dC(xi)], linear in xi: grad_u at the misfit
+    xi = e(u) - c e0, the u-step's operator at e(u) and its right side at c e0."""
+    return grid.cell_volume * _sym_gradient_adjoint(
+        weight[..., None, None] * M.dform(xi), grid.spacing)
+
+
+def _evaluate(s: DiffuseState, P: PotentialSet, M: ElasticModel,
+              blocks: str = "") -> tuple[EnergyBreakdown, dict[str, np.ndarray]]:
+    """The energy plus the nodal gradients (plain arrays) of the named blocks
+    of "cuz"; the clamp, grad c, grad z and the misfit are formed once."""
+    grid = s.grid
+    h, vol = grid.spacing, grid.cell_volume
+    c, z = s.c.values, s.z.values
+    outside = (z < 0.0) | (z > 1.0)
+    zc = np.clip(z, 0.0, 1.0)
+    phase_weight = P.phi(zc) + P.c_delta(s.delta)
+    elastic_weight = M.psi(zc) + M.eta(s.delta)
+    gc = _gradient(c, h)
+    gz = _gradient(z, h)
+    xi = _sym_gradient(s.u.values, h) - c[..., None, None] * M.e0
+    phase_raw = P.w(c) / s.eps + s.eps * np.sum(gc * gc, axis=-1)
+    form = M.form(xi)
+    energy = EnergyBreakdown.of(
+        _integral(phase_weight * phase_raw, "interfacial", vol),
+        _integral(elastic_weight * form, "elastic", vol),
+        _integral(P.v(zc) / s.delta + s.delta * np.sum(gz * gz, axis=-1), "crack", vol),
+        int(np.count_nonzero(outside)))
+    grads = {}
+    if "c" in blocks:
+        out = phase_weight * P.dw(c) / s.eps
+        out += 2.0 * s.eps * _gradient_adjoint(phase_weight[..., None] * gc, h)
+        out -= elastic_weight * np.sum(M.dform(xi) * M.e0, axis=(-2, -1))
+        grads["c"] = vol * out
+    if "u" in blocks:
+        grads["u"] = _stress_divergence(grid, M, elastic_weight, xi)
+    if "z" in blocks:
+        # chain rule of the clamp: zero derivative strictly outside the box,
+        # the inside value on the faces (defaults have zero slope there anyway)
+        mask = np.where(outside, 0.0, 1.0)
+        out = mask * P.dphi(zc) * phase_raw
+        out += mask * M.dpsi(zc) * form
+        out += mask * P.dv(zc) / s.delta
+        out += 2.0 * s.delta * _gradient_adjoint(gz, h)
+        grads["z"] = vol * out
+    return energy, grads
+
+
 def diffuse_energy(s: DiffuseState, P: PotentialSet, M: ElasticModel) -> EnergyBreakdown:
-    zc, clamped = _clamped_z(s)
-    cdel = P.c_delta(s.delta)
-    eta = M.eta(s.delta)
-    gc = gradient(s.c).values
-    gz = gradient(s.z).values
-
-    phase = (P.phi(zc) + cdel) * (P.w(s.c.values) / s.eps
-                                  + s.eps * np.sum(gc * gc, axis=-1))
-    _raise_nonfinite(phase, "interfacial")
-    elastic = (M.psi(zc) + eta) * M.form(_misfit(s, M))
-    _raise_nonfinite(elastic, "elastic")
-    crack = P.v(zc) / s.delta + s.delta * np.sum(gz * gz, axis=-1)
-    _raise_nonfinite(crack, "crack")
-
-    vol = s.grid.cell_volume
-    return EnergyBreakdown.of(float(vol * phase.sum()),
-                              float(vol * elastic.sum()),
-                              float(vol * crack.sum()), clamped)
+    return _evaluate(s, P, M)[0]
 
 
 def grad_c(s: DiffuseState, P: PotentialSet, M: ElasticModel) -> ScalarField:
     """d/dc of the discrete energy (a nodal gradient, not an L2 representative)."""
-    zc, _ = _clamped_z(s)
-    cdel = P.c_delta(s.delta)
-    eta = M.eta(s.delta)
-    weight = P.phi(zc) + cdel
-    out = weight * P.dw(s.c.values) / s.eps
-    gc = gradient(s.c)
-    out += 2.0 * s.eps * gradient_adjoint(
-        VectorField(s.grid, weight[..., None] * gc.values)).values
-    dq = M.dform(_misfit(s, M))
-    out -= (M.psi(zc) + eta) * np.sum(dq * M.e0, axis=(-2, -1))
-    return ScalarField(s.grid, s.grid.cell_volume * out)
+    return ScalarField(s.grid, _evaluate(s, P, M, "c")[1]["c"])
 
 
 def grad_u(s: DiffuseState, P: PotentialSet, M: ElasticModel) -> VectorField:
-    zc, _ = _clamped_z(s)
-    eta = M.eta(s.delta)
-    weight = (M.psi(zc) + eta)[..., None, None]
-    dq = weight * M.dform(_misfit(s, M))
-    adj = sym_gradient_adjoint(SymTensorField(s.grid, dq))
-    return VectorField(s.grid, s.grid.cell_volume * adj.values)
+    return VectorField(s.grid, _evaluate(s, P, M, "u")[1]["u"])
 
 
 def grad_z(s: DiffuseState, P: PotentialSet, M: ElasticModel) -> ScalarField:
-    zc, _ = _clamped_z(s)
-    # chain rule of the clamp: zero derivative strictly outside the box,
-    # the inside value on the faces (defaults have zero slope there anyway)
-    mask = np.where((s.z.values < 0.0) | (s.z.values > 1.0), 0.0, 1.0)
-    gc = gradient(s.c).values
-    phase_raw = P.w(s.c.values) / s.eps + s.eps * np.sum(gc * gc, axis=-1)
-    out = mask * P.dphi(zc) * phase_raw
-    out += mask * M.dpsi(zc) * M.form(_misfit(s, M))
-    out += mask * P.dv(zc) / s.delta
-    gz = gradient(s.z)
-    out += 2.0 * s.delta * gradient_adjoint(gz).values
-    return ScalarField(s.grid, s.grid.cell_volume * out)
+    return ScalarField(s.grid, _evaluate(s, P, M, "z")[1]["z"])
 
 
 def mass(c: ScalarField) -> float:

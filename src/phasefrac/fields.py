@@ -8,7 +8,9 @@ exactly under the discrete inner product. Integration is the midpoint rule.
 from __future__ import annotations
 
 import io
+import os
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -51,56 +53,41 @@ class Grid:
         axes = [self.centers(a) for a in range(self.dim)]
         return tuple(np.meshgrid(*axes, indexing="ij"))
 
-    def diameter(self) -> float:
-        return float(np.sqrt(sum(e * e for e in self.extent)))
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    # always copy so freezing never touches the caller's array
-    arr = np.array(arr, dtype=float, order="C", copy=True)
-    arr.setflags(write=False)
-    return arr
-
-
-def _check_values(grid: Grid, values: np.ndarray, trailing: tuple[int, ...]) -> None:
-    if values.shape != grid.cells + trailing:
-        raise ValueError(f"field shape {values.shape} does not match grid "
-                         f"{grid.cells + trailing}")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("field contains non-finite values")
-
 
 @dataclass(frozen=True)
-class ScalarField:
+class _Field:
+    """Values on the cells of a grid, `rank` trailing axes of length dim.  The
+    one validation point: values are copied, checked and frozen on construction."""
     grid: Grid
     values: np.ndarray
+    rank: ClassVar[int] = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _freeze(self.values))
-        _check_values(self.grid, self.values, ())
+        # always copy so freezing never touches the caller's array
+        arr = np.array(self.values, dtype=float, order="C", copy=True)
+        shape = self.grid.cells + (self.grid.dim,) * self.rank
+        if arr.shape != shape:
+            raise ValueError(f"field shape {arr.shape} does not match grid {shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("field contains non-finite values")
+        arr.setflags(write=False)
+        object.__setattr__(self, "values", arr)
 
     @classmethod
-    def full(cls, grid: Grid, value: float) -> "ScalarField":
-        return cls(grid, np.full(grid.cells, float(value)))
+    def full(cls, grid: Grid, value):
+        """Constant field; `value` broadcasts to the per-cell shape."""
+        cell = (grid.dim,) * cls.rank
+        return cls(grid, np.broadcast_to(np.asarray(value, dtype=float), grid.cells + cell))
 
+
+class ScalarField(_Field):
     @classmethod
     def from_function(cls, grid: Grid, fn) -> "ScalarField":
         return cls(grid, np.asarray(fn(*grid.meshgrid()), dtype=float))
 
 
-@dataclass(frozen=True)
-class VectorField:
-    grid: Grid
-    values: np.ndarray  # shape cells + (d,)
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _freeze(self.values))
-        _check_values(self.grid, self.values, (self.grid.dim,))
-
-    @classmethod
-    def full(cls, grid: Grid, value) -> "VectorField":
-        vec = np.broadcast_to(np.asarray(value, dtype=float), (grid.dim,))
-        return cls(grid, np.tile(vec, grid.cells + (1,)))
+class VectorField(_Field):
+    rank = 1  # values shape cells + (d,)
 
     @classmethod
     def from_function(cls, grid: Grid, fn) -> "VectorField":
@@ -108,76 +95,75 @@ class VectorField:
         return cls(grid, np.stack([np.asarray(c, dtype=float) for c in comps], axis=-1))
 
 
-@dataclass(frozen=True)
-class SymTensorField:
-    grid: Grid
-    values: np.ndarray  # shape cells + (d, d), symmetric per cell
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _freeze(self.values))
-        d = self.grid.dim
-        _check_values(self.grid, self.values, (d, d))
+class SymTensorField(_Field):
+    rank = 2  # values shape cells + (d, d), symmetric per cell
 
 
-def _diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
+def _diff(v: np.ndarray, axis: int, h: float) -> np.ndarray:
     """Centered interior / one-sided boundary difference along one axis."""
-    v = np.moveaxis(values, axis, 0)
+    pre = (slice(None),) * axis  # index prefix selecting the axes before `axis`
     out = np.empty_like(v)
-    out[0] = (v[1] - v[0]) / h
-    out[-1] = (v[-1] - v[-2]) / h
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    return np.moveaxis(out, 0, axis)
+    out[pre + (0,)] = (v[pre + (1,)] - v[pre + (0,)]) / h
+    out[pre + (-1,)] = (v[pre + (-1,)] - v[pre + (-2,)]) / h
+    out[pre + (slice(1, -1),)] = (v[pre + (slice(2, None),)]
+                                  - v[pre + (slice(None, -2),)]) / (2.0 * h)
+    return out
 
 
-def _diff_t(weights: np.ndarray, axis: int, h: float) -> np.ndarray:
+def _diff_t(w: np.ndarray, axis: int, h: float) -> np.ndarray:
     """Transpose of _diff under the plain (unweighted) euclidean inner product."""
-    w = np.moveaxis(weights, axis, 0)
+    pre = (slice(None),) * axis
+    inner = w[pre + (slice(1, -1),)]
     out = np.zeros_like(w)
-    out[0] += -w[0] / h
-    out[1] += w[0] / h
-    out[:-2] += -w[1:-1] / (2.0 * h)
-    out[2:] += w[1:-1] / (2.0 * h)
-    out[-2] += -w[-1] / h
-    out[-1] += w[-1] / h
-    return np.moveaxis(out, 0, axis)
+    out[pre + (0,)] += -w[pre + (0,)] / h
+    out[pre + (1,)] += w[pre + (0,)] / h
+    out[pre + (slice(None, -2),)] += -inner / (2.0 * h)
+    out[pre + (slice(2, None),)] += inner / (2.0 * h)
+    out[pre + (-2,)] += -w[pre + (-1,)] / h
+    out[pre + (-1,)] += w[pre + (-1,)] / h
+    return out
+
+
+# Array kernels, plain arrays in and out: the energy and the solver run on
+# these, the typed operators below wrap them for callers holding fields.
+
+def _gradient(f: np.ndarray, h: tuple[float, ...]) -> np.ndarray:
+    return np.stack([_diff(f, a, ha) for a, ha in enumerate(h)], axis=-1)
+
+
+def _gradient_adjoint(v: np.ndarray, h: tuple[float, ...]) -> np.ndarray:
+    out = np.zeros(v.shape[:-1])
+    for a, ha in enumerate(h):
+        out += _diff_t(v[..., a], a, ha)
+    return out
+
+
+def _sym_gradient(u: np.ndarray, h: tuple[float, ...]) -> np.ndarray:
+    jac = np.stack([_gradient(u[..., a], h) for a in range(len(h))], axis=-2)
+    return 0.5 * (jac + np.swapaxes(jac, -1, -2))
+
+
+def _sym_gradient_adjoint(s: np.ndarray, h: tuple[float, ...]) -> np.ndarray:
+    return np.stack([_gradient_adjoint(s[..., a, :], h) for a in range(len(h))], axis=-1)
 
 
 def gradient(f: ScalarField) -> VectorField:
-    g = f.grid
-    comps = [_diff(f.values, a, g.spacing[a]) for a in range(g.dim)]
-    return VectorField(g, np.stack(comps, axis=-1))
+    return VectorField(f.grid, _gradient(f.values, f.grid.spacing))
 
 
 def gradient_adjoint(vf: VectorField) -> ScalarField:
     """Adjoint of `gradient`: <gradient(f), v> = <f, gradient_adjoint(v)> exactly."""
-    g = vf.grid
-    out = np.zeros(g.cells)
-    for a in range(g.dim):
-        out += _diff_t(vf.values[..., a], a, g.spacing[a])
-    return ScalarField(g, out)
+    return ScalarField(vf.grid, _gradient_adjoint(vf.values, vf.grid.spacing))
 
 
 def sym_gradient(u: VectorField) -> SymTensorField:
     """Symmetric part of the discrete Jacobian; vanishes on rigid motions."""
-    g = u.grid
-    d = g.dim
-    jac = np.empty(g.cells + (d, d))
-    for a in range(d):
-        for b in range(d):
-            jac[..., a, b] = _diff(u.values[..., a], b, g.spacing[b])
-    sym = 0.5 * (jac + np.swapaxes(jac, -1, -2))
-    return SymTensorField(g, sym)
+    return SymTensorField(u.grid, _sym_gradient(u.values, u.grid.spacing))
 
 
 def sym_gradient_adjoint(s: SymTensorField) -> VectorField:
     """Adjoint of `sym_gradient` for symmetric-valued weight fields."""
-    g = s.grid
-    d = g.dim
-    out = np.zeros(g.cells + (d,))
-    for a in range(d):
-        for b in range(d):
-            out[..., a] += _diff_t(s.values[..., a, b], b, g.spacing[b])
-    return VectorField(g, out)
+    return VectorField(s.grid, _sym_gradient_adjoint(s.values, s.grid.spacing))
 
 
 def integrate(f: ScalarField) -> float:
@@ -273,6 +259,15 @@ def slice_extract(field, xi, y, samples: int) -> SliceSamples:
     return SliceSamples(t, vals, hit=True)
 
 
+def _write_atomic(path, text: str) -> None:
+    """Write `text` to `path` through `path.partial` and a rename, so readers
+    never see a half-written file."""
+    partial = f"{path}.partial"
+    with open(partial, "w") as fh:
+        fh.write(text)
+    os.replace(partial, path)
+
+
 def write_field(f: ScalarField, path) -> None:
     """Plain-text dump: header (dim, cells, origin, extent), then row-major values."""
     g = f.grid
@@ -283,13 +278,12 @@ def write_field(f: ScalarField, path) -> None:
     buf.write("extent " + " ".join(f"{x:.17g}" for x in g.extent) + "\n")
     for v in f.values.reshape(-1):
         buf.write(f"{v:.17g}\n")
-    with open(path, "w") as fh:
-        fh.write(buf.getvalue())
+    _write_atomic(path, buf.getvalue())
 
 
 def read_field(path) -> ScalarField:
     with open(path) as fh:
-        lines = fh.read().split("\n")
+        lines = fh.read().splitlines()
     header = {}
     for k in range(4):
         name, *rest = lines[k].split()
@@ -301,5 +295,8 @@ def read_field(path) -> ScalarField:
     if len(cells) != dim:
         raise ValueError("corrupt field header")
     n = int(np.prod(cells))
-    values = np.array([float(x) for x in lines[4:4 + n]]).reshape(cells)
+    if len(lines) - 4 != n:
+        raise ValueError(f"{path}: {len(lines) - 4} values, but the header "
+                         f"declares {n} cells")
+    values = np.array([float(x) for x in lines[4:]]).reshape(cells)
     return ScalarField(Grid(origin, extent, cells), values)

@@ -24,6 +24,12 @@ from .sharp import DisplacementSpec, sharp_energy
 CSV_HEADER = "eps,delta,e_phase,e_elastic,e_crack,e_total,e_sharp,rel_err,status"
 
 _DELTA_RULES = ("sqrt", "two_thirds", "scaled_two_thirds")
+# random draws allowed per requested line before the slicing check gives up
+_DRAWS_PER_LINE = 100
+
+
+class DiagnosticError(ValueError):
+    """A diagnostic whose inequality or sampling requirement does not hold."""
 
 
 def resolve_delta_rule(name: str, scale: float = 1.0):
@@ -163,7 +169,8 @@ def geodesic_inequality_check(w: ScalarField, which: str, eps: float,
 
     Both sides are assembled on cell faces; the potential on a face takes the
     larger endpoint value, which keeps the per-face Young inequality exact for
-    resolved fields.  Returns (lhs, rhs, slack); slack >= -1e-10 is asserted.
+    resolved fields.  Returns (lhs, rhs, slack); raises DiagnosticError when
+    slack < -1e-10.
     """
     if w.grid.dim != 1:
         raise ValueError("geodesic inequality check expects a 1D field")
@@ -181,7 +188,8 @@ def geodesic_inequality_check(w: ScalarField, which: str, eps: float,
     jumps = np.diff(vals)
     rhs = float(np.sum(h * f_face / eps + eps * jumps * jumps / h))
     slack = rhs - lhs
-    assert slack >= -1e-10, f"geodesic inequality violated: slack={slack:.3e}"
+    if slack < -1e-10:
+        raise DiagnosticError(f"geodesic inequality violated: slack={slack:.3e}")
     return lhs, rhs, slack
 
 
@@ -200,8 +208,8 @@ def compactness_levelset_diagnostic(z: ScalarField, P: PotentialSet,
     """Select the level of z in (1/4, 3/4) with the smallest discrete perimeter.
 
     The selection bound is TV(d_V o z) / (d_V(3/4) - d_V(1/4)); the face-count
-    perimeter at the chosen level must not exceed it beyond the grid slack.
-    Returns (t_star, perimeter_estimate, bound).
+    perimeter at the chosen level must not exceed it beyond the grid slack,
+    else DiagnosticError is raised.  Returns (t_star, perimeter_estimate, bound).
     """
     if np.any(z.values < 0.0) or np.any(z.values > 1.0):
         raise ValueError("z values must lie in [0, 1]")
@@ -213,8 +221,9 @@ def compactness_levelset_diagnostic(z: ScalarField, P: PotentialSet,
     perims = np.array([_face_count_perimeter(z.values > t, z.grid) for t in ts])
     k = int(np.argmin(perims))
     t_star, est = float(ts[k]), float(perims[k])
-    assert est <= bound * (1.0 + grid_slack) + 1e-12, \
-        f"level-set perimeter {est:.4g} exceeds bound {bound:.4g} (+{grid_slack:.0%})"
+    if not est <= bound * (1.0 + grid_slack) + 1e-12:
+        raise DiagnosticError(f"level-set perimeter {est:.4g} exceeds bound "
+                              f"{bound:.4g} (+{grid_slack:.0%})")
     return t_star, est, bound
 
 
@@ -234,7 +243,9 @@ def slicing_identity_check(u_spec: DisplacementSpec, grid: Grid, directions: int
 
     For `directions` seeded random lines, samples <u(y + t xi), xi> along the
     clipped line, differentiates by central differences (step ~ 2h), and
-    returns the largest error relative to the strain scale.
+    returns the largest error relative to the strain scale.  Only lines with
+    samples farther than 2h from the boundary count; DiagnosticError is raised
+    when `directions` such lines are not found in 100 draws per line.
     """
     pts_shape = grid.cells + (grid.dim,)
     mesh = np.stack(grid.meshgrid(), axis=-1).reshape(-1, grid.dim)
@@ -243,7 +254,9 @@ def slicing_identity_check(u_spec: DisplacementSpec, grid: Grid, directions: int
     h = max(grid.spacing)
     worst = 0.0
     found = 0
-    while found < directions:
+    for _ in range(_DRAWS_PER_LINE * directions):
+        if found == directions:
+            break
         angle = rng.uniform(0.0, 2.0 * np.pi)
         xi = np.array([np.cos(angle), np.sin(angle)])
         interior = np.array([o + rng.uniform(0.25, 0.75) * e
@@ -254,7 +267,6 @@ def slicing_identity_check(u_spec: DisplacementSpec, grid: Grid, directions: int
         sl = slice_extract(u, xi, y, samples)
         if not sl.hit or sl.t.size < 5:
             continue
-        found += 1
         dt = sl.t[1] - sl.t[0]
         fd = (sl.values[2:] - sl.values[:-2]) / (2.0 * dt)
         mid_t = sl.t[1:-1]
@@ -265,7 +277,11 @@ def slicing_identity_check(u_spec: DisplacementSpec, grid: Grid, directions: int
         keep = np.all((pts > lo) & (pts < hi), axis=1)
         if not np.any(keep):
             continue
+        found += 1
         exact = np.einsum("mij,i,j->m", u_spec.e_at(pts[keep]), xi, xi)
         scale = max(float(np.abs(exact).max()), 1.0)
         worst = max(worst, float(np.abs(fd[keep] - exact).max()) / scale)
+    if found < directions:
+        raise DiagnosticError(f"only {found} of {directions} lines have samples "
+                              f"farther than 2h = {2.0 * h:.3g} from the boundary")
     return SlicingReport(worst, h)

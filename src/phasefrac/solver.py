@@ -1,11 +1,12 @@
 """Alternating minimization of the diffuse energy over the blocks u, z, c.
 
-The u-step minimizes the quadratic elastic term exactly (conjugate gradient,
-seeded at the current displacement so the rigid-motion nullspace needs no
-deflation).  The z- and c-steps take one Armijo-accepted (projected) gradient
-step per sweep.  The energy is nonincreasing along the trajectory up to the
-CG residual slack; no claim of global minimization is made, the energy is
-nonconvex.
+The u-step minimizes the quadratic elastic term by conjugate gradient, seeded
+at the current displacement so the rigid-motion nullspace needs no deflation.
+CG stops at `cg_tol` or after `cg_max_iters` iterations; a step that hits the
+cap is inexact and its block is flagged `cg_max_iters`.  The z- and c-steps
+take one Armijo-accepted (projected) gradient step per sweep.  The energy is
+nonincreasing along the trajectory up to the CG residual slack; no claim of
+global minimization is made, the energy is nonconvex.
 """
 from __future__ import annotations
 
@@ -14,10 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .energy import (DiffuseState, ElasticModel, EnergyBreakdown, diffuse_energy,
-                     grad_c, grad_u, grad_z, mass, project_mass)
-from .fields import Grid, ScalarField, SymTensorField, VectorField, sym_gradient, \
-    sym_gradient_adjoint
+from .energy import (DiffuseState, ElasticModel, EnergyBreakdown, _evaluate,
+                     _stress_divergence, diffuse_energy, project_mass)
+from .fields import Grid, ScalarField, VectorField, _sym_gradient
 from .potentials import PotentialSet
 
 _MAX_BACKTRACKS = 60
@@ -116,23 +116,15 @@ def _cg(apply_a, b: np.ndarray, x0: np.ndarray, tol: float,
 
 def minimize_u(s: DiffuseState, P: PotentialSet, M: ElasticModel,
                plan: SolverPlan) -> tuple[DiffuseState, BlockResult]:
-    """Exact block minimization in u: solve grad_u E = 0 by matrix-free CG."""
+    """Block minimization in u: matrix-free CG on grad_u E = 0, capped at
+    `cg_max_iters` iterations (flagged `cg_max_iters` when it hits the cap)."""
     grid = s.grid
-    zc = np.clip(s.z.values, 0.0, 1.0)
-    weight = (M.psi(zc) + M.eta(s.delta))[..., None, None]
-    vol = grid.cell_volume
-
-    def apply_a(uvals: np.ndarray) -> np.ndarray:
-        eu = sym_gradient(VectorField(grid, uvals)).values
-        return vol * sym_gradient_adjoint(
-            SymTensorField(grid, weight * M.dform(eu))).values
-
-    misfit_rhs = s.c.values[..., None, None] * M.e0
-    b = vol * sym_gradient_adjoint(
-        SymTensorField(grid, weight * M.dform(misfit_rhs))).values
-
+    weight = M.psi(np.clip(s.z.values, 0.0, 1.0)) + M.eta(s.delta)
+    b = _stress_divergence(grid, M, weight, s.c.values[..., None, None] * M.e0)
     before = diffuse_energy(s, P, M)
-    unew, iters, converged = _cg(apply_a, b, s.u.values, plan.cg_tol, plan.cg_max_iters)
+    unew, iters, converged = _cg(
+        lambda u: _stress_divergence(grid, M, weight, _sym_gradient(u, grid.spacing)),
+        b, s.u.values, plan.cg_tol, plan.cg_max_iters)
     candidate = s.replace(u=VectorField(grid, unew))
     after = diffuse_energy(candidate, P, M)
     if after.e_total > before.e_total * (1.0 + 1e-13) + 1e-300:
@@ -146,16 +138,12 @@ def _armijo_step(s: DiffuseState, P: PotentialSet, M: ElasticModel, plan: Solver
                  block: str, start_step: float) -> tuple[DiffuseState, BlockResult]:
     grid = s.grid
     vol = grid.cell_volume
-    if block == "z":
-        base = s.z.values
-        direction = grad_z(s, P, M).values / vol
-    else:
-        base = s.c.values
-        g = grad_c(s, P, M).values
-        if plan.mass_constraint is not None:
-            g = g - g.mean()
-        direction = g / vol
-    before = diffuse_energy(s, P, M)
+    before, grads = _evaluate(s, P, M, block)
+    base = getattr(s, block).values
+    g = grads[block]
+    if block == "c" and plan.mass_constraint is not None:
+        g = g - g.mean()
+    direction = g / vol
     scale = max(1.0, float(np.abs(base).max()))
     if float(np.abs(direction).max()) * start_step < 1e-16 * scale:
         return s, BlockResult(block, True, flag="stationary", energy=before)
@@ -169,10 +157,7 @@ def _armijo_step(s: DiffuseState, P: PotentialSet, M: ElasticModel, plan: Solver
         move = float(np.abs(delta).max())
         if move < 1e-16 * scale:
             return s, BlockResult(block, True, flag="stationary", iters=k, energy=before)
-        if block == "z":
-            candidate = s.replace(z=ScalarField(grid, trial))
-        else:
-            candidate = s.replace(c=ScalarField(grid, trial))
+        candidate = s.replace(**{block: ScalarField(grid, trial)})
         after = diffuse_energy(candidate, P, M)
         decrease = plan.armijo_c * (vol / t) * float(np.sum(delta * delta))
         if after.e_total <= before.e_total - decrease:
@@ -221,15 +206,11 @@ def alternate(s0: DiffuseState, P: PotentialSet, M: ElasticModel,
         s, rc = minimize_c(s, P, M, plan, start_step=step_c)
         if rc.accepted and rc.step > 0:
             step_c = min(rc.step / plan.backtrack_factor, plan.step0)
-        energies.append(rc.energy if rc.energy is not None else diffuse_energy(s, P, M))
+        energies.append(rc.energy)
         flags.append(tuple(f"{r.block}:{r.flag}" for r in (ru, rz, rc) if r.flag))
         prev, cur = energies[-2].e_total, energies[-1].e_total
         if prev - cur < plan.tol_rel_energy * max(abs(prev), 1e-300):
             reason = "converged"
             break
-    norms = {
-        "c": float(np.abs(grad_c(s, P, M).values).max()),
-        "u": float(np.abs(grad_u(s, P, M).values).max()),
-        "z": float(np.abs(grad_z(s, P, M).values).max()),
-    }
+    norms = {b: float(np.abs(g).max()) for b, g in _evaluate(s, P, M, "cuz")[1].items()}
     return s, Trajectory(tuple(energies), reason, norms, tuple(flags))

@@ -29,6 +29,25 @@ cells = 4096
 """
 
 
+def run_atomic(monkeypatch, out_dir, argv):
+    """Run main and check that every file it leaves in out_dir arrived by a
+    rename from its `.partial` twin, and that no `.partial` file is left."""
+    renamed = []
+    real_replace = os.replace
+
+    def replace(src, dst):
+        renamed.append((str(src), str(dst)))
+        real_replace(src, dst)
+    monkeypatch.setattr(os, "replace", replace)
+    code = main(argv)
+    monkeypatch.undo()
+    assert not list(out_dir.glob("*.partial"))
+    written = sorted(str(p) for p in out_dir.iterdir())
+    assert sorted(dst for _, dst in renamed) == written
+    assert all(src == dst + ".partial" for src, dst in renamed)
+    return code
+
+
 def write_config(tmp_path, text):
     path = tmp_path / "run.ini"
     path.write_text(text.format(out=tmp_path / "out"))
@@ -96,9 +115,9 @@ def test_width_condition_checked_when_enforced(tmp_path):
         parse_config(write_config(tmp_path, text))
 
 
-def test_check_command(tmp_path, capsys):
+def test_check_command(tmp_path, capsys, monkeypatch):
     path = write_config(tmp_path, MINIMAL_1D)
-    assert main(["check", "--config", path]) == 0
+    assert run_atomic(monkeypatch, tmp_path / "out", ["check", "--config", path]) == 0
     out = capsys.readouterr().out
     assert "alpha_surf = 0.333333333333" in out
     assert "alpha_frac = 2" in out
@@ -127,9 +146,9 @@ def test_sweep_command_writes_csv(tmp_path, capsys):
     assert len(lines) == 3
 
 
-def test_recover_command_dumps_fields(tmp_path):
+def test_recover_command_dumps_fields(tmp_path, monkeypatch):
     path = write_config(tmp_path, MINIMAL_1D)
-    assert main(["recover", "--config", path]) == 0
+    assert run_atomic(monkeypatch, tmp_path / "out", ["recover", "--config", path]) == 0
     for name in ("c.field", "z.field", "u0.field"):
         assert (tmp_path / "out" / name).exists()
     from phasefrac.fields import read_field
@@ -137,11 +156,11 @@ def test_recover_command_dumps_fields(tmp_path):
     assert z.values.min() >= 0.0 and z.values.max() <= 1.0
 
 
-def test_minimize_command(tmp_path, capsys):
+def test_minimize_command(tmp_path, capsys, monkeypatch):
     text = MINIMAL_1D.replace("cells = 2048", "cells = 256")
     text += "\n[solver]\nmax_outer = 10\nmass = 0.5\neps = 0.05\ndelta = 0.1\n"
     path = write_config(tmp_path, text)
-    assert main(["minimize", "--config", path]) == 0
+    assert run_atomic(monkeypatch, tmp_path / "out", ["minimize", "--config", path]) == 0
     traj = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
     assert traj[0] == "sweep,e_phase,e_elastic,e_crack,e_total"
     totals = [float(line.split(",")[-1]) for line in traj[1:]]

@@ -197,3 +197,22 @@ def test_field_dump_roundtrip(tmp_path, g2):
     f2 = read_field(path)
     assert f2.grid == g2
     assert np.array_equal(f.values, f2.values)
+
+
+def _dump(tmp_path, g, edit):
+    path = tmp_path / "f.field"
+    write_field(ScalarField.full(g, 0.25), path)
+    path.write_text(edit(path.read_text()))
+    return path
+
+
+def test_read_field_rejects_padded_file(tmp_path, g1):
+    path = _dump(tmp_path, g1, lambda text: text + "0.5\n")
+    with pytest.raises(ValueError, match=r"f\.field: 129 values.* 128 cells"):
+        read_field(path)
+
+
+def test_read_field_rejects_truncated_file(tmp_path, g1):
+    path = _dump(tmp_path, g1, lambda text: text[:text.rindex("0.25\n")])
+    with pytest.raises(ValueError, match=r"f\.field: 127 values.* 128 cells"):
+        read_field(path)

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import phasefrac
 from phasefrac.fields import Grid, ScalarField
-from phasefrac.harness import (SweepPlan, compactness_levelset_diagnostic,
+from phasefrac.harness import (DiagnosticError, SweepPlan,
+                               compactness_levelset_diagnostic,
                                face_total_variation, gamma_sweep,
                                geodesic_inequality_check, resolve_delta_rule,
                                slicing_identity_check)
@@ -165,3 +171,41 @@ def test_slicing_quadratic_first_order():
                                    32, seed=5)
     assert rep_c.max_error <= 0.5 * rep_c.spacing  # C well below 1/2 here
     assert rep_c.max_error / rep_f.max_error >= 1.7
+
+
+def test_slicing_rejects_grid_without_interior_samples():
+    # on 3x3 cells no sample lies farther than 2h from the boundary
+    grid = Grid((0.0, 0.0), (1.0, 1.0), (3, 3))
+    with pytest.raises(DiagnosticError, match="0 of 4 lines"):
+        slicing_identity_check(skew_affine_displacement(), grid, 4, seed=0)
+
+
+DIAGNOSTIC_VIOLATIONS = """
+import numpy as np
+from phasefrac.fields import Grid, ScalarField
+from phasefrac.harness import (DiagnosticError, compactness_levelset_diagnostic,
+                               geodesic_inequality_check)
+from phasefrac.potentials import make_default_potentials
+P = make_default_potentials()
+w = ScalarField(Grid((0.0,), (1.0,), (4,)), np.array([0.0, 0.0, 1.0, 1.0]))
+step = ScalarField.from_function(Grid((0.0, 0.0), (1.0, 1.0), (16, 16)),
+                                 lambda x, y: (x > 0.5).astype(float))
+for call in (lambda: geodesic_inequality_check(w, "W", 0.01, P),
+             lambda: compactness_levelset_diagnostic(step, P, grid_slack=-1.0)):
+    try:
+        call()
+    except DiagnosticError as exc:
+        print("raised:", exc)
+    else:
+        raise SystemExit("diagnostic passed a violation")
+"""
+
+
+def test_diagnostics_raise_under_optimize():
+    # the verdicts must survive `python -O`, which strips assert statements
+    src = os.path.dirname(os.path.dirname(os.path.abspath(phasefrac.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", DIAGNOSTIC_VIOLATIONS],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("raised:") == 2
