@@ -12,6 +12,7 @@ import argparse
 import configparser
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -219,8 +220,7 @@ def parse_config(path: str) -> RunConfig:
             step0=take("solver", "step0", float, 1.0),
             backtrack_factor=take("solver", "backtrack_factor", float, 0.5),
             armijo_c=take("solver", "armijo_c", float, 0.25),
-            mass_constraint=float(mass_raw) if mass_raw is not None else None,
-            seed=seed)
+            mass_constraint=float(mass_raw) if mass_raw is not None else None)
     except ValueError as exc:
         violations.append(f"[solver] {exc}")
     solver_eps = take("solver", "eps", float, 0.0078125)
@@ -450,8 +450,10 @@ def _cmd_minimize(cfg: RunConfig) -> int:
     for a in range(grid.dim):
         write_field(ScalarField(grid, s.u.values[..., a]),
                     os.path.join(cfg.out_dir, f"u{a}.field"))
+    counts = Counter(f for sweep in traj.flags for f in sweep)
+    histogram = " ".join(f"{f}={n}" for f, n in sorted(counts.items())) or "none"
     _emit(cfg, f"minimize: {len(traj.energies) - 1} sweeps ({traj.reason}), "
-               f"e_total = {traj.energies[-1].e_total:.12g}")
+               f"e_total = {traj.energies[-1].e_total:.12g}, flags: {histogram}")
     monotone = np.all(np.diff(traj.totals) <=
                       10.0 * plan.cg_tol * np.abs(traj.totals[:-1]))
     return 0 if monotone else 1
@@ -481,8 +483,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.seed is not None:
         cfg.seed = args.seed
         cfg.sections["run"]["seed"] = str(args.seed)
-        if cfg.solver_plan is not None:
-            cfg.solver_plan = SolverPlan(**{**cfg.solver_plan.__dict__, "seed": args.seed})
     if args.quiet:
         cfg.quiet = True
 

@@ -1,10 +1,12 @@
 """Alternating minimization of the diffuse energy over the blocks u, z, c.
 
-The u-step minimizes the quadratic elastic term by conjugate gradient, seeded
-at the current displacement so the rigid-motion nullspace needs no deflation.
-CG stops at `cg_tol` or after `cg_max_iters` iterations; a step that hits the
-cap is inexact and its block is flagged `cg_max_iters`.  The z- and c-steps
-take one Armijo-accepted (projected) gradient step per sweep.  The energy is
+The u-step minimizes the quadratic elastic term.  In 1D it is an exact
+closed-form O(n) solve that keeps the mean of the current displacement.  In
+2D it is conjugate gradient seeded at the current displacement, so the
+rigid-motion nullspace needs no deflation; CG stops at `cg_tol` or after
+`cg_max_iters` iterations (both act only in 2D), and a step that hits the cap
+is inexact and its block is flagged `cg_max_iters`.  The z- and c-steps take
+one Armijo-accepted (projected) gradient step per sweep.  The energy is
 nonincreasing along the trajectory up to the CG residual slack; no claim of
 global minimization is made, the energy is nonconvex.
 """
@@ -33,7 +35,6 @@ class SolverPlan:
     backtrack_factor: float = 0.5
     armijo_c: float = 0.25
     mass_constraint: Optional[float] = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.tol_rel_energy <= 0 or self.cg_tol <= 0 or self.step0 <= 0:
@@ -60,7 +61,6 @@ class BlockResult:
 class Trajectory:
     energies: tuple[EnergyBreakdown, ...]
     reason: str
-    grad_norms: dict
     flags: tuple[tuple[str, ...], ...] = field(default_factory=tuple)
 
     @property
@@ -114,17 +114,50 @@ def _cg(apply_a, b: np.ndarray, x0: np.ndarray, tol: float,
     return x, max_iters, False
 
 
-def minimize_u(s: DiffuseState, P: PotentialSet, M: ElasticModel,
-               plan: SolverPlan) -> tuple[DiffuseState, BlockResult]:
-    """Block minimization in u: matrix-free CG on grad_u E = 0, capped at
-    `cg_max_iters` iterations (flagged `cg_max_iters` when it hits the cap)."""
+def _solve_u_1d(u: np.ndarray, weight: np.ndarray, f: np.ndarray,
+                h: float) -> np.ndarray:
+    """Exact minimizer of sum w (Du - f)^2, D the centered difference with
+    one-sided ends, with the mean of `u` (the constant nullspace mode) kept.
+
+    D has rank n - 1 and left null vector k = (1, -2, 2, ..., +-1), so the
+    reachable strain is g = f - alpha k/w with <k, g> = 0; Du = g is then
+    integrated on the even and the odd sublattice by two cumulative sums.
+    """
+    n = f.size
+    k = np.where(np.arange(n) % 2 == 0, 2.0, -2.0)
+    k[0] *= 0.5
+    k[-1] *= 0.5
+    kw = k / weight
+    g = f - (np.dot(k, f) / np.dot(k, kw)) * kw
+    out = np.zeros(n)
+    out[2::2] = 2.0 * h * np.cumsum(g[1:-1:2])
+    out[1] = h * g[0]
+    out[3::2] = out[1] + 2.0 * h * np.cumsum(g[2:-1:2])
+    out += u.mean() - out.mean()
+    return out[:, None]
+
+
+def minimize_u(s: DiffuseState, P: PotentialSet, M: ElasticModel, plan: SolverPlan,
+               before: Optional[EnergyBreakdown] = None
+               ) -> tuple[DiffuseState, BlockResult]:
+    """Block minimization in u.  1D: the exact closed-form solve, `iters` 0.
+    2D: matrix-free CG on grad_u E = 0 to `cg_tol`, capped at `cg_max_iters`
+    iterations (flagged `cg_max_iters` when it hits the cap); the two settings
+    act only in 2D.  `before` is the energy of `s` when the caller knows it;
+    it is evaluated here otherwise."""
     grid = s.grid
     weight = M.psi(np.clip(s.z.values, 0.0, 1.0)) + M.eta(s.delta)
-    b = _stress_divergence(grid, M, weight, s.c.values[..., None, None] * M.e0)
-    before = diffuse_energy(s, P, M)
-    unew, iters, converged = _cg(
-        lambda u: _stress_divergence(grid, M, weight, _sym_gradient(u, grid.spacing)),
-        b, s.u.values, plan.cg_tol, plan.cg_max_iters)
+    if before is None:
+        before = diffuse_energy(s, P, M)
+    if grid.dim == 1:
+        unew = _solve_u_1d(s.u.values[:, 0], weight, s.c.values * M.e0[0, 0],
+                           grid.spacing[0])
+        iters, converged = 0, True
+    else:
+        b = _stress_divergence(grid, M, weight, s.c.values[..., None, None] * M.e0)
+        unew, iters, converged = _cg(
+            lambda u: _stress_divergence(grid, M, weight, _sym_gradient(u, grid.spacing)),
+            b, s.u.values, plan.cg_tol, plan.cg_max_iters)
     candidate = s.replace(u=VectorField(grid, unew))
     after = diffuse_energy(candidate, P, M)
     if after.e_total > before.e_total * (1.0 + 1e-13) + 1e-300:
@@ -199,7 +232,7 @@ def alternate(s0: DiffuseState, P: PotentialSet, M: ElasticModel,
     step_z = plan.step0
     step_c = plan.step0
     for _ in range(plan.max_outer):
-        s, ru = minimize_u(s, P, M, plan)
+        s, ru = minimize_u(s, P, M, plan, before=energies[-1])
         s, rz = minimize_z(s, P, M, plan, start_step=step_z)
         if rz.accepted and rz.step > 0:
             step_z = min(rz.step / plan.backtrack_factor, plan.step0)
@@ -212,5 +245,4 @@ def alternate(s0: DiffuseState, P: PotentialSet, M: ElasticModel,
         if prev - cur < plan.tol_rel_energy * max(abs(prev), 1e-300):
             reason = "converged"
             break
-    norms = {b: float(np.abs(g).max()) for b, g in _evaluate(s, P, M, "cuz")[1].items()}
-    return s, Trajectory(tuple(energies), reason, norms, tuple(flags))
+    return s, Trajectory(tuple(energies), reason, tuple(flags))

@@ -166,6 +166,11 @@ def test_minimize_command(tmp_path, capsys, monkeypatch):
     totals = [float(line.split(",")[-1]) for line in traj[1:]]
     assert all(b <= a * (1 + 1e-9) for a, b in zip(totals, totals[1:]))
     assert (tmp_path / "out" / "c.field").exists()
+    summary = capsys.readouterr().out.strip().splitlines()[-1]
+    assert summary.startswith("minimize: ")
+    flags = summary.split("flags: ", 1)[1].split()
+    assert flags == ["none"] or all(f.count("=") == 1 for f in flags)
+    assert not [f for f in flags if f.startswith("u:")]
 
 
 def test_seed_override_changes_manifest(tmp_path):
