@@ -1,9 +1,11 @@
 """Config-file driven command line: check | sweep | minimize | recover | sharp.
 
 The config is line-oriented `key = value` under `[section]` headers
-(INI syntax).  Every run writes a manifest (canonical config echo, versions,
-seed) into the output directory so it can be reproduced bit for bit with the
-same package version.  Exit codes: 0 success, 1 invariant failure, 2 config
+(INI syntax).  `_SCHEMA` is the one place that lists every section and key
+and the default an omitted key takes.  Every run writes a manifest
+(canonical config echo with those defaults filled in, versions, seed) into
+the output directory so it can be reproduced bit for bit with the same
+package version.  Exit codes: 0 success, 1 invariant failure, 2 config
 error.
 """
 from __future__ import annotations
@@ -37,36 +39,30 @@ class ConfigError(ValueError):
         super().__init__("invalid config:\n" + "\n".join(f"  - {v}" for v in violations))
 
 
-_KNOWN_KEYS = {
-    "run": {"seed", "out", "quiet"},
-    "potentials": {"name", "w_scale", "v_scale", "c_delta_scale",
-                   "quadrature_nodes", "coercivity", "m_samples"},
-    "elastic": {"lame_lambda", "lame_mu", "e0", "theta", "eta_rule", "psi"},
-    "geometry": {"dim", "domain", "origin", "extent", "cells", "phase_points",
-                 "crack_points", "c_pieces", "u_slopes", "u_offsets", "polygon",
-                 "segments", "u_spec", "affine_matrix", "affine_offset",
-                 "rigid_point", "rigid_dir", "rigid_plus", "rigid_minus",
-                 "rigid_omega_plus", "rigid_omega_minus"},
-    "solver": {"max_outer", "tol_rel_energy", "cg_tol", "cg_max_iters", "step0",
-               "backtrack_factor", "armijo_c", "mass", "eps", "delta",
-               "jitter_amplitude"},
-    "sweep": {"eps_schedule", "delta_rule", "delta_scale", "lambda", "cells",
-              "enforce_width", "out_csv"},
-}
-
-_DEFAULTS = {
+# section -> key -> default text, or None for a key without a default.  The
+# manifest echoes these texts byte for byte, so they are not derived from the
+# library's dataclass defaults (repr(1e-8) is '1e-08').  The [geometry] keys
+# depend on dim; _build_geometry fills them in and the manifest omits them.
+_SCHEMA = {
     "run": {"seed": "0", "out": "out", "quiet": "false"},
     "potentials": {"name": "default", "w_scale": "1", "v_scale": "1",
                    "c_delta_scale": "1", "quadrature_nodes": "4096",
                    "coercivity": "4", "m_samples": "10001"},
     "elastic": {"lame_lambda": "0", "lame_mu": "0.5", "e0": "0", "theta": "0",
                 "eta_rule": "delta_squared", "psi": "quadratic"},
+    "geometry": dict.fromkeys((
+        "dim", "domain", "origin", "extent", "cells", "phase_points",
+        "crack_points", "c_pieces", "u_slopes", "u_offsets", "polygon",
+        "segments", "u_spec", "affine_matrix", "affine_offset", "rigid_point",
+        "rigid_dir", "rigid_plus", "rigid_minus", "rigid_omega_plus",
+        "rigid_omega_minus")),
     "solver": {"max_outer": "200", "tol_rel_energy": "1e-8", "cg_tol": "1e-10",
                "cg_max_iters": "1000", "step0": "1.0", "backtrack_factor": "0.5",
-               "armijo_c": "0.25", "eps": "0.0078125", "delta": "auto",
-               "jitter_amplitude": "1e-3"},
-    "sweep": {"delta_rule": "two_thirds", "delta_scale": "1", "lambda": "1e-4",
-              "enforce_width": "false"},
+               "armijo_c": "0.25", "mass": None, "eps": "0.0078125",
+               "delta": "auto", "jitter_amplitude": "1e-3"},
+    "sweep": {"eps_schedule": None, "delta_rule": "two_thirds", "delta_scale": "1",
+              "lambda": "1e-4", "cells": None, "enforce_width": "false",
+              "out_csv": None},
 }
 
 
@@ -78,14 +74,15 @@ class RunConfig:
     quiet: bool
     potentials: PotentialSet
     elastic: ElasticModel
-    geometry: object = None
-    sweep_plan: Optional[SweepPlan] = None
-    solver_plan: Optional[SolverPlan] = None
-    solver_eps: float = 0.0078125
-    solver_delta: float = 0.0
-    solver_cells: tuple[int, ...] = (1024,)
-    jitter_amplitude: float = 1e-3
-    m_samples: int = 10001
+    geometry: object
+    sweep_plan: Optional[SweepPlan]
+    solver_plan: SolverPlan
+    solver_eps: float
+    solver_delta: float
+    solver_cells: tuple[int, ...]
+    solver_grid: Grid
+    jitter_amplitude: float
+    m_samples: int
 
 
 def _floats(text: str) -> list[float]:
@@ -104,6 +101,15 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _one_of(table: dict):
+    """Converter from a name to its entry in `table`."""
+    def conv(text: str):
+        if text not in table:
+            raise ValueError(f"unknown {text!r} ({'|'.join(table)})")
+        return table[text]
+    return conv
+
+
 def parse_config(path: str) -> RunConfig:
     """Parse and validate; collects every violation instead of stopping at one."""
     if not os.path.exists(path):
@@ -116,90 +122,100 @@ def parse_config(path: str) -> RunConfig:
         raise ConfigError([f"syntax: {exc}"]) from exc
 
     violations: list[str] = []
-    sections: dict[str, dict[str, str]] = {}
+    sections = {name: {k: v for k, v in keys.items() if v is not None}
+                for name, keys in _SCHEMA.items()}
     for name in cp.sections():
-        if name not in _KNOWN_KEYS:
+        if name not in _SCHEMA:
             violations.append(f"unknown section [{name}]")
             continue
-        sections[name] = {}
         for key, value in cp.items(name):
-            if key not in _KNOWN_KEYS[name]:
-                violations.append(f"unknown key {key!r} in [{name}]")
-            else:
+            if key in _SCHEMA[name]:
                 sections[name][key] = value.strip()
-    for name, defaults in _DEFAULTS.items():
-        merged = dict(defaults)
-        merged.update(sections.get(name, {}))
-        sections[name] = merged
+            else:
+                violations.append(f"unknown key {key!r} in [{name}]")
 
-    def sec(name: str) -> dict:
-        return sections.get(name, {})
-
-    def take(name: str, key: str, conv, fallback=None):
-        raw = sec(name).get(key)
+    def take(name: str, key: str, conv):
+        """conv of the value, None if unset.  A value conv rejects is a
+        violation; parsing goes on with the default, so that every fault is
+        listed, or with None where the default is unset or does not convert."""
+        raw = sections[name].get(key)
         if raw is None:
-            return fallback
+            return None
         try:
             return conv(raw)
         except ValueError as exc:
             violations.append(f"[{name}] {key}: {exc}")
-            return fallback
+        default = _SCHEMA[name][key]
+        try:
+            return None if default is None else conv(default)
+        except ValueError:
+            return None
 
-    seed = take("run", "seed", int, 0)
-    out_dir = sec("run").get("out", "out")
-    quiet = take("run", "quiet", _bool, False)
+    def grid(name: str, geom, cells: tuple[int, ...]) -> Optional[Grid]:
+        try:
+            return geom.grid(cells)
+        except ValueError as exc:
+            violations.append(f"[{name}] cells: {exc}")
+            return None
 
-    theta = take("elastic", "theta", float, 0.0)
-    if theta is not None and not 0.0 <= theta <= 1.0:
+    seed = take("run", "seed", int)
+    quiet = take("run", "quiet", _bool)
+
+    theta = take("elastic", "theta", float)
+    if not 0.0 <= theta <= 1.0:
         violations.append(f"[elastic] theta must lie in [0, 1], got {theta}")
         theta = 0.0
 
-    pot_name = sec("potentials").get("name", "default")
+    pot_name = sections["potentials"]["name"]
     if pot_name != "default":
         violations.append(f"[potentials] unknown built-in {pot_name!r} "
                           "(available: default, with w_scale/v_scale parameters)")
     try:
         potentials = make_default_potentials(
             theta=theta,
-            w_scale=take("potentials", "w_scale", float, 1.0),
-            v_scale=take("potentials", "v_scale", float, 1.0),
-            c_delta_scale=take("potentials", "c_delta_scale", float, 1.0),
-            quadrature_nodes=take("potentials", "quadrature_nodes", int, 4096),
-            coercivity=take("potentials", "coercivity", float, 4.0))
+            w_scale=take("potentials", "w_scale", float),
+            v_scale=take("potentials", "v_scale", float),
+            c_delta_scale=take("potentials", "c_delta_scale", float),
+            quadrature_nodes=take("potentials", "quadrature_nodes", int),
+            coercivity=take("potentials", "coercivity", float))
     except ValueError as exc:
         violations.append(f"[potentials] {exc}")
-        potentials = make_default_potentials()
-    m_samples = take("potentials", "m_samples", int, 10001)
+        potentials = None
+    m_samples = take("potentials", "m_samples", int)
 
-    geometry, geo_violations = _build_geometry(sections)
+    geometry, geo_violations = _build_geometry(sections["geometry"])
     violations.extend(geo_violations)
     dim = geometry.dim if geometry is not None else 1
 
-    elastic, el_violations = _build_elastic(sec("elastic"), dim)
+    elastic, el_violations = _build_elastic(take, dim)
     violations.extend(el_violations)
 
+    geo_cells = take("geometry", "cells", _ints)
+    solver_cells = (1024,) if geo_cells is None else tuple(geo_cells)
+    solver_grid = grid("geometry", geometry or SharpGeometry1D((0.0, 1.0)), solver_cells)
+
     sweep_plan = None
-    if "eps_schedule" in sec("sweep") or cp.has_section("sweep"):
-        raw_sched = sec("sweep").get("eps_schedule")
-        if raw_sched:
-            if geometry is None:
-                violations.append("[sweep] requires a [geometry] section")
-            else:
-                try:
-                    cells = tuple(_ints(sec("sweep").get(
-                        "cells", sec("geometry").get("cells", "4096"))))
-                    sweep_plan = SweepPlan(
-                        geometry=geometry,
-                        eps_schedule=tuple(_floats(raw_sched)),
-                        delta_rule=sec("sweep")["delta_rule"],
-                        delta_scale=take("sweep", "delta_scale", float, 1.0),
-                        lam=take("sweep", "lambda", float, 1e-4),
-                        cells=cells,
-                        enforce_width=take("sweep", "enforce_width", _bool, False),
-                        out_csv=sec("sweep").get("out_csv"))
-                except ValueError as exc:
-                    violations.append(f"[sweep] {exc}")
-    if sweep_plan is not None and sweep_plan.enforce_width and geometry is not None \
+    raw_sched = sections["sweep"].get("eps_schedule")
+    if raw_sched and geometry is None:
+        violations.append("[sweep] requires a [geometry] section")
+    elif raw_sched:
+        # [sweep] cells, else the [geometry] cells, whose grid is checked above
+        own_cells = "cells" in sections["sweep"]
+        cells = take("sweep", "cells", _ints) if own_cells else geo_cells
+        # taken before eps_schedule converts, so that their faults are listed too
+        options = dict(delta_rule=sections["sweep"]["delta_rule"],
+                       delta_scale=take("sweep", "delta_scale", float),
+                       lam=take("sweep", "lambda", float),
+                       cells=(4096,) if cells is None else tuple(cells),
+                       enforce_width=take("sweep", "enforce_width", _bool),
+                       out_csv=sections["sweep"].get("out_csv"))
+        try:
+            sweep_plan = SweepPlan(geometry, tuple(_floats(raw_sched)), **options)
+        except ValueError as exc:
+            violations.append(f"[sweep] {exc}")
+        if sweep_plan is not None and own_cells:
+            grid("sweep", geometry, sweep_plan.cells)
+    if sweep_plan is not None and sweep_plan.enforce_width \
             and geometry.has_phase() and geometry.has_crack():
         lam = sweep_plan.lam
         for eps, delta in zip(sweep_plan.eps_schedule, sweep_plan.deltas()):
@@ -209,80 +225,61 @@ def parse_config(path: str) -> RunConfig:
                     f"eps/sqrt(lambda)={eps / np.sqrt(lam):g} > lambda*delta="
                     f"{lam * delta:g}")
 
-    solver_plan = None
     try:
-        mass_raw = sec("solver").get("mass")
         solver_plan = SolverPlan(
-            max_outer=take("solver", "max_outer", int, 200),
-            tol_rel_energy=take("solver", "tol_rel_energy", float, 1e-8),
-            cg_tol=take("solver", "cg_tol", float, 1e-10),
-            cg_max_iters=take("solver", "cg_max_iters", int, 1000),
-            step0=take("solver", "step0", float, 1.0),
-            backtrack_factor=take("solver", "backtrack_factor", float, 0.5),
-            armijo_c=take("solver", "armijo_c", float, 0.25),
-            mass_constraint=float(mass_raw) if mass_raw is not None else None)
+            max_outer=take("solver", "max_outer", int),
+            tol_rel_energy=take("solver", "tol_rel_energy", float),
+            cg_tol=take("solver", "cg_tol", float),
+            cg_max_iters=take("solver", "cg_max_iters", int),
+            step0=take("solver", "step0", float),
+            backtrack_factor=take("solver", "backtrack_factor", float),
+            armijo_c=take("solver", "armijo_c", float),
+            mass_constraint=take("solver", "mass", float))
     except ValueError as exc:
         violations.append(f"[solver] {exc}")
-    solver_eps = take("solver", "eps", float, 0.0078125)
-    delta_raw = sec("solver").get("delta", "auto")
-    solver_delta = solver_eps ** (2.0 / 3.0) if delta_raw == "auto" else \
-        take("solver", "delta", float, 0.04)
-    solver_cells = tuple(_ints(sec("geometry").get("cells", "1024"))) \
-        if "geometry" in sections and "cells" in sections["geometry"] else (1024,)
+        solver_plan = None
+    solver_eps = take("solver", "eps", float)
+    solver_delta = solver_eps ** (2.0 / 3.0) if sections["solver"]["delta"] == "auto" \
+        else take("solver", "delta", float)
+    jitter_amplitude = take("solver", "jitter_amplitude", float)
 
     if violations:
         raise ConfigError(violations)
-    return RunConfig(sections=sections, seed=seed, out_dir=out_dir, quiet=quiet,
-                     potentials=potentials, elastic=elastic, geometry=geometry,
-                     sweep_plan=sweep_plan, solver_plan=solver_plan,
+    return RunConfig(sections=sections, seed=seed, out_dir=sections["run"]["out"],
+                     quiet=quiet, potentials=potentials, elastic=elastic,
+                     geometry=geometry, sweep_plan=sweep_plan, solver_plan=solver_plan,
                      solver_eps=solver_eps, solver_delta=solver_delta,
-                     solver_cells=solver_cells,
-                     jitter_amplitude=take("solver", "jitter_amplitude", float, 1e-3),
-                     m_samples=m_samples)
+                     solver_cells=solver_cells, solver_grid=solver_grid,
+                     jitter_amplitude=jitter_amplitude, m_samples=m_samples)
 
 
-def _build_elastic(sec: dict, dim: int) -> tuple[ElasticModel, list[str]]:
+def _build_elastic(take, dim: int) -> tuple[Optional[ElasticModel], list[str]]:
     violations: list[str] = []
-    e0_vals = []
-    try:
-        e0_vals = _floats(sec.get("e0", "0"))
-    except ValueError as exc:
-        violations.append(f"[elastic] e0: {exc}")
+    e0_vals = take("elastic", "e0", _floats)
     if dim == 1:
         e0 = np.array([[e0_vals[0] if e0_vals else 0.0]])
+    elif len(e0_vals) == 1:
+        e0 = e0_vals[0] * np.eye(2)
+    elif len(e0_vals) == 3:
+        a, b, c = e0_vals
+        e0 = np.array([[a, b], [b, c]])
     else:
-        if len(e0_vals) == 1:
-            e0 = e0_vals[0] * np.eye(2)
-        elif len(e0_vals) == 3:
-            a, b, c = e0_vals
-            e0 = np.array([[a, b], [b, c]])
-        else:
-            violations.append("[elastic] 2D e0 needs 1 (isotropic) or 3 "
-                              "(a11 a12 a22) components")
-            e0 = np.zeros((2, 2))
-    psi_name = sec.get("psi", "quadratic")
-    if psi_name not in DEGRADATIONS:
-        violations.append(f"[elastic] unknown psi {psi_name!r} (quadratic|linear)")
-    psi, dpsi = DEGRADATIONS.get(psi_name, DEGRADATIONS["quadratic"])
-    eta_name = sec.get("eta_rule", "delta_squared")
-    if eta_name not in ETA_RULES:
-        violations.append(f"[elastic] unknown eta_rule {eta_name!r} "
-                          "(delta_squared|delta_cubed)")
-    eta = ETA_RULES.get(eta_name, ETA_RULES["delta_squared"])
+        violations.append("[elastic] 2D e0 needs 1 (isotropic) or 3 "
+                          "(a11 a12 a22) components")
+        e0 = np.zeros((2, 2))
+    psi, dpsi = take("elastic", "psi", _one_of(DEGRADATIONS))
     try:
-        model = ElasticModel(lame_lambda=float(sec.get("lame_lambda", "0")),
-                             lame_mu=float(sec.get("lame_mu", "0.5")),
-                             e0=e0, psi=psi, dpsi=dpsi, eta_rule=eta)
+        model = ElasticModel(lame_lambda=take("elastic", "lame_lambda", float),
+                             lame_mu=take("elastic", "lame_mu", float),
+                             e0=e0, psi=psi, dpsi=dpsi,
+                             eta_rule=take("elastic", "eta_rule", _one_of(ETA_RULES)))
     except ValueError as exc:
         violations.append(f"[elastic] {exc}")
-        model = ElasticModel(e0=np.zeros((dim, dim)))
+        model = None
     return model, violations
 
 
-def _build_geometry(sections: dict) -> tuple[object, list[str]]:
-    if "geometry" not in sections or not sections.get("geometry"):
-        return None, []
-    sec = sections["geometry"]
+def _build_geometry(sec: dict) -> tuple[object, list[str]]:
     if "dim" not in sec:
         return None, []
     violations: list[str] = []
@@ -346,8 +343,8 @@ def _build_geometry(sections: dict) -> tuple[object, list[str]]:
 def emit_config(cfg: RunConfig) -> str:
     """Canonical INI echo of the effective configuration."""
     lines = []
-    for name in ("run", "potentials", "elastic", "geometry", "solver", "sweep"):
-        body = cfg.sections.get(name)
+    for name in _SCHEMA:
+        body = cfg.sections[name]
         if not body:
             continue
         lines.append(f"[{name}]")
@@ -427,14 +424,7 @@ def _cmd_recover(cfg: RunConfig) -> int:
 
 
 def _cmd_minimize(cfg: RunConfig) -> int:
-    if cfg.geometry is not None and cfg.geometry.dim == 2:
-        origin, extent = tuple(cfg.geometry.origin), tuple(cfg.geometry.extent)
-        cells = cfg.solver_cells if len(cfg.solver_cells) == 2 else cfg.solver_cells * 2
-    else:
-        dom = cfg.geometry.domain if cfg.geometry is not None else (0.0, 1.0)
-        origin, extent = (dom[0],), (dom[1] - dom[0],)
-        cells = cfg.solver_cells[:1]
-    grid = Grid(origin, extent, cells)
+    grid = cfg.solver_grid
     plan = cfg.solver_plan
     c0 = plan.mass_constraint if plan.mass_constraint is not None else 0.5
     s0 = default_state(grid, cfg.solver_eps, cfg.solver_delta, c0=c0,

@@ -77,13 +77,7 @@ class SweepPlan:
         return tuple(rule(e) for e in self.eps_schedule)
 
     def grid(self) -> Grid:
-        g = self.geometry
-        if g.dim == 1:
-            a, b = g.domain
-            cells = self.cells if len(self.cells) == 1 else (self.cells[0],)
-            return Grid((a,), (b - a,), cells)
-        cells = self.cells if len(self.cells) == 2 else self.cells * 2
-        return Grid(tuple(g.origin), tuple(g.extent), cells)
+        return self.geometry.grid(self.cells)
 
 
 @dataclass(frozen=True)

@@ -113,15 +113,6 @@ def build_profile(pp: ProfileParams, panels: int = _TABLE_PANELS) -> OptimalProf
     return OptimalProfile(pp, s, zeta_vals)
 
 
-def zeta(pp: ProfileParams, s: float) -> float:
-    """zeta(s) = int_0^s scale / sqrt(lambda + f) dt, strictly increasing."""
-    return float(build_profile(pp).zeta(s))
-
-
-def g_profile(profile: OptimalProfile, r) -> np.ndarray | float:
-    return profile.g(r)
-
-
 def profile_energy_1d(pp: ProfileParams) -> float:
     """Energy int_0^{zeta(1)} (f(g)/scale + scale g'^2) dr of one transition.
 

@@ -390,9 +390,10 @@ class SharpGeometry1D:
         pieces = np.asarray(self.u_pieces)
         return (pieces[idx, 0] * x + pieces[idx, 1])[:, None]
 
-    def c_values(self, pts: np.ndarray) -> np.ndarray:
-        x = pts.reshape(-1)
-        return np.asarray(self.c_pieces, dtype=float)[self._piece_index(x)]
+    def grid(self, cells: tuple[int, ...]) -> Grid:
+        """Cell-centered grid on the domain with the first count of `cells`."""
+        a, b = self.domain
+        return Grid((a,), (b - a,), tuple(cells[:1]))
 
 
 @dataclass(frozen=True)
@@ -440,10 +441,11 @@ class SharpGeometry2D:
     def u_values(self, pts: np.ndarray) -> np.ndarray:
         return self.u_spec.u_at(pts)
 
-    def c_values(self, pts: np.ndarray) -> np.ndarray:
-        if self.polygon is None:
-            return np.zeros(pts.shape[0])
-        return self.polygon.contains(pts).astype(float)
+    def grid(self, cells: tuple[int, ...]) -> Grid:
+        """Cell-centered grid on the box; a single count is used on both axes."""
+        cells = tuple(cells)
+        return Grid(tuple(self.origin), tuple(self.extent),
+                    cells if len(cells) == 2 else cells * 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,13 @@
+import inspect
 import os
 
 import pytest
 
 from phasefrac.cli import ConfigError, emit_config, main, parse_config
+from phasefrac.energy import ElasticModel
+from phasefrac.harness import SweepPlan
+from phasefrac.potentials import make_default_potentials
+from phasefrac.solver import SolverPlan, default_state
 
 MINIMAL_1D = """
 [run]
@@ -61,6 +66,23 @@ def test_parse_minimal_fills_defaults(tmp_path):
     assert cfg.sweep_plan is not None
     assert cfg.sweep_plan.lam == pytest.approx(1e-4)
     assert cfg.solver_plan.max_outer == 200  # default filled
+
+
+def test_cli_defaults_match_library_defaults(tmp_path):
+    text = "[geometry]\ndim = 1\n\n[sweep]\neps_schedule = 0.03125 0.015625\n"
+    cfg = parse_config(write_config(tmp_path, text))
+    assert cfg.solver_plan == SolverPlan()
+    plan = SweepPlan(cfg.geometry, cfg.sweep_plan.eps_schedule)
+    for name in ("delta_rule", "delta_scale", "lam", "enforce_width", "cells"):
+        assert getattr(cfg.sweep_plan, name) == getattr(plan, name), name
+    model = ElasticModel()
+    for name in ("lame_lambda", "lame_mu", "psi", "dpsi", "eta_rule"):
+        assert getattr(cfg.elastic, name) == getattr(model, name), name
+    pots = make_default_potentials()
+    for name in ("theta", "quadrature_nodes", "coercivity"):
+        assert getattr(cfg.potentials, name) == getattr(pots, name), name
+    amplitude = inspect.signature(default_state).parameters["amplitude"].default
+    assert cfg.jitter_amplitude == amplitude
 
 
 def test_unknown_key_is_named(tmp_path):
@@ -195,6 +217,26 @@ def test_manifest_reproduces_run(tmp_path):
 
 def test_config_error_exit_code(tmp_path, capsys):
     assert main(["check", "--config", str(tmp_path / "missing.ini")]) == 2
+
+
+@pytest.mark.parametrize("command", ["minimize", "sweep"])
+@pytest.mark.parametrize("section,key,value", [
+    ("geometry", "cells", "abc"), ("geometry", "cells", "1"),
+    ("geometry", "cells", "0"), ("geometry", "cells", "8 8 8"),
+    ("sweep", "cells", "abc"), ("sweep", "cells", "1"),
+    ("sweep", "cells", "0"), ("sweep", "cells", "8 8 8"),
+    ("solver", "delta", "nope"), ("solver", "jitter_amplitude", "x"),
+    ("potentials", "m_samples", "x"), ("elastic", "theta", "x")])
+def test_malformed_value_exits_2_and_names_key(tmp_path, capsys, command,
+                                               section, key, value):
+    sections = {"run": {"out": "{out}"}, "potentials": {}, "elastic": {},
+                "geometry": {"dim": 2, "cells": 8},
+                "solver": {"max_outer": 2}, "sweep": {"eps_schedule": "0.25 0.125", "cells": 8}}
+    sections[section][key] = value
+    text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
+                   for name, body in sections.items())
+    assert main([command, "--config", write_config(tmp_path, text)]) == 2
+    assert f"[{section}] {key}: " in capsys.readouterr().err
 
 
 def test_invalid_geometry_exit_code(tmp_path, capsys):

@@ -6,7 +6,7 @@ from phasefrac.energy import diffuse_energy
 from phasefrac.fields import Grid
 from phasefrac.recovery import (ProfileParams, ResolutionError,
                                 WidthConditionError, build_profile, build_recovery,
-                                g_profile, profile_energy_1d, smoothstep, zeta)
+                                profile_energy_1d, smoothstep)
 from phasefrac.sharp import SegmentSet, SharpGeometry1D, SharpGeometry2D, \
     sharp_energy_1d
 
@@ -26,17 +26,18 @@ def test_params_validation(P):
 
 def test_zeta_basics(P):
     pp = ProfileParams.from_potentials(P, "V", 0.5, 1.0)
-    assert zeta(pp, 0.0) == 0.0
+    assert build_profile(pp).zeta(0.0) == 0.0
     # f == 0, lam = 1: integrand is identically 1
-    assert zeta(ProfileParams(flat, 1.0 - 1e-12, 1.0), 1.0) == pytest.approx(1.0, rel=1e-9)
+    prof = build_profile(ProfileParams(flat, 1.0 - 1e-12, 1.0))
+    assert prof.zeta(1.0) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_zeta_against_adaptive_quadrature(P):
     lam = 1e-4
     pp = ProfileParams.from_potentials(P, "V", lam, 1.0)
     oracle, _ = quad(lambda t: 1.0 / np.sqrt(lam + (1 - t) ** 2), 0, 1, epsabs=1e-12)
-    assert zeta(pp, 1.0) == pytest.approx(oracle, abs=1e-8)
-    assert zeta(pp, 1.0) == pytest.approx(np.arcsinh(1 / np.sqrt(lam)), abs=1e-8)
+    assert build_profile(pp).zeta(1.0) == pytest.approx(oracle, abs=1e-8)
+    assert build_profile(pp).zeta(1.0) == pytest.approx(np.arcsinh(1 / np.sqrt(lam)), abs=1e-8)
 
 
 def test_zeta_width_cap(P):
@@ -47,13 +48,13 @@ def test_zeta_width_cap(P):
 
 def test_g_profile_endpoints_and_roundtrip(P):
     prof = build_profile(ProfileParams.from_potentials(P, "W", 1e-4, 0.01))
-    assert g_profile(prof, -1.0) == 0.0
-    assert g_profile(prof, prof.width) == 1.0
-    assert g_profile(prof, prof.width + 1.0) == 1.0
+    assert prof.g(-1.0) == 0.0
+    assert prof.g(prof.width) == 1.0
+    assert prof.g(prof.width + 1.0) == 1.0
     s = np.linspace(0.0, 1.0, 513)
     assert np.abs(prof.g(prof.zeta(s)) - s).max() <= 1e-9
     mid = prof.zeta(0.5)
-    assert g_profile(prof, mid) == pytest.approx(0.5, abs=1e-9)
+    assert prof.g(mid) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_profile_strictly_increasing(P):
