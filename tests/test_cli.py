@@ -1,8 +1,12 @@
+import ctypes
 import inspect
 import os
+import subprocess
+import sys
 
 import pytest
 
+from phasefrac import cli
 from phasefrac.cli import ConfigError, emit_config, main, parse_config
 from phasefrac.energy import ElasticModel
 from phasefrac.harness import SweepPlan
@@ -176,6 +180,42 @@ def test_recover_command_dumps_fields(tmp_path, monkeypatch):
     from phasefrac.fields import read_field
     z = read_field(tmp_path / "out" / "z.field")
     assert z.values.min() >= 0.0 and z.values.max() <= 1.0
+
+
+HEAP_BYTES_AFTER_MAIN = """
+import ctypes, sys
+import numpy as np
+from phasefrac.cli import main
+
+class Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+
+mallinfo2 = ctypes.CDLL(None).mallinfo2
+mallinfo2.restype = Mallinfo2
+assert main(["check", "--config", sys.argv[1], "--quiet"]) == 0
+mapped = mallinfo2().hblkhd
+block = np.ones(3 << 20)
+print(block.nbytes, mallinfo2().hblkhd - mapped)
+"""
+
+
+def test_main_serves_large_arrays_from_the_heap(tmp_path):
+    # in a fresh process glibc would map a 24 MiB array; after main pins the
+    # threshold it comes from the heap, so the peak RSS of a run no longer
+    # depends on which earlier frees moved the threshold
+    if not sys.platform.startswith("linux"):
+        pytest.skip("glibc's allocator only")
+    if not hasattr(ctypes.CDLL(None), "mallinfo2"):
+        pytest.skip("needs glibc >= 2.33 for mallinfo2")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", HEAP_BYTES_AFTER_MAIN, write_config(tmp_path, MINIMAL_1D)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    nbytes, mapped = map(int, proc.stdout.split())
+    assert mapped < nbytes
 
 
 def test_minimize_command(tmp_path, capsys, monkeypatch):
