@@ -31,7 +31,7 @@ from .recovery import build_recovery
 from .sharp import (GeometryError, Polygon, SegmentSet, SharpGeometry1D,
                     SharpGeometry2D, affine_displacement,
                     piecewise_rigid_displacement, sharp_energy, zero_displacement)
-from .solver import SolverPlan, alternate, default_state
+from .solver import DESCENT_RTOL, SolverPlan, alternate, default_state
 
 
 class ConfigError(ValueError):
@@ -100,6 +100,13 @@ def _bool(text: str) -> bool:
     if text.lower() in ("false", "no", "0", "off"):
         return False
     raise ValueError(f"not a boolean: {text!r}")
+
+
+def _positive(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"must be positive and finite, got {text}")
+    return value
 
 
 def _one_of(table: dict):
@@ -239,9 +246,9 @@ def parse_config(path: str) -> RunConfig:
     except ValueError as exc:
         violations.append(f"[solver] {exc}")
         solver_plan = None
-    solver_eps = take("solver", "eps", float)
+    solver_eps = take("solver", "eps", _positive)
     solver_delta = solver_eps ** (2.0 / 3.0) if sections["solver"]["delta"] == "auto" \
-        else take("solver", "delta", float)
+        else take("solver", "delta", _positive)
     jitter_amplitude = take("solver", "jitter_amplitude", float)
 
     if violations:
@@ -444,9 +451,9 @@ def _cmd_minimize(cfg: RunConfig) -> int:
     counts = Counter(f for sweep in traj.flags for f in sweep)
     histogram = " ".join(f"{f}={n}" for f, n in sorted(counts.items())) or "none"
     _emit(cfg, f"minimize: {len(traj.energies) - 1} sweeps ({traj.reason}), "
-               f"e_total = {traj.energies[-1].e_total:.12g}, flags: {histogram}")
-    monotone = np.all(np.diff(traj.totals) <=
-                      10.0 * plan.cg_tol * np.abs(traj.totals[:-1]))
+               f"e_total = {traj.energies[-1].e_total:.12g}, "
+               f"u_iters={sum(traj.u_iters)}, flags: {histogram}")
+    monotone = np.all(np.diff(traj.totals) <= DESCENT_RTOL * np.abs(traj.totals[:-1]))
     return 0 if monotone else 1
 
 

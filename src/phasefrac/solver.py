@@ -2,27 +2,35 @@
 
 The u-step minimizes the quadratic elastic term.  In 1D it is an exact
 closed-form O(n) solve that keeps the mean of the current displacement.  In
-2D it is conjugate gradient seeded at the current displacement, so the
-rigid-motion nullspace needs no deflation; CG stops at `cg_tol` or after
-`cg_max_iters` iterations (both act only in 2D), and a step that hits the cap
-is inexact and its block is flagged `cg_max_iters`.  The z- and c-steps take
-one Armijo-accepted (projected) gradient step per sweep.  The energy is
-nonincreasing along the trajectory up to the CG residual slack; no claim of
-global minimization is made, the energy is nonconvex.
+2D it is preconditioned conjugate gradient seeded at the current
+displacement, so the rigid-motion nullspace needs no deflation.  The
+preconditioner is the fast diagonalization of Lynch, Rice & Thomas (1964):
+the block-diagonal, constant-weight part of the operator, inverted in the
+eigenbasis of the 1D difference operator of each axis.  CG stops when the
+unpreconditioned residual falls to `cg_tol` of its start or after
+`cg_max_iters` iterations (both act only in 2D); a step that hits the cap is
+inexact and its block is flagged `cg_max_iters`.  The z- and c-steps take one
+Armijo-accepted (projected) gradient step per sweep.  No block raises the
+energy by more than `DESCENT_RTOL` relative; no claim of global minimization
+is made, the energy is nonconvex.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .energy import (DiffuseState, ElasticModel, EnergyBreakdown, _evaluate,
                      _stress_divergence, diffuse_energy, project_mass)
-from .fields import Grid, ScalarField, VectorField, _sym_gradient
+from .fields import Grid, ScalarField, VectorField, _diff, _sym_gradient
 from .potentials import PotentialSet
 
 _MAX_BACKTRACKS = 60
+# the largest relative energy rise any block may make: the u-step rejects a
+# larger one, the Armijo steps accept only a decrease
+DESCENT_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -62,6 +70,7 @@ class Trajectory:
     energies: tuple[EnergyBreakdown, ...]
     reason: str
     flags: tuple[tuple[str, ...], ...] = field(default_factory=tuple)
+    u_iters: tuple[int, ...] = ()  # CG iterations of each sweep's u-step
 
     @property
     def totals(self) -> np.ndarray:
@@ -89,29 +98,66 @@ def default_state(grid: Grid, eps: float, delta: float, c0: float = 0.5,
                         z=ScalarField.full(grid, 1.0), eps=eps, delta=delta)
 
 
-def _cg(apply_a, b: np.ndarray, x0: np.ndarray, tol: float,
+def _cg(apply_a, apply_p, b: np.ndarray, x0: np.ndarray, tol: float,
         max_iters: int) -> tuple[np.ndarray, int, bool]:
+    """Preconditioned CG from x0; stops on the unpreconditioned residual,
+    |r| <= tol |r0|, so `tol` means the same whatever `apply_p` is."""
     x = x0.copy()
     r = b - apply_a(x)
     res0 = float(np.sqrt(np.sum(r * r)))
     if res0 == 0.0:
         return x, 0, True
-    p = r.copy()
-    rr = res0 * res0
+    p = apply_p(r)
+    rz = float(np.sum(r * p))
     for k in range(1, max_iters + 1):
         ap = apply_a(p)
         pap = float(np.sum(p * ap))
         if pap <= 0.0:  # nullspace direction reached; current x already minimizes there
             return x, k, True
-        alpha = rr / pap
+        alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
-        rr_new = float(np.sum(r * r))
-        if np.sqrt(rr_new) <= tol * res0:
+        if np.sqrt(np.sum(r * r)) <= tol * res0:
             return x, k, True
-        p = r + (rr_new / rr) * p
-        rr = rr_new
+        z = apply_p(r)
+        rz_new = float(np.sum(r * z))
+        p = z + (rz_new / rz) * p
+        rz = rz_new
     return x, max_iters, False
+
+
+@lru_cache(maxsize=4)
+def _axis_basis(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (ascending) of B^T B, B the 1D difference of `_diff` on n
+    cells of width h; the first pair is the constant (null) mode."""
+    b = _diff(np.eye(n), 0, h)
+    lam, q = np.linalg.eigh(b.T @ b)
+    lam.setflags(write=False)
+    q.setflags(write=False)
+    return lam, q
+
+
+def _fast_diag_preconditioner(grid: Grid, M: ElasticModel, weight: np.ndarray):
+    """Inverse of the u-step operator with the weight replaced by its mean and
+    the coupling between the two components dropped: for component a it is
+    vol w (2 lambda + 4 mu) D_a^T D_a + vol w 2 mu D_b^T D_b, diagonal in the
+    per-axis eigenbases.  The constant mode, in its nullspace, maps to 0."""
+    (lam0, q0), (lam1, q1) = (_axis_basis(n, h) for n, h in zip(grid.cells, grid.spacing))
+    scale = grid.cell_volume * float(weight.mean())
+    normal = scale * (2.0 * M.lame_lambda + 4.0 * M.lame_mu)
+    shear = scale * 2.0 * M.lame_mu
+    inverse = []
+    for sym in (normal * lam0[:, None] + shear * lam1[None, :],
+                shear * lam0[:, None] + normal * lam1[None, :]):
+        sym[0, 0] = np.inf
+        inverse.append(1.0 / sym)
+
+    def apply(r: np.ndarray) -> np.ndarray:
+        out = np.empty_like(r)
+        for a in range(2):
+            out[..., a] = q0 @ ((q0.T @ r[..., a] @ q1) * inverse[a]) @ q1.T
+        return out
+    return apply
 
 
 def _solve_u_1d(u: np.ndarray, weight: np.ndarray, f: np.ndarray,
@@ -141,10 +187,13 @@ def minimize_u(s: DiffuseState, P: PotentialSet, M: ElasticModel, plan: SolverPl
                before: Optional[EnergyBreakdown] = None
                ) -> tuple[DiffuseState, BlockResult]:
     """Block minimization in u.  1D: the exact closed-form solve, `iters` 0.
-    2D: matrix-free CG on grad_u E = 0 to `cg_tol`, capped at `cg_max_iters`
-    iterations (flagged `cg_max_iters` when it hits the cap); the two settings
-    act only in 2D.  `before` is the energy of `s` when the caller knows it;
-    it is evaluated here otherwise."""
+    2D: matrix-free CG on grad_u E = 0, preconditioned by fast
+    diagonalization, to `cg_tol` of the starting residual, capped at
+    `cg_max_iters` iterations (flagged `cg_max_iters` when it hits the cap);
+    the two settings act only in 2D.  A step that raises the energy by more
+    than `DESCENT_RTOL` relative is rejected (flag `energy_rose`).  `before`
+    is the energy of `s` when the caller knows it; it is evaluated here
+    otherwise."""
     grid = s.grid
     weight = M.psi(np.clip(s.z.values, 0.0, 1.0)) + M.eta(s.delta)
     if before is None:
@@ -157,10 +206,11 @@ def minimize_u(s: DiffuseState, P: PotentialSet, M: ElasticModel, plan: SolverPl
         b = _stress_divergence(grid, M, weight, s.c.values[..., None, None] * M.e0)
         unew, iters, converged = _cg(
             lambda u: _stress_divergence(grid, M, weight, _sym_gradient(u, grid.spacing)),
+            _fast_diag_preconditioner(grid, M, weight),
             b, s.u.values, plan.cg_tol, plan.cg_max_iters)
     candidate = s.replace(u=VectorField(grid, unew))
     after = diffuse_energy(candidate, P, M)
-    if after.e_total > before.e_total * (1.0 + 1e-13) + 1e-300:
+    if after.e_total > before.e_total * (1.0 + DESCENT_RTOL) + 1e-300:
         # inexact solve raised the energy: keep the old displacement
         return s, BlockResult("u", False, flag="energy_rose", iters=iters, energy=before)
     flag = "" if converged else "cg_max_iters"
@@ -228,6 +278,7 @@ def alternate(s0: DiffuseState, P: PotentialSet, M: ElasticModel,
         s = s.replace(c=project_mass(s.c, plan.mass_constraint))
     energies = [diffuse_energy(s, P, M)]
     flags: list[tuple[str, ...]] = []
+    u_iters: list[int] = []
     reason = "max_outer"
     step_z = plan.step0
     step_c = plan.step0
@@ -240,9 +291,10 @@ def alternate(s0: DiffuseState, P: PotentialSet, M: ElasticModel,
         if rc.accepted and rc.step > 0:
             step_c = min(rc.step / plan.backtrack_factor, plan.step0)
         energies.append(rc.energy)
+        u_iters.append(ru.iters)
         flags.append(tuple(f"{r.block}:{r.flag}" for r in (ru, rz, rc) if r.flag))
         prev, cur = energies[-2].e_total, energies[-1].e_total
         if prev - cur < plan.tol_rel_energy * max(abs(prev), 1e-300):
             reason = "converged"
             break
-    return s, Trajectory(tuple(energies), reason, tuple(flags))
+    return s, Trajectory(tuple(energies), reason, tuple(flags), tuple(u_iters))

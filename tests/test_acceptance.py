@@ -23,7 +23,7 @@ from phasefrac.sharp import (Polygon, SegmentSet, SharpGeometry1D, SharpGeometry
                              minkowski_content_estimate,
                              piecewise_rigid_displacement, quadratic_displacement,
                              sharp_energy, sharp_energy_1d)
-from phasefrac.solver import SolverPlan, alternate, default_state
+from phasefrac.solver import DESCENT_RTOL, SolverPlan, alternate, default_state
 
 from test_energy import GRADS, fd_gradient
 
@@ -151,7 +151,7 @@ def test_criterion_07_solver_descent(P, elastic_1d):
     s0 = default_state(grid, eps, eps ** (2 / 3), c0=0.5, seed=0)
     s, traj = alternate(s0, P, elastic_1d, plan)
     tot = traj.totals
-    monotone = bool(np.all(tot[1:] <= tot[:-1] + 10 * plan.cg_tol * tot[:-1]))
+    monotone = bool(np.all(tot[1:] <= tot[:-1] + DESCENT_RTOL * tot[:-1]))
     drift = abs(mass(s.c) - 0.5)
     cand_a = SharpGeometry1D((0.0, 1.0), phase_points=(0.5,), c_pieces=(0, 1),
                              u_pieces=((0.0, 0.0), (1.0, -0.5)))

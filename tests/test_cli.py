@@ -11,7 +11,7 @@ from phasefrac.cli import ConfigError, emit_config, main, parse_config
 from phasefrac.energy import ElasticModel
 from phasefrac.harness import SweepPlan
 from phasefrac.potentials import make_default_potentials
-from phasefrac.solver import SolverPlan, default_state
+from phasefrac.solver import DESCENT_RTOL, SolverPlan, default_state
 
 MINIMAL_1D = """
 [run]
@@ -226,13 +226,15 @@ def test_minimize_command(tmp_path, capsys, monkeypatch):
     traj = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
     assert traj[0] == "sweep,e_phase,e_elastic,e_crack,e_total"
     totals = [float(line.split(",")[-1]) for line in traj[1:]]
-    assert all(b <= a * (1 + 1e-9) for a, b in zip(totals, totals[1:]))
+    assert all(b <= a * (1 + DESCENT_RTOL) for a, b in zip(totals, totals[1:]))
     assert (tmp_path / "out" / "c.field").exists()
     summary = capsys.readouterr().out.strip().splitlines()[-1]
     assert summary.startswith("minimize: ")
-    flags = summary.split("flags: ", 1)[1].split()
+    head, tail = summary.split("flags: ", 1)
+    flags = tail.split()
     assert flags == ["none"] or all(f.count("=") == 1 for f in flags)
     assert not [f for f in flags if f.startswith("u:")]
+    assert head.endswith(", u_iters=0, ")  # the 1D u-step is exact, no CG
 
 
 def test_seed_override_changes_manifest(tmp_path):
@@ -265,7 +267,9 @@ def test_config_error_exit_code(tmp_path, capsys):
     ("geometry", "cells", "0"), ("geometry", "cells", "8 8 8"),
     ("sweep", "cells", "abc"), ("sweep", "cells", "1"),
     ("sweep", "cells", "0"), ("sweep", "cells", "8 8 8"),
-    ("solver", "delta", "nope"), ("solver", "jitter_amplitude", "x"),
+    ("solver", "delta", "nope"), ("solver", "delta", "-1"),
+    ("solver", "eps", "-0.01"), ("solver", "eps", "0"),
+    ("solver", "jitter_amplitude", "x"),
     ("potentials", "m_samples", "x"), ("elastic", "theta", "x")])
 def test_malformed_value_exits_2_and_names_key(tmp_path, capsys, command,
                                                section, key, value):
