@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import ctypes
+import itertools
 import os
 import sys
 from collections import Counter
@@ -22,12 +23,13 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .energy import DEGRADATIONS, ETA_RULES, ElasticModel, diffuse_energy
+from .energy import (DEGRADATIONS, ETA_RULES, DiffuseState, ElasticModel,
+                     diffuse_energy)
 from .fields import Grid, ScalarField, _write_atomic, write_field
 from .harness import SweepPlan, gamma_sweep
 from .potentials import (PotentialSet, check_admissibility, fracture_density,
                          make_default_potentials, surface_density)
-from .recovery import build_recovery
+from .recovery import build_recovery, width_violation
 from .sharp import (GeometryError, Polygon, SegmentSet, SharpGeometry1D,
                     SharpGeometry2D, affine_displacement,
                     piecewise_rigid_displacement, sharp_energy, zero_displacement)
@@ -92,6 +94,27 @@ def _floats(text: str) -> list[float]:
 
 def _ints(text: str) -> list[int]:
     return [int(tok) for tok in text.replace(",", " ").split()]
+
+
+def _numbers(*counts: int, per: str = ""):
+    """Converter to a list of floats whose length is one of `counts`."""
+    def conv(text: str) -> list[float]:
+        vals = _floats(text)
+        if len(vals) not in counts:
+            need = " or ".join(str(n) for n in counts)
+            raise ValueError(f"got {len(vals)} numbers, expected {need}{per}")
+        return vals
+    return conv
+
+
+def _polygon(text: str) -> Optional[Polygon]:
+    return None if text.lower() in ("", "none") else Polygon(_floats(text))
+
+
+def _segments(text: str) -> SegmentSet:
+    """Segments as `x0 y0 x1 y1` chunks separated by `;`."""
+    chunks = [] if text.lower() in ("", "none") else text.split(";")
+    return SegmentSet([_numbers(4)(chunk) for chunk in chunks])
 
 
 def _bool(text: str) -> bool:
@@ -193,7 +216,8 @@ def parse_config(path: str) -> RunConfig:
 
     geometry, geo_violations = _build_geometry(sections["geometry"])
     violations.extend(geo_violations)
-    dim = geometry.dim if geometry is not None else 1
+    # no [geometry] is 1D; a faulty one leaves dim open, so e0 gets the laxer 2D count
+    dim = geometry.dim if geometry is not None else 2 if geo_violations else 1
 
     elastic, el_violations = _build_elastic(take, dim)
     violations.extend(el_violations)
@@ -223,15 +247,11 @@ def parse_config(path: str) -> RunConfig:
             violations.append(f"[sweep] {exc}")
         if sweep_plan is not None and own_cells:
             grid("sweep", geometry, sweep_plan.cells)
-    if sweep_plan is not None and sweep_plan.enforce_width \
-            and geometry.has_phase() and geometry.has_crack():
-        lam = sweep_plan.lam
+    if sweep_plan is not None and sweep_plan.enforce_width:
         for eps, delta in zip(sweep_plan.eps_schedule, sweep_plan.deltas()):
-            if eps / np.sqrt(lam) > lam * delta:
-                violations.append(
-                    f"[sweep] width condition fails at eps={eps:g}: "
-                    f"eps/sqrt(lambda)={eps / np.sqrt(lam):g} > lambda*delta="
-                    f"{lam * delta:g}")
+            reason = width_violation(geometry, eps, delta, sweep_plan.lam)
+            if reason is not None:
+                violations.append(f"[sweep] width condition fails at eps={eps:g}: {reason}")
 
     try:
         solver_plan = SolverPlan(
@@ -263,18 +283,15 @@ def parse_config(path: str) -> RunConfig:
 
 def _build_elastic(take, dim: int) -> tuple[Optional[ElasticModel], list[str]]:
     violations: list[str] = []
-    e0_vals = take("elastic", "e0", _floats)
+    # 1D: the misfit strain; 2D: isotropic, or a11 a12 a22
+    e0_vals = take("elastic", "e0", _numbers(1) if dim == 1 else _numbers(1, 3))
     if dim == 1:
-        e0 = np.array([[e0_vals[0] if e0_vals else 0.0]])
+        e0 = np.array([[e0_vals[0]]])
     elif len(e0_vals) == 1:
         e0 = e0_vals[0] * np.eye(2)
-    elif len(e0_vals) == 3:
+    else:
         a, b, c = e0_vals
         e0 = np.array([[a, b], [b, c]])
-    else:
-        violations.append("[elastic] 2D e0 needs 1 (isotropic) or 3 "
-                          "(a11 a12 a22) components")
-        e0 = np.zeros((2, 2))
     psi, dpsi = take("elastic", "psi", _one_of(DEGRADATIONS))
     try:
         model = ElasticModel(lame_lambda=take("elastic", "lame_lambda", float),
@@ -290,62 +307,46 @@ def _build_elastic(take, dim: int) -> tuple[Optional[ElasticModel], list[str]]:
 def _build_geometry(sec: dict) -> tuple[object, list[str]]:
     if "dim" not in sec:
         return None, []
-    violations: list[str] = []
+
+    def get(key: str, default: str, conv=_floats):
+        """conv of the key's text, else of `default`; a fault names the key."""
+        try:
+            return conv(sec.get(key, default))
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from exc
+
+    pair = _numbers(2)
+    u_specs = {
+        "zero": lambda: zero_displacement(2),
+        "affine": lambda: affine_displacement(
+            np.array(get("affine_matrix", "0 0 0 0", _numbers(4))).reshape(2, 2),
+            np.array(get("affine_offset", "0 0", pair))),
+        "piecewise_rigid": lambda: piecewise_rigid_displacement(
+            get("rigid_point", "0 0", pair), get("rigid_dir", "0 1", pair),
+            get("rigid_plus", "0 0", pair), get("rigid_minus", "0 0", pair),
+            get("rigid_omega_plus", "0", float), get("rigid_omega_minus", "0", float))}
     try:
-        dim = int(sec["dim"])
+        dim = get("dim", "", int)
         if dim == 1:
-            dom = _floats(sec.get("domain", "0 1"))
-            phase = tuple(_floats(sec.get("phase_points", "")))
-            crack = tuple(_floats(sec.get("crack_points", "")))
-            c_pieces = tuple(_ints(sec.get("c_pieces", ""))) or ()
-            slopes = _floats(sec.get("u_slopes", ""))
-            offsets = _floats(sec.get("u_offsets", ""))
-            u_pieces = tuple(zip(slopes, offsets)) if slopes else ()
-            geom = SharpGeometry1D((dom[0], dom[1]), phase_points=phase,
-                                   crack_points=crack, c_pieces=c_pieces,
-                                   u_pieces=u_pieces)
+            dom = get("domain", "0 1", pair)
+            offsets = get("u_offsets", "")
+            slopes = get("u_slopes", "",
+                         _numbers(len(offsets), per=" (one per u_offsets value)"))
+            geom = SharpGeometry1D(tuple(dom), phase_points=tuple(get("phase_points", "")),
+                                   crack_points=tuple(get("crack_points", "")),
+                                   c_pieces=tuple(get("c_pieces", "", _ints)),
+                                   u_pieces=tuple(zip(slopes, offsets)))
         elif dim == 2:
-            origin = tuple(_floats(sec.get("origin", "0 0")))
-            extent = tuple(_floats(sec.get("extent", "1 1")))
-            poly_raw = sec.get("polygon", "none").strip()
-            polygon = None
-            if poly_raw and poly_raw.lower() != "none":
-                pts = _floats(poly_raw)
-                polygon = Polygon(np.array(pts).reshape(-1, 2))
-            seg_raw = sec.get("segments", "").strip()
-            segments = []
-            if seg_raw and seg_raw.lower() != "none":
-                for chunk in seg_raw.split(";"):
-                    vals = _floats(chunk)
-                    segments.append([[vals[0], vals[1]], [vals[2], vals[3]]])
-            segset = SegmentSet(np.array(segments).reshape(-1, 2, 2)
-                                if segments else np.zeros((0, 2, 2)))
-            name = sec.get("u_spec", "zero")
-            if name == "zero":
-                uspec = zero_displacement(2)
-            elif name == "affine":
-                f = np.array(_floats(sec.get("affine_matrix", "0 0 0 0"))).reshape(2, 2)
-                off = np.array(_floats(sec.get("affine_offset", "0 0")))
-                uspec = affine_displacement(f, off)
-            elif name == "piecewise_rigid":
-                uspec = piecewise_rigid_displacement(
-                    _floats(sec.get("rigid_point", "0 0")),
-                    _floats(sec.get("rigid_dir", "0 1")),
-                    _floats(sec.get("rigid_plus", "0 0")),
-                    _floats(sec.get("rigid_minus", "0 0")),
-                    float(sec.get("rigid_omega_plus", "0")),
-                    float(sec.get("rigid_omega_minus", "0")))
-            else:
-                raise GeometryError(f"unknown u_spec {name!r} "
-                                    "(zero|affine|piecewise_rigid)")
-            geom = SharpGeometry2D((origin[0], origin[1]), (extent[0], extent[1]),
-                                   polygon=polygon, segments=segset, u_spec=uspec)
+            geom = SharpGeometry2D(tuple(get("origin", "0 0", pair)),
+                                   tuple(get("extent", "1 1", pair)),
+                                   polygon=get("polygon", "none", _polygon),
+                                   segments=get("segments", "", _segments),
+                                   u_spec=get("u_spec", "zero", _one_of(u_specs))())
         else:
             raise GeometryError(f"dim must be 1 or 2, got {dim}")
-    except (GeometryError, ValueError, IndexError) as exc:
-        violations.append(f"[geometry] {exc}")
-        return None, violations
-    return geom, violations
+    except ValueError as exc:
+        return None, [f"[geometry] {exc}"]
+    return geom, []
 
 
 def emit_config(cfg: RunConfig) -> str:
@@ -374,6 +375,15 @@ def _write_manifest(cfg: RunConfig, command: str) -> None:
 def _emit(cfg: RunConfig, *msg) -> None:
     if not cfg.quiet:
         print(*msg)
+
+
+def _write_state(state: DiffuseState, out_dir: str) -> None:
+    """Write c.field, z.field and u<a>.field for each component a of u."""
+    u_parts = ((f"u{a}", ScalarField(state.grid, state.u.values[..., a]))
+               for a in range(state.grid.dim))
+    for name, fld in itertools.chain([("c", state.c), ("z", state.z)], u_parts):
+        write_field(fld, os.path.join(out_dir, f"{name}.field"))
+        del fld  # free this u component before the next one is built
 
 
 def _cmd_check(cfg: RunConfig) -> int:
@@ -422,11 +432,7 @@ def _cmd_recover(cfg: RunConfig) -> int:
     state = build_recovery(cfg.geometry, eps, delta, plan.lam, plan.grid(),
                            cfg.potentials, enforce_width=plan.enforce_width)
     b = diffuse_energy(state, cfg.potentials, cfg.elastic)
-    for fname, fld in (("c", state.c), ("z", state.z)):
-        write_field(fld, os.path.join(cfg.out_dir, f"{fname}.field"))
-    for a in range(state.grid.dim):
-        write_field(ScalarField(state.grid, state.u.values[..., a]),
-                    os.path.join(cfg.out_dir, f"u{a}.field"))
+    _write_state(state, cfg.out_dir)
     _emit(cfg, f"recover: eps={eps:g} delta={delta:g} e_total={b.e_total:.12g}")
     return 0
 
@@ -443,11 +449,7 @@ def _cmd_minimize(cfg: RunConfig) -> int:
         lines.append(f"{k},{e.e_phase:.17g},{e.e_elastic:.17g},"
                      f"{e.e_crack:.17g},{e.e_total:.17g}")
     _write_atomic(os.path.join(cfg.out_dir, "trajectory.csv"), "\n".join(lines) + "\n")
-    for fname, fld in (("c", s.c), ("z", s.z)):
-        write_field(fld, os.path.join(cfg.out_dir, f"{fname}.field"))
-    for a in range(grid.dim):
-        write_field(ScalarField(grid, s.u.values[..., a]),
-                    os.path.join(cfg.out_dir, f"u{a}.field"))
+    _write_state(s, cfg.out_dir)
     counts = Counter(f for sweep in traj.flags for f in sweep)
     histogram = " ".join(f"{f}={n}" for f, n in sorted(counts.items())) or "none"
     _emit(cfg, f"minimize: {len(traj.energies) - 1} sweeps ({traj.reason}), "

@@ -29,8 +29,10 @@ class Grid:
             raise ValueError("only dimensions 1 and 2 are supported")
         if any(n < 2 for n in self.cells):
             raise ValueError("need at least 2 cells per axis")
-        if any(e <= 0 for e in self.extent):
-            raise ValueError("extent must be positive")
+        if not all(0.0 < e < np.inf for e in self.extent):
+            raise ValueError(f"extent must be positive and finite, got {self.extent}")
+        if not np.all(np.isfinite(self.origin)):
+            raise ValueError(f"origin must be finite, got {self.origin}")
 
     @property
     def dim(self) -> int:
@@ -284,6 +286,8 @@ def write_field(f: ScalarField, path) -> None:
 def read_field(path) -> ScalarField:
     with open(path) as fh:
         lines = fh.read().splitlines()
+    if len(lines) < 4:
+        raise ValueError(f"{path}: {len(lines)} lines, but the header alone has 4")
     header = {}
     for k in range(4):
         name, *rest = lines[k].split()

@@ -17,13 +17,17 @@ import numpy as np
 
 from .energy import ElasticModel, EnergyBreakdown, diffuse_energy
 from .fields import Grid, ScalarField, VectorField, slice_extract
-from .potentials import PotentialSet, geodesic_table, geodesic_transform
+from .potentials import (PotentialSet, _resolve_potential, geodesic_table,
+                         geodesic_transform)
 from .recovery import build_recovery
 from .sharp import DisplacementSpec, sharp_energy
 
 CSV_HEADER = "eps,delta,e_phase,e_elastic,e_crack,e_total,e_sharp,rel_err,status"
 
-_DELTA_RULES = ("sqrt", "two_thirds", "scaled_two_thirds")
+# delta rule name -> delta(eps, scale)
+_DELTA_RULES = {"sqrt": lambda e, scale: e ** 0.5,
+                "two_thirds": lambda e, scale: e ** (2.0 / 3.0),
+                "scaled_two_thirds": lambda e, scale: scale * e ** (2.0 / 3.0)}
 # random draws allowed per requested line before the slicing check gives up
 _DRAWS_PER_LINE = 100
 
@@ -34,15 +38,12 @@ class DiagnosticError(ValueError):
 
 def resolve_delta_rule(name: str, scale: float = 1.0):
     """Named width schedules delta(eps); all keep eps/delta decreasing to 0."""
-    if name == "sqrt":
-        return lambda e: float(e) ** 0.5
-    if name == "two_thirds":
-        return lambda e: float(e) ** (2.0 / 3.0)
-    if name == "scaled_two_thirds":
-        return lambda e: scale * float(e) ** (2.0 / 3.0)
-    raise ValueError(
-        f"unknown delta rule {name!r} (choose from {_DELTA_RULES}); "
-        "the schedule must keep eps/delta decreasing toward 0")
+    if name not in _DELTA_RULES:
+        raise ValueError(
+            f"unknown delta rule {name!r} (choose from {tuple(_DELTA_RULES)}); "
+            "the schedule must keep eps/delta decreasing toward 0")
+    rule = _DELTA_RULES[name]
+    return lambda e: rule(float(e), scale)
 
 
 @dataclass(frozen=True)
@@ -61,12 +62,13 @@ class SweepPlan:
         object.__setattr__(self, "eps_schedule", eps)
         cells = self.cells if isinstance(self.cells, tuple) else (int(self.cells),)
         object.__setattr__(self, "cells", cells)
-        if not eps or any(e <= 0 for e in eps):
-            raise ValueError("eps schedule must be positive")
+        if not eps or not all(0.0 < e < np.inf for e in eps):
+            raise ValueError("eps schedule must be positive and finite")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("eps schedule must be strictly decreasing")
-        rule = resolve_delta_rule(self.delta_rule, self.delta_scale)
-        ratios = [e / rule(e) for e in eps]
+        if not 0.0 < self.delta_scale < np.inf:
+            raise ValueError(f"delta_scale must be positive and finite, got {self.delta_scale}")
+        ratios = [e / d for e, d in zip(eps, self.deltas())]
         if any(r2 >= r1 for r1, r2 in zip(ratios, ratios[1:])):
             raise ValueError("eps/delta must decrease along the schedule")
         if not 0.0 < self.lam < 1.0:
@@ -145,7 +147,8 @@ def face_total_variation(f: ScalarField) -> float:
     """Sum of |neighbor differences| times the face measure h^{d-1}.
 
     The natural grid analogue of the total variation |Df|(domain); a
-    lower-biased estimator of the continuum value.
+    lower-biased estimator of the continuum value.  On a 0/1 field it is the
+    face-count perimeter of the set {f = 1}, exactly: the sums are integers.
     """
     g = f.grid
     v = f.values
@@ -176,7 +179,7 @@ def geodesic_inequality_check(w: ScalarField, which: str, eps: float,
     dw = np.interp(vals, nodes, dtab)
     lhs = float(np.abs(np.diff(dw)).sum())
 
-    f = P.w if which == "W" else P.v
+    f, _ = _resolve_potential(which, P)
     fvals = np.maximum(f(vals), 0.0)
     f_face = np.maximum(fvals[:-1], fvals[1:])
     jumps = np.diff(vals)
@@ -185,15 +188,6 @@ def geodesic_inequality_check(w: ScalarField, which: str, eps: float,
     if slack < -1e-10:
         raise DiagnosticError(f"geodesic inequality violated: slack={slack:.3e}")
     return lhs, rhs, slack
-
-
-def _face_count_perimeter(mask: np.ndarray, grid: Grid) -> float:
-    total = 0.0
-    for axis in range(grid.dim):
-        face = np.prod([h for a, h in enumerate(grid.spacing) if a != axis])
-        flips = np.diff(mask.astype(np.int8), axis=axis) != 0
-        total += float(face) * float(np.count_nonzero(flips))
-    return total
 
 
 def compactness_levelset_diagnostic(z: ScalarField, P: PotentialSet,
@@ -212,7 +206,8 @@ def compactness_levelset_diagnostic(z: ScalarField, P: PotentialSet,
     denom = geodesic_transform("V", P, 0.75) - geodesic_transform("V", P, 0.25)
     bound = face_total_variation(dz) / denom
     ts = np.linspace(0.25, 0.75, thresholds + 2)[1:-1]
-    perims = np.array([_face_count_perimeter(z.values > t, z.grid) for t in ts])
+    perims = np.array([face_total_variation(ScalarField(z.grid, z.values > t))
+                       for t in ts])
     k = int(np.argmin(perims))
     t_star, est = float(ts[k]), float(perims[k])
     if not est <= bound * (1.0 + grid_slack) + 1e-12:

@@ -285,23 +285,21 @@ def check_admissibility(P: PotentialSet, m_samples: int = 1001) -> Admissibility
         s = np.linspace(0.0, 1.0, m_samples)[1:]
         return float(np.min(P.phi(s))) - 1e-30, "phi > 0 on (0, 1]"
 
-    int_sqrt_w = simpson(lambda s: np.sqrt(np.maximum(P.w(s), 0.0)), 0.0, 1.0,
-                         P.quadrature_nodes)
-
+    # int_0^1 sqrt(W) = alpha_surf / 2 and 2 int_0^1 sqrt(V) = alpha_frac / 2;
+    # halving is exact, so the margins equal those of the bare integrals
     def surface_le_fracture():
-        int_sqrt_v = simpson(lambda s: np.sqrt(np.maximum(P.v(s), 0.0)), 0.0, 1.0,
-                             P.quadrature_nodes)
-        return 2.0 * int_sqrt_v - int_sqrt_w + quad_tol, \
+        return fracture_density(P) / 2 - surface_density(P) / 2 + quad_tol, \
             "int sqrt(W) <= 2 int sqrt(V)"
 
     def mixing_bound():
         # 2*int_m^1 sqrt(V) + phi(m)*int_0^1 sqrt(W) >= int_0^1 sqrt(W) at every node m.
+        sqrt_w_mass = surface_density(P) / 2
         nodes, cum = cumulative_simpson(
             lambda s: np.sqrt(np.maximum(P.v(s), 0.0)), 0.0, 1.0, P.quadrature_nodes)
         total = cum[-1]
         m = np.linspace(0.0, 1.0, m_samples)
         tails = total - np.interp(m, nodes, cum)
-        margins = 2.0 * tails + P.phi(m) * int_sqrt_w - int_sqrt_w
+        margins = 2.0 * tails + P.phi(m) * sqrt_w_mass - sqrt_w_mass
         if not np.all(np.isfinite(margins)):
             return float("-inf"), "non-finite margin values"
         return float(np.min(margins)) + quad_tol, \

@@ -19,13 +19,14 @@ a sharp configuration:
 
 When both a phase boundary and a crack are present, the construction confines
 the c-transition to the damaged tube only if zeta_W(1) <= eps/sqrt(lambda)
-<= lambda*delta (the width condition); the builder enforces it by default and
-can be told not to for regimes where only the energy values matter.
+<= lambda*delta (the width condition, tested by `width_violation`); the
+builder enforces it by default and can be told not to for regimes where only
+the energy values matter.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -57,15 +58,6 @@ class ProfileParams:
             raise ValueError("lambda must lie strictly in (0, 1)")
         if self.scale <= 0.0:
             raise ValueError("profile scale must be positive")
-
-    @classmethod
-    def from_potentials(cls, P: PotentialSet, which: str, lam: float,
-                        scale: float) -> "ProfileParams":
-        if which == "W":
-            return cls(P.w, lam, scale)
-        if which == "V":
-            return cls(P.v, lam, scale)
-        raise ValueError(f"unknown potential {which!r}; expected 'W' or 'V'")
 
 
 @dataclass(frozen=True)
@@ -132,47 +124,61 @@ def smoothstep(t: np.ndarray) -> np.ndarray:
     return t * t * (3.0 - 2.0 * t)
 
 
+def width_violation(geometry, eps: float, delta: float, lam: float) -> Optional[str]:
+    """Why the width condition eps/sqrt(lam) <= lam*delta fails, or None.
+
+    The condition binds only when the configuration has both a phase boundary
+    and a crack; it is tested with a relative slack of 1e-12.
+    """
+    if not (geometry.has_phase() and geometry.has_crack()):
+        return None
+    if eps / np.sqrt(lam) > lam * delta * (1.0 + 1e-12):
+        return (f"eps/sqrt(lambda) = {eps / np.sqrt(lam):.3e} exceeds "
+                f"lambda*delta = {lam * delta:.3e}")
+    return None
+
+
+def _transition(f: Callable[[np.ndarray], np.ndarray], lam: float, scale: float,
+                hmax: float, label: str) -> OptimalProfile:
+    """Profile of one transition; ResolutionError when it is thinner than 2 cells."""
+    prof = build_profile(ProfileParams(f, lam, scale))
+    if prof.width < 2.0 * hmax:
+        raise ResolutionError(
+            f"{label}-transition width {prof.width:.3e} needs spacing < "
+            f"{prof.width / 2:.3e}; refine the grid")
+    return prof
+
+
 def build_recovery(geometry, eps: float, delta: float, lam: float, grid: Grid,
                    P: PotentialSet, enforce_width: bool = True) -> DiffuseState:
     """Sample the diffuse embedding of a sharp configuration on a grid.
 
-    Raises WidthConditionError when the configuration has both a phase
-    boundary and a crack but eps/sqrt(lam) > lam*delta (the c-transition then
-    leaks out of the damaged tube; pass enforce_width=False to build anyway,
-    e.g. for energy sweeps in the asymptotic regime).  Raises ResolutionError
-    when a needed transition is thinner than two cells.
+    Raises WidthConditionError with the reason `width_violation` gives when
+    the configuration has both a phase boundary and a crack but
+    eps/sqrt(lam) > lam*delta (the c-transition then leaks out of the damaged
+    tube; pass enforce_width=False to build anyway, e.g. for energy sweeps in
+    the asymptotic regime).  Raises ResolutionError when a needed transition
+    is thinner than two cells.
     """
     if grid.dim != geometry.dim:
         raise ValueError("grid and geometry dimensions differ")
     if eps <= 0 or delta <= 0:
         raise ValueError("eps and delta must be positive")
-    has_phase = geometry.has_phase()
-    has_crack = geometry.has_crack()
-    if enforce_width and has_phase and has_crack:
-        if eps / np.sqrt(lam) > lam * delta * (1.0 + 1e-12):
-            raise WidthConditionError(
-                f"eps/sqrt(lambda) = {eps / np.sqrt(lam):.3e} exceeds "
-                f"lambda*delta = {lam * delta:.3e}")
+    reason = width_violation(geometry, eps, delta, lam) if enforce_width else None
+    if reason is not None:
+        raise WidthConditionError(reason)
 
     pts = np.stack([m.reshape(-1) for m in grid.meshgrid()], axis=-1)
     hmax = max(grid.spacing)
 
-    if has_phase:
-        prof_w = build_profile(ProfileParams.from_potentials(P, "W", lam, eps))
-        if prof_w.width < 2.0 * hmax:
-            raise ResolutionError(
-                f"c-transition width {prof_w.width:.3e} needs spacing < "
-                f"{prof_w.width / 2:.3e}; refine the grid")
+    if geometry.has_phase():
+        prof_w = _transition(P.w, lam, eps, hmax, "c")
         c_vals = prof_w.g(prof_w.width - geometry.phase_distance(pts))
     else:
         c_vals = np.zeros(pts.shape[0])
 
-    if has_crack:
-        prof_v = build_profile(ProfileParams.from_potentials(P, "V", lam, delta))
-        if prof_v.width < 2.0 * hmax:
-            raise ResolutionError(
-                f"z-transition width {prof_v.width:.3e} needs spacing < "
-                f"{prof_v.width / 2:.3e}; refine the grid")
+    if geometry.has_crack():
+        prof_v = _transition(P.v, lam, delta, hmax, "z")
         crack_dist = geometry.crack_distance(pts)
         z_vals = prof_v.g(crack_dist - lam * delta)
         u_vals = geometry.u_values(pts) * smoothstep(crack_dist / (lam * delta))[:, None]

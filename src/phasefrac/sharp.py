@@ -407,8 +407,11 @@ class SharpGeometry2D:
     tol_geom: float = 0.0
 
     def __post_init__(self):
-        if any(e <= 0 for e in self.extent):
-            raise GeometryError("domain box must have positive extent")
+        if not all(0.0 < e < np.inf for e in self.extent):
+            raise GeometryError(f"domain box must have positive, finite extent, "
+                                f"got {self.extent}")
+        if not np.all(np.isfinite(self.origin)):
+            raise GeometryError(f"domain box origin must be finite, got {self.origin}")
         if self.tol_geom <= 0:
             diam = float(np.sqrt(sum(e * e for e in self.extent)))
             object.__setattr__(self, "tol_geom", 1e-9 * diam)

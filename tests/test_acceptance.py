@@ -181,7 +181,7 @@ def test_criterion_08_geodesic_inequality(P):
         _, _, slack = geodesic_inequality_check(ScalarField(g, vals), "W", eps, P)
         worst = min(worst, slack)
     lam, eps = 1e-8, 2.0 ** -5
-    prof = build_profile(ProfileParams.from_potentials(P, "W", lam, eps))
+    prof = build_profile(ProfileParams(P.w, lam, eps))
     gp = Grid((0.0,), (1.0,), (2 ** 14,))
     w = ScalarField(gp, np.asarray(prof.g(gp.centers(0) - 0.5 + prof.width / 2)))
     lhs, rhs, slack = geodesic_inequality_check(w, "W", eps, P)

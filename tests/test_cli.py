@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from phasefrac import cli
@@ -11,6 +12,7 @@ from phasefrac.cli import ConfigError, emit_config, main, parse_config
 from phasefrac.energy import ElasticModel
 from phasefrac.harness import SweepPlan
 from phasefrac.potentials import make_default_potentials
+from phasefrac.recovery import width_violation
 from phasefrac.solver import DESCENT_RTOL, SolverPlan, default_state
 
 MINIMAL_1D = """
@@ -141,6 +143,24 @@ def test_width_condition_checked_when_enforced(tmp_path):
         parse_config(write_config(tmp_path, text))
 
 
+def test_width_condition_allows_library_slack(tmp_path):
+    # eps/sqrt(lambda) exceeds lambda*delta by 5e-13, inside the 1e-12
+    # relative slack that build_recovery allows: the CLI must allow it too
+    eps, lam = 0.03125, 0.25
+    scale = float(eps / np.sqrt(lam) / (lam * (1 + 5e-13)) / eps ** (2 / 3))
+    text = MINIMAL_1D.replace("crack_points = 0.5\nc_pieces = 0 0",
+                              "crack_points = 0.5\nphase_points = 0.5\nc_pieces = 0 1")
+    text = text.replace("eps_schedule = 0.03125 0.015625", f"eps_schedule = {eps!r}")
+    text = text.replace("delta_rule = two_thirds\nlambda = 1e-4",
+                        f"delta_rule = scaled_two_thirds\ndelta_scale = {scale!r}\n"
+                        f"lambda = {lam!r}\nenforce_width = true")
+    plan = parse_config(write_config(tmp_path, text)).sweep_plan
+    assert plan.enforce_width and plan.eps_schedule == (eps,)
+    delta = plan.deltas()[0]
+    assert 1e-13 < eps / np.sqrt(lam) / (lam * delta) - 1 < 1e-12
+    assert width_violation(plan.geometry, eps, delta, lam) is None
+
+
 def test_check_command(tmp_path, capsys, monkeypatch):
     path = write_config(tmp_path, MINIMAL_1D)
     assert run_atomic(monkeypatch, tmp_path / "out", ["check", "--config", path]) == 0
@@ -261,6 +281,23 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert main(["check", "--config", str(tmp_path / "missing.ini")]) == 2
 
 
+# keys read only in a 1D geometry; the others are tried on a 2D one
+ONE_D_KEYS = ("domain", "u_slopes", "e0")
+
+
+def config_with(section, key, value):
+    """A valid 1D or 2D config with one value replaced."""
+    geometry = {"dim": 1, "cells": 8, "crack_points": 0.5, "u_slopes": "0 0",
+                "u_offsets": "0 0.1"} if key in ONE_D_KEYS else \
+        {"dim": 2, "cells": 8, "segments": "0.5 0.25 0.5 0.75", "u_spec": "piecewise_rigid"}
+    sections = {"run": {"out": "{out}"}, "potentials": {}, "elastic": {},
+                "geometry": geometry,
+                "solver": {"max_outer": 2}, "sweep": {"eps_schedule": "0.25 0.125", "cells": 8}}
+    sections[section][key] = value
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
+                   for name, body in sections.items())
+
+
 @pytest.mark.parametrize("command", ["minimize", "sweep"])
 @pytest.mark.parametrize("section,key,value", [
     ("geometry", "cells", "abc"), ("geometry", "cells", "1"),
@@ -270,17 +307,26 @@ def test_config_error_exit_code(tmp_path, capsys):
     ("solver", "delta", "nope"), ("solver", "delta", "-1"),
     ("solver", "eps", "-0.01"), ("solver", "eps", "0"),
     ("solver", "jitter_amplitude", "x"),
-    ("potentials", "m_samples", "x"), ("elastic", "theta", "x")])
+    ("potentials", "m_samples", "x"), ("elastic", "theta", "x"),
+    ("geometry", "segments", "0.5 0.25 0.5 0.75 0.5"),
+    ("geometry", "segments", "0.5 0.25 0.5"),
+    ("geometry", "origin", "0 0 7"), ("geometry", "rigid_dir", "0 1 5"),
+    ("geometry", "rigid_point", "0.5 0.5 0.5"), ("geometry", "domain", "0 1 5"),
+    ("geometry", "u_slopes", "0 0 0"), ("elastic", "e0", "1 2 3")])
 def test_malformed_value_exits_2_and_names_key(tmp_path, capsys, command,
                                                section, key, value):
-    sections = {"run": {"out": "{out}"}, "potentials": {}, "elastic": {},
-                "geometry": {"dim": 2, "cells": 8},
-                "solver": {"max_outer": 2}, "sweep": {"eps_schedule": "0.25 0.125", "cells": 8}}
-    sections[section][key] = value
-    text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
-                   for name, body in sections.items())
+    text = config_with(section, key, value)
     assert main([command, "--config", write_config(tmp_path, text)]) == 2
     assert f"[{section}] {key}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("geometry", "extent", "nan nan"), ("sweep", "eps_schedule", "nan"),
+    ("sweep", "delta_scale", "nan")])
+def test_nonfinite_value_exits_2(tmp_path, capsys, section, key, value):
+    text = config_with(section, key, value)
+    assert main(["sweep", "--config", write_config(tmp_path, text)]) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_invalid_geometry_exit_code(tmp_path, capsys):

@@ -26,6 +26,14 @@ def test_grid_validation():
         Grid((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (4, 4, 4))
 
 
+@pytest.mark.parametrize("origin,extent", [
+    ((0.0,), (np.nan,)), ((0.0,), (np.inf,)), ((np.nan,), (1.0,)),
+    ((0.0, -np.inf), (1.0, 1.0))])
+def test_grid_rejects_nonfinite_box(origin, extent):
+    with pytest.raises(ValueError, match="finite"):
+        Grid(origin, extent, (4,) * len(extent))
+
+
 def test_fields_are_immutable(g1):
     f = ScalarField.full(g1, 1.0)
     with pytest.raises(ValueError):
@@ -215,4 +223,16 @@ def test_read_field_rejects_padded_file(tmp_path, g1):
 def test_read_field_rejects_truncated_file(tmp_path, g1):
     path = _dump(tmp_path, g1, lambda text: text[:text.rindex("0.25\n")])
     with pytest.raises(ValueError, match=r"f\.field: 127 values.* 128 cells"):
+        read_field(path)
+
+
+def test_read_field_rejects_nonfinite_extent(tmp_path, g1):
+    path = _dump(tmp_path, g1, lambda text: text.replace("extent 1\n", "extent nan\n"))
+    with pytest.raises(ValueError, match="finite"):
+        read_field(path)
+
+
+def test_read_field_rejects_short_header(tmp_path, g1):
+    path = _dump(tmp_path, g1, lambda text: "".join(text.splitlines(True)[:3]))
+    with pytest.raises(ValueError, match=r"f\.field: 3 lines"):
         read_field(path)

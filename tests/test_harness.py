@@ -36,6 +36,14 @@ def test_sweep_plan_validation():
         SweepPlan(CRACK_1D, (0.1, 0.05), lam=2.0)
 
 
+@pytest.mark.parametrize("schedule,options", [
+    ((np.nan,), {}), ((np.inf, 0.1), {}),
+    ((0.1, 0.05), {"delta_scale": np.nan}), ((0.1, 0.05), {"delta_scale": 0.0})])
+def test_sweep_plan_rejects_nonfinite(schedule, options):
+    with pytest.raises(ValueError, match="positive and finite"):
+        SweepPlan(CRACK_1D, schedule, delta_rule="scaled_two_thirds", **options)
+
+
 def test_sweep_empty_geometry_zero_rows(P, elastic_1d_free):
     g = SharpGeometry1D((0.0, 1.0))
     plan = SweepPlan(g, (0.05, 0.025), cells=(512,))
@@ -104,7 +112,7 @@ def test_geodesic_inequality_random_trig_fields(P):
 def test_geodesic_near_equality_on_profile(P):
     # the transition profile makes Young's inequality tight up to the lam floor
     lam, eps = 1e-8, 2.0 ** -5
-    prof = build_profile(ProfileParams.from_potentials(P, "W", lam, eps))
+    prof = build_profile(ProfileParams(P.w, lam, eps))
     g = Grid((0.0,), (1.0,), (2 ** 14,))
     x = g.centers(0)
     w = ScalarField(g, np.asarray(prof.g(x - 0.5 + prof.width / 2)))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -70,6 +72,17 @@ def test_nonfinite_potential_reported_not_raised():
     object.__setattr__(bad, "v", lambda s: np.where(np.asarray(s) > 0.5, np.nan, 1.0))
     report = check_admissibility(bad, 101)
     assert not report.passed
+
+
+def test_nonfinite_w_reported_not_raised(P):
+    # W is NaN near s = 0.3: the sqrt(W) quadrature fails inside the checks
+    def w(s):
+        s = np.asarray(s, dtype=float)
+        return np.where(np.abs(s - 0.3) < 0.01, np.nan, P.w(s))
+    bad = dataclasses.replace(P, w=w, m_cap_w=0.0)
+    report = check_admissibility(bad, 101)
+    assert not report.passed
+    assert not report["surface_le_fracture"].passed
 
 
 def test_geodesic_transform_values(P):

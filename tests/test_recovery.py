@@ -4,6 +4,7 @@ from scipy.integrate import quad
 
 from phasefrac.energy import diffuse_energy
 from phasefrac.fields import Grid
+from phasefrac.potentials import geodesic_transform
 from phasefrac.recovery import (ProfileParams, ResolutionError,
                                 WidthConditionError, build_profile, build_recovery,
                                 profile_energy_1d, smoothstep)
@@ -21,11 +22,11 @@ def test_params_validation(P):
     with pytest.raises(ValueError):
         ProfileParams(flat, 1.0, 1.0)
     with pytest.raises(ValueError):
-        ProfileParams.from_potentials(P, "Q", 0.1, 1.0)
+        geodesic_transform("Q", P, 0.5)
 
 
 def test_zeta_basics(P):
-    pp = ProfileParams.from_potentials(P, "V", 0.5, 1.0)
+    pp = ProfileParams(P.v, 0.5, 1.0)
     assert build_profile(pp).zeta(0.0) == 0.0
     # f == 0, lam = 1: integrand is identically 1
     prof = build_profile(ProfileParams(flat, 1.0 - 1e-12, 1.0))
@@ -34,7 +35,7 @@ def test_zeta_basics(P):
 
 def test_zeta_against_adaptive_quadrature(P):
     lam = 1e-4
-    pp = ProfileParams.from_potentials(P, "V", lam, 1.0)
+    pp = ProfileParams(P.v, lam, 1.0)
     oracle, _ = quad(lambda t: 1.0 / np.sqrt(lam + (1 - t) ** 2), 0, 1, epsabs=1e-12)
     assert build_profile(pp).zeta(1.0) == pytest.approx(oracle, abs=1e-8)
     assert build_profile(pp).zeta(1.0) == pytest.approx(np.arcsinh(1 / np.sqrt(lam)), abs=1e-8)
@@ -42,12 +43,12 @@ def test_zeta_against_adaptive_quadrature(P):
 
 def test_zeta_width_cap(P):
     for lam in (1e-4, 0.04, 0.5):
-        prof = build_profile(ProfileParams.from_potentials(P, "W", lam, 0.01))
+        prof = build_profile(ProfileParams(P.w, lam, 0.01))
         assert prof.width <= 0.01 / np.sqrt(lam) * (1 + 1e-12)
 
 
 def test_g_profile_endpoints_and_roundtrip(P):
-    prof = build_profile(ProfileParams.from_potentials(P, "W", 1e-4, 0.01))
+    prof = build_profile(ProfileParams(P.w, 1e-4, 0.01))
     assert prof.g(-1.0) == 0.0
     assert prof.g(prof.width) == 1.0
     assert prof.g(prof.width + 1.0) == 1.0
@@ -58,7 +59,7 @@ def test_g_profile_endpoints_and_roundtrip(P):
 
 
 def test_profile_strictly_increasing(P):
-    prof = build_profile(ProfileParams.from_potentials(P, "V", 0.01, 0.1))
+    prof = build_profile(ProfileParams(P.v, 0.01, 0.1))
     assert np.all(np.diff(prof.zeta_nodes) > 0)
     r = np.linspace(0, prof.width, 200)
     assert np.all(np.diff(prof.g(r)) >= 0)
@@ -66,7 +67,7 @@ def test_profile_strictly_increasing(P):
 
 def test_profile_energy_w_bound(P):
     lam = 1e-4
-    pp = ProfileParams.from_potentials(P, "W", lam, 2.0 ** -8)
+    pp = ProfileParams(P.w, lam, 2.0 ** -8)
     val = profile_energy_1d(pp)
     oracle, _ = quad(lambda s: (2 * s ** 2 * (1 - s) ** 2 + lam)
                      / np.sqrt(lam + s ** 2 * (1 - s) ** 2), 0, 1, epsabs=1e-12)
@@ -77,7 +78,7 @@ def test_profile_energy_w_bound(P):
 def test_profile_energy_v_closed_form(P):
     # for V = (1-s)^2 the transition energy is exactly sqrt(1 + lam)
     for lam in (1e-4, 1e-2, 0.25):
-        val = profile_energy_1d(ProfileParams.from_potentials(P, "V", lam, 0.37))
+        val = profile_energy_1d(ProfileParams(P.v, lam, 0.37))
         assert val == pytest.approx(np.sqrt(1 + lam), abs=1e-10)
         assert val <= 1.0 + 2 * np.sqrt(lam) + 1e-9
 

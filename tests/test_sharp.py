@@ -142,6 +142,14 @@ def test_segments_outside_domain_rejected():
                         segments=SegmentSet([[[0.5, 0.5], [1.5, 0.5]]]))
 
 
+@pytest.mark.parametrize("origin,extent", [
+    ((0.0, 0.0), (np.nan, np.nan)), ((0.0, 0.0), (1.0, np.inf)),
+    ((np.nan, 0.0), (1.0, 1.0))])
+def test_2d_box_must_be_finite(origin, extent):
+    with pytest.raises(GeometryError, match="finite"):
+        SharpGeometry2D(origin, extent)
+
+
 def test_distance_field_polygon(P):
     grid = Grid((0.0, 0.0), (1.0, 1.0), (64, 64))
     d = distance_field(Polygon(RIGHT_HALF), grid).values
