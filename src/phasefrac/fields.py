@@ -288,16 +288,18 @@ def read_field(path) -> ScalarField:
         lines = fh.read().splitlines()
     if len(lines) < 4:
         raise ValueError(f"{path}: {len(lines)} lines, but the header alone has 4")
-    header = {}
-    for k in range(4):
-        name, *rest = lines[k].split()
-        header[name] = rest
-    dim = int(header["dim"][0])
-    cells = tuple(int(x) for x in header["cells"])
-    origin = tuple(float(x) for x in header["origin"])
-    extent = tuple(float(x) for x in header["extent"])
-    if len(cells) != dim:
-        raise ValueError("corrupt field header")
+    header = []
+    for k, key in enumerate(("dim", "cells", "origin", "extent")):
+        name, *rest = lines[k].split() or [""]
+        try:
+            if name != key:
+                raise ValueError(f"expected {key!r} first")
+            header.append(tuple((int if k < 2 else float)(x) for x in rest))
+            if k == 1 and header[0] != (len(rest),):
+                raise ValueError(f"{len(rest)} cell count(s), but line 1 reads {lines[0]!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path}: header line {k + 1} {lines[k]!r}: {exc}") from None
+    _, cells, origin, extent = header
     n = int(np.prod(cells))
     if len(lines) - 4 != n:
         raise ValueError(f"{path}: {len(lines) - 4} values, but the header "

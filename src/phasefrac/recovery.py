@@ -81,15 +81,14 @@ class OptimalProfile:
     def g(self, r) -> np.ndarray | float:
         """Monotone inverse of zeta, clamped: 0 below 0, 1 above the width."""
         r = np.asarray(r, dtype=float)
-        idx = np.searchsorted(self.zeta_nodes, r, side="right")
+        out = np.where(r <= 0.0, 0.0, 1.0)
+        band = ~((r <= 0.0) | (r >= self.width))  # interpolate only here (NaN too)
+        rb = r[band]
+        idx = np.searchsorted(self.zeta_nodes, rb, side="right")
         idx = np.clip(idx, 1, len(self.zeta_nodes) - 1)
-        z0 = self.zeta_nodes[idx - 1]
-        z1 = self.zeta_nodes[idx]
-        s0 = self.s_nodes[idx - 1]
-        s1 = self.s_nodes[idx]
-        out = s0 + (r - z0) / (z1 - z0) * (s1 - s0)
-        out = np.clip(out, 0.0, 1.0)
-        out = np.where(r <= 0.0, 0.0, np.where(r >= self.width, 1.0, out))
+        z0, z1 = self.zeta_nodes[idx - 1], self.zeta_nodes[idx]
+        s0, s1 = self.s_nodes[idx - 1], self.s_nodes[idx]
+        out[band] = np.clip(s0 + (rb - z0) / (z1 - z0) * (s1 - s0), 0.0, 1.0)
         return float(out) if out.ndim == 0 else out
 
 

@@ -55,25 +55,29 @@ class SegmentSet:
         return float(self.lengths.sum())
 
     def distance(self, pts: np.ndarray) -> np.ndarray:
-        """Euclidean distance from each point (m, 2) to the segment union."""
-        if len(self) == 0:
-            return np.full(pts.shape[0], np.inf)
+        """Euclidean distance from each point (m, 2) to the segment union (inf if empty)."""
         best = np.full(pts.shape[0], np.inf)
         for a, b in self.endpoints:
-            best = np.minimum(best, _point_segment_distance(pts, a, b))
+            np.minimum(best, _point_segment_distance(pts, a, b), out=best)
         return best
 
 
 def _point_segment_distance(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance from each point (m, 2) to the closed segment [a, b], on columns.
+
+    The residual is rounded as x - (a + t*ab), not as (x - a) - t*ab, which
+    rounds twice past the ends: distances to axis-aligned and degenerate
+    segments then equal the row formula |pts - (a + t*ab)| bit for bit.
+    """
     ab = b - a
     denom = float(ab @ ab)
-    if denom == 0.0:
-        d = pts - a
-        return np.sqrt(np.sum(d * d, axis=1))
-    t = np.clip((pts - a) @ ab / denom, 0.0, 1.0)
-    proj = a + t[:, None] * ab
-    d = pts - proj
-    return np.sqrt(np.sum(d * d, axis=1))
+    x, y = pts[:, 0], pts[:, 1]
+    dx, dy = x - a[0], y - a[1]
+    if denom != 0.0:
+        t = np.clip((dx * ab[0] + dy * ab[1]) / denom, 0.0, 1.0)
+        np.subtract(x, a[0] + t * ab[0], out=dx)
+        np.subtract(y, a[1] + t * ab[1], out=dy)
+    return np.sqrt(dx * dx + dy * dy)
 
 
 def _orient(p, q, r):
@@ -239,13 +243,13 @@ def piecewise_rigid_displacement(line_point, line_dir, u_plus, u_minus,
     tau = tau / nrm
     bp = np.asarray(u_plus, dtype=float)
     bm = np.asarray(u_minus, dtype=float)
-    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
 
     def u_at(pts):
-        rel = pts - p
-        side = rel[:, 0] * tau[1] - rel[:, 1] * tau[0]  # negative cross: right side
-        spin = np.where(side[:, None] <= 0.0, omega_plus, omega_minus) * (rel @ rot.T)
-        return np.where(side[:, None] <= 0.0, bp, bm) + spin
+        rx, ry = pts[:, 0] - p[0], pts[:, 1] - p[1]
+        right = rx * tau[1] - ry * tau[0] <= 0.0  # negative cross: right side
+        omega = np.where(right, omega_plus, omega_minus)  # spin omega * (-ry, rx)
+        return np.stack([np.where(right, bp[0], bm[0]) - omega * ry,
+                         np.where(right, bp[1], bm[1]) + omega * rx], axis=-1)
 
     return DisplacementSpec("piecewise_rigid", u_at,
                             e_at=lambda pts: np.zeros(pts.shape[:-1] + (2, 2)),
@@ -295,8 +299,8 @@ class SharpGeometry1D:
 
     def __post_init__(self):
         a, b = self.domain
-        if not b > a:
-            raise GeometryError("empty 1D domain")
+        if not -np.inf < a < b < np.inf:
+            raise GeometryError(f"domain must be a finite interval a < b, got {self.domain}")
         tol = self.tol_geom if self.tol_geom > 0 else 1e-9 * (b - a)
         object.__setattr__(self, "tol_geom", tol)
         object.__setattr__(self, "phase_points", tuple(sorted(self.phase_points)))

@@ -329,6 +329,13 @@ def test_nonfinite_value_exits_2(tmp_path, capsys, section, key, value):
     assert "finite" in capsys.readouterr().err
 
 
+def test_infinite_1d_domain_blames_domain(tmp_path, capsys):
+    text = config_with("geometry", "domain", "0 inf")
+    assert main(["check", "--config", write_config(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert "[geometry] domain " in err and "cells" not in err
+
+
 def test_invalid_geometry_exit_code(tmp_path, capsys):
     text = MINIMAL_1D.replace("crack_points = 0.5", "crack_points = 2.5")
     assert main(["sharp", "--config", write_config(tmp_path, text)]) == 2

@@ -236,3 +236,15 @@ def test_read_field_rejects_short_header(tmp_path, g1):
     path = _dump(tmp_path, g1, lambda text: "".join(text.splitlines(True)[:3]))
     with pytest.raises(ValueError, match=r"f\.field: 3 lines"):
         read_field(path)
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("dim 1\n", "dims 1\n", r"f\.field: header line 1 'dims 1': expected 'dim'"),
+    ("cells 128\n", "\n", r"f\.field: header line 2 '': expected 'cells'"),
+    ("cells 128\n", "cells 128 2\n", r"f\.field: header line 2 'cells 128 2': 2 cell count"),
+    ("origin 0\n", "origin zero\n", r"f\.field: header line 3 'origin zero': could not"),
+])
+def test_read_field_header_fault_names_file_and_line(tmp_path, g1, old, new, message):
+    path = _dump(tmp_path, g1, lambda text: text.replace(old, new, 1))
+    with pytest.raises(ValueError, match=message):
+        read_field(path)

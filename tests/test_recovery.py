@@ -199,3 +199,31 @@ def test_recovery_2d_fields_in_range(P):
     assert st.c.values.min() >= 0.0 and st.c.values.max() <= 1.0
     assert st.z.values.min() >= 0.0 and st.z.values.max() <= 1.0
     assert st.z.values.min() < 0.15  # damaged near the segment
+
+
+def _reference_g(prof, r):
+    """The full-array profile evaluation the banded one replaced."""
+    r = np.asarray(r, dtype=float)
+    idx = np.clip(np.searchsorted(prof.zeta_nodes, r, side="right"),
+                  1, len(prof.zeta_nodes) - 1)
+    z0, z1 = prof.zeta_nodes[idx - 1], prof.zeta_nodes[idx]
+    s0, s1 = prof.s_nodes[idx - 1], prof.s_nodes[idx]
+    out = np.clip(s0 + (r - z0) / (z1 - z0) * (s1 - s0), 0.0, 1.0)
+    out = np.where(r <= 0.0, 0.0, np.where(r >= prof.width, 1.0, out))
+    return float(out) if out.ndim == 0 else out
+
+
+def test_profile_g_bitwise_against_reference(P):
+    prof = build_profile(ProfileParams(P.w, 1e-4, 0.05))
+    w = prof.width
+    rng = np.random.default_rng(21)
+    r = np.concatenate([rng.uniform(-0.5 * w, 1.5 * w, 50000), prof.zeta_nodes,
+                        [0.0, -0.0, w, np.nextafter(w, 0.0), np.inf, -np.inf, np.nan]])
+    got = prof.g(r)
+    assert got.dtype == float and got.shape == r.shape
+    assert np.array_equal(got, _reference_g(prof, r), equal_nan=True)
+    assert np.array_equal(prof.g(r[:50000].reshape(100, 500)), got[:50000].reshape(100, 500))
+    assert prof.g(np.empty(0)).shape == (0,)
+    for x in (0.3 * w, 0.0, w, -1.0, np.inf):
+        value = prof.g(x)
+        assert type(value) is float and value == _reference_g(prof, x)

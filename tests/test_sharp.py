@@ -5,7 +5,8 @@ from phasefrac.energy import ElasticModel
 from phasefrac.fields import Grid
 from phasefrac.potentials import make_default_potentials
 from phasefrac.sharp import (GeometryError, Polygon, SegmentSet, SharpGeometry1D,
-                             SharpGeometry2D, affine_displacement, distance_field,
+                             SharpGeometry2D, _point_segment_distance,
+                             affine_displacement, distance_field,
                              minkowski_content_estimate,
                              piecewise_rigid_displacement, sharp_energy,
                              sharp_energy_1d, sharp_energy_2d, zero_displacement)
@@ -231,3 +232,76 @@ def test_2d_tube_bound_reported(P):
                         u_spec=affine_displacement(F))
     b = sharp_energy_2d(g, P, M)
     assert 0.0 < b.excluded_bound < 1e-8  # O(tol_geom) by construction
+
+
+# The (m, 2) formulas the column kernels replaced, kept as references.
+
+def _reference_segment_distance(pts, a, b):
+    ab = b - a
+    denom = float(ab @ ab)
+    if denom == 0.0:
+        d = pts - a
+        return np.sqrt(np.sum(d * d, axis=1))
+    t = np.clip((pts - a) @ ab / denom, 0.0, 1.0)
+    d = pts - (a + t[:, None] * ab)
+    return np.sqrt(np.sum(d * d, axis=1))
+
+
+def _reference_rigid(pts, p, tau, bp, bm, omega_plus, omega_minus):
+    rel = pts - p
+    side = rel[:, 0] * tau[1] - rel[:, 1] * tau[0]
+    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+    spin = np.where(side[:, None] <= 0.0, omega_plus, omega_minus) * (rel @ rot.T)
+    return np.where(side[:, None] <= 0.0, bp, bm) + spin
+
+
+def _random_points(seed, n=20000):
+    return np.random.default_rng(seed).uniform(-1.0, 2.0, (n, 2))
+
+
+@pytest.mark.parametrize("kind", ["vertical", "horizontal", "degenerate"])
+def test_segment_distance_bitwise_on_axis_aligned(kind):
+    rng = np.random.default_rng(11)
+    pts = _random_points(12)
+    for _ in range(20):
+        # endpoints off any binary grid, so rounding order shows
+        a, b = rng.uniform(0.0, 1.0, 2), rng.uniform(0.0, 1.0, 2)
+        axis = {"vertical": 0, "horizontal": 1}.get(kind)
+        if axis is None:
+            b = a.copy()
+        else:
+            b[axis] = a[axis]
+        assert np.array_equal(_point_segment_distance(pts, a, b),
+                              _reference_segment_distance(pts, a, b))
+
+
+def test_segment_distance_oblique_to_last_bits():
+    rng = np.random.default_rng(13)
+    pts = _random_points(14)
+    for _ in range(20):
+        a, b = rng.uniform(0.0, 1.0, 2), rng.uniform(0.0, 1.0, 2)
+        got = _point_segment_distance(pts, a, b)
+        assert np.max(np.abs(got - _reference_segment_distance(pts, a, b))) <= 1e-15
+
+
+def test_segment_set_empty_is_infinite():
+    d = SegmentSet(np.zeros((0, 2, 2))).distance(_random_points(15, 5))
+    assert d.shape == (5,) and np.all(d == np.inf)
+
+
+@pytest.mark.parametrize("omega_plus,omega_minus", [(0.0, 0.0), (0.3, -0.7), (-1.5, 2.25)])
+def test_piecewise_rigid_bitwise(omega_plus, omega_minus):
+    rng = np.random.default_rng(16)
+    pts = _random_points(17)
+    p, tau = rng.uniform(0.0, 1.0, 2), rng.normal(size=2)
+    bp, bm = rng.normal(size=2), rng.normal(size=2)
+    spec = piecewise_rigid_displacement(p, tau, bp, bm, omega_plus, omega_minus)
+    ref = _reference_rigid(pts, p, tau / np.linalg.norm(tau), bp, bm,
+                           omega_plus, omega_minus)
+    assert np.array_equal(spec.u_at(pts), ref)
+
+
+def test_1d_domain_must_be_finite():
+    for domain in [(0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan)]:
+        with pytest.raises(GeometryError, match="domain"):
+            SharpGeometry1D(domain)
