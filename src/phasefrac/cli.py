@@ -365,11 +365,11 @@ def emit_config(cfg: RunConfig) -> str:
 
 def _write_manifest(cfg: RunConfig, command: str) -> None:
     _write_atomic(os.path.join(cfg.out_dir, "manifest.txt"),
-                  f"command = {command}\n"
-                  f"phasefrac = {__version__}\n"
-                  f"numpy = {np.__version__}\n"
-                  f"python = {sys.version.split()[0]}\n"
-                  f"seed = {cfg.seed}\n\n" + emit_config(cfg))
+                  [f"command = {command}\n"
+                   f"phasefrac = {__version__}\n"
+                   f"numpy = {np.__version__}\n"
+                   f"python = {sys.version.split()[0]}\n"
+                   f"seed = {cfg.seed}\n\n" + emit_config(cfg)])
 
 
 def _emit(cfg: RunConfig, *msg) -> None:
@@ -391,7 +391,7 @@ def _cmd_check(cfg: RunConfig) -> int:
     _emit(cfg, report.summary())
     _emit(cfg, f"alpha_surf = {surface_density(cfg.potentials):.12g}")
     _emit(cfg, f"alpha_frac = {fracture_density(cfg.potentials):.12g}")
-    _write_atomic(os.path.join(cfg.out_dir, "admissibility.txt"), report.summary() + "\n")
+    _write_atomic(os.path.join(cfg.out_dir, "admissibility.txt"), [report.summary() + "\n"])
     return 0 if report.passed else 1
 
 
@@ -413,7 +413,7 @@ def _cmd_sweep(cfg: RunConfig) -> int:
         return 1
     table = gamma_sweep(cfg.sweep_plan, cfg.potentials, cfg.elastic)
     name = cfg.sweep_plan.out_csv or "sweep.csv"
-    _write_atomic(os.path.join(cfg.out_dir, name), table.to_csv())
+    _write_atomic(os.path.join(cfg.out_dir, name), [table.to_csv()])
     bad = [r for r in table.rows if r.status != "ok"]
     last = table.rows[-1]
     _emit(cfg, f"sweep: {len(table.rows)} rows, e_sharp = {table.e_sharp:.12g}, "
@@ -448,7 +448,7 @@ def _cmd_minimize(cfg: RunConfig) -> int:
     for k, e in enumerate(traj.energies):
         lines.append(f"{k},{e.e_phase:.17g},{e.e_elastic:.17g},"
                      f"{e.e_crack:.17g},{e.e_total:.17g}")
-    _write_atomic(os.path.join(cfg.out_dir, "trajectory.csv"), "\n".join(lines) + "\n")
+    _write_atomic(os.path.join(cfg.out_dir, "trajectory.csv"), ["\n".join(lines) + "\n"])
     _write_state(s, cfg.out_dir)
     counts = Counter(f for sweep in traj.flags for f in sweep)
     histogram = " ".join(f"{f}={n}" for f, n in sorted(counts.items())) or "none"

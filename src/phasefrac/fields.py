@@ -7,7 +7,6 @@ exactly under the discrete inner product. Integration is the midpoint rule.
 """
 from __future__ import annotations
 
-import io
 import os
 from dataclasses import dataclass
 from typing import ClassVar
@@ -261,29 +260,49 @@ def slice_extract(field, xi, y, samples: int) -> SliceSamples:
     return SliceSamples(t, vals, hit=True)
 
 
-def _write_atomic(path, text: str) -> None:
-    """Write `text` to `path` through `path.partial` and a rename, so readers
-    never see a half-written file."""
+def _write_atomic(path, pieces) -> None:
+    """Write the text `pieces` to `path` through `path.partial` and a rename, so
+    readers never see a half-written file.  `pieces` is an iterable of strings
+    (a list of one for a single text; a bare str would be written a character
+    at a time).  A failed write removes `path.partial`, re-raises and leaves
+    `path` as it was."""
     partial = f"{path}.partial"
-    with open(partial, "w") as fh:
-        fh.write(text)
+    fh = open(partial, "w")
+    try:
+        with fh:
+            fh.writelines(pieces)
+    except BaseException:
+        os.remove(partial)
+        raise
     os.replace(partial, path)
 
 
+_CHUNK = 1 << 15  # values formatted by one `%` operation
+
+
 def write_field(f: ScalarField, path) -> None:
-    """Plain-text dump: header (dim, cells, origin, extent), then row-major values."""
+    """Plain-text dump: header lines dim, cells, origin, extent, then the
+    row-major values, each as `%.17g` on its own line, ending in a newline.
+    `%.17g` round-trips every float64, so `read_field` returns the same bits.
+    The values are formatted and written in chunks, never as one text."""
     g = f.grid
-    buf = io.StringIO()
-    buf.write(f"dim {g.dim}\n")
-    buf.write("cells " + " ".join(str(n) for n in g.cells) + "\n")
-    buf.write("origin " + " ".join(f"{x:.17g}" for x in g.origin) + "\n")
-    buf.write("extent " + " ".join(f"{x:.17g}" for x in g.extent) + "\n")
-    for v in f.values.reshape(-1):
-        buf.write(f"{v:.17g}\n")
-    _write_atomic(path, buf.getvalue())
+
+    def pieces():
+        yield (f"dim {g.dim}\n"
+               + "cells " + " ".join(str(n) for n in g.cells) + "\n"
+               + "origin " + " ".join(f"{x:.17g}" for x in g.origin) + "\n"
+               + "extent " + " ".join(f"{x:.17g}" for x in g.extent) + "\n")
+        flat = f.values.reshape(-1)
+        for k in range(0, flat.size, _CHUNK):
+            part = flat[k:k + _CHUNK].tolist()
+            yield ("%.17g\n" * len(part)) % tuple(part)
+
+    _write_atomic(path, pieces())
 
 
 def read_field(path) -> ScalarField:
+    """Inverse of `write_field`, bit for bit.  Every fault names `path`, and a
+    fault of one line also its 1-based number and text."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if len(lines) < 4:
@@ -304,5 +323,17 @@ def read_field(path) -> ScalarField:
     if len(lines) - 4 != n:
         raise ValueError(f"{path}: {len(lines) - 4} values, but the header "
                          f"declares {n} cells")
-    values = np.array([float(x) for x in lines[4:]]).reshape(cells)
-    return ScalarField(Grid(origin, extent, cells), values)
+    try:
+        values = np.array(lines[4:], dtype=float)
+    except ValueError as bulk:
+        # numpy parses each string with float(); name the first line it rejects
+        for k, line in enumerate(lines[4:], start=5):
+            try:
+                float(line)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {k} {line!r}: {exc}") from None
+        raise ValueError(f"{path}: {bulk}") from None
+    try:
+        return ScalarField(Grid(origin, extent, cells), values.reshape(cells))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

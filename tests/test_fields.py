@@ -1,10 +1,13 @@
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from phasefrac.fields import (Grid, ScalarField, SymTensorField, VectorField,
+from phasefrac.fields import (_CHUNK, Grid, ScalarField, SymTensorField, VectorField,
                               gradient, gradient_adjoint, integrate, read_field,
                               sample_at, slice_extract, sym_gradient,
-                              sym_gradient_adjoint, write_field)
+                              sym_gradient_adjoint, _write_atomic, write_field)
 
 
 @pytest.fixture()
@@ -248,3 +251,86 @@ def test_read_field_header_fault_names_file_and_line(tmp_path, g1, old, new, mes
     path = _dump(tmp_path, g1, lambda text: text.replace(old, new, 1))
     with pytest.raises(ValueError, match=message):
         read_field(path)
+
+
+@pytest.mark.parametrize("line,text,message", [
+    (3, "origin nan", r"f\.field: origin must be finite"),
+    (3, "origin 0 1", r"f\.field: origin, extent, cells must have equal length"),
+    (5, "abc", r"f\.field: line 5 'abc': could not convert"),
+    (77, "0x10", r"f\.field: line 77 '0x10': could not convert"),
+    (132, "", r"f\.field: line 132 '': could not convert"),
+    (9, "inf", r"f\.field: field contains non-finite values"),
+])
+def test_read_field_grid_and_value_fault_names_file(tmp_path, g1, line, text, message):
+    def edit(dump):
+        lines = dump.splitlines(True)
+        lines[line - 1] = text + "\n"
+        return "".join(lines)
+
+    path = _dump(tmp_path, g1, edit)
+    with pytest.raises(ValueError, match=message):
+        read_field(path)
+
+
+# float64 values whose shortest text is long, tiny, signed zero or subnormal
+AWKWARD = [-0.0, 5e-324, 1e-300, 0.1, 1 / 3, 1e16, 123456789012345678.0, -1e308]
+
+
+def _reference_dump(f: ScalarField) -> str:
+    """The per-value writer that `write_field` replaced, kept as the reference."""
+    g = f.grid
+    buf = io.StringIO()
+    buf.write(f"dim {g.dim}\n")
+    buf.write("cells " + " ".join(str(n) for n in g.cells) + "\n")
+    buf.write("origin " + " ".join(f"{x:.17g}" for x in g.origin) + "\n")
+    buf.write("extent " + " ".join(f"{x:.17g}" for x in g.extent) + "\n")
+    for v in f.values.reshape(-1):
+        buf.write(f"{v:.17g}\n")
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("cells", [(_CHUNK - 1,), (_CHUNK,), (_CHUNK + 1,),
+                                   (2 * _CHUNK + 3,), (300, 250)])
+def test_write_field_matches_per_value_reference(tmp_path, cells):
+    grid = Grid((0.1,) * len(cells), (1 / 3,) * len(cells), cells)
+    rng = np.random.Generator(np.random.Philox(len(cells) * 1000 + cells[0] % 1000))
+    flat = (rng.normal(size=cells) * 10.0 ** rng.integers(-300, 300, size=cells)).reshape(-1)
+    k = len(AWKWARD)
+    flat[:k] = AWKWARD
+    flat[-k:] = AWKWARD
+    if flat.size > _CHUNK + k:
+        flat[_CHUNK - k // 2:_CHUNK + k // 2] = AWKWARD  # straddle the first chunk seam
+    f = ScalarField(grid, flat.reshape(cells))
+    path = tmp_path / "f.field"
+    write_field(f, path)
+    assert path.read_bytes() == _reference_dump(f).encode()
+    back = read_field(path)
+    assert back.grid == grid
+    assert np.array_equal(back.values.view(np.uint64), f.values.view(np.uint64))
+
+
+def test_write_field_streams_in_chunks(tmp_path):
+    # the 512^2 dump is about 5 MB of text: holding it whole peaks far above 4 MiB
+    rng = np.random.Generator(np.random.Philox(3))
+    f = ScalarField(Grid((0.0, 0.0), (1.0, 1.0), (512, 512)), rng.normal(size=(512, 512)))
+    tracemalloc.start()
+    try:
+        write_field(f, tmp_path / "f.field")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_write_atomic_failure_removes_partial_and_keeps_target(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old\n")
+
+    def pieces():
+        yield "new text " * 1000
+        raise RuntimeError("write failed")
+
+    with pytest.raises(RuntimeError, match="write failed"):
+        _write_atomic(path, pieces())
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
