@@ -132,6 +132,21 @@ def _positive(text: str) -> float:
     return value
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"must be finite, got {text}")
+    return value
+
+
+def _samples(text: str) -> int:
+    """A sample count for `check_admissibility`, which needs two or more."""
+    value = int(text)
+    if value < 2:
+        raise ValueError(f"must be >= 2, got {value}")
+    return value
+
+
 def _one_of(table: dict):
     """Converter from a name to its entry in `table`."""
     def conv(text: str):
@@ -212,7 +227,7 @@ def parse_config(path: str) -> RunConfig:
     except ValueError as exc:
         violations.append(f"[potentials] {exc}")
         potentials = None
-    m_samples = take("potentials", "m_samples", int)
+    m_samples = take("potentials", "m_samples", _samples)
 
     geometry, geo_violations = _build_geometry(sections["geometry"])
     violations.extend(geo_violations)
@@ -269,7 +284,7 @@ def parse_config(path: str) -> RunConfig:
     solver_eps = take("solver", "eps", _positive)
     solver_delta = solver_eps ** (2.0 / 3.0) if sections["solver"]["delta"] == "auto" \
         else take("solver", "delta", _positive)
-    jitter_amplitude = take("solver", "jitter_amplitude", float)
+    jitter_amplitude = take("solver", "jitter_amplitude", _finite)
 
     if violations:
         raise ConfigError(violations)

@@ -7,6 +7,8 @@ exactly under the discrete inner product. Integration is the midpoint rule.
 """
 from __future__ import annotations
 
+import itertools
+import math
 import os
 from dataclasses import dataclass
 from typing import ClassVar
@@ -64,8 +66,11 @@ class _Field:
     rank: ClassVar[int] = 0
 
     def __post_init__(self):
-        # always copy so freezing never touches the caller's array
-        arr = np.array(self.values, dtype=float, order="C", copy=True)
+        # copy so freezing never touches the caller's array; an array that owns
+        # its data and is read-only already is frozen, and is taken as it is
+        v = self.values
+        frozen = isinstance(v, np.ndarray) and v.flags.owndata and not v.flags.writeable
+        arr = np.array(v, dtype=float, order="C", copy=None if frozen else True)
         shape = self.grid.cells + (self.grid.dim,) * self.rank
         if arr.shape != shape:
             raise ValueError(f"field shape {arr.shape} does not match grid {shape}")
@@ -125,46 +130,34 @@ def _diff_t(w: np.ndarray, axis: int, h: float) -> np.ndarray:
     return out
 
 
-# Array kernels, plain arrays in and out: the energy and the solver run on
-# these, the typed operators below wrap them for callers holding fields.
+# The four operators run on plain arrays and the spacing tuple h; a caller
+# holding a field passes `f.values, f.grid.spacing`.
 
-def _gradient(f: np.ndarray, h: tuple[float, ...]) -> np.ndarray:
+def gradient(f: np.ndarray, h: tuple[float, ...]) -> np.ndarray:
+    """Discrete gradient of a scalar array f (shape cells), shape cells + (d,)."""
     return np.stack([_diff(f, a, ha) for a, ha in enumerate(h)], axis=-1)
 
 
-def _gradient_adjoint(v: np.ndarray, h: tuple[float, ...]) -> np.ndarray:
+def gradient_adjoint(v: np.ndarray, h: tuple[float, ...]) -> np.ndarray:
+    """Adjoint of `gradient`: sum(gradient(f, h) * v) = sum(f * gradient_adjoint(v, h))
+    exactly, for every f of shape cells and v of shape cells + (d,)."""
     out = np.zeros(v.shape[:-1])
     for a, ha in enumerate(h):
         out += _diff_t(v[..., a], a, ha)
     return out
 
 
-def _sym_gradient(u: np.ndarray, h: tuple[float, ...]) -> np.ndarray:
-    jac = np.stack([_gradient(u[..., a], h) for a in range(len(h))], axis=-2)
+def sym_gradient(u: np.ndarray, h: tuple[float, ...]) -> np.ndarray:
+    """Symmetric part of the discrete Jacobian of u (shape cells + (d,)), shape
+    cells + (d, d); vanishes on rigid motions."""
+    jac = np.stack([gradient(u[..., a], h) for a in range(len(h))], axis=-2)
     return 0.5 * (jac + np.swapaxes(jac, -1, -2))
 
 
-def _sym_gradient_adjoint(s: np.ndarray, h: tuple[float, ...]) -> np.ndarray:
-    return np.stack([_gradient_adjoint(s[..., a, :], h) for a in range(len(h))], axis=-1)
-
-
-def gradient(f: ScalarField) -> VectorField:
-    return VectorField(f.grid, _gradient(f.values, f.grid.spacing))
-
-
-def gradient_adjoint(vf: VectorField) -> ScalarField:
-    """Adjoint of `gradient`: <gradient(f), v> = <f, gradient_adjoint(v)> exactly."""
-    return ScalarField(vf.grid, _gradient_adjoint(vf.values, vf.grid.spacing))
-
-
-def sym_gradient(u: VectorField) -> SymTensorField:
-    """Symmetric part of the discrete Jacobian; vanishes on rigid motions."""
-    return SymTensorField(u.grid, _sym_gradient(u.values, u.grid.spacing))
-
-
-def sym_gradient_adjoint(s: SymTensorField) -> VectorField:
-    """Adjoint of `sym_gradient` for symmetric-valued weight fields."""
-    return VectorField(s.grid, _sym_gradient_adjoint(s.values, s.grid.spacing))
+def sym_gradient_adjoint(s: np.ndarray, h: tuple[float, ...]) -> np.ndarray:
+    """Adjoint of `sym_gradient`: sum(sym_gradient(u, h) * s) =
+    sum(u * sym_gradient_adjoint(s, h)) exactly, for s symmetric per cell."""
+    return np.stack([gradient_adjoint(s[..., a, :], h) for a in range(len(h))], axis=-1)
 
 
 def integrate(f: ScalarField) -> float:
@@ -277,7 +270,7 @@ def _write_atomic(path, pieces) -> None:
     os.replace(partial, path)
 
 
-_CHUNK = 1 << 15  # values formatted by one `%` operation
+_CHUNK = 1 << 13  # values formatted by one `%` operation, or parsed by one numpy call
 
 
 def write_field(f: ScalarField, path) -> None:
@@ -302,38 +295,60 @@ def write_field(f: ScalarField, path) -> None:
 
 def read_field(path) -> ScalarField:
     """Inverse of `write_field`, bit for bit.  Every fault names `path`, and a
-    fault of one line also its 1-based number and text."""
+    fault of one line also its 1-based number and text.  The values are parsed
+    in chunks of `_CHUNK` lines straight into the field's array, never held
+    as one text."""
     with open(path) as fh:
-        lines = fh.read().splitlines()
-    if len(lines) < 4:
-        raise ValueError(f"{path}: {len(lines)} lines, but the header alone has 4")
-    header = []
-    for k, key in enumerate(("dim", "cells", "origin", "extent")):
-        name, *rest = lines[k].split() or [""]
-        try:
-            if name != key:
-                raise ValueError(f"expected {key!r} first")
-            header.append(tuple((int if k < 2 else float)(x) for x in rest))
-            if k == 1 and header[0] != (len(rest),):
-                raise ValueError(f"{len(rest)} cell count(s), but line 1 reads {lines[0]!r}")
-        except ValueError as exc:
-            raise ValueError(f"{path}: header line {k + 1} {lines[k]!r}: {exc}") from None
-    _, cells, origin, extent = header
-    n = int(np.prod(cells))
-    if len(lines) - 4 != n:
-        raise ValueError(f"{path}: {len(lines) - 4} values, but the header "
-                         f"declares {n} cells")
-    try:
-        values = np.array(lines[4:], dtype=float)
-    except ValueError as bulk:
-        # numpy parses each string with float(); name the first line it rejects
-        for k, line in enumerate(lines[4:], start=5):
+        lines = [fh.readline() for _ in range(4)]
+        if "" in lines:
+            raise ValueError(f"{path}: {lines.index('')} lines, but the header alone has 4")
+        lines = [line.rstrip("\n") for line in lines]
+        header = []
+        for k, key in enumerate(("dim", "cells", "origin", "extent")):
+            name, *rest = lines[k].split() or [""]
             try:
-                float(line)
+                if name != key:
+                    raise ValueError(f"expected {key!r} first")
+                header.append(tuple((int if k < 2 else float)(x) for x in rest))
+                if k == 1 and header[0] != (len(rest),):
+                    raise ValueError(f"{len(rest)} cell count(s), but line 1 reads {lines[0]!r}")
             except ValueError as exc:
-                raise ValueError(f"{path}: line {k} {line!r}: {exc}") from None
-        raise ValueError(f"{path}: {bulk}") from None
+                raise ValueError(f"{path}: header line {k + 1} {lines[k]!r}: {exc}") from None
+        _, cells, origin, extent = header
+        try:
+            grid = Grid(origin, extent, cells)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        n = math.prod(cells)
+        # n value lines take n bytes at least; a larger n is a count fault
+        values = np.empty(cells if n <= os.fstat(fh.fileno()).st_size else 0)
+        flat = values.reshape(-1)
+        count, fault = 0, None
+        while chunk := list(itertools.islice(fh, _CHUNK)):
+            if fault is None and count + len(chunk) <= flat.size:
+                try:
+                    flat[count:count + len(chunk)] = np.array(chunk, dtype=float)
+                except ValueError as bulk:
+                    fault = _first_bad_line(chunk, count + 5) or str(bulk)
+            count += len(chunk)
+    if count != n:
+        raise ValueError(f"{path}: {count} values, but the header declares {n} cells")
+    if fault is not None:
+        raise ValueError(f"{path}: {fault}")
+    values.setflags(write=False)
     try:
-        return ScalarField(Grid(origin, extent, cells), values.reshape(cells))
+        return ScalarField(grid, values)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def _first_bad_line(chunk: list[str], first: int) -> str | None:
+    """Name the first line of `chunk` (numbered from `first`) that float()
+    rejects; numpy parses each string the same way."""
+    for k, line in enumerate(chunk, start=first):
+        text = line.rstrip("\n")
+        try:
+            float(text)
+        except ValueError as exc:
+            return f"line {k} {text!r}: {exc}"
+    return None

@@ -209,7 +209,7 @@ def phi_delta(P: PotentialSet, delta: float, z):
     return float(out) if out.ndim == 0 else out
 
 
-def check_admissibility(P: PotentialSet, m_samples: int = 1001) -> AdmissibilityReport:
+def check_admissibility(P: PotentialSet, m_samples: int = 10001) -> AdmissibilityReport:
     """Sampled falsifier for the structural conditions on (W, V, phi).
 
     Continuous-range conditions are checked on grids of m_samples nodes; a pass

@@ -473,7 +473,7 @@ def sharp_energy_1d(g: SharpGeometry1D, P: PotentialSet, M: ElasticModel) -> Ene
     for k, (slope, _off) in enumerate(g.u_pieces):
         xi = slope - g.c_pieces[k] * e00
         e_el += (bps[k + 1] - bps[k]) * float(M.form(np.array([[xi]])))
-    return EnergyBreakdown.of(e_phase, e_el, e_crack)
+    return EnergyBreakdown(e_phase, e_el, e_crack)
 
 
 def sharp_energy_2d(g: SharpGeometry2D, P: PotentialSet, M: ElasticModel) -> EnergyBreakdown:
@@ -514,8 +514,7 @@ def sharp_energy_2d(g: SharpGeometry2D, P: PotentialSet, M: ElasticModel) -> Ene
     # bound on what the tol_geom-tube around the cracks could have contributed
     tube_area = 2.0 * g.tol_geom * g.segments.total_length() + np.pi * g.tol_geom ** 2
     bound = max(q_phase, q_void) * tube_area
-    return EnergyBreakdown(e_phase, e_el, e_crack, e_phase + e_el + e_crack,
-                           excluded_bound=bound)
+    return EnergyBreakdown(e_phase, e_el, e_crack, excluded_bound=bound)
 
 
 def sharp_energy(g, P: PotentialSet, M: ElasticModel) -> EnergyBreakdown:

@@ -22,9 +22,9 @@ from typing import Optional
 
 import numpy as np
 
-from .energy import (DiffuseState, ElasticModel, EnergyBreakdown, _evaluate,
-                     _stress_divergence, diffuse_energy, project_mass)
-from .fields import Grid, ScalarField, VectorField, _diff, _sym_gradient
+from .energy import (DiffuseState, ElasticModel, EnergyBreakdown, _stress_divergence,
+                     diffuse_energy, evaluate, project_mass)
+from .fields import Grid, ScalarField, VectorField, _diff, sym_gradient
 from .potentials import PotentialSet
 
 _MAX_BACKTRACKS = 60
@@ -45,6 +45,9 @@ class SolverPlan:
     mass_constraint: Optional[float] = None
 
     def __post_init__(self):
+        for name in ("max_outer", "cg_max_iters"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}: must be >= 1, got {getattr(self, name)}")
         if self.tol_rel_energy <= 0 or self.cg_tol <= 0 or self.step0 <= 0:
             raise ValueError("tolerances and step0 must be positive")
         if not 0.0 < self.backtrack_factor < 1.0:
@@ -187,7 +190,7 @@ def minimize_u(s: DiffuseState, P: PotentialSet, M: ElasticModel, plan: SolverPl
                before: Optional[EnergyBreakdown] = None
                ) -> tuple[DiffuseState, BlockResult]:
     """Block minimization in u.  1D: the exact closed-form solve, `iters` 0.
-    2D: matrix-free CG on grad_u E = 0, preconditioned by fast
+    2D: matrix-free CG on dE/du = 0, preconditioned by fast
     diagonalization, to `cg_tol` of the starting residual, capped at
     `cg_max_iters` iterations (flagged `cg_max_iters` when it hits the cap);
     the two settings act only in 2D.  A step that raises the energy by more
@@ -205,7 +208,7 @@ def minimize_u(s: DiffuseState, P: PotentialSet, M: ElasticModel, plan: SolverPl
     else:
         b = _stress_divergence(grid, M, weight, s.c.values[..., None, None] * M.e0)
         unew, iters, converged = _cg(
-            lambda u: _stress_divergence(grid, M, weight, _sym_gradient(u, grid.spacing)),
+            lambda u: _stress_divergence(grid, M, weight, sym_gradient(u, grid.spacing)),
             _fast_diag_preconditioner(grid, M, weight),
             b, s.u.values, plan.cg_tol, plan.cg_max_iters)
     candidate = s.replace(u=VectorField(grid, unew))
@@ -221,7 +224,7 @@ def _armijo_step(s: DiffuseState, P: PotentialSet, M: ElasticModel, plan: Solver
                  block: str, start_step: float) -> tuple[DiffuseState, BlockResult]:
     grid = s.grid
     vol = grid.cell_volume
-    before, grads = _evaluate(s, P, M, block)
+    before, grads = evaluate(s, P, M, block)
     base = getattr(s, block).values
     g = grads[block]
     if block == "c" and plan.mass_constraint is not None:

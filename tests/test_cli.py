@@ -11,7 +11,7 @@ from phasefrac import cli
 from phasefrac.cli import ConfigError, emit_config, main, parse_config
 from phasefrac.energy import ElasticModel
 from phasefrac.harness import SweepPlan
-from phasefrac.potentials import make_default_potentials
+from phasefrac.potentials import check_admissibility, make_default_potentials
 from phasefrac.recovery import width_violation
 from phasefrac.solver import DESCENT_RTOL, SolverPlan, default_state
 
@@ -89,6 +89,8 @@ def test_cli_defaults_match_library_defaults(tmp_path):
         assert getattr(cfg.potentials, name) == getattr(pots, name), name
     amplitude = inspect.signature(default_state).parameters["amplitude"].default
     assert cfg.jitter_amplitude == amplitude
+    samples = inspect.signature(check_admissibility).parameters["m_samples"].default
+    assert cfg.m_samples == samples
 
 
 def test_unknown_key_is_named(tmp_path):
@@ -306,8 +308,11 @@ def config_with(section, key, value):
     ("sweep", "cells", "0"), ("sweep", "cells", "8 8 8"),
     ("solver", "delta", "nope"), ("solver", "delta", "-1"),
     ("solver", "eps", "-0.01"), ("solver", "eps", "0"),
-    ("solver", "jitter_amplitude", "x"),
-    ("potentials", "m_samples", "x"), ("elastic", "theta", "x"),
+    ("solver", "jitter_amplitude", "x"), ("solver", "jitter_amplitude", "nan"),
+    ("solver", "jitter_amplitude", "inf"), ("solver", "cg_max_iters", "-1"),
+    ("solver", "max_outer", "-3"), ("potentials", "m_samples", "x"),
+    ("potentials", "m_samples", "1"), ("potentials", "m_samples", "0"),
+    ("potentials", "m_samples", "-5"), ("elastic", "theta", "x"),
     ("geometry", "segments", "0.5 0.25 0.5 0.75 0.5"),
     ("geometry", "segments", "0.5 0.25 0.5"),
     ("geometry", "origin", "0 0 7"), ("geometry", "rigid_dir", "0 1 5"),

@@ -3,8 +3,7 @@ import pytest
 
 from conftest import random_state
 from phasefrac.energy import (DiffuseState, ElasticModel, EnergyBreakdown,
-                              diffuse_energy, grad_c, grad_u, grad_z, mass,
-                              project_mass)
+                              diffuse_energy, evaluate, mass, project_mass)
 from phasefrac.fields import Grid, ScalarField, VectorField
 from phasefrac.potentials import phi_delta
 from phasefrac.recovery import ProfileParams, build_profile
@@ -38,17 +37,14 @@ def fd_gradient(state, P, M, block, rel_step=1e-6):
     return out
 
 
-GRADS = {"c": grad_c, "u": grad_u, "z": grad_z}
-
-
 def test_global_minimizer_zero(P, elastic_1d_free):
     g = Grid((0.0,), (1.0,), (64,))
     s = DiffuseState(ScalarField.full(g, 0.0), VectorField.full(g, 0.0),
                      ScalarField.full(g, 1.0), 0.1, 0.1)
     b = diffuse_energy(s, P, elastic_1d_free)
     assert b.e_total == 0.0
-    for block, fn in GRADS.items():
-        assert np.abs(fn(s, P, elastic_1d_free).values).max() == 0.0
+    for grad in evaluate(s, P, elastic_1d_free, "cuz")[1].values():
+        assert np.abs(grad).max() == 0.0
 
 
 def test_compatible_state_zero(P, elastic_1d):
@@ -81,7 +77,7 @@ def test_gradients_match_finite_differences(P, elastic_1d, block):
     g = Grid((0.0,), (1.0,), (64,))
     s = random_state(g, seed=21)
     fd = fd_gradient(s, P, elastic_1d, block)
-    an = GRADS[block](s, P, elastic_1d).values
+    an = evaluate(s, P, elastic_1d, block)[1][block]
     scale = max(np.abs(fd).max(), 1e-12)
     assert np.abs(an - fd).max() / scale <= 1e-5
 
@@ -91,21 +87,22 @@ def test_gradients_match_fd_2d(P):
                      e0=np.array([[0.8, 0.1], [0.1, -0.2]]))
     g = Grid((0.0, 0.0), (1.0, 1.0), (7, 9))
     s = random_state(g, seed=4)
+    grads = evaluate(s, P, M, "cuz")[1]
     for block in ("c", "u", "z"):
         fd = fd_gradient(s, P, M, block)
-        an = GRADS[block](s, P, M).values
+        an = grads[block]
         scale = max(np.abs(fd).max(), 1e-12)
         assert np.abs(an - fd).max() / scale <= 1e-5
 
 
-def test_grad_u_affine_in_u(P, elastic_1d):
+def test_u_gradient_affine_in_u(P, elastic_1d):
     g = Grid((0.0,), (1.0,), (32,))
     s = random_state(g, seed=30)
     rng = np.random.Generator(np.random.Philox(31))
     u1 = rng.normal(size=g.cells + (1,))
     u2 = rng.normal(size=g.cells + (1,))
     def gu(uv):
-        return grad_u(s.replace(u=VectorField(g, uv)), P, elastic_1d).values
+        return evaluate(s.replace(u=VectorField(g, uv)), P, elastic_1d, "u")[1]["u"]
     lhs = gu(u1 + u2)
     rhs = gu(u1) + gu(u2) - gu(np.zeros_like(u1))
     assert np.abs(lhs - rhs).max() < 1e-10
@@ -177,6 +174,4 @@ def test_mass_and_projection(P):
 
 def test_breakdown_validates():
     with pytest.raises(ValueError):
-        EnergyBreakdown(-1.0, 0.0, 0.0, -1.0)
-    with pytest.raises(ValueError):
-        EnergyBreakdown(1.0, 1.0, 1.0, 4.0)
+        EnergyBreakdown(-1.0, 0.0, 0.0)

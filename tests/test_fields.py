@@ -4,10 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from phasefrac.fields import (_CHUNK, Grid, ScalarField, SymTensorField, VectorField,
-                              gradient, gradient_adjoint, integrate, read_field,
-                              sample_at, slice_extract, sym_gradient,
-                              sym_gradient_adjoint, _write_atomic, write_field)
+from phasefrac.fields import (_CHUNK, Grid, ScalarField, VectorField, gradient,
+                              gradient_adjoint, integrate, read_field, sample_at,
+                              slice_extract, sym_gradient, sym_gradient_adjoint,
+                              _write_atomic, write_field)
 
 
 @pytest.fixture()
@@ -41,6 +41,10 @@ def test_fields_are_immutable(g1):
     f = ScalarField.full(g1, 1.0)
     with pytest.raises(ValueError):
         f.values[0] = 2.0
+    # a writable array is copied and left writable; a frozen one is shared
+    mine = np.zeros(g1.cells)
+    assert ScalarField(g1, mine).values is not mine and mine.flags.writeable
+    assert ScalarField(g1, f.values).values is f.values
 
 
 def test_field_rejects_nonfinite(g1):
@@ -50,12 +54,20 @@ def test_field_rejects_nonfinite(g1):
         ScalarField(g1, vals)
 
 
+def grad(f):
+    return gradient(f.values, f.grid.spacing)
+
+
+def sym_grad(u):
+    return sym_gradient(u.values, u.grid.spacing)
+
+
 def test_gradient_constant_and_affine(g1, g2):
-    assert np.all(gradient(ScalarField.full(g1, 5.0)).values == 0.0)
+    assert np.all(grad(ScalarField.full(g1, 5.0)) == 0.0)
     f = ScalarField.from_function(g1, lambda x: 3.0 * x)
-    assert np.abs(gradient(f).values[..., 0] - 3.0).max() < 1e-13
+    assert np.abs(grad(f)[..., 0] - 3.0).max() < 1e-13
     f2 = ScalarField.from_function(g2, lambda x, y: 2.0 * x - 7.0 * y)
-    gv = gradient(f2).values
+    gv = grad(f2)
     assert np.abs(gv[..., 0] - 2.0).max() < 1e-12
     assert np.abs(gv[..., 1] + 7.0).max() < 1e-12
 
@@ -64,10 +76,10 @@ def test_gradient_quadratic_interior_error(g1):
     # centered differences are exact on quadratics; cubic probes the h^2 term
     f = ScalarField.from_function(g1, lambda x: x * x)
     x = g1.centers(0)
-    err = np.abs(gradient(f).values[1:-1, 0] - 2.0 * x[1:-1]).max()
+    err = np.abs(grad(f)[1:-1, 0] - 2.0 * x[1:-1]).max()
     assert err <= g1.spacing[0] ** 2
     f3 = ScalarField.from_function(g1, lambda x: x ** 3)
-    err3 = np.abs(gradient(f3).values[1:-1, 0] - 3.0 * x[1:-1] ** 2).max()
+    err3 = np.abs(grad(f3)[1:-1, 0] - 3.0 * x[1:-1] ** 2).max()
     assert 0 < err3 <= g1.spacing[0] ** 2  # |f'''| h^2 / 6 = h^2
 
 
@@ -75,20 +87,20 @@ def test_sym_gradient_rigid_motion(g2):
     A = np.array([[0.0, -0.7], [0.7, 0.0]])
     u = VectorField.from_function(g2, lambda x, y: (A[0, 0] * x + A[0, 1] * y,
                                                     A[1, 0] * x + A[1, 1] * y))
-    assert np.abs(sym_gradient(u).values).max() < 1e-12
+    assert np.abs(sym_grad(u)).max() < 1e-12
 
 
 def test_sym_gradient_symmetric_affine(g2):
     S = np.array([[0.4, 0.1], [0.1, -0.3]])
     u = VectorField.from_function(g2, lambda x, y: (S[0, 0] * x + S[0, 1] * y,
                                                     S[1, 0] * x + S[1, 1] * y))
-    e = sym_gradient(u).values
+    e = sym_grad(u)
     assert np.abs(e - S).max() < 1e-12
 
 
 def test_sym_gradient_quadratic(g2):
     u = VectorField.from_function(g2, lambda x, y: (x * x, 0.0 * y))
-    e = sym_gradient(u).values
+    e = sym_grad(u)
     x = g2.meshgrid()[0]
     interior = np.abs(e[1:-1, :, 0, 0] - 2.0 * x[1:-1, :]).max()
     assert interior < 1e-12  # centered differences exact on quadratics
@@ -99,22 +111,22 @@ def test_operators_linear(g2):
     f = ScalarField(g2, rng.normal(size=g2.cells))
     h = ScalarField(g2, rng.normal(size=g2.cells))
     a, b = 0.7, -2.3
-    combo = gradient(ScalarField(g2, a * f.values + b * h.values)).values
-    assert np.abs(combo - a * gradient(f).values - b * gradient(h).values).max() < 1e-12
+    combo = grad(ScalarField(g2, a * f.values + b * h.values))
+    assert np.abs(combo - a * grad(f) - b * grad(h)).max() < 1e-12
 
 
 def test_adjointness(g2):
     rng = np.random.Generator(np.random.Philox(6))
     f = ScalarField(g2, rng.normal(size=g2.cells))
     v = VectorField(g2, rng.normal(size=g2.cells + (2,)))
-    lhs = float(np.sum(gradient(f).values * v.values))
-    rhs = float(np.sum(f.values * gradient_adjoint(v).values))
+    lhs = float(np.sum(grad(f) * v.values))
+    rhs = float(np.sum(f.values * gradient_adjoint(v.values, g2.spacing)))
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
     u = VectorField(g2, rng.normal(size=g2.cells + (2,)))
     S = rng.normal(size=g2.cells + (2, 2))
     S = 0.5 * (S + np.swapaxes(S, -1, -2))
-    lhs = float(np.sum(sym_gradient(u).values * S))
-    rhs = float(np.sum(u.values * sym_gradient_adjoint(SymTensorField(g2, S)).values))
+    lhs = float(np.sum(sym_grad(u) * S))
+    rhs = float(np.sum(u.values * sym_gradient_adjoint(S, g2.spacing)))
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -270,6 +282,37 @@ def test_read_field_grid_and_value_fault_names_file(tmp_path, g1, line, text, me
     path = _dump(tmp_path, g1, edit)
     with pytest.raises(ValueError, match=message):
         read_field(path)
+
+
+@pytest.mark.parametrize("line", [4 + _CHUNK, 5 + _CHUNK, 5 + _CHUNK + 37])
+def test_read_field_names_bad_line_past_chunk_seam(tmp_path, line):
+    # the last value line of the first chunk, the first and a later one of the second
+    g = Grid((0.0,), (1.0,), (2 * _CHUNK,))
+
+    def edit(dump):
+        lines = dump.splitlines(True)
+        lines[line - 1] = "abc\n"
+        return "".join(lines)
+
+    path = _dump(tmp_path, g, edit)
+    with pytest.raises(ValueError, match=rf"f\.field: line {line} 'abc': could not convert"):
+        read_field(path)
+
+
+def test_read_field_streams_in_chunks(tmp_path):
+    # the 512^2 dump is about 5 MB of text, and 19 MiB as one str per line;
+    # the field read back is 2 MiB
+    rng = np.random.Generator(np.random.Philox(4))
+    f = ScalarField(Grid((0.0, 0.0), (1.0, 1.0), (512, 512)), rng.normal(size=(512, 512)))
+    write_field(f, tmp_path / "f.field")
+    tracemalloc.start()
+    try:
+        back = read_field(tmp_path / "f.field")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert np.array_equal(back.values, f.values)
 
 
 # float64 values whose shortest text is long, tiny, signed zero or subnormal

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_state
 from phasefrac.energy import (DEGRADATIONS, DiffuseState, ElasticModel, diffuse_energy,
-                              grad_u, mass)
+                              evaluate, mass)
 from phasefrac.fields import Grid, ScalarField, VectorField, gradient
 from phasefrac.sharp import SharpGeometry1D, sharp_energy_1d
 from phasefrac.solver import (DESCENT_RTOL, SolverPlan, _axis_basis,
@@ -18,6 +18,10 @@ def test_plan_validation():
         SolverPlan(armijo_c=0.9)
     with pytest.raises(ValueError):
         SolverPlan(mass_constraint=1.5)
+    with pytest.raises(ValueError, match="max_outer: must be >= 1"):
+        SolverPlan(max_outer=0)
+    with pytest.raises(ValueError, match="cg_max_iters: must be >= 1"):
+        SolverPlan(cg_max_iters=0)
 
 
 def test_minimize_u_step_profile(P, elastic_1d):
@@ -48,7 +52,7 @@ def test_minimize_u_matches_dense_least_squares(P, elastic_1d):
     for j in range(n):
         e = np.zeros(n)
         e[j] = 1.0
-        D[:, j] = gradient(ScalarField(g, e)).values[:, 0]
+        D[:, j] = gradient(e, g.spacing)[:, 0]
     w = z.values ** 2 + s.delta ** 2
     sqw = np.sqrt(w)
     sol, *_ = np.linalg.lstsq(sqw[:, None] * D, sqw * c.values, rcond=None)
@@ -83,7 +87,7 @@ def test_minimize_u_already_optimal(P, elastic_1d):
 @pytest.mark.parametrize("n", [2, 95, 96, 4096])
 @pytest.mark.parametrize("psi,lam", [("quadratic", 0.0), ("linear", 0.7)])
 def test_minimize_u_1d_is_exact(P, n, psi, lam):
-    # closed-form step: grad_u vanishes to rounding, no CG iterations, no
+    # closed-form step: dE/du vanishes to rounding, no CG iterations, no
     # flag, and the constant (nullspace) mode of u is left where it was
     psi_fn, dpsi_fn = DEGRADATIONS[psi]
     M = ElasticModel(lame_lambda=lam, e0=np.array([[0.8]]), psi=psi_fn, dpsi=dpsi_fn)
@@ -94,9 +98,9 @@ def test_minimize_u_1d_is_exact(P, n, psi, lam):
     s = DiffuseState(ScalarField(g, rng.uniform(-0.3, 1.3, g.cells)),
                      VectorField(g, rng.normal(0.4, 0.5, g.cells + (1,))),
                      ScalarField(g, z), eps=0.05, delta=0.1)
-    before = float(np.abs(grad_u(s, P, M).values).max())
+    before = float(np.abs(evaluate(s, P, M, "u")[1]["u"]).max())
     s2, res = minimize_u(s, P, M, SolverPlan())
-    assert float(np.abs(grad_u(s2, P, M).values).max()) <= 1e-12 * before
+    assert float(np.abs(evaluate(s2, P, M, "u")[1]["u"]).max()) <= 1e-12 * before
     assert res.accepted and res.flag == "" and res.iters == 0
     assert abs(s2.u.values.mean() - s.u.values.mean()) <= 1e-14
 
