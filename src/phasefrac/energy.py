@@ -12,6 +12,12 @@ the plain (z^2 + delta^2) weight).  Gradients are derivatives of the discrete
 energy with respect to nodal values (discretize-then-differentiate), so the
 solver's descent property holds exactly; they are validated against central
 finite differences in the test suite.
+
+Strains, e0 and stresses are tuples of strain planes, (xx,) in 1D and
+(xx, yy, xy) in 2D (see `fields.sym_gradient`).  In |xi|^2 and in the
+c-gradient's dC(xi) : e0 the xy plane counts twice, summed in the row-major
+order of the (d, d) matrices, xx, xy, yx, yy.  An e0 of another dimension
+than the grid raises ValueError.
 """
 from __future__ import annotations
 
@@ -22,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .fields import (Grid, ScalarField, VectorField, gradient, gradient_adjoint,
-                     integrate, sym_gradient, sym_gradient_adjoint)
+                     integrate, sym_gradient, sym_gradient_adjoint, sym_planes)
 from .potentials import PotentialSet
 
 
@@ -56,6 +62,20 @@ DEGRADATIONS = {"quadratic": (_psi_quadratic, _dpsi_quadratic),
 ETA_RULES = {"delta_squared": _eta_delta_squared, "delta_cubed": _eta_delta_cubed}
 
 
+def _trace(xi: tuple) -> np.ndarray:
+    return xi[0] if len(xi) == 1 else xi[0] + xi[1]
+
+
+def _frobenius(a: tuple, b: tuple) -> np.ndarray:
+    """a : b per cell for two symmetric tensors held as planes; the xy plane
+    counts twice, and the sum runs in the row-major order of the (d, d)
+    matrices, xx, xy, yx, yy."""
+    if len(a) == 1:
+        return a[0] * b[0]
+    xy = a[2] * b[2]
+    return a[0] * b[0] + xy + xy + a[1] * b[1]
+
+
 @dataclass(frozen=True)
 class ElasticModel:
     """Isotropic elasticity with lattice-misfit strain and damage degradation."""
@@ -77,17 +97,23 @@ class ElasticModel:
         if abs(float(self.psi(1.0)) - 1.0) > 1e-12 or abs(float(self.psi(0.0))) > 1e-12:
             raise ValueError("degradation must satisfy psi(0) = 0, psi(1) = 1")
 
-    def form(self, xi: np.ndarray) -> np.ndarray:
-        """Quadratic form C(xi) per cell; xi has shape cells + (d, d), symmetric."""
-        tr = np.trace(xi, axis1=-2, axis2=-1)
-        return self.lame_lambda * tr * tr + 2.0 * self.lame_mu * np.sum(xi * xi, axis=(-2, -1))
+    def form(self, xi: tuple[np.ndarray, ...]) -> np.ndarray:
+        """Quadratic form C(xi) per cell; xi is a tuple of strain planes in the
+        order of `sym_gradient`, (xx,) or (xx, yy, xy)."""
+        tr = _trace(xi)
+        return self.lame_lambda * tr * tr + 2.0 * self.lame_mu * _frobenius(xi, xi)
 
-    def dform(self, xi: np.ndarray) -> np.ndarray:
-        """Derivative of the form: dC(xi) = 2 lambda tr(xi) I + 4 mu xi."""
-        d = xi.shape[-1]
-        tr = np.trace(xi, axis1=-2, axis2=-1)
-        return (2.0 * self.lame_lambda * tr[..., None, None] * np.eye(d)
-                + 4.0 * self.lame_mu * xi)
+    def dform(self, xi: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+        """Derivative of the form, dC(xi) = 2 lambda tr(xi) I + 4 mu xi, as
+        planes like xi."""
+        t = 2.0 * self.lame_lambda * _trace(xi)
+        diag = tuple(t + 4.0 * self.lame_mu * p for p in xi[:2])
+        return diag + tuple(4.0 * self.lame_mu * p for p in xi[2:])
+
+    def e0_planes(self, dim: int) -> tuple:
+        """The misfit strain e0 as planes for a `dim`-dimensional grid; an e0
+        of another size raises ValueError."""
+        return sym_planes(self.e0, dim, "e0")
 
     def eta(self, delta: float) -> float:
         val = float(self.eta_rule(delta))
@@ -155,11 +181,12 @@ def _integral(density: np.ndarray, label: str, vol: float) -> float:
 
 
 def _stress_divergence(grid: Grid, M: ElasticModel, weight: np.ndarray,
-                       xi: np.ndarray) -> np.ndarray:
-    """vol * e*^T[weight dC(xi)], linear in xi: dE/du at the misfit
-    xi = e(u) - c e0, the u-step's operator at e(u) and its right side at c e0."""
+                       xi: tuple[np.ndarray, ...]) -> np.ndarray:
+    """vol * e*^T[weight dC(xi)], linear in the strain planes xi: dE/du at the
+    misfit xi = e(u) - c e0, the u-step's operator at e(u) and its right side
+    at c e0."""
     return grid.cell_volume * sym_gradient_adjoint(
-        weight[..., None, None] * M.dform(xi), grid.spacing)
+        tuple(weight * p for p in M.dform(xi)), grid.spacing)
 
 
 def evaluate(s: DiffuseState, P: PotentialSet, M: ElasticModel,
@@ -178,7 +205,8 @@ def evaluate(s: DiffuseState, P: PotentialSet, M: ElasticModel,
     elastic_weight = M.psi(zc) + M.eta(s.delta)
     gc = gradient(c, h)
     gz = gradient(z, h)
-    xi = sym_gradient(s.u.values, h) - c[..., None, None] * M.e0
+    e0 = M.e0_planes(grid.dim)
+    xi = tuple(p - c * e for p, e in zip(sym_gradient(s.u.values, h), e0))
     phase_raw = P.w(c) / s.eps + s.eps * np.sum(gc * gc, axis=-1)
     form = M.form(xi)
     energy = EnergyBreakdown(
@@ -190,7 +218,7 @@ def evaluate(s: DiffuseState, P: PotentialSet, M: ElasticModel,
     if "c" in blocks:
         out = phase_weight * P.dw(c) / s.eps
         out += 2.0 * s.eps * gradient_adjoint(phase_weight[..., None] * gc, h)
-        out -= elastic_weight * np.sum(M.dform(xi) * M.e0, axis=(-2, -1))
+        out -= elastic_weight * _frobenius(M.dform(xi), e0)
         grads["c"] = vol * out
     if "u" in blocks:
         grads["u"] = _stress_divergence(grid, M, elastic_weight, xi)

@@ -4,6 +4,11 @@ Discrete gradient: centered differences in the interior, one-sided at the two
 boundary cells of each axis; exact on affine fields. The adjoint (transpose)
 operators are provided so energies differentiated against nodal values close
 exactly under the discrete inner product. Integration is the midpoint rule.
+
+A symmetric strain is a tuple of contiguous cells-shaped planes, (xx,) in 1D
+and (xx, yy, xy) in 2D, never a cells + (d, d) array.  The Frobenius product
+of two such tensors counts the xy plane twice, so the adjoint of
+`sym_gradient` pairs that plane with weight 2.
 """
 from __future__ import annotations
 
@@ -102,6 +107,8 @@ class VectorField(_Field):
 
 
 class SymTensorField(_Field):
+    """Symmetric (d, d) values per cell; the operators and the energy hold
+    the strain as planes instead (see `sym_gradient`)."""
     rank = 2  # values shape cells + (d, d), symmetric per cell
 
 
@@ -147,17 +154,41 @@ def gradient_adjoint(v: np.ndarray, h: tuple[float, ...]) -> np.ndarray:
     return out
 
 
-def sym_gradient(u: np.ndarray, h: tuple[float, ...]) -> np.ndarray:
-    """Symmetric part of the discrete Jacobian of u (shape cells + (d,)), shape
-    cells + (d, d); vanishes on rigid motions."""
-    jac = np.stack([gradient(u[..., a], h) for a in range(len(h))], axis=-2)
-    return 0.5 * (jac + np.swapaxes(jac, -1, -2))
+def sym_gradient(u: np.ndarray, h: tuple[float, ...]) -> tuple[np.ndarray, ...]:
+    """Symmetric part of the discrete Jacobian of u (shape cells + (d,)) as
+    cells-shaped planes: (xx,) in 1D, (xx, yy, xy) in 2D, with
+    xy = (D_1 u_0 + D_0 u_1) / 2; vanishes on rigid motions."""
+    xx = _diff(u[..., 0], 0, h[0])
+    if len(h) == 1:
+        return (xx,)
+    return (xx, _diff(u[..., 1], 1, h[1]),
+            0.5 * (_diff(u[..., 0], 1, h[1]) + _diff(u[..., 1], 0, h[0])))
 
 
-def sym_gradient_adjoint(s: np.ndarray, h: tuple[float, ...]) -> np.ndarray:
-    """Adjoint of `sym_gradient`: sum(sym_gradient(u, h) * s) =
-    sum(u * sym_gradient_adjoint(s, h)) exactly, for s symmetric per cell."""
-    return np.stack([gradient_adjoint(s[..., a, :], h) for a in range(len(h))], axis=-1)
+def sym_gradient_adjoint(s: tuple[np.ndarray, ...], h: tuple[float, ...]) -> np.ndarray:
+    """Adjoint of `sym_gradient` under the Frobenius product, which counts the
+    xy plane twice: with e = sym_gradient(u, h), sum(e_xx s_xx + e_yy s_yy
+    + 2 e_xy s_xy) = sum(u * sym_gradient_adjoint(s, h)) exactly.  Returns
+    shape cells + (d,)."""
+    out = np.zeros(s[0].shape + (len(h),))
+    out[..., 0] += _diff_t(s[0], 0, h[0])
+    if len(h) == 2:
+        _, yy, xy = s
+        out[..., 0] += _diff_t(xy, 1, h[1])
+        out[..., 1] += _diff_t(xy, 0, h[0])
+        out[..., 1] += _diff_t(yy, 1, h[1])
+    return out
+
+
+def sym_planes(m, dim: int, name: str) -> tuple:
+    """The planes of a symmetric matrix `m` in the order of `sym_gradient`:
+    (m_00,) in 1D, (m_00, m_11, m_01) in 2D.  A shape other than (dim, dim)
+    raises ValueError naming both shapes."""
+    m = np.asarray(m, dtype=float)
+    if m.shape != (dim, dim):
+        raise ValueError(f"{name} has shape {m.shape}, but a {dim}D grid needs "
+                         f"{(dim, dim)}")
+    return (m[0, 0],) if dim == 1 else (m[0, 0], m[1, 1], m[0, 1])
 
 
 def integrate(f: ScalarField) -> float:

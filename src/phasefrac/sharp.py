@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .energy import ElasticModel, EnergyBreakdown
-from .fields import Grid, ScalarField
+from .fields import Grid, ScalarField, sym_planes
 from .potentials import PotentialSet, fracture_density, surface_density
 
 
@@ -468,11 +468,11 @@ def sharp_energy_1d(g: SharpGeometry1D, P: PotentialSet, M: ElasticModel) -> Ene
     e_phase = a_surf * (disjoint + P.theta * coincident)
     e_crack = a_frac * len(g.crack_points)
     bps = (g.domain[0],) + g.breakpoints() + (g.domain[1],)
-    e00 = float(M.e0[0, 0]) if M.e0.shape == (1, 1) else float(M.e0)
+    (e00,) = M.e0_planes(1)
     e_el = 0.0
     for k, (slope, _off) in enumerate(g.u_pieces):
         xi = slope - g.c_pieces[k] * e00
-        e_el += (bps[k + 1] - bps[k]) * float(M.form(np.array([[xi]])))
+        e_el += (bps[k + 1] - bps[k]) * float(M.form((xi,)))
     return EnergyBreakdown(e_phase, e_el, e_crack)
 
 
@@ -508,8 +508,9 @@ def sharp_energy_2d(g: SharpGeometry2D, P: PotentialSet, M: ElasticModel) -> Ene
             "sharp energies support the zero/affine/piecewise_rigid built-ins")
     box_area = float(np.prod(g.extent))
     area_a = g.polygon.area() if g.polygon is not None else 0.0
-    q_phase = float(M.form(g.u_spec.e_const - M.e0))
-    q_void = float(M.form(g.u_spec.e_const))
+    strain = sym_planes(g.u_spec.e_const, 2, "e_const")
+    q_phase = float(M.form(tuple(p - e for p, e in zip(strain, M.e0_planes(2)))))
+    q_void = float(M.form(strain))
     e_el = q_phase * area_a + q_void * (box_area - area_a)
     # bound on what the tol_geom-tube around the cracks could have contributed
     tube_area = 2.0 * g.tol_geom * g.segments.total_length() + np.pi * g.tol_geom ** 2

@@ -199,14 +199,14 @@ def minimize_u(s: DiffuseState, P: PotentialSet, M: ElasticModel, plan: SolverPl
     otherwise."""
     grid = s.grid
     weight = M.psi(np.clip(s.z.values, 0.0, 1.0)) + M.eta(s.delta)
+    e0 = M.e0_planes(grid.dim)
     if before is None:
         before = diffuse_energy(s, P, M)
     if grid.dim == 1:
-        unew = _solve_u_1d(s.u.values[:, 0], weight, s.c.values * M.e0[0, 0],
-                           grid.spacing[0])
+        unew = _solve_u_1d(s.u.values[:, 0], weight, s.c.values * e0[0], grid.spacing[0])
         iters, converged = 0, True
     else:
-        b = _stress_divergence(grid, M, weight, s.c.values[..., None, None] * M.e0)
+        b = _stress_divergence(grid, M, weight, tuple(s.c.values * e for e in e0))
         unew, iters, converged = _cg(
             lambda u: _stress_divergence(grid, M, weight, sym_gradient(u, grid.spacing)),
             _fast_diag_preconditioner(grid, M, weight),

@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 from conftest import random_state
+from phasefrac import solver
 from phasefrac.energy import (DiffuseState, ElasticModel, EnergyBreakdown,
                               diffuse_energy, evaluate, mass, project_mass)
-from phasefrac.fields import Grid, ScalarField, VectorField
+from phasefrac.fields import Grid, ScalarField, VectorField, gradient, gradient_adjoint
 from phasefrac.potentials import phi_delta
 from phasefrac.recovery import ProfileParams, build_profile
 
@@ -175,3 +178,120 @@ def test_mass_and_projection(P):
 def test_breakdown_validates():
     with pytest.raises(ValueError):
         EnergyBreakdown(-1.0, 0.0, 0.0)
+
+
+def test_e0_of_another_dimension_is_refused(P):
+    # broadcast, a 1x1 e0 would act as the all-ones matrix in 2D (e_elastic
+    # 1.01 here instead of 0.505), and a 2x2 e0 would widen the 1D strain to 2x2
+    g = Grid((0.0, 0.0), (1.0, 1.0), (8, 8))
+    s = DiffuseState(ScalarField.full(g, 0.5), VectorField.full(g, 0.0),
+                     ScalarField.full(g, 1.0), 0.1, 0.1)
+    assert diffuse_energy(s, P, ElasticModel(e0=np.eye(2))).e_elastic == \
+        pytest.approx(0.505, rel=1e-12)
+    g1 = Grid((0.0,), (1.0,), (8,))
+    s1 = DiffuseState(ScalarField.full(g1, 0.5), VectorField.full(g1, 0.0),
+                      ScalarField.full(g1, 1.0), 0.1, 0.1)
+    for state, e0, need in ((s, np.ones((1, 1)), "(2, 2)"), (s1, np.eye(2), "(1, 1)")):
+        M = ElasticModel(e0=e0)
+        message = re.escape(f"e0 has shape {e0.shape}, but a {state.grid.dim}D grid needs {need}")
+        with pytest.raises(ValueError, match=message):
+            evaluate(state, P, M, "cuz")
+        with pytest.raises(ValueError, match=message):
+            solver.minimize_u(state, P, M, solver.SolverPlan(),
+                              before=EnergyBreakdown(1.0, 1.0, 1.0))
+
+
+# The (d, d) formulas that the strain planes replaced, kept as references:
+# evaluate and the u-step must reproduce them bit for bit.
+
+def _reference_sym_gradient(u, h):
+    jac = np.stack([gradient(u[..., a], h) for a in range(len(h))], axis=-2)
+    return 0.5 * (jac + np.swapaxes(jac, -1, -2))
+
+
+def _reference_form(M, xi):
+    tr = np.trace(xi, axis1=-2, axis2=-1)
+    return M.lame_lambda * tr * tr + 2.0 * M.lame_mu * np.sum(xi * xi, axis=(-2, -1))
+
+
+def _reference_dform(M, xi):
+    tr = np.trace(xi, axis1=-2, axis2=-1)
+    return (2.0 * M.lame_lambda * tr[..., None, None] * np.eye(xi.shape[-1])
+            + 4.0 * M.lame_mu * xi)
+
+
+def _reference_stress_divergence(grid, M, weight, xi):
+    s = weight[..., None, None] * _reference_dform(M, xi)
+    h = grid.spacing
+    return grid.cell_volume * np.stack(
+        [gradient_adjoint(s[..., a, :], h) for a in range(len(h))], axis=-1)
+
+
+def _reference_evaluate(s, P, M):
+    """evaluate(s, P, M, "cuz") with the (d, d) strain."""
+    grid = s.grid
+    h, vol = grid.spacing, grid.cell_volume
+    c, z = s.c.values, s.z.values
+    outside = (z < 0.0) | (z > 1.0)
+    zc = np.clip(z, 0.0, 1.0)
+    phase_weight = P.phi(zc) + P.c_delta(s.delta)
+    elastic_weight = M.psi(zc) + M.eta(s.delta)
+    gc = gradient(c, h)
+    gz = gradient(z, h)
+    xi = _reference_sym_gradient(s.u.values, h) - c[..., None, None] * M.e0
+    phase_raw = P.w(c) / s.eps + s.eps * np.sum(gc * gc, axis=-1)
+    form = _reference_form(M, xi)
+    energy = [vol * (phase_weight * phase_raw).sum(), vol * (elastic_weight * form).sum(),
+              vol * (P.v(zc) / s.delta + s.delta * np.sum(gz * gz, axis=-1)).sum()]
+    gc_out = phase_weight * P.dw(c) / s.eps
+    gc_out += 2.0 * s.eps * gradient_adjoint(phase_weight[..., None] * gc, h)
+    gc_out -= elastic_weight * np.sum(_reference_dform(M, xi) * M.e0, axis=(-2, -1))
+    mask = np.where(outside, 0.0, 1.0)
+    gz_out = mask * P.dphi(zc) * phase_raw
+    gz_out += mask * M.dpsi(zc) * form
+    gz_out += mask * P.dv(zc) / s.delta
+    gz_out += 2.0 * s.delta * gradient_adjoint(gz, h)
+    return (np.array(energy), {"c": vol * gc_out, "z": vol * gz_out,
+                               "u": _reference_stress_divergence(grid, M, elastic_weight, xi)})
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("zero_u", [False, True])
+@pytest.mark.parametrize("lam", [0.0, 0.7])
+def test_strain_planes_match_the_dd_reference_bitwise(P, dim, zero_u, lam):
+    e0 = np.array([[0.8, 0.1], [0.1, -0.2]])[:dim, :dim]
+    M = ElasticModel(lame_lambda=lam, lame_mu=0.6, e0=e0)
+    g = Grid((0.0,) * dim, (1.0,) * dim, (23, 17)[:dim])
+    s = random_state(g, seed=50 + dim)
+    rng = np.random.Generator(np.random.Philox(7))
+    s = s.replace(z=ScalarField(g, rng.uniform(-0.2, 1.2, g.cells)))  # some cells clamp
+    if zero_u:
+        s = s.replace(u=VectorField.full(g, np.zeros(dim)))
+    energy, grads = evaluate(s, P, M, "cuz")
+    ref_energy, ref_grads = _reference_evaluate(s, P, M)
+    assert energy.clamped_cells > 0
+    got = np.array([energy.e_phase, energy.e_elastic, energy.e_crack])
+    assert np.array_equal(_bits(got), _bits(ref_energy))
+    for block in "cuz":
+        assert np.array_equal(_bits(grads[block]), _bits(ref_grads[block])), block
+    # one u-step capped at 5 CG iterations (the exact solve in 1D)
+    plan = solver.SolverPlan(cg_max_iters=5)
+    s2, res = solver.minimize_u(s, P, M, plan)
+    assert res.accepted
+    weight = M.psi(np.clip(s.z.values, 0.0, 1.0)) + M.eta(s.delta)
+    if dim == 1:
+        ref_u = solver._solve_u_1d(s.u.values[:, 0], weight, s.c.values * M.e0[0, 0],
+                                   g.spacing[0])
+    else:
+        b = _reference_stress_divergence(g, M, weight, s.c.values[..., None, None] * M.e0)
+        ref_u, iters, _ = solver._cg(
+            lambda u: _reference_stress_divergence(
+                g, M, weight, _reference_sym_gradient(u, g.spacing)),
+            solver._fast_diag_preconditioner(g, M, weight), b, s.u.values,
+            plan.cg_tol, plan.cg_max_iters)
+        assert res.iters == iters == 5
+    assert np.array_equal(_bits(s2.u.values), _bits(ref_u))

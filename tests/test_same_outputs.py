@@ -1,0 +1,34 @@
+"""The output comparison in tools/ on a smoke-size workload, against this tree."""
+import importlib.util
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_spec = importlib.util.spec_from_file_location(
+    "same_outputs", os.path.join(ROOT, "tools", "same_outputs.py"))
+same_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(same_outputs)
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+from workloads import make_config  # noqa: E402
+
+
+def test_same_tree_gives_no_differences():
+    assert same_outputs.compare(ROOT, "minimize", make_config("minimize_2d", 0, smoke=True)) == []
+
+
+def test_an_altered_or_missing_output_is_named(tmp_path):
+    config = tmp_path / "run.ini"
+    config.write_text(make_config("minimize_2d", 0, smoke=True))
+    mine = same_outputs.run_cli(ROOT, "minimize", str(config), str(tmp_path / "out"))
+    assert mine["exit code"] == b"0" and "trajectory.csv" in mine
+    assert not (tmp_path / "out").exists()
+    other = dict(mine)
+    lines = other["c.field"].splitlines(keepends=True)
+    lines[6] = b"0.25\n"
+    other["c.field"] = b"".join(lines)
+    assert same_outputs.differences(mine, other) == [
+        f"c.field: line 7 differs ({len(lines)} lines here, {len(lines)} there)"]
+    del other["c.field"]
+    other["extra.csv"] = b""
+    assert same_outputs.differences(mine, other) == [
+        "c.field: only in this tree", "extra.csv: only in the other tree"]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from phasefrac.energy import ElasticModel
-from phasefrac.fields import Grid
+from phasefrac.fields import Grid, sym_planes
 from phasefrac.potentials import make_default_potentials
 from phasefrac.sharp import (GeometryError, Polygon, SegmentSet, SharpGeometry1D,
                              SharpGeometry2D, _point_segment_distance,
@@ -118,9 +118,23 @@ def test_2d_affine_elastic_exact_areas(P):
     g = SharpGeometry2D((0.0, 0.0), (1.0, 1.0), polygon=Polygon(RIGHT_HALF),
                         u_spec=affine_displacement(F))
     b = sharp_energy_2d(g, P, M)
-    q_in = M.form(0.5 * (F + F.T) - M.e0)
-    q_out = M.form(0.5 * (F + F.T))
+    q_in = M.form(sym_planes(0.5 * (F + F.T) - M.e0, 2, "strain"))
+    q_out = M.form(sym_planes(0.5 * (F + F.T), 2, "strain"))
     assert b.e_elastic == pytest.approx(0.5 * q_in + 0.5 * q_out, rel=1e-12)
+
+
+def test_sharp_energies_refuse_e0_of_another_dimension(P):
+    # broadcast, a 1x1 e0 would act as the all-ones matrix in 2D (2.0 here
+    # instead of 1.0)
+    g2 = SharpGeometry2D((0.0, 0.0), (1.0, 1.0), polygon=Polygon(RIGHT_HALF))
+    assert sharp_energy_2d(g2, P, ElasticModel(e0=np.eye(2))).e_elastic == \
+        pytest.approx(1.0, rel=1e-12)
+    with pytest.raises(ValueError, match=r"e0 has shape \(1, 1\), but a 2D grid needs \(2, 2\)"):
+        sharp_energy_2d(g2, P, ElasticModel(e0=np.array([[1.0]])))
+    g1 = SharpGeometry1D((0.0, 1.0), phase_points=(0.5,), c_pieces=(0, 1),
+                         u_pieces=((0.0, 0.0), (0.0, 0.0)))
+    with pytest.raises(ValueError, match=r"e0 has shape \(2, 2\), but a 1D grid needs \(1, 1\)"):
+        sharp_energy_1d(g1, P, ElasticModel(e0=np.eye(2)))
 
 
 def test_2d_crack_scaling(P, elastic_2d_free):
