@@ -6,7 +6,7 @@ and the default an omitted key takes.  Every run writes a manifest
 (canonical config echo with those defaults filled in, versions, seed) into
 the output directory so it can be reproduced bit for bit with the same
 package version.  Exit codes: 0 success, 1 invariant failure, 2 config
-error.
+error, including a section the command needs but the config lacks.
 """
 from __future__ import annotations
 
@@ -48,9 +48,8 @@ class ConfigError(ValueError):
 # depend on dim; _build_geometry fills them in and the manifest omits them.
 _SCHEMA = {
     "run": {"seed": "0", "out": "out", "quiet": "false"},
-    "potentials": {"name": "default", "w_scale": "1", "v_scale": "1",
-                   "c_delta_scale": "1", "quadrature_nodes": "4096",
-                   "coercivity": "4", "m_samples": "10001"},
+    "potentials": {"w_scale": "1", "v_scale": "1", "c_delta_scale": "1",
+                   "quadrature_nodes": "4096", "coercivity": "4", "m_samples": "10001"},
     "elastic": {"lame_lambda": "0", "lame_mu": "0.5", "e0": "0", "theta": "0",
                 "eta_rule": "delta_squared", "psi": "quadratic"},
     "geometry": dict.fromkeys((
@@ -60,8 +59,7 @@ _SCHEMA = {
         "rigid_dir", "rigid_plus", "rigid_minus", "rigid_omega_plus",
         "rigid_omega_minus")),
     "solver": {"max_outer": "200", "tol_rel_energy": "1e-8", "cg_tol": "1e-10",
-               "cg_max_iters": "1000", "step0": "1.0", "backtrack_factor": "0.5",
-               "armijo_c": "0.25", "mass": None, "eps": "0.0078125",
+               "cg_max_iters": "1000", "mass": None, "eps": "0.0078125",
                "delta": "auto", "jitter_amplitude": "1e-3"},
     "sweep": {"eps_schedule": None, "delta_rule": "two_thirds", "delta_scale": "1",
               "lambda": "1e-4", "cells": None, "enforce_width": "false",
@@ -212,10 +210,6 @@ def parse_config(path: str) -> RunConfig:
         violations.append(f"[elastic] theta must lie in [0, 1], got {theta}")
         theta = 0.0
 
-    pot_name = sections["potentials"]["name"]
-    if pot_name != "default":
-        violations.append(f"[potentials] unknown built-in {pot_name!r} "
-                          "(available: default, with w_scale/v_scale parameters)")
     try:
         potentials = make_default_potentials(
             theta=theta,
@@ -254,8 +248,7 @@ def parse_config(path: str) -> RunConfig:
                        delta_scale=take("sweep", "delta_scale", float),
                        lam=take("sweep", "lambda", float),
                        cells=(4096,) if cells is None else tuple(cells),
-                       enforce_width=take("sweep", "enforce_width", _bool),
-                       out_csv=sections["sweep"].get("out_csv"))
+                       enforce_width=take("sweep", "enforce_width", _bool))
         try:
             sweep_plan = SweepPlan(geometry, tuple(_floats(raw_sched)), **options)
         except ValueError as exc:
@@ -274,9 +267,6 @@ def parse_config(path: str) -> RunConfig:
             tol_rel_energy=take("solver", "tol_rel_energy", float),
             cg_tol=take("solver", "cg_tol", float),
             cg_max_iters=take("solver", "cg_max_iters", int),
-            step0=take("solver", "step0", float),
-            backtrack_factor=take("solver", "backtrack_factor", float),
-            armijo_c=take("solver", "armijo_c", float),
             mass_constraint=take("solver", "mass", float))
     except ValueError as exc:
         violations.append(f"[solver] {exc}")
@@ -413,7 +403,7 @@ def _cmd_check(cfg: RunConfig) -> int:
 def _cmd_sharp(cfg: RunConfig) -> int:
     if cfg.geometry is None:
         print("sharp: no [geometry] section configured", file=sys.stderr)
-        return 1
+        return 2
     b = sharp_energy(cfg.geometry, cfg.potentials, cfg.elastic)
     _emit(cfg, f"e_phase   = {b.e_phase:.12g}")
     _emit(cfg, f"e_elastic = {b.e_elastic:.12g}")
@@ -425,9 +415,9 @@ def _cmd_sharp(cfg: RunConfig) -> int:
 def _cmd_sweep(cfg: RunConfig) -> int:
     if cfg.sweep_plan is None:
         print("sweep: no [sweep] section with eps_schedule", file=sys.stderr)
-        return 1
+        return 2
     table = gamma_sweep(cfg.sweep_plan, cfg.potentials, cfg.elastic)
-    name = cfg.sweep_plan.out_csv or "sweep.csv"
+    name = cfg.sections["sweep"].get("out_csv") or "sweep.csv"
     _write_atomic(os.path.join(cfg.out_dir, name), [table.to_csv()])
     bad = [r for r in table.rows if r.status != "ok"]
     last = table.rows[-1]
@@ -437,10 +427,10 @@ def _cmd_sweep(cfg: RunConfig) -> int:
 
 
 def _cmd_recover(cfg: RunConfig) -> int:
-    if cfg.sweep_plan is None or cfg.geometry is None:
+    if cfg.sweep_plan is None:  # a [sweep] plan implies a [geometry]
         print("recover: needs [geometry] and [sweep] (takes the final row's widths)",
               file=sys.stderr)
-        return 1
+        return 2
     plan = cfg.sweep_plan
     eps = plan.eps_schedule[-1]
     delta = plan.deltas()[-1]

@@ -24,10 +24,13 @@ from .sharp import DisplacementSpec, sharp_energy
 
 CSV_HEADER = "eps,delta,e_phase,e_elastic,e_crack,e_total,e_sharp,rel_err,status"
 
-# delta rule name -> delta(eps, scale)
-_DELTA_RULES = {"sqrt": lambda e, scale: e ** 0.5,
-                "two_thirds": lambda e, scale: e ** (2.0 / 3.0),
-                "scaled_two_thirds": lambda e, scale: scale * e ** (2.0 / 3.0)}
+# delta rule name -> delta(eps) at scale 1; scaled_two_thirds is a second name
+# for two_thirds, kept for configs that spell the scale out
+_DELTA_RULES = {"sqrt": lambda e: e ** 0.5,
+                "two_thirds": lambda e: e ** (2.0 / 3.0),
+                "scaled_two_thirds": lambda e: e ** (2.0 / 3.0)}
+# threshold levels the level-set diagnostic tries in (1/4, 3/4)
+_LEVELSET_THRESHOLDS = 31
 # random draws allowed per requested line before the slicing check gives up
 _DRAWS_PER_LINE = 100
 
@@ -37,13 +40,14 @@ class DiagnosticError(ValueError):
 
 
 def resolve_delta_rule(name: str, scale: float = 1.0):
-    """Named width schedules delta(eps); all keep eps/delta decreasing to 0."""
+    """Named width schedules delta(eps) = scale * rule(eps); all keep eps/delta
+    decreasing to 0."""
     if name not in _DELTA_RULES:
         raise ValueError(
             f"unknown delta rule {name!r} (choose from {tuple(_DELTA_RULES)}); "
             "the schedule must keep eps/delta decreasing toward 0")
     rule = _DELTA_RULES[name]
-    return lambda e: rule(float(e), scale)
+    return lambda e: scale * rule(float(e))
 
 
 @dataclass(frozen=True)
@@ -55,13 +59,10 @@ class SweepPlan:
     lam: float = 1e-4
     cells: tuple[int, ...] = (4096,)
     enforce_width: bool = False
-    out_csv: Optional[str] = None
 
     def __post_init__(self):
         eps = tuple(float(e) for e in self.eps_schedule)
         object.__setattr__(self, "eps_schedule", eps)
-        cells = self.cells if isinstance(self.cells, tuple) else (int(self.cells),)
-        object.__setattr__(self, "cells", cells)
         if not eps or not all(0.0 < e < np.inf for e in eps):
             raise ValueError("eps schedule must be positive and finite")
         if any(b >= a for a, b in zip(eps, eps[1:])):
@@ -191,9 +192,9 @@ def geodesic_inequality_check(w: ScalarField, which: str, eps: float,
 
 
 def compactness_levelset_diagnostic(z: ScalarField, P: PotentialSet,
-                                    thresholds: int = 31,
                                     grid_slack: float = 0.2) -> tuple[float, float, float]:
-    """Select the level of z in (1/4, 3/4) with the smallest discrete perimeter.
+    """Select the level of z in (1/4, 3/4), among `_LEVELSET_THRESHOLDS`
+    equispaced ones, with the smallest discrete perimeter.
 
     The selection bound is TV(d_V o z) / (d_V(3/4) - d_V(1/4)); the face-count
     perimeter at the chosen level must not exceed it beyond the grid slack,
@@ -205,7 +206,7 @@ def compactness_levelset_diagnostic(z: ScalarField, P: PotentialSet,
     dz = ScalarField(z.grid, np.interp(z.values, nodes, dtab))
     denom = geodesic_transform("V", P, 0.75) - geodesic_transform("V", P, 0.25)
     bound = face_total_variation(dz) / denom
-    ts = np.linspace(0.25, 0.75, thresholds + 2)[1:-1]
+    ts = np.linspace(0.25, 0.75, _LEVELSET_THRESHOLDS + 2)[1:-1]
     perims = np.array([face_total_variation(ScalarField(z.grid, z.values > t))
                        for t in ts])
     k = int(np.argmin(perims))

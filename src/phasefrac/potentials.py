@@ -24,7 +24,9 @@ class PotentialSet:
     All callables are vectorized over numpy arrays. Derivatives are required
     so the energy gradients are available without numerical differentiation.
     `theta` is the residual interfacial weight on fully damaged material:
-    phi(0) = theta, phi(1) = 1.
+    phi(0) = theta, phi(1) = 1.  The caps `m_cap_w`, `m_cap_v` (sup of W
+    and V on [0, 1]) are derived from `w` and `v`, so `dataclasses.replace`
+    recomputes them.
     """
     w: Scalar
     dw: Scalar
@@ -36,8 +38,8 @@ class PotentialSet:
     theta: float = 0.0
     quadrature_nodes: int = 4096
     coercivity: float = 4.0
-    m_cap_w: float = field(default=0.0)
-    m_cap_v: float = field(default=0.0)
+    m_cap_w: float = field(init=False)
+    m_cap_v: float = field(init=False)
 
     def __post_init__(self):
         if not 0.0 <= self.theta <= 1.0:
@@ -47,10 +49,8 @@ class PotentialSet:
         if self.coercivity <= 0:
             raise ValueError("coercivity constant must be positive")
         s = np.linspace(0.0, 1.0, 4097)
-        if self.m_cap_w == 0.0:
-            object.__setattr__(self, "m_cap_w", float(np.max(self.w(s))))
-        if self.m_cap_v == 0.0:
-            object.__setattr__(self, "m_cap_v", float(np.max(self.v(s))))
+        object.__setattr__(self, "m_cap_w", float(np.max(self.w(s))))
+        object.__setattr__(self, "m_cap_v", float(np.max(self.v(s))))
 
     def c_delta(self, delta: float) -> float:
         c = float(self.c_delta_rule(delta))
@@ -180,12 +180,11 @@ def geodesic_transform(which: str, P: PotentialSet, t: float) -> float:
     return 2.0 * simpson(_capped_sqrt(f, cap), 0.0, float(t), P.quadrature_nodes)
 
 
-def geodesic_table(which: str, P: PotentialSet, lo: float, hi: float,
-                   panels: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def geodesic_table(which: str, P: PotentialSet, lo: float,
+                   hi: float) -> tuple[np.ndarray, np.ndarray]:
     """Tabulate d_f on [lo, hi] (anchored at d_f(0) = 0) for vectorized composition."""
     f, cap = _resolve_potential(which, P)
-    n = panels or P.quadrature_nodes
-    nodes, cum = cumulative_simpson(_capped_sqrt(f, cap), lo, hi, n)
+    nodes, cum = cumulative_simpson(_capped_sqrt(f, cap), lo, hi, P.quadrature_nodes)
     anchor = geodesic_transform(which, P, lo)
     return nodes, anchor + 2.0 * cum
 

@@ -92,10 +92,10 @@ class OptimalProfile:
         return float(out) if out.ndim == 0 else out
 
 
-def build_profile(pp: ProfileParams, panels: int = _TABLE_PANELS) -> OptimalProfile:
+def build_profile(pp: ProfileParams) -> OptimalProfile:
     s, zeta_vals = cumulative_simpson(
         lambda t: pp.scale / np.sqrt(pp.lam + np.maximum(pp.f(t), 0.0)),
-        0.0, 1.0, panels)
+        0.0, 1.0, _TABLE_PANELS)
     if not np.all(np.diff(zeta_vals) > 0.0):
         raise ValueError("zeta tabulation is not strictly increasing")
     width_cap = pp.scale / np.sqrt(pp.lam)

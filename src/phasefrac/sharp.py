@@ -295,13 +295,13 @@ class SharpGeometry1D:
     crack_points: tuple[float, ...] = ()
     c_pieces: tuple[int, ...] = ()
     u_pieces: tuple[tuple[float, float], ...] = ()
-    tol_geom: float = 0.0
+    tol_geom: float = field(init=False)  # coincidence tolerance, 1e-9 of the length
 
     def __post_init__(self):
         a, b = self.domain
         if not -np.inf < a < b < np.inf:
             raise GeometryError(f"domain must be a finite interval a < b, got {self.domain}")
-        tol = self.tol_geom if self.tol_geom > 0 else 1e-9 * (b - a)
+        tol = 1e-9 * (b - a)
         object.__setattr__(self, "tol_geom", tol)
         object.__setattr__(self, "phase_points", tuple(sorted(self.phase_points)))
         object.__setattr__(self, "crack_points", tuple(sorted(self.crack_points)))
@@ -408,7 +408,7 @@ class SharpGeometry2D:
     polygon: Optional[Polygon] = None
     segments: SegmentSet = field(default_factory=lambda: SegmentSet(np.zeros((0, 2, 2))))
     u_spec: DisplacementSpec = field(default_factory=lambda: zero_displacement(2))
-    tol_geom: float = 0.0
+    tol_geom: float = field(init=False)  # coincidence tolerance, 1e-9 of the diagonal
 
     def __post_init__(self):
         if not all(0.0 < e < np.inf for e in self.extent):
@@ -416,12 +416,10 @@ class SharpGeometry2D:
                                 f"got {self.extent}")
         if not np.all(np.isfinite(self.origin)):
             raise GeometryError(f"domain box origin must be finite, got {self.origin}")
-        if self.tol_geom <= 0:
-            diam = float(np.sqrt(sum(e * e for e in self.extent)))
-            object.__setattr__(self, "tol_geom", 1e-9 * diam)
+        eps = 1e-9 * float(np.sqrt(sum(e * e for e in self.extent)))
+        object.__setattr__(self, "tol_geom", eps)
         lo = np.asarray(self.origin)
         hi = lo + np.asarray(self.extent)
-        eps = self.tol_geom
         if len(self.segments):
             p = self.segments.endpoints.reshape(-1, 2)
             if np.any(p < lo - eps) or np.any(p > hi + eps):

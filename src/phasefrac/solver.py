@@ -27,6 +27,11 @@ from .energy import (DiffuseState, ElasticModel, EnergyBreakdown, _stress_diverg
 from .fields import Grid, ScalarField, VectorField, _diff, sym_gradient
 from .potentials import PotentialSet
 
+# the Armijo search of the z- and c-steps: first trial step, backtracking
+# factor, sufficient-decrease constant and cap on the backtracks
+_STEP0 = 1.0
+_BACKTRACK_FACTOR = 0.5
+_ARMIJO_C = 0.25
 _MAX_BACKTRACKS = 60
 # the largest relative energy rise any block may make: the u-step rejects a
 # larger one, the Armijo steps accept only a decrease
@@ -39,21 +44,14 @@ class SolverPlan:
     tol_rel_energy: float = 1e-8
     cg_tol: float = 1e-10
     cg_max_iters: int = 1000
-    step0: float = 1.0
-    backtrack_factor: float = 0.5
-    armijo_c: float = 0.25
     mass_constraint: Optional[float] = None
 
     def __post_init__(self):
         for name in ("max_outer", "cg_max_iters"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name}: must be >= 1, got {getattr(self, name)}")
-        if self.tol_rel_energy <= 0 or self.cg_tol <= 0 or self.step0 <= 0:
-            raise ValueError("tolerances and step0 must be positive")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError("backtrack_factor must lie in (0, 1)")
-        if not 0.0 < self.armijo_c <= 0.5:
-            raise ValueError("armijo_c must lie in (0, 1/2]")
+        if self.tol_rel_energy <= 0 or self.cg_tol <= 0:
+            raise ValueError("tolerances must be positive")
         if self.mass_constraint is not None and not 0.0 <= self.mass_constraint <= 1.0:
             raise ValueError("mass constraint must lie in [0, 1]")
 
@@ -245,14 +243,14 @@ def _armijo_step(s: DiffuseState, P: PotentialSet, M: ElasticModel, plan: Solver
             return s, BlockResult(block, True, flag="stationary", iters=k, energy=before)
         candidate = s.replace(**{block: ScalarField(grid, trial)})
         after = diffuse_energy(candidate, P, M)
-        decrease = plan.armijo_c * (vol / t) * float(np.sum(delta * delta))
+        decrease = _ARMIJO_C * (vol / t) * float(np.sum(delta * delta))
         if after.e_total <= before.e_total - decrease:
             if block == "c" and plan.mass_constraint is not None:
                 cfix = project_mass(candidate.c, plan.mass_constraint)
                 candidate = candidate.replace(c=cfix)
                 after = diffuse_energy(candidate, P, M)
             return candidate, BlockResult(block, True, iters=k, step=t, energy=after)
-        t *= plan.backtrack_factor
+        t *= _BACKTRACK_FACTOR
     return s, BlockResult(block, False, flag="no_step", iters=_MAX_BACKTRACKS,
                           energy=before)
 
@@ -260,13 +258,13 @@ def _armijo_step(s: DiffuseState, P: PotentialSet, M: ElasticModel, plan: Solver
 def minimize_z(s: DiffuseState, P: PotentialSet, M: ElasticModel, plan: SolverPlan,
                start_step: Optional[float] = None) -> tuple[DiffuseState, BlockResult]:
     """One projected-gradient Armijo step for z on the box [0, 1]^cells."""
-    return _armijo_step(s, P, M, plan, "z", start_step or plan.step0)
+    return _armijo_step(s, P, M, plan, "z", start_step or _STEP0)
 
 
 def minimize_c(s: DiffuseState, P: PotentialSet, M: ElasticModel, plan: SolverPlan,
                start_step: Optional[float] = None) -> tuple[DiffuseState, BlockResult]:
     """One gradient Armijo step for c; zero-mean direction under a mass constraint."""
-    return _armijo_step(s, P, M, plan, "c", start_step or plan.step0)
+    return _armijo_step(s, P, M, plan, "c", start_step or _STEP0)
 
 
 def alternate(s0: DiffuseState, P: PotentialSet, M: ElasticModel,
@@ -283,16 +281,16 @@ def alternate(s0: DiffuseState, P: PotentialSet, M: ElasticModel,
     flags: list[tuple[str, ...]] = []
     u_iters: list[int] = []
     reason = "max_outer"
-    step_z = plan.step0
-    step_c = plan.step0
+    step_z = _STEP0
+    step_c = _STEP0
     for _ in range(plan.max_outer):
         s, ru = minimize_u(s, P, M, plan, before=energies[-1])
         s, rz = minimize_z(s, P, M, plan, start_step=step_z)
         if rz.accepted and rz.step > 0:
-            step_z = min(rz.step / plan.backtrack_factor, plan.step0)
+            step_z = min(rz.step / _BACKTRACK_FACTOR, _STEP0)
         s, rc = minimize_c(s, P, M, plan, start_step=step_c)
         if rc.accepted and rc.step > 0:
-            step_c = min(rc.step / plan.backtrack_factor, plan.step0)
+            step_c = min(rc.step / _BACKTRACK_FACTOR, _STEP0)
         energies.append(rc.energy)
         u_iters.append(ru.iters)
         flags.append(tuple(f"{r.block}:{r.flag}" for r in (ru, rz, rc) if r.flag))

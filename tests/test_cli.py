@@ -99,6 +99,15 @@ def test_unknown_key_is_named(tmp_path):
         parse_config(write_config(tmp_path, bad))
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("potentials", "name", "default"), ("solver", "step0", "1.0"),
+    ("solver", "backtrack_factor", "0.5"), ("solver", "armijo_c", "0.25")])
+def test_removed_key_exits_2_and_names_it(tmp_path, capsys, section, key, value):
+    text = MINIMAL_1D + f"\n[{section}]\n{key} = {value}\n"
+    assert main(["check", "--config", write_config(tmp_path, text)]) == 2
+    assert f"unknown key {key!r} in [{section}]" in capsys.readouterr().err
+
+
 def test_unknown_section_rejected(tmp_path):
     bad = MINIMAL_1D + "\n[misc]\nx = 1\n"
     with pytest.raises(ConfigError, match="misc"):
@@ -192,6 +201,24 @@ def test_sweep_command_writes_csv(tmp_path, capsys):
     lines = csv_path.read_text().splitlines()
     assert lines[0].startswith("eps,delta,")
     assert len(lines) == 3
+
+
+def test_sweep_delta_scale_scales_sqrt(tmp_path):
+    text = MINIMAL_1D.replace("delta_rule = two_thirds",
+                              "delta_rule = sqrt\ndelta_scale = 5")
+    assert main(["sweep", "--config", write_config(tmp_path, text), "--quiet"]) == 0
+    rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",")[1]) for r in rows] == [5.0 * 0.03125 ** 0.5,
+                                                      5.0 * 0.015625 ** 0.5]
+
+
+@pytest.mark.parametrize("command,text,section", [
+    ("sharp", "[run]\nout = {out}\n", "[geometry]"),
+    ("sweep", MINIMAL_1D.split("[sweep]")[0], "[sweep]"),
+    ("recover", "[run]\nout = {out}\n", "[sweep]")], ids=["sharp", "sweep", "recover"])
+def test_missing_section_exits_2_and_names_it(tmp_path, capsys, command, text, section):
+    assert main([command, "--config", write_config(tmp_path, text)]) == 2
+    assert section in capsys.readouterr().err
 
 
 def test_recover_command_dumps_fields(tmp_path, monkeypatch):

@@ -5,8 +5,9 @@ import pytest
 
 from conftest import random_state
 from phasefrac import solver
-from phasefrac.energy import (DiffuseState, ElasticModel, EnergyBreakdown,
-                              diffuse_energy, evaluate, mass, project_mass)
+from phasefrac.energy import (DEGRADATIONS, ETA_RULES, DiffuseState, ElasticModel,
+                              EnergyBreakdown, diffuse_energy, evaluate, mass,
+                              project_mass)
 from phasefrac.fields import Grid, ScalarField, VectorField, gradient, gradient_adjoint
 from phasefrac.potentials import phi_delta
 from phasefrac.recovery import ProfileParams, build_profile
@@ -75,12 +76,17 @@ def test_profile_phase_energy_band(P, elastic_1d_free):
     assert (1 / 3) * pd1 * 0.98 <= b.e_phase <= (1 / 3 + 2 * np.sqrt(lam)) * pd1 * 1.02
 
 
+@pytest.mark.parametrize("psi,eta_rule", [("quadratic", "delta_squared"),
+                                          ("linear", "delta_cubed")])
 @pytest.mark.parametrize("block", ["c", "u", "z"])
-def test_gradients_match_finite_differences(P, elastic_1d, block):
+def test_gradients_match_finite_differences(P, block, psi, eta_rule):
+    psi_fn, dpsi_fn = DEGRADATIONS[psi]
+    M = ElasticModel(e0=np.array([[1.0]]), psi=psi_fn, dpsi=dpsi_fn,
+                     eta_rule=ETA_RULES[eta_rule])
     g = Grid((0.0,), (1.0,), (64,))
     s = random_state(g, seed=21)
-    fd = fd_gradient(s, P, elastic_1d, block)
-    an = evaluate(s, P, elastic_1d, block)[1][block]
+    fd = fd_gradient(s, P, M, block)
+    an = evaluate(s, P, M, block)[1][block]
     scale = max(np.abs(fd).max(), 1e-12)
     assert np.abs(an - fd).max() / scale <= 1e-5
 

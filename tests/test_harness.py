@@ -29,6 +29,13 @@ def test_delta_rules():
         resolve_delta_rule("eps_squared")
 
 
+@pytest.mark.parametrize("rule,power", [("sqrt", 0.5), ("two_thirds", 2.0 / 3.0),
+                                        ("scaled_two_thirds", 2.0 / 3.0)])
+def test_delta_scale_scales_every_rule(rule, power):
+    plan = SweepPlan(CRACK_1D, (0.04, 0.01), delta_rule=rule, delta_scale=5.0)
+    assert plan.deltas() == (5.0 * 0.04 ** power, 5.0 * 0.01 ** power)
+
+
 def test_sweep_plan_validation():
     with pytest.raises(ValueError):
         SweepPlan(CRACK_1D, (0.1, 0.2))  # not decreasing

@@ -79,7 +79,7 @@ def test_nonfinite_w_reported_not_raised(P):
     def w(s):
         s = np.asarray(s, dtype=float)
         return np.where(np.abs(s - 0.3) < 0.01, np.nan, P.w(s))
-    bad = dataclasses.replace(P, w=w, m_cap_w=0.0)
+    bad = dataclasses.replace(P, w=w)
     report = check_admissibility(bad, 101)
     assert not report.passed
     assert not report["surface_le_fracture"].passed
@@ -91,6 +91,15 @@ def test_geodesic_transform_values(P):
     assert geodesic_transform("V", P, 1.0) == pytest.approx(1.0, abs=1e-10)
     # sqrt(W) <= 1/4 <= cap, so d_W(1) equals the surface density
     assert geodesic_transform("W", P, 1.0) == pytest.approx(1.0 / 3.0, abs=1e-10)
+
+
+def test_replace_recomputes_the_caps(P):
+    # the caps follow the potentials: the stale cap 1/16 gave d_W(1) = 0.431
+    def w4(s):
+        return 4.0 * P.w(s)
+    P4 = dataclasses.replace(P, w=w4)
+    assert P4.m_cap_w == 0.25 and P4.m_cap_v == P.m_cap_v
+    assert geodesic_transform("W", P4, 1.0) == pytest.approx(2.0 / 3.0, abs=1e-10)
 
 
 def test_geodesic_monotone_and_lipschitz(P):

@@ -16,6 +16,15 @@ def test_same_tree_gives_no_differences():
     assert same_outputs.compare(ROOT, "minimize", make_config("minimize_2d", 0, smoke=True)) == []
 
 
+def test_sharp_on_a_workload_config(tmp_path):
+    text = make_config("sweep_2d", 0, smoke=True)
+    config = tmp_path / "run.ini"
+    config.write_text(text)
+    mine = same_outputs.run_cli(ROOT, "sharp", str(config), str(tmp_path / "out"))
+    assert mine["exit code"] == b"0" and b"e_total   = " in mine["stdout"]
+    assert same_outputs.compare(ROOT, "sharp", text) == []
+
+
 def test_an_altered_or_missing_output_is_named(tmp_path):
     config = tmp_path / "run.ini"
     config.write_text(make_config("minimize_2d", 0, smoke=True))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,14 @@ def test_segments_outside_domain_rejected():
     with pytest.raises(GeometryError):
         SharpGeometry2D((0.0, 0.0), (1.0, 1.0),
                         segments=SegmentSet([[[0.5, 0.5], [1.5, 0.5]]]))
+
+
+def test_replace_recomputes_tol_geom():
+    # the tolerance follows the domain: 1e-9 of its length or diagonal
+    wide = dataclasses.replace(SharpGeometry1D((0.0, 1.0)), domain=(0.0, 1e6))
+    assert wide.tol_geom == pytest.approx(1e-3, rel=1e-12)
+    box = dataclasses.replace(SharpGeometry2D((0.0, 0.0), (1.0, 1.0)), extent=(3.0, 4.0))
+    assert box.tol_geom == pytest.approx(5e-9, rel=1e-12)
 
 
 @pytest.mark.parametrize("origin,extent", [

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_state
+from phasefrac import solver
 from phasefrac.energy import (DEGRADATIONS, DiffuseState, ElasticModel, diffuse_energy,
                               evaluate, mass)
 from phasefrac.fields import Grid, ScalarField, VectorField, gradient
@@ -12,10 +13,6 @@ from phasefrac.solver import (DESCENT_RTOL, SolverPlan, _axis_basis,
 
 
 def test_plan_validation():
-    with pytest.raises(ValueError):
-        SolverPlan(backtrack_factor=1.5)
-    with pytest.raises(ValueError):
-        SolverPlan(armijo_c=0.9)
     with pytest.raises(ValueError):
         SolverPlan(mass_constraint=1.5)
     with pytest.raises(ValueError, match="max_outer: must be >= 1"):
@@ -245,6 +242,45 @@ def _step_state(n: int, band_z: float = 1.0) -> DiffuseState:
     return DiffuseState(ScalarField(g, (x > 0.5).astype(float)),
                         VectorField.full(g, np.zeros(2)), ScalarField(g, z),
                         eps=0.05, delta=0.1)
+
+
+def test_minimize_u_2d_at_its_solution(P, elastic_2d_free):
+    # no misfit and u = 0: the starting residual is 0, so CG takes no step
+    s = random_state(Grid((0.0, 0.0), (1.0, 1.0), (12, 16)), seed=3)
+    s = s.replace(u=VectorField.full(s.grid, np.zeros(2)))
+    s2, res = minimize_u(s, P, elastic_2d_free, SolverPlan())
+    assert res.accepted and res.flag == "" and res.iters == 0
+    assert np.all(s2.u.values == 0.0)
+
+
+def test_minimize_u_rejects_a_rise(P, monkeypatch):
+    # a CG that returns a worse displacement: the step keeps the old state
+    def bad_cg(apply_a, apply_p, b, x0, tol, max_iters):
+        return x0 + np.random.Generator(np.random.Philox(4)).normal(size=x0.shape), 7, True
+    monkeypatch.setattr(solver, "_cg", bad_cg)
+    M = ElasticModel(e0=0.3 * np.eye(2))
+    s = _step_state(16)
+    before = diffuse_energy(s, P, M)
+    s2, res = minimize_u(s, P, M, SolverPlan())
+    assert s2 is s and not res.accepted and res.flag == "energy_rose"
+    assert res.iters == 7 and res.energy == before
+
+
+@pytest.mark.parametrize("step", [minimize_z, minimize_c], ids=["z", "c"])
+def test_armijo_step_without_descent_is_no_step(P, elastic_1d, monkeypatch, step):
+    # the gradient negated and scaled up: every trial rises, and none moves so
+    # little that the step would count as stationary
+    real = solver.evaluate
+
+    def uphill(s, P, M, blocks):
+        energy, grads = real(s, P, M, blocks)
+        return energy, {b: -1e6 * g for b, g in grads.items()}
+    monkeypatch.setattr(solver, "evaluate", uphill)
+    s = random_state(Grid((0.0,), (1.0,), (64,)), seed=6)
+    before = diffuse_energy(s, P, elastic_1d)
+    s2, res = step(s, P, elastic_1d, SolverPlan())
+    assert s2 is s and not res.accepted and res.flag == "no_step"
+    assert res.iters == solver._MAX_BACKTRACKS and res.energy == before
 
 
 def test_minimize_u_nonconvergence_flagged(P):

@@ -4,8 +4,9 @@ benchmark workloads.
     python3 tools/same_outputs.py OTHER_TREE
 
 For each workload of perfbench/workloads.py at seeds 0 and 1, the phasefrac
-CLI runs the workload's command on the same generated config, once with this
-tree's src/ and once with OTHER_TREE's src/, both with the same --out path.
+CLI runs the workload's command, and then `check` and `sharp`, on the same
+generated config, once with this tree's src/ and once with OTHER_TREE's src/,
+both with the same --out path.
 Every output file, stdout, stderr and the exit code are compared byte for
 byte; each difference is named.  Exit code 0 when all are equal, 1 otherwise.
 Standard library only; perfbench/ is read, never written.
@@ -79,15 +80,16 @@ def main(argv: list[str]) -> int:
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     from workloads import WORKLOADS, make_config
 
+    runs = [(name, seed, command) for name, workload in WORKLOADS.items()
+            for seed in SEEDS for command in (workload.command, "check", "sharp")]
     failed = 0
-    for name, workload in WORKLOADS.items():
-        for seed in SEEDS:
-            found = compare(argv[0], workload.command, make_config(name, seed))
-            print(f"{name} seed {seed}: {'same' if not found else 'DIFFERENT'}")
-            for line in found:
-                print(f"  {line}")
-            failed += bool(found)
-    print(f"{failed} of {len(WORKLOADS) * len(SEEDS)} runs differ")
+    for name, seed, command in runs:
+        found = compare(argv[0], command, make_config(name, seed))
+        print(f"{name} seed {seed} {command}: {'same' if not found else 'DIFFERENT'}")
+        for line in found:
+            print(f"  {line}")
+        failed += bool(found)
+    print(f"{failed} of {len(runs)} runs differ")
     return 1 if failed else 0
 
 
