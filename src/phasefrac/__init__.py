@@ -5,6 +5,13 @@ sharp-interface limits on explicit configurations, near-optimal transition
 profiles, an alternating-minimization solver, and a sweep harness that
 compares the two energy levels quantitatively.
 """
+import os
+
+# One OpenBLAS thread unless the caller set a count: the package's matrices
+# are small, and the default pool costs more at import and in a small `eigh`
+# than it saves.  Set before the submodules import numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .energy import DiffuseState, ElasticModel, EnergyBreakdown, diffuse_energy

@@ -137,12 +137,18 @@ def _finite(text: str) -> float:
     return value
 
 
-def _samples(text: str) -> int:
-    """A sample count for `check_admissibility`, which needs two or more."""
-    value = int(text)
-    if value < 2:
-        raise ValueError(f"must be >= 2, got {value}")
-    return value
+def _at_least(low: int):
+    """Converter to an integer >= low."""
+    def conv(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"must be >= {low}, got {value}")
+        return value
+    return conv
+
+
+_seed = _at_least(0)  # a Philox seed
+_samples = _at_least(2)  # `check_admissibility` needs two samples or more
 
 
 def _one_of(table: dict):
@@ -202,7 +208,7 @@ def parse_config(path: str) -> RunConfig:
             violations.append(f"[{name}] cells: {exc}")
             return None
 
-    seed = take("run", "seed", int)
+    seed = take("run", "seed", _seed)
     quiet = take("run", "quiet", _bool)
 
     theta = take("elastic", "theta", float)
@@ -213,11 +219,11 @@ def parse_config(path: str) -> RunConfig:
     try:
         potentials = make_default_potentials(
             theta=theta,
-            w_scale=take("potentials", "w_scale", float),
-            v_scale=take("potentials", "v_scale", float),
-            c_delta_scale=take("potentials", "c_delta_scale", float),
+            w_scale=take("potentials", "w_scale", _finite),
+            v_scale=take("potentials", "v_scale", _finite),
+            c_delta_scale=take("potentials", "c_delta_scale", _finite),
             quadrature_nodes=take("potentials", "quadrature_nodes", int),
-            coercivity=take("potentials", "coercivity", float))
+            coercivity=take("potentials", "coercivity", _positive))
     except ValueError as exc:
         violations.append(f"[potentials] {exc}")
         potentials = None
@@ -264,8 +270,8 @@ def parse_config(path: str) -> RunConfig:
     try:
         solver_plan = SolverPlan(
             max_outer=take("solver", "max_outer", int),
-            tol_rel_energy=take("solver", "tol_rel_energy", float),
-            cg_tol=take("solver", "cg_tol", float),
+            tol_rel_energy=take("solver", "tol_rel_energy", _positive),
+            cg_tol=take("solver", "cg_tol", _positive),
             cg_max_iters=take("solver", "cg_max_iters", int),
             mass_constraint=take("solver", "mass", float))
     except ValueError as exc:
@@ -299,8 +305,8 @@ def _build_elastic(take, dim: int) -> tuple[Optional[ElasticModel], list[str]]:
         e0 = np.array([[a, b], [b, c]])
     psi, dpsi = take("elastic", "psi", _one_of(DEGRADATIONS))
     try:
-        model = ElasticModel(lame_lambda=take("elastic", "lame_lambda", float),
-                             lame_mu=take("elastic", "lame_mu", float),
+        model = ElasticModel(lame_lambda=take("elastic", "lame_lambda", _finite),
+                             lame_mu=take("elastic", "lame_mu", _positive),
                              e0=e0, psi=psi, dpsi=dpsi,
                              eta_rule=take("elastic", "eta_rule", _one_of(ETA_RULES)))
     except ValueError as exc:
@@ -473,7 +479,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                         choices=["check", "sweep", "minimize", "recover", "sharp"])
     parser.add_argument("--config", required=True, help="path to the INI config")
     parser.add_argument("--out", help="output directory (overrides [run] out)")
-    parser.add_argument("--seed", type=int, help="seed override")
+    parser.add_argument("--seed", help="seed override, an integer >= 0")
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
@@ -486,8 +492,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         cfg.out_dir = args.out
         cfg.sections["run"]["out"] = args.out
     if args.seed is not None:
-        cfg.seed = args.seed
-        cfg.sections["run"]["seed"] = str(args.seed)
+        try:
+            cfg.seed = _seed(args.seed)
+        except ValueError as exc:
+            print(f"--seed: {exc}", file=sys.stderr)
+            return 2
+        cfg.sections["run"]["seed"] = str(cfg.seed)
     if args.quiet:
         cfg.quiet = True
 

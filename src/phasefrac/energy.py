@@ -13,6 +13,11 @@ energy with respect to nodal values (discretize-then-differentiate), so the
 solver's descent property holds exactly; they are validated against central
 finite differences in the test suite.
 
+`evaluate` is the one pass for the energy and the gradients.
+`evaluate_block` is that pass at one block, which also returns the energy of
+the state with that block replaced; such a trial recomputes only the terms
+the block moves, so an Armijo search costs one pass per step.
+
 Strains, e0 and stresses are tuples of strain planes, (xx,) in 1D and
 (xx, yy, xy) in 2D (see `fields.sym_gradient`).  In |xi|^2 and in the
 c-gradient's dC(xi) : e0 the xy plane counts twice, summed in the row-major
@@ -28,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .fields import (Grid, ScalarField, VectorField, gradient, gradient_adjoint,
-                     integrate, sym_gradient, sym_gradient_adjoint, sym_planes)
+                     sym_gradient, sym_gradient_adjoint, sym_planes)
 from .potentials import PotentialSet
 
 
@@ -88,8 +93,9 @@ class ElasticModel:
 
     def __post_init__(self):
         object.__setattr__(self, "e0", np.asarray(self.e0, dtype=float))
-        if self.lame_mu <= 0 or self.lame_lambda < 0:
-            raise ValueError("need mu > 0 and lambda >= 0")
+        if not (0.0 < self.lame_mu < np.inf and 0.0 <= self.lame_lambda < np.inf):
+            raise ValueError(f"need 0 < mu < inf and 0 <= lambda < inf, got mu "
+                             f"{self.lame_mu}, lambda {self.lame_lambda}")
         if self.e0.ndim != 2 or self.e0.shape[0] != self.e0.shape[1]:
             raise ValueError("e0 must be a square matrix")
         if not np.allclose(self.e0, self.e0.T, atol=1e-14):
@@ -180,6 +186,52 @@ def _integral(density: np.ndarray, label: str, vol: float) -> float:
     return float(vol * density.sum())
 
 
+# The terms of the energy, each written once: the pass (`_evaluate`) and the
+# trials of `evaluate_block` call the same functions, so a trial energy is the
+# pass's energy of the replaced state bit for bit.
+
+def _elastic_weight(zc: np.ndarray, s: DiffuseState, M: ElasticModel) -> np.ndarray:
+    """psi(z) + eta(delta), z clamped to [0, 1]."""
+    return M.psi(zc) + M.eta(s.delta)
+
+
+def _phase_raw(c: np.ndarray, s: DiffuseState, P: PotentialSet):
+    """W(c)/eps + eps |grad c|^2 per cell, and grad c."""
+    gc = gradient(c, s.grid.spacing)
+    return P.w(c) / s.eps + s.eps * np.sum(gc * gc, axis=-1), gc
+
+
+def _misfit(strain: tuple, c: np.ndarray, e0: tuple) -> tuple:
+    """The elastic strain e(u) - c e0 as planes."""
+    return tuple(p - c * e for p, e in zip(strain, e0))
+
+
+def _interfacial(weight: np.ndarray, raw: np.ndarray, vol: float) -> float:
+    return _integral(weight * raw, "interfacial", vol)
+
+
+def _elastic(weight: np.ndarray, form: np.ndarray, vol: float) -> float:
+    return _integral(weight * form, "elastic", vol)
+
+
+def _z_terms(z: np.ndarray, s: DiffuseState, P: PotentialSet, M: ElasticModel,
+             phase_raw: np.ndarray, form: np.ndarray):
+    """The energy of `s` with its z replaced by `z`, from the two arrays z does
+    not move, the interfacial raw density and the form.  z moves the clamp,
+    both weights and the crack density; they are returned for the gradient:
+    (energy, zc, outside, (phase weight, elastic weight), grad z)."""
+    vol = s.grid.cell_volume
+    zc = np.clip(z, 0.0, 1.0)
+    outside = (z < 0.0) | (z > 1.0)
+    phase_weight, elastic_weight = P.phi(zc) + P.c_delta(s.delta), _elastic_weight(zc, s, M)
+    gz = gradient(z, s.grid.spacing)
+    crack = P.v(zc) / s.delta + s.delta * np.sum(gz * gz, axis=-1)
+    energy = EnergyBreakdown(_interfacial(phase_weight, phase_raw, vol),
+                             _elastic(elastic_weight, form, vol),
+                             _integral(crack, "crack", vol), int(np.count_nonzero(outside)))
+    return energy, zc, outside, (phase_weight, elastic_weight), gz
+
+
 def _stress_divergence(grid: Grid, M: ElasticModel, weight: np.ndarray,
                        xi: tuple[np.ndarray, ...]) -> np.ndarray:
     """vol * e*^T[weight dC(xi)], linear in the strain planes xi: dE/du at the
@@ -196,24 +248,20 @@ def evaluate(s: DiffuseState, P: PotentialSet, M: ElasticModel,
     shaped like the block's values.  A gradient is the derivative of the
     discrete energy with respect to nodal values, not an L2 representative.
     The clamp, grad c, grad z and the misfit are formed once."""
-    grid = s.grid
-    h, vol = grid.spacing, grid.cell_volume
-    c, z = s.c.values, s.z.values
-    outside = (z < 0.0) | (z > 1.0)
-    zc = np.clip(z, 0.0, 1.0)
-    phase_weight = P.phi(zc) + P.c_delta(s.delta)
-    elastic_weight = M.psi(zc) + M.eta(s.delta)
-    gc = gradient(c, h)
-    gz = gradient(z, h)
-    e0 = M.e0_planes(grid.dim)
-    xi = tuple(p - c * e for p, e in zip(sym_gradient(s.u.values, h), e0))
-    phase_raw = P.w(c) / s.eps + s.eps * np.sum(gc * gc, axis=-1)
+    return _evaluate(s, P, M, blocks)[:2]
+
+
+def _evaluate(s: DiffuseState, P: PotentialSet, M: ElasticModel, blocks: str, strain=None):
+    """`evaluate`, plus the arrays a trial reuses: the two weights, the
+    interfacial raw density, the form and e0.  `strain` is e(u) when the
+    caller holds it."""
+    h, vol, c = s.grid.spacing, s.grid.cell_volume, s.c.values
+    e0 = M.e0_planes(s.grid.dim)
+    xi = _misfit(sym_gradient(s.u.values, h) if strain is None else strain, c, e0)
+    phase_raw, gc = _phase_raw(c, s, P)
     form = M.form(xi)
-    energy = EnergyBreakdown(
-        _integral(phase_weight * phase_raw, "interfacial", vol),
-        _integral(elastic_weight * form, "elastic", vol),
-        _integral(P.v(zc) / s.delta + s.delta * np.sum(gz * gz, axis=-1), "crack", vol),
-        int(np.count_nonzero(outside)))
+    energy, zc, outside, (phase_weight, elastic_weight), gz = _z_terms(
+        s.z.values, s, P, M, phase_raw, form)
     grads = {}
     if "c" in blocks:
         out = phase_weight * P.dw(c) / s.eps
@@ -221,7 +269,7 @@ def evaluate(s: DiffuseState, P: PotentialSet, M: ElasticModel,
         out -= elastic_weight * _frobenius(M.dform(xi), e0)
         grads["c"] = vol * out
     if "u" in blocks:
-        grads["u"] = _stress_divergence(grid, M, elastic_weight, xi)
+        grads["u"] = _stress_divergence(s.grid, M, elastic_weight, xi)
     if "z" in blocks:
         # chain rule of the clamp: zero derivative strictly outside the box,
         # the inside value on the faces (defaults have zero slope there anyway)
@@ -231,7 +279,47 @@ def evaluate(s: DiffuseState, P: PotentialSet, M: ElasticModel,
         out += mask * P.dv(zc) / s.delta
         out += 2.0 * s.delta * gradient_adjoint(gz, h)
         grads["z"] = vol * out
-    return energy, grads
+    return energy, grads, (phase_weight, elastic_weight, phase_raw, form, e0)
+
+
+def evaluate_block(s: DiffuseState, P: PotentialSet, M: ElasticModel, block: str
+                   ) -> tuple[EnergyBreakdown, np.ndarray, Callable]:
+    """One pass at `block` ("c", "z" or "u"): the energy of `s`, dE/d(block)
+    as `evaluate` gives it, and `trial`, which maps new values of the block
+    (a plain array) to the energy of `s` with that block replaced, bit for bit
+    `diffuse_energy` of that state.  A trial recomputes only what the block
+    moves and reuses the pass's other arrays: for z the clamp, the weights
+    and the crack density; for c the interfacial raw density, the misfit and
+    the form; for u the strain, the misfit and the form."""
+    strain = sym_gradient(s.u.values, s.grid.spacing) if block == "c" else None
+    energy, grads, (phase_weight, elastic_weight, phase_raw, form, e0) = _evaluate(
+        s, P, M, block, strain)
+    vol = s.grid.cell_volume
+    if block == "z":
+        def trial(z: np.ndarray) -> EnergyBreakdown:
+            return _z_terms(z, s, P, M, phase_raw, form)[0]
+    elif block == "c":
+        def trial(c: np.ndarray) -> EnergyBreakdown:
+            return EnergyBreakdown(_interfacial(phase_weight, _phase_raw(c, s, P)[0], vol),
+                                   _elastic(elastic_weight, M.form(_misfit(strain, c, e0)), vol),
+                                   energy.e_crack, energy.clamped_cells)
+    else:
+        trial = _elastic_trial(s, M, elastic_weight, e0, energy)
+    return energy, grads[block], trial
+
+
+def _elastic_trial(s: DiffuseState, M: ElasticModel, weight: np.ndarray, e0: tuple,
+                   energy: EnergyBreakdown) -> Callable:
+    """The trial of `evaluate_block` for u, from the energy of `s`, its
+    elastic weight and e0 as planes: it needs no pass, so the u-step, which
+    knows all three, builds it directly."""
+    h, vol, c = s.grid.spacing, s.grid.cell_volume, s.c.values
+
+    def trial(u: np.ndarray) -> EnergyBreakdown:
+        form = M.form(_misfit(sym_gradient(u, h), c, e0))
+        return EnergyBreakdown(energy.e_phase, _elastic(weight, form, vol), energy.e_crack,
+                               energy.clamped_cells)
+    return trial
 
 
 def diffuse_energy(s: DiffuseState, P: PotentialSet, M: ElasticModel) -> EnergyBreakdown:
@@ -240,10 +328,17 @@ def diffuse_energy(s: DiffuseState, P: PotentialSet, M: ElasticModel) -> EnergyB
 
 def mass(c: ScalarField) -> float:
     """Mean concentration over the domain."""
-    vol = float(np.prod(c.grid.extent))
-    return integrate(c) / vol
+    return _mass(c.grid, c.values)
+
+
+def _mass(grid: Grid, values: np.ndarray) -> float:
+    return float(grid.cell_volume * np.sum(values)) / float(np.prod(grid.extent))
 
 
 def project_mass(c: ScalarField, mu0: float) -> ScalarField:
     """Shift c by a constant so its mean equals mu0 exactly."""
-    return ScalarField(c.grid, c.values + (mu0 - mass(c)))
+    return ScalarField(c.grid, _project_mass(c.grid, c.values, mu0))
+
+
+def _project_mass(grid: Grid, values: np.ndarray, mu0: float) -> np.ndarray:
+    return values + (mu0 - _mass(grid, values))

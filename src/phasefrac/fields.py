@@ -124,16 +124,20 @@ def _diff(v: np.ndarray, axis: int, h: float) -> np.ndarray:
 
 
 def _diff_t(w: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Transpose of _diff under the plain (unweighted) euclidean inner product."""
+    """Transpose of _diff under the plain (unweighted) euclidean inner product.
+
+    With g = w / (2h), and w / h in the two boundary rows (the one-sided
+    rows of _diff), out = (-g_0 - g_1, g_0 - g_2, ..., g_{n-3} - g_{n-1},
+    g_{n-2} + g_{n-1}) along the axis, for every n >= 2."""
     pre = (slice(None),) * axis
-    inner = w[pre + (slice(1, -1),)]
-    out = np.zeros_like(w)
-    out[pre + (0,)] += -w[pre + (0,)] / h
-    out[pre + (1,)] += w[pre + (0,)] / h
-    out[pre + (slice(None, -2),)] += -inner / (2.0 * h)
-    out[pre + (slice(2, None),)] += inner / (2.0 * h)
-    out[pre + (-2,)] += -w[pre + (-1,)] / h
-    out[pre + (-1,)] += w[pre + (-1,)] / h
+    g = w / (2.0 * h)
+    g[pre + (0,)] = w[pre + (0,)] / h
+    g[pre + (-1,)] = w[pre + (-1,)] / h
+    out = np.empty_like(w)
+    np.subtract(g[pre + (slice(None, -2),)], g[pre + (slice(2, None),)],
+                out=out[pre + (slice(1, -1),)])
+    out[pre + (0,)] = -g[pre + (0,)] - g[pre + (1,)]
+    out[pre + (-1,)] = g[pre + (-2,)] + g[pre + (-1,)]
     return out
 
 
@@ -170,14 +174,11 @@ def sym_gradient_adjoint(s: tuple[np.ndarray, ...], h: tuple[float, ...]) -> np.
     xy plane twice: with e = sym_gradient(u, h), sum(e_xx s_xx + e_yy s_yy
     + 2 e_xy s_xy) = sum(u * sym_gradient_adjoint(s, h)) exactly.  Returns
     shape cells + (d,)."""
-    out = np.zeros(s[0].shape + (len(h),))
-    out[..., 0] += _diff_t(s[0], 0, h[0])
-    if len(h) == 2:
-        _, yy, xy = s
-        out[..., 0] += _diff_t(xy, 1, h[1])
-        out[..., 1] += _diff_t(xy, 0, h[0])
-        out[..., 1] += _diff_t(yy, 1, h[1])
-    return out
+    if len(h) == 1:
+        return _diff_t(s[0], 0, h[0])[..., None]
+    xx, yy, xy = s
+    return np.stack((_diff_t(xx, 0, h[0]) + _diff_t(xy, 1, h[1]),
+                     _diff_t(xy, 0, h[0]) + _diff_t(yy, 1, h[1])), axis=-1)
 
 
 def sym_planes(m, dim: int, name: str) -> tuple:

@@ -46,8 +46,8 @@ class PotentialSet:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
         if self.quadrature_nodes < 2:
             raise ValueError("quadrature_nodes must be >= 2")
-        if self.coercivity <= 0:
-            raise ValueError("coercivity constant must be positive")
+        if not 0.0 < self.coercivity < np.inf:
+            raise ValueError(f"coercivity must be positive and finite, got {self.coercivity}")
         s = np.linspace(0.0, 1.0, 4097)
         object.__setattr__(self, "m_cap_w", float(np.max(self.w(s))))
         object.__setattr__(self, "m_cap_v", float(np.max(self.v(s))))

@@ -22,8 +22,9 @@ from typing import Optional
 
 import numpy as np
 
-from .energy import (DiffuseState, ElasticModel, EnergyBreakdown, _stress_divergence,
-                     diffuse_energy, evaluate, project_mass)
+from .energy import (DiffuseState, ElasticModel, EnergyBreakdown, _elastic_trial,
+                     _elastic_weight, _project_mass, _stress_divergence, diffuse_energy,
+                     evaluate_block, project_mass)
 from .fields import Grid, ScalarField, VectorField, _diff, sym_gradient
 from .potentials import PotentialSet
 
@@ -50,8 +51,9 @@ class SolverPlan:
         for name in ("max_outer", "cg_max_iters"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name}: must be >= 1, got {getattr(self, name)}")
-        if self.tol_rel_energy <= 0 or self.cg_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        for name in ("tol_rel_energy", "cg_tol"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name}: must be positive and finite, got {getattr(self, name)}")
         if self.mass_constraint is not None and not 0.0 <= self.mass_constraint <= 1.0:
             raise ValueError("mass constraint must lie in [0, 1]")
 
@@ -196,7 +198,7 @@ def minimize_u(s: DiffuseState, P: PotentialSet, M: ElasticModel, plan: SolverPl
     is the energy of `s` when the caller knows it; it is evaluated here
     otherwise."""
     grid = s.grid
-    weight = M.psi(np.clip(s.z.values, 0.0, 1.0)) + M.eta(s.delta)
+    weight = _elastic_weight(np.clip(s.z.values, 0.0, 1.0), s, M)
     e0 = M.e0_planes(grid.dim)
     if before is None:
         before = diffuse_energy(s, P, M)
@@ -209,22 +211,23 @@ def minimize_u(s: DiffuseState, P: PotentialSet, M: ElasticModel, plan: SolverPl
             lambda u: _stress_divergence(grid, M, weight, sym_gradient(u, grid.spacing)),
             _fast_diag_preconditioner(grid, M, weight),
             b, s.u.values, plan.cg_tol, plan.cg_max_iters)
-    candidate = s.replace(u=VectorField(grid, unew))
-    after = diffuse_energy(candidate, P, M)
+    after = _elastic_trial(s, M, weight, e0, before)(unew)
     if after.e_total > before.e_total * (1.0 + DESCENT_RTOL) + 1e-300:
         # inexact solve raised the energy: keep the old displacement
         return s, BlockResult("u", False, flag="energy_rose", iters=iters, energy=before)
     flag = "" if converged else "cg_max_iters"
-    return candidate, BlockResult("u", True, flag=flag, iters=iters, energy=after)
+    return (s.replace(u=VectorField(grid, unew)),
+            BlockResult("u", True, flag=flag, iters=iters, energy=after))
 
 
 def _armijo_step(s: DiffuseState, P: PotentialSet, M: ElasticModel, plan: SolverPlan,
                  block: str, start_step: float) -> tuple[DiffuseState, BlockResult]:
+    """One pass at the block gives the energy, the gradient and the trial
+    energies; a field is built only for the state returned."""
     grid = s.grid
     vol = grid.cell_volume
-    before, grads = evaluate(s, P, M, block)
+    before, g, energy_of = evaluate_block(s, P, M, block)
     base = getattr(s, block).values
-    g = grads[block]
     if block == "c" and plan.mass_constraint is not None:
         g = g - g.mean()
     direction = g / vol
@@ -241,15 +244,14 @@ def _armijo_step(s: DiffuseState, P: PotentialSet, M: ElasticModel, plan: Solver
         move = float(np.abs(delta).max())
         if move < 1e-16 * scale:
             return s, BlockResult(block, True, flag="stationary", iters=k, energy=before)
-        candidate = s.replace(**{block: ScalarField(grid, trial)})
-        after = diffuse_energy(candidate, P, M)
+        after = energy_of(trial)
         decrease = _ARMIJO_C * (vol / t) * float(np.sum(delta * delta))
         if after.e_total <= before.e_total - decrease:
             if block == "c" and plan.mass_constraint is not None:
-                cfix = project_mass(candidate.c, plan.mass_constraint)
-                candidate = candidate.replace(c=cfix)
-                after = diffuse_energy(candidate, P, M)
-            return candidate, BlockResult(block, True, iters=k, step=t, energy=after)
+                trial = _project_mass(grid, trial, plan.mass_constraint)
+                after = energy_of(trial)
+            return (s.replace(**{block: ScalarField(grid, trial)}),
+                    BlockResult(block, True, iters=k, step=t, energy=after))
         t *= _BACKTRACK_FACTOR
     return s, BlockResult(block, False, flag="no_step", iters=_MAX_BACKTRACKS,
                           energy=before)

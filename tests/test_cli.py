@@ -361,6 +361,31 @@ def test_nonfinite_value_exits_2(tmp_path, capsys, section, key, value):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("solver", "cg_tol", "nan"), ("solver", "tol_rel_energy", "nan"),
+    ("potentials", "coercivity", "nan"), ("elastic", "lame_mu", "nan"),
+    ("elastic", "lame_mu", "inf"), ("elastic", "lame_lambda", "nan"),
+    ("potentials", "w_scale", "nan"), ("potentials", "c_delta_scale", "nan"),
+    ("potentials", "v_scale", "inf")])
+def test_nonfinite_setting_exits_2_and_names_key(tmp_path, capsys, section, key, value):
+    # each of these used to run: to the CG cap, forever, or to a non-finite
+    # density raised as exit 1
+    text = config_with(section, key, value)
+    assert main(["minimize", "--config", write_config(tmp_path, text)]) == 2
+    assert f"[{section}] {key}: must be " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "minimize"])
+def test_negative_seed_exits_2(tmp_path, capsys, command):
+    path = write_config(tmp_path, config_with("run", "seed", "-1"))
+    assert main([command, "--config", path]) == 2
+    assert "[run] seed: must be >= 0, got -1" in capsys.readouterr().err
+    path = write_config(tmp_path, config_with("run", "seed", "3"))
+    assert main([command, "--config", path, "--seed", "-3"]) == 2
+    assert "--seed: must be >= 0, got -3" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_infinite_1d_domain_blames_domain(tmp_path, capsys):
     text = config_with("geometry", "domain", "0 inf")
     assert main(["check", "--config", write_config(tmp_path, text)]) == 2

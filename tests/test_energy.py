@@ -6,8 +6,8 @@ import pytest
 from conftest import random_state
 from phasefrac import solver
 from phasefrac.energy import (DEGRADATIONS, ETA_RULES, DiffuseState, ElasticModel,
-                              EnergyBreakdown, diffuse_energy, evaluate, mass,
-                              project_mass)
+                              EnergyBreakdown, diffuse_energy, evaluate, evaluate_block,
+                              mass, project_mass)
 from phasefrac.fields import Grid, ScalarField, VectorField, gradient, gradient_adjoint
 from phasefrac.potentials import phi_delta
 from phasefrac.recovery import ProfileParams, build_profile
@@ -186,6 +186,13 @@ def test_breakdown_validates():
         EnergyBreakdown(-1.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("lame", [dict(lame_mu=np.nan), dict(lame_mu=np.inf),
+                                  dict(lame_lambda=np.nan), dict(lame_lambda=np.inf)])
+def test_elastic_model_refuses_nonfinite_moduli(lame):
+    with pytest.raises(ValueError, match="need 0 < mu < inf and 0 <= lambda < inf"):
+        ElasticModel(**lame)
+
+
 def test_e0_of_another_dimension_is_refused(P):
     # broadcast, a 1x1 e0 would act as the all-ones matrix in 2D (e_elastic
     # 1.01 here instead of 0.505), and a 2x2 e0 would widen the 1D strain to 2x2
@@ -301,3 +308,47 @@ def test_strain_planes_match_the_dd_reference_bitwise(P, dim, zero_u, lam):
             plan.cg_tol, plan.cg_max_iters)
         assert res.iters == iters == 5
     assert np.array_equal(_bits(s2.u.values), _bits(ref_u))
+
+
+def _same_energy(a, b):
+    """Bit-equal components and the same clamp count."""
+    return (np.array_equal(_bits([a.e_phase, a.e_elastic, a.e_crack]),
+                           _bits([b.e_phase, b.e_elastic, b.e_crack]))
+            and a.clamped_cells == b.clamped_cells)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("lam", [0.0, 0.7])
+@pytest.mark.parametrize("mass_constraint", [None, 0.45])
+def test_trial_energies_match_a_full_pass_bitwise(P, dim, lam, mass_constraint):
+    e0 = np.array([[0.8, 0.1], [0.1, -0.2]])[:dim, :dim]
+    M = ElasticModel(lame_lambda=lam, lame_mu=0.6, e0=e0)
+    g = Grid((0.0,) * dim, (1.0,) * dim, (23, 17)[:dim])
+    rng = np.random.Generator(np.random.Philox(11 + dim))
+    s = random_state(g, seed=60 + dim)
+    s = s.replace(z=ScalarField(g, rng.uniform(-0.2, 1.2, g.cells)))  # some cells clamp
+    for block in "czu":
+        energy, grad, trial = evaluate_block(s, P, M, block)
+        ref_energy, ref_grads = evaluate(s, P, M, block)
+        assert _same_energy(energy, ref_energy), block
+        assert np.array_equal(_bits(grad), _bits(ref_grads[block])), block
+        base = getattr(s, block).values
+        clamped = set()
+        for t in (1.0, 0.3, 1e-3):  # several trials of one pass, none changes it
+            new = base + t * rng.standard_normal(base.shape)
+            if block == "c" and mass_constraint is not None:
+                new = project_mass(ScalarField(g, new), mass_constraint).values
+            field = (VectorField if block == "u" else ScalarField)(g, new)
+            want = diffuse_energy(s.replace(**{block: field}), P, M)
+            assert _same_energy(trial(new), want), (block, t)
+            clamped.add(want.clamped_cells)
+        if block == "z":
+            assert len(clamped | {energy.clamped_cells}) > 1
+    # the solver's steps return the energy of the state they return
+    plan = solver.SolverPlan(mass_constraint=mass_constraint)
+    for step in (solver.minimize_u, solver.minimize_z, solver.minimize_c):
+        s2, res = step(s, P, M, plan)
+        assert res.accepted and s2 is not s, res.block
+        assert _same_energy(res.energy, diffuse_energy(s2, P, M)), res.block
+    if mass_constraint is not None:
+        assert mass(s2.c) == pytest.approx(mass_constraint, abs=1e-15)

@@ -130,6 +130,39 @@ def test_adjointness(g2):
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
+def _reference_diff_t(w, axis, h):
+    """The scatter form of the transpose of _diff: each row of _diff adds its
+    two entries into a zeroed result, one slice update at a time."""
+    pre = (slice(None),) * axis
+    inner = w[pre + (slice(1, -1),)]
+    out = np.zeros_like(w)
+    out[pre + (0,)] += -w[pre + (0,)] / h
+    out[pre + (1,)] += w[pre + (0,)] / h
+    out[pre + (slice(None, -2),)] += -inner / (2.0 * h)
+    out[pre + (slice(2, None),)] += inner / (2.0 * h)
+    out[pre + (-2,)] += -w[pre + (-1,)] / h
+    out[pre + (-1,)] += w[pre + (-1,)] / h
+    return out
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 9])
+def test_adjoints_match_the_scatter_reference_bitwise(n):
+    rng = np.random.Generator(np.random.Philox(n))
+    h = (0.3, 0.7)
+    w1 = rng.normal(size=n)
+    ref1 = _reference_diff_t(w1, 0, h[0])
+    assert np.array_equal(_bits(gradient_adjoint(w1[:, None], h[:1])), _bits(ref1))
+    assert np.array_equal(_bits(sym_gradient_adjoint((w1,), h[:1])), _bits(ref1[:, None]))
+    xx, yy, xy = (rng.normal(size=(n, n + 1)) for _ in range(3))
+    ref = np.stack((_reference_diff_t(xx, 0, h[0]) + _reference_diff_t(xy, 1, h[1]),
+                    _reference_diff_t(xy, 0, h[0]) + _reference_diff_t(yy, 1, h[1])), axis=-1)
+    assert np.array_equal(_bits(sym_gradient_adjoint((xx, yy, xy), h)), _bits(ref))
+
+
 def test_integrate_values():
     g = Grid((0.0,), (1.0,), (1024,))
     assert integrate(ScalarField.full(g, 1.0)) == pytest.approx(1.0, abs=1e-14)

@@ -93,6 +93,12 @@ def test_geodesic_transform_values(P):
     assert geodesic_transform("W", P, 1.0) == pytest.approx(1.0 / 3.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, 0.0])
+def test_coercivity_must_be_positive_and_finite(value):
+    with pytest.raises(ValueError, match="coercivity must be positive and finite"):
+        make_default_potentials(coercivity=value)
+
+
 def test_replace_recomputes_the_caps(P):
     # the caps follow the potentials: the stale cap 1/16 gave d_W(1) = 0.431
     def w4(s):

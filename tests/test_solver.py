@@ -21,6 +21,13 @@ def test_plan_validation():
         SolverPlan(cg_max_iters=0)
 
 
+@pytest.mark.parametrize("name", ["tol_rel_energy", "cg_tol"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
+def test_plan_refuses_a_tolerance_that_is_not_positive_and_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name}: must be positive and finite"):
+        SolverPlan(**{name: value})
+
+
 def test_minimize_u_step_profile(P, elastic_1d):
     # c is a sampled step; the weighted least-squares minimizer drives the
     # elastic energy to the discrete compatibility floor, ~1/n^2
@@ -270,12 +277,12 @@ def test_minimize_u_rejects_a_rise(P, monkeypatch):
 def test_armijo_step_without_descent_is_no_step(P, elastic_1d, monkeypatch, step):
     # the gradient negated and scaled up: every trial rises, and none moves so
     # little that the step would count as stationary
-    real = solver.evaluate
+    real = solver.evaluate_block
 
-    def uphill(s, P, M, blocks):
-        energy, grads = real(s, P, M, blocks)
-        return energy, {b: -1e6 * g for b, g in grads.items()}
-    monkeypatch.setattr(solver, "evaluate", uphill)
+    def uphill(s, P, M, block):
+        energy, grad, trial = real(s, P, M, block)
+        return energy, -1e6 * grad, trial
+    monkeypatch.setattr(solver, "evaluate_block", uphill)
     s = random_state(Grid((0.0,), (1.0,), (64,)), seed=6)
     before = diffuse_energy(s, P, elastic_1d)
     s2, res = step(s, P, elastic_1d, SolverPlan())
