@@ -22,7 +22,9 @@ Strains, e0 and stresses are tuples of strain planes, (xx,) in 1D and
 (xx, yy, xy) in 2D (see `fields.sym_gradient`).  In |xi|^2 and in the
 c-gradient's dC(xi) : e0 the xy plane counts twice, summed in the row-major
 order of the (d, d) matrices, xx, xy, yx, yy.  An e0 of another dimension
-than the grid raises ValueError.
+than the grid raises ValueError.  grad c and grad z are planes too, one per
+axis (`fields.gradient`), and |grad c|^2 is their sum of squares in axis
+order.
 """
 from __future__ import annotations
 
@@ -195,10 +197,15 @@ def _elastic_weight(zc: np.ndarray, s: DiffuseState, M: ElasticModel) -> np.ndar
     return M.psi(zc) + M.eta(s.delta)
 
 
+def _sq_norm(g: tuple) -> np.ndarray:
+    """|g|^2 per cell from the planes of `gradient`, summed in axis order."""
+    return g[0] * g[0] if len(g) == 1 else g[0] * g[0] + g[1] * g[1]
+
+
 def _phase_raw(c: np.ndarray, s: DiffuseState, P: PotentialSet):
-    """W(c)/eps + eps |grad c|^2 per cell, and grad c."""
+    """W(c)/eps + eps |grad c|^2 per cell, and grad c as planes."""
     gc = gradient(c, s.grid.spacing)
-    return P.w(c) / s.eps + s.eps * np.sum(gc * gc, axis=-1), gc
+    return P.w(c) / s.eps + s.eps * _sq_norm(gc), gc
 
 
 def _misfit(strain: tuple, c: np.ndarray, e0: tuple) -> tuple:
@@ -225,7 +232,7 @@ def _z_terms(z: np.ndarray, s: DiffuseState, P: PotentialSet, M: ElasticModel,
     outside = (z < 0.0) | (z > 1.0)
     phase_weight, elastic_weight = P.phi(zc) + P.c_delta(s.delta), _elastic_weight(zc, s, M)
     gz = gradient(z, s.grid.spacing)
-    crack = P.v(zc) / s.delta + s.delta * np.sum(gz * gz, axis=-1)
+    crack = P.v(zc) / s.delta + s.delta * _sq_norm(gz)
     energy = EnergyBreakdown(_interfacial(phase_weight, phase_raw, vol),
                              _elastic(elastic_weight, form, vol),
                              _integral(crack, "crack", vol), int(np.count_nonzero(outside)))
@@ -265,7 +272,7 @@ def _evaluate(s: DiffuseState, P: PotentialSet, M: ElasticModel, blocks: str, st
     grads = {}
     if "c" in blocks:
         out = phase_weight * P.dw(c) / s.eps
-        out += 2.0 * s.eps * gradient_adjoint(phase_weight[..., None] * gc, h)
+        out += 2.0 * s.eps * gradient_adjoint(tuple(phase_weight * p for p in gc), h)
         out -= elastic_weight * _frobenius(M.dform(xi), e0)
         grads["c"] = vol * out
     if "u" in blocks:

@@ -5,7 +5,10 @@ boundary cells of each axis; exact on affine fields. The adjoint (transpose)
 operators are provided so energies differentiated against nodal values close
 exactly under the discrete inner product. Integration is the midpoint rule.
 
-A symmetric strain is a tuple of contiguous cells-shaped planes, (xx,) in 1D
+The gradient and the strain are tuples of contiguous cells-shaped planes.
+`gradient` returns one plane per axis, (D_0 f,) in 1D and (D_0 f, D_1 f) in
+2D, never a cells + (d,) array, and `gradient_adjoint` takes such a tuple,
+so |grad f|^2 is a sum of plane products.  A symmetric strain is (xx,) in 1D
 and (xx, yy, xy) in 2D, never a cells + (d, d) array.  The Frobenius product
 of two such tensors counts the xy plane twice, so the adjoint of
 `sym_gradient` pairs that plane with weight 2.
@@ -118,8 +121,9 @@ def _diff(v: np.ndarray, axis: int, h: float) -> np.ndarray:
     out = np.empty_like(v)
     out[pre + (0,)] = (v[pre + (1,)] - v[pre + (0,)]) / h
     out[pre + (-1,)] = (v[pre + (-1,)] - v[pre + (-2,)]) / h
-    out[pre + (slice(1, -1),)] = (v[pre + (slice(2, None),)]
-                                  - v[pre + (slice(None, -2),)]) / (2.0 * h)
+    inner = out[pre + (slice(1, -1),)]  # formed in place: no cells-sized temporary
+    np.subtract(v[pre + (slice(2, None),)], v[pre + (slice(None, -2),)], out=inner)
+    inner /= 2.0 * h
     return out
 
 
@@ -144,17 +148,19 @@ def _diff_t(w: np.ndarray, axis: int, h: float) -> np.ndarray:
 # The four operators run on plain arrays and the spacing tuple h; a caller
 # holding a field passes `f.values, f.grid.spacing`.
 
-def gradient(f: np.ndarray, h: tuple[float, ...]) -> np.ndarray:
-    """Discrete gradient of a scalar array f (shape cells), shape cells + (d,)."""
-    return np.stack([_diff(f, a, ha) for a, ha in enumerate(h)], axis=-1)
+def gradient(f: np.ndarray, h: tuple[float, ...]) -> tuple[np.ndarray, ...]:
+    """Discrete gradient of a scalar array f (shape cells) as cells-shaped
+    planes, one per axis: (D_0 f,) in 1D, (D_0 f, D_1 f) in 2D."""
+    return tuple(_diff(f, a, ha) for a, ha in enumerate(h))
 
 
-def gradient_adjoint(v: np.ndarray, h: tuple[float, ...]) -> np.ndarray:
-    """Adjoint of `gradient`: sum(gradient(f, h) * v) = sum(f * gradient_adjoint(v, h))
-    exactly, for every f of shape cells and v of shape cells + (d,)."""
-    out = np.zeros(v.shape[:-1])
+def gradient_adjoint(v: tuple[np.ndarray, ...], h: tuple[float, ...]) -> np.ndarray:
+    """Adjoint of `gradient`: sum over the planes of sum(gradient(f, h)[a] * v[a])
+    = sum(f * gradient_adjoint(v, h)) exactly, for every f of shape cells and
+    every tuple v of one cells-shaped plane per axis."""
+    out = np.zeros(v[0].shape)
     for a, ha in enumerate(h):
-        out += _diff_t(v[..., a], a, ha)
+        out += _diff_t(v[a], a, ha)
     return out
 
 

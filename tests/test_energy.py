@@ -214,11 +214,20 @@ def test_e0_of_another_dimension_is_refused(P):
                               before=EnergyBreakdown(1.0, 1.0, 1.0))
 
 
-# The (d, d) formulas that the strain planes replaced, kept as references:
+# The (d, d) formulas that the strain planes replaced, and the stacked
+# cells + (d,) gradient that the gradient planes replaced, kept as references:
 # evaluate and the u-step must reproduce them bit for bit.
 
+def _stacked_gradient(f, h):
+    return np.stack(gradient(f, h), axis=-1)
+
+
+def _stacked_gradient_adjoint(v, h):
+    return gradient_adjoint(tuple(v[..., a] for a in range(len(h))), h)
+
+
 def _reference_sym_gradient(u, h):
-    jac = np.stack([gradient(u[..., a], h) for a in range(len(h))], axis=-2)
+    jac = np.stack([_stacked_gradient(u[..., a], h) for a in range(len(h))], axis=-2)
     return 0.5 * (jac + np.swapaxes(jac, -1, -2))
 
 
@@ -237,7 +246,7 @@ def _reference_stress_divergence(grid, M, weight, xi):
     s = weight[..., None, None] * _reference_dform(M, xi)
     h = grid.spacing
     return grid.cell_volume * np.stack(
-        [gradient_adjoint(s[..., a, :], h) for a in range(len(h))], axis=-1)
+        [_stacked_gradient_adjoint(s[..., a, :], h) for a in range(len(h))], axis=-1)
 
 
 def _reference_evaluate(s, P, M):
@@ -249,21 +258,21 @@ def _reference_evaluate(s, P, M):
     zc = np.clip(z, 0.0, 1.0)
     phase_weight = P.phi(zc) + P.c_delta(s.delta)
     elastic_weight = M.psi(zc) + M.eta(s.delta)
-    gc = gradient(c, h)
-    gz = gradient(z, h)
+    gc = _stacked_gradient(c, h)
+    gz = _stacked_gradient(z, h)
     xi = _reference_sym_gradient(s.u.values, h) - c[..., None, None] * M.e0
     phase_raw = P.w(c) / s.eps + s.eps * np.sum(gc * gc, axis=-1)
     form = _reference_form(M, xi)
     energy = [vol * (phase_weight * phase_raw).sum(), vol * (elastic_weight * form).sum(),
               vol * (P.v(zc) / s.delta + s.delta * np.sum(gz * gz, axis=-1)).sum()]
     gc_out = phase_weight * P.dw(c) / s.eps
-    gc_out += 2.0 * s.eps * gradient_adjoint(phase_weight[..., None] * gc, h)
+    gc_out += 2.0 * s.eps * _stacked_gradient_adjoint(phase_weight[..., None] * gc, h)
     gc_out -= elastic_weight * np.sum(_reference_dform(M, xi) * M.e0, axis=(-2, -1))
     mask = np.where(outside, 0.0, 1.0)
     gz_out = mask * P.dphi(zc) * phase_raw
     gz_out += mask * M.dpsi(zc) * form
     gz_out += mask * P.dv(zc) / s.delta
-    gz_out += 2.0 * s.delta * gradient_adjoint(gz, h)
+    gz_out += 2.0 * s.delta * _stacked_gradient_adjoint(gz, h)
     return (np.array(energy), {"c": vol * gc_out, "z": vol * gz_out,
                                "u": _reference_stress_divergence(grid, M, elastic_weight, xi)})
 

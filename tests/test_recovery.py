@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from phasefrac import recovery
 from phasefrac.energy import diffuse_energy
 from phasefrac.fields import Grid
 from phasefrac.potentials import geodesic_transform
 from phasefrac.recovery import (ProfileParams, ResolutionError,
                                 WidthConditionError, build_profile, build_recovery,
                                 profile_energy_1d, smoothstep)
-from phasefrac.sharp import SegmentSet, SharpGeometry1D, SharpGeometry2D, \
-    sharp_energy_1d
+from phasefrac.sharp import (Polygon, SegmentSet, SharpGeometry1D, SharpGeometry2D,
+                             affine_displacement, piecewise_rigid_displacement,
+                             sharp_energy_1d)
 
 
 def flat(s):
@@ -227,3 +229,45 @@ def test_profile_g_bitwise_against_reference(P):
     for x in (0.3 * w, 0.0, w, -1.0, np.inf):
         value = prof.g(x)
         assert type(value) is float and value == _reference_g(prof, x)
+
+
+def _blocking_cases():
+    box = ((0.0, 0.0), (1.0, 1.0))
+    poly = Polygon([(0.31, 0.17), (0.83, 0.17), (0.77, 0.69), (0.41, 0.88)])
+    segs = SegmentSet([[[0.83, 0.1], [0.83, 0.9]], [[0.12, 0.23], [0.61, 0.94]]])
+    rigid = piecewise_rigid_displacement((0.83, 0.5), (0.0, 1.0), (0.01, 0.02),
+                                         (-0.03, 0.0), 0.1, -0.2)
+    affine = affine_displacement([[0.3, -0.1], [0.2, 0.05]], [0.01, -0.02])
+    grid2 = Grid(box[0], box[1], (50, 37))  # 1850 points
+    return {
+        "phase+crack": (SharpGeometry2D(*box, polygon=poly, segments=segs, u_spec=rigid), grid2),
+        "phase": (SharpGeometry2D(*box, polygon=poly, u_spec=affine), grid2),
+        "crack": (SharpGeometry2D(*box, segments=segs, u_spec=rigid), grid2),
+        "empty": (SharpGeometry2D(*box, u_spec=affine), grid2),
+        "1d": (SharpGeometry1D((0.0, 1.0), phase_points=(0.3,), crack_points=(0.6,),
+                               c_pieces=(0, 1, 1),
+                               u_pieces=((0.1, 0.0), (0.1, 0.0), (0.1, 0.2))),
+               Grid((0.0,), (1.0,), (2500,))),
+    }
+
+
+@pytest.mark.parametrize("case", ["phase+crack", "phase", "crack", "empty", "1d"])
+def test_blocked_recovery_matches_one_block_bitwise(P, monkeypatch, case):
+    geometry, grid = _blocking_cases()[case]
+    n = int(np.prod(grid.cells))
+
+    def build(block):
+        monkeypatch.setattr(recovery, "_BLOCK", block)
+        return build_recovery(geometry, 0.05, 0.1, 0.25, grid, P, enforce_width=False)
+
+    whole = build(n)  # one block
+    for block in (1000, 333):  # neither divides n: the last block is partial
+        assert n % block and n > block
+        st = build(block)
+        for name in ("c", "u", "z"):
+            got, want = getattr(st, name).values, getattr(whole, name).values
+            assert got.shape == want.shape and not got.flags.writeable
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (block, name)
+    c, z = whole.c.values, whole.z.values
+    assert (0.0 < c.max()) == ("phase" in case or case == "1d")
+    assert (z.min() < 1.0) == ("crack" in case or case == "1d")

@@ -3,17 +3,31 @@ import importlib.util
 import os
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _spec = importlib.util.spec_from_file_location(
     "same_outputs", os.path.join(ROOT, "tools", "same_outputs.py"))
 same_outputs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(same_outputs)
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-from workloads import make_config  # noqa: E402
+from workloads import WORKLOADS, make_config  # noqa: E402
 
 
 def test_same_tree_gives_no_differences():
     assert same_outputs.compare(ROOT, "minimize", make_config("minimize_2d", 0, smoke=True)) == []
+
+
+@pytest.mark.parametrize("name", ["sweep_2d", "recover_2d"])
+def test_sweep_and_recover_on_the_smoke_workloads(name, tmp_path):
+    # the smoke sweep_2d grid (256^2) spans several recovery blocks
+    workload, text = WORKLOADS[name], make_config(name, 0, smoke=True)
+    config = tmp_path / "run.ini"
+    config.write_text(text)
+    mine = same_outputs.run_cli(ROOT, workload.command, str(config), str(tmp_path / "out"))
+    assert mine["exit code"] == b"0" and mine["stderr"] == b""
+    assert all(mine[output] for output in workload.outputs)
+    assert same_outputs.compare(ROOT, workload.command, text) == []
 
 
 def test_sharp_on_a_workload_config(tmp_path):

@@ -308,6 +308,36 @@ def test_segment_distance_oblique_to_last_bits():
         assert np.max(np.abs(got - _reference_segment_distance(pts, a, b))) <= 1e-15
 
 
+def _mixed_segments(rng):
+    """Four oblique, one vertical, one horizontal and one degenerate segment,
+    endpoints off any binary grid."""
+    a, b = rng.uniform(0.0, 1.0, (7, 2)), rng.uniform(0.0, 1.0, (7, 2))
+    b[4, 0] = a[4, 0]
+    b[5, 1] = a[5, 1]
+    b[6] = a[6]
+    return np.stack([a, b], axis=1)
+
+
+def test_union_distance_is_the_per_segment_minimum_bitwise():
+    # one sqrt after the minimum of the squares: a correctly rounded sqrt is
+    # monotone, so the result is the minimum of the per-segment distances
+    rng = np.random.default_rng(18)
+    pts = _random_points(19)
+    for _ in range(5):
+        segs = _mixed_segments(rng)
+        ref = np.min([_point_segment_distance(pts, a, b) for a, b in segs], axis=0)
+        assert np.array_equal(SegmentSet(segs).distance(pts), ref)
+    # a polygon with oblique and axis-aligned edges; points inside and outside
+    x0, x1 = np.sort(rng.uniform(0.0, 1.0, 2))
+    y0, y1 = np.sort(rng.uniform(0.0, 1.0, 2))
+    poly = Polygon([(x0, y0), (x1, y0), (x1, y1), (0.5 * (x0 + x1), y1 + 0.3), (x0, y1)])
+    pts = np.concatenate([pts, rng.uniform((x0, y0), (x1, y1), (5000, 2))])
+    inside = poly.contains(pts)
+    assert 5000 <= np.count_nonzero(inside) < pts.shape[0]
+    edges = np.min([_point_segment_distance(pts, a, b) for a, b in poly.edges], axis=0)
+    assert np.array_equal(poly.distance(pts), np.where(inside, 0.0, edges))
+
+
 def test_segment_set_empty_is_infinite():
     d = SegmentSet(np.zeros((0, 2, 2))).distance(_random_points(15, 5))
     assert d.shape == (5,) and np.all(d == np.inf)

@@ -56,7 +56,7 @@ def test_minimize_u_matches_dense_least_squares(P, elastic_1d):
     for j in range(n):
         e = np.zeros(n)
         e[j] = 1.0
-        D[:, j] = gradient(e, g.spacing)[:, 0]
+        D[:, j] = gradient(e, g.spacing)[0]
     w = z.values ** 2 + s.delta ** 2
     sqw = np.sqrt(w)
     sol, *_ = np.linalg.lstsq(sqw[:, None] * D, sqw * c.values, rcond=None)
