@@ -26,7 +26,7 @@ from . import __version__
 from .energy import (DEGRADATIONS, ETA_RULES, DiffuseState, ElasticModel,
                      diffuse_energy)
 from .fields import Grid, ScalarField, _write_atomic, write_field
-from .harness import SweepPlan, gamma_sweep
+from .harness import SweepPlan, gamma_sweep, resolve_delta_rule
 from .potentials import (PotentialSet, check_admissibility, fracture_density,
                          make_default_potentials, surface_density)
 from .recovery import build_recovery, width_violation
@@ -62,8 +62,7 @@ _SCHEMA = {
                "cg_max_iters": "1000", "mass": None, "eps": "0.0078125",
                "delta": "auto", "jitter_amplitude": "1e-3"},
     "sweep": {"eps_schedule": None, "delta_rule": "two_thirds", "delta_scale": "1",
-              "lambda": "1e-4", "cells": None, "enforce_width": "false",
-              "out_csv": None},
+              "lambda": "1e-4", "cells": None, "enforce_width": "false"},
 }
 
 
@@ -161,13 +160,16 @@ def _one_of(table: dict):
 
 
 def parse_config(path: str) -> RunConfig:
-    """Parse and validate; collects every violation instead of stopping at one."""
-    if not os.path.exists(path):
-        raise ConfigError([f"config file not found: {path}"])
+    """Parse and validate; collects every violation instead of stopping at one.
+    A file that cannot be opened or is not UTF-8 text is a violation too."""
     cp = configparser.ConfigParser(interpolation=None,
                                    inline_comment_prefixes=(";", "#"))
     try:
-        cp.read(path)
+        with open(path, encoding="utf-8") as fh:
+            cp.read_file(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc  # a decode error has no strerror
+        raise ConfigError([f"config file {path}: {reason}"]) from exc
     except configparser.Error as exc:
         raise ConfigError([f"syntax: {exc}"]) from exc
 
@@ -253,7 +255,7 @@ def parse_config(path: str) -> RunConfig:
         options = dict(delta_rule=sections["sweep"]["delta_rule"],
                        delta_scale=take("sweep", "delta_scale", float),
                        lam=take("sweep", "lambda", float),
-                       cells=(4096,) if cells is None else tuple(cells),
+                       cells=SweepPlan.cells if cells is None else tuple(cells),
                        enforce_width=take("sweep", "enforce_width", _bool))
         try:
             sweep_plan = SweepPlan(geometry, tuple(_floats(raw_sched)), **options)
@@ -278,8 +280,8 @@ def parse_config(path: str) -> RunConfig:
         violations.append(f"[solver] {exc}")
         solver_plan = None
     solver_eps = take("solver", "eps", _positive)
-    solver_delta = solver_eps ** (2.0 / 3.0) if sections["solver"]["delta"] == "auto" \
-        else take("solver", "delta", _positive)
+    solver_delta = resolve_delta_rule("two_thirds")(solver_eps) \
+        if sections["solver"]["delta"] == "auto" else take("solver", "delta", _positive)
     jitter_amplitude = take("solver", "jitter_amplitude", _finite)
 
     if violations:
@@ -423,8 +425,7 @@ def _cmd_sweep(cfg: RunConfig) -> int:
         print("sweep: no [sweep] section with eps_schedule", file=sys.stderr)
         return 2
     table = gamma_sweep(cfg.sweep_plan, cfg.potentials, cfg.elastic)
-    name = cfg.sections["sweep"].get("out_csv") or "sweep.csv"
-    _write_atomic(os.path.join(cfg.out_dir, name), [table.to_csv()])
+    _write_atomic(os.path.join(cfg.out_dir, "sweep.csv"), [table.to_csv()])
     bad = [r for r in table.rows if r.status != "ok"]
     last = table.rows[-1]
     _emit(cfg, f"sweep: {len(table.rows)} rows, e_sharp = {table.e_sharp:.12g}, "
@@ -501,7 +502,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.quiet:
         cfg.quiet = True
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as exc:  # a file at the path, or at one of its parents
+        print(f"output directory {cfg.out_dir}: {exc.strerror}", file=sys.stderr)
+        return 2
     _write_manifest(cfg, args.command)
     if sys.platform.startswith("linux"):
         # fix glibc's mmap threshold at its largest value, so every array under

@@ -21,10 +21,11 @@ the block moves, so an Armijo search costs one pass per step.
 Strains, e0 and stresses are tuples of strain planes, (xx,) in 1D and
 (xx, yy, xy) in 2D (see `fields.sym_gradient`).  In |xi|^2 and in the
 c-gradient's dC(xi) : e0 the xy plane counts twice, summed in the row-major
-order of the (d, d) matrices, xx, xy, yx, yy.  An e0 of another dimension
-than the grid raises ValueError.  grad c and grad z are planes too, one per
-axis (`fields.gradient`), and |grad c|^2 is their sum of squares in axis
-order.
+order of the (d, d) matrices, xx, xy, yx, yy.  `ElasticModel` takes e0 as a
+symmetric matrix, freezes a copy and converts it to planes once; an e0 of
+another dimension than the grid raises ValueError.  grad c and grad z are
+planes too, one per axis (`fields.gradient`), and |grad c|^2 is their sum of
+squares in axis order.
 """
 from __future__ import annotations
 
@@ -92,16 +93,21 @@ class ElasticModel:
     psi: Callable = _psi_quadratic
     dpsi: Callable = _dpsi_quadratic
     eta_rule: Callable[[float], float] = _eta_delta_squared
+    _e0_planes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "e0", np.asarray(self.e0, dtype=float))
+        # a frozen copy, so the caller's array cannot change e0 or its planes
+        e0 = np.array(self.e0, dtype=float)
+        e0.setflags(write=False)
+        object.__setattr__(self, "e0", e0)
         if not (0.0 < self.lame_mu < np.inf and 0.0 <= self.lame_lambda < np.inf):
             raise ValueError(f"need 0 < mu < inf and 0 <= lambda < inf, got mu "
                              f"{self.lame_mu}, lambda {self.lame_lambda}")
-        if self.e0.ndim != 2 or self.e0.shape[0] != self.e0.shape[1]:
-            raise ValueError("e0 must be a square matrix")
-        if not np.allclose(self.e0, self.e0.T, atol=1e-14):
+        if e0.shape not in ((1, 1), (2, 2)):
+            raise ValueError(f"e0 must be a 1x1 or 2x2 matrix, got shape {e0.shape}")
+        if not np.allclose(e0, e0.T, atol=1e-14):
             raise ValueError("e0 must be symmetric")
+        object.__setattr__(self, "_e0_planes", sym_planes(e0, e0.shape[0], "e0"))
         if abs(float(self.psi(1.0)) - 1.0) > 1e-12 or abs(float(self.psi(0.0))) > 1e-12:
             raise ValueError("degradation must satisfy psi(0) = 0, psi(1) = 1")
 
@@ -119,9 +125,12 @@ class ElasticModel:
         return diag + tuple(4.0 * self.lame_mu * p for p in xi[2:])
 
     def e0_planes(self, dim: int) -> tuple:
-        """The misfit strain e0 as planes for a `dim`-dimensional grid; an e0
-        of another size raises ValueError."""
-        return sym_planes(self.e0, dim, "e0")
+        """The misfit strain e0 as planes for a `dim`-dimensional grid, derived
+        once at construction; an e0 of another size raises ValueError."""
+        if self.e0.shape != (dim, dim):
+            raise ValueError(f"e0 has shape {self.e0.shape}, but a {dim}D grid needs "
+                             f"{(dim, dim)}")
+        return self._e0_planes
 
     def eta(self, delta: float) -> float:
         val = float(self.eta_rule(delta))

@@ -68,7 +68,10 @@ class Grid:
 @dataclass(frozen=True)
 class _Field:
     """Values on the cells of a grid, `rank` trailing axes of length dim.  The
-    one validation point: values are copied, checked and frozen on construction."""
+    one validation point: values are copied, checked and frozen on construction.
+    A read-only array that owns its data is not copied: the caller hands it
+    over, and turning its writes back on would change the field, past the
+    checks."""
     grid: Grid
     values: np.ndarray
     rank: ClassVar[int] = 0
@@ -110,8 +113,9 @@ class VectorField(_Field):
 
 
 class SymTensorField(_Field):
-    """Symmetric (d, d) values per cell; the operators and the energy hold
-    the strain as planes instead (see `sym_gradient`)."""
+    """Symmetric (d, d) values per cell.  Nothing in the package builds one:
+    strains are planes (see `sym_gradient`).  It stays only because the
+    benchmark's tracer names it; ROADMAP item 10 deletes it."""
     rank = 2  # values shape cells + (d, d), symmetric per cell
 
 
@@ -190,7 +194,9 @@ def sym_gradient_adjoint(s: tuple[np.ndarray, ...], h: tuple[float, ...]) -> np.
 def sym_planes(m, dim: int, name: str) -> tuple:
     """The planes of a symmetric matrix `m` in the order of `sym_gradient`:
     (m_00,) in 1D, (m_00, m_11, m_01) in 2D.  A shape other than (dim, dim)
-    raises ValueError naming both shapes."""
+    raises ValueError naming both shapes.  Called only where a matrix enters
+    (an `ElasticModel`'s e0, an affine displacement's gradient); past that
+    point strains are planes."""
     m = np.asarray(m, dtype=float)
     if m.shape != (dim, dim):
         raise ValueError(f"{name} has shape {m.shape}, but a {dim}D grid needs "

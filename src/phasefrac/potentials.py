@@ -35,9 +35,9 @@ class PotentialSet:
     phi: Scalar
     dphi: Scalar
     c_delta_rule: Callable[[float], float]
-    theta: float = 0.0
-    quadrature_nodes: int = 4096
-    coercivity: float = 4.0
+    theta: float
+    quadrature_nodes: int
+    coercivity: float
     m_cap_w: float = field(init=False)
     m_cap_v: float = field(init=False)
 
@@ -102,7 +102,10 @@ def make_default_potentials(theta: float = 0.0,
 
     phi is the normalized partial fracture integral int_0^m sqrt(V) / int_0^1 sqrt(V),
     the canonical choice that satisfies the mixing bound with margin >= 0 at every m.
-    C_delta = c_delta_scale * delta.  theta > 0 replaces phi by theta + (1-theta)*phi.
+    C_delta = c_delta_scale * delta.  The set's phi is theta + (1-theta)*phi; at
+    theta = 0 that is phi up to the sign of the zero at -0.0, which no caller
+    sees, since each adds C_delta > 0.  This is the one builder of a
+    `PotentialSet`, and the one source of its defaults.
     """
     def w(s):
         s = np.asarray(s, dtype=float)
@@ -120,22 +123,13 @@ def make_default_potentials(theta: float = 0.0,
         s = np.asarray(s, dtype=float)
         return v_scale * (-2.0) * (1.0 - s)
 
-    def phi_base(m):
+    def phi(m):
         m = np.asarray(m, dtype=float)
-        return 2.0 * m - m * m
+        return theta + (1.0 - theta) * (2.0 * m - m * m)
 
-    def dphi_base(m):
+    def dphi(m):
         m = np.asarray(m, dtype=float)
-        return 2.0 - 2.0 * m
-
-    if theta == 0.0:
-        phi, dphi = phi_base, dphi_base
-    else:
-        def phi(m, _t=theta):
-            return _t + (1.0 - _t) * phi_base(m)
-
-        def dphi(m, _t=theta):
-            return (1.0 - _t) * dphi_base(m)
+        return (1.0 - theta) * (2.0 - 2.0 * m)
 
     return PotentialSet(w=w, dw=dw, v=v, dv=dv, phi=phi, dphi=dphi,
                         c_delta_rule=lambda d: c_delta_scale * d,

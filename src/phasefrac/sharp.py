@@ -205,36 +205,40 @@ def _length_in_open_box(edge: np.ndarray, origin, extent, tol: float) -> float:
 class DisplacementSpec:
     """Named closed-form displacement with its symmetric gradient.
 
-    `e_const` is set when e(u) is one constant matrix off the crack set, which
-    is what the sharp energy evaluator needs; diagnostic specs (quadratic)
-    provide only the pointwise `e_at`.
+    The strain is held as planes, in the order of `fields.sym_gradient`:
+    `e_at(pts)` maps points (m, d) to (xx,) or (xx, yy, xy), each of shape
+    (m,).  `e_const` is set when e(u) is one constant strain off the crack
+    set, as a tuple of plane values, which is what the sharp energy
+    evaluator needs; diagnostic specs (quadratic) provide only `e_at`.  An
+    affine spec converts its matrix to planes once, where it enters.
     """
     name: str
     u_at: Callable[[np.ndarray], np.ndarray]
-    e_at: Callable[[np.ndarray], np.ndarray]
-    e_const: Optional[np.ndarray] = None
+    e_at: Callable[[np.ndarray], tuple]
+    e_const: Optional[tuple] = None
+
+
+def _constant_strain(planes: tuple) -> Callable[[np.ndarray], tuple]:
+    """`e_at` of a strain whose planes take the values `planes` everywhere."""
+    return lambda pts: tuple(np.full(pts.shape[:-1], p) for p in planes)
 
 
 def zero_displacement(dim: int = 2) -> DisplacementSpec:
-    return DisplacementSpec(
-        "zero",
-        u_at=lambda pts: np.zeros_like(pts),
-        e_at=lambda pts: np.zeros(pts.shape[:-1] + (dim, dim)),
-        e_const=np.zeros((dim, dim)))
+    planes = (0.0,) if dim == 1 else (0.0, 0.0, 0.0)
+    return DisplacementSpec("zero", u_at=lambda pts: np.zeros_like(pts),
+                            e_at=_constant_strain(planes), e_const=planes)
 
 
 def affine_displacement(f_matrix, offset=None) -> DisplacementSpec:
     f = np.asarray(f_matrix, dtype=float)
     d = f.shape[0]
     b = np.zeros(d) if offset is None else np.asarray(offset, dtype=float)
-    sym = 0.5 * (f + f.T)
+    planes = sym_planes(0.5 * (f + f.T), d, "affine_matrix")
 
     def u_at(pts):
         return pts @ f.T + b
 
-    return DisplacementSpec("affine", u_at,
-                            e_at=lambda pts: np.broadcast_to(sym, pts.shape[:-1] + (d, d)),
-                            e_const=sym)
+    return DisplacementSpec("affine", u_at, e_at=_constant_strain(planes), e_const=planes)
 
 
 def piecewise_rigid_displacement(line_point, line_dir, u_plus, u_minus,
@@ -262,9 +266,8 @@ def piecewise_rigid_displacement(line_point, line_dir, u_plus, u_minus,
         return np.stack([np.where(right, bp[0], bm[0]) - omega * ry,
                          np.where(right, bp[1], bm[1]) + omega * rx], axis=-1)
 
-    return DisplacementSpec("piecewise_rigid", u_at,
-                            e_at=lambda pts: np.zeros(pts.shape[:-1] + (2, 2)),
-                            e_const=np.zeros((2, 2)))
+    zero = (0.0, 0.0, 0.0)
+    return DisplacementSpec("piecewise_rigid", u_at, e_at=_constant_strain(zero), e_const=zero)
 
 
 def quadratic_displacement() -> DisplacementSpec:
@@ -276,11 +279,7 @@ def quadratic_displacement() -> DisplacementSpec:
 
     def e_at(pts):
         x, y = pts[..., 0], pts[..., 1]
-        e = np.empty(pts.shape[:-1] + (2, 2))
-        e[..., 0, 0] = 0.6 * x + 0.1 * y
-        e[..., 1, 1] = -0.4 * y
-        e[..., 0, 1] = e[..., 1, 0] = 0.5 * (0.1 * x + 0.1 * x)
-        return e
+        return 0.6 * x + 0.1 * y, -0.4 * y, 0.5 * (0.1 * x + 0.1 * x)
 
     return DisplacementSpec("quadratic", u_at, e_at, e_const=None)
 
@@ -517,8 +516,8 @@ def sharp_energy_2d(g: SharpGeometry2D, P: PotentialSet, M: ElasticModel) -> Ene
             "sharp energies support the zero/affine/piecewise_rigid built-ins")
     box_area = float(np.prod(g.extent))
     area_a = g.polygon.area() if g.polygon is not None else 0.0
-    strain = sym_planes(g.u_spec.e_const, 2, "e_const")
-    q_phase = float(M.form(tuple(p - e for p, e in zip(strain, M.e0_planes(2)))))
+    strain = g.u_spec.e_const
+    q_phase = float(M.form(tuple(p - e for p, e in zip(strain, M.e0_planes(2), strict=True))))
     q_void = float(M.form(strain))
     e_el = q_phase * area_a + q_void * (box_area - area_a)
     # bound on what the tol_geom-tube around the cracks could have contributed

@@ -10,7 +10,7 @@ import pytest
 from phasefrac import cli
 from phasefrac.cli import ConfigError, emit_config, main, parse_config
 from phasefrac.energy import ElasticModel
-from phasefrac.harness import SweepPlan
+from phasefrac.harness import SweepPlan, resolve_delta_rule
 from phasefrac.potentials import check_admissibility, make_default_potentials
 from phasefrac.recovery import width_violation
 from phasefrac.solver import DESCENT_RTOL, SolverPlan, default_state
@@ -101,9 +101,12 @@ def test_unknown_key_is_named(tmp_path):
 
 @pytest.mark.parametrize("section,key,value", [
     ("potentials", "name", "default"), ("solver", "step0", "1.0"),
-    ("solver", "backtrack_factor", "0.5"), ("solver", "armijo_c", "0.25")])
+    ("solver", "backtrack_factor", "0.5"), ("solver", "armijo_c", "0.25"),
+    ("sweep", "out_csv", "manifest.txt")])
 def test_removed_key_exits_2_and_names_it(tmp_path, capsys, section, key, value):
-    text = MINIMAL_1D + f"\n[{section}]\n{key} = {value}\n"
+    header = f"[{section}]\n"
+    text = MINIMAL_1D.replace(header, header + f"{key} = {value}\n") \
+        if header in MINIMAL_1D else MINIMAL_1D + f"\n{header}{key} = {value}\n"
     assert main(["check", "--config", write_config(tmp_path, text)]) == 2
     assert f"unknown key {key!r} in [{section}]" in capsys.readouterr().err
 
@@ -308,6 +311,41 @@ def test_manifest_reproduces_run(tmp_path):
 
 def test_config_error_exit_code(tmp_path, capsys):
     assert main(["check", "--config", str(tmp_path / "missing.ini")]) == 2
+
+
+def test_config_naming_a_directory_exits_2_and_names_it(tmp_path, capsys):
+    # configparser's read() skips a file it cannot open, so this ran on defaults
+    (tmp_path / "conf.d").mkdir()
+    path = str(tmp_path / "conf.d")
+    assert main(["check", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert f"config file {path}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_not_utf8_exits_2_and_names_it(tmp_path, capsys):
+    path = tmp_path / "run.ini"
+    path.write_bytes(MINIMAL_1D.format(out=tmp_path / "out").encode() + b"; caf\xe9\n")
+    assert main(["check", "--config", str(path)]) == 2
+    assert f"config file {path}: 'utf-8' codec can't decode" in capsys.readouterr().err
+
+
+def test_out_naming_a_file_exits_2_and_names_it(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    path = write_config(tmp_path, MINIMAL_1D)
+    assert main(["check", "--config", path, "--out", str(taken)]) == 2
+    assert f"output directory {taken}: " in capsys.readouterr().err
+    assert taken.read_text() == "keep\n"
+
+
+def test_auto_delta_is_the_two_thirds_rule_bitwise(tmp_path):
+    for eps in ("0.0078125", "0.05", "0.3", "1e-5"):
+        text = MINIMAL_1D + f"\n[solver]\neps = {eps}\n"
+        cfg = parse_config(write_config(tmp_path, text))
+        assert cfg.sections["solver"]["delta"] == "auto"
+        want = np.float64(resolve_delta_rule("two_thirds")(float(eps)))
+        assert np.float64(cfg.solver_delta).view(np.uint64) == want.view(np.uint64)
+        assert cfg.solver_delta == float(eps) ** (2.0 / 3.0)
 
 
 # keys read only in a 1D geometry; the others are tried on a 2D one

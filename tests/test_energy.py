@@ -193,6 +193,20 @@ def test_elastic_model_refuses_nonfinite_moduli(lame):
         ElasticModel(**lame)
 
 
+def test_e0_is_copied_frozen_and_checked_at_construction():
+    e0 = np.array([[0.8, 0.1], [0.1, -0.2]])
+    M = ElasticModel(e0=e0)
+    planes = M.e0_planes(2)
+    e0[0, 0] = 7.0
+    e0[0, 1] = 5.0  # would also break the symmetry the model checked
+    assert M.e0[0, 0] == 0.8 and M.e0[0, 1] == 0.1
+    assert M.e0_planes(2) == planes == (0.8, -0.2, 0.1)
+    with pytest.raises(ValueError, match="read-only"):
+        M.e0[0, 0] = 7.0
+    with pytest.raises(ValueError, match=r"e0 must be a 1x1 or 2x2 matrix, got shape \(3, 3\)"):
+        ElasticModel(e0=np.eye(3))
+
+
 def test_e0_of_another_dimension_is_refused(P):
     # broadcast, a 1x1 e0 would act as the all-ones matrix in 2D (e_elastic
     # 1.01 here instead of 0.505), and a 2x2 e0 would widen the 1D strain to 2x2

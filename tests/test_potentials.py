@@ -143,6 +143,20 @@ def test_phi_delta_rejects_out_of_range(P):
         phi_delta(P, 0.1, -0.2)
 
 
+def test_theta_zero_matches_the_plain_phi_bitwise():
+    # theta + (1 - theta) phi at theta = 0 against phi itself, the branch the
+    # default set took before; only the zero that phi(-0.0) returns may differ
+    # in sign, and phi_delta adds C_delta > 0 to it
+    P0 = make_default_potentials(theta=0.0)
+    clipped = np.clip(np.array([-0.0, -1e-300, -0.5, 0.25, 1.0, 2.0]), 0.0, 1.0)
+    assert np.signbit(clipped[0])
+    for z in (np.linspace(0.0, 1.0, 1001), clipped):
+        for delta in (0.3, 1e-3):
+            old = (2.0 * z - z * z) + P0.c_delta(delta)
+            assert np.array_equal(phi_delta(P0, delta, z).view(np.uint64), old.view(np.uint64))
+        assert np.array_equal(P0.dphi(z).view(np.uint64), (2.0 - 2.0 * z).view(np.uint64))
+
+
 def test_theta_mode_endpoints():
     Pt = make_default_potentials(theta=0.3)
     assert Pt.phi(np.array(0.0)) == pytest.approx(0.3, abs=1e-15)

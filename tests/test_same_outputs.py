@@ -39,6 +39,19 @@ def test_sharp_on_a_workload_config(tmp_path):
     assert same_outputs.compare(ROOT, "sharp", text) == []
 
 
+def test_sharp_on_the_affine_config_has_every_term(tmp_path):
+    config = tmp_path / "run.ini"
+    config.write_text(same_outputs.AFFINE_SHARP)
+    mine = same_outputs.run_cli(ROOT, "sharp", str(config), str(tmp_path / "out"))
+    assert mine["exit code"] == b"0" and mine["stderr"] == b""
+    terms = dict(map(str.strip, line.split("=")) for line in mine["stdout"].decode().splitlines())
+    assert all(float(terms[name]) > 0.0 for name in ("e_phase", "e_elastic", "e_crack"))
+    # the manifest echoes the three-value e0 and the affine displacement
+    assert b"e0 = 0.8 0.1 -0.2\n" in mine["manifest.txt"]
+    assert b"u_spec = affine\n" in mine["manifest.txt"]
+    assert same_outputs.compare(ROOT, "sharp", same_outputs.AFFINE_SHARP) == []
+
+
 def test_an_altered_or_missing_output_is_named(tmp_path):
     config = tmp_path / "run.ini"
     config.write_text(make_config("minimize_2d", 0, smoke=True))

@@ -10,8 +10,9 @@ from phasefrac.sharp import (GeometryError, Polygon, SegmentSet, SharpGeometry1D
                              SharpGeometry2D, _point_segment_distance,
                              affine_displacement, distance_field,
                              minkowski_content_estimate,
-                             piecewise_rigid_displacement, sharp_energy,
-                             sharp_energy_1d, sharp_energy_2d, zero_displacement)
+                             piecewise_rigid_displacement, quadratic_displacement,
+                             sharp_energy, sharp_energy_1d, sharp_energy_2d,
+                             skew_affine_displacement, zero_displacement)
 
 RIGHT_HALF = [(0.5, 0.0), (1.0, 0.0), (1.0, 1.0), (0.5, 1.0)]
 MID_SEGMENT = [[[0.5, 0.25], [0.5, 0.75]]]
@@ -243,7 +244,6 @@ def test_sharp_energy_dispatch(P, elastic_1d_free, elastic_2d_free):
 
 
 def test_quadratic_uspec_rejected_in_sharp_energy(P, elastic_2d_free):
-    from phasefrac.sharp import quadratic_displacement
     g = SharpGeometry2D((0.0, 0.0), (1.0, 1.0), u_spec=quadratic_displacement())
     with pytest.raises(GeometryError, match="constant strain"):
         sharp_energy_2d(g, P, elastic_2d_free)
@@ -359,3 +359,61 @@ def test_1d_domain_must_be_finite():
     for domain in [(0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan)]:
         with pytest.raises(GeometryError, match="domain"):
             SharpGeometry1D(domain)
+
+
+def _matrix_planes(m):
+    """Planes of (..., d, d) strain matrices in the order of `sym_gradient`."""
+    if m.shape[-1] == 1:
+        return (m[..., 0, 0],)
+    return m[..., 0, 0], m[..., 1, 1], m[..., 0, 1]
+
+
+def _quadratic_matrix(pts):
+    x, y = pts[..., 0], pts[..., 1]
+    e = np.empty(pts.shape[:-1] + (2, 2))
+    e[..., 0, 0] = 0.6 * x + 0.1 * y
+    e[..., 1, 1] = -0.4 * y
+    e[..., 0, 1] = e[..., 1, 0] = 0.5 * (0.1 * x + 0.1 * x)
+    return e
+
+
+F_OBLIQUE = np.array([[0.3, -0.7], [0.45, 0.1]])
+SKEW = np.array([[0.0, -0.7], [0.7, 0.0]])
+# spec, e_at and e_const as (d, d) matrices, the form they had before the
+# strain was held as planes (None: no constant strain)
+MATRIX_SPECS = {
+    "zero_2d": (zero_displacement(2), lambda pts: np.zeros(pts.shape[:-1] + (2, 2)),
+                np.zeros((2, 2))),
+    "zero_1d": (zero_displacement(1), lambda pts: np.zeros(pts.shape[:-1] + (1, 1)),
+                np.zeros((1, 1))),
+    "affine_oblique": (affine_displacement(F_OBLIQUE, (0.1, -0.2)),
+                       lambda pts: np.broadcast_to(0.5 * (F_OBLIQUE + F_OBLIQUE.T),
+                                                   pts.shape[:-1] + (2, 2)),
+                       0.5 * (F_OBLIQUE + F_OBLIQUE.T)),
+    "skew_affine": (skew_affine_displacement(0.7),
+                    lambda pts: np.broadcast_to(0.5 * (SKEW + SKEW.T), pts.shape[:-1] + (2, 2)),
+                    0.5 * (SKEW + SKEW.T)),
+    "piecewise_rigid": (piecewise_rigid_displacement((0.5, 0.5), (0.0, 1.0), (0.002, 0.0),
+                                                     (-0.002, 0.0), 0.1, -0.2),
+                        lambda pts: np.zeros(pts.shape[:-1] + (2, 2)), np.zeros((2, 2))),
+    "quadratic": (quadratic_displacement(), _quadratic_matrix, None),
+}
+
+
+@pytest.mark.parametrize("name", list(MATRIX_SPECS))
+def test_displacement_strain_planes_match_the_matrices_bitwise(name):
+    spec, e_matrix, const_matrix = MATRIX_SPECS[name]
+    d = 1 if name == "zero_1d" else 2
+    pts = np.random.Generator(np.random.Philox(3)).uniform(-1.0, 2.0, size=(257, d))
+    planes = spec.e_at(pts)
+    reference = _matrix_planes(e_matrix(pts))
+    assert len(planes) == len(reference) == (1 if d == 1 else 3)
+    for got, want in zip(planes, reference):
+        assert got.shape == (257,)
+        assert np.array_equal(np.asarray(got, dtype=float).view(np.uint64),
+                              np.asarray(want, dtype=float).view(np.uint64))
+    if const_matrix is None:
+        assert spec.e_const is None
+    else:
+        assert np.array_equal(np.array(spec.e_const, dtype=float).view(np.uint64),
+                              np.array(_matrix_planes(const_matrix)).view(np.uint64))

@@ -5,8 +5,9 @@ benchmark workloads.
 
 For each workload of perfbench/workloads.py at seeds 0 and 1, the phasefrac
 CLI runs the workload's command, and then `check` and `sharp`, on the same
-generated config, once with this tree's src/ and once with OTHER_TREE's src/,
-both with the same --out path.
+generated config.  It also runs `sharp` on AFFINE_SHARP, the one config with
+a nonzero sharp elastic term.  Each run goes once with this tree's src/ and
+once with OTHER_TREE's src/, both with the same --out path.
 Every output file, stdout, stderr and the exit code are compared byte for
 byte; each difference is named.  Exit code 0 when all are equal, 1 otherwise.
 Standard library only; perfbench/ is read, never written.
@@ -21,6 +22,21 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (0, 1)
+# a 2D affine strain with off-diagonal terms, a full e0 and lambda > 0, so that
+# every strain plane and the trace term reach the sharp elastic energy
+AFFINE_SHARP = """[elastic]
+lame_lambda = 0.3
+lame_mu = 0.7
+e0 = 0.8 0.1 -0.2
+
+[geometry]
+dim = 2
+polygon = 0.5 0  1 0  1 1  0.5 1
+segments = 0.5 0.25 0.5 0.75
+u_spec = affine
+affine_matrix = 0.3 -0.7 0.45 0.1
+affine_offset = 0.1 -0.2
+"""
 
 
 def run_cli(tree: str, command: str, config: str, out: str) -> dict[str, bytes]:
@@ -80,12 +96,14 @@ def main(argv: list[str]) -> int:
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     from workloads import WORKLOADS, make_config
 
-    runs = [(name, seed, command) for name, workload in WORKLOADS.items()
+    runs = [(f"{name} seed {seed} {command}", command, make_config(name, seed))
+            for name, workload in WORKLOADS.items()
             for seed in SEEDS for command in (workload.command, "check", "sharp")]
+    runs.append(("affine sharp", "sharp", AFFINE_SHARP))
     failed = 0
-    for name, seed, command in runs:
-        found = compare(argv[0], command, make_config(name, seed))
-        print(f"{name} seed {seed} {command}: {'same' if not found else 'DIFFERENT'}")
+    for label, command, config_text in runs:
+        found = compare(argv[0], command, config_text)
+        print(f"{label}: {'same' if not found else 'DIFFERENT'}")
         for line in found:
             print(f"  {line}")
         failed += bool(found)
