@@ -1,12 +1,16 @@
 """Config-file driven command line: check | sweep | minimize | recover | sharp.
 
 The config is line-oriented `key = value` under `[section]` headers
-(INI syntax).  `_SCHEMA` is the one place that lists every section and key
-and the default an omitted key takes.  Every run writes a manifest
-(canonical config echo with those defaults filled in, versions, seed) into
-the output directory so it can be reproduced bit for bit with the same
-package version.  Exit codes: 0 success, 1 invariant failure, 2 config
-error, including a section the command needs but the config lacks.
+(INI syntax).  `_SCHEMA` is the one place that lists every section and key,
+with the default text an omitted key takes where that text is fixed.  The
+`[geometry]` defaults depend on dim and live in `_build_geometry`; the grid
+counts, `[geometry] cells` (1024) and `[sweep] cells` (the `[geometry]`
+cells, else `SweepPlan.cells`), are filled in by `parse_config`.  Every run
+writes a manifest (canonical config echo with the `_SCHEMA` defaults filled
+in, versions, seed) into the output directory so it can be reproduced bit
+for bit with the same package version.  Exit codes: 0 success, 1 invariant
+failure, 2 config error, including a section the command needs but the
+config lacks.
 """
 from __future__ import annotations
 
@@ -49,7 +53,7 @@ class ConfigError(ValueError):
 _SCHEMA = {
     "run": {"seed": "0", "out": "out", "quiet": "false"},
     "potentials": {"w_scale": "1", "v_scale": "1", "c_delta_scale": "1",
-                   "quadrature_nodes": "4096", "coercivity": "4", "m_samples": "10001"},
+                   "coercivity": "4"},
     "elastic": {"lame_lambda": "0", "lame_mu": "0.5", "e0": "0", "theta": "0",
                 "eta_rule": "delta_squared", "psi": "quadratic"},
     "geometry": dict.fromkeys((
@@ -60,7 +64,7 @@ _SCHEMA = {
         "rigid_omega_minus")),
     "solver": {"max_outer": "200", "tol_rel_energy": "1e-8", "cg_tol": "1e-10",
                "cg_max_iters": "1000", "mass": None, "eps": "0.0078125",
-               "delta": "auto", "jitter_amplitude": "1e-3"},
+               "delta": "auto"},
     "sweep": {"eps_schedule": None, "delta_rule": "two_thirds", "delta_scale": "1",
               "lambda": "1e-4", "cells": None, "enforce_width": "false"},
 }
@@ -81,8 +85,6 @@ class RunConfig:
     solver_delta: float
     solver_cells: tuple[int, ...]
     solver_grid: Grid
-    jitter_amplitude: float
-    m_samples: int
 
 
 def _floats(text: str) -> list[float]:
@@ -136,18 +138,12 @@ def _finite(text: str) -> float:
     return value
 
 
-def _at_least(low: int):
-    """Converter to an integer >= low."""
-    def conv(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise ValueError(f"must be >= {low}, got {value}")
-        return value
-    return conv
-
-
-_seed = _at_least(0)  # a Philox seed
-_samples = _at_least(2)  # `check_admissibility` needs two samples or more
+def _seed(text: str) -> int:
+    """A Philox seed, an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"must be >= 0, got {value}")
+    return value
 
 
 def _one_of(table: dict):
@@ -224,12 +220,10 @@ def parse_config(path: str) -> RunConfig:
             w_scale=take("potentials", "w_scale", _finite),
             v_scale=take("potentials", "v_scale", _finite),
             c_delta_scale=take("potentials", "c_delta_scale", _finite),
-            quadrature_nodes=take("potentials", "quadrature_nodes", int),
             coercivity=take("potentials", "coercivity", _positive))
     except ValueError as exc:
         violations.append(f"[potentials] {exc}")
         potentials = None
-    m_samples = take("potentials", "m_samples", _samples)
 
     geometry, geo_violations = _build_geometry(sections["geometry"])
     violations.extend(geo_violations)
@@ -282,7 +276,6 @@ def parse_config(path: str) -> RunConfig:
     solver_eps = take("solver", "eps", _positive)
     solver_delta = resolve_delta_rule("two_thirds")(solver_eps) \
         if sections["solver"]["delta"] == "auto" else take("solver", "delta", _positive)
-    jitter_amplitude = take("solver", "jitter_amplitude", _finite)
 
     if violations:
         raise ConfigError(violations)
@@ -290,8 +283,7 @@ def parse_config(path: str) -> RunConfig:
                      quiet=quiet, potentials=potentials, elastic=elastic,
                      geometry=geometry, sweep_plan=sweep_plan, solver_plan=solver_plan,
                      solver_eps=solver_eps, solver_delta=solver_delta,
-                     solver_cells=solver_cells, solver_grid=solver_grid,
-                     jitter_amplitude=jitter_amplitude, m_samples=m_samples)
+                     solver_cells=solver_cells, solver_grid=solver_grid)
 
 
 def _build_elastic(take, dim: int) -> tuple[Optional[ElasticModel], list[str]]:
@@ -400,7 +392,7 @@ def _write_state(state: DiffuseState, out_dir: str) -> None:
 
 
 def _cmd_check(cfg: RunConfig) -> int:
-    report = check_admissibility(cfg.potentials, cfg.m_samples)
+    report = check_admissibility(cfg.potentials)
     _emit(cfg, report.summary())
     _emit(cfg, f"alpha_surf = {surface_density(cfg.potentials):.12g}")
     _emit(cfg, f"alpha_frac = {fracture_density(cfg.potentials):.12g}")
@@ -453,8 +445,7 @@ def _cmd_minimize(cfg: RunConfig) -> int:
     grid = cfg.solver_grid
     plan = cfg.solver_plan
     c0 = plan.mass_constraint if plan.mass_constraint is not None else 0.5
-    s0 = default_state(grid, cfg.solver_eps, cfg.solver_delta, c0=c0,
-                       seed=cfg.seed, amplitude=cfg.jitter_amplitude)
+    s0 = default_state(grid, cfg.solver_eps, cfg.solver_delta, c0=c0, seed=cfg.seed)
     s, traj = alternate(s0, cfg.potentials, cfg.elastic, plan)
     lines = ["sweep,e_phase,e_elastic,e_crack,e_total"]
     for k, e in enumerate(traj.energies):
@@ -501,6 +492,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         cfg.sections["run"]["seed"] = str(cfg.seed)
     if args.quiet:
         cfg.quiet = True
+        cfg.sections["run"]["quiet"] = "true"
 
     try:
         os.makedirs(cfg.out_dir, exist_ok=True)

@@ -66,22 +66,29 @@ class Grid:
 
 
 @dataclass(frozen=True)
+class _HandOver:
+    """An array given to a field without a copy, by a maker that keeps no
+    reference to it: `read_field` and `recovery.build_recovery`, which fill
+    arrays too large to copy.  The field still checks and freezes it."""
+    array: np.ndarray
+
+
+@dataclass(frozen=True)
 class _Field:
     """Values on the cells of a grid, `rank` trailing axes of length dim.  The
-    one validation point: values are copied, checked and frozen on construction.
-    A read-only array that owns its data is not copied: the caller hands it
-    over, and turning its writes back on would change the field, past the
-    checks."""
+    one validation point: values are copied, checked and frozen on
+    construction, so no caller holds a writable reference to a field's
+    values.  Only a `_HandOver` skips the copy."""
     grid: Grid
     values: np.ndarray
     rank: ClassVar[int] = 0
 
     def __post_init__(self):
-        # copy so freezing never touches the caller's array; an array that owns
-        # its data and is read-only already is frozen, and is taken as it is
         v = self.values
-        frozen = isinstance(v, np.ndarray) and v.flags.owndata and not v.flags.writeable
-        arr = np.array(v, dtype=float, order="C", copy=None if frozen else True)
+        if isinstance(v, _HandOver):
+            arr = np.asarray(v.array, dtype=float, order="C")
+        else:  # a copy, so freezing never touches the caller's array
+            arr = np.array(v, dtype=float, order="C")
         shape = self.grid.cells + (self.grid.dim,) * self.rank
         if arr.shape != shape:
             raise ValueError(f"field shape {arr.shape} does not match grid {shape}")
@@ -379,9 +386,8 @@ def read_field(path) -> ScalarField:
         raise ValueError(f"{path}: {count} values, but the header declares {n} cells")
     if fault is not None:
         raise ValueError(f"{path}: {fault}")
-    values.setflags(write=False)
     try:
-        return ScalarField(grid, values)
+        return ScalarField(grid, _HandOver(values))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

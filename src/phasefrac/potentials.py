@@ -19,14 +19,16 @@ Scalar = Callable[[np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class PotentialSet:
-    """A full set of admissible potentials plus quadrature metadata.
+    """A full set of admissible potentials and the coercivity constant C.
 
     All callables are vectorized over numpy arrays. Derivatives are required
     so the energy gradients are available without numerical differentiation.
     `theta` is the residual interfacial weight on fully damaged material:
     phi(0) = theta, phi(1) = 1.  The caps `m_cap_w`, `m_cap_v` (sup of W
     and V on [0, 1]) are derived from `w` and `v`, so `dataclasses.replace`
-    recomputes them.
+    recomputes them.  `coercivity` is the C of the growth condition
+    W(s) >= |s|/C that `check_admissibility` tests.  Every integral over the
+    potentials takes `_quad.PANELS` Simpson panels.
     """
     w: Scalar
     dw: Scalar
@@ -36,7 +38,6 @@ class PotentialSet:
     dphi: Scalar
     c_delta_rule: Callable[[float], float]
     theta: float
-    quadrature_nodes: int
     coercivity: float
     m_cap_w: float = field(init=False)
     m_cap_v: float = field(init=False)
@@ -44,8 +45,6 @@ class PotentialSet:
     def __post_init__(self):
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
-        if self.quadrature_nodes < 2:
-            raise ValueError("quadrature_nodes must be >= 2")
         if not 0.0 < self.coercivity < np.inf:
             raise ValueError(f"coercivity must be positive and finite, got {self.coercivity}")
         s = np.linspace(0.0, 1.0, 4097)
@@ -96,7 +95,6 @@ def make_default_potentials(theta: float = 0.0,
                             w_scale: float = 1.0,
                             v_scale: float = 1.0,
                             c_delta_scale: float = 1.0,
-                            quadrature_nodes: int = 4096,
                             coercivity: float = 4.0) -> PotentialSet:
     """Default admissible set: W(s)=s^2(1-s)^2, V(s)=(1-s)^2, phi(m)=2m-m^2.
 
@@ -133,14 +131,12 @@ def make_default_potentials(theta: float = 0.0,
 
     return PotentialSet(w=w, dw=dw, v=v, dv=dv, phi=phi, dphi=dphi,
                         c_delta_rule=lambda d: c_delta_scale * d,
-                        theta=theta, quadrature_nodes=quadrature_nodes,
-                        coercivity=coercivity)
+                        theta=theta, coercivity=coercivity)
 
 
 def surface_density(P: PotentialSet) -> float:
     """alpha_surf = 2 * int_0^1 sqrt(W(s)) ds."""
-    val = 2.0 * simpson(lambda s: np.sqrt(np.maximum(P.w(s), 0.0)), 0.0, 1.0,
-                        P.quadrature_nodes)
+    val = 2.0 * simpson(lambda s: np.sqrt(np.maximum(P.w(s), 0.0)), 0.0, 1.0)
     if val <= 0:
         raise ValueError("surface density must be positive")
     return val
@@ -148,8 +144,7 @@ def surface_density(P: PotentialSet) -> float:
 
 def fracture_density(P: PotentialSet) -> float:
     """alpha_frac = 4 * int_0^1 sqrt(V(s)) ds."""
-    val = 4.0 * simpson(lambda s: np.sqrt(np.maximum(P.v(s), 0.0)), 0.0, 1.0,
-                        P.quadrature_nodes)
+    val = 4.0 * simpson(lambda s: np.sqrt(np.maximum(P.v(s), 0.0)), 0.0, 1.0)
     if val <= 0:
         raise ValueError("fracture density must be positive")
     return val
@@ -171,14 +166,14 @@ def geodesic_transform(which: str, P: PotentialSet, t: float) -> float:
         raise ValueError("t must be finite")
     if t == 0.0:
         return 0.0
-    return 2.0 * simpson(_capped_sqrt(f, cap), 0.0, float(t), P.quadrature_nodes)
+    return 2.0 * simpson(_capped_sqrt(f, cap), 0.0, float(t))
 
 
 def geodesic_table(which: str, P: PotentialSet, lo: float,
                    hi: float) -> tuple[np.ndarray, np.ndarray]:
     """Tabulate d_f on [lo, hi] (anchored at d_f(0) = 0) for vectorized composition."""
     f, cap = _resolve_potential(which, P)
-    nodes, cum = cumulative_simpson(_capped_sqrt(f, cap), lo, hi, P.quadrature_nodes)
+    nodes, cum = cumulative_simpson(_capped_sqrt(f, cap), lo, hi)
     anchor = geodesic_transform(which, P, lo)
     return nodes, anchor + 2.0 * cum
 
@@ -288,7 +283,7 @@ def check_admissibility(P: PotentialSet, m_samples: int = 10001) -> Admissibilit
         # 2*int_m^1 sqrt(V) + phi(m)*int_0^1 sqrt(W) >= int_0^1 sqrt(W) at every node m.
         sqrt_w_mass = surface_density(P) / 2
         nodes, cum = cumulative_simpson(
-            lambda s: np.sqrt(np.maximum(P.v(s), 0.0)), 0.0, 1.0, P.quadrature_nodes)
+            lambda s: np.sqrt(np.maximum(P.v(s), 0.0)), 0.0, 1.0)
         total = cum[-1]
         m = np.linspace(0.0, 1.0, m_samples)
         tails = total - np.interp(m, nodes, cum)

@@ -8,7 +8,8 @@ For a well potential f and regularization lambda > 0, the profile inverse is
 and the transition g(r) is 0 for r < 0, zeta^{-1} on [0, zeta(1)], 1 beyond.
 Its derivative satisfies g'(r) = sqrt(lambda + f(g(r))) / scale, which makes
 the profile energy computable without numerical differentiation and bounded
-by int_0^1 2 sqrt(f) + 2 sqrt(lambda).
+by int_0^1 2 sqrt(f) + 2 sqrt(lambda).  zeta is tabulated, and the profile
+energy integrated, with the `_quad.PANELS` Simpson panels of the potentials.
 
 `build_recovery` samples a diffuse triplet from the exact distance fields of
 a sharp configuration:
@@ -25,8 +26,8 @@ the energy values matter.
 
 The builder samples the cells in row-major blocks of `_BLOCK` points.  Each
 block forms its points, both distances, both transitions and the displacement,
-and writes them into the preallocated c, z and u arrays, which are then
-frozen and taken by the fields without a copy.  Besides those arrays, which
+and writes them into the preallocated c, z and u arrays, which the fields
+take without a copy, as a `fields._HandOver`.  Besides those arrays, which
 the state owns, the build holds only block-sized temporaries, under 3 MiB
 at 2^14 points whatever the grid size, so they stay in cache.  Every value
 is the one a single whole-grid pass gives, bit for bit.
@@ -40,10 +41,9 @@ import numpy as np
 
 from ._quad import cumulative_simpson, simpson
 from .energy import DiffuseState
-from .fields import Grid, ScalarField, VectorField
+from .fields import Grid, ScalarField, VectorField, _HandOver
 from .potentials import PotentialSet
 
-_TABLE_PANELS = 4096
 _BLOCK = 1 << 14  # sample points per block of `build_recovery`
 
 
@@ -104,7 +104,7 @@ class OptimalProfile:
 def build_profile(pp: ProfileParams) -> OptimalProfile:
     s, zeta_vals = cumulative_simpson(
         lambda t: pp.scale / np.sqrt(pp.lam + np.maximum(pp.f(t), 0.0)),
-        0.0, 1.0, _TABLE_PANELS)
+        0.0, 1.0)
     if not np.all(np.diff(zeta_vals) > 0.0):
         raise ValueError("zeta tabulation is not strictly increasing")
     width_cap = pp.scale / np.sqrt(pp.lam)
@@ -123,7 +123,7 @@ def profile_energy_1d(pp: ProfileParams) -> float:
     return simpson(
         lambda s: (2.0 * np.maximum(pp.f(s), 0.0) + pp.lam)
         / np.sqrt(pp.lam + np.maximum(pp.f(s), 0.0)),
-        0.0, 1.0, _TABLE_PANELS)
+        0.0, 1.0)
 
 
 def smoothstep(t: np.ndarray) -> np.ndarray:
@@ -200,7 +200,6 @@ def build_recovery(geometry, eps: float, delta: float, lam: float, grid: Grid,
             zf[block] = prof_v.g(crack_dist - lam * delta)
             uf[block] = geometry.u_values(pts) * smoothstep(crack_dist / (lam * delta))[:, None]
 
-    for arr in (c, u, z):  # frozen arrays that own their data: no copy in _Field
-        arr.setflags(write=False)
-    return DiffuseState(c=ScalarField(grid, c), u=VectorField(grid, u),
-                        z=ScalarField(grid, z), eps=eps, delta=delta)
+    return DiffuseState(c=ScalarField(grid, _HandOver(c)),
+                        u=VectorField(grid, _HandOver(u)),
+                        z=ScalarField(grid, _HandOver(z)), eps=eps, delta=delta)

@@ -37,6 +37,8 @@ _MAX_BACKTRACKS = 60
 # the largest relative energy rise any block may make: the u-step rejects a
 # larger one, the Armijo steps accept only a decrease
 DESCENT_RTOL = 1e-13
+# the amplitude of the jitter that `default_state` adds to its flat start
+_JITTER = 1e-3
 
 
 @dataclass(frozen=True)
@@ -81,13 +83,14 @@ class Trajectory:
 
 
 def default_state(grid: Grid, eps: float, delta: float, c0: float = 0.5,
-                  seed: int = 0, amplitude: float = 1e-3) -> DiffuseState:
-    """Jittered flat start: c = c0 + low-frequency noise, z = 1, u = 0.
+                  seed: int = 0) -> DiffuseState:
+    """Jittered flat start: c = c0 + `_JITTER` * low-frequency noise, z = 1, u = 0.
 
-    The jitter is a sum of the four lowest cosine modes per axis with
-    Philox-seeded amplitudes; low modes break the symmetric saddle of the
-    double well without seeding a fine-scale interface pattern.  Each cosine
-    mode has exactly zero mean under the midpoint rule.
+    The noise is a sum of the four lowest cosine modes per axis, mode m
+    weighted by a Philox-seeded draw in [-1, 1] over m^2; low modes break the
+    symmetric saddle of the double well without seeding a fine-scale
+    interface pattern.  Each cosine mode has exactly zero mean under the
+    midpoint rule.  The amplitude `_JITTER` = 1e-3 is a module constant.
     """
     rng = np.random.Generator(np.random.Philox(seed))
     jitter = np.zeros(grid.cells)
@@ -96,7 +99,7 @@ def default_state(grid: Grid, eps: float, delta: float, c0: float = 0.5,
         xhat = (mesh[axis] - grid.origin[axis]) / grid.extent[axis]
         for m in range(1, 5):
             jitter += rng.uniform(-1.0, 1.0) / (m * m) * np.cos(m * np.pi * xhat)
-    c = ScalarField(grid, c0 + amplitude * jitter)
+    c = ScalarField(grid, c0 + _JITTER * jitter)
     return DiffuseState(c=c, u=VectorField.full(grid, np.zeros(grid.dim)),
                         z=ScalarField.full(grid, 1.0), eps=eps, delta=delta)
 

@@ -7,7 +7,7 @@ import pytest
 from phasefrac.fields import (_CHUNK, Grid, ScalarField, VectorField, gradient,
                               gradient_adjoint, integrate, read_field, sample_at,
                               slice_extract, sym_gradient, sym_gradient_adjoint,
-                              _write_atomic, write_field)
+                              _HandOver, _write_atomic, write_field)
 
 
 @pytest.fixture()
@@ -41,10 +41,33 @@ def test_fields_are_immutable(g1):
     f = ScalarField.full(g1, 1.0)
     with pytest.raises(ValueError):
         f.values[0] = 2.0
-    # a writable array is copied and left writable; a frozen one is shared
+    # a writable array is copied and left writable; a frozen one is copied too
     mine = np.zeros(g1.cells)
     assert ScalarField(g1, mine).values is not mine and mine.flags.writeable
-    assert ScalarField(g1, f.values).values is f.values
+    assert ScalarField(g1, f.values).values is not f.values
+
+
+def test_caller_cannot_change_a_field_through_a_frozen_array(g1):
+    # a read-only array that owns its data used to be taken without a copy,
+    # so turning its writes back on put a NaN into a validated field
+    a = np.zeros(g1.cells)
+    a.setflags(write=False)
+    f = ScalarField(g1, a)
+    a.setflags(write=True)
+    a[1] = np.nan
+    assert np.all(f.values == 0.0)
+
+
+def test_handed_over_array_is_taken_checked_and_frozen(g1):
+    a = np.zeros(g1.cells)
+    f = ScalarField(g1, _HandOver(a))
+    assert f.values is a and not a.flags.writeable
+    bad = np.zeros(g1.cells)
+    bad[2] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        ScalarField(g1, _HandOver(bad))
+    with pytest.raises(ValueError, match="shape"):
+        ScalarField(g1, _HandOver(np.zeros(3)))
 
 
 def test_field_rejects_nonfinite(g1):
