@@ -2,15 +2,21 @@
 
 The config is line-oriented `key = value` under `[section]` headers
 (INI syntax).  `_SCHEMA` is the one place that lists every section and key,
-with the default text an omitted key takes where that text is fixed.  The
-`[geometry]` defaults depend on dim and live in `_build_geometry`; the grid
-counts, `[geometry] cells` (1024) and `[sweep] cells` (the `[geometry]`
-cells, else `SweepPlan.cells`), are filled in by `parse_config`.  Every run
-writes a manifest (canonical config echo with the `_SCHEMA` defaults filled
-in, versions, seed) into the output directory so it can be reproduced bit
-for bit with the same package version.  Exit codes: 0 success, 1 invariant
-failure, 2 config error, including a section the command needs but the
-config lacks.
+with the default text an omitted key takes, `[geometry]` included, and the
+converter of the key's text.  `parse_config` converts every key once,
+whether or not the command reads it; the flags `--out`, `--seed` and
+`--quiet` are `[run]` texts, applied before that, so a faulty flag is named
+like the key it sets (`[run] seed: must be >= 0, got -3`).  A key that
+nothing in its configuration reads is a fault too: a `[geometry]` key of the
+other dim or of another u_spec (`_DIM_READS`, `_U_SPECS`), or a `[sweep]` key
+without `eps_schedule` that does not hold its default text (the echo writes
+those back).  `[sweep] cells` falls back to `[geometry] cells`
+where the config sets it, else to `SweepPlan.cells`.  Every run writes a
+manifest (canonical config echo with the `_SCHEMA` defaults filled in,
+except in `[geometry]`, which lists only the keys the config sets; versions;
+seed) into the output directory so it can be reproduced bit for bit with the
+same package version.  Exit codes: 0 success, 1 invariant failure, 2 config
+error, including a section the command needs but the config lacks.
 """
 from __future__ import annotations
 
@@ -34,9 +40,9 @@ from .harness import SweepPlan, gamma_sweep, resolve_delta_rule
 from .potentials import (PotentialSet, check_admissibility, fracture_density,
                          make_default_potentials, surface_density)
 from .recovery import build_recovery, width_violation
-from .sharp import (GeometryError, Polygon, SegmentSet, SharpGeometry1D,
-                    SharpGeometry2D, affine_displacement,
-                    piecewise_rigid_displacement, sharp_energy, zero_displacement)
+from .sharp import (Polygon, SegmentSet, SharpGeometry1D, SharpGeometry2D,
+                    affine_displacement, piecewise_rigid_displacement, sharp_energy,
+                    zero_displacement)
 from .solver import DESCENT_RTOL, SolverPlan, alternate, default_state
 
 
@@ -44,30 +50,6 @@ class ConfigError(ValueError):
     def __init__(self, violations: list[str]):
         self.violations = list(violations)
         super().__init__("invalid config:\n" + "\n".join(f"  - {v}" for v in violations))
-
-
-# section -> key -> default text, or None for a key without a default.  The
-# manifest echoes these texts byte for byte, so they are not derived from the
-# library's dataclass defaults (repr(1e-8) is '1e-08').  The [geometry] keys
-# depend on dim; _build_geometry fills them in and the manifest omits them.
-_SCHEMA = {
-    "run": {"seed": "0", "out": "out", "quiet": "false"},
-    "potentials": {"w_scale": "1", "v_scale": "1", "c_delta_scale": "1",
-                   "coercivity": "4"},
-    "elastic": {"lame_lambda": "0", "lame_mu": "0.5", "e0": "0", "theta": "0",
-                "eta_rule": "delta_squared", "psi": "quadratic"},
-    "geometry": dict.fromkeys((
-        "dim", "domain", "origin", "extent", "cells", "phase_points",
-        "crack_points", "c_pieces", "u_slopes", "u_offsets", "polygon",
-        "segments", "u_spec", "affine_matrix", "affine_offset", "rigid_point",
-        "rigid_dir", "rigid_plus", "rigid_minus", "rigid_omega_plus",
-        "rigid_omega_minus")),
-    "solver": {"max_outer": "200", "tol_rel_energy": "1e-8", "cg_tol": "1e-10",
-               "cg_max_iters": "1000", "mass": None, "eps": "0.0078125",
-               "delta": "auto"},
-    "sweep": {"eps_schedule": None, "delta_rule": "two_thirds", "delta_scale": "1",
-              "lambda": "1e-4", "cells": None, "enforce_width": "false"},
-}
 
 
 @dataclass
@@ -95,13 +77,13 @@ def _ints(text: str) -> list[int]:
     return [int(tok) for tok in text.replace(",", " ").split()]
 
 
-def _numbers(*counts: int, per: str = ""):
+def _numbers(*counts: int):
     """Converter to a list of floats whose length is one of `counts`."""
     def conv(text: str) -> list[float]:
         vals = _floats(text)
         if len(vals) not in counts:
             need = " or ".join(str(n) for n in counts)
-            raise ValueError(f"got {len(vals)} numbers, expected {need}{per}")
+            raise ValueError(f"got {len(vals)} numbers, expected {need}")
         return vals
     return conv
 
@@ -138,12 +120,20 @@ def _finite(text: str) -> float:
     return value
 
 
-def _seed(text: str) -> int:
-    """A Philox seed, an integer >= 0."""
-    value = int(text)
-    if value < 0:
-        raise ValueError(f"must be >= 0, got {value}")
-    return value
+def _within(conv, low, high=np.inf):
+    """Converter by `conv` to a value in [low, high]."""
+    def check(text: str):
+        value = conv(text)
+        if not low <= value <= high:
+            raise ValueError(f"must be >= {low}, got {value}" if high == np.inf
+                             else f"must lie in [{low}, {high}], got {value}")
+        return value
+    return check
+
+
+def _delta(text: str) -> Optional[float]:
+    """None for `auto`, the two-thirds rule of eps; else a positive width."""
+    return None if text == "auto" else _positive(text)
 
 
 def _one_of(table: dict):
@@ -155,9 +145,60 @@ def _one_of(table: dict):
     return conv
 
 
-def parse_config(path: str) -> RunConfig:
+# the [geometry] keys each dim reads, besides dim and cells, which every run reads
+_DIM_READS = {1: ("domain", "phase_points", "crack_points", "c_pieces", "u_slopes",
+                  "u_offsets"),
+              2: ("origin", "extent", "polygon", "segments", "u_spec")}
+# each 2D u_spec: the [geometry] keys it reads, and its displacement of their values
+_U_SPECS = {"zero": ((), zero_displacement),
+            "affine": (("affine_matrix", "affine_offset"), affine_displacement),
+            "piecewise_rigid": (("rigid_point", "rigid_dir", "rigid_plus", "rigid_minus",
+                                 "rigid_omega_plus", "rigid_omega_minus"),
+                                piecewise_rigid_displacement)}
+_pair = _numbers(2)
+# section -> key -> (default text, or None for a key without a default; the
+# converter of the key's text).  The manifest echoes these texts byte for
+# byte, so they are not derived from the library's dataclass defaults
+# (repr(1e-8) is '1e-08').
+_SCHEMA = {
+    "run": {"seed": ("0", _within(int, 0)), "out": ("out", str), "quiet": ("false", _bool)},
+    "potentials": {"w_scale": ("1", _finite), "v_scale": ("1", _finite),
+                   "c_delta_scale": ("1", _finite), "coercivity": ("4", _positive)},
+    "elastic": {"lame_lambda": ("0", _finite), "lame_mu": ("0.5", _positive),
+                # 1D: the misfit strain; 2D: isotropic, or a11 a12 a22
+                "e0": ("0", _numbers(1, 3)), "theta": ("0", _within(float, 0, 1)),
+                "eta_rule": ("delta_squared", _one_of(ETA_RULES)),
+                "psi": ("quadratic", _one_of(DEGRADATIONS))},
+    "geometry": {
+        "dim": (None, _within(int, 1, 2)), "cells": ("1024", _ints), "domain": ("0 1", _pair),
+        "phase_points": ("", _floats), "crack_points": ("", _floats),
+        "c_pieces": ("", _ints), "u_slopes": ("", _floats), "u_offsets": ("", _floats),
+        "origin": ("0 0", _pair), "extent": ("1 1", _pair), "polygon": ("none", _polygon),
+        "segments": ("", _segments), "u_spec": ("zero", _one_of(_U_SPECS)),
+        "affine_matrix": ("0 0 0 0", lambda text: np.reshape(_numbers(4)(text), (2, 2))),
+        "affine_offset": ("0 0", _pair), "rigid_point": ("0 0", _pair),
+        "rigid_dir": ("0 1", _pair), "rigid_plus": ("0 0", _pair),
+        "rigid_minus": ("0 0", _pair), "rigid_omega_plus": ("0", float),
+        "rigid_omega_minus": ("0", float)},
+    "solver": {"max_outer": ("200", int), "tol_rel_energy": ("1e-8", _positive),
+               "cg_tol": ("1e-10", _positive), "cg_max_iters": ("1000", int),
+               "mass": (None, float), "eps": ("0.0078125", _positive),
+               "delta": ("auto", _delta)},
+    "sweep": {"eps_schedule": (None, _floats), "delta_rule": ("two_thirds", str),
+              "delta_scale": ("1", float), "lambda": ("1e-4", float),
+              "cells": (None, _ints), "enforce_width": ("false", _bool)},
+}
+# the converted defaults: the value of an omitted key, and of a faulty or stray one
+_DEFAULTS = {name: {key: None if text is None else conv(text)
+                    for key, (text, conv) in keys.items()}
+             for name, keys in _SCHEMA.items()}
+
+
+def parse_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
     """Parse and validate; collects every violation instead of stopping at one.
-    A file that cannot be opened or is not UTF-8 text is a violation too."""
+    `overrides` maps [run] keys to texts that replace the config's (the
+    command-line flags).  A file that cannot be opened or is not UTF-8 text
+    is a violation too."""
     cp = configparser.ConfigParser(interpolation=None,
                                    inline_comment_prefixes=(";", "#"))
     try:
@@ -170,188 +211,134 @@ def parse_config(path: str) -> RunConfig:
         raise ConfigError([f"syntax: {exc}"]) from exc
 
     violations: list[str] = []
-    sections = {name: {k: v for k, v in keys.items() if v is not None}
-                for name, keys in _SCHEMA.items()}
+    given: dict = {name: {} for name in _SCHEMA}  # the texts the config sets
     for name in cp.sections():
         if name not in _SCHEMA:
             violations.append(f"unknown section [{name}]")
             continue
         for key, value in cp.items(name):
             if key in _SCHEMA[name]:
-                sections[name][key] = value.strip()
+                given[name][key] = value.strip()
             else:
                 violations.append(f"unknown key {key!r} in [{name}]")
+    given["run"].update(overrides or {})
 
-    def take(name: str, key: str, conv):
-        """conv of the value, None if unset.  A value conv rejects is a
-        violation; parsing goes on with the default, so that every fault is
-        listed, or with None where the default is unset or does not convert."""
-        raw = sections[name].get(key)
-        if raw is None:
-            return None
+    # every key converts once; a faulty one is listed and takes its default's
+    # value, so that the later checks still run
+    values = {name: dict(defaults) for name, defaults in _DEFAULTS.items()}
+    faulty = set()
+    for name, texts in given.items():
+        for key, text in texts.items():
+            try:
+                values[name][key] = _SCHEMA[name][key][1](text)
+            except ValueError as exc:
+                violations.append(f"[{name}] {key}: {exc}")
+                faulty.add((name, key))
+    run, pot, el, g, sol, sw = values.values()
+    geo = given["geometry"]
+
+    # a key that nothing in its configuration reads is a fault; the [geometry]
+    # keys are judged only where dim and u_spec convert
+    strays = []
+    if not faulty & {("geometry", "dim"), ("geometry", "u_spec")}:
+        reads = {"dim", "cells", *_DIM_READS.get(g["dim"], ()),
+                 *(g["u_spec"][0] if g["dim"] == 2 else ())}
+        setting = f"dim = {geo['dim']}" if "dim" in geo else "no dim"
+        if g["dim"] == 2:
+            setting += f", u_spec = {geo.get('u_spec', _SCHEMA['geometry']['u_spec'][0])}"
+        strays += [("geometry", key, f"with {setting}") for key in sorted(geo.keys() - reads)]
+    scheduled = bool(given["sweep"].get("eps_schedule"))
+    if not scheduled:  # a default text is allowed: the manifest echoes [sweep] in full
+        strays += [("sweep", key, "without eps_schedule")
+                   for key, text in sorted(given["sweep"].items())
+                   if key != "eps_schedule" and text != _SCHEMA["sweep"][key][0]]
+    for name, key, setting in strays:
+        violations.append(f"[{name}] {key}: not read {setting}")
+        values[name][key] = _DEFAULTS[name][key]
+
+    def attempt(label: str, build):
+        """build(), or None with its fault listed after `label`."""
         try:
-            return conv(raw)
+            return build()
         except ValueError as exc:
-            violations.append(f"[{name}] {key}: {exc}")
-        default = _SCHEMA[name][key]
-        try:
-            return None if default is None else conv(default)
-        except ValueError:
+            violations.append(f"{label} {exc}")
             return None
 
-    def grid(name: str, geom, cells: tuple[int, ...]) -> Optional[Grid]:
-        try:
-            return geom.grid(cells)
-        except ValueError as exc:
-            violations.append(f"[{name}] cells: {exc}")
-            return None
+    potentials = attempt("[potentials]", lambda: make_default_potentials(theta=el["theta"], **pot))
 
-    seed = take("run", "seed", _seed)
-    quiet = take("run", "quiet", _bool)
+    # no [geometry] is 1D; a faulty dim leaves it open, so e0 gets the laxer 2D count
+    dim = g["dim"] or (2 if "dim" in geo else 1)
+    e0 = el["e0"]
+    if dim == 1 and len(e0) == 3:
+        violations.append("[elastic] e0: got 3 numbers, expected 1")
+        e0 = e0[:1]
+    psi, dpsi = el["psi"]
+    elastic = attempt("[elastic]", lambda: ElasticModel(
+        lame_lambda=el["lame_lambda"], lame_mu=el["lame_mu"], psi=psi, dpsi=dpsi,
+        e0=np.array([e0[:2], e0[1:]]) if len(e0) == 3 else e0[0] * np.eye(dim),
+        eta_rule=el["eta_rule"]))
 
-    theta = take("elastic", "theta", float)
-    if not 0.0 <= theta <= 1.0:
-        violations.append(f"[elastic] theta must lie in [0, 1], got {theta}")
-        theta = 0.0
+    # a faulty [geometry] key leaves the geometry unbuilt, and its grid unchecked
+    built = "dim" in geo and not any(name == "geometry" for name, _ in faulty)
+    geometry = attempt("[geometry]", lambda: _build_geometry(g)) if built else None
+    solver_cells = tuple(g["cells"])
+    base = geometry if "dim" in geo else SharpGeometry1D(tuple(g["domain"]))
+    solver_grid = None if base is None else \
+        attempt("[geometry] cells:", lambda: base.grid(solver_cells))
 
-    try:
-        potentials = make_default_potentials(
-            theta=theta,
-            w_scale=take("potentials", "w_scale", _finite),
-            v_scale=take("potentials", "v_scale", _finite),
-            c_delta_scale=take("potentials", "c_delta_scale", _finite),
-            coercivity=take("potentials", "coercivity", _positive))
-    except ValueError as exc:
-        violations.append(f"[potentials] {exc}")
-        potentials = None
-
-    geometry, geo_violations = _build_geometry(sections["geometry"])
-    violations.extend(geo_violations)
-    # no [geometry] is 1D; a faulty one leaves dim open, so e0 gets the laxer 2D count
-    dim = geometry.dim if geometry is not None else 2 if geo_violations else 1
-
-    elastic, el_violations = _build_elastic(take, dim)
-    violations.extend(el_violations)
-
-    geo_cells = take("geometry", "cells", _ints)
-    solver_cells = (1024,) if geo_cells is None else tuple(geo_cells)
-    solver_grid = grid("geometry", geometry or SharpGeometry1D((0.0, 1.0)), solver_cells)
-
-    sweep_plan = None
-    raw_sched = sections["sweep"].get("eps_schedule")
-    if raw_sched and geometry is None:
+    if scheduled and "dim" not in geo:
         violations.append("[sweep] requires a [geometry] section")
-    elif raw_sched:
-        # [sweep] cells, else the [geometry] cells, whose grid is checked above
-        own_cells = "cells" in sections["sweep"]
-        cells = take("sweep", "cells", _ints) if own_cells else geo_cells
-        # taken before eps_schedule converts, so that their faults are listed too
-        options = dict(delta_rule=sections["sweep"]["delta_rule"],
-                       delta_scale=take("sweep", "delta_scale", float),
-                       lam=take("sweep", "lambda", float),
-                       cells=SweepPlan.cells if cells is None else tuple(cells),
-                       enforce_width=take("sweep", "enforce_width", _bool))
-        try:
-            sweep_plan = SweepPlan(geometry, tuple(_floats(raw_sched)), **options)
-        except ValueError as exc:
-            violations.append(f"[sweep] {exc}")
-        if sweep_plan is not None and own_cells:
-            grid("sweep", geometry, sweep_plan.cells)
-    if sweep_plan is not None and sweep_plan.enforce_width:
+    # the plan is checked without a geometry too, so that its faults are listed;
+    # one whose geometry is missing or unbuilt goes with a violation
+    own_cells = "cells" in given["sweep"]
+    cells = sw["cells"] if own_cells else g["cells"] if "cells" in geo else None
+    sweep_plan = attempt("[sweep]", lambda: SweepPlan(
+        geometry, tuple(sw["eps_schedule"]), delta_rule=sw["delta_rule"],
+        delta_scale=sw["delta_scale"], lam=sw["lambda"],
+        cells=SweepPlan.cells if cells is None else tuple(cells),
+        enforce_width=sw["enforce_width"])) if sw["eps_schedule"] else None
+    if sweep_plan is not None and geometry is not None:
+        if own_cells:
+            attempt("[sweep] cells:", sweep_plan.grid)
         for eps, delta in zip(sweep_plan.eps_schedule, sweep_plan.deltas()):
-            reason = width_violation(geometry, eps, delta, sweep_plan.lam)
+            reason = width_violation(geometry, eps, delta, sweep_plan.lam) \
+                if sweep_plan.enforce_width else None
             if reason is not None:
                 violations.append(f"[sweep] width condition fails at eps={eps:g}: {reason}")
 
-    try:
-        solver_plan = SolverPlan(
-            max_outer=take("solver", "max_outer", int),
-            tol_rel_energy=take("solver", "tol_rel_energy", _positive),
-            cg_tol=take("solver", "cg_tol", _positive),
-            cg_max_iters=take("solver", "cg_max_iters", int),
-            mass_constraint=take("solver", "mass", float))
-    except ValueError as exc:
-        violations.append(f"[solver] {exc}")
-        solver_plan = None
-    solver_eps = take("solver", "eps", _positive)
-    solver_delta = resolve_delta_rule("two_thirds")(solver_eps) \
-        if sections["solver"]["delta"] == "auto" else take("solver", "delta", _positive)
+    solver_plan = attempt("[solver]", lambda: SolverPlan(
+        max_outer=sol["max_outer"], tol_rel_energy=sol["tol_rel_energy"],
+        cg_tol=sol["cg_tol"], cg_max_iters=sol["cg_max_iters"], mass_constraint=sol["mass"]))
+    solver_delta = resolve_delta_rule("two_thirds")(sol["eps"]) \
+        if sol["delta"] is None else sol["delta"]
 
     if violations:
         raise ConfigError(violations)
-    return RunConfig(sections=sections, seed=seed, out_dir=sections["run"]["out"],
-                     quiet=quiet, potentials=potentials, elastic=elastic,
+    sections = {name: dict(texts) if name == "geometry" else
+                {**{k: d for k, (d, _) in _SCHEMA[name].items() if d is not None}, **texts}
+                for name, texts in given.items()}
+    return RunConfig(sections=sections, seed=run["seed"], out_dir=run["out"],
+                     quiet=run["quiet"], potentials=potentials, elastic=elastic,
                      geometry=geometry, sweep_plan=sweep_plan, solver_plan=solver_plan,
-                     solver_eps=solver_eps, solver_delta=solver_delta,
+                     solver_eps=sol["eps"], solver_delta=solver_delta,
                      solver_cells=solver_cells, solver_grid=solver_grid)
 
 
-def _build_elastic(take, dim: int) -> tuple[Optional[ElasticModel], list[str]]:
-    violations: list[str] = []
-    # 1D: the misfit strain; 2D: isotropic, or a11 a12 a22
-    e0_vals = take("elastic", "e0", _numbers(1) if dim == 1 else _numbers(1, 3))
-    if dim == 1:
-        e0 = np.array([[e0_vals[0]]])
-    elif len(e0_vals) == 1:
-        e0 = e0_vals[0] * np.eye(2)
-    else:
-        a, b, c = e0_vals
-        e0 = np.array([[a, b], [b, c]])
-    psi, dpsi = take("elastic", "psi", _one_of(DEGRADATIONS))
-    try:
-        model = ElasticModel(lame_lambda=take("elastic", "lame_lambda", _finite),
-                             lame_mu=take("elastic", "lame_mu", _positive),
-                             e0=e0, psi=psi, dpsi=dpsi,
-                             eta_rule=take("elastic", "eta_rule", _one_of(ETA_RULES)))
-    except ValueError as exc:
-        violations.append(f"[elastic] {exc}")
-        model = None
-    return model, violations
-
-
-def _build_geometry(sec: dict) -> tuple[object, list[str]]:
-    if "dim" not in sec:
-        return None, []
-
-    def get(key: str, default: str, conv=_floats):
-        """conv of the key's text, else of `default`; a fault names the key."""
-        try:
-            return conv(sec.get(key, default))
-        except ValueError as exc:
-            raise ValueError(f"{key}: {exc}") from exc
-
-    pair = _numbers(2)
-    u_specs = {
-        "zero": lambda: zero_displacement(2),
-        "affine": lambda: affine_displacement(
-            np.array(get("affine_matrix", "0 0 0 0", _numbers(4))).reshape(2, 2),
-            np.array(get("affine_offset", "0 0", pair))),
-        "piecewise_rigid": lambda: piecewise_rigid_displacement(
-            get("rigid_point", "0 0", pair), get("rigid_dir", "0 1", pair),
-            get("rigid_plus", "0 0", pair), get("rigid_minus", "0 0", pair),
-            get("rigid_omega_plus", "0", float), get("rigid_omega_minus", "0", float))}
-    try:
-        dim = get("dim", "", int)
-        if dim == 1:
-            dom = get("domain", "0 1", pair)
-            offsets = get("u_offsets", "")
-            slopes = get("u_slopes", "",
-                         _numbers(len(offsets), per=" (one per u_offsets value)"))
-            geom = SharpGeometry1D(tuple(dom), phase_points=tuple(get("phase_points", "")),
-                                   crack_points=tuple(get("crack_points", "")),
-                                   c_pieces=tuple(get("c_pieces", "", _ints)),
-                                   u_pieces=tuple(zip(slopes, offsets)))
-        elif dim == 2:
-            geom = SharpGeometry2D(tuple(get("origin", "0 0", pair)),
-                                   tuple(get("extent", "1 1", pair)),
-                                   polygon=get("polygon", "none", _polygon),
-                                   segments=get("segments", "", _segments),
-                                   u_spec=get("u_spec", "zero", _one_of(u_specs))())
-        else:
-            raise GeometryError(f"dim must be 1 or 2, got {dim}")
-    except ValueError as exc:
-        return None, [f"[geometry] {exc}"]
-    return geom, []
+def _build_geometry(g: dict):
+    """The sharp geometry of the converted [geometry] values."""
+    if g["dim"] == 1:
+        slopes, offsets = g["u_slopes"], g["u_offsets"]
+        if len(slopes) != len(offsets):
+            raise ValueError(f"u_slopes: got {len(slopes)} numbers, expected "
+                             f"{len(offsets)} (one per u_offsets value)")
+        return SharpGeometry1D(tuple(g["domain"]), phase_points=tuple(g["phase_points"]),
+                               crack_points=tuple(g["crack_points"]),
+                               c_pieces=tuple(g["c_pieces"]),
+                               u_pieces=tuple(zip(slopes, offsets)))
+    keys, displacement = g["u_spec"]
+    return SharpGeometry2D(tuple(g["origin"]), tuple(g["extent"]), polygon=g["polygon"],
+                           segments=g["segments"],
+                           u_spec=displacement(*(g[key] for key in keys)))
 
 
 def emit_config(cfg: RunConfig) -> str:
@@ -475,24 +462,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
+    flags = {"out": args.out, "seed": args.seed, "quiet": "true" if args.quiet else None}
     try:
-        cfg = parse_config(args.config)
+        cfg = parse_config(args.config, {k: v for k, v in flags.items() if v is not None})
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 2
-    if args.out:
-        cfg.out_dir = args.out
-        cfg.sections["run"]["out"] = args.out
-    if args.seed is not None:
-        try:
-            cfg.seed = _seed(args.seed)
-        except ValueError as exc:
-            print(f"--seed: {exc}", file=sys.stderr)
-            return 2
-        cfg.sections["run"]["seed"] = str(cfg.seed)
-    if args.quiet:
-        cfg.quiet = True
-        cfg.sections["run"]["quiet"] = "true"
 
     try:
         os.makedirs(cfg.out_dir, exist_ok=True)

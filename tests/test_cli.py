@@ -435,7 +435,8 @@ def test_negative_seed_exits_2(tmp_path, capsys, command):
     assert "[run] seed: must be >= 0, got -1" in capsys.readouterr().err
     path = write_config(tmp_path, config_with("run", "seed", "3"))
     assert main([command, "--config", path, "--seed", "-3"]) == 2
-    assert "--seed: must be >= 0, got -3" in capsys.readouterr().err
+    # a flag is a [run] text, so its fault reads like the config key's
+    assert "[run] seed: must be >= 0, got -3" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -503,3 +504,105 @@ def test_inline_comments_stripped(tmp_path):
     text = MINIMAL_1D.replace("lambda = 1e-4", "lambda = 1e-4   ; profile floor")
     cfg = parse_config(write_config(tmp_path, text))
     assert cfg.sweep_plan.lam == pytest.approx(1e-4)
+
+
+@pytest.mark.parametrize("text,strays", [
+    ("[geometry]\ndim = 1\ncrack_points = 0.5\nu_slopes = 0 0\nu_offsets = 0 0.1\n"
+     "polygon = 0.5 0 1 0 1 1 0.5 1\norigin = 0 0\nrigid_point = 0.5 0.5\n",
+     ["[geometry] origin: ", "[geometry] polygon: ", "[geometry] rigid_point: "]),
+    ("[geometry]\ndim = 2\nu_spec = zero\ndomain = 0 1\nphase_points = 0.5\n"
+     "affine_matrix = 1 0 0 1\nrigid_plus = 0.1 0\n",
+     ["[geometry] affine_matrix: ", "[geometry] domain: ", "[geometry] phase_points: ",
+      "[geometry] rigid_plus: "]),
+    ("[sweep]\ndelta_rule = bogus\nlambda = 5\ncells = -3\nenforce_width = maybe\n",
+     ["[sweep] cells: ", "[sweep] delta_rule: ", "[sweep] enforce_width: ",
+      "[sweep] lambda: "])], ids=["dim1", "dim2_zero", "sweep_without_schedule"])
+def test_key_that_nothing_reads_exits_2_and_names_it(tmp_path, capsys, text, strays):
+    assert main(["check", "--config", write_config(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    named = [line.split("- ", 1)[1] for line in err.splitlines() if ": not read " in line]
+    assert [line[:len(prefix)] for line, prefix in zip(named, strays)] == strays
+    assert len(named) == len(strays)
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_key_the_configuration_reads_is_accepted(tmp_path):
+    # each dim and each u_spec with all the keys it reads
+    rigid = "rigid_point = 0.5 0.5\nrigid_dir = 0 1\nrigid_plus = 0 0\nrigid_minus = 0 0\n" \
+            "rigid_omega_plus = 0\nrigid_omega_minus = 0\n"
+    for body in ("dim = 1\ndomain = 0 1\nphase_points = 0.5\ncrack_points = 0.5\n"
+                 "c_pieces = 0 1\nu_slopes = 0 0\nu_offsets = 0 0\ncells = 8\n",
+                 "dim = 2\norigin = 0 0\nextent = 1 1\npolygon = none\nsegments = none\n"
+                 "u_spec = zero\ncells = 8\n",
+                 "dim = 2\nu_spec = affine\naffine_matrix = 0 0 0 0\naffine_offset = 0 0\n",
+                 "dim = 2\nu_spec = piecewise_rigid\n" + rigid):
+        parse_config(write_config(tmp_path, "[geometry]\n" + body))
+
+
+def test_schedule_without_geometry_lists_the_sweep_faults_too(tmp_path):
+    text = "[sweep]\neps_schedule = 0.25 0.125\nlambda = 5\nenforce_width = maybe\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(write_config(tmp_path, text))
+    assert sorted(err.value.violations) == [
+        "[sweep] enforce_width: not a boolean: 'maybe'", "[sweep] lambda must lie in (0, 1)",
+        "[sweep] requires a [geometry] section"]
+
+
+def test_every_default_text_converts_with_its_converter():
+    # a default that did not convert would leave a faulty key without a value
+    for name, keys in cli._SCHEMA.items():
+        for key, (text, conv) in keys.items():
+            if text is not None:
+                conv(text)
+    assert sum(map(len, cli._SCHEMA.values())) == 47
+
+
+def test_echo_lists_only_the_geometry_keys_set_and_parses_back(tmp_path):
+    cfg = parse_config(write_config(tmp_path, "[geometry]\ndim = 2\n"))
+    assert cfg.sections["geometry"] == {"dim": "2"}
+    assert cfg.solver_cells == (1024,) and cfg.sweep_plan is None
+    echoed = tmp_path / "echo.ini"
+    echoed.write_text(emit_config(cfg))
+    assert parse_config(str(echoed)).sections == cfg.sections
+
+
+def test_flags_are_run_texts_echoed_as_given(tmp_path, capsys):
+    path = write_config(tmp_path, MINIMAL_1D)
+    out = tmp_path / "flagged"
+    assert main(["check", "--config", path, "--seed", "042", "--out", str(out),
+                 "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+    manifest = (out / "manifest.txt").read_text()
+    assert "seed = 42\n" in manifest  # the converted seed in the header
+    run = manifest.split("[run]\n", 1)[1].split("\n\n", 1)[0].splitlines()
+    assert run == [f"out = {out}", "quiet = true", "seed = 042"]
+
+
+# a sweep whose last width cannot be resolved on 8 cells
+FAILING_ROW_1D = """[geometry]
+dim = 1
+crack_points = 0.5
+u_slopes = 0 0
+u_offsets = 0 0.1
+cells = 8
+
+[sweep]
+eps_schedule = 0.25 0.001
+cells = 8
+"""
+
+
+def test_sweep_writes_a_failed_row_and_exits_1(tmp_path, capsys):
+    path = write_config(tmp_path, FAILING_ROW_1D)
+    assert main(["sweep", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    assert "failures = 1" in capsys.readouterr().out
+    rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+    assert rows[-1] == "0.001,0.010000000000000002,nan,nan,nan,nan,2,nan,error:ResolutionError"
+
+
+def test_handler_error_exits_1_and_names_the_command(tmp_path, capsys):
+    path = write_config(tmp_path, FAILING_ROW_1D)
+    assert main(["recover", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == ("recover: z-transition width 5.298e-02 needs "
+                                       "spacing < 2.649e-02; refine the grid\n")
+    assert sorted(os.listdir(tmp_path / "out")) == ["manifest.txt"]

@@ -62,8 +62,18 @@ def test_an_altered_or_missing_output_is_named(tmp_path):
     lines = other["c.field"].splitlines(keepends=True)
     lines[6] = b"0.25\n"
     other["c.field"] = b"".join(lines)
+    # the diff runs from the other tree to this one, with 3 lines of context
+    text = [line.decode() for line in mine["c.field"].splitlines()]
     assert same_outputs.differences(mine, other) == [
-        f"c.field: line 7 differs ({len(lines)} lines here, {len(lines)} there)"]
+        f"c.field: line 7 differs ({len(lines)} lines here, {len(lines)} there)",
+        "    --- other tree", "    +++ this tree", "    @@ -4,7 +4,7 @@",
+        *(f"     {line}" for line in text[3:6]), "    -0.25", f"    +{text[6]}",
+        *(f"     {line}" for line in text[7:10])]
+    # a long diff is cut after DIFF_LINES lines, and the rest is counted
+    other["c.field"] = b"".join(lines[:4]) + b"0.5\n" * (len(lines) - 4)
+    found = same_outputs.differences(mine, other)
+    assert len(found) == 2 + same_outputs.DIFF_LINES
+    assert found[-1].startswith("    ... ") and found[-1].endswith(" more diff lines")
     del other["c.field"]
     other["extra.csv"] = b""
     assert same_outputs.differences(mine, other) == [

@@ -9,11 +9,14 @@ generated config.  It also runs `sharp` on AFFINE_SHARP, the one config with
 a nonzero sharp elastic term.  Each run goes once with this tree's src/ and
 once with OTHER_TREE's src/, both with the same --out path.
 Every output file, stdout, stderr and the exit code are compared byte for
-byte; each difference is named.  Exit code 0 when all are equal, 1 otherwise.
+byte; each difference is named, and a differing text is shown as a unified
+diff from the other tree (`-`) to this one (`+`), cut after DIFF_LINES lines.
+Exit code 0 when all are equal, 1 otherwise.
 Standard library only; perfbench/ is read, never written.
 """
 from __future__ import annotations
 
+import difflib
 import os
 import shutil
 import subprocess
@@ -22,6 +25,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (0, 1)
+DIFF_LINES = 20
 # a 2D affine strain with off-diagonal terms, a full e0 and lambda > 0, so that
 # every strain plane and the trace term reach the sharp elastic energy
 AFFINE_SHARP = """[elastic]
@@ -62,7 +66,8 @@ def run_cli(tree: str, command: str, config: str, out: str) -> dict[str, bytes]:
 
 def differences(mine: dict[str, bytes], other: dict[str, bytes]) -> list[str]:
     """One line per output that differs or that only one side has; a
-    differing text names its first differing line."""
+    differing text names its first differing line, and its indented unified
+    diff lines follow, at most DIFF_LINES of them."""
     found = []
     for key in sorted(mine.keys() | other.keys()):
         if key not in other:
@@ -73,6 +78,13 @@ def differences(mine: dict[str, bytes], other: dict[str, bytes]) -> list[str]:
             a, b = mine[key].splitlines(), other[key].splitlines()
             k = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
             found.append(f"{key}: line {k + 1} differs ({len(a)} lines here, {len(b)} there)")
+            diff = list(difflib.unified_diff(
+                [line.decode(errors="replace") for line in b],
+                [line.decode(errors="replace") for line in a],
+                "other tree", "this tree", lineterm=""))
+            found += [f"    {line}" for line in diff[:DIFF_LINES]]
+            if len(diff) > DIFF_LINES:
+                found.append(f"    ... {len(diff) - DIFF_LINES} more diff lines")
     return found
 
 
