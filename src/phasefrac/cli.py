@@ -479,8 +479,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         # fix glibc's mmap threshold at its largest value, so every array under
         # 32 MiB comes from the heap: by default it rises with each larger block
         # freed, and which arrays got mapped, and so the peak RSS, followed the
-        # heap layout (identical 1024^2 sweeps: 228-256 MB, by --out alone)
-        ctypes.CDLL(None).mallopt(-3, 32 << 20)  # -3: M_MMAP_THRESHOLD, malloc.h
+        # heap layout (identical 1024^2 sweeps: 228-256 MB, by --out alone).
+        # Fixing it also pins the trim threshold at 128 KiB, so the heap's top
+        # went back to the system at almost every free and the next array
+        # faulted its pages in again (145k page faults in a 1024^2 sweep, 9k at
+        # 64 MiB, same peak RSS); 64 MiB is twice the mmap threshold, the pair
+        # glibc's own rule would set.
+        libc = ctypes.CDLL(None)
+        libc.mallopt(-3, 32 << 20)  # -3: M_MMAP_THRESHOLD, malloc.h
+        libc.mallopt(-1, 64 << 20)  # -1: M_TRIM_THRESHOLD
     handler = {"check": _cmd_check, "sharp": _cmd_sharp, "sweep": _cmd_sweep,
                "recover": _cmd_recover, "minimize": _cmd_minimize}[args.command]
     try:

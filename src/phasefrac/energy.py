@@ -17,6 +17,10 @@ finite differences in the test suite.
 `evaluate_block` is that pass at one block, which also returns the energy of
 the state with that block replaced; such a trial recomputes only the terms
 the block moves, so an Armijo search costs one pass per step.
+`diffuse_energy` is the energy alone, bit for bit `evaluate`'s, formed over
+slabs of `fields._BLOCK` cells (whole rows, each read with one halo row on
+each side); it holds one cells-sized density array where `evaluate` holds
+about fifteen.
 
 Strains, e0 and stresses are tuples of strain planes, (xx,) in 1D and
 (xx, yy, xy) in 2D (see `fields.sym_gradient`).  In |xi|^2 and in the
@@ -35,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import (Grid, ScalarField, VectorField, gradient, gradient_adjoint,
+from .fields import (_BLOCK, Grid, ScalarField, VectorField, gradient, gradient_adjoint,
                      sym_gradient, sym_gradient_adjoint, sym_planes)
 from .potentials import PotentialSet
 
@@ -197,9 +201,19 @@ def _integral(density: np.ndarray, label: str, vol: float) -> float:
     return float(vol * density.sum())
 
 
-# The terms of the energy, each written once: the pass (`_evaluate`) and the
-# trials of `evaluate_block` call the same functions, so a trial energy is the
-# pass's energy of the replaced state bit for bit.
+# The terms of the energy, each written once: the pass (`_evaluate`), the
+# trials of `evaluate_block` and the slabs of `diffuse_energy` call the same
+# density functions, so every one of them gives the pass's energy bit for bit.
+
+def _clamp(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """z clamped to [0, 1], and the mask of the cells the clamp moves."""
+    return np.clip(z, 0.0, 1.0), (z < 0.0) | (z > 1.0)
+
+
+def _phase_weight(zc: np.ndarray, s: DiffuseState, P: PotentialSet) -> np.ndarray:
+    """phi(z) + C_delta, z clamped to [0, 1]."""
+    return P.phi(zc) + P.c_delta(s.delta)
+
 
 def _elastic_weight(zc: np.ndarray, s: DiffuseState, M: ElasticModel) -> np.ndarray:
     """psi(z) + eta(delta), z clamped to [0, 1]."""
@@ -211,10 +225,14 @@ def _sq_norm(g: tuple) -> np.ndarray:
     return g[0] * g[0] if len(g) == 1 else g[0] * g[0] + g[1] * g[1]
 
 
-def _phase_raw(c: np.ndarray, s: DiffuseState, P: PotentialSet):
-    """W(c)/eps + eps |grad c|^2 per cell, and grad c as planes."""
-    gc = gradient(c, s.grid.spacing)
-    return P.w(c) / s.eps + s.eps * _sq_norm(gc), gc
+def _phase_raw(c: np.ndarray, gc: tuple, s: DiffuseState, P: PotentialSet) -> np.ndarray:
+    """W(c)/eps + eps |grad c|^2 per cell, from c and grad c as planes."""
+    return P.w(c) / s.eps + s.eps * _sq_norm(gc)
+
+
+def _crack_density(zc: np.ndarray, gz: tuple, s: DiffuseState, P: PotentialSet) -> np.ndarray:
+    """V(z)/delta + delta |grad z|^2 per cell, from the clamped z and grad z."""
+    return P.v(zc) / s.delta + s.delta * _sq_norm(gz)
 
 
 def _misfit(strain: tuple, c: np.ndarray, e0: tuple) -> tuple:
@@ -237,14 +255,13 @@ def _z_terms(z: np.ndarray, s: DiffuseState, P: PotentialSet, M: ElasticModel,
     both weights and the crack density; they are returned for the gradient:
     (energy, zc, outside, (phase weight, elastic weight), grad z)."""
     vol = s.grid.cell_volume
-    zc = np.clip(z, 0.0, 1.0)
-    outside = (z < 0.0) | (z > 1.0)
-    phase_weight, elastic_weight = P.phi(zc) + P.c_delta(s.delta), _elastic_weight(zc, s, M)
+    zc, outside = _clamp(z)
+    phase_weight, elastic_weight = _phase_weight(zc, s, P), _elastic_weight(zc, s, M)
     gz = gradient(z, s.grid.spacing)
-    crack = P.v(zc) / s.delta + s.delta * _sq_norm(gz)
     energy = EnergyBreakdown(_interfacial(phase_weight, phase_raw, vol),
                              _elastic(elastic_weight, form, vol),
-                             _integral(crack, "crack", vol), int(np.count_nonzero(outside)))
+                             _integral(_crack_density(zc, gz, s, P), "crack", vol),
+                             int(np.count_nonzero(outside)))
     return energy, zc, outside, (phase_weight, elastic_weight), gz
 
 
@@ -274,8 +291,8 @@ def _evaluate(s: DiffuseState, P: PotentialSet, M: ElasticModel, blocks: str, st
     h, vol, c = s.grid.spacing, s.grid.cell_volume, s.c.values
     e0 = M.e0_planes(s.grid.dim)
     xi = _misfit(sym_gradient(s.u.values, h) if strain is None else strain, c, e0)
-    phase_raw, gc = _phase_raw(c, s, P)
-    form = M.form(xi)
+    gc = gradient(c, h)
+    phase_raw, form = _phase_raw(c, gc, s, P), M.form(xi)
     energy, zc, outside, (phase_weight, elastic_weight), gz = _z_terms(
         s.z.values, s, P, M, phase_raw, form)
     grads = {}
@@ -316,7 +333,8 @@ def evaluate_block(s: DiffuseState, P: PotentialSet, M: ElasticModel, block: str
             return _z_terms(z, s, P, M, phase_raw, form)[0]
     elif block == "c":
         def trial(c: np.ndarray) -> EnergyBreakdown:
-            return EnergyBreakdown(_interfacial(phase_weight, _phase_raw(c, s, P)[0], vol),
+            raw = _phase_raw(c, gradient(c, s.grid.spacing), s, P)
+            return EnergyBreakdown(_interfacial(phase_weight, raw, vol),
                                    _elastic(elastic_weight, M.form(_misfit(strain, c, e0)), vol),
                                    energy.e_crack, energy.clamped_cells)
     else:
@@ -338,8 +356,54 @@ def _elastic_trial(s: DiffuseState, M: ElasticModel, weight: np.ndarray, e0: tup
     return trial
 
 
+def _slabs(rows: int, row_cells: int):
+    """Slabs of `max(1, _BLOCK // row_cells)` rows, each as (its rows, its
+    rows with one halo row on each side inside the grid, its rows within the
+    haloed ones).  A difference of the haloed rows is the whole grid's
+    difference on the slab's rows, bit for bit: centered differences read
+    the same operands, and one-sided ones fall only on the grid's own edge
+    rows."""
+    step = max(1, _BLOCK // row_cells)
+    for r0 in range(0, rows, step):
+        r1 = min(r0 + step, rows)
+        lo = max(r0 - 1, 0)
+        yield slice(r0, r1), slice(lo, min(r1 + 1, rows)), slice(r0 - lo, r1 - lo)
+
+
 def diffuse_energy(s: DiffuseState, P: PotentialSet, M: ElasticModel) -> EnergyBreakdown:
-    return evaluate(s, P, M)[0]
+    """The energy alone, bit for bit `evaluate(s, P, M)[0]`, clamp count
+    included, formed over slabs of rows (`_slabs`).  Each density, in turn,
+    is written slab by slab into one cells-sized array and summed once, as
+    `evaluate` sums it; besides that array the pass holds only slab-sized
+    temporaries."""
+    h = s.grid.spacing
+    c, u, z, e0 = s.c.values, s.u.values, s.z.values, M.e0_planes(s.grid.dim)
+    slabs = list(_slabs(len(c), c.size // len(c)))
+    density = np.empty(s.grid.cells)
+
+    def integral(label: str, slab_density: Callable) -> float:
+        for own, halo, inner in slabs:
+            # diff(op, a): `op` (gradient or sym_gradient) of a on the slab's rows
+            density[own] = slab_density(
+                own, lambda op, a: tuple(p[inner] for p in op(a[halo], h)))
+        return _integral(density, label, s.grid.cell_volume)
+
+    # each weight is formed after its raw density, so the two sets of
+    # temporaries never overlap
+    def interfacial(own, diff):
+        raw = _phase_raw(c[own], diff(gradient, c), s, P)
+        return _phase_weight(_clamp(z[own])[0], s, P) * raw
+
+    def elastic(own, diff):
+        form = M.form(_misfit(diff(sym_gradient, u), c[own], e0))
+        return _elastic_weight(_clamp(z[own])[0], s, M) * form
+
+    def crack(own, diff):
+        return _crack_density(_clamp(z[own])[0], diff(gradient, z), s, P)
+
+    return EnergyBreakdown(integral("interfacial", interfacial), integral("elastic", elastic),
+                           integral("crack", crack),
+                           sum(int(np.count_nonzero(_clamp(z[own])[1])) for own, _, _ in slabs))
 
 
 def mass(c: ScalarField) -> float:

@@ -24,6 +24,12 @@ from typing import ClassVar
 import numpy as np
 
 
+# cells per block of the blocked passes, `recovery.build_recovery`'s samples
+# and `energy.diffuse_energy`'s slabs of rows: a block's temporaries take
+# 128 KiB each, whatever the grid size
+_BLOCK = 1 << 14
+
+
 @dataclass(frozen=True)
 class Grid:
     """Axis-aligned box discretized into uniform cells; fields live at centers."""
@@ -95,7 +101,9 @@ class _Field:
         if not np.all(np.isfinite(arr)):
             raise ValueError("field contains non-finite values")
         arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        # a view of the frozen array: numpy refuses to make a view writable
+        # when its base is not, so no caller can turn the writes back on
+        object.__setattr__(self, "values", arr.view())
 
     @classmethod
     def full(cls, grid: Grid, value):

@@ -132,9 +132,10 @@ def gamma_sweep(plan: SweepPlan, P: PotentialSet, M: ElasticModel) -> SweepTable
     rows: list[SweepRow] = []
     for eps, delta in zip(plan.eps_schedule, plan.deltas()):
         try:
-            state = build_recovery(plan.geometry, eps, delta, plan.lam, grid, P,
-                                   enforce_width=plan.enforce_width)
-            energy = diffuse_energy(state, P, M)
+            # the state lives only inside this call, so a row's build never
+            # overlaps the previous row's state
+            energy = diffuse_energy(build_recovery(plan.geometry, eps, delta, plan.lam, grid,
+                                                   P, enforce_width=plan.enforce_width), P, M)
         except (ValueError, ArithmeticError) as exc:
             rows.append(SweepRow(eps, delta, None, e_sharp, float("nan"),
                                  status=f"error:{type(exc).__name__}"))

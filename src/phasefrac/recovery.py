@@ -24,9 +24,9 @@ the c-transition to the damaged tube only if zeta_W(1) <= eps/sqrt(lambda)
 builder enforces it by default and can be told not to for regimes where only
 the energy values matter.
 
-The builder samples the cells in row-major blocks of `_BLOCK` points.  Each
-block forms its points, both distances, both transitions and the displacement,
-and writes them into the preallocated c, z and u arrays, which the fields
+The builder samples the cells in row-major blocks of `fields._BLOCK` points.
+Each block forms its points, both distances, both transitions and the
+displacement, and writes them into the preallocated c, z and u arrays, which the fields
 take without a copy, as a `fields._HandOver`.  Besides those arrays, which
 the state owns, the build holds only block-sized temporaries, under 3 MiB
 at 2^14 points whatever the grid size, so they stay in cache.  Every value
@@ -41,10 +41,8 @@ import numpy as np
 
 from ._quad import cumulative_simpson, simpson
 from .energy import DiffuseState
-from .fields import Grid, ScalarField, VectorField, _HandOver
+from .fields import _BLOCK, Grid, ScalarField, VectorField, _HandOver
 from .potentials import PotentialSet
-
-_BLOCK = 1 << 14  # sample points per block of `build_recovery`
 
 
 class WidthConditionError(ValueError):

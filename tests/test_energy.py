@@ -1,10 +1,12 @@
+import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import random_state
-from phasefrac import solver
+from phasefrac import energy, solver
 from phasefrac.energy import (DEGRADATIONS, ETA_RULES, DiffuseState, ElasticModel,
                               EnergyBreakdown, diffuse_energy, evaluate, evaluate_block,
                               mass, project_mass)
@@ -375,3 +377,76 @@ def test_trial_energies_match_a_full_pass_bitwise(P, dim, lam, mass_constraint):
         assert _same_energy(res.energy, diffuse_energy(s2, P, M)), res.block
     if mass_constraint is not None:
         assert mass(s2.c) == pytest.approx(mass_constraint, abs=1e-15)
+
+
+def _slab_state(dim):
+    """A 23-row (2D: 23 x 17) state with some z outside [0, 1], lambda > 0 and
+    a full e0."""
+    e0 = np.array([[0.8, 0.1], [0.1, -0.2]])[:dim, :dim]
+    M = ElasticModel(lame_lambda=0.7, lame_mu=0.6, e0=e0)
+    g = Grid((0.0,) * dim, (1.0,) * dim, (23, 17)[:dim])
+    rng = np.random.Generator(np.random.Philox(70 + dim))
+    s = random_state(g, seed=80 + dim)
+    return s.replace(z=ScalarField(g, rng.uniform(-0.2, 1.2, g.cells))), M
+
+
+# cells per slab: one cell, slabs of 5 rows (23 = 4 * 5 + 3), slabs of 22 rows
+# (a last slab of one row) and one slab for the whole grid
+_SLAB_CELLS = {1: (1, 5, 22, 23, 10 ** 6), 2: (1, 5 * 17, 22 * 17, 23 * 17, 10 ** 6)}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_slab_pass_matches_the_whole_array_pass_bitwise(P, monkeypatch, dim):
+    s, M = _slab_state(dim)
+    want = evaluate(s, P, M)[0]
+    assert 0 < want.clamped_cells < s.z.values.size and want.e_elastic > 0.0
+    for cells in _SLAB_CELLS[dim]:
+        monkeypatch.setattr(energy, "_BLOCK", cells)
+        assert _same_energy(diffuse_energy(s, P, M), want), cells
+
+
+def _inf_at(value, fn):
+    return lambda x: np.where(np.asarray(x) == value, np.inf, fn(x))
+
+
+@pytest.mark.parametrize("label", ["interfacial", "elastic", "crack"])
+def test_slab_pass_names_the_same_nonfinite_cell(P, monkeypatch, label):
+    s, M = _slab_state(2)
+    cell = (13, 4)
+    c, z = s.c.values.copy(), s.z.values.copy()
+    c[cell], z[cell] = 0.25, 0.5
+    s = s.replace(c=ScalarField(s.grid, c), z=ScalarField(s.grid, z))
+    if label == "interfacial":
+        P = dataclasses.replace(P, w=_inf_at(0.25, P.w))
+    elif label == "elastic":
+        M = dataclasses.replace(M, psi=_inf_at(0.5, M.psi))
+    else:
+        P = dataclasses.replace(P, v=_inf_at(0.5, P.v))
+    message = f"non-finite {label} density at cell {cell}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        evaluate(s, P, M)
+    for cells in _SLAB_CELLS[2]:
+        monkeypatch.setattr(energy, "_BLOCK", cells)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            diffuse_energy(s, P, M)
+
+
+@pytest.mark.parametrize("cells,arrays", [(None, 4.0), (1 << 10, 1.5)])
+def test_slab_pass_holds_one_density_array_and_slab_temporaries(P, monkeypatch, cells, arrays):
+    # at 256^2 the whole-array pass peaks near 15 cells-sized arrays above the
+    # state; the slab pass holds one density array plus temporaries that scale
+    # with the slab (2^14 cells, a quarter of this grid, by default)
+    if cells is not None:
+        monkeypatch.setattr(energy, "_BLOCK", cells)
+    M = ElasticModel(lame_lambda=0.7, lame_mu=0.6, e0=np.array([[0.8, 0.1], [0.1, -0.2]]))
+    g = Grid((0.0, 0.0), (1.0, 1.0), (256, 256))
+    s = random_state(g, seed=90)
+    want = evaluate(s, P, M)[0]
+    tracemalloc.start()
+    try:
+        got = diffuse_energy(s, P, M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _same_energy(got, want)
+    assert peak < arrays * s.c.values.nbytes, peak / s.c.values.nbytes

@@ -58,10 +58,19 @@ def test_caller_cannot_change_a_field_through_a_frozen_array(g1):
     assert np.all(f.values == 0.0)
 
 
+def test_field_values_cannot_be_made_writable(g1):
+    # the values are a view of the frozen array, so numpy refuses the flag
+    for f in (ScalarField(g1, np.zeros(g1.cells)), ScalarField(g1, _HandOver(np.zeros(g1.cells))),
+              VectorField.full(g1, 0.0)):
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            f.values.setflags(write=True)
+        assert np.all(f.values == 0.0)
+
+
 def test_handed_over_array_is_taken_checked_and_frozen(g1):
     a = np.zeros(g1.cells)
     f = ScalarField(g1, _HandOver(a))
-    assert f.values is a and not a.flags.writeable
+    assert f.values.base is a and not a.flags.writeable  # taken without a copy
     bad = np.zeros(g1.cells)
     bad[2] = np.inf
     with pytest.raises(ValueError, match="non-finite"):

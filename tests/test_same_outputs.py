@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from phasefrac import fields
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _spec = importlib.util.spec_from_file_location(
     "same_outputs", os.path.join(ROOT, "tools", "same_outputs.py"))
@@ -78,3 +80,15 @@ def test_an_altered_or_missing_output_is_named(tmp_path):
     other["extra.csv"] = b""
     assert same_outputs.differences(mine, other) == [
         "c.field: only in this tree", "extra.csv: only in the other tree"]
+
+
+def test_the_1d_sweep_spans_several_energy_slabs(tmp_path):
+    config = tmp_path / "run.ini"
+    config.write_text(same_outputs.SWEEP_1D)
+    mine = same_outputs.run_cli(ROOT, "sweep", str(config), str(tmp_path / "out"))
+    assert mine["exit code"] == b"0" and mine["stderr"] == b""
+    rows = mine["sweep.csv"].decode().splitlines()[1:]
+    assert len(rows) == 2 and all(row.endswith(",ok") for row in rows)
+    assert b"cells = 65536\n" in mine["manifest.txt"]
+    assert 65536 // fields._BLOCK >= 4
+    assert same_outputs.compare(ROOT, "sweep", same_outputs.SWEEP_1D) == []

@@ -6,7 +6,8 @@ benchmark workloads.
 For each workload of perfbench/workloads.py at seeds 0 and 1, the phasefrac
 CLI runs the workload's command, and then `check` and `sharp`, on the same
 generated config.  It also runs `sharp` on AFFINE_SHARP, the one config with
-a nonzero sharp elastic term.  Each run goes once with this tree's src/ and
+a nonzero sharp elastic term, and `sweep` on SWEEP_1D, a 1D sweep on a grid
+of several energy slabs.  Each run goes once with this tree's src/ and
 once with OTHER_TREE's src/, both with the same --out path.
 Every output file, stdout, stderr and the exit code are compared byte for
 byte; each difference is named, and a differing text is shown as a unified
@@ -40,6 +41,23 @@ segments = 0.5 0.25 0.5 0.75
 u_spec = affine
 affine_matrix = 0.3 -0.7 0.45 0.1
 affine_offset = 0.1 -0.2
+"""
+
+# the README's 1D geometry on 2^16 cells, four slabs of `fields._BLOCK`
+# cells, so the energy's slab loop runs along the one axis
+SWEEP_1D = """[geometry]
+dim = 1
+domain = 0 1
+phase_points = 0.5
+crack_points = 0.5
+c_pieces = 0 1
+u_slopes = 0 0
+u_offsets = 0 0.01
+
+[sweep]
+cells = 65536
+eps_schedule = 0.00390625 0.001953125
+delta_scale = 8
 """
 
 
@@ -111,7 +129,7 @@ def main(argv: list[str]) -> int:
     runs = [(f"{name} seed {seed} {command}", command, make_config(name, seed))
             for name, workload in WORKLOADS.items()
             for seed in SEEDS for command in (workload.command, "check", "sharp")]
-    runs.append(("affine sharp", "sharp", AFFINE_SHARP))
+    runs += [("affine sharp", "sharp", AFFINE_SHARP), ("1D sweep", "sweep", SWEEP_1D)]
     failed = 0
     for label, command, config_text in runs:
         found = compare(argv[0], command, config_text)
