@@ -100,10 +100,11 @@ class ElasticModel:
     _e0_planes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # a frozen copy, so the caller's array cannot change e0 or its planes
+        # a view of a frozen copy, as `fields._Field` stores its values: the
+        # caller's array cannot change e0, and no one can make it writable
         e0 = np.array(self.e0, dtype=float)
         e0.setflags(write=False)
-        object.__setattr__(self, "e0", e0)
+        object.__setattr__(self, "e0", e0.view())
         if not (0.0 < self.lame_mu < np.inf and 0.0 <= self.lame_lambda < np.inf):
             raise ValueError(f"need 0 < mu < inf and 0 <= lambda < inf, got mu "
                              f"{self.lame_mu}, lambda {self.lame_lambda}")

@@ -336,7 +336,10 @@ def write_field(f: ScalarField, path) -> None:
     """Plain-text dump: header lines dim, cells, origin, extent, then the
     row-major values, each as `%.17g` on its own line, ending in a newline.
     `%.17g` round-trips every float64, so `read_field` returns the same bits.
-    The values are formatted and written in chunks, never as one text."""
+    The values are written in chunks of `_CHUNK`, never as one text, and
+    within a chunk each run of bit-equal values is formatted once and its
+    line repeated, so a piecewise constant field costs per run, not per
+    cell; bits, not `==`, keep -0.0 next to 0.0 two runs."""
     g = f.grid
 
     def pieces():
@@ -346,22 +349,29 @@ def write_field(f: ScalarField, path) -> None:
                + "extent " + " ".join(f"{x:.17g}" for x in g.extent) + "\n")
         flat = f.values.reshape(-1)
         for k in range(0, flat.size, _CHUNK):
-            part = flat[k:k + _CHUNK].tolist()
-            yield ("%.17g\n" * len(part)) % tuple(part)
+            part = flat[k:k + _CHUNK]
+            bits = part.view(np.uint64)
+            # where each run of bit-equal values ends; its last value stands for it
+            ends = np.append(np.flatnonzero(bits[1:] != bits[:-1]) + 1, part.size)
+            lines = (("%.17g\n" * ends.size) % tuple(part[ends - 1].tolist())).splitlines(True)
+            counts = np.diff(ends, prepend=0).tolist()
+            yield "".join(line * n for line, n in zip(lines, counts))
 
     _write_atomic(path, pieces())
 
 
 def read_field(path) -> ScalarField:
     """Inverse of `write_field`, bit for bit.  Every fault names `path`, and a
-    fault of one line also its 1-based number and text.  The values are parsed
-    in chunks of `_CHUNK` lines straight into the field's array, never held
-    as one text."""
-    with open(path) as fh:
+    fault of one line also its 1-based number and text.  The dump is ASCII
+    and is read as bytes: only the four header lines are decoded, and a bad
+    line for its message, with any other byte shown as an escape such as
+    `\\xff`.  The values are parsed in chunks of `_CHUNK` lines of bytes
+    straight into the field's array, never held as one text."""
+    with open(path, "rb") as fh:
         lines = [fh.readline() for _ in range(4)]
-        if "" in lines:
-            raise ValueError(f"{path}: {lines.index('')} lines, but the header alone has 4")
-        lines = [line.rstrip("\n") for line in lines]
+        if b"" in lines:
+            raise ValueError(f"{path}: {lines.index(b'')} lines, but the header alone has 4")
+        lines = [_text(line) for line in lines]
         header = []
         for k, key in enumerate(("dim", "cells", "origin", "extent")):
             name, *rest = lines[k].split() or [""]
@@ -400,11 +410,17 @@ def read_field(path) -> ScalarField:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _first_bad_line(chunk: list[str], first: int) -> str | None:
+def _text(line: bytes) -> str:
+    """One line of a dump as text, without its newline; a byte outside ASCII
+    becomes an escape such as `\\xff`, which no number or header key parses."""
+    return line.rstrip(b"\n").decode("ascii", "backslashreplace")
+
+
+def _first_bad_line(chunk: list[bytes], first: int) -> str | None:
     """Name the first line of `chunk` (numbered from `first`) that float()
-    rejects; numpy parses each string the same way."""
+    rejects; numpy parses each line the same way."""
     for k, line in enumerate(chunk, start=first):
-        text = line.rstrip("\n")
+        text = _text(line)
         try:
             float(text)
         except ValueError as exc:

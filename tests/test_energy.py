@@ -209,6 +209,15 @@ def test_e0_is_copied_frozen_and_checked_at_construction():
         ElasticModel(e0=np.eye(3))
 
 
+def test_e0_cannot_be_made_writable():
+    # e0 is a view of the frozen copy, so numpy refuses the flag, and e0 and
+    # the planes the energy uses cannot come apart
+    M = ElasticModel(e0=np.array([[1.0]]))
+    with pytest.raises(ValueError, match="WRITEABLE"):
+        M.e0.setflags(write=True)
+    assert M.e0[0, 0] == 1.0 and M.e0_planes(1) == (1.0,)
+
+
 def test_e0_of_another_dimension_is_refused(P):
     # broadcast, a 1x1 e0 would act as the all-ones matrix in 2D (e_elastic
     # 1.01 here instead of 0.505), and a 2x2 e0 would widen the 1D strain to 2x2

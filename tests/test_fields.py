@@ -354,6 +354,20 @@ def test_read_field_grid_and_value_fault_names_file(tmp_path, g1, line, text, me
         read_field(path)
 
 
+@pytest.mark.parametrize("line,text,message", [
+    (3, b"origin 0\xff", r"f\.field: header line 3 'origin 0\\\\xff': could not convert"),
+    (1, b"\xffdim 1", r"f\.field: header line 1 '\\\\xffdim 1': expected 'dim'"),
+    (12, b"0.\xff25", r"f\.field: line 12 '0\.\\\\xff25': could not convert"),
+])
+def test_read_field_names_file_and_line_of_a_byte_outside_ascii(tmp_path, g1, line, text, message):
+    path = _dump(tmp_path, g1, lambda dump: dump)
+    lines = path.read_bytes().splitlines(True)
+    lines[line - 1] = text + b"\n"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(ValueError, match=message):
+        read_field(path)
+
+
 @pytest.mark.parametrize("line", [4 + _CHUNK, 5 + _CHUNK, 5 + _CHUNK + 37])
 def test_read_field_names_bad_line_past_chunk_seam(tmp_path, line):
     # the last value line of the first chunk, the first and a later one of the second
@@ -420,6 +434,53 @@ def test_write_field_matches_per_value_reference(tmp_path, cells):
     back = read_field(path)
     assert back.grid == grid
     assert np.array_equal(back.values.view(np.uint64), f.values.view(np.uint64))
+
+
+def _runs(values, lengths) -> np.ndarray:
+    return np.repeat(np.array(values, dtype=float), lengths)
+
+
+def _ends_single() -> np.ndarray:
+    flat = np.full(3 * _CHUNK, 0.25)
+    flat[::_CHUNK] = [0.5, 1.5, 2.5]  # the first value of each chunk
+    flat[_CHUNK - 1::_CHUNK] = [-0.5, -1.5, -2.5]  # and the last
+    return flat
+
+
+# runs of bit-equal values against the chunks that `write_field` formats
+RUNS = {
+    "straddles the chunk seam": lambda: _runs([0.1, 1 / 3, 0.1], [_CHUNK - 5, 10, _CHUNK - 5]),
+    "fills whole chunks": lambda: _runs([1 / 3, 0.7], [2 * _CHUNK, _CHUNK]),
+    "alternating signed zeros": lambda: _runs([0.0, -0.0] * 4,
+                                              [1, 2, 3, _CHUNK, 5, 1, _CHUNK - 1, 7]),
+    "awkward in runs of 1, 2 and a chunk plus one": lambda: np.concatenate(
+        [_runs(AWKWARD, n) for n in (1, 2, _CHUNK + 1)]),
+    "a single value at each chunk end": _ends_single,
+}
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_write_field_formats_runs_like_the_per_value_reference(tmp_path, name):
+    flat = RUNS[name]()
+    f = ScalarField(Grid((0.0,), (1.0,), flat.shape), flat)
+    path = tmp_path / "f.field"
+    write_field(f, path)
+    assert path.read_bytes() == _reference_dump(f).encode()
+    assert np.array_equal(read_field(path).values.view(np.uint64), flat.view(np.uint64))
+
+
+def test_write_field_repeats_a_line_within_one_chunk(tmp_path):
+    # one run over a 512^2 field: its 20-byte line repeated over all cells
+    # would be 5 MB, so no repeated text may span more than a chunk
+    f = ScalarField.full(Grid((0.0, 0.0), (1.0, 1.0), (512, 512)), 1 / 3)
+    tracemalloc.start()
+    try:
+        write_field(f, tmp_path / "f.field")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert (tmp_path / "f.field").stat().st_size > 5 * 10**6
 
 
 def test_write_field_streams_in_chunks(tmp_path):

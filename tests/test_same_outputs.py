@@ -92,3 +92,15 @@ def test_the_1d_sweep_spans_several_energy_slabs(tmp_path):
     assert b"cells = 65536\n" in mine["manifest.txt"]
     assert 65536 // fields._BLOCK >= 4
     assert same_outputs.compare(ROOT, "sweep", same_outputs.SWEEP_1D) == []
+
+
+def test_the_affine_recover_dumps_fields_with_no_runs(tmp_path):
+    config = tmp_path / "run.ini"
+    config.write_text(same_outputs.AFFINE_RECOVER)
+    mine = same_outputs.run_cli(ROOT, "recover", str(config), str(tmp_path / "out"))
+    assert mine["exit code"] == b"0" and mine["stderr"] == b""
+    for name in ("u0.field", "u1.field"):
+        values = mine[name].splitlines()[4:]
+        assert len(values) == 96 * 96 > fields._CHUNK
+        assert all(a != b for a, b in zip(values, values[1:]))
+    assert same_outputs.compare(ROOT, "recover", same_outputs.AFFINE_RECOVER) == []

@@ -6,9 +6,11 @@ benchmark workloads.
 For each workload of perfbench/workloads.py at seeds 0 and 1, the phasefrac
 CLI runs the workload's command, and then `check` and `sharp`, on the same
 generated config.  It also runs `sharp` on AFFINE_SHARP, the one config with
-a nonzero sharp elastic term, and `sweep` on SWEEP_1D, a 1D sweep on a grid
-of several energy slabs.  Each run goes once with this tree's src/ and
-once with OTHER_TREE's src/, both with the same --out path.
+a nonzero sharp elastic term, `recover` on AFFINE_RECOVER, whose affine
+displacement dumps fields with no two equal neighbours, and `sweep` on
+SWEEP_1D, a 1D sweep on a grid of several energy slabs.  Each run goes once
+with this tree's src/ and once with OTHER_TREE's src/, both with the same
+--out path.
 Every output file, stdout, stderr and the exit code are compared byte for
 byte; each difference is named, and a differing text is shown as a unified
 diff from the other tree (`-`) to this one (`+`), cut after DIFF_LINES lines.
@@ -41,6 +43,15 @@ segments = 0.5 0.25 0.5 0.75
 u_spec = affine
 affine_matrix = 0.3 -0.7 0.45 0.1
 affine_offset = 0.1 -0.2
+"""
+
+# AFFINE_SHARP's geometry recovered on 96^2 cells, more than one chunk of
+# `fields._CHUNK` values: u0 and u1 are affine, so each of their values
+# differs from the one before and the dump formats no run of equal values
+AFFINE_RECOVER = AFFINE_SHARP + """
+[sweep]
+cells = 96 96
+eps_schedule = 0.03125
 """
 
 # the README's 1D geometry on 2^16 cells, four slabs of `fields._BLOCK`
@@ -129,7 +140,9 @@ def main(argv: list[str]) -> int:
     runs = [(f"{name} seed {seed} {command}", command, make_config(name, seed))
             for name, workload in WORKLOADS.items()
             for seed in SEEDS for command in (workload.command, "check", "sharp")]
-    runs += [("affine sharp", "sharp", AFFINE_SHARP), ("1D sweep", "sweep", SWEEP_1D)]
+    runs += [("affine sharp", "sharp", AFFINE_SHARP),
+             ("affine recover", "recover", AFFINE_RECOVER),
+             ("1D sweep", "sweep", SWEEP_1D)]
     failed = 0
     for label, command, config_text in runs:
         found = compare(argv[0], command, config_text)
