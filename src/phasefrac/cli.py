@@ -163,7 +163,7 @@ _pair = _numbers(2)
 _SCHEMA = {
     "run": {"seed": ("0", _within(int, 0)), "out": ("out", str), "quiet": ("false", _bool)},
     "potentials": {"w_scale": ("1", _finite), "v_scale": ("1", _finite),
-                   "c_delta_scale": ("1", _finite), "coercivity": ("4", _positive)},
+                   "c_delta_scale": ("1", _positive), "coercivity": ("4", _positive)},
     "elastic": {"lame_lambda": ("0", _finite), "lame_mu": ("0.5", _positive),
                 # 1D: the misfit strain; 2D: isotropic, or a11 a12 a22
                 "e0": ("0", _numbers(1, 3)), "theta": ("0", _within(float, 0, 1)),

@@ -285,13 +285,12 @@ def evaluate(s: DiffuseState, P: PotentialSet, M: ElasticModel,
     return _evaluate(s, P, M, blocks)[:2]
 
 
-def _evaluate(s: DiffuseState, P: PotentialSet, M: ElasticModel, blocks: str, strain=None):
+def _evaluate(s: DiffuseState, P: PotentialSet, M: ElasticModel, blocks: str):
     """`evaluate`, plus the arrays a trial reuses: the two weights, the
-    interfacial raw density, the form and e0.  `strain` is e(u) when the
-    caller holds it."""
+    interfacial raw density, the form, e0 and the strain e(u)."""
     h, vol, c = s.grid.spacing, s.grid.cell_volume, s.c.values
-    e0 = M.e0_planes(s.grid.dim)
-    xi = _misfit(sym_gradient(s.u.values, h) if strain is None else strain, c, e0)
+    e0, strain = M.e0_planes(s.grid.dim), sym_gradient(s.u.values, h)
+    xi = _misfit(strain, c, e0)
     gc = gradient(c, h)
     phase_raw, form = _phase_raw(c, gc, s, P), M.form(xi)
     energy, zc, outside, (phase_weight, elastic_weight), gz = _z_terms(
@@ -313,7 +312,7 @@ def _evaluate(s: DiffuseState, P: PotentialSet, M: ElasticModel, blocks: str, st
         out += mask * P.dv(zc) / s.delta
         out += 2.0 * s.delta * gradient_adjoint(gz, h)
         grads["z"] = vol * out
-    return energy, grads, (phase_weight, elastic_weight, phase_raw, form, e0)
+    return energy, grads, (phase_weight, elastic_weight, phase_raw, form, e0, strain)
 
 
 def evaluate_block(s: DiffuseState, P: PotentialSet, M: ElasticModel, block: str
@@ -325,9 +324,8 @@ def evaluate_block(s: DiffuseState, P: PotentialSet, M: ElasticModel, block: str
     moves and reuses the pass's other arrays: for z the clamp, the weights
     and the crack density; for c the interfacial raw density, the misfit and
     the form; for u the strain, the misfit and the form."""
-    strain = sym_gradient(s.u.values, s.grid.spacing) if block == "c" else None
-    energy, grads, (phase_weight, elastic_weight, phase_raw, form, e0) = _evaluate(
-        s, P, M, block, strain)
+    energy, grads, (phase_weight, elastic_weight, phase_raw, form, e0, strain) = _evaluate(
+        s, P, M, block)
     vol = s.grid.cell_volume
     if block == "z":
         def trial(z: np.ndarray) -> EnergyBreakdown:

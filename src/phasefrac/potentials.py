@@ -24,11 +24,12 @@ class PotentialSet:
     All callables are vectorized over numpy arrays. Derivatives are required
     so the energy gradients are available without numerical differentiation.
     `theta` is the residual interfacial weight on fully damaged material:
-    phi(0) = theta, phi(1) = 1.  The caps `m_cap_w`, `m_cap_v` (sup of W
-    and V on [0, 1]) are derived from `w` and `v`, so `dataclasses.replace`
-    recomputes them.  `coercivity` is the C of the growth condition
-    W(s) >= |s|/C that `check_admissibility` tests.  Every integral over the
-    potentials takes `_quad.PANELS` Simpson panels.
+    phi(0) = theta, phi(1) = 1.  `c_delta_scale` is the positive slope of
+    the vanishing offset C_delta = c_delta_scale * delta.  The caps
+    `m_cap_w`, `m_cap_v` (sup of W and V on [0, 1]) are derived from `w` and
+    `v`, so `dataclasses.replace` recomputes them.  `coercivity` is the C
+    of the growth condition W(s) >= |s|/C that `check_admissibility` tests.
+    Every integral over the potentials takes `_quad.PANELS` Simpson panels.
     """
     w: Scalar
     dw: Scalar
@@ -36,7 +37,7 @@ class PotentialSet:
     dv: Scalar
     phi: Scalar
     dphi: Scalar
-    c_delta_rule: Callable[[float], float]
+    c_delta_scale: float
     theta: float
     coercivity: float
     m_cap_w: float = field(init=False)
@@ -47,15 +48,15 @@ class PotentialSet:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
         if not 0.0 < self.coercivity < np.inf:
             raise ValueError(f"coercivity must be positive and finite, got {self.coercivity}")
+        if not 0.0 < self.c_delta_scale < np.inf:
+            raise ValueError(f"c_delta_scale must be positive and finite, "
+                             f"got {self.c_delta_scale}")
         s = np.linspace(0.0, 1.0, 4097)
         object.__setattr__(self, "m_cap_w", float(np.max(self.w(s))))
         object.__setattr__(self, "m_cap_v", float(np.max(self.v(s))))
 
     def c_delta(self, delta: float) -> float:
-        c = float(self.c_delta_rule(delta))
-        if c <= 0:
-            raise ValueError(f"C_delta must be positive, got {c} at delta={delta}")
-        return c
+        return self.c_delta_scale * delta
 
 
 @dataclass(frozen=True)
@@ -130,7 +131,7 @@ def make_default_potentials(theta: float = 0.0,
         return (1.0 - theta) * (2.0 - 2.0 * m)
 
     return PotentialSet(w=w, dw=dw, v=v, dv=dv, phi=phi, dphi=dphi,
-                        c_delta_rule=lambda d: c_delta_scale * d,
+                        c_delta_scale=c_delta_scale,
                         theta=theta, coercivity=coercivity)
 
 

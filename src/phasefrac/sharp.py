@@ -13,6 +13,7 @@ measures and overlaps are computed exactly up to the coincidence tolerance.
 """
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -231,9 +232,8 @@ def zero_displacement(dim: int = 2) -> DisplacementSpec:
 
 def affine_displacement(f_matrix, offset=None) -> DisplacementSpec:
     f = np.asarray(f_matrix, dtype=float)
-    d = f.shape[0]
-    b = np.zeros(d) if offset is None else np.asarray(offset, dtype=float)
-    planes = sym_planes(0.5 * (f + f.T), d, "affine_matrix")
+    b = np.zeros(2) if offset is None else np.asarray(offset, dtype=float)
+    planes = sym_planes(0.5 * (f + f.T), 2, "affine_matrix")
 
     def u_at(pts):
         return pts @ f.T + b
@@ -318,9 +318,13 @@ class SharpGeometry1D:
         for p in self.phase_points + self.crack_points:
             if not a < p < b:
                 raise GeometryError(f"point {p} not interior to the domain")
+        # one point would be charged twice; a phase and a crack point may coincide
+        for kind, pts in (("phase", self.phase_points), ("crack", self.crack_points)):
+            for p, q in zip(pts, pts[1:]):
+                if q - p <= tol:
+                    raise GeometryError(f"{kind} points {p} and {q} coincide within "
+                                        f"the tolerance {tol:g}")
         bps = self.breakpoints()
-        if any(q - p <= tol for p, q in zip(bps, bps[1:])):
-            raise GeometryError("breakpoints closer than the tolerance")
         near = [(p, q) for p in self.phase_points for q in self.crack_points
                 if tol < abs(p - q) <= 1e3 * tol]
         if near:
@@ -434,6 +438,12 @@ class SharpGeometry2D:
             p = self.segments.endpoints.reshape(-1, 2)
             if np.any(p < lo - eps) or np.any(p > hi + eps):
                 raise GeometryError("crack segments must lie in the closed domain")
+        # an overlap would be charged twice; crossing segments are allowed
+        for (i, a), (j, b) in itertools.combinations(enumerate(self.segments.endpoints, 1), 2):
+            overlap = _collinear_overlap(a, b, eps)
+            if overlap > eps:
+                raise GeometryError(f"crack segments {i} and {j} overlap along a length "
+                                    f"of {overlap:.12g}")
 
     @property
     def dim(self) -> int:

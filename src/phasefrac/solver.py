@@ -226,7 +226,9 @@ def minimize_u(s: DiffuseState, P: PotentialSet, M: ElasticModel, plan: SolverPl
 def _armijo_step(s: DiffuseState, P: PotentialSet, M: ElasticModel, plan: SolverPlan,
                  block: str, start_step: float) -> tuple[DiffuseState, BlockResult]:
     """One pass at the block gives the energy, the gradient and the trial
-    energies; a field is built only for the state returned."""
+    energies.  Each trial is projected, z on the box [0, 1] and c on the mass
+    constraint, before its energy is taken, and the trial that passes the
+    Armijo test is returned as measured; a field is built only for it."""
     grid = s.grid
     vol = grid.cell_volume
     before, g, energy_of = evaluate_block(s, P, M, block)
@@ -235,24 +237,22 @@ def _armijo_step(s: DiffuseState, P: PotentialSet, M: ElasticModel, plan: Solver
         g = g - g.mean()
     direction = g / vol
     scale = max(1.0, float(np.abs(base).max()))
-    if float(np.abs(direction).max()) * start_step < 1e-16 * scale:
-        return s, BlockResult(block, True, flag="stationary", energy=before)
-
     t = start_step
     for k in range(_MAX_BACKTRACKS):
         trial = base - t * direction
         if block == "z":
             trial = np.clip(trial, 0.0, 1.0)
-        delta = trial - base
-        move = float(np.abs(delta).max())
-        if move < 1e-16 * scale:
+        if float(np.abs(trial - base).max()) < 1e-16 * scale:
             return s, BlockResult(block, True, flag="stationary", iters=k, energy=before)
+        if block == "c" and plan.mass_constraint is not None:
+            # projected after the stationarity test: on a state that holds
+            # the mass, the projection alone can move a value by an ulp, and
+            # no backtrack would undo that
+            trial = _project_mass(grid, trial, plan.mass_constraint)
+        delta = trial - base
         after = energy_of(trial)
         decrease = _ARMIJO_C * (vol / t) * float(np.sum(delta * delta))
         if after.e_total <= before.e_total - decrease:
-            if block == "c" and plan.mass_constraint is not None:
-                trial = _project_mass(grid, trial, plan.mass_constraint)
-                after = energy_of(trial)
             return (s.replace(**{block: ScalarField(grid, trial)}),
                     BlockResult(block, True, iters=k, step=t, energy=after))
         t *= _BACKTRACK_FACTOR
@@ -261,15 +261,16 @@ def _armijo_step(s: DiffuseState, P: PotentialSet, M: ElasticModel, plan: Solver
 
 
 def minimize_z(s: DiffuseState, P: PotentialSet, M: ElasticModel, plan: SolverPlan,
-               start_step: Optional[float] = None) -> tuple[DiffuseState, BlockResult]:
+               start_step: float = _STEP0) -> tuple[DiffuseState, BlockResult]:
     """One projected-gradient Armijo step for z on the box [0, 1]^cells."""
-    return _armijo_step(s, P, M, plan, "z", start_step or _STEP0)
+    return _armijo_step(s, P, M, plan, "z", start_step)
 
 
 def minimize_c(s: DiffuseState, P: PotentialSet, M: ElasticModel, plan: SolverPlan,
-               start_step: Optional[float] = None) -> tuple[DiffuseState, BlockResult]:
-    """One gradient Armijo step for c; zero-mean direction under a mass constraint."""
-    return _armijo_step(s, P, M, plan, "c", start_step or _STEP0)
+               start_step: float = _STEP0) -> tuple[DiffuseState, BlockResult]:
+    """One gradient Armijo step for c; under a mass constraint the direction
+    has zero mean and each trial is projected on the constraint."""
+    return _armijo_step(s, P, M, plan, "c", start_step)
 
 
 def alternate(s0: DiffuseState, P: PotentialSet, M: ElasticModel,
@@ -291,10 +292,10 @@ def alternate(s0: DiffuseState, P: PotentialSet, M: ElasticModel,
     for _ in range(plan.max_outer):
         s, ru = minimize_u(s, P, M, plan, before=energies[-1])
         s, rz = minimize_z(s, P, M, plan, start_step=step_z)
-        if rz.accepted and rz.step > 0:
+        if rz.step > 0:
             step_z = min(rz.step / _BACKTRACK_FACTOR, _STEP0)
         s, rc = minimize_c(s, P, M, plan, start_step=step_c)
-        if rc.accepted and rc.step > 0:
+        if rc.step > 0:
             step_c = min(rc.step / _BACKTRACK_FACTOR, _STEP0)
         energies.append(rc.energy)
         u_iters.append(ru.iters)

@@ -419,10 +419,11 @@ def test_nonfinite_value_exits_2(tmp_path, capsys, section, key, value):
     ("potentials", "coercivity", "nan"), ("elastic", "lame_mu", "nan"),
     ("elastic", "lame_mu", "inf"), ("elastic", "lame_lambda", "nan"),
     ("potentials", "w_scale", "nan"), ("potentials", "c_delta_scale", "nan"),
-    ("potentials", "v_scale", "inf")])
+    ("potentials", "v_scale", "inf"), ("potentials", "c_delta_scale", "0"),
+    ("potentials", "c_delta_scale", "-1")])
 def test_nonfinite_setting_exits_2_and_names_key(tmp_path, capsys, section, key, value):
     # each of these used to run: to the CG cap, forever, or to a non-finite
-    # density raised as exit 1
+    # density or a C_delta <= 0 raised as exit 1
     text = config_with(section, key, value)
     assert main(["minimize", "--config", write_config(tmp_path, text)]) == 2
     assert f"[{section}] {key}: must be " in capsys.readouterr().err
@@ -450,6 +451,22 @@ def test_infinite_1d_domain_blames_domain(tmp_path, capsys):
 def test_invalid_geometry_exit_code(tmp_path, capsys):
     text = MINIMAL_1D.replace("crack_points = 0.5", "crack_points = 2.5")
     assert main(["sharp", "--config", write_config(tmp_path, text)]) == 2
+
+
+def test_a_point_listed_twice_exits_2_and_names_it(tmp_path, capsys):
+    text = MINIMAL_1D.replace("crack_points = 0.5\nc_pieces = 0 0",
+                              "phase_points = 0.5 0.5\nc_pieces = 0 1")
+    text = text.replace("u_offsets = 0 0.1", "u_offsets = 0 0")
+    assert main(["sharp", "--config", write_config(tmp_path, text)]) == 2
+    assert "[geometry] phase points 0.5 and 0.5 coincide within the tolerance 1e-09" \
+        in capsys.readouterr().err
+
+
+def test_a_segment_listed_twice_exits_2_and_names_it(tmp_path, capsys):
+    text = "[geometry]\ndim = 2\nsegments = 0.5 0 0.5 1; 0.5 0 0.5 1\n"
+    assert main(["sharp", "--config", write_config(tmp_path, text)]) == 2
+    assert "[geometry] crack segments 1 and 2 overlap along a length of 1\n" \
+        in capsys.readouterr().err
 
 
 def test_2d_config_parses(tmp_path):

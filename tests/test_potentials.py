@@ -99,6 +99,13 @@ def test_coercivity_must_be_positive_and_finite(value):
         make_default_potentials(coercivity=value)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+def test_c_delta_scale_must_be_positive_and_finite(value):
+    # checked once at construction, not at each C_delta
+    with pytest.raises(ValueError, match="c_delta_scale must be positive and finite"):
+        make_default_potentials(c_delta_scale=value)
+
+
 def test_replace_recomputes_the_caps(P):
     # the caps follow the potentials: the stale cap 1/16 gave d_W(1) = 0.431
     def w4(s):

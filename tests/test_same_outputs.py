@@ -104,3 +104,16 @@ def test_the_affine_recover_dumps_fields_with_no_runs(tmp_path):
         assert len(values) == 96 * 96 > fields._CHUNK
         assert all(a != b for a, b in zip(values, values[1:]))
     assert same_outputs.compare(ROOT, "recover", same_outputs.AFFINE_RECOVER) == []
+
+
+def test_the_free_minimize_runs_the_c_step_without_a_mass(tmp_path):
+    config = tmp_path / "run.ini"
+    config.write_text(same_outputs.MINIMIZE_FREE)
+    mine = same_outputs.run_cli(ROOT, "minimize", str(config), str(tmp_path / "out"))
+    assert mine["exit code"] == b"0" and mine["stderr"] == b""
+    assert b"mass" not in mine["manifest.txt"]
+    rows = mine["trajectory.csv"].decode().splitlines()[1:]
+    assert len(rows) == 61  # the start and 60 sweeps, each lower than the one before
+    totals = [float(row.split(",")[-1]) for row in rows]
+    assert all(b < a for a, b in zip(totals, totals[1:]))
+    assert same_outputs.compare(ROOT, "minimize", same_outputs.MINIMIZE_FREE) == []

@@ -84,6 +84,17 @@ def test_1d_validation_errors():
                         u_pieces=((0.0, 0.0), (0.0, 0.5)))  # u jumps off-crack
 
 
+@pytest.mark.parametrize("points,c_pieces,fault", [
+    ({"phase_points": (0.5, 0.5)}, (0, 1), "phase points 0.5 and 0.5"),
+    ({"crack_points": (0.3, 0.3 + 1e-10)}, (0, 0), "crack points 0.3 and 0.3000000001")])
+def test_1d_repeated_point_is_refused(points, c_pieces, fault):
+    # the energy counts points, so a repeated one was charged twice (e_phase
+    # 2/3 for the phase points here, against 1/3 for one); breakpoints merge
+    # them, so the pieces are those of a single point
+    with pytest.raises(GeometryError, match=f"{fault} coincide within the tolerance"):
+        SharpGeometry1D((0.0, 1.0), c_pieces=c_pieces, u_pieces=((0.0, 0.0),) * 2, **points)
+
+
 def test_1d_near_coincidence_warns():
     with pytest.warns(UserWarning, match="near-coincident"):
         SharpGeometry1D((0.0, 1.0), phase_points=(0.5,), crack_points=(0.5 + 1e-7,),
@@ -152,6 +163,34 @@ def test_2d_crack_scaling(P, elastic_2d_free):
 def test_polygon_self_intersection_rejected():
     with pytest.raises(GeometryError):
         Polygon([(0, 0), (1, 1), (1, 0), (0, 1)])
+
+
+@pytest.mark.parametrize("segments,length", [
+    ([[[0.5, 0.0], [0.5, 1.0]], [[0.5, 0.0], [0.5, 1.0]]], "1"),
+    ([[[0.5, 0.0], [0.5, 0.6]], [[0.5, 1.0], [0.5, 0.4]]], "0.2"),
+    ([[[0.1, 0.1], [0.2, 0.2]], [[0.6, 0.1], [0.9, 0.1]], [[0.3, 0.1], [0.7, 0.1]]], "0.1")])
+def test_2d_overlapping_crack_segments_are_refused(segments, length):
+    # the crack energy sums the lengths, so an overlap was charged twice
+    pair = "2 and 3" if len(segments) == 3 else "1 and 2"
+    with pytest.raises(GeometryError, match=f"crack segments {pair} overlap along a "
+                                            f"length of {length}$"):
+        SharpGeometry2D((0.0, 0.0), (1.0, 1.0), segments=SegmentSet(segments))
+
+
+def test_2d_crossing_or_touching_crack_segments_are_allowed(P, elastic_2d_free):
+    for segments in ([[[0.5, 0.0], [0.5, 1.0]], [[0.0, 0.5], [1.0, 0.5]]],
+                     [[[0.5, 0.0], [0.5, 0.5]], [[0.5, 0.5], [0.5, 1.0]]]):
+        g = SharpGeometry2D((0.0, 0.0), (1.0, 1.0), segments=SegmentSet(segments))
+        assert sharp_energy_2d(g, P, elastic_2d_free).e_crack == \
+            pytest.approx(2.0 * SegmentSet(segments).total_length(), rel=1e-12)
+
+
+def test_affine_displacement_refuses_a_matrix_other_than_2x2():
+    # a 3x3 matrix used to give a three-plane strain, e_elastic 2.0 on the box
+    for f in (np.eye(3), np.eye(1)):
+        with pytest.raises(ValueError, match=r"affine_matrix has shape .*, but a 2D grid "
+                                             r"needs \(2, 2\)"):
+            affine_displacement(f)
 
 
 def test_segments_outside_domain_rejected():

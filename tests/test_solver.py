@@ -4,7 +4,7 @@ import pytest
 from conftest import random_state
 from phasefrac import solver
 from phasefrac.energy import (DEGRADATIONS, DiffuseState, ElasticModel, diffuse_energy,
-                              evaluate, mass)
+                              evaluate, mass, project_mass)
 from phasefrac.fields import Grid, ScalarField, VectorField, gradient
 from phasefrac.sharp import SharpGeometry1D, sharp_energy_1d
 from phasefrac.solver import (DESCENT_RTOL, SolverPlan, _axis_basis,
@@ -290,6 +290,62 @@ def test_armijo_step_without_descent_is_no_step(P, elastic_1d, monkeypatch, step
     s2, res = step(s, P, elastic_1d, SolverPlan())
     assert s2 is s and not res.accepted and res.flag == "no_step"
     assert res.iters == solver._MAX_BACKTRACKS and res.energy == before
+
+
+def _count_trials(monkeypatch, scale: float = 1.0) -> list:
+    """Wrap `solver.evaluate_block` so that the gradient is scaled by `scale`
+    and each trial's values are recorded; returns the record."""
+    real = solver.evaluate_block
+    trials = []
+
+    def counted(s, P, M, block):
+        energy, grad, trial = real(s, P, M, block)
+
+        def recorded(values):
+            trials.append(values)
+            return trial(values)
+        return energy, scale * grad, recorded
+    monkeypatch.setattr(solver, "evaluate_block", counted)
+    return trials
+
+
+@pytest.mark.parametrize("start_step", [1.0, 256.0])
+def test_a_mass_constrained_c_step_returns_the_trial_it_measured(P, elastic_1d, monkeypatch,
+                                                                 start_step):
+    # the trial is projected on the mass before its energy is taken, so the
+    # accepted trial is the state returned, with no second measurement
+    trials = _count_trials(monkeypatch)
+    g = Grid((0.0,), (1.0,), (128,))
+    s = default_state(g, eps=0.05, delta=0.1, c0=0.4, seed=5)
+    s = s.replace(c=project_mass(s.c, 0.4))
+    s2, res = minimize_c(s, P, elastic_1d, SolverPlan(mass_constraint=0.4), start_step)
+    assert res.accepted and res.flag == "" and res.step > 0.0
+    assert (res.iters > 0) == (start_step > 1.0)
+    assert len(trials) == res.iters + 1
+    assert np.array_equal(trials[-1], s2.c.values)
+    assert abs(mass(s2.c) - 0.4) <= 1e-12
+    assert res.energy == diffuse_energy(s2, P, elastic_1d)
+
+
+@pytest.mark.parametrize("step,mass_constraint", [
+    (minimize_z, None), (minimize_c, None), (minimize_c, 0.4)], ids=["z", "c", "c_mass"])
+def test_armijo_step_with_a_negligible_first_move_is_stationary(P, elastic_1d, monkeypatch,
+                                                                step, mass_constraint):
+    # a gradient so small that the first trial moves by less than 1e-16 of
+    # the block's scale: the step takes no trial energy and returns `s`
+    trials = _count_trials(monkeypatch, scale=1e-20)
+    s = random_state(Grid((0.0,), (1.0,), (64,)), seed=6)
+    if mass_constraint is not None:
+        s = s.replace(c=project_mass(s.c, mass_constraint))
+        # projected once more, this c moves by an ulp, over 1e-16 of its scale:
+        # the test of the move must come before the projection
+        again = project_mass(s.c, mass_constraint).values
+        assert np.abs(again - s.c.values).max() >= 1e-16 * np.abs(s.c.values).max()
+    before = diffuse_energy(s, P, elastic_1d)
+    s2, res = step(s, P, elastic_1d, SolverPlan(mass_constraint=mass_constraint))
+    assert s2 is s and res.accepted and res.flag == "stationary"
+    assert res.iters == 0 and res.step == 0.0 and res.energy == before
+    assert trials == []
 
 
 def test_minimize_u_nonconvergence_flagged(P):

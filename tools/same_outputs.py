@@ -7,8 +7,9 @@ For each workload of perfbench/workloads.py at seeds 0 and 1, the phasefrac
 CLI runs the workload's command, and then `check` and `sharp`, on the same
 generated config.  It also runs `sharp` on AFFINE_SHARP, the one config with
 a nonzero sharp elastic term, `recover` on AFFINE_RECOVER, whose affine
-displacement dumps fields with no two equal neighbours, and `sweep` on
-SWEEP_1D, a 1D sweep on a grid of several energy slabs.  Each run goes once
+displacement dumps fields with no two equal neighbours, `sweep` on
+SWEEP_1D, a 1D sweep on a grid of several energy slabs, and `minimize` on
+MINIMIZE_FREE, a 1D run without a mass constraint.  Each run goes once
 with this tree's src/ and once with OTHER_TREE's src/, both with the same
 --out path.
 Every output file, stdout, stderr and the exit code are compared byte for
@@ -69,6 +70,21 @@ u_offsets = 0 0.01
 cells = 65536
 eps_schedule = 0.00390625 0.001953125
 delta_scale = 8
+"""
+
+# a 1D minimize without [solver] mass: the workloads' minimize runs all set
+# one, so this is the run that takes the c-step with no mass projection
+MINIMIZE_FREE = """[elastic]
+e0 = 1
+
+[geometry]
+dim = 1
+cells = 128
+
+[solver]
+max_outer = 60
+tol_rel_energy = 1e-6
+eps = 0.03125
 """
 
 
@@ -142,7 +158,8 @@ def main(argv: list[str]) -> int:
             for seed in SEEDS for command in (workload.command, "check", "sharp")]
     runs += [("affine sharp", "sharp", AFFINE_SHARP),
              ("affine recover", "recover", AFFINE_RECOVER),
-             ("1D sweep", "sweep", SWEEP_1D)]
+             ("1D sweep", "sweep", SWEEP_1D),
+             ("1D minimize without mass", "minimize", MINIMIZE_FREE)]
     failed = 0
     for label, command, config_text in runs:
         found = compare(argv[0], command, config_text)
