@@ -24,9 +24,9 @@ from typing import ClassVar
 import numpy as np
 
 
-# cells per block of the blocked passes, `recovery.build_recovery`'s samples
-# and `energy.diffuse_energy`'s slabs of rows: a block's temporaries take
-# 128 KiB each, whatever the grid size
+# cells per block of the blocked passes, `recovery.build_recovery`'s square
+# tiles (isqrt(_BLOCK) = 128 a side in 2D) and `energy.diffuse_energy`'s
+# slabs of rows: a block's temporaries take 128 KiB each, whatever the grid size
 _BLOCK = 1 << 14
 
 

@@ -24,16 +24,38 @@ the c-transition to the damaged tube only if zeta_W(1) <= eps/sqrt(lambda)
 builder enforces it by default and can be told not to for regimes where only
 the energy values matter.
 
-The builder samples the cells in row-major blocks of `fields._BLOCK` points.
-Each block forms its points, both distances, both transitions and the
-displacement, and writes them into the preallocated c, z and u arrays, which the fields
-take without a copy, as a `fields._HandOver`.  Besides those arrays, which
-the state owns, the build holds only block-sized temporaries, under 3 MiB
-at 2^14 points whatever the grid size, so they stay in cache.  Every value
-is the one a single whole-grid pass gives, bit for bit.
+The builder samples the grid in square tiles of `fields._BLOCK` cells:
+isqrt(`_BLOCK`) = 128 a side in 2D and `_BLOCK` in 1D, cut short at the far
+end of an axis whose count the side does not divide.  Each tile first takes
+the distances to the phase boundary (`phase_boundary_distance`) and to the
+crack at the middle of its box of cell centres, less its half-diagonal and
+a margin of `geometry.tol_geom`: a distance is 1-Lipschitz, so that is a
+lower bound for every cell centre of the tile.  The margin, 1e-9 of the
+domain's length or diagonal, exceeds the rounding of these distances (a
+few ulps of the coordinates) while the grid and the geometry lie within
+1e5 diagonals of the origin.  A tile that the bounds put off a transition
+takes that transition's plateau, which its formula gives there exactly:
+
+    c = 1      when the phase bound is > 0 and the middle lies in A,
+    c = 0      when the phase bound is >= the width of g_W,
+    z = 1, u = u_sharp   when the crack bound - lambda*delta is >= the
+               width of g_V,
+
+since g is exactly 0.0 for r <= 0 and 1.0 for r >= its width, smoothstep
+is exactly 1.0 for t >= 1, and x * 1.0 == x.  Every other tile evaluates
+the exact distances at each of its cells.  The displacement u_sharp is
+evaluated at every cell: its jump runs along the whole supporting line of
+a crack, far tiles included.  The tiles write into the preallocated c, z
+and u arrays, which the fields take without a copy, as a
+`fields._HandOver`.  Besides those arrays, which the state owns, the build
+holds a few numbers per tile and tile-sized temporaries, under 3 MiB at
+2^14 points whatever the grid size, so they stay in cache.  Every value is
+the one a single whole-grid pass gives, bit for bit.
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -155,6 +177,15 @@ def _transition(f: Callable[[np.ndarray], np.ndarray], lam: float, scale: float,
     return prof
 
 
+def _tiles(cells: tuple[int, ...]) -> list[tuple[slice, ...]]:
+    """The grid's square tiles of at most `_BLOCK` cells, as index slices:
+    `_BLOCK` cells in 1D, isqrt(`_BLOCK`) per axis in 2D; a tile at the far
+    end of an axis whose count the side does not divide is cut short."""
+    side = _BLOCK if len(cells) == 1 else math.isqrt(_BLOCK)
+    return list(itertools.product(*[[slice(s, min(s + side, n)) for s in range(0, n, side)]
+                                    for n in cells]))
+
+
 def build_recovery(geometry, eps: float, delta: float, lam: float, grid: Grid,
                    P: PotentialSet, enforce_width: bool = True) -> DiffuseState:
     """Sample the diffuse embedding of a sharp configuration on a grid.
@@ -178,25 +209,39 @@ def build_recovery(geometry, eps: float, delta: float, lam: float, grid: Grid,
     prof_w = _transition(P.w, lam, eps, hmax, "c") if geometry.has_phase() else None
     prof_v = _transition(P.v, lam, delta, hmax, "z") if geometry.has_crack() else None
 
-    c = np.zeros(grid.cells) if prof_w is None else np.empty(grid.cells)
-    z = np.ones(grid.cells) if prof_v is None else np.empty(grid.cells)
+    c = np.zeros(grid.cells)  # the c = 0 plateau, and c without a phase
+    z = np.ones(grid.cells)  # the z = 1 plateau, and z without a crack
     u = np.empty(grid.cells + (grid.dim,))
-    cf, zf, uf = c.reshape(-1), z.reshape(-1), u.reshape(-1, grid.dim)
     centers = [grid.centers(a) for a in range(grid.dim)]
-    n = cf.size
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        block = slice(start, stop)
-        index = np.unravel_index(np.arange(start, stop), grid.cells)
-        pts = np.stack([x[i] for x, i in zip(centers, index)], axis=-1)
-        if prof_w is not None:
-            cf[block] = prof_w.g(prof_w.width - geometry.phase_distance(pts))
-        if prof_v is None:
-            uf[block] = geometry.u_values(pts)
-        else:
+    tiles = _tiles(grid.cells)
+    # one point per tile, the middle of its box of cell centres: the distances
+    # there, less `reach`, bound those of every cell centre of the tile
+    first = np.array([[x[s.start] for x, s in zip(centers, t)] for t in tiles])
+    last = np.array([[x[s.stop - 1] for x, s in zip(centers, t)] for t in tiles])
+    middle = 0.5 * (first + last)
+    reach = 0.5 * np.sqrt(np.sum((last - first) ** 2, axis=1)) + geometry.tol_geom
+    c_one = c_band = z_band = np.zeros(len(tiles), dtype=bool)
+    if prof_w is not None:
+        gap = geometry.phase_boundary_distance(middle) - reach
+        c_one = (gap > 0.0) & (geometry.phase_distance(middle) == 0.0)
+        c_band = ~c_one & (gap < prof_w.width)
+    if prof_v is not None:
+        z_band = geometry.crack_distance(middle) - reach - lam * delta < prof_v.width
+    for k, tile in enumerate(tiles):
+        pts = np.stack(np.meshgrid(*[x[s] for x, s in zip(centers, tile)], indexing="ij",
+                                   copy=False), axis=-1).reshape(-1, grid.dim)
+        shape = tuple(s.stop - s.start for s in tile)
+        if c_one[k]:
+            c[tile] = 1.0
+        elif c_band[k]:
+            c[tile] = prof_w.g(prof_w.width - geometry.phase_distance(pts)).reshape(shape)
+        if z_band[k]:
             crack_dist = geometry.crack_distance(pts)
-            zf[block] = prof_v.g(crack_dist - lam * delta)
-            uf[block] = geometry.u_values(pts) * smoothstep(crack_dist / (lam * delta))[:, None]
+            z[tile] = prof_v.g(crack_dist - lam * delta).reshape(shape)
+            u_tile = geometry.u_values(pts) * smoothstep(crack_dist / (lam * delta))[:, None]
+        else:
+            u_tile = geometry.u_values(pts)
+        u[tile] = u_tile.reshape(shape + (grid.dim,))
 
     return DiffuseState(c=ScalarField(grid, _HandOver(c)),
                         u=VectorField(grid, _HandOver(u)),

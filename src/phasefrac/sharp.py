@@ -230,9 +230,17 @@ def zero_displacement(dim: int = 2) -> DisplacementSpec:
                             e_at=_constant_strain(planes), e_const=planes)
 
 
+def _vector(value, name: str) -> np.ndarray:
+    """A point or vector argument of a 2D displacement as 2 floats, else GeometryError."""
+    v = np.asarray(value, dtype=float)
+    if v.shape != (2,):
+        raise GeometryError(f"{name} must be 2 values, got shape {v.shape}")
+    return v
+
+
 def affine_displacement(f_matrix, offset=None) -> DisplacementSpec:
     f = np.asarray(f_matrix, dtype=float)
-    b = np.zeros(2) if offset is None else np.asarray(offset, dtype=float)
+    b = np.zeros(2) if offset is None else _vector(offset, "offset")
     planes = sym_planes(0.5 * (f + f.T), 2, "affine_matrix")
 
     def u_at(pts):
@@ -250,14 +258,13 @@ def piecewise_rigid_displacement(line_point, line_dir, u_plus, u_minus,
     charges only the declared crack segments, so keep the jump amplitude small
     when the segments do not disconnect the domain.
     """
-    p = np.asarray(line_point, dtype=float)
-    tau = np.asarray(line_dir, dtype=float)
+    p = _vector(line_point, "line_point")
+    tau = _vector(line_dir, "line_dir")
     nrm = np.linalg.norm(tau)
     if nrm == 0:
         raise GeometryError("line direction must be nonzero")
     tau = tau / nrm
-    bp = np.asarray(u_plus, dtype=float)
-    bm = np.asarray(u_minus, dtype=float)
+    bp, bm = _vector(u_plus, "u_plus"), _vector(u_minus, "u_minus")
 
     def u_at(pts):
         rx, ry = pts[:, 0] - p[0], pts[:, 1] - p[1]
@@ -290,6 +297,13 @@ def skew_affine_displacement(omega: float = 0.7) -> DisplacementSpec:
 
 # ---------------------------------------------------------------------------
 # sharp configurations
+
+
+def _points_distance(x: np.ndarray, points: tuple[float, ...]) -> np.ndarray:
+    """Distance from each of the values x to the nearest of `points` (inf if none)."""
+    if not points:
+        return np.full(x.shape, np.inf)
+    return np.min(np.abs(x[:, None] - np.asarray(points)[None, :]), axis=1)
 
 
 @dataclass(frozen=True)
@@ -396,11 +410,12 @@ class SharpGeometry1D:
             dist = np.minimum(dist, np.maximum.reduce([lo - x, x - hi, np.zeros_like(x)]))
         return dist
 
+    def phase_boundary_distance(self, pts: np.ndarray) -> np.ndarray:
+        """Distance to the boundary of {c = 1} in the domain: its phase points."""
+        return _points_distance(pts.reshape(-1), self.phase_points)
+
     def crack_distance(self, pts: np.ndarray) -> np.ndarray:
-        x = pts.reshape(-1)
-        if not self.crack_points:
-            return np.full(x.shape, np.inf)
-        return np.min(np.abs(x[:, None] - np.asarray(self.crack_points)[None, :]), axis=1)
+        return _points_distance(pts.reshape(-1), self.crack_points)
 
     def u_values(self, pts: np.ndarray) -> np.ndarray:
         x = pts.reshape(-1)
@@ -459,6 +474,12 @@ class SharpGeometry2D:
         if self.polygon is None:
             return np.full(pts.shape[0], np.inf)
         return self.polygon.distance(pts)
+
+    def phase_boundary_distance(self, pts: np.ndarray) -> np.ndarray:
+        """Distance to the polygon's edges (inf without a polygon)."""
+        if self.polygon is None:
+            return np.full(pts.shape[0], np.inf)
+        return SegmentSet(self.polygon.edges).distance(pts)
 
     def crack_distance(self, pts: np.ndarray) -> np.ndarray:
         return self.segments.distance(pts)

@@ -231,6 +231,27 @@ def test_profile_g_bitwise_against_reference(P):
         assert type(value) is float and value == _reference_g(prof, x)
 
 
+def test_plateau_values_are_exact_bits(P):
+    # build_recovery writes these constants, not the profiles' values, on a
+    # tile far from every transition: a change to either must show here
+    def bits(values):
+        return np.asarray(values, dtype=float).view(np.uint64)
+
+    for f in (P.w, P.v):
+        prof = build_profile(ProfileParams(f, 1e-4, 0.03))
+        w = prof.width
+        low = [0.0, -0.0, -5e-324, -w, -1e300, -np.inf]
+        high = [w, np.nextafter(w, np.inf), 2.0 * w, 1e300, np.inf]
+        assert np.array_equal(bits(prof.g(np.array(low))), bits(np.zeros(len(low))))
+        assert np.array_equal(bits(prof.g(np.array(high))), bits(np.ones(len(high))))
+        assert np.array_equal(bits([prof.g(r) for r in low + high]),
+                              bits([0.0] * len(low) + [1.0] * len(high)))
+    t = np.array([1.0, np.nextafter(1.0, 2.0), 1.5, 1e300, np.inf])
+    assert np.array_equal(bits(smoothstep(t)), bits(np.ones(len(t))))
+    u = np.array([[-0.0, 0.0], [5e-324, -1e300], [0.1, -0.3]])
+    assert np.array_equal(bits(u * smoothstep(t[:3])[:, None]), bits(u))
+
+
 def _blocking_cases():
     box = ((0.0, 0.0), (1.0, 1.0))
     poly = Polygon([(0.31, 0.17), (0.83, 0.17), (0.77, 0.69), (0.41, 0.88)])
@@ -238,36 +259,81 @@ def _blocking_cases():
     rigid = piecewise_rigid_displacement((0.83, 0.5), (0.0, 1.0), (0.01, 0.02),
                                          (-0.03, 0.0), 0.1, -0.2)
     affine = affine_displacement([[0.3, -0.1], [0.2, 0.05]], [0.01, -0.02])
-    grid2 = Grid(box[0], box[1], (50, 37))  # 1850 points
+    grid2 = Grid(box[0], box[1], (50, 37))  # no tile side below divides 50 or 37
+    sides = (3, 7, 13, 16)
+    # criterion 05's geometry on 64^2: tiles of side 4, 8 or 16 meet at the
+    # phase boundary x = 0.5 and at the crack tips (0.5, 0.25) and (0.5, 0.75)
+    tips = piecewise_rigid_displacement((0.5, 0.5), (0.0, 1.0), (0.002, 0.0), (-0.002, 0.0))
     return {
-        "phase+crack": (SharpGeometry2D(*box, polygon=poly, segments=segs, u_spec=rigid), grid2),
-        "phase": (SharpGeometry2D(*box, polygon=poly, u_spec=affine), grid2),
-        "crack": (SharpGeometry2D(*box, segments=segs, u_spec=rigid), grid2),
-        "empty": (SharpGeometry2D(*box, u_spec=affine), grid2),
+        "phase+crack": (SharpGeometry2D(*box, polygon=poly, segments=segs, u_spec=rigid),
+                        grid2, sides),
+        "phase": (SharpGeometry2D(*box, polygon=poly, u_spec=affine), grid2, sides),
+        "crack": (SharpGeometry2D(*box, segments=segs, u_spec=rigid), grid2, sides),
+        "empty": (SharpGeometry2D(*box, u_spec=affine), grid2, sides),
+        "tile corners": (SharpGeometry2D(*box, polygon=Polygon([(0.5, 0.0), (1.0, 0.0),
+                                                                  (1.0, 1.0), (0.5, 1.0)]),
+                                         segments=SegmentSet([[[0.5, 0.25], [0.5, 0.75]]]),
+                                         u_spec=tips),
+                         Grid(box[0], box[1], (64, 64)), (4, 8, 16)),
         "1d": (SharpGeometry1D((0.0, 1.0), phase_points=(0.3,), crack_points=(0.6,),
                                c_pieces=(0, 1, 1),
                                u_pieces=((0.1, 0.0), (0.1, 0.0), (0.1, 0.2))),
-               Grid((0.0,), (1.0,), (2500,))),
+               Grid((0.0,), (1.0,), (2500,)), (1000, 333, 77)),
     }
 
 
-@pytest.mark.parametrize("case", ["phase+crack", "phase", "crack", "empty", "1d"])
+@pytest.mark.parametrize("case", ["phase+crack", "phase", "crack", "empty", "tile corners",
+                                  "1d"])
 def test_blocked_recovery_matches_one_block_bitwise(P, monkeypatch, case):
-    geometry, grid = _blocking_cases()[case]
-    n = int(np.prod(grid.cells))
+    geometry, grid, sides = _blocking_cases()[case]
+    centers = [grid.centers(a) for a in range(grid.dim)]
+    # the cells whose centres each distance was evaluated at, per build
+    seen = {"phase_distance": np.zeros(grid.cells, dtype=bool),
+            "crack_distance": np.zeros(grid.cells, dtype=bool)}
 
-    def build(block):
-        monkeypatch.setattr(recovery, "_BLOCK", block)
+    def recorded(name):
+        method = getattr(type(geometry), name)
+
+        def wrapper(self, pts):
+            coords = pts.reshape(-1, grid.dim).T
+            index = [np.minimum(np.searchsorted(x, p), len(x) - 1) for x, p in zip(centers, coords)]
+            hit = np.logical_and.reduce([x[i] == p for x, i, p in zip(centers, index, coords)])
+            seen[name][tuple(i[hit] for i in index)] = True
+            return method(self, pts)
+        return wrapper
+
+    for name in seen:
+        monkeypatch.setattr(type(geometry), name, recorded(name))
+
+    def build(side):
+        for mask in seen.values():
+            mask[...] = False
+        monkeypatch.setattr(recovery, "_BLOCK", side ** grid.dim)
         return build_recovery(geometry, 0.05, 0.1, 0.25, grid, P, enforce_width=False)
 
-    whole = build(n)  # one block
-    for block in (1000, 333):  # neither divides n: the last block is partial
-        assert n % block and n > block
-        st = build(block)
+    whole = build(max(grid.cells))
+    assert recovery._tiles(grid.cells) == [tuple(slice(0, m) for m in grid.cells)]
+    plateaus = set()
+    for side in sides:
+        st = build(side)
+        assert side < max(grid.cells)
+        assert all(m % side for m in grid.cells) != (case == "tile corners")
         for name in ("c", "u", "z"):
             got, want = getattr(st, name).values, getattr(whole, name).values
             assert got.shape == want.shape and not got.flags.writeable
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (block, name)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (side, name)
+        c, z = st.c.values, st.z.values
+        skipped_c, skipped_z = ~seen["phase_distance"], ~seen["crack_distance"]
+        assert skipped_c.all() == (not geometry.has_phase())
+        assert skipped_z.all() == (not geometry.has_crack())
+        if geometry.has_phase():
+            plateaus |= {"c = 1"} if (skipped_c & (c == 1.0)).any() else set()
+            plateaus |= {"c = 0"} if (skipped_c & (c == 0.0)).any() else set()
+        if geometry.has_crack():
+            plateaus |= {"z = 1"} if (skipped_z & (z == 1.0)).any() else set()
+    # each plateau of each transition was taken by some tile
+    assert plateaus == ({"c = 1", "c = 0"} if geometry.has_phase() else set()) | \
+        ({"z = 1"} if geometry.has_crack() else set())
     c, z = whole.c.values, whole.z.values
-    assert (0.0 < c.max()) == ("phase" in case or case == "1d")
-    assert (z.min() < 1.0) == ("crack" in case or case == "1d")
+    assert (0.0 < c.max()) == geometry.has_phase()
+    assert (z.min() < 1.0) == geometry.has_crack()

@@ -1,5 +1,6 @@
 """The output comparison in tools/ on a smoke-size workload, against this tree."""
 import importlib.util
+import math
 import os
 import sys
 
@@ -22,7 +23,7 @@ def test_same_tree_gives_no_differences():
 
 @pytest.mark.parametrize("name", ["sweep_2d", "recover_2d"])
 def test_sweep_and_recover_on_the_smoke_workloads(name, tmp_path):
-    # the smoke sweep_2d grid (256^2) spans several recovery blocks
+    # the smoke sweep_2d grid (256^2) spans four 128^2 recovery tiles
     workload, text = WORKLOADS[name], make_config(name, 0, smoke=True)
     config = tmp_path / "run.ini"
     config.write_text(text)
@@ -104,6 +105,18 @@ def test_the_affine_recover_dumps_fields_with_no_runs(tmp_path):
         assert len(values) == 96 * 96 > fields._CHUNK
         assert all(a != b for a, b in zip(values, values[1:]))
     assert same_outputs.compare(ROOT, "recover", same_outputs.AFFINE_RECOVER) == []
+
+
+def test_the_partial_tile_recover_cuts_tiles_short_on_both_axes(tmp_path):
+    config = tmp_path / "run.ini"
+    config.write_text(same_outputs.PARTIAL_RECOVER)
+    mine = same_outputs.run_cli(ROOT, "recover", str(config), str(tmp_path / "out"))
+    assert mine["exit code"] == b"0" and mine["stderr"] == b""
+    assert b"cells = 300 200\n" in mine["manifest.txt"]
+    assert all(n % math.isqrt(fields._BLOCK) for n in (300, 200))
+    for name in ("c.field", "z.field", "u0.field", "u1.field"):
+        assert len(mine[name].splitlines()[4:]) == 300 * 200
+    assert same_outputs.compare(ROOT, "recover", same_outputs.PARTIAL_RECOVER) == []
 
 
 def test_the_free_minimize_runs_the_c_step_without_a_mass(tmp_path):

@@ -193,6 +193,21 @@ def test_affine_displacement_refuses_a_matrix_other_than_2x2():
             affine_displacement(f)
 
 
+def test_displacements_refuse_a_point_or_vector_other_than_2_values():
+    # a 1-value offset used to broadcast to both components, a 3-value line_dir
+    # was normalised with its third value and a 3-value u_plus was truncated
+    for offset in ([1.0], [1.0, 2.0, 3.0], np.eye(2)):
+        with pytest.raises(GeometryError, match=r"^offset must be 2 values, got shape"):
+            affine_displacement(np.eye(2), offset)
+    good = {"line_point": (0.5, 0.5), "line_dir": (0.0, 1.0), "u_plus": (0.1, 0.0),
+            "u_minus": (0.0, 0.0)}
+    for name in good:
+        for bad in ([0.5], [0.0, 1.0, 0.5], [[0.5, 0.5]]):
+            with pytest.raises(GeometryError, match=rf"^{name} must be 2 values, got shape"):
+                piecewise_rigid_displacement(**dict(good, **{name: bad}))
+    piecewise_rigid_displacement(**good)
+
+
 def test_segments_outside_domain_rejected():
     with pytest.raises(GeometryError):
         SharpGeometry2D((0.0, 0.0), (1.0, 1.0),
@@ -375,6 +390,24 @@ def test_union_distance_is_the_per_segment_minimum_bitwise():
     assert 5000 <= np.count_nonzero(inside) < pts.shape[0]
     edges = np.min([_point_segment_distance(pts, a, b) for a, b in poly.edges], axis=0)
     assert np.array_equal(poly.distance(pts), np.where(inside, 0.0, edges))
+
+
+def test_phase_boundary_distance_is_the_distance_to_the_jumps_of_c():
+    x = np.linspace(0.0, 1.0, 1001)
+    g1 = SharpGeometry1D((0.0, 1.0), phase_points=(0.3, 0.7), crack_points=(0.5,),
+                         c_pieces=(0, 1, 1, 0))
+    boundary = g1.phase_boundary_distance(x[:, None])
+    assert np.array_equal(boundary, np.minimum(np.abs(x - 0.3), np.abs(x - 0.7)))
+    outside = (x < 0.3) | (x > 0.7)  # the crack point at 0.5 is no jump of c
+    assert np.array_equal(g1.phase_distance(x[:, None])[outside], boundary[outside])
+    assert np.all(SharpGeometry1D((0.0, 1.0)).phase_boundary_distance(x[:, None]) == np.inf)
+    pts = _random_points(19, 2000)
+    poly = Polygon([(0.1, 0.2), (0.9, 0.1), (0.6, 0.8)])
+    g2 = SharpGeometry2D((-1.0, -1.0), (3.0, 3.0), polygon=poly)
+    edges = np.min([_point_segment_distance(pts, a, b) for a, b in poly.edges], axis=0)
+    assert np.array_equal(g2.phase_boundary_distance(pts), edges)
+    assert np.all(SharpGeometry2D((-1.0, -1.0), (3.0, 3.0)).phase_boundary_distance(pts)
+                  == np.inf)
 
 
 def test_segment_set_empty_is_infinite():

@@ -7,7 +7,8 @@ For each workload of perfbench/workloads.py at seeds 0 and 1, the phasefrac
 CLI runs the workload's command, and then `check` and `sharp`, on the same
 generated config.  It also runs `sharp` on AFFINE_SHARP, the one config with
 a nonzero sharp elastic term, `recover` on AFFINE_RECOVER, whose affine
-displacement dumps fields with no two equal neighbours, `sweep` on
+displacement dumps fields with no two equal neighbours, `recover` on
+PARTIAL_RECOVER, whose grid ends in partial recovery tiles, `sweep` on
 SWEEP_1D, a 1D sweep on a grid of several energy slabs, and `minimize` on
 MINIMIZE_FREE, a 1D run without a mass constraint.  Each run goes once
 with this tree's src/ and once with OTHER_TREE's src/, both with the same
@@ -53,6 +54,34 @@ AFFINE_RECOVER = AFFINE_SHARP + """
 [sweep]
 cells = 96 96
 eps_schedule = 0.03125
+"""
+
+# a 2D recovery on 300 x 200 cells, which 128-cell tiles (isqrt of
+# `fields._BLOCK`) do not divide on either axis, with both crack tips inside
+# the domain: the benchmark grids (512^2, 1024^2) never cut a tile short
+PARTIAL_RECOVER = """[elastic]
+e0 = 0.2
+
+[geometry]
+dim = 2
+origin = 0 0
+extent = 1.5 1
+polygon = 1 0  1.5 0  1.5 1  1 1
+segments = 0.3 0.3 0.9 0.7
+u_spec = piecewise_rigid
+rigid_point = 0.3 0.3
+rigid_dir = 0.6 0.4
+rigid_plus = 0.002 0.001
+rigid_minus = -0.002 0
+rigid_omega_plus = 0.01
+rigid_omega_minus = -0.02
+
+[sweep]
+cells = 300 200
+eps_schedule = 0.015625
+delta_rule = scaled_two_thirds
+delta_scale = 0.18
+lambda = 1e-4
 """
 
 # the README's 1D geometry on 2^16 cells, four slabs of `fields._BLOCK`
@@ -158,6 +187,7 @@ def main(argv: list[str]) -> int:
             for seed in SEEDS for command in (workload.command, "check", "sharp")]
     runs += [("affine sharp", "sharp", AFFINE_SHARP),
              ("affine recover", "recover", AFFINE_RECOVER),
+             ("partial-tile recover", "recover", PARTIAL_RECOVER),
              ("1D sweep", "sweep", SWEEP_1D),
              ("1D minimize without mass", "minimize", MINIMIZE_FREE)]
     failed = 0
