@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._philox import uniforms
 from .energy import ElasticModel, EnergyBreakdown, diffuse_energy
 from .fields import Grid, ScalarField, VectorField, slice_extract
 from .potentials import (PotentialSet, _resolve_potential, geodesic_table,
@@ -236,21 +237,23 @@ def slicing_identity_check(u_spec: DisplacementSpec, grid: Grid, directions: int
     clipped line, differentiates by central differences (step ~ 2h), and
     returns the largest error relative to the strain scale.  Only lines with
     samples farther than 2h from the boundary count; DiagnosticError is raised
-    when `directions` such lines are not found in 100 draws per line.
+    when `directions` such lines are not found in 100 draws per line.  The
+    angles and points equal numpy's `Generator(Philox(seed)).uniform` draws
+    bit for bit, without loading numpy's random package (see `_philox`).
     """
     pts_shape = grid.cells + (grid.dim,)
     mesh = np.stack(grid.meshgrid(), axis=-1).reshape(-1, grid.dim)
     u = VectorField(grid, u_spec.u_at(mesh).reshape(pts_shape))
-    rng = np.random.Generator(np.random.Philox(seed))
+    draws = uniforms(seed)
     h = max(grid.spacing)
     worst = 0.0
     found = 0
     for _ in range(_DRAWS_PER_LINE * directions):
         if found == directions:
             break
-        angle = rng.uniform(0.0, 2.0 * np.pi)
+        angle = 2.0 * np.pi * next(draws)  # Generator.uniform(0.0, 2.0 * np.pi)
         xi = np.array([np.cos(angle), np.sin(angle)])
-        interior = np.array([o + rng.uniform(0.25, 0.75) * e
+        interior = np.array([o + (0.25 + 0.5 * next(draws)) * e
                              for o, e in zip(grid.origin, grid.extent)])
         y = interior - (interior @ xi) * xi
         span = np.linalg.norm(grid.extent) * 2

@@ -22,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._philox import uniforms
 from .energy import (DiffuseState, ElasticModel, EnergyBreakdown, _elastic_trial,
                      _elastic_weight, _project_mass, _stress_divergence, diffuse_energy,
                      evaluate_block, project_mass)
@@ -91,14 +92,17 @@ def default_state(grid: Grid, eps: float, delta: float, c0: float = 0.5,
     symmetric saddle of the double well without seeding a fine-scale
     interface pattern.  Each cosine mode has exactly zero mean under the
     midpoint rule.  The amplitude `_JITTER` = 1e-3 is a module constant.
+    The draws equal numpy's `Generator(Philox(seed)).uniform(-1, 1)` bit for
+    bit, without loading numpy's random package (see `_philox`).
     """
-    rng = np.random.Generator(np.random.Philox(seed))
+    draws = uniforms(seed)
     jitter = np.zeros(grid.cells)
     mesh = grid.meshgrid()
     for axis in range(grid.dim):
         xhat = (mesh[axis] - grid.origin[axis]) / grid.extent[axis]
         for m in range(1, 5):
-            jitter += rng.uniform(-1.0, 1.0) / (m * m) * np.cos(m * np.pi * xhat)
+            weight = -1.0 + 2.0 * next(draws)  # Generator.uniform(-1.0, 1.0)
+            jitter += weight / (m * m) * np.cos(m * np.pi * xhat)
     c = ScalarField(grid, c0 + _JITTER * jitter)
     return DiffuseState(c=c, u=VectorField.full(grid, np.zeros(grid.dim)),
                         z=ScalarField.full(grid, 1.0), eps=eps, delta=delta)

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from conftest import random_state
 from phasefrac import solver
+from phasefrac._philox import uniforms
 from phasefrac.energy import (DEGRADATIONS, DiffuseState, ElasticModel, diffuse_energy,
                               evaluate, mass, project_mass)
 from phasefrac.fields import Grid, ScalarField, VectorField, gradient
@@ -405,3 +410,49 @@ def test_alternate_2d_smoke(P):
     assert s.z.values.min() >= 0.0 and s.z.values.max() <= 1.0
     assert abs(mass(s.c) - 0.5) <= 1e-12
     assert not [f for sweep in traj.flags for f in sweep if f.startswith("u:")]
+
+
+def test_philox_stream_equals_numpys_bit_for_bit():
+    # seeds of one to five 32-bit words; 14 draws run from the first 4-word
+    # Philox block into the fourth, in the ranges default_state and
+    # slicing_identity_check draw from
+    for seed in [*range(300), 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 2 ** 128 + 17, np.int64(3)]:
+        rng = np.random.Generator(np.random.Philox(seed))
+        draws = uniforms(seed)
+        for low, high in [(-1.0, 1.0), (0.0, 2.0 * np.pi)] * 7:
+            assert low + (high - low) * next(draws) == rng.uniform(low, high), seed
+
+
+def test_philox_seed_is_checked_as_numpys():
+    for seed, error in ((-1, ValueError), (1.5, TypeError)):
+        with pytest.raises(error):
+            np.random.Philox(seed)
+        with pytest.raises(error):
+            uniforms(seed)
+
+
+NO_RANDOM_PACKAGE = """
+import sys
+from phasefrac.cli import main
+from phasefrac.fields import Grid
+from phasefrac.harness import slicing_identity_check
+from phasefrac.sharp import quadratic_displacement
+
+for command in ("minimize", "check"):
+    assert main([command, "--config", sys.argv[1], "--out", sys.argv[2], "--quiet"]) == 0
+slicing_identity_check(quadratic_displacement(), Grid((0.0, 0.0), (1.0, 1.0), (32, 32)), 2)
+print(" ".join(m for m in ("numpy.random", "secrets", "_hashlib") if m in sys.modules))
+"""
+
+
+def test_seeded_draws_load_no_random_package(tmp_path):
+    # numpy's random package imports secrets, hence hmac and OpenSSL's libcrypto
+    config = tmp_path / "run.ini"
+    config.write_text("[elastic]\ne0 = 1\n\n[geometry]\ndim = 1\ncells = 64\n\n"
+                      "[solver]\nmax_outer = 5\nmass = 0.5\neps = 0.0625\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(solver.__file__)))
+    proc = subprocess.run([sys.executable, "-c", NO_RANDOM_PACKAGE, str(config),
+                           str(tmp_path / "out")], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
