@@ -20,7 +20,11 @@ the block moves, so an Armijo search costs one pass per step.
 `diffuse_energy` is the energy alone, bit for bit `evaluate`'s, formed over
 slabs of `fields._BLOCK` cells (whole rows, each read with one halo row on
 each side); it holds one cells-sized density array where `evaluate` holds
-about fifteen.
+about fifteen.  A flat slab, whose rows and halo rows hold one value of c,
+one of z and one of u, bit for bit (a plateau of a recovery), is formed on
+its first row and broadcast.  That rests on each density being a pointwise
+function of the cell values and the difference planes, so the potentials
+and the degradation must act elementwise, as all of the package's do.
 
 Strains, e0 and stresses are tuples of strain planes, (xx,) in 1D and
 (xx, yy, xy) in 2D (see `fields.sym_gradient`).  In |xi|^2 and in the
@@ -355,18 +359,40 @@ def _elastic_trial(s: DiffuseState, M: ElasticModel, weight: np.ndarray, e0: tup
     return trial
 
 
-def _slabs(rows: int, row_cells: int):
-    """Slabs of `max(1, _BLOCK // row_cells)` rows, each as (its rows, its
-    rows with one halo row on each side inside the grid, its rows within the
-    haloed ones).  A difference of the haloed rows is the whole grid's
-    difference on the slab's rows, bit for bit: centered differences read
-    the same operands, and one-sided ones fall only on the grid's own edge
-    rows."""
+def _haloed(r0: int, r1: int, rows: int) -> tuple[slice, slice]:
+    """Rows r0:r1 with one halo row on each side inside the grid, and r0:r1
+    within those."""
+    lo = max(r0 - 1, 0)
+    return slice(lo, min(r1 + 1, rows)), slice(r0 - lo, r1 - lo)
+
+
+def _bit_flat(a: np.ndarray, per_cell: int) -> bool:
+    """Whether every cell of `a` holds the same bits, -0.0 and 0.0 apart: on
+    the flattened uint64 view, each cell's `per_cell` components against
+    the next cell's."""
+    bits = a.reshape(-1).view(np.uint64)
+    return bool(np.array_equal(bits[per_cell:], bits[:-per_cell]))
+
+
+def _slabs(rows: int, row_cells: int, flat: Callable[[slice], bool]):
+    """Slabs of `max(1, _BLOCK // row_cells)` rows, each as (its rows, the
+    rows its densities are formed on, those rows with one halo row on each
+    side inside the grid, the formed rows within the haloed ones).  A
+    difference of the haloed rows is the whole grid's difference on the
+    formed rows, bit for bit: centered differences read the same operands,
+    and one-sided ones fall only on the grid's own edge rows.  A slab whose
+    haloed rows `flat` finds bit-constant is formed on its first row alone:
+    each of its differences is x - x, +0.0, so each of its rows has the
+    first row's densities."""
     step = max(1, _BLOCK // row_cells)
     for r0 in range(0, rows, step):
         r1 = min(r0 + step, rows)
-        lo = max(r0 - 1, 0)
-        yield slice(r0, r1), slice(lo, min(r1 + 1, rows)), slice(r0 - lo, r1 - lo)
+        halo, inner = _haloed(r0, r1, rows)
+        formed = r1
+        if flat(halo):
+            formed = r0 + 1
+            halo, inner = _haloed(r0, formed, rows)
+        yield slice(r0, r1), slice(r0, formed), halo, inner
 
 
 def diffuse_energy(s: DiffuseState, P: PotentialSet, M: ElasticModel) -> EnergyBreakdown:
@@ -374,35 +400,46 @@ def diffuse_energy(s: DiffuseState, P: PotentialSet, M: ElasticModel) -> EnergyB
     included, formed over slabs of rows (`_slabs`).  Each density, in turn,
     is written slab by slab into one cells-sized array and summed once, as
     `evaluate` sums it; besides that array the pass holds only slab-sized
-    temporaries."""
+    temporaries.  A slab whose rows and halo rows hold one value of c, one
+    of z and one of u, bit for bit, forms its densities on its first row
+    and broadcasts them: the three densities are pointwise functions of the
+    cell values and the difference planes, and every difference there is
+    +0.0.  So a plateau costs one row per slab, a nonzero e0's elastic
+    density on it included."""
     h = s.grid.spacing
     c, u, z, e0 = s.c.values, s.u.values, s.z.values, M.e0_planes(s.grid.dim)
-    slabs = list(_slabs(len(c), c.size // len(c)))
+
+    def flat(halo: slice) -> bool:
+        return _bit_flat(c[halo], 1) and _bit_flat(z[halo], 1) and _bit_flat(u[halo], s.grid.dim)
+
+    slabs = list(_slabs(len(c), c.size // len(c), flat))
     density = np.empty(s.grid.cells)
 
     def integral(label: str, slab_density: Callable) -> float:
-        for own, halo, inner in slabs:
-            # diff(op, a): `op` (gradient or sym_gradient) of a on the slab's rows
+        for own, formed, halo, inner in slabs:
+            # diff(op, a): `op` (gradient or sym_gradient) of a on the formed rows
             density[own] = slab_density(
-                own, lambda op, a: tuple(p[inner] for p in op(a[halo], h)))
+                formed, lambda op, a: tuple(p[inner] for p in op(a[halo], h)))
         return _integral(density, label, s.grid.cell_volume)
 
     # each weight is formed after its raw density, so the two sets of
     # temporaries never overlap
-    def interfacial(own, diff):
-        raw = _phase_raw(c[own], diff(gradient, c), s, P)
-        return _phase_weight(_clamp(z[own])[0], s, P) * raw
+    def interfacial(rows, diff):
+        raw = _phase_raw(c[rows], diff(gradient, c), s, P)
+        return _phase_weight(_clamp(z[rows])[0], s, P) * raw
 
-    def elastic(own, diff):
-        form = M.form(_misfit(diff(sym_gradient, u), c[own], e0))
-        return _elastic_weight(_clamp(z[own])[0], s, M) * form
+    def elastic(rows, diff):
+        form = M.form(_misfit(diff(sym_gradient, u), c[rows], e0))
+        return _elastic_weight(_clamp(z[rows])[0], s, M) * form
 
-    def crack(own, diff):
-        return _crack_density(_clamp(z[own])[0], diff(gradient, z), s, P)
+    def crack(rows, diff):
+        return _crack_density(_clamp(z[rows])[0], diff(gradient, z), s, P)
 
+    # a flat slab's rows each hold its first row's clamped cells
+    clamped = sum(int(np.count_nonzero(_clamp(z[formed])[1])) * (own.stop - own.start)
+                  // (formed.stop - formed.start) for own, formed, _, _ in slabs)
     return EnergyBreakdown(integral("interfacial", interfacial), integral("elastic", elastic),
-                           integral("crack", crack),
-                           sum(int(np.count_nonzero(_clamp(z[own])[1])) for own, _, _ in slabs))
+                           integral("crack", crack), clamped)
 
 
 def mass(c: ScalarField) -> float:

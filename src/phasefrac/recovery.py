@@ -27,14 +27,16 @@ the energy values matter.
 The builder samples the grid in square tiles of `fields._BLOCK` cells:
 isqrt(`_BLOCK`) = 128 a side in 2D and `_BLOCK` in 1D, cut short at the far
 end of an axis whose count the side does not divide.  Each tile first takes
-the distances to the phase boundary (`phase_boundary_distance`) and to the
-crack at the middle of its box of cell centres, less its half-diagonal and
-a margin of `geometry.tol_geom`: a distance is 1-Lipschitz, so that is a
-lower bound for every cell centre of the tile.  The margin, 1e-9 of the
-domain's length or diagonal, exceeds the rounding of these distances (a
-few ulps of the coordinates) while the grid and the geometry lie within
-1e5 diagonals of the origin.  A tile that the bounds put off a transition
-takes that transition's plateau, which its formula gives there exactly:
+the exact distances from its box of cell centres to the phase boundary
+(`phase_boundary_box_distance`: the phase points in 1D, the polygon's
+edges in 2D) and to the crack (`crack_box_distance`), less a margin of
+`geometry.tol_geom`: a lower bound for every cell centre of the tile.  The
+margin, 1e-9 of the domain's length or diagonal, exceeds the rounding of
+these distances (a few ulps of the coordinates) while the grid and the
+geometry lie within 1e5 diagonals of the origin.  A box that no edge
+reaches lies wholly in A or wholly outside, so its middle tells which.  A
+tile that the bounds put off a transition takes that transition's plateau,
+which its formula gives there exactly:
 
     c = 1      when the phase bound is > 0 and the middle lies in A,
     c = 0      when the phase bound is >= the width of g_W,
@@ -214,19 +216,19 @@ def build_recovery(geometry, eps: float, delta: float, lam: float, grid: Grid,
     u = np.empty(grid.cells + (grid.dim,))
     centers = [grid.centers(a) for a in range(grid.dim)]
     tiles = _tiles(grid.cells)
-    # one point per tile, the middle of its box of cell centres: the distances
-    # there, less `reach`, bound those of every cell centre of the tile
+    # each tile's box of cell centres: its distances, less `tol_geom`, bound
+    # those of every cell centre of the tile
     first = np.array([[x[s.start] for x, s in zip(centers, t)] for t in tiles])
     last = np.array([[x[s.stop - 1] for x, s in zip(centers, t)] for t in tiles])
-    middle = 0.5 * (first + last)
-    reach = 0.5 * np.sqrt(np.sum((last - first) ** 2, axis=1)) + geometry.tol_geom
     c_one = c_band = z_band = np.zeros(len(tiles), dtype=bool)
     if prof_w is not None:
-        gap = geometry.phase_boundary_distance(middle) - reach
-        c_one = (gap > 0.0) & (geometry.phase_distance(middle) == 0.0)
+        gap = geometry.phase_boundary_box_distance(first, last) - geometry.tol_geom
+        # a box that no edge reaches lies wholly in A or wholly outside
+        c_one = (gap > 0.0) & (geometry.phase_distance(0.5 * (first + last)) == 0.0)
         c_band = ~c_one & (gap < prof_w.width)
     if prof_v is not None:
-        z_band = geometry.crack_distance(middle) - reach - lam * delta < prof_v.width
+        z_band = (geometry.crack_box_distance(first, last) - geometry.tol_geom - lam * delta
+                  < prof_v.width)
     for k, tile in enumerate(tiles):
         pts = np.stack(np.meshgrid(*[x[s] for x, s in zip(centers, tile)], indexing="ij",
                                    copy=False), axis=-1).reshape(-1, grid.dim)

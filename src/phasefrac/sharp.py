@@ -66,6 +66,30 @@ class SegmentSet:
             np.minimum(best, _point_segment_sq_distance(pts, a, b), out=best)
         return np.sqrt(best, out=best)
 
+    def box_distance(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Euclidean distance from each closed box [lo, hi] (lo and hi (k, 2))
+        to the segment union (inf if empty).
+
+        A segment meets a box when no separating axis parts them: not x, not
+        y, not the segment's normal.  Otherwise the two are closest at an end
+        of the segment or at a corner of the box, so the distance is the
+        least of the ends' distances to the box and the corners' distances to
+        the segment."""
+        best = np.full(lo.shape[0], np.inf)
+        corners = [np.stack([x, y], axis=1) for x in (lo[:, 0], hi[:, 0])
+                   for y in (lo[:, 1], hi[:, 1])]
+        for a, b in self.endpoints:
+            normal = np.array([a[1] - b[1], b[0] - a[0]])
+            side = np.stack([(q - a) @ normal for q in corners])
+            meets = (np.all(np.minimum(a, b) <= hi, axis=1)
+                     & np.all(np.maximum(a, b) >= lo, axis=1)
+                     & (side.min(axis=0) <= 0.0) & (side.max(axis=0) >= 0.0))
+            ends = [np.sum(np.maximum(np.maximum(lo - p, p - hi), 0.0) ** 2, axis=1)
+                    for p in (a, b)]
+            sq = np.minimum.reduce(ends + [_point_segment_sq_distance(q, a, b) for q in corners])
+            np.minimum(best, np.where(meets, 0.0, sq), out=best)
+        return np.sqrt(best, out=best)
+
 
 def _point_segment_sq_distance(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared distance from each point (m, 2) to the closed segment [a, b], on columns.
@@ -299,11 +323,13 @@ def skew_affine_displacement(omega: float = 0.7) -> DisplacementSpec:
 # sharp configurations
 
 
-def _points_distance(x: np.ndarray, points: tuple[float, ...]) -> np.ndarray:
-    """Distance from each of the values x to the nearest of `points` (inf if none)."""
+def _points_distance(lo: np.ndarray, hi: np.ndarray, points: tuple[float, ...]) -> np.ndarray:
+    """Distance from each interval [lo, hi] to the nearest of `points` (inf if
+    none); at lo = hi it is the distance from a value, |x - p| bit for bit."""
     if not points:
-        return np.full(x.shape, np.inf)
-    return np.min(np.abs(x[:, None] - np.asarray(points)[None, :]), axis=1)
+        return np.full(lo.shape, np.inf)
+    p = np.asarray(points)[None, :]
+    return np.min(np.maximum(np.maximum(lo[:, None] - p, p - hi[:, None]), 0.0), axis=1)
 
 
 @dataclass(frozen=True)
@@ -410,12 +436,18 @@ class SharpGeometry1D:
             dist = np.minimum(dist, np.maximum.reduce([lo - x, x - hi, np.zeros_like(x)]))
         return dist
 
-    def phase_boundary_distance(self, pts: np.ndarray) -> np.ndarray:
-        """Distance to the boundary of {c = 1} in the domain: its phase points."""
-        return _points_distance(pts.reshape(-1), self.phase_points)
+    def phase_boundary_box_distance(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Distance from each interval [lo, hi] (lo and hi (k, 1)) to the
+        boundary of {c = 1} in the domain: its phase points."""
+        return _points_distance(lo.reshape(-1), hi.reshape(-1), self.phase_points)
+
+    def crack_box_distance(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Distance from each interval [lo, hi] (lo and hi (k, 1)) to the crack points."""
+        return _points_distance(lo.reshape(-1), hi.reshape(-1), self.crack_points)
 
     def crack_distance(self, pts: np.ndarray) -> np.ndarray:
-        return _points_distance(pts.reshape(-1), self.crack_points)
+        x = pts.reshape(-1)
+        return _points_distance(x, x, self.crack_points)
 
     def u_values(self, pts: np.ndarray) -> np.ndarray:
         x = pts.reshape(-1)
@@ -475,11 +507,16 @@ class SharpGeometry2D:
             return np.full(pts.shape[0], np.inf)
         return self.polygon.distance(pts)
 
-    def phase_boundary_distance(self, pts: np.ndarray) -> np.ndarray:
-        """Distance to the polygon's edges (inf without a polygon)."""
+    def phase_boundary_box_distance(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Distance from each box [lo, hi] (lo and hi (k, 2)) to the polygon's
+        edges (inf without a polygon)."""
         if self.polygon is None:
-            return np.full(pts.shape[0], np.inf)
-        return SegmentSet(self.polygon.edges).distance(pts)
+            return np.full(lo.shape[0], np.inf)
+        return SegmentSet(self.polygon.edges).box_distance(lo, hi)
+
+    def crack_box_distance(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Distance from each box [lo, hi] (lo and hi (k, 2)) to the crack segments."""
+        return self.segments.box_distance(lo, hi)
 
     def crack_distance(self, pts: np.ndarray) -> np.ndarray:
         return self.segments.distance(pts)

@@ -238,6 +238,10 @@ def _armijo_step(s: DiffuseState, P: PotentialSet, M: ElasticModel, plan: Solver
     before, g, energy_of = evaluate_block(s, P, M, block)
     base = getattr(s, block).values
     if block == "c" and plan.mass_constraint is not None:
+        # a constant gradient has no zero-mean part; g - g.mean() would leave
+        # the rounding of the mean, a step of an ulp's size
+        if np.all(g == g.flat[0]):
+            return s, BlockResult(block, True, flag="stationary", energy=before)
         g = g - g.mean()
     direction = g / vol
     scale = max(1.0, float(np.abs(base).max()))

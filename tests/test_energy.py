@@ -414,17 +414,83 @@ def test_slab_pass_matches_the_whole_array_pass_bitwise(P, monkeypatch, dim):
         assert _same_energy(diffuse_energy(s, P, M), want), cells
 
 
+def _flat_rows(s, rows, c, z, u):
+    """`s` with the given rows set to one value of c, of z and of u."""
+    values = [a.copy() for a in (s.c.values, s.z.values, s.u.values)]
+    for a, v in zip(values, (c, z, u)):
+        a[rows] = v
+    return s.replace(c=ScalarField(s.grid, values[0]), z=ScalarField(s.grid, values[1]),
+                     u=VectorField(s.grid, values[2]))
+
+
+def _flat_case(P, case):
+    """(state, P, M, the slabs of 5 rows formed on one row) of each flat case:
+    slabs of 5 rows have their halo rows in 4:11, 9:16, ... of the 23 rows."""
+    dim = 1 if case == "1d" else 2
+    s, M = _slab_state(dim)
+    u = [0.002, -0.001][:dim]
+    if case == "halo":  # rows 5:10 are flat, but their halo row 10 is not
+        return _flat_rows(s, slice(0, 10), 0.0, 1.0, u), P, M, 1
+    if case == "signed zeros":  # one value but both zeros in rows 5:10; w sees the sign
+        s = _flat_rows(s, slice(0, 13), 0.0, 1.0, u)
+        c = s.c.values.copy()
+        c[7, ::3] = -0.0
+        w = P.w
+        P = dataclasses.replace(P, w=lambda x: w(x) + np.signbit(x))
+        return s.replace(c=ScalarField(s.grid, c)), P, M, 1
+    if case == "z outside":
+        return _flat_rows(s, slice(0, 13), 1.0, 1.5, u), P, M, 2
+    if case == "one u component":  # c, z and u_0 are flat in rows 0:13, u_1 is not
+        flat = _flat_rows(s, slice(0, 13), 1.0, 1.0, u)
+        mixed = flat.u.values.copy()
+        mixed[..., 1] = s.u.values[..., 1]
+        return flat.replace(u=VectorField(s.grid, mixed)), P, M, 0
+    return _flat_rows(s, slice(0, 13), 0.3, 0.7, u), P, M, 2
+
+
+@pytest.mark.parametrize("case", ["halo", "signed zeros", "z outside", "one u component", "1d"])
+def test_slab_pass_on_flat_slabs_matches_the_whole_array_pass_bitwise(P, monkeypatch, case):
+    # a slab whose rows and halo rows hold one value of c, z and u, bit for
+    # bit, forms its densities on its first row, with that row's halo
+    s, P, M, flat_slabs = _flat_case(P, case)
+    want = evaluate(s, P, M)[0]
+    if case == "z outside":
+        assert want.clamped_cells > 13 * 17
+    halo_rows = []
+
+    def recorded(f, h):
+        halo_rows.append(len(f))
+        return gradient(f, h)
+    monkeypatch.setattr(energy, "gradient", recorded)
+    rows = len(s.c.values)
+    for cells in _SLAB_CELLS[s.grid.dim]:
+        monkeypatch.setattr(energy, "_BLOCK", cells)
+        halo_rows.clear()
+        assert _same_energy(diffuse_energy(s, P, M), want), cells
+        if cells == 5 * (s.c.values.size // rows):
+            # two gradients, of c and of z, per slab; a slab formed on its
+            # first row reads at most 3 rows, any other slab of 5 rows 4 or more
+            assert sum(n <= 3 for n in halo_rows) == 2 * flat_slabs, halo_rows
+
+
 def _inf_at(value, fn):
     return lambda x: np.where(np.asarray(x) == value, np.inf, fn(x))
 
 
-@pytest.mark.parametrize("label", ["interfacial", "elastic", "crack"])
-def test_slab_pass_names_the_same_nonfinite_cell(P, monkeypatch, label):
+@pytest.mark.parametrize("label,flat", [(label, flat) for flat in (False, True)
+                                        for label in ("interfacial", "elastic", "crack")],
+                         ids=["interfacial", "elastic", "crack", "flat_interfacial",
+                              "flat_elastic", "flat_crack"])
+def test_slab_pass_names_the_same_nonfinite_cell(P, monkeypatch, label, flat):
     s, M = _slab_state(2)
-    cell = (13, 4)
-    c, z = s.c.values.copy(), s.z.values.copy()
-    c[cell], z[cell] = 0.25, 0.5
-    s = s.replace(c=ScalarField(s.grid, c), z=ScalarField(s.grid, z))
+    if flat:  # rows 0:13 hold one value: its slabs of 1 and 5 rows are flat
+        cell = (0, 0)
+        s = _flat_rows(s, slice(0, 13), 0.25, 0.5, [0.002, -0.001])
+    else:
+        cell = (13, 4)
+        c, z = s.c.values.copy(), s.z.values.copy()
+        c[cell], z[cell] = 0.25, 0.5
+        s = s.replace(c=ScalarField(s.grid, c), z=ScalarField(s.grid, z))
     if label == "interfacial":
         P = dataclasses.replace(P, w=_inf_at(0.25, P.w))
     elif label == "elastic":

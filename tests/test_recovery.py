@@ -252,6 +252,10 @@ def test_plateau_values_are_exact_bits(P):
     assert np.array_equal(bits(u * smoothstep(t[:3])[:, None]), bits(u))
 
 
+_NOTCHED = [(0.2, 0.2), (0.9, 0.2), (0.9, 0.9), (0.2, 0.9), (0.2, 0.51), (0.42, 0.51),
+            (0.42, 0.49), (0.2, 0.49)]
+
+
 def _blocking_cases():
     box = ((0.0, 0.0), (1.0, 1.0))
     poly = Polygon([(0.31, 0.17), (0.83, 0.17), (0.77, 0.69), (0.41, 0.88)])
@@ -275,6 +279,9 @@ def _blocking_cases():
                                          segments=SegmentSet([[[0.5, 0.25], [0.5, 0.75]]]),
                                          u_spec=tips),
                          Grid(box[0], box[1], (64, 64)), (4, 8, 16)),
+        # a square with a notch: for side 16 the notch's edges enter the box of
+        # the tile of cells 16:32 x 16:32, whose corners and middle lie in A
+        "notch": (SharpGeometry2D(*box, polygon=Polygon(_NOTCHED), u_spec=affine), grid2, sides),
         "1d": (SharpGeometry1D((0.0, 1.0), phase_points=(0.3,), crack_points=(0.6,),
                                c_pieces=(0, 1, 1),
                                u_pieces=((0.1, 0.0), (0.1, 0.0), (0.1, 0.2))),
@@ -283,7 +290,7 @@ def _blocking_cases():
 
 
 @pytest.mark.parametrize("case", ["phase+crack", "phase", "crack", "empty", "tile corners",
-                                  "1d"])
+                                  "notch", "1d"])
 def test_blocked_recovery_matches_one_block_bitwise(P, monkeypatch, case):
     geometry, grid, sides = _blocking_cases()[case]
     centers = [grid.centers(a) for a in range(grid.dim)]
@@ -331,9 +338,21 @@ def test_blocked_recovery_matches_one_block_bitwise(P, monkeypatch, case):
             plateaus |= {"c = 0"} if (skipped_c & (c == 0.0)).any() else set()
         if geometry.has_crack():
             plateaus |= {"z = 1"} if (skipped_z & (z == 1.0)).any() else set()
+        if case == "tile corners":
+            # the tiles in A, x > 0.5, are 1/128 or more from every edge of A
+            # (three of them on the domain's boundary): none takes a distance
+            assert not seen["phase_distance"][grid.cells[0] // 2:].any(), side
     # each plateau of each transition was taken by some tile
     assert plateaus == ({"c = 1", "c = 0"} if geometry.has_phase() else set()) | \
         ({"z = 1"} if geometry.has_crack() else set())
     c, z = whole.c.values, whole.z.values
+    if case == "notch":
+        tile = (slice(16, 32), slice(16, 32))
+        first = np.array([[centers[0][16], centers[1][16]]])
+        last = np.array([[centers[0][31], centers[1][31]]])
+        box = [(x, y) for x in (first[0, 0], last[0, 0]) for y in (first[0, 1], last[0, 1])]
+        assert geometry.polygon.contains(np.array(box + [0.5 * (first[0] + last[0])])).all()
+        assert geometry.phase_boundary_box_distance(first, last)[0] == 0.0
+        assert (c[tile] < 1.0).any()
     assert (0.0 < c.max()) == geometry.has_phase()
     assert (z.min() < 1.0) == geometry.has_crack()

@@ -119,6 +119,19 @@ def test_the_partial_tile_recover_cuts_tiles_short_on_both_axes(tmp_path):
     assert same_outputs.compare(ROOT, "recover", same_outputs.PARTIAL_RECOVER) == []
 
 
+@pytest.mark.parametrize("name", ["AFFINE_RECOVER", "PARTIAL_RECOVER"])
+def test_sweep_on_the_affine_and_partial_tile_configs(name, tmp_path):
+    # sweep.csv holds the energies to 17 digits, where recover prints 12
+    text = getattr(same_outputs, name)
+    config = tmp_path / "run.ini"
+    config.write_text(text)
+    mine = same_outputs.run_cli(ROOT, "sweep", str(config), str(tmp_path / "out"))
+    assert mine["exit code"] == b"0" and mine["stderr"] == b""
+    rows = mine["sweep.csv"].decode().splitlines()[1:]
+    assert len(rows) == 1 and rows[0].endswith(",ok")
+    assert same_outputs.compare(ROOT, "sweep", text) == []
+
+
 def test_the_free_minimize_runs_the_c_step_without_a_mass(tmp_path):
     config = tmp_path / "run.ini"
     config.write_text(same_outputs.MINIMIZE_FREE)

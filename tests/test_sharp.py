@@ -393,21 +393,66 @@ def test_union_distance_is_the_per_segment_minimum_bitwise():
 
 
 def test_phase_boundary_distance_is_the_distance_to_the_jumps_of_c():
-    x = np.linspace(0.0, 1.0, 1001)
+    # a box of one point gives that point's distance
+    x = np.linspace(0.0, 1.0, 1001)[:, None]
     g1 = SharpGeometry1D((0.0, 1.0), phase_points=(0.3, 0.7), crack_points=(0.5,),
                          c_pieces=(0, 1, 1, 0))
-    boundary = g1.phase_boundary_distance(x[:, None])
-    assert np.array_equal(boundary, np.minimum(np.abs(x - 0.3), np.abs(x - 0.7)))
-    outside = (x < 0.3) | (x > 0.7)  # the crack point at 0.5 is no jump of c
-    assert np.array_equal(g1.phase_distance(x[:, None])[outside], boundary[outside])
-    assert np.all(SharpGeometry1D((0.0, 1.0)).phase_boundary_distance(x[:, None]) == np.inf)
+    boundary = g1.phase_boundary_box_distance(x, x)
+    assert np.array_equal(boundary, np.minimum(np.abs(x[:, 0] - 0.3), np.abs(x[:, 0] - 0.7)))
+    outside = (x[:, 0] < 0.3) | (x[:, 0] > 0.7)  # the crack point at 0.5 is no jump of c
+    assert np.array_equal(g1.phase_distance(x)[outside], boundary[outside])
+    assert np.array_equal(g1.crack_box_distance(x, x), np.abs(x[:, 0] - 0.5))
+    assert np.array_equal(g1.crack_distance(x), np.abs(x[:, 0] - 0.5))
+    # an interval: 0 when it holds a jump, else the distance of its nearer end
+    lo, hi = x[:-80], x[80:]
+    want = np.min([np.maximum(np.maximum(lo[:, 0] - p, p - hi[:, 0]), 0.0) for p in (0.3, 0.7)],
+                  axis=0)
+    assert np.array_equal(g1.phase_boundary_box_distance(lo, hi), want)
+    assert 0 < np.count_nonzero(want == 0.0) < len(want)
+    assert np.all(SharpGeometry1D((0.0, 1.0)).phase_boundary_box_distance(x, x) == np.inf)
     pts = _random_points(19, 2000)
     poly = Polygon([(0.1, 0.2), (0.9, 0.1), (0.6, 0.8)])
     g2 = SharpGeometry2D((-1.0, -1.0), (3.0, 3.0), polygon=poly)
     edges = np.min([_point_segment_distance(pts, a, b) for a, b in poly.edges], axis=0)
-    assert np.array_equal(g2.phase_boundary_distance(pts), edges)
-    assert np.all(SharpGeometry2D((-1.0, -1.0), (3.0, 3.0)).phase_boundary_distance(pts)
+    assert np.array_equal(g2.phase_boundary_box_distance(pts, pts), edges)
+    assert np.all(SharpGeometry2D((-1.0, -1.0), (3.0, 3.0)).phase_boundary_box_distance(pts, pts)
                   == np.inf)
+
+
+def _box_distance_by_samples(seg, lo, hi, n):
+    """The least distance from n evenly spaced points of the segment to each
+    box [lo, hi]: at most half a spacing above the exact distance."""
+    t = np.linspace(0.0, 1.0, n)[:, None]
+    pts = (1.0 - t) * seg[0] + t * seg[1]
+    gap = np.maximum(np.maximum(lo[:, None, :] - pts, pts - hi[:, None, :]), 0.0)
+    return np.sqrt(np.sum(gap * gap, axis=2)).min(axis=1)
+
+
+def test_box_distance_is_the_distance_from_a_box_to_the_segments():
+    rng = np.random.default_rng(23)
+    lo = rng.uniform(-0.2, 1.0, (300, 2))
+    hi = lo + rng.uniform(0.0, 0.4, (300, 2)) * (rng.uniform(size=(300, 1)) > 0.1)
+    n = 4001
+    for _ in range(3):
+        segs = _mixed_segments(rng)
+        sampled = [_box_distance_by_samples(seg, lo, hi, n) for seg in segs]
+        for seg, want in zip(segs, sampled):
+            got = SegmentSet(seg).box_distance(lo, hi)
+            spacing = float(np.linalg.norm(seg[1] - seg[0])) / (n - 1)
+            assert np.all(got <= want + 1e-12) and np.all(want - got <= 0.5 * spacing + 1e-12)
+            assert 0 < np.count_nonzero(got == 0.0) < len(lo)
+        assert np.array_equal(SegmentSet(segs).box_distance(lo, hi), np.min(
+            [SegmentSet(seg).box_distance(lo, hi) for seg in segs], axis=0))
+    # segments that cross the box with both ends and every corner off them,
+    # touch a corner, run along a face or are a point inside; then two off
+    # the box, nearest a face and nearest a corner
+    box = (np.array([[0.25, 0.25]]), np.array([[0.5, 0.75]]))
+    cases = [(((0.0, 0.4), (1.0, 0.6)), 0.0), (((0.5, 0.75), (0.9, 0.9)), 0.0),
+             (((0.3, 0.25), (0.4, 0.25)), 0.0), (((0.3, 0.3), (0.3, 0.3)), 0.0),
+             (((0.6, 0.0), (0.6, 1.0)), 0.1), (((0.0, 1.0), (0.5, 1.5)), 0.5 / np.sqrt(2.0))]
+    for seg, want in cases:
+        assert SegmentSet([seg]).box_distance(*box)[0] == pytest.approx(want, abs=1e-15), seg
+    assert np.all(SegmentSet(np.zeros((0, 2, 2))).box_distance(lo, hi) == np.inf)
 
 
 def test_segment_set_empty_is_infinite():

@@ -353,6 +353,24 @@ def test_armijo_step_with_a_negligible_first_move_is_stationary(P, elastic_1d, m
     assert trials == []
 
 
+@pytest.mark.parametrize("cells", [50, 128, 257, 393])
+def test_a_mass_constrained_c_step_on_a_flat_state_is_stationary(P, monkeypatch, cells):
+    # the c-gradient of a flat state is one value, so its zero-mean part is 0
+    # in exact arithmetic: the step takes no trial energy and returns `s`
+    M = ElasticModel(e0=np.zeros((1, 1)))
+    trials = _count_trials(monkeypatch)
+    g = Grid((0.0,), (1.0,), (cells,))
+    for c0 in (0.3, 0.4, 0.7, 0.9):
+        s = DiffuseState(ScalarField.full(g, c0), VectorField.full(g, [0.0]),
+                         ScalarField.full(g, 1.0), eps=0.05, delta=0.1)
+        grad = evaluate(s, P, M, "c")[1]["c"]
+        assert np.all(grad == grad[0]) and grad[0] != 0.0
+        s2, res = minimize_c(s, P, M, SolverPlan(mass_constraint=c0))
+        assert s2 is s and res.accepted and res.flag == "stationary", c0
+        assert res.iters == 0 and res.energy == diffuse_energy(s, P, M)
+        assert trials == []
+
+
 def test_minimize_u_nonconvergence_flagged(P):
     # the cap is a 2D matter: the 1D u-step is an exact solve with no CG
     M = ElasticModel(e0=0.3 * np.eye(2))

@@ -8,10 +8,13 @@ CLI runs the workload's command, and then `check` and `sharp`, on the same
 generated config.  It also runs `sharp` on AFFINE_SHARP, the one config with
 a nonzero sharp elastic term, `recover` on AFFINE_RECOVER, whose affine
 displacement dumps fields with no two equal neighbours, `recover` on
-PARTIAL_RECOVER, whose grid ends in partial recovery tiles, `sweep` on
-SWEEP_1D, a 1D sweep on a grid of several energy slabs, and `minimize` on
-MINIMIZE_FREE, a 1D run without a mass constraint, and on MINIMIZE_WIDE_SEED,
-the same run with a jitter seed of three 32-bit words.  Each run goes once
+PARTIAL_RECOVER, whose grid ends in partial recovery tiles, and `sweep` on
+those two: `sweep` writes the energies to 17 digits where `recover` prints
+12, so these compare the energy pass on a grid with no flat slab and on one
+whose last slab is cut short.  Then `sweep` on SWEEP_1D, a 1D sweep on a
+grid of several energy slabs, and `minimize` on MINIMIZE_FREE, a 1D run
+without a mass constraint, and on MINIMIZE_WIDE_SEED, the same run with a
+jitter seed of three 32-bit words.  Each run goes once
 with this tree's src/ and once with OTHER_TREE's src/, both with the same
 --out path.
 Every output file, stdout, stderr and the exit code are compared byte for
@@ -197,6 +200,8 @@ def main(argv: list[str]) -> int:
     runs += [("affine sharp", "sharp", AFFINE_SHARP),
              ("affine recover", "recover", AFFINE_RECOVER),
              ("partial-tile recover", "recover", PARTIAL_RECOVER),
+             ("affine sweep", "sweep", AFFINE_RECOVER),
+             ("partial-tile sweep", "sweep", PARTIAL_RECOVER),
              ("1D sweep", "sweep", SWEEP_1D),
              ("1D minimize without mass", "minimize", MINIMIZE_FREE),
              ("1D minimize at seed 2^64 + 5", "minimize", MINIMIZE_WIDE_SEED)]
