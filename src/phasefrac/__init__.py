@@ -15,7 +15,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 __version__ = "0.1.0"
 
 from .energy import DiffuseState, ElasticModel, EnergyBreakdown, diffuse_energy
-from .fields import Grid, ScalarField, SymTensorField, VectorField
+from .fields import Grid, ScalarField, VectorField
 from .harness import SweepPlan, gamma_sweep
 from .potentials import (AdmissibilityReport, PotentialSet, check_admissibility,
                          fracture_density, make_default_potentials, surface_density)
@@ -28,7 +28,7 @@ __all__ = [
     "AdmissibilityReport", "DiffuseState", "ElasticModel", "EnergyBreakdown",
     "Grid", "OptimalProfile", "Polygon", "PotentialSet", "ProfileParams",
     "ScalarField", "SegmentSet", "SharpGeometry1D", "SharpGeometry2D",
-    "SolverPlan", "SweepPlan", "SymTensorField", "Trajectory", "VectorField",
+    "SolverPlan", "SweepPlan", "Trajectory", "VectorField",
     "alternate", "build_recovery", "check_admissibility", "default_state",
     "diffuse_energy", "fracture_density", "gamma_sweep",
     "make_default_potentials", "sharp_energy", "surface_density",

@@ -70,7 +70,7 @@ class RunConfig:
 
 
 def _floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.replace(",", " ").split()]
+    return [_finite(tok) for tok in text.replace(",", " ").split()]
 
 
 def _ints(text: str) -> list[int]:
@@ -178,8 +178,8 @@ _SCHEMA = {
         "affine_matrix": ("0 0 0 0", lambda text: np.reshape(_numbers(4)(text), (2, 2))),
         "affine_offset": ("0 0", _pair), "rigid_point": ("0 0", _pair),
         "rigid_dir": ("0 1", _pair), "rigid_plus": ("0 0", _pair),
-        "rigid_minus": ("0 0", _pair), "rigid_omega_plus": ("0", float),
-        "rigid_omega_minus": ("0", float)},
+        "rigid_minus": ("0 0", _pair), "rigid_omega_plus": ("0", _finite),
+        "rigid_omega_minus": ("0", _finite)},
     "solver": {"max_outer": ("200", int), "tol_rel_energy": ("1e-8", _positive),
                "cg_tol": ("1e-10", _positive), "cg_max_iters": ("1000", int),
                "mass": (None, float), "eps": ("0.0078125", _positive),

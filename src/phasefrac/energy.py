@@ -114,6 +114,8 @@ class ElasticModel:
                              f"{self.lame_mu}, lambda {self.lame_lambda}")
         if e0.shape not in ((1, 1), (2, 2)):
             raise ValueError(f"e0 must be a 1x1 or 2x2 matrix, got shape {e0.shape}")
+        if not np.all(np.isfinite(e0)):
+            raise ValueError(f"e0 must be finite, got {e0.tolist()}")
         if not np.allclose(e0, e0.T, atol=1e-14):
             raise ValueError("e0 must be symmetric")
         object.__setattr__(self, "_e0_planes", sym_planes(e0, e0.shape[0], "e0"))
@@ -187,22 +189,21 @@ class EnergyBreakdown:
 
     def __post_init__(self):
         for name in ("e_phase", "e_elastic", "e_crack"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0.0 <= getattr(self, name) < np.inf:  # nan fails too
+                raise ValueError(f"{name} must be finite and nonnegative, got "
+                                 f"{getattr(self, name)}")
 
     @property
     def e_total(self) -> float:
         return self.e_phase + self.e_elastic + self.e_crack
 
 
-def _raise_nonfinite(density: np.ndarray, label: str) -> None:
+def _integral(density: np.ndarray, label: str, vol: float) -> float:
+    """The midpoint rule, vol times the sum of `density`; a non-finite density
+    raises ValueError naming the term `label` and its first such cell."""
     if not np.all(np.isfinite(density)):
         idx = np.unravel_index(int(np.argmax(~np.isfinite(density))), density.shape)
         raise ValueError(f"non-finite {label} density at cell {tuple(int(i) for i in idx)}")
-
-
-def _integral(density: np.ndarray, label: str, vol: float) -> float:
-    _raise_nonfinite(density, label)
     return float(vol * density.sum())
 
 
@@ -245,14 +246,6 @@ def _misfit(strain: tuple, c: np.ndarray, e0: tuple) -> tuple:
     return tuple(p - c * e for p, e in zip(strain, e0))
 
 
-def _interfacial(weight: np.ndarray, raw: np.ndarray, vol: float) -> float:
-    return _integral(weight * raw, "interfacial", vol)
-
-
-def _elastic(weight: np.ndarray, form: np.ndarray, vol: float) -> float:
-    return _integral(weight * form, "elastic", vol)
-
-
 def _z_terms(z: np.ndarray, s: DiffuseState, P: PotentialSet, M: ElasticModel,
              phase_raw: np.ndarray, form: np.ndarray):
     """The energy of `s` with its z replaced by `z`, from the two arrays z does
@@ -263,8 +256,8 @@ def _z_terms(z: np.ndarray, s: DiffuseState, P: PotentialSet, M: ElasticModel,
     zc, outside = _clamp(z)
     phase_weight, elastic_weight = _phase_weight(zc, s, P), _elastic_weight(zc, s, M)
     gz = gradient(z, s.grid.spacing)
-    energy = EnergyBreakdown(_interfacial(phase_weight, phase_raw, vol),
-                             _elastic(elastic_weight, form, vol),
+    energy = EnergyBreakdown(_integral(phase_weight * phase_raw, "interfacial", vol),
+                             _integral(elastic_weight * form, "elastic", vol),
                              _integral(_crack_density(zc, gz, s, P), "crack", vol),
                              int(np.count_nonzero(outside)))
     return energy, zc, outside, (phase_weight, elastic_weight), gz
@@ -337,8 +330,9 @@ def evaluate_block(s: DiffuseState, P: PotentialSet, M: ElasticModel, block: str
     elif block == "c":
         def trial(c: np.ndarray) -> EnergyBreakdown:
             raw = _phase_raw(c, gradient(c, s.grid.spacing), s, P)
-            return EnergyBreakdown(_interfacial(phase_weight, raw, vol),
-                                   _elastic(elastic_weight, M.form(_misfit(strain, c, e0)), vol),
+            form = M.form(_misfit(strain, c, e0))
+            return EnergyBreakdown(_integral(phase_weight * raw, "interfacial", vol),
+                                   _integral(elastic_weight * form, "elastic", vol),
                                    energy.e_crack, energy.clamped_cells)
     else:
         trial = _elastic_trial(s, M, elastic_weight, e0, energy)
@@ -354,8 +348,8 @@ def _elastic_trial(s: DiffuseState, M: ElasticModel, weight: np.ndarray, e0: tup
 
     def trial(u: np.ndarray) -> EnergyBreakdown:
         form = M.form(_misfit(sym_gradient(u, h), c, e0))
-        return EnergyBreakdown(energy.e_phase, _elastic(weight, form, vol), energy.e_crack,
-                               energy.clamped_cells)
+        return EnergyBreakdown(energy.e_phase, _integral(weight * form, "elastic", vol),
+                               energy.e_crack, energy.clamped_cells)
     return trial
 
 

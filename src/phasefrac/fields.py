@@ -229,7 +229,6 @@ class SliceSamples:
     """Samples of a field along a line x = y + t*xi clipped to the open box."""
     t: np.ndarray
     values: np.ndarray
-    hit: bool
 
 
 def _clip_line_to_box(grid: Grid, y: np.ndarray, xi: np.ndarray) -> tuple[float, float] | None:
@@ -287,7 +286,7 @@ def slice_extract(field, xi, y, samples: int) -> SliceSamples:
 
     Vector fields are projected onto xi, i.e. the returned values are
     <u(y + t*xi), xi>.  xi must be a unit vector to 1e-12.  A line missing the
-    domain yields an empty, flagged result.
+    domain yields empty samples.
     """
     g = field.grid
     xi = np.asarray(xi, dtype=float)
@@ -301,7 +300,7 @@ def slice_extract(field, xi, y, samples: int) -> SliceSamples:
     span = _clip_line_to_box(g, y, xi)
     if span is None:
         empty = np.empty((0,))
-        return SliceSamples(empty, empty, hit=False)
+        return SliceSamples(empty, empty)
     t0, t1 = span
     dt = (t1 - t0) / samples
     t = t0 + dt * (np.arange(samples) + 0.5)
@@ -309,7 +308,7 @@ def slice_extract(field, xi, y, samples: int) -> SliceSamples:
     vals = sample_at(field, pts)
     if vals.ndim == 2:
         vals = vals @ xi
-    return SliceSamples(t, vals, hit=True)
+    return SliceSamples(t, vals)
 
 
 def _write_atomic(path, pieces) -> None:

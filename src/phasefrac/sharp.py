@@ -138,6 +138,8 @@ class Polygon:
     def __post_init__(self):
         arr = np.asarray(self.vertices, dtype=float).reshape(-1, 2)
         object.__setattr__(self, "vertices", arr)
+        if not np.all(np.isfinite(arr)):
+            raise GeometryError("polygon vertices must be finite")
         if arr.shape[0] < 3:
             raise GeometryError("polygon needs at least 3 vertices")
         n = arr.shape[0]
@@ -323,13 +325,23 @@ def skew_affine_displacement(omega: float = 0.7) -> DisplacementSpec:
 # sharp configurations
 
 
-def _points_distance(lo: np.ndarray, hi: np.ndarray, points: tuple[float, ...]) -> np.ndarray:
-    """Distance from each interval [lo, hi] to the nearest of `points` (inf if
-    none); at lo = hi it is the distance from a value, |x - p| bit for bit."""
-    if not points:
-        return np.full(lo.shape, np.inf)
-    p = np.asarray(points)[None, :]
-    return np.min(np.maximum(np.maximum(lo[:, None] - p, p - hi[:, None]), 0.0), axis=1)
+def _interval_distance(lo: np.ndarray, hi: np.ndarray, a, b) -> np.ndarray:
+    """Distance from each interval [lo, hi] to the nearest of the closed
+    intervals [a_k, b_k] (inf if none).  A point p is the interval [p, p], and
+    at lo = hi the distance from p is |x - p| bit for bit."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    gap = np.maximum(np.maximum(lo[:, None] - b, a - hi[:, None]), 0.0)
+    return np.min(gap, axis=1, initial=np.inf)
+
+
+def _grid_counts(cells, dim: int) -> tuple[int, ...]:
+    """`cells` as one count per axis, where a single count serves every axis;
+    any other length raises GeometryError naming the counts."""
+    cells = tuple(cells)
+    if len(cells) not in (1, dim):
+        need = "1" if dim == 1 else f"1 or {dim}"
+        raise GeometryError(f"got {len(cells)} counts {cells}, expected {need}")
+    return cells * (dim // len(cells))
 
 
 @dataclass(frozen=True)
@@ -337,8 +349,11 @@ class SharpGeometry1D:
     """Piecewise description on an interval: jump points of c and of u.
 
     Pieces live between the merged, sorted breakpoints (phase and crack
-    points); c_pieces gives the {0,1} value and u_pieces the affine
-    displacement (slope, offset) on each piece.
+    points, one breakpoint where a phase and a crack point coincide within
+    `tol_geom`); `bounds` holds the domain's ends with the breakpoints
+    between them, so piece k is [bounds[k], bounds[k + 1]].  c_pieces gives
+    the {0,1} value and u_pieces the affine displacement (slope, offset) on
+    each piece.
     """
     domain: tuple[float, float]
     phase_points: tuple[float, ...] = ()
@@ -346,6 +361,7 @@ class SharpGeometry1D:
     c_pieces: tuple[int, ...] = ()
     u_pieces: tuple[tuple[float, float], ...] = ()
     tol_geom: float = field(init=False)  # coincidence tolerance, 1e-9 of the length
+    bounds: tuple[float, ...] = field(init=False)  # the pieces' ends, merged once
 
     def __post_init__(self):
         a, b = self.domain
@@ -364,13 +380,21 @@ class SharpGeometry1D:
                 if q - p <= tol:
                     raise GeometryError(f"{kind} points {p} and {q} coincide within "
                                         f"the tolerance {tol:g}")
-        bps = self.breakpoints()
         near = [(p, q) for p in self.phase_points for q in self.crack_points
                 if tol < abs(p - q) <= 1e3 * tol]
         if near:
             warnings.warn(f"near-coincident phase/crack points {near}; "
                           "treated as distinct", stacklevel=2)
-        npieces = len(bps) + 1
+        # each breakpoint is the first point of its cluster within tol, which
+        # holds at most one phase and one crack point: [point, phase?, crack?]
+        merged: list[list] = []
+        for p, crack in sorted([(p, False) for p in self.phase_points]
+                               + [(p, True) for p in self.crack_points]):
+            if not merged or p - merged[-1][0] > tol:
+                merged.append([p, False, False])
+            merged[-1][1 + crack] = True
+        object.__setattr__(self, "bounds", (a, *(m[0] for m in merged), b))
+        npieces = len(merged) + 1
         c = self.c_pieces if self.c_pieces else tuple([0] * npieces)
         u = self.u_pieces if self.u_pieces else tuple([(0.0, 0.0)] * npieces)
         if len(c) != npieces or len(u) != npieces:
@@ -379,35 +403,15 @@ class SharpGeometry1D:
             raise GeometryError("c pieces must be 0 or 1")
         object.__setattr__(self, "c_pieces", tuple(int(v) for v in c))
         object.__setattr__(self, "u_pieces", tuple((float(s), float(o)) for s, o in u))
-        self._validate_consistency()
-
-    def breakpoints(self) -> tuple[float, ...]:
-        pts: list[float] = []
-        for p in sorted(self.phase_points + self.crack_points):
-            if not pts or abs(p - pts[-1]) > self.tol_geom:
-                pts.append(p)
-        return tuple(pts)
-
-    def _is_crack(self, p: float) -> bool:
-        return any(abs(p - q) <= self.tol_geom for q in self.crack_points)
-
-    def _is_phase(self, p: float) -> bool:
-        return any(abs(p - q) <= self.tol_geom for q in self.phase_points)
-
-    def _validate_consistency(self):
-        bps = self.breakpoints()
-        scale = max(1.0, max(abs(self.domain[0]), abs(self.domain[1])))
-        for k, p in enumerate(bps):
-            cl, cr = self.c_pieces[k], self.c_pieces[k + 1]
-            if self._is_phase(p) and cl == cr:
+        scale = max(1.0, max(abs(a), abs(b)))
+        c, u = self.c_pieces, self.u_pieces
+        for (p, phase, crack), cl, cr, (sl, ol), (sr, orr) in zip(merged, c, c[1:], u, u[1:]):
+            if phase and cl == cr:
                 raise GeometryError(f"c does not jump at phase point {p}")
-            if not self._is_phase(p) and cl != cr:
+            if not phase and cl != cr:
                 raise GeometryError(f"c jumps at non-phase point {p}")
-            if not self._is_crack(p):
-                sl, ol = self.u_pieces[k]
-                sr, orr = self.u_pieces[k + 1]
-                if abs((sl * p + ol) - (sr * p + orr)) > 1e-9 * scale:
-                    raise GeometryError(f"u jumps at non-crack point {p}")
+            if not crack and abs((sl * p + ol) - (sr * p + orr)) > 1e-9 * scale:
+                raise GeometryError(f"u jumps at non-crack point {p}")
 
     # -- runtime accessors used by the diffuse embedding -------------------
 
@@ -421,44 +425,37 @@ class SharpGeometry1D:
     def has_crack(self) -> bool:
         return len(self.crack_points) > 0
 
-    def _piece_index(self, x: np.ndarray) -> np.ndarray:
-        return np.searchsorted(np.asarray(self.breakpoints()), x, side="right")
-
     def phase_distance(self, pts: np.ndarray) -> np.ndarray:
         """Distance to the closure of {c = 1} (zero inside)."""
         x = pts.reshape(-1)
-        bps = (self.domain[0],) + self.breakpoints() + (self.domain[1],)
-        dist = np.full(x.shape, np.inf)
-        for k, cv in enumerate(self.c_pieces):
-            if cv != 1:
-                continue
-            lo, hi = bps[k], bps[k + 1]
-            dist = np.minimum(dist, np.maximum.reduce([lo - x, x - hi, np.zeros_like(x)]))
-        return dist
+        one = np.flatnonzero(self.c_pieces)
+        return _interval_distance(x, x, np.take(self.bounds, one), np.take(self.bounds, one + 1))
 
     def phase_boundary_box_distance(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Distance from each interval [lo, hi] (lo and hi (k, 1)) to the
         boundary of {c = 1} in the domain: its phase points."""
-        return _points_distance(lo.reshape(-1), hi.reshape(-1), self.phase_points)
+        return _interval_distance(lo.reshape(-1), hi.reshape(-1), self.phase_points,
+                                  self.phase_points)
 
     def crack_box_distance(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Distance from each interval [lo, hi] (lo and hi (k, 1)) to the crack points."""
-        return _points_distance(lo.reshape(-1), hi.reshape(-1), self.crack_points)
+        return _interval_distance(lo.reshape(-1), hi.reshape(-1), self.crack_points,
+                                  self.crack_points)
 
     def crack_distance(self, pts: np.ndarray) -> np.ndarray:
         x = pts.reshape(-1)
-        return _points_distance(x, x, self.crack_points)
+        return _interval_distance(x, x, self.crack_points, self.crack_points)
 
     def u_values(self, pts: np.ndarray) -> np.ndarray:
         x = pts.reshape(-1)
-        idx = self._piece_index(x)
+        idx = np.searchsorted(self.bounds[1:-1], x, side="right")
         pieces = np.asarray(self.u_pieces)
         return (pieces[idx, 0] * x + pieces[idx, 1])[:, None]
 
     def grid(self, cells: tuple[int, ...]) -> Grid:
-        """Cell-centered grid on the domain with the first count of `cells`."""
+        """Cell-centered grid on the domain; `cells` holds one count."""
         a, b = self.domain
-        return Grid((a,), (b - a,), tuple(cells[:1]))
+        return Grid((a,), (b - a,), _grid_counts(cells, 1))
 
 
 @dataclass(frozen=True)
@@ -526,9 +523,7 @@ class SharpGeometry2D:
 
     def grid(self, cells: tuple[int, ...]) -> Grid:
         """Cell-centered grid on the box; a single count is used on both axes."""
-        cells = tuple(cells)
-        return Grid(tuple(self.origin), tuple(self.extent),
-                    cells if len(cells) == 2 else cells * 2)
+        return Grid(tuple(self.origin), tuple(self.extent), _grid_counts(cells, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -539,16 +534,16 @@ def sharp_energy_1d(g: SharpGeometry1D, P: PotentialSet, M: ElasticModel) -> Ene
     """Exact limit energy of a 1D configuration (point counting + closed forms)."""
     a_surf = surface_density(P)
     a_frac = fracture_density(P)
-    coincident = sum(1 for p in g.phase_points if g._is_crack(p))
+    # a phase point that shares its breakpoint with a crack point merged away
+    coincident = len(g.phase_points) + len(g.crack_points) - (len(g.bounds) - 2)
     disjoint = len(g.phase_points) - coincident
     e_phase = a_surf * (disjoint + P.theta * coincident)
     e_crack = a_frac * len(g.crack_points)
-    bps = (g.domain[0],) + g.breakpoints() + (g.domain[1],)
     (e00,) = M.e0_planes(1)
     e_el = 0.0
     for k, (slope, _off) in enumerate(g.u_pieces):
         xi = slope - g.c_pieces[k] * e00
-        e_el += (bps[k + 1] - bps[k]) * float(M.form((xi,)))
+        e_el += (g.bounds[k + 1] - g.bounds[k]) * float(M.form((xi,)))
     return EnergyBreakdown(e_phase, e_el, e_crack)
 
 
@@ -608,14 +603,10 @@ def sharp_energy(g, P: PotentialSet, M: ElasticModel) -> EnergyBreakdown:
 
 def distance_field(shape, grid: Grid) -> ScalarField:
     """Exact per-cell-center distance to a polygon (zero inside) or segment set."""
-    pts = np.stack([m.reshape(-1) for m in grid.meshgrid()], axis=-1)
-    if isinstance(shape, (Polygon, SegmentSet)):
-        d = shape.distance(pts)
-    elif isinstance(shape, (SharpGeometry1D, SharpGeometry2D)):
-        d = shape.crack_distance(pts)
-    else:
+    if not isinstance(shape, (Polygon, SegmentSet)):
         raise TypeError(f"no distance for {type(shape).__name__}")
-    return ScalarField(grid, d.reshape(grid.cells))
+    pts = np.stack([m.reshape(-1) for m in grid.meshgrid()], axis=-1)
+    return ScalarField(grid, shape.distance(pts).reshape(grid.cells))
 
 
 def minkowski_content_estimate(segments: SegmentSet, r: float, grid: Grid) -> float:

@@ -367,7 +367,7 @@ def test_auto_delta_is_the_two_thirds_rule_bitwise(tmp_path):
 
 
 # keys read only in a 1D geometry; the others are tried on a 2D one
-ONE_D_KEYS = ("domain", "u_slopes", "e0")
+ONE_D_KEYS = ("domain", "u_slopes", "u_offsets", "e0")
 
 
 def config_with(section, key, value):
@@ -405,13 +405,42 @@ def test_malformed_value_exits_2_and_names_key(tmp_path, capsys, command,
     assert f"[{section}] {key}: " in capsys.readouterr().err
 
 
+# the geometry keys each gave a nan sharp energy with exit 0, or passed parsing
+# and made `recover` exit 1 naming no key
+NONFINITE_GEOMETRY = [("geometry", "u_slopes", "nan nan"), ("geometry", "u_offsets", "0 nan"),
+                      ("geometry", "polygon", "0.5 0  1 0  1 nan  0.5 1"),
+                      ("geometry", "affine_matrix", "0 inf 0 0"),
+                      ("geometry", "rigid_plus", "inf 0"),
+                      ("geometry", "rigid_omega_plus", "nan"),
+                      ("geometry", "rigid_omega_minus", "-inf"), ("elastic", "e0", "nan")]
+
+
 @pytest.mark.parametrize("section,key,value", [
     ("geometry", "extent", "nan nan"), ("sweep", "eps_schedule", "nan"),
-    ("sweep", "delta_scale", "nan")])
+    ("sweep", "delta_scale", "nan")] + NONFINITE_GEOMETRY)
 def test_nonfinite_value_exits_2(tmp_path, capsys, section, key, value):
     text = config_with(section, key, value)
+    if key.startswith("affine"):
+        text = text.replace("u_spec = piecewise_rigid", "u_spec = affine")
     assert main(["sweep", "--config", write_config(tmp_path, text)]) == 2
-    assert "finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "finite" in err
+    if (section, key, value) in NONFINITE_GEOMETRY:
+        bad = next(tok for tok in value.split() if tok.lstrip("-") in ("nan", "inf"))
+        assert err.splitlines()[1:] == [f"  - [{section}] {key}: must be finite, got {bad}"]
+
+
+@pytest.mark.parametrize("section,given", [("geometry", "2048"), ("sweep", "4096")])
+@pytest.mark.parametrize("dim,cells,need", [(1, "64 128", "1"), (2, "16 16 16", "1 or 2")])
+def test_cell_counts_of_the_wrong_length_exit_2_and_name_them(tmp_path, capsys, section,
+                                                              given, dim, cells, need):
+    # 1D `cells = 64 128` ran on 64 cells; 2D `16 16 16` blamed origin and extent
+    text = MINIMAL_1D.replace(f"cells = {given}", f"cells = {cells}") if dim == 1 \
+        else config_with(section, "cells", cells)
+    assert main(["minimize", "--config", write_config(tmp_path, text)]) == 2
+    counts = tuple(int(n) for n in cells.split())
+    assert capsys.readouterr().err.splitlines()[1:] == [
+        f"  - [{section}] cells: got {len(counts)} counts {counts}, expected {need}"]
 
 
 @pytest.mark.parametrize("section,key,value", [
@@ -444,8 +473,9 @@ def test_negative_seed_exits_2(tmp_path, capsys, command):
 def test_infinite_1d_domain_blames_domain(tmp_path, capsys):
     text = config_with("geometry", "domain", "0 inf")
     assert main(["check", "--config", write_config(tmp_path, text)]) == 2
-    err = capsys.readouterr().err
-    assert "[geometry] domain " in err and "cells" not in err
+    # the list converter refuses inf, before the geometry or its grid is built
+    assert capsys.readouterr().err == \
+        "invalid config:\n  - [geometry] domain: must be finite, got inf\n"
 
 
 def test_invalid_geometry_exit_code(tmp_path, capsys):

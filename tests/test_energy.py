@@ -184,8 +184,21 @@ def test_mass_and_projection(P):
 
 
 def test_breakdown_validates():
-    with pytest.raises(ValueError):
-        EnergyBreakdown(-1.0, 0.0, 0.0)
+    # nan < 0 is false, so a check written as `< 0` let a NaN term through
+    for value in (-1.0, np.nan, np.inf):
+        for term in range(3):
+            terms = [0.0, 0.0, 0.0]
+            terms[term] = value
+            with pytest.raises(ValueError, match="must be finite and nonnegative"):
+                EnergyBreakdown(*terms)
+
+
+@pytest.mark.parametrize("e0", [[[np.nan]], [[0.0, np.nan], [0.0, 0.0]], [[np.inf, 0.0],
+                                                                          [0.0, 0.0]]])
+def test_elastic_model_names_a_nonfinite_e0(e0):
+    # an asymmetric NaN used to read `e0 must be symmetric`
+    with pytest.raises(ValueError, match="e0 must be finite"):
+        ElasticModel(e0=np.array(e0))
 
 
 @pytest.mark.parametrize("lame", [dict(lame_mu=np.nan), dict(lame_mu=np.inf),

@@ -95,6 +95,21 @@ def test_the_1d_sweep_spans_several_energy_slabs(tmp_path):
     assert same_outputs.compare(ROOT, "sweep", same_outputs.SWEEP_1D) == []
 
 
+def test_the_1d_pieces_sweep_spans_several_pieces_and_tiles(tmp_path):
+    config = tmp_path / "run.ini"
+    config.write_text(same_outputs.SWEEP_1D_PIECES)
+    mine = same_outputs.run_cli(ROOT, "sweep", str(config), str(tmp_path / "out"))
+    assert mine["exit code"] == b"0" and mine["stderr"] == b""
+    rows = [row.split(",") for row in mine["sweep.csv"].decode().splitlines()[1:]]
+    assert len(rows) == 2 and all(row[-1] == "ok" for row in rows)
+    # four phase points, two crack points and the misfit of c = 1 on a length 0.35
+    e_sharp = 4.0 / 3.0 + 4.0 + 0.35 * 0.48 ** 2 + 0.65 * 0.02 ** 2
+    assert all(float(row[6]) == pytest.approx(e_sharp, rel=1e-14) for row in rows)
+    assert b"cells = 262144\n" in mine["manifest.txt"]
+    assert 262144 // fields._BLOCK == 16
+    assert same_outputs.compare(ROOT, "sweep", same_outputs.SWEEP_1D_PIECES) == []
+
+
 def test_the_affine_recover_dumps_fields_with_no_runs(tmp_path):
     config = tmp_path / "run.ini"
     config.write_text(same_outputs.AFFINE_RECOVER)

@@ -258,6 +258,42 @@ def test_distance_field_lipschitz():
         assert np.abs(np.diff(d, axis=axis)).max() <= h + 1e-12
 
 
+def test_distance_field_takes_a_polygon_or_a_segment_set():
+    grid = Grid((0.0, 0.0), (1.0, 1.0), (8, 8))
+    with pytest.raises(TypeError, match="no distance for SharpGeometry2D"):
+        distance_field(SharpGeometry2D((0.0, 0.0), (1.0, 1.0)), grid)
+
+
+def test_nonfinite_polygon_vertex_is_refused():
+    # a NaN vertex gave a NaN phase energy; segment endpoints were already checked
+    for bad in (np.nan, np.inf):
+        with pytest.raises(GeometryError, match="polygon vertices must be finite"):
+            Polygon([(0.5, 0.0), (1.0, 0.0), (1.0, bad), (0.5, 1.0)])
+
+
+def test_a_nonfinite_sharp_energy_raises(P, elastic_1d_free):
+    g = SharpGeometry1D((0.0, 1.0), crack_points=(0.5,), c_pieces=(0, 0),
+                        u_pieces=((np.nan, 0.0), (0.0, 0.1)))
+    with pytest.raises(ValueError, match="e_elastic must be finite and nonnegative, got nan"):
+        sharp_energy(g, P, elastic_1d_free)
+
+
+@pytest.mark.parametrize("geometry,cells,fault", [
+    (SharpGeometry1D((0.0, 1.0)), (64, 128), r"got 2 counts \(64, 128\), expected 1"),
+    (SharpGeometry1D((0.0, 1.0)), (), r"got 0 counts \(\), expected 1"),
+    (SharpGeometry2D((0.0, 0.0), (1.0, 1.0)), (16, 16, 16),
+     r"got 3 counts \(16, 16, 16\), expected 1 or 2")])
+def test_grid_refuses_cell_counts_of_another_length(geometry, cells, fault):
+    with pytest.raises(GeometryError, match=fault):
+        geometry.grid(cells)
+
+
+def test_grid_takes_one_count_or_one_per_axis():
+    assert SharpGeometry1D((0.0, 2.0)).grid((64,)).cells == (64,)
+    g2 = SharpGeometry2D((0.0, 0.0), (1.0, 1.0))
+    assert g2.grid((16,)).cells == (16, 16) and g2.grid((16, 8)).cells == (16, 8)
+
+
 def test_minkowski_single_segment_band(P):
     grid = Grid((0.0, 0.0), (1.0, 1.0), (1024, 1024))
     segs = SegmentSet(MID_SEGMENT)
@@ -417,6 +453,42 @@ def test_phase_boundary_distance_is_the_distance_to_the_jumps_of_c():
     assert np.array_equal(g2.phase_boundary_box_distance(pts, pts), edges)
     assert np.all(SharpGeometry2D((-1.0, -1.0), (3.0, 3.0)).phase_boundary_box_distance(pts, pts)
                   == np.inf)
+
+
+def _gap(lo, hi, a, b):
+    """Distance from the interval [lo, hi] to [a, b], case by case."""
+    return np.where(hi < a, a - hi, np.where(lo > b, lo - b, 0.0))
+
+
+def test_1d_distances_over_several_pieces_are_per_interval_minima():
+    # two runs of c = 1, a crack point between them and one inside the second,
+    # which splits it into two pieces: the breakpoints merge once, into bounds
+    g = SharpGeometry1D((0.0, 1.0), phase_points=(0.2, 0.35, 0.6, 0.8),
+                        crack_points=(0.45, 0.7), c_pieces=(0, 1, 0, 0, 1, 1, 0),
+                        u_pieces=((0.02, 0.0),) * 3 + ((0.02, 0.01),) * 2
+                        + ((0.02, -0.005),) * 2)
+    assert g.bounds == (0.0, 0.2, 0.35, 0.45, 0.6, 0.7, 0.8, 1.0)
+    rng = np.random.default_rng(5)
+    x = np.sort(np.concatenate([np.linspace(0.0, 1.0, 1001), g.bounds,
+                                rng.uniform(0.0, 1.0, 1000)]))
+    ends = np.sort(rng.uniform(0.0, 1.0, (3000, 2)), axis=1)
+
+    def same_bits(got, lo, hi, intervals):
+        want = np.min([_gap(lo, hi, a, b) for a, b in intervals], axis=0)
+        return got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    phase_points = [(p, p) for p in g.phase_points]
+    crack_points = [(p, p) for p in g.crack_points]
+    # degenerate boxes (points), then boxes of random lengths
+    for lo, hi in ((x, x), (ends[:, 0], ends[:, 1])):
+        assert same_bits(g.phase_boundary_box_distance(lo[:, None], hi[:, None]), lo, hi,
+                         phase_points)
+        assert same_bits(g.crack_box_distance(lo[:, None], hi[:, None]), lo, hi, crack_points)
+    assert same_bits(g.phase_distance(x[:, None]), x, x, [(0.2, 0.35), (0.6, 0.7), (0.7, 0.8)])
+    assert same_bits(g.crack_distance(x[:, None]), x, x, crack_points)
+    pts = np.array([0.1, 0.5, 0.75, 0.9])
+    assert np.array_equal(g.u_values(pts[:, None])[:, 0],
+                          0.02 * pts + np.array([0.0, 0.01, -0.005, -0.005]))
 
 
 def _box_distance_by_samples(seg, lo, hi, n):

@@ -12,7 +12,8 @@ PARTIAL_RECOVER, whose grid ends in partial recovery tiles, and `sweep` on
 those two: `sweep` writes the energies to 17 digits where `recover` prints
 12, so these compare the energy pass on a grid with no flat slab and on one
 whose last slab is cut short.  Then `sweep` on SWEEP_1D, a 1D sweep on a
-grid of several energy slabs, and `minimize` on MINIMIZE_FREE, a 1D run
+grid of several energy slabs, `sweep` on SWEEP_1D_PIECES, a 1D geometry of
+several pieces, and `minimize` on MINIMIZE_FREE, a 1D run
 without a mass constraint, and on MINIMIZE_WIDE_SEED, the same run with a
 jitter seed of three 32-bit words.  Each run goes once
 with this tree's src/ and once with OTHER_TREE's src/, both with the same
@@ -103,6 +104,29 @@ u_offsets = 0 0.01
 cells = 65536
 eps_schedule = 0.00390625 0.001953125
 delta_scale = 8
+"""
+
+# a 1D geometry of seven pieces on 2^18 cells, sixteen recovery tiles: two runs
+# of c = 1, and two crack points apart from the phase points, one between the
+# runs and one inside the second run.  SWEEP_1D's one point, a phase and a
+# crack point at once, is the only other 1D geometry here, so this is the run
+# whose distances and breakpoints span several pieces and whose tiles
+# include plateaus
+SWEEP_1D_PIECES = """[elastic]
+e0 = 0.5
+
+[geometry]
+dim = 1
+domain = 0 1
+phase_points = 0.2 0.35 0.6 0.8
+crack_points = 0.45 0.7
+c_pieces = 0 1 0 0 1 1 0
+u_slopes = 0.02 0.02 0.02 0.02 0.02 0.02 0.02
+u_offsets = 0 0 0 0.01 0.01 -0.005 -0.005
+
+[sweep]
+cells = 262144
+eps_schedule = 0.0078125 0.00390625
 """
 
 # a 1D minimize without [solver] mass: the workloads' minimize runs all set
@@ -203,6 +227,7 @@ def main(argv: list[str]) -> int:
              ("affine sweep", "sweep", AFFINE_RECOVER),
              ("partial-tile sweep", "sweep", PARTIAL_RECOVER),
              ("1D sweep", "sweep", SWEEP_1D),
+             ("1D sweep over several pieces", "sweep", SWEEP_1D_PIECES),
              ("1D minimize without mass", "minimize", MINIMIZE_FREE),
              ("1D minimize at seed 2^64 + 5", "minimize", MINIMIZE_WIDE_SEED)]
     failed = 0
