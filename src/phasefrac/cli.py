@@ -158,8 +158,9 @@ _U_SPECS = {"zero": ((), zero_displacement),
 _pair = _numbers(2)
 # section -> key -> (default text, or None for a key without a default; the
 # converter of the key's text).  The manifest echoes these texts byte for
-# byte, so they are not derived from the library's dataclass defaults
-# (repr(1e-8) is '1e-08').
+# byte, so a number's is not derived from the library's dataclass defaults
+# (repr(1e-8) is '1e-08'); `enforce_width` reads `SweepPlan`'s, whose text is
+# exact, so the plan owns the one default.
 _SCHEMA = {
     "run": {"seed": ("0", _within(int, 0)), "out": ("out", str), "quiet": ("false", _bool)},
     "potentials": {"w_scale": ("1", _finite), "v_scale": ("1", _finite),
@@ -186,7 +187,8 @@ _SCHEMA = {
                "delta": ("auto", _delta)},
     "sweep": {"eps_schedule": (None, _floats), "delta_rule": ("two_thirds", str),
               "delta_scale": ("1", float), "lambda": ("1e-4", float),
-              "cells": (None, _ints), "enforce_width": ("false", _bool)},
+              "cells": (None, _ints),
+              "enforce_width": (str(SweepPlan.enforce_width).lower(), _bool)},
 }
 # the converted defaults: the value of an omitted key, and of a faulty or stray one
 _DEFAULTS = {name: {key: None if text is None else conv(text)

@@ -15,7 +15,6 @@ of two such tensors counts the xy plane twice, so the adjoint of
 """
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -328,7 +327,8 @@ def _write_atomic(path, pieces) -> None:
     os.replace(partial, path)
 
 
-_CHUNK = 1 << 13  # values formatted by one `%` operation, or parsed by one numpy call
+_CHUNK = 1 << 13  # values formatted by one `%` operation
+_READ_BLOCK = 1 << 16  # bytes of value lines that `read_field` splits and parses at once
 
 
 def write_field(f: ScalarField, path) -> None:
@@ -364,8 +364,18 @@ def read_field(path) -> ScalarField:
     fault of one line also its 1-based number and text.  The dump is ASCII
     and is read as bytes: only the four header lines are decoded, and a bad
     line for its message, with any other byte shown as an escape such as
-    `\\xff`.  The values are parsed in chunks of `_CHUNK` lines of bytes
-    straight into the field's array, never held as one text."""
+    `\\xff`.  The values end in a newline: a last line without one was cut
+    short, and is a fault.
+
+    The value lines are read in blocks of `_READ_BLOCK` bytes, never held as
+    one text.  As `write_field` formats each run of bit-equal values once,
+    the reader parses the first line of each run of byte-equal lines once,
+    with the same float() as any other line, and repeats its value over the
+    run straight into the field's array; a piecewise constant dump costs a
+    split and a compare per line and a parse per run.  Beyond the field's
+    array a block takes at most about 1.5 MiB (64 KiB of two-character
+    lines, each its own bytes object; Python shares one-character ones), and
+    a line longer than a block is held whole."""
     with open(path, "rb") as fh:
         lines = [fh.readline() for _ in range(4)]
         if b"" in lines:
@@ -391,14 +401,23 @@ def read_field(path) -> ScalarField:
         # n value lines take n bytes at least; a larger n is a count fault
         values = np.empty(cells if n <= os.fstat(fh.fileno()).st_size else 0)
         flat = values.reshape(-1)
-        count, fault = 0, None
-        while chunk := list(itertools.islice(fh, _CHUNK)):
-            if fault is None and count + len(chunk) <= flat.size:
-                try:
-                    flat[count:count + len(chunk)] = np.array(chunk, dtype=float)
-                except ValueError as bulk:
-                    fault = _first_bad_line(chunk, count + 5) or str(bulk)
-            count += len(chunk)
+        count, fault, tail = 0, None, []  # tail: the pieces of a line not yet ended
+        while block := fh.read(_READ_BLOCK):
+            lines = block.split(b"\n")
+            last = lines.pop()
+            if lines:
+                # a line that spans blocks is joined once, when its newline comes
+                lines[0] = b"".join([*tail, lines[0]])
+                tail = []
+                if fault is None and count + len(lines) <= flat.size:
+                    fault = _parse_runs(lines, flat[count:count + len(lines)], count + 5)
+                count += len(lines)
+            tail.append(last)
+            del lines  # before the next block is split, so one block's lines live at a time
+        if tail := b"".join(tail):
+            count += 1
+            if fault is None:
+                fault = f"line {count + 4} {_text(tail)!r}: no newline at the end of the file"
     if count != n:
         raise ValueError(f"{path}: {count} values, but the header declares {n} cells")
     if fault is not None:
@@ -415,10 +434,28 @@ def _text(line: bytes) -> str:
     return line.rstrip(b"\n").decode("ascii", "backslashreplace")
 
 
-def _first_bad_line(chunk: list[bytes], first: int) -> str | None:
-    """Name the first line of `chunk` (numbered from `first`) that float()
-    rejects; numpy parses each line the same way."""
-    for k, line in enumerate(chunk, start=first):
+def _parse_runs(lines: list[bytes], out: np.ndarray, first: int) -> str | None:
+    """Parse the value `lines`, numbered from `first`, into `out`: the first
+    line of each run of byte-equal lines is parsed, and its value repeated
+    over the run.  Returns the fault of the first line that float() rejects,
+    or None."""
+    a = np.fromiter(lines, dtype=object, count=len(lines))
+    starts = np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1])))
+    # a block with no two equal neighbours, as in a `minimize` dump, needs no
+    # gather and no repeat
+    heads = lines if starts.size == a.size else a[starts].tolist()
+    try:
+        parsed = np.array(heads, dtype=float)
+    except ValueError as bulk:
+        return _first_bad_line(heads, (starts + first).tolist()) or str(bulk)
+    out[:] = parsed if heads is lines else np.repeat(parsed, np.diff(starts, append=a.size))
+    return None
+
+
+def _first_bad_line(lines: list[bytes], numbers: list[int]) -> str | None:
+    """Name the first of `lines` (numbered by `numbers`) that float() rejects;
+    numpy parses each line the same way."""
+    for k, line in zip(numbers, lines):
         text = _text(line)
         try:
             float(text)

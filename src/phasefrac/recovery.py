@@ -189,15 +189,16 @@ def _tiles(cells: tuple[int, ...]) -> list[tuple[slice, ...]]:
 
 
 def build_recovery(geometry, eps: float, delta: float, lam: float, grid: Grid,
-                   P: PotentialSet, enforce_width: bool = True) -> DiffuseState:
+                   P: PotentialSet, *, enforce_width: bool) -> DiffuseState:
     """Sample the diffuse embedding of a sharp configuration on a grid.
 
-    Raises WidthConditionError with the reason `width_violation` gives when
-    the configuration has both a phase boundary and a crack but
-    eps/sqrt(lam) > lam*delta (the c-transition then leaks out of the damaged
-    tube; pass enforce_width=False to build anyway, e.g. for energy sweeps in
-    the asymptotic regime).  Raises ResolutionError when a needed transition
-    is thinner than two cells.
+    With enforce_width, raises WidthConditionError with the reason
+    `width_violation` gives when the configuration has both a phase boundary
+    and a crack but eps/sqrt(lam) > lam*delta (the c-transition then leaks
+    out of the damaged tube); without it, builds anyway, e.g. for energy
+    sweeps in the asymptotic regime.  The keyword has no default here: a
+    sweep's, and so the CLI's, is `harness.SweepPlan.enforce_width`.  Raises
+    ResolutionError when a needed transition is thinner than two cells.
     """
     if grid.dim != geometry.dim:
         raise ValueError("grid and geometry dimensions differ")

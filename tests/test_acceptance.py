@@ -210,7 +210,7 @@ def test_criterion_10_levelset_diagnostic(P):
     segs = SegmentSet([[[0.5, 0.25], [0.5, 0.75]]])
     geometry = SharpGeometry2D((0.0, 0.0), (1.0, 1.0), segments=segs)
     grid = Grid((0.0, 0.0), (1.0, 1.0), (2 ** 10, 2 ** 10))
-    state = build_recovery(geometry, 2.0 ** -7, 0.02, 1e-4, grid, P)
+    state = build_recovery(geometry, 2.0 ** -7, 0.02, 1e-4, grid, P, enforce_width=True)
     t_star, est, bound = compactness_levelset_diagnostic(state.z, P)
     twice_len = 2 * 0.5
     ok = est <= bound * 1.2 and abs(est - twice_len) / twice_len <= 0.2

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from phasefrac.fields import (_CHUNK, Grid, ScalarField, VectorField, gradient,
+from phasefrac.fields import (_CHUNK, _READ_BLOCK, Grid, ScalarField, VectorField, gradient,
                               gradient_adjoint, integrate, read_field, sample_at,
                               slice_extract, sym_gradient, sym_gradient_adjoint,
                               _HandOver, _write_atomic, write_field)
@@ -368,9 +368,19 @@ def test_read_field_names_file_and_line_of_a_byte_outside_ascii(tmp_path, g1, li
         read_field(path)
 
 
-@pytest.mark.parametrize("line", [4 + _CHUNK, 5 + _CHUNK, 5 + _CHUNK + 37])
+# the 0-based value line that the first block seam cuts in a dump of "0.25\n"
+# lines (5 bytes each): 65536 = 5 * 13107 + 1
+_SEAM = _READ_BLOCK // 5
+
+
+@pytest.mark.parametrize("line", [4 + _CHUNK, 5 + _CHUNK, 5 + _CHUNK + 37,
+                                  4 + _SEAM, 5 + _SEAM, 6 + _SEAM])
 def test_read_field_names_bad_line_past_chunk_seam(tmp_path, line):
-    # the last value line of the first chunk, the first and a later one of the second
+    # the last value line of the first `_CHUNK` and the first and a later one
+    # of the second; then the last whole line of the first `_READ_BLOCK`
+    # bytes, the line that straddles its seam, and the first line wholly past
+    # it ("abc\n" is a byte shorter than "0.25\n", and the lines before the
+    # seam do not move)
     g = Grid((0.0,), (1.0,), (2 * _CHUNK,))
 
     def edit(dump):
@@ -380,6 +390,92 @@ def test_read_field_names_bad_line_past_chunk_seam(tmp_path, line):
 
     path = _dump(tmp_path, g, edit)
     with pytest.raises(ValueError, match=rf"f\.field: line {line} 'abc': could not convert"):
+        read_field(path)
+
+
+def test_block_seams_fall_where_the_seam_tests_expect(tmp_path):
+    g = Grid((0.0,), (1.0,), (2 * _CHUNK,))
+    data = _dump(tmp_path, g, lambda dump: dump).read_bytes()
+    start = data.index(b"\n", data.index(b"extent")) + 1  # the first value byte
+    seam = start + _READ_BLOCK
+    # the value line that holds the seam's first byte began before it
+    assert data.count(b"\n", start, seam) == _SEAM and data[seam - 1:seam] != b"\n"
+
+
+def _write_values(path, cells, lines: bytes):
+    """A dump of a 1D grid whose value section is `lines` byte for byte."""
+    path.write_bytes(f"dim 1\ncells {cells}\norigin 0\nextent 1\n".encode() + lines)
+    return path
+
+
+@pytest.mark.parametrize("bad,at,length", [
+    (b"abc", 20000, 1),  # one bad line inside a long run, in the second block
+    (b"abc", 20000, 100),  # a run of bad lines: its first is named
+    (b"1e", _SEAM - 100, _CHUNK),  # a long bad run over the first seam
+])
+def test_read_field_names_bad_line_inside_a_long_run(tmp_path, bad, at, length):
+    n = 3 * _CHUNK
+    lines = [b"0.25\n"] * n
+    lines[at:at + length] = [bad + b"\n"] * length
+    path = _write_values(tmp_path / "f.field", n, b"".join(lines))
+    with pytest.raises(ValueError, match=rf"f\.field: line {at + 5} '{bad.decode()}': "
+                                         "could not convert"):
+        read_field(path)
+
+
+@pytest.mark.parametrize("values,cut,crossed", [
+    # 16384 lines of "0.5\n" fill the first block exactly: a run that ends at
+    # the seam, and one that goes on past it with no line cut
+    (lambda: _runs([0.5, 0.75, 0.5], [_READ_BLOCK // 4, 10, 3]), False, False),
+    (lambda: _runs([0.5, -0.5], [_READ_BLOCK // 4 + 10, 2]), False, True),
+    # a run whose line the seam cuts ("0.25\n" takes 5 bytes, after 12 bytes)
+    (lambda: _runs([0.5, 0.25, 0.5], [3, _SEAM, 5]), True, True),
+    # one run over three seams ("0.33333333333333331\n" takes 20 bytes)
+    (lambda: _runs([1 / 3, 0.1], [3 * _READ_BLOCK // 19, 1]), True, True),
+], ids=["ends at the seam", "crosses the seam", "cut by the seam", "over three seams"])
+def test_read_field_runs_across_block_seams(tmp_path, values, cut, crossed):
+    flat = values()
+    f = ScalarField(Grid((0.0,), (1.0,), flat.shape), flat)
+    path = tmp_path / "f.field"
+    write_field(f, path)
+    data = path.read_bytes()
+    assert data == _reference_dump(f).encode()
+    start = data.index(b"\n", data.index(b"extent")) + 1
+    seam = start + _READ_BLOCK
+    k = data.count(b"\n", start, seam)  # the value line that holds the seam's first byte
+    assert (data[seam - 1:seam] != b"\n") == cut
+    assert (flat[k - 1] == flat[k]) == crossed
+    assert np.array_equal(read_field(path).values.view(np.uint64), flat.view(np.uint64))
+
+
+def test_read_field_keeps_adjacent_lines_apart_by_their_bytes(tmp_path):
+    # "0" and "-0" are equal as floats but not as bits; "0.25" and "0.250"
+    # are equal as floats but are two runs of lines, each parsed
+    text = b"0\n-0\n-0\n0\n0.25\n0.250\n0.250\n0.25\n -0\n-0\n"
+    back = read_field(_write_values(tmp_path / "f.field", 10, text))
+    want = np.array([0.0, -0.0, -0.0, 0.0, 0.25, 0.25, 0.25, 0.25, -0.0, -0.0])
+    assert np.array_equal(back.values.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("cut,text", [(1, "0.125"), (2, "0.12"), (5, "0")])
+def test_read_field_refuses_a_cut_off_last_line(tmp_path, cut, text):
+    path = tmp_path / "f.field"
+    write_field(ScalarField(Grid((0.0,), (1.0,), (4,)), np.array([0.25, 0.5, 0.75, 0.125])), path)
+    data = path.read_bytes()
+    assert data.endswith(b"\n0.125\n")
+    path.write_bytes(data[:-cut])
+    with pytest.raises(ValueError, match=rf"f\.field: line 8 '{text}': no newline at the end"):
+        read_field(path)
+
+
+def test_read_field_counts_a_cut_off_line_before_naming_it(tmp_path):
+    # a last line without a newline still counts, so a dump one value short
+    # or long is a count fault first
+    path = _write_values(tmp_path / "f.field", 3, b"0.5\n0.5")
+    with pytest.raises(ValueError, match=r"f\.field: 2 values, but the header declares 3"):
+        read_field(path)
+    path = _write_values(tmp_path / "f.field", 2, b"0.5\n0.5\n0.5")
+    with pytest.raises(ValueError, match=r"f\.field: 3 values, but the header declares 2"):
         read_field(path)
 
 
@@ -397,6 +493,22 @@ def test_read_field_streams_in_chunks(tmp_path):
         tracemalloc.stop()
     assert peak < 4 * 2**20
     assert np.array_equal(back.values, f.values)
+
+
+def test_read_field_streams_short_lines_in_blocks(tmp_path):
+    # rows of 0 and 1: lines of 2 bytes with the newline put the most lines,
+    # 32768, in one block; the 512 KiB dump split whole would hold a 2 MiB
+    # list of lines beside the 2 MiB field
+    values = np.repeat(np.arange(512) % 2, 512).reshape(512, 512).astype(float)
+    write_field(ScalarField(Grid((0.0, 0.0), (1.0, 1.0), (512, 512)), values), tmp_path / "f.field")
+    tracemalloc.start()
+    try:
+        back = read_field(tmp_path / "f.field")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert np.array_equal(back.values, values)
 
 
 # float64 values whose shortest text is long, tiny, signed zero or subnormal

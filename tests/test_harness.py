@@ -144,7 +144,7 @@ def test_levelset_diagnostic_2d_tube(P):
     segs = SegmentSet([[[0.5, 0.25], [0.5, 0.75]]])
     geo = SharpGeometry2D((0.0, 0.0), (1.0, 1.0), segments=segs)
     grid = Grid((0.0, 0.0), (1.0, 1.0), (512, 512))
-    st = build_recovery(geo, 2.0 ** -7, 0.02, 1e-4, grid, P)
+    st = build_recovery(geo, 2.0 ** -7, 0.02, 1e-4, grid, P, enforce_width=True)
     t_star, est, bound = compactness_levelset_diagnostic(st.z, P)
     assert est == pytest.approx(2 * 0.5, rel=0.2)  # two tube flanks
     assert est <= bound * 1.2
@@ -152,7 +152,7 @@ def test_levelset_diagnostic_2d_tube(P):
 
 def test_levelset_diagnostic_1d_two_crossings(P):
     grid = Grid((0.0,), (1.0,), (4096,))
-    st = build_recovery(CRACK_1D, 2.0 ** -7, 0.02, 1e-4, grid, P)
+    st = build_recovery(CRACK_1D, 2.0 ** -7, 0.02, 1e-4, grid, P, enforce_width=True)
     t_star, est, bound = compactness_levelset_diagnostic(st.z, P)
     assert est == 2.0
     assert est <= bound * 1.2

@@ -103,7 +103,7 @@ def test_smoothstep_shape():
 def test_recovery_empty_geometry(P):
     g = SharpGeometry1D((0.0, 1.0))
     grid = Grid((0.0,), (1.0,), (128,))
-    st = build_recovery(g, 0.05, 0.1, 0.1, grid, P)
+    st = build_recovery(g, 0.05, 0.1, 0.1, grid, P, enforce_width=True)
     assert np.all(st.c.values == 0.0)
     assert np.all(st.u.values == 0.0)
     assert np.all(st.z.values == 1.0)
@@ -113,7 +113,7 @@ def test_recovery_phase_only_profile(P, elastic_1d_free):
     g = SharpGeometry1D((0.0, 1.0), phase_points=(0.5,), c_pieces=(0, 1),
                         u_pieces=((0.0, 0.0), (0.0, 0.0)))
     grid = Grid((0.0,), (1.0,), (4096,))
-    st = build_recovery(g, 2.0 ** -6, 0.1, 0.25, grid, P)
+    st = build_recovery(g, 2.0 ** -6, 0.1, 0.25, grid, P, enforce_width=True)
     assert np.all(st.z.values == 1.0)
     x = grid.centers(0)
     assert np.all(st.c.values[x > 0.5] == 1.0)  # c = 1 exactly on the phase set
@@ -129,7 +129,7 @@ def test_recovery_exclusion_inclusion(P):
     g = SharpGeometry1D((0.0, 1.0), phase_points=(0.5,), crack_points=(0.5,),
                         c_pieces=(0, 1), u_pieces=((0.0, 0.0), (0.0, 0.1)))
     grid = Grid((0.0,), (1.0,), (2 ** 12,))
-    st = build_recovery(g, eps, delta, lam, grid, P)
+    st = build_recovery(g, eps, delta, lam, grid, P, enforce_width=True)
     trans = (st.c.values > 0.01) & (st.c.values < 0.99)
     assert trans.any()
     assert st.z.values[trans].max() <= 1e-12
@@ -140,7 +140,7 @@ def test_recovery_transition_width_bound(P):
     g = SharpGeometry1D((0.0, 1.0), phase_points=(0.5,), crack_points=(0.5,),
                         c_pieces=(0, 1), u_pieces=((0.0, 0.0), (0.0, 0.1)))
     grid = Grid((0.0,), (1.0,), (2 ** 12,))
-    st = build_recovery(g, eps, delta, lam, grid, P)
+    st = build_recovery(g, eps, delta, lam, grid, P, enforce_width=True)
     x = grid.centers(0)
     band = x[(st.c.values > 0.0) & (st.c.values < 1.0)]
     h = grid.spacing[0]
@@ -152,9 +152,12 @@ def test_recovery_width_violation_raises(P):
                         c_pieces=(0, 1), u_pieces=((0.0, 0.0), (0.0, 0.1)))
     grid = Grid((0.0,), (1.0,), (1024,))
     with pytest.raises(WidthConditionError):
-        build_recovery(g, 2.0 ** -5, 2.0 ** -5, 1e-4, grid, P)
+        build_recovery(g, 2.0 ** -5, 2.0 ** -5, 1e-4, grid, P, enforce_width=True)
     st = build_recovery(g, 2.0 ** -5, 2.0 ** -5, 1e-4, grid, P, enforce_width=False)
     assert st.z.values.min() >= 0.0
+    # the flag has no default here: SweepPlan owns it
+    with pytest.raises(TypeError, match="enforce_width"):
+        build_recovery(g, 2.0 ** -5, 2.0 ** -5, 1e-4, grid, P)
 
 
 def test_recovery_unresolvable_raises(P):
@@ -162,7 +165,7 @@ def test_recovery_unresolvable_raises(P):
                         u_pieces=((0.0, 0.0), (0.0, 0.0)))
     grid = Grid((0.0,), (1.0,), (64,))
     with pytest.raises(ResolutionError):
-        build_recovery(g, 2.0 ** -9, 0.1, 0.25, grid, P)
+        build_recovery(g, 2.0 ** -9, 0.1, 0.25, grid, P, enforce_width=True)
 
 
 def test_recovery_u_outside_tube_matches_sharp(P):
@@ -170,7 +173,7 @@ def test_recovery_u_outside_tube_matches_sharp(P):
     g = SharpGeometry1D((0.0, 1.0), crack_points=(0.5,), c_pieces=(0, 0),
                         u_pieces=((0.0, 0.0), (0.0, 0.3)))
     grid = Grid((0.0,), (1.0,), (2 ** 12,))
-    st = build_recovery(g, eps, delta, lam, grid, P)
+    st = build_recovery(g, eps, delta, lam, grid, P, enforce_width=True)
     x = grid.centers(0)
     outside = np.abs(x - 0.5) > lam * delta
     expected = np.where(x > 0.5, 0.3, 0.0)

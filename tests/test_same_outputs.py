@@ -1,7 +1,9 @@
 """The output comparison in tools/ on a smoke-size workload, against this tree."""
+import hashlib
 import importlib.util
 import math
 import os
+import shutil
 import sys
 
 import pytest
@@ -31,6 +33,38 @@ def test_sweep_and_recover_on_the_smoke_workloads(name, tmp_path):
     assert mine["exit code"] == b"0" and mine["stderr"] == b""
     assert all(mine[output] for output in workload.outputs)
     assert same_outputs.compare(ROOT, workload.command, text) == []
+
+
+def test_each_dump_is_read_back_and_digested(tmp_path):
+    config = tmp_path / "run.ini"
+    config.write_text(make_config("recover_2d", 0, smoke=True))
+    mine = same_outputs.run_cli(ROOT, "recover", str(config), str(tmp_path / "out"))
+    assert mine["read back exit code"] == b"0" and mine["read back stderr"] == b""
+    names = sorted(name for name in mine if name.endswith(".field"))
+    assert names == ["c.field", "u0.field", "u1.field", "z.field"]
+    for name in names:
+        path = tmp_path / name
+        path.write_bytes(mine[name])
+        f = fields.read_field(path)
+        grid = repr((f.grid.origin, f.grid.extent, f.grid.cells)).encode()
+        digest = hashlib.sha256(grid + f.values.tobytes()).hexdigest()
+        assert mine[f"{name} read back"] == f"sha256 {digest}".encode()
+
+
+def test_a_reader_that_returns_other_bits_is_named(tmp_path):
+    # the other tree writes the same dumps, but reads each value back one ulp up
+    other = tmp_path / "other"
+    shutil.copytree(os.path.join(ROOT, "src", "phasefrac"), other / "src" / "phasefrac",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    module = other / "src" / "phasefrac" / "fields.py"
+    text = module.read_text()
+    handed = "return ScalarField(grid, _HandOver(values))"
+    assert text.count(handed) == 1
+    module.write_text(text.replace(handed, handed.replace("(values)", "(np.nextafter(values, 1))")))
+    found = same_outputs.compare(str(other), "recover", same_outputs.AFFINE_RECOVER)
+    assert [line for line in found if not line.startswith("    ")] == [
+        f"{name}.field read back: line 1 differs (1 lines here, 1 there)"
+        for name in ("c", "u0", "u1", "z")]
 
 
 def test_sharp_on_a_workload_config(tmp_path):

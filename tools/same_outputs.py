@@ -17,8 +17,12 @@ several pieces, and `minimize` on MINIMIZE_FREE, a 1D run
 without a mass constraint, and on MINIMIZE_WIDE_SEED, the same run with a
 jitter seed of three 32-bit words.  Each run goes once
 with this tree's src/ and once with OTHER_TREE's src/, both with the same
---out path.
-Every output file, stdout, stderr and the exit code are compared byte for
+--out path.  After each run, a subprocess with the same tree's src/ reads
+back every `*.field` the run dumped with that tree's `fields.read_field`,
+and gives a sha256 of the grid and of `values.tobytes()`, or the fault it
+raised; so a reader that returns other bits from the same dump differs too.
+Every output file, stdout, stderr and the exit code, and each read-back
+digest with the read-back's stderr and exit code, are compared byte for
 byte; each difference is named, and a differing text is shown as a unified
 diff from the other tree (`-`) to this one (`+`), cut after DIFF_LINES lines.
 Exit code 0 when all are equal, 1 otherwise.
@@ -153,10 +157,30 @@ seed = 18446744073709551621
 """ + MINIMIZE_FREE
 
 
+# run with a tree's src/ first on the path and the run's OUT as the working
+# directory: one line per dump named on the command line, the dump's name and
+# the sha256 of its grid and values as `read_field` returns them, or its fault
+READ_BACK = """
+import hashlib, sys
+from phasefrac.fields import read_field
+for name in sys.argv[1:]:
+    try:
+        f = read_field(name)
+    except ValueError as exc:
+        print(f"{name}: {exc}")
+        continue
+    g = f.grid
+    grid = repr((g.origin, g.extent, g.cells)).encode()
+    print(f"{name}: sha256 {hashlib.sha256(grid + f.values.tobytes()).hexdigest()}")
+"""
+
+
 def run_cli(tree: str, command: str, config: str, out: str) -> dict[str, bytes]:
     """Run `phasefrac COMMAND --config CONFIG --out OUT` from `tree`'s src/ and
     return its exit code, stdout, stderr and every file under OUT, keyed by
-    name.  OUT is removed before and after the run."""
+    name, and the READ_BACK line of each `*.field` under OUT, keyed by
+    `<name> read back`, with the read-back's stderr and exit code.  OUT is
+    removed before and after the run."""
     config, out = os.path.abspath(config), os.path.abspath(out)
     shutil.rmtree(out, ignore_errors=True)
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
@@ -170,6 +194,15 @@ def run_cli(tree: str, command: str, config: str, out: str) -> dict[str, bytes]:
             path = os.path.join(folder, name)
             with open(path, "rb") as fh:
                 outputs[os.path.relpath(path, out)] = fh.read()
+    dumps = sorted(name for name in outputs if name.endswith(".field"))
+    if dumps:
+        back = subprocess.run([sys.executable, "-c", READ_BACK, *dumps],
+                              capture_output=True, env=env, cwd=out)
+        for line in back.stdout.decode(errors="replace").splitlines():
+            name, _, text = line.partition(": ")
+            outputs[f"{name} read back"] = text.encode()
+        outputs["read back exit code"] = str(back.returncode).encode()
+        outputs["read back stderr"] = back.stderr
     shutil.rmtree(out, ignore_errors=True)
     return outputs
 
