@@ -137,11 +137,11 @@ def _delta(text: str) -> Optional[float]:
 
 
 def _one_of(table: dict):
-    """Converter from a name to its entry in `table`."""
+    """Converter that passes a name through if it is a key of `table`."""
     def conv(text: str):
         if text not in table:
             raise ValueError(f"unknown {text!r} ({'|'.join(table)})")
-        return table[text]
+        return text
     return conv
 
 
@@ -244,7 +244,7 @@ def parse_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
     strays = []
     if not faulty & {("geometry", "dim"), ("geometry", "u_spec")}:
         reads = {"dim", "cells", *_DIM_READS.get(g["dim"], ()),
-                 *(g["u_spec"][0] if g["dim"] == 2 else ())}
+                 *(_U_SPECS[g["u_spec"]][0] if g["dim"] == 2 else ())}
         setting = f"dim = {geo['dim']}" if "dim" in geo else "no dim"
         if g["dim"] == 2:
             setting += f", u_spec = {geo.get('u_spec', _SCHEMA['geometry']['u_spec'][0])}"
@@ -274,11 +274,10 @@ def parse_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
     if dim == 1 and len(e0) == 3:
         violations.append("[elastic] e0: got 3 numbers, expected 1")
         e0 = e0[:1]
-    psi, dpsi = el["psi"]
     elastic = attempt("[elastic]", lambda: ElasticModel(
-        lame_lambda=el["lame_lambda"], lame_mu=el["lame_mu"], psi=psi, dpsi=dpsi,
+        lame_lambda=el["lame_lambda"], lame_mu=el["lame_mu"],
         e0=np.array([e0[:2], e0[1:]]) if len(e0) == 3 else e0[0] * np.eye(dim),
-        eta_rule=el["eta_rule"]))
+        degradation=el["psi"], eta_rule=el["eta_rule"]))
 
     # a faulty [geometry] key leaves the geometry unbuilt, and its grid unchecked
     built = "dim" in geo and not any(name == "geometry" for name, _ in faulty)
@@ -337,7 +336,7 @@ def _build_geometry(g: dict):
                                crack_points=tuple(g["crack_points"]),
                                c_pieces=tuple(g["c_pieces"]),
                                u_pieces=tuple(zip(slopes, offsets)))
-    keys, displacement = g["u_spec"]
+    keys, displacement = _U_SPECS[g["u_spec"]]
     return SharpGeometry2D(tuple(g["origin"]), tuple(g["extent"]), polygon=g["polygon"],
                            segments=g["segments"],
                            u_spec=displacement(*(g[key] for key in keys)))

@@ -94,14 +94,23 @@ def _frobenius(a: tuple, b: tuple) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ElasticModel:
-    """Isotropic elasticity with lattice-misfit strain and damage degradation."""
+    """Isotropic elasticity with lattice-misfit strain and damage degradation.
+
+    The degradation psi with its derivative, and the rule delta -> eta, are
+    chosen by name, keys of `DEGRADATIONS` and `ETA_RULES`, so psi cannot be
+    set without its derivative; `psi`, `dpsi` and `eta` are resolved from the
+    names once, at construction, and an unknown name raises ValueError.
+    Models compare by e0's planes, a tuple, where a 2x2 array would refuse
+    the comparison, so two models with the same settings compare equal."""
     lame_lambda: float = 0.0
     lame_mu: float = 0.5
-    e0: np.ndarray = field(default_factory=lambda: np.zeros((1, 1)))
-    psi: Callable = _psi_quadratic
-    dpsi: Callable = _dpsi_quadratic
-    eta_rule: Callable[[float], float] = _eta_delta_squared
-    _e0_planes: tuple = field(init=False, repr=False, compare=False)
+    e0: np.ndarray = field(default_factory=lambda: np.zeros((1, 1)), compare=False)
+    degradation: str = "quadratic"
+    eta_rule: str = "delta_squared"
+    psi: Callable = field(init=False, repr=False, compare=False)
+    dpsi: Callable = field(init=False, repr=False, compare=False)
+    eta: Callable[[float], float] = field(init=False, repr=False, compare=False)
+    _e0_planes: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         # a view of a frozen copy, as `fields._Field` stores its values: the
@@ -119,8 +128,12 @@ class ElasticModel:
         if not np.allclose(e0, e0.T, atol=1e-14):
             raise ValueError("e0 must be symmetric")
         object.__setattr__(self, "_e0_planes", sym_planes(e0, e0.shape[0], "e0"))
-        if abs(float(self.psi(1.0)) - 1.0) > 1e-12 or abs(float(self.psi(0.0))) > 1e-12:
-            raise ValueError("degradation must satisfy psi(0) = 0, psi(1) = 1")
+        for name, table in (("degradation", DEGRADATIONS), ("eta_rule", ETA_RULES)):
+            if getattr(self, name) not in table:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r} ({'|'.join(table)})")
+        object.__setattr__(self, "psi", DEGRADATIONS[self.degradation][0])
+        object.__setattr__(self, "dpsi", DEGRADATIONS[self.degradation][1])
+        object.__setattr__(self, "eta", ETA_RULES[self.eta_rule])
 
     def form(self, xi: tuple[np.ndarray, ...]) -> np.ndarray:
         """Quadratic form C(xi) per cell; xi is a tuple of strain planes in the
@@ -142,12 +155,6 @@ class ElasticModel:
             raise ValueError(f"e0 has shape {self.e0.shape}, but a {dim}D grid needs "
                              f"{(dim, dim)}")
         return self._e0_planes
-
-    def eta(self, delta: float) -> float:
-        val = float(self.eta_rule(delta))
-        if val <= 0:
-            raise ValueError("eta(delta) must be positive")
-        return val
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,9 @@ of two such tensors counts the xy plane twice, so the adjoint of
 from __future__ import annotations
 
 import math
+import operator
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -31,38 +32,38 @@ _BLOCK = 1 << 14
 
 @dataclass(frozen=True)
 class Grid:
-    """Axis-aligned box discretized into uniform cells; fields live at centers."""
+    """Axis-aligned box discretized into uniform cells; fields live at centers.
+
+    Each cell count must be an integer.  The dimension, the spacing and the
+    cell volume are fixed at construction, so reading them costs nothing."""
     origin: tuple[float, ...]
     extent: tuple[float, ...]
     cells: tuple[int, ...]
+    dim: int = field(init=False)
+    spacing: tuple[float, ...] = field(init=False)
+    cell_volume: float = field(init=False)
 
     def __post_init__(self):
         if len(self.origin) != len(self.extent) or len(self.origin) != len(self.cells):
             raise ValueError("origin, extent, cells must have equal length")
-        if self.dim not in (1, 2):
+        if len(self.cells) not in (1, 2):
             raise ValueError("only dimensions 1 and 2 are supported")
+        try:
+            object.__setattr__(self, "cells", tuple(operator.index(n) for n in self.cells))
+        except TypeError:
+            raise ValueError(f"cell counts must be integers, got {self.cells}") from None
         if any(n < 2 for n in self.cells):
             raise ValueError("need at least 2 cells per axis")
         if not all(0.0 < e < np.inf for e in self.extent):
             raise ValueError(f"extent must be positive and finite, got {self.extent}")
         if not np.all(np.isfinite(self.origin)):
             raise ValueError(f"origin must be finite, got {self.origin}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.cells)
-
-    @property
-    def spacing(self) -> tuple[float, ...]:
-        return tuple(e / n for e, n in zip(self.extent, self.cells))
-
-    @property
-    def cell_volume(self) -> float:
-        return float(np.prod(self.spacing))
+        object.__setattr__(self, "dim", len(self.cells))
+        object.__setattr__(self, "spacing", tuple(e / n for e, n in zip(self.extent, self.cells)))
+        object.__setattr__(self, "cell_volume", float(np.prod(self.spacing)))
 
     def centers(self, axis: int) -> np.ndarray:
-        h = self.spacing[axis]
-        return self.origin[axis] + h * (np.arange(self.cells[axis]) + 0.5)
+        return self.origin[axis] + self.spacing[axis] * (np.arange(self.cells[axis]) + 0.5)
 
     def meshgrid(self) -> tuple[np.ndarray, ...]:
         """Cell-center coordinate arrays, each shaped like a scalar field."""
@@ -260,8 +261,7 @@ def sample_at(field, points: np.ndarray) -> np.ndarray:
     idx = []
     frac = []
     for a in range(g.dim):
-        h = g.spacing[a]
-        x = (points[:, a] - g.origin[a]) / h - 0.5
+        x = (points[:, a] - g.origin[a]) / g.spacing[a] - 0.5
         x = np.clip(x, 0.0, g.cells[a] - 1.0)
         i0 = np.minimum(np.floor(x).astype(int), g.cells[a] - 2)
         idx.append(i0)

@@ -30,8 +30,10 @@ CSV_HEADER = "eps,delta,e_phase,e_elastic,e_crack,e_total,e_sharp,rel_err,status
 _DELTA_RULES = {"sqrt": lambda e: e ** 0.5,
                 "two_thirds": lambda e: e ** (2.0 / 3.0),
                 "scaled_two_thirds": lambda e: e ** (2.0 / 3.0)}
-# threshold levels the level-set diagnostic tries in (1/4, 3/4)
+# threshold levels the level-set diagnostic tries in (1/4, 3/4), and the share
+# by which the chosen level's face-count perimeter may exceed its bound
 _LEVELSET_THRESHOLDS = 31
+_LEVELSET_GRID_SLACK = 0.2
 # random draws allowed per requested line before the slicing check gives up
 _DRAWS_PER_LINE = 100
 
@@ -188,14 +190,14 @@ def geodesic_inequality_check(w: ScalarField, which: str, eps: float,
     return lhs, rhs, slack
 
 
-def compactness_levelset_diagnostic(z: ScalarField, P: PotentialSet,
-                                    grid_slack: float = 0.2) -> tuple[float, float, float]:
+def compactness_levelset_diagnostic(z: ScalarField, P: PotentialSet) -> tuple[float, float, float]:
     """Select the level of z in (1/4, 3/4), among `_LEVELSET_THRESHOLDS`
     equispaced ones, with the smallest discrete perimeter.
 
     The selection bound is TV(d_V o z) / (d_V(3/4) - d_V(1/4)); the face-count
-    perimeter at the chosen level must not exceed it beyond the grid slack,
-    else DiagnosticError is raised.  Returns (t_star, perimeter_estimate, bound).
+    perimeter at the chosen level must not exceed it by more than the share
+    `_LEVELSET_GRID_SLACK`, else DiagnosticError is raised.  Returns (t_star,
+    perimeter_estimate, bound).
     """
     if np.any(z.values < 0.0) or np.any(z.values > 1.0):
         raise ValueError("z values must lie in [0, 1]")
@@ -208,9 +210,9 @@ def compactness_levelset_diagnostic(z: ScalarField, P: PotentialSet,
                        for t in ts])
     k = int(np.argmin(perims))
     t_star, est = float(ts[k]), float(perims[k])
-    if not est <= bound * (1.0 + grid_slack) + 1e-12:
+    if not est <= bound * (1.0 + _LEVELSET_GRID_SLACK) + 1e-12:
         raise DiagnosticError(f"level-set perimeter {est:.4g} exceeds bound "
-                              f"{bound:.4g} (+{grid_slack:.0%})")
+                              f"{bound:.4g} (+{_LEVELSET_GRID_SLACK:.0%})")
     return t_star, est, bound
 
 

@@ -21,8 +21,9 @@ a sharp configuration:
 When both a phase boundary and a crack are present, the construction confines
 the c-transition to the damaged tube only if zeta_W(1) <= eps/sqrt(lambda)
 <= lambda*delta (the width condition, tested by `width_violation`); the
-builder enforces it by default and can be told not to for regimes where only
-the energy values matter.
+builder enforces it when its required keyword `enforce_width` is true, and
+builds anyway when it is false, for regimes where only the energy values
+matter (`harness.SweepPlan.enforce_width`, false by default).
 
 The builder samples the grid in square tiles of `fields._BLOCK` cells:
 isqrt(`_BLOCK`) = 128 a side in 2D and `_BLOCK` in 1D, cut short at the far

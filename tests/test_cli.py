@@ -85,9 +85,7 @@ def test_cli_defaults_match_library_defaults(tmp_path):
         assert getattr(cfg.sweep_plan, name) == getattr(plan, name), name
     # the plan owns the width flag's default; the schema's text is read from it
     assert cli._SCHEMA["sweep"]["enforce_width"][0] == str(SweepPlan.enforce_width).lower()
-    model = ElasticModel()
-    for name in ("lame_lambda", "lame_mu", "psi", "dpsi", "eta_rule"):
-        assert getattr(cfg.elastic, name) == getattr(model, name), name
+    assert cfg.elastic == ElasticModel()
     pots = make_default_potentials()
     for name in ("theta", "coercivity"):
         assert getattr(cfg.potentials, name) == getattr(pots, name), name

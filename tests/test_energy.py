@@ -82,9 +82,7 @@ def test_profile_phase_energy_band(P, elastic_1d_free):
                                           ("linear", "delta_cubed")])
 @pytest.mark.parametrize("block", ["c", "u", "z"])
 def test_gradients_match_finite_differences(P, block, psi, eta_rule):
-    psi_fn, dpsi_fn = DEGRADATIONS[psi]
-    M = ElasticModel(e0=np.array([[1.0]]), psi=psi_fn, dpsi=dpsi_fn,
-                     eta_rule=ETA_RULES[eta_rule])
+    M = ElasticModel(e0=np.array([[1.0]]), degradation=psi, eta_rule=eta_rule)
     g = Grid((0.0,), (1.0,), (64,))
     s = random_state(g, seed=21)
     fd = fd_gradient(s, P, M, block)
@@ -160,15 +158,32 @@ def test_clamp_audit_counter(P, elastic_1d):
     assert diffuse_energy(s, P, elastic_1d).clamped_cells == 2
 
 
-def test_nonfinite_names_cell(P, elastic_1d):
+def _inf_at(value, fn):
+    return lambda x: np.where(np.asarray(x) == value, np.inf, fn(x))
+
+
+def test_nonfinite_names_cell(P, elastic_1d, monkeypatch):
     g = Grid((0.0,), (1.0,), (16,))
     s = DiffuseState(ScalarField.full(g, 0.2), VectorField.full(g, 0.0),
                      ScalarField.full(g, 0.5), 0.1, 0.1)
-    bad = ElasticModel(e0=np.array([[1.0]]),
-                       psi=lambda z: np.where(np.asarray(z) == 0.5, np.inf, z ** 2),
-                       dpsi=lambda z: 2 * np.asarray(z))
+    psi, dpsi = DEGRADATIONS["quadratic"]
+    monkeypatch.setitem(DEGRADATIONS, "inf_at_half", (_inf_at(0.5, psi), dpsi))
+    bad = ElasticModel(e0=np.array([[1.0]]), degradation="inf_at_half")
     with pytest.raises(ValueError, match=r"cell \(0,\)"):
         diffuse_energy(s, P, bad)
+
+
+@pytest.mark.parametrize("cells", [(64,), (16, 12)])
+def test_rigid_translation_of_u_keeps_the_energy(P, cells):
+    # e(u) is a difference of u, so u -> u + 1 moves no term beyond rounding
+    g = Grid((0.0,) * len(cells), (1.0,) * len(cells), cells)
+    e0 = np.array([[0.8]]) if len(cells) == 1 else np.array([[0.8, 0.1], [0.1, -0.2]])
+    M = ElasticModel(lame_lambda=0.2, e0=e0)
+    for seed in range(4):
+        s = random_state(g, seed=seed)
+        moved = s.replace(u=VectorField(g, s.u.values + 1.0))
+        for a, b in zip(*(dataclasses.astuple(diffuse_energy(t, P, M)) for t in (s, moved))):
+            assert abs(a - b) <= 1e-14 * abs(a), seed
 
 
 def test_mass_and_projection(P):
@@ -206,6 +221,44 @@ def test_elastic_model_names_a_nonfinite_e0(e0):
 def test_elastic_model_refuses_nonfinite_moduli(lame):
     with pytest.raises(ValueError, match="need 0 < mu < inf and 0 <= lambda < inf"):
         ElasticModel(**lame)
+
+
+def test_every_degradation_and_eta_rule_is_admissible():
+    # psi(0) = 0, psi(1) = 1, dpsi the derivative of psi, and eta > 0 for
+    # delta in [2^-40, 1] (in floating point delta^2 underflows to 0 below
+    # about 1e-162): the model takes them by name, so the tables are all it
+    # can be given
+    z, h = np.linspace(0.05, 0.95, 19), 1e-6
+    for name, (psi, dpsi) in DEGRADATIONS.items():
+        assert float(psi(0.0)) == 0.0 and float(psi(1.0)) == 1.0, name
+        central = (psi(z + h) - psi(z - h)) / (2.0 * h)
+        assert np.abs(dpsi(z) - central).max() <= 1e-8, name
+    for name, eta in ETA_RULES.items():
+        assert all(eta(2.0 ** -k) > 0.0 for k in range(41)), name
+
+
+def test_elastic_model_resolves_its_rules_by_name():
+    for name, (psi, dpsi) in DEGRADATIONS.items():
+        M = ElasticModel(degradation=name)
+        assert M.psi is psi and M.dpsi is dpsi
+    for name, eta in ETA_RULES.items():
+        assert ElasticModel(eta_rule=name).eta is eta
+    M = ElasticModel(lame_lambda=0.2, degradation="linear", eta_rule="delta_cubed")
+    assert M == ElasticModel(lame_lambda=0.2, degradation="linear", eta_rule="delta_cubed")
+    assert M != ElasticModel(lame_lambda=0.2, degradation="linear")
+    e0 = np.array([[0.8, 0.1], [0.1, -0.2]])
+    assert ElasticModel(e0=e0) == ElasticModel(e0=e0.copy()) != ElasticModel(e0=e0.T * 2)
+    assert ElasticModel(e0=np.eye(1)) != ElasticModel(e0=np.eye(2))
+    assert repr(M) == ("ElasticModel(lame_lambda=0.2, lame_mu=0.5, e0=array([[0.]]), "
+                       "degradation='linear', eta_rule='delta_cubed')")
+    with pytest.raises(ValueError, match=re.escape(
+            "unknown degradation 'cubic' (quadratic|linear)")):
+        ElasticModel(degradation="cubic")
+    with pytest.raises(ValueError, match=re.escape(
+            "unknown eta_rule 'delta' (delta_squared|delta_cubed)")):
+        ElasticModel(eta_rule="delta")
+    with pytest.raises(TypeError):
+        ElasticModel(psi=DEGRADATIONS["linear"][0])
 
 
 def test_e0_is_copied_frozen_and_checked_at_construction():
@@ -486,10 +539,6 @@ def test_slab_pass_on_flat_slabs_matches_the_whole_array_pass_bitwise(P, monkeyp
             assert sum(n <= 3 for n in halo_rows) == 2 * flat_slabs, halo_rows
 
 
-def _inf_at(value, fn):
-    return lambda x: np.where(np.asarray(x) == value, np.inf, fn(x))
-
-
 @pytest.mark.parametrize("label,flat", [(label, flat) for flat in (False, True)
                                         for label in ("interfacial", "elastic", "crack")],
                          ids=["interfacial", "elastic", "crack", "flat_interfacial",
@@ -507,7 +556,8 @@ def test_slab_pass_names_the_same_nonfinite_cell(P, monkeypatch, label, flat):
     if label == "interfacial":
         P = dataclasses.replace(P, w=_inf_at(0.25, P.w))
     elif label == "elastic":
-        M = dataclasses.replace(M, psi=_inf_at(0.5, M.psi))
+        monkeypatch.setitem(DEGRADATIONS, "inf_at_half", (_inf_at(0.5, M.psi), M.dpsi))
+        M = dataclasses.replace(M, degradation="inf_at_half")
     else:
         P = dataclasses.replace(P, v=_inf_at(0.5, P.v))
     message = f"non-finite {label} density at cell {cell}"

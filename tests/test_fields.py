@@ -1,4 +1,5 @@
 import io
+import re
 import tracemalloc
 
 import numpy as np
@@ -27,6 +28,22 @@ def test_grid_validation():
         Grid((0.0,), (-1.0,), (4,))
     with pytest.raises(ValueError):
         Grid((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (4, 4, 4))
+
+
+@pytest.mark.parametrize("cells", [(4.5,), (np.float64(8.0),), (8, 2.0), ("8",)])
+def test_grid_refuses_a_cell_count_that_is_not_an_integer(cells):
+    # 4.5 used to pass, with spacing 0.222, until a field on the grid raised
+    # an unnamed TypeError
+    with pytest.raises(ValueError, match=re.escape(f"cell counts must be integers, got {cells}")):
+        Grid((0.0,) * len(cells), (1.0,) * len(cells), cells)
+
+
+def test_grid_fixes_its_counts_spacing_and_cell_volume():
+    g = Grid((0.0, -1.0), (1.5, 2.0), (np.int64(3), 8))
+    assert g.cells == (3, 8) and all(type(n) is int for n in g.cells)
+    assert g.spacing == (0.5, 0.25) and g.cell_volume == 0.125
+    assert g == Grid((0.0, -1.0), (1.5, 2.0), (3, 8))
+    assert ScalarField.full(g, 1.0).values.shape == (3, 8)
 
 
 @pytest.mark.parametrize("origin,extent", [

@@ -197,16 +197,18 @@ def test_slicing_rejects_grid_without_interior_samples():
 
 DIAGNOSTIC_VIOLATIONS = """
 import numpy as np
+from phasefrac import harness
 from phasefrac.fields import Grid, ScalarField
 from phasefrac.harness import (DiagnosticError, compactness_levelset_diagnostic,
                                geodesic_inequality_check)
 from phasefrac.potentials import make_default_potentials
 P = make_default_potentials()
+harness._LEVELSET_GRID_SLACK = -1.0  # no perimeter fits under a negative bound
 w = ScalarField(Grid((0.0,), (1.0,), (4,)), np.array([0.0, 0.0, 1.0, 1.0]))
 step = ScalarField.from_function(Grid((0.0, 0.0), (1.0, 1.0), (16, 16)),
                                  lambda x, y: (x > 0.5).astype(float))
 for call in (lambda: geodesic_inequality_check(w, "W", 0.01, P),
-             lambda: compactness_levelset_diagnostic(step, P, grid_slack=-1.0)):
+             lambda: compactness_levelset_diagnostic(step, P)):
     try:
         call()
     except DiagnosticError as exc:

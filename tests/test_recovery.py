@@ -3,8 +3,9 @@ import pytest
 from scipy.integrate import quad
 
 from phasefrac import recovery
-from phasefrac.energy import diffuse_energy
+from phasefrac.energy import ElasticModel, diffuse_energy
 from phasefrac.fields import Grid
+from phasefrac.harness import SweepPlan, gamma_sweep
 from phasefrac.potentials import geodesic_transform
 from phasefrac.recovery import (ProfileParams, ResolutionError,
                                 WidthConditionError, build_profile, build_recovery,
@@ -359,3 +360,72 @@ def test_blocked_recovery_matches_one_block_bitwise(P, monkeypatch, case):
         assert (c[tile] < 1.0).any()
     assert (0.0 < c.max()) == geometry.has_phase()
     assert (z.min() < 1.0) == geometry.has_crack()
+
+
+# Symmetries of the domain that the recovery tiles and the energy slabs must
+# respect: a swap of the axes gives the transposed arrays bit for bit, and a
+# mirror of a 1D sweep moves no term but the elastic one beyond rounding.
+
+def _criterion_05(swap: bool) -> SharpGeometry2D:
+    """Criterion 05's geometry, or its reflection across the diagonal y = x:
+    the rigid motions trade sides of the crack line, and their components
+    trade places."""
+    def sw(p):
+        return tuple(p[::-1]) if swap else tuple(p)
+    plus, minus = (0.002, 0.0), (-0.002, 0.0)
+    if swap:
+        plus, minus = minus, plus
+    return SharpGeometry2D(
+        (0.0, 0.0), (1.0, 1.0),
+        polygon=Polygon([sw(p) for p in ((0.5, 0.0), (1.0, 0.0), (1.0, 1.0), (0.5, 1.0))]),
+        segments=SegmentSet([[sw((0.5, 0.25)), sw((0.5, 0.75))]]),
+        u_spec=piecewise_rigid_displacement(sw((0.5, 0.5)), sw((0.0, 1.0)), sw(plus),
+                                            sw(minus)))
+
+
+@pytest.mark.parametrize("eps", [2.0 ** -5, 2.0 ** -6])
+def test_axis_swap_transposes_the_recovery_and_keeps_each_term(P, elastic_2d_free, eps):
+    delta, lam = 0.18 * eps ** (2.0 / 3.0), 1e-4
+    states = [build_recovery(g, eps, delta, lam, g.grid(cells), P, enforce_width=False)
+              for g, cells in ((_criterion_05(False), (300, 200)),
+                               (_criterion_05(True), (200, 300)))]
+    (c, z, u), (c_t, z_t, u_t) = [(s.c.values, s.z.values, s.u.values) for s in states]
+
+    def same_bits(a, b):
+        return np.array_equal(a.view(np.uint64), np.ascontiguousarray(b).view(np.uint64))
+    assert same_bits(c_t, c.T) and same_bits(z_t, z.T)
+    assert same_bits(u_t[..., 0], u[..., 1].T) and same_bits(u_t[..., 1], u[..., 0].T)
+    assert (z < 1.0).any() and (0.0 < c).any() and (u[..., 0] != 0.0).any()
+    energies = [diffuse_energy(s, P, elastic_2d_free) for s in states]
+    for term in ("e_phase", "e_elastic", "e_crack"):
+        a, b = (getattr(e, term) for e in energies)
+        assert a > 0.0 and abs(a - b) <= 1e-14 * a, term
+
+
+def _pieces_1d(mirror: bool) -> SharpGeometry1D:
+    """The seven-piece 1D geometry of `tools/same_outputs.py`'s
+    SWEEP_1D_PIECES, or its mirror x -> 1 - x, with u mirrored as a vector,
+    u'(x) = -u(1 - x): on each piece the slope stays and the offset o turns
+    into -(slope + o)."""
+    phase, crack = (0.2, 0.35, 0.6, 0.8), (0.45, 0.7)
+    c = (0, 1, 0, 0, 1, 1, 0)
+    u = tuple((0.02, o) for o in (0.0, 0.0, 0.0, 0.01, 0.01, -0.005, -0.005))
+    if mirror:
+        phase, crack = (tuple(1.0 - p for p in pts) for pts in (phase, crack))
+        c, u = c[::-1], tuple((s, -(s + o)) for s, o in u[::-1])
+    return SharpGeometry1D((0.0, 1.0), phase_points=phase, crack_points=crack,
+                           c_pieces=c, u_pieces=u)
+
+
+def test_mirror_keeps_the_1d_sweep_terms(P):
+    # e_elastic is left out: the unresolved displacement layer depends on the
+    # values of u at the cracks, not only on its jump (ROADMAP item 16)
+    M = ElasticModel(e0=np.array([[0.5]]))
+    tables = [gamma_sweep(SweepPlan(_pieces_1d(mirror), (2.0 ** -7, 2.0 ** -8),
+                                    cells=(1 << 18,)), P, M) for mirror in (False, True)]
+    assert tables[0].e_sharp == tables[1].e_sharp
+    for row, mirrored in zip(tables[0].rows, tables[1].rows):
+        assert row.status == mirrored.status == "ok"
+        for term in ("e_phase", "e_crack"):
+            a, b = getattr(row.energy, term), getattr(mirrored.energy, term)
+            assert a > 0.0 and abs(a - b) <= 1e-14 * a, term

@@ -9,6 +9,8 @@ import sys
 import pytest
 
 from phasefrac import fields
+from phasefrac.cli import parse_config
+from phasefrac.sharp import sharp_energy
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _spec = importlib.util.spec_from_file_location(
@@ -67,12 +69,34 @@ def test_a_reader_that_returns_other_bits_is_named(tmp_path):
         for name in ("c", "u0", "u1", "z")]
 
 
+def test_a_sharp_term_one_ulp_up_is_named(tmp_path):
+    # the CLI prints the sharp energies to 12 digits, so only the digest sees this
+    other = tmp_path / "other"
+    shutil.copytree(os.path.join(ROOT, "src", "phasefrac"), other / "src" / "phasefrac",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    module = other / "src" / "phasefrac" / "sharp.py"
+    text = module.read_text()
+    returned = "return EnergyBreakdown(e_phase, e_el, e_crack, excluded_bound=bound)"
+    assert text.count(returned) == 1
+    module.write_text(text.replace(returned, returned.replace(
+        "e_el,", "float(np.nextafter(e_el, np.inf)),")))
+    found = same_outputs.compare(str(other), "sharp", same_outputs.AFFINE_SHARP)
+    assert found == ["e_elastic sharp digest: line 1 differs (1 lines here, 1 there)",
+                     *found[1:]]
+    assert all(line.startswith("    ") for line in found[1:])
+
+
 def test_sharp_on_a_workload_config(tmp_path):
     text = make_config("sweep_2d", 0, smoke=True)
     config = tmp_path / "run.ini"
     config.write_text(text)
     mine = same_outputs.run_cli(ROOT, "sharp", str(config), str(tmp_path / "out"))
     assert mine["exit code"] == b"0" and b"e_total   = " in mine["stdout"]
+    assert mine["sharp digest exit code"] == b"0" and mine["sharp digest stderr"] == b""
+    cfg = parse_config(str(config))
+    energy = sharp_energy(cfg.geometry, cfg.potentials, cfg.elastic)
+    for term in ("e_phase", "e_elastic", "e_crack", "excluded_bound"):
+        assert mine[f"{term} sharp digest"] == float.hex(getattr(energy, term)).encode()
     assert same_outputs.compare(ROOT, "sharp", text) == []
 
 

@@ -8,7 +8,7 @@ import pytest
 from conftest import random_state
 from phasefrac import solver
 from phasefrac._philox import uniforms
-from phasefrac.energy import (DEGRADATIONS, DiffuseState, ElasticModel, diffuse_energy,
+from phasefrac.energy import (DiffuseState, ElasticModel, diffuse_energy,
                               evaluate, mass, project_mass)
 from phasefrac.fields import Grid, ScalarField, VectorField, gradient
 from phasefrac.sharp import SharpGeometry1D, sharp_energy_1d
@@ -98,8 +98,7 @@ def test_minimize_u_already_optimal(P, elastic_1d):
 def test_minimize_u_1d_is_exact(P, n, psi, lam):
     # closed-form step: dE/du vanishes to rounding, no CG iterations, no
     # flag, and the constant (nullspace) mode of u is left where it was
-    psi_fn, dpsi_fn = DEGRADATIONS[psi]
-    M = ElasticModel(lame_lambda=lam, e0=np.array([[0.8]]), psi=psi_fn, dpsi=dpsi_fn)
+    M = ElasticModel(lame_lambda=lam, e0=np.array([[0.8]]), degradation=psi)
     g = Grid((-3.25,), (2.0,), (n,))
     rng = np.random.Generator(np.random.Philox(n))
     z = rng.uniform(-0.2, 1.2, g.cells)

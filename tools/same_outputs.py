@@ -21,10 +21,13 @@ with this tree's src/ and once with OTHER_TREE's src/, both with the same
 back every `*.field` the run dumped with that tree's `fields.read_field`,
 and gives a sha256 of the grid and of `values.tobytes()`, or the fault it
 raised; so a reader that returns other bits from the same dump differs too.
-Every output file, stdout, stderr and the exit code, and each read-back
-digest with the read-back's stderr and exit code, are compared byte for
-byte; each difference is named, and a differing text is shown as a unified
-diff from the other tree (`-`) to this one (`+`), cut after DIFF_LINES lines.
+After each `sharp` run, a subprocess with the same tree's src/ gives
+`float.hex` of each term of `sharp_energy` on the parsed config, since the
+CLI prints them to 12 digits only.  Every output file, stdout, stderr and
+the exit code, and each read-back and sharp digest with its subprocess's
+stderr and exit code, are compared byte for byte; each difference is named,
+and a differing text is shown as a unified diff from the other tree (`-`)
+to this one (`+`), cut after DIFF_LINES lines.
 Exit code 0 when all are equal, 1 otherwise.
 Standard library only; perfbench/ is read, never written.
 """
@@ -174,13 +177,41 @@ for name in sys.argv[1:]:
     print(f"{name}: sha256 {hashlib.sha256(grid + f.values.tobytes()).hexdigest()}")
 """
 
+# run with a tree's src/ first on the path: one line per term of the sharp
+# energy of the config named on the command line, as `float.hex`
+SHARP_DIGEST = """
+import sys
+from phasefrac.cli import parse_config
+from phasefrac.sharp import sharp_energy
+cfg = parse_config(sys.argv[1])
+if cfg.geometry is not None:
+    b = sharp_energy(cfg.geometry, cfg.potentials, cfg.elastic)
+    for name in ("e_phase", "e_elastic", "e_crack", "excluded_bound"):
+        print(f"{name}: {float(getattr(b, name)).hex()}")
+"""
+
+
+def _digests(script: str, args: list[str], env: dict, cwd: str, label: str) -> dict[str, bytes]:
+    """Run `script` with `args`; each `<name>: <text>` line it prints, keyed
+    by `<name> <label>`, with its exit code and stderr."""
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, env=env, cwd=cwd)
+    found = {}
+    for line in proc.stdout.decode(errors="replace").splitlines():
+        name, _, text = line.partition(": ")
+        found[f"{name} {label}"] = text.encode()
+    found[f"{label} exit code"] = str(proc.returncode).encode()
+    found[f"{label} stderr"] = proc.stderr
+    return found
+
 
 def run_cli(tree: str, command: str, config: str, out: str) -> dict[str, bytes]:
     """Run `phasefrac COMMAND --config CONFIG --out OUT` from `tree`'s src/ and
     return its exit code, stdout, stderr and every file under OUT, keyed by
     name, and the READ_BACK line of each `*.field` under OUT, keyed by
-    `<name> read back`, with the read-back's stderr and exit code.  OUT is
-    removed before and after the run."""
+    `<name> read back`, with the read-back's stderr and exit code; after a
+    `sharp` run, the SHARP_DIGEST line of each term, keyed by `<term> sharp
+    digest`, likewise.  OUT is removed before and after the run."""
     config, out = os.path.abspath(config), os.path.abspath(out)
     shutil.rmtree(out, ignore_errors=True)
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
@@ -196,13 +227,10 @@ def run_cli(tree: str, command: str, config: str, out: str) -> dict[str, bytes]:
                 outputs[os.path.relpath(path, out)] = fh.read()
     dumps = sorted(name for name in outputs if name.endswith(".field"))
     if dumps:
-        back = subprocess.run([sys.executable, "-c", READ_BACK, *dumps],
-                              capture_output=True, env=env, cwd=out)
-        for line in back.stdout.decode(errors="replace").splitlines():
-            name, _, text = line.partition(": ")
-            outputs[f"{name} read back"] = text.encode()
-        outputs["read back exit code"] = str(back.returncode).encode()
-        outputs["read back stderr"] = back.stderr
+        outputs.update(_digests(READ_BACK, dumps, env, out, "read back"))
+    if command == "sharp":
+        outputs.update(_digests(SHARP_DIGEST, [config], env, os.path.dirname(config),
+                                "sharp digest"))
     shutil.rmtree(out, ignore_errors=True)
     return outputs
 
