@@ -298,6 +298,15 @@ def parse_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
         delta_scale=sw["delta_scale"], lam=sw["lambda"],
         cells=SweepPlan.cells if cells is None else tuple(cells),
         enforce_width=sw["enforce_width"])) if sw["eps_schedule"] else None
+    # a width whose eta_delta underflows to 0 would drop the elastic floor
+    # where z = 0; each width is judged where it enters, under the chosen rule
+    eta_rule = f"[elastic] eta_rule = {el['eta_rule']}"
+    eta = ETA_RULES[el["eta_rule"]]
+    if sweep_plan is not None:
+        violations += [f"[sweep] delta at eps={eps:g}: {delta:g} makes eta_delta 0 under "
+                       f"{eta_rule}" for eps, delta in zip(sweep_plan.eps_schedule,
+                                                           sweep_plan.deltas())
+                       if not eta(delta) > 0.0]
     if sweep_plan is not None and geometry is not None:
         if own_cells:
             attempt("[sweep] cells:", sweep_plan.grid)
@@ -312,6 +321,8 @@ def parse_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
         cg_tol=sol["cg_tol"], cg_max_iters=sol["cg_max_iters"], mass_constraint=sol["mass"]))
     solver_delta = resolve_delta_rule("two_thirds")(sol["eps"]) \
         if sol["delta"] is None else sol["delta"]
+    if not eta(solver_delta) > 0.0:
+        violations.append(f"[solver] delta: {solver_delta:g} makes eta_delta 0 under {eta_rule}")
 
     if violations:
         raise ConfigError(violations)

@@ -335,10 +335,13 @@ def write_field(f: ScalarField, path) -> None:
     """Plain-text dump: header lines dim, cells, origin, extent, then the
     row-major values, each as `%.17g` on its own line, ending in a newline.
     `%.17g` round-trips every float64, so `read_field` returns the same bits.
-    The values are written in chunks of `_CHUNK`, never as one text, and
-    within a chunk each run of bit-equal values is formatted once and its
-    line repeated, so a piecewise constant field costs per run, not per
-    cell; bits, not `==`, keep -0.0 next to 0.0 two runs."""
+    The values are written in chunks of `_CHUNK`, never as one text.  One
+    compare of each value's bits with the next one's, over the whole field,
+    finds where every run of bit-equal values ends (bits, not `==`, keep
+    -0.0 next to 0.0 two runs); within a chunk each run is formatted once and
+    its line repeated, and a chunk inside one run is one line repeated, so a
+    piecewise constant field costs per run, not per cell.  Beyond the field
+    the compare takes one byte per value."""
     g = f.grid
 
     def pieces():
@@ -347,13 +350,18 @@ def write_field(f: ScalarField, path) -> None:
                + "origin " + " ".join(f"{x:.17g}" for x in g.origin) + "\n"
                + "extent " + " ".join(f"{x:.17g}" for x in g.extent) + "\n")
         flat = f.values.reshape(-1)
+        bits = flat.view(np.uint64)
+        ends = bits[1:] != bits[:-1]  # a run ends at each True, and at the last value
         for k in range(0, flat.size, _CHUNK):
             part = flat[k:k + _CHUNK]
-            bits = part.view(np.uint64)
-            # where each run of bit-equal values ends; its last value stands for it
-            ends = np.append(np.flatnonzero(bits[1:] != bits[:-1]) + 1, part.size)
-            lines = (("%.17g\n" * ends.size) % tuple(part[ends - 1].tolist())).splitlines(True)
-            counts = np.diff(ends, prepend=0).tolist()
+            cut = ends[k:k + part.size - 1]
+            if not cut.any():
+                yield ("%.17g\n" % part[0].item()) * part.size
+                continue
+            # the last value of each run in the chunk stands for it
+            last = np.append(np.flatnonzero(cut), part.size - 1)
+            lines = (("%.17g\n" * last.size) % tuple(part[last].tolist())).splitlines(True)
+            counts = np.diff(last, prepend=-1).tolist()
             yield "".join(line * n for line, n in zip(lines, counts))
 
     _write_atomic(path, pieces())
@@ -368,14 +376,20 @@ def read_field(path) -> ScalarField:
     short, and is a fault.
 
     The value lines are read in blocks of `_READ_BLOCK` bytes, never held as
-    one text.  As `write_field` formats each run of bit-equal values once,
-    the reader parses the first line of each run of byte-equal lines once,
-    with the same float() as any other line, and repeats its value over the
-    run straight into the field's array; a piecewise constant dump costs a
-    split and a compare per line and a parse per run.  Beyond the field's
-    array a block takes at most about 1.5 MiB (64 KiB of two-character
-    lines, each its own bytes object; Python shares one-character ones), and
-    a line longer than a block is held whole."""
+    one text; a block ends at its last newline, and a line that spans blocks
+    is joined once, when its newline comes.  As `write_field` formats each
+    run of bit-equal values once, the reader parses one line per run of
+    byte-equal lines, with the same float() as any other line, and repeats
+    its value over the run straight into the field's array.  Runs are found
+    from a block's bytes before any split (`_block_runs`): a block that is
+    one line repeated costs one parse, and of a block that is not, the runs
+    of its first and of its last line cost one parse each; only the lines
+    between them are split and compared one by one.  A wrong line count is
+    the fault named first; else the first line that float() rejects, which
+    starts its run.  Beyond the field's array a block takes at most
+    about 1.5 MiB (64 KiB of two-character lines split, each its own bytes
+    object; Python shares one-character ones), and a line longer than a
+    block is held whole."""
     with open(path, "rb") as fh:
         lines = [fh.readline() for _ in range(4)]
         if b"" in lines:
@@ -403,17 +417,21 @@ def read_field(path) -> ScalarField:
         flat = values.reshape(-1)
         count, fault, tail = 0, None, []  # tail: the pieces of a line not yet ended
         while block := fh.read(_READ_BLOCK):
-            lines = block.split(b"\n")
-            last = lines.pop()
-            if lines:
+            end = block.rfind(b"\n") + 1
+            if end:
                 # a line that spans blocks is joined once, when its newline comes
-                lines[0] = b"".join([*tail, lines[0]])
+                runs = _block_runs(b"".join([*tail, memoryview(block)[:end]]))
                 tail = []
-                if fault is None and count + len(lines) <= flat.size:
-                    fault = _parse_runs(lines, flat[count:count + len(lines)], count + 5)
-                count += len(lines)
-            tail.append(last)
-            del lines  # before the next block is split, so one block's lines live at a time
+                first = count
+                count += sum(size for _, size in runs)
+                if fault is None and count <= flat.size:
+                    for lines, size in runs:
+                        if fault := _parse_runs(lines, flat[first:first + size], first + 5):
+                            break
+                        first += size
+                del runs  # before the next block is read, so one block's lines live at a time
+            if end < len(block):
+                tail.append(block[end:])
         if tail := b"".join(tail):
             count += 1
             if fault is None:
@@ -434,15 +452,53 @@ def _text(line: bytes) -> str:
     return line.rstrip(b"\n").decode("ascii", "backslashreplace")
 
 
+def _block_runs(data: bytes) -> list[tuple[list[bytes], int]]:
+    """The whole lines of `data`, each ending in a newline, as pieces `(lines,
+    n)` in order: `lines`, without their newlines, stand for the next n value
+    lines.  Runs are found from the bytes, before any split, by comparing
+    `data` with itself shifted by a line's length.  `data` that is one line
+    repeated is one piece `([line], n)`.  Else the run of the first line and
+    the run of the last line, where they hold two lines or more, are such
+    pieces, and only the lines between them are split, into one piece
+    `(lines, len(lines))`."""
+    a = np.frombuffer(data, np.uint8)
+    lo, hi = 0, len(data)
+    head, tail = [], []
+    width = data.index(b"\n") + 1
+    if data.startswith(data[:width], width):  # the first two lines are equal
+        differ = a[width:] != a[:-width]
+        at = int(differ.argmax())  # up to this byte, `data` repeats its first line
+        if not differ[at]:
+            return [([data[:width - 1]], hi // width)]
+        lo = (at // width + 1) * width
+        head = [([data[:width - 1]], lo // width)]
+    start = data.rfind(b"\n", 0, hi - 1) + 1  # where the last line starts
+    if start and data[data.rfind(b"\n", 0, start - 1) + 1:start] == data[start:]:
+        width = hi - start
+        differ = a[:-width] != a[width:]
+        # past the last byte that differs, `data` repeats its last line; the
+        # first whole repeat there may start inside a longer line
+        n = (int(differ[::-1].argmax()) + width) // width
+        if data[hi - n * width - 1] != ord("\n"):
+            n -= 1
+        tail = [([data[start:hi - 1]], n)]
+        hi -= n * width
+    if lo < hi:
+        lines = data[lo:hi].split(b"\n")
+        lines.pop()
+        head.append((lines, len(lines)))
+    return head + tail
+
+
 def _parse_runs(lines: list[bytes], out: np.ndarray, first: int) -> str | None:
     """Parse the value `lines`, numbered from `first`, into `out`: the first
     line of each run of byte-equal lines is parsed, and its value repeated
-    over the run.  Returns the fault of the first line that float() rejects,
-    or None."""
+    over the run; one line given for a longer `out` is a run over all of it.
+    Returns the fault of the first line that float() rejects, or None."""
     a = np.fromiter(lines, dtype=object, count=len(lines))
     starts = np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1])))
     # a block with no two equal neighbours, as in a `minimize` dump, needs no
-    # gather and no repeat
+    # gather and no repeat; one line's value broadcasts over `out`
     heads = lines if starts.size == a.size else a[starts].tolist()
     try:
         parsed = np.array(heads, dtype=float)

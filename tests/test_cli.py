@@ -366,6 +366,38 @@ def test_auto_delta_is_the_two_thirds_rule_bitwise(tmp_path):
         assert cfg.solver_delta == float(eps) ** (2.0 / 3.0)
 
 
+@pytest.mark.parametrize("rule,delta,underflows", [
+    ("delta_squared", "1e-170", True), ("delta_squared", "1e-110", False),
+    ("delta_cubed", "1e-110", True), ("delta_cubed", "1e-100", False)])
+def test_a_delta_whose_eta_underflows_exits_2_and_names_key_and_rule(tmp_path, capsys, rule,
+                                                                     delta, underflows):
+    # delta = 1e-170 ran `minimize` to exit 0 with eta_delta = 0
+    text = MINIMAL_1D.replace("e0 = 0", f"e0 = 0\neta_rule = {rule}") \
+        + f"\n[solver]\nmax_outer = 2\ndelta = {delta}\n"
+    path = write_config(tmp_path, text)
+    if not underflows:
+        assert parse_config(path).elastic.eta(float(delta)) > 0.0
+        return
+    assert main(["minimize", "--config", path]) == 2
+    assert capsys.readouterr().err.splitlines()[1:] == [
+        f"  - [solver] delta: {float(delta):g} makes eta_delta 0 under "
+        f"[elastic] eta_rule = {rule}"]
+
+
+def test_an_auto_delta_and_sweep_rows_whose_eta_underflows_exit_2(tmp_path, capsys):
+    # the two-thirds rule: eps = 1e-300 gives delta = 1e-200, and the sweep's
+    # eps = 1e-160 and 1e-170 give 2.2e-107 (cubed 1e-320, subnormal but > 0)
+    # and 4.6e-114 (cubed 0)
+    text = MINIMAL_1D.replace("e0 = 0", "e0 = 0\neta_rule = delta_cubed").replace(
+        "eps_schedule = 0.03125 0.015625", "eps_schedule = 1e-160 1e-170") \
+        + "\n[solver]\neps = 1e-300\n"
+    assert main(["sweep", "--config", write_config(tmp_path, text)]) == 2
+    assert capsys.readouterr().err.splitlines()[1:] == [
+        "  - [sweep] delta at eps=1e-170: 4.64159e-114 makes eta_delta 0 under "
+        "[elastic] eta_rule = delta_cubed",
+        "  - [solver] delta: 1e-200 makes eta_delta 0 under [elastic] eta_rule = delta_cubed"]
+
+
 # keys read only in a 1D geometry; the others are tried on a 2D one
 ONE_D_KEYS = ("domain", "u_slopes", "u_offsets", "e0")
 

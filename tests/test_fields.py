@@ -1,10 +1,13 @@
+import importlib
 import io
+import os
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from phasefrac import cli, fields
 from phasefrac.fields import (_CHUNK, _READ_BLOCK, Grid, ScalarField, VectorField, gradient,
                               gradient_adjoint, integrate, read_field, sample_at,
                               slice_extract, sym_gradient, sym_gradient_adjoint,
@@ -526,6 +529,180 @@ def test_read_field_streams_short_lines_in_blocks(tmp_path):
         tracemalloc.stop()
     assert peak < 4 * 2**20
     assert np.array_equal(back.values, values)
+
+
+def _reference_read(path):
+    """The reference for `read_field`: every value line parsed on its own
+    with float().  The values, or the fault of the first line that float()
+    rejects; the value sections of these tests end in a newline and hold as
+    many lines as the header declares."""
+    values = []
+    for k, line in enumerate(path.read_bytes().split(b"\n")[4:-1], start=5):
+        text = line.decode("ascii", "backslashreplace")
+        try:
+            values.append(float(text))
+        except ValueError as exc:
+            return f"line {k} {text!r}: {exc}"
+    return np.array(values)
+
+
+def _reads_like_the_reference(path):
+    want = _reference_read(path)
+    if isinstance(want, str):
+        with pytest.raises(ValueError) as info:
+            read_field(path)
+        return str(info.value) == f"{path}: {want}"
+    back = read_field(path).values
+    return np.array_equal(back.view(np.uint64), want.view(np.uint64))
+
+
+# lines of four bytes, such as "0.5\n" or "abc\n", that fill one block
+_FULL = _READ_BLOCK // 4
+
+
+@pytest.mark.parametrize("lines,bad", [
+    ([b"abc\n"] * 3 * _FULL, 5),  # every block the one bad line
+    ([b"0.5\n"] * _FULL + [b"abc\n"] * 2 * _FULL, _FULL + 5),  # from the second block on
+    ([b"0.5\n"] * (_FULL - 3) + [b"1e\n"] * 2 * _FULL, _FULL + 2),  # from 3 lines before the seam
+])
+def test_read_field_names_the_bad_line_of_a_block_that_repeats_it(tmp_path, lines, bad):
+    path = _write_values(tmp_path / "f.field", len(lines), b"".join(lines))
+    text = lines[bad - 5].decode().strip()
+    with pytest.raises(ValueError, match=rf"f\.field: line {bad} '{text}': could not convert"):
+        read_field(path)
+    assert _reads_like_the_reference(path)
+
+
+def test_read_field_keeps_blocks_of_0_and_of_minus_0_apart(tmp_path):
+    text = b"0\n" * (_READ_BLOCK // 2) + b"-0\n" * 50000 + b"0\n" * 40000 + b"-0\n" * 3
+    path = _write_values(tmp_path / "f.field", text.count(b"\n"), text)
+    assert _reads_like_the_reference(path)
+    back = read_field(path).values
+    assert np.signbit(back).sum() == 50003 and np.signbit(back[_READ_BLOCK // 2])
+
+
+@pytest.mark.parametrize("last", [b"0.6\n", b"0.\n", b"0.55\n", b"0.5 \n", b"abc\n"])
+def test_read_field_on_a_block_of_one_line_but_its_last(tmp_path, last):
+    # the block's last line differs by one byte, one byte fewer or one more
+    text = b"0.5\n" * (_FULL - 1) + last + b"0.5\n" * 100
+    path = _write_values(tmp_path / "f.field", _FULL + 100, text)
+    assert _reads_like_the_reference(path)
+
+
+@pytest.mark.parametrize("before,after", [
+    (100, 0), (0, 100), (100, 100), (2, 2),
+    (_READ_BLOCK // 2 - 1, 5),  # "11\n" cut by the first seam
+    (_READ_BLOCK // 2 - 2, 40000),  # "11\n" ends at the seam
+    (40000, _READ_BLOCK // 2)])
+def test_read_field_on_runs_of_1_around_an_11(tmp_path, before, after):
+    # "1\n" repeated looks like the tail of "11\n" to a byte compare
+    text = b"1\n" * before + b"11\n" + b"1\n" * after
+    path = _write_values(tmp_path / "f.field", before + after + 1, text)
+    assert _reads_like_the_reference(path)
+    assert (read_field(path).values == 11.0).sum() == 1
+
+
+@pytest.mark.parametrize("seam", [1, 2])
+@pytest.mark.parametrize("offset", range(-6, 7))
+def test_read_field_on_a_run_that_starts_or_ends_at_each_seam_offset(tmp_path, seam, offset):
+    # a first line of 2 to 6 bytes puts the end of the run of "0.25\n" (5
+    # bytes) `offset` bytes past the seam; "-0.5\n" runs on over the next one
+    at = seam * _READ_BLOCK + offset
+    pad = 2 + (at - 2) % 5
+    head = b"1" + b"0" * (pad - 2) + b"\n"
+    text = head + b"0.25\n" * ((at - pad) // 5) + b"-0.5\n" * 30000 + b"0.25\n" * 7
+    assert text.index(b"-0.5\n") == at
+    path = _write_values(tmp_path / "f.field", text.count(b"\n"), text)
+    assert _reads_like_the_reference(path)
+
+
+# lines for random runs: equal as floats but not as bytes, one the tail of
+# another, with blanks, long and tiny; and two that float() rejects, one of
+# them empty
+_GOOD = [b"0", b"-0", b" -0", b"1", b"11", b"0.25", b"0.250", b"0.33333333333333331",
+         b"5e-324", b"-1e308", b"1" * 40 + b".5"]
+_BAD = [b"abc", b""]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_read_field_on_random_runs_reads_like_float_per_line(tmp_path, seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    lines = []
+    for _ in range(int(rng.integers(5, 60))):
+        pool = _GOOD if rng.random() < 0.99 else _BAD
+        line = pool[rng.integers(len(pool))]
+        length = int(rng.choice([1, 2, 3, rng.integers(1, 50000)]))
+        lines += [line + b"\n"] * length
+    path = _write_values(tmp_path / "f.field", len(lines), b"".join(lines))
+    assert _reads_like_the_reference(path)
+
+
+def _blocks(path):
+    """The value lines of a dump as `read_field` reads them: blocks of
+    `_READ_BLOCK` bytes, each ending at its last newline."""
+    data = path.read_bytes()
+    start = 0
+    for _ in range(4):
+        start = data.index(b"\n", start) + 1
+    blocks, tail = [], b""
+    for k in range(start, len(data), _READ_BLOCK):
+        text = tail + data[k:k + _READ_BLOCK]
+        end = text.rfind(b"\n") + 1
+        if end:
+            blocks.append(text[:end].split(b"\n")[:-1])
+        tail = text[end:]
+    return blocks
+
+
+def _recover_2d_smoke_dumps(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(
+        os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+    workloads = importlib.import_module("workloads")
+    config = tmp_path / "run.ini"
+    config.write_text(workloads.make_config("recover_2d", 0, smoke=True))
+    assert cli.main(["recover", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0
+    return [tmp_path / f"{name}.field" for name in ("c", "z", "u0", "u1")]
+
+
+def _constant_dump(tmp_path, monkeypatch):
+    path = tmp_path / "f.field"
+    write_field(ScalarField.full(Grid((0.0, 0.0), (1.0, 1.0), (512, 512)), 1 / 3), path)
+    return [path]
+
+
+def _run_length(lines) -> int:
+    return next((k for k, line in enumerate(lines) if line != lines[0]), len(lines))
+
+
+def _lines_to_parse(block) -> int:
+    """A run of two lines or more that starts or ends a block is parsed once;
+    the lines between those runs one by one."""
+    lead = _run_length(block)
+    if lead == len(block):
+        return 1
+    trail = _run_length(block[::-1])
+    return len(block) - sum(n - 1 for n in (lead, trail) if n > 1)
+
+
+@pytest.mark.parametrize("dumps", [_constant_dump, _recover_2d_smoke_dumps])
+def test_read_field_parses_one_line_per_run_that_starts_or_ends_a_block(tmp_path, monkeypatch,
+                                                                        dumps):
+    # no timing: a reader that parses, splits or compares every line hands
+    # `_parse_runs` every line of a block
+    handed = []
+
+    def counting(lines, out, first):
+        handed.append(len(lines))
+        return parse_runs(lines, out, first)
+    parse_runs = fields._parse_runs
+    monkeypatch.setattr(fields, "_parse_runs", counting)
+    for path in dumps(tmp_path, monkeypatch):
+        handed.clear()
+        back = read_field(path).values
+        assert np.array_equal(back.reshape(-1).view(np.uint64),
+                              _reference_read(path).view(np.uint64))
+        bound = sum(_lines_to_parse(block) for block in _blocks(path))
+        assert sum(handed) <= bound < back.size // 4
 
 
 # float64 values whose shortest text is long, tiny, signed zero or subnormal

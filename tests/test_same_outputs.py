@@ -1,6 +1,7 @@
 """The output comparison in tools/ on a smoke-size workload, against this tree."""
 import hashlib
 import importlib.util
+import itertools
 import math
 import os
 import shutil
@@ -166,6 +167,24 @@ def test_the_1d_pieces_sweep_spans_several_pieces_and_tiles(tmp_path):
     assert b"cells = 262144\n" in mine["manifest.txt"]
     assert 262144 // fields._BLOCK == 16
     assert same_outputs.compare(ROOT, "sweep", same_outputs.SWEEP_1D_PIECES) == []
+
+
+def test_the_1d_pieces_recover_reads_back_runs_across_block_seams(tmp_path):
+    config = tmp_path / "run.ini"
+    config.write_text(same_outputs.SWEEP_1D_PIECES)
+    mine = same_outputs.run_cli(ROOT, "recover", str(config), str(tmp_path / "out"))
+    assert mine["exit code"] == b"0" and mine["stderr"] == b""
+    assert mine["read back exit code"] == b"0" and mine["read back stderr"] == b""
+    for name in ("c.field", "z.field", "u0.field"):
+        assert mine[f"{name} read back"].startswith(b"sha256 ")
+        lines = mine[name].splitlines()[4:]
+        assert len(lines) == 262144 and len(mine[name]) > 8 * fields._READ_BLOCK
+        longest = max(sum(1 for _ in run) for _, run in itertools.groupby(lines))
+        # c and z hold a run over a whole block (a line takes 2 bytes at
+        # least); u0 has no two equal neighbours
+        assert longest * 2 > fields._READ_BLOCK if name != "u0.field" else longest == 1
+    assert same_outputs.differences(mine, same_outputs.run_cli(
+        ROOT, "recover", str(config), str(tmp_path / "out"))) == []
 
 
 def test_the_affine_recover_dumps_fields_with_no_runs(tmp_path):

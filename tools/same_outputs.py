@@ -12,8 +12,10 @@ PARTIAL_RECOVER, whose grid ends in partial recovery tiles, and `sweep` on
 those two: `sweep` writes the energies to 17 digits where `recover` prints
 12, so these compare the energy pass on a grid with no flat slab and on one
 whose last slab is cut short.  Then `sweep` on SWEEP_1D, a 1D sweep on a
-grid of several energy slabs, `sweep` on SWEEP_1D_PIECES, a 1D geometry of
-several pieces, and `minimize` on MINIMIZE_FREE, a 1D run
+grid of several energy slabs, `sweep` and `recover` on SWEEP_1D_PIECES, a 1D
+geometry of several pieces whose dumps read back through 64 KiB blocks that
+are one line repeated, blocks with a leading or trailing run and blocks of
+distinct lines, and `minimize` on MINIMIZE_FREE, a 1D run
 without a mass constraint, and on MINIMIZE_WIDE_SEED, the same run with a
 jitter seed of three 32-bit words.  Each run goes once
 with this tree's src/ and once with OTHER_TREE's src/, both with the same
@@ -118,7 +120,9 @@ delta_scale = 8
 # runs and one inside the second run.  SWEEP_1D's one point, a phase and a
 # crack point at once, is the only other 1D geometry here, so this is the run
 # whose distances and breakpoints span several pieces and whose tiles
-# include plateaus
+# include plateaus.  Its `recover` dumps 2^18 lines a field: c and z in runs
+# that start and end at many block seams of `fields.read_field`, u0 with no
+# two equal neighbours
 SWEEP_1D_PIECES = """[elastic]
 e0 = 0.5
 
@@ -289,6 +293,7 @@ def main(argv: list[str]) -> int:
              ("partial-tile sweep", "sweep", PARTIAL_RECOVER),
              ("1D sweep", "sweep", SWEEP_1D),
              ("1D sweep over several pieces", "sweep", SWEEP_1D_PIECES),
+             ("1D recover over several pieces", "recover", SWEEP_1D_PIECES),
              ("1D minimize without mass", "minimize", MINIMIZE_FREE),
              ("1D minimize at seed 2^64 + 5", "minimize", MINIMIZE_WIDE_SEED)]
     failed = 0
