@@ -34,8 +34,11 @@ _BLOCK = 1 << 14
 class Grid:
     """Axis-aligned box discretized into uniform cells; fields live at centers.
 
-    Each cell count must be an integer.  The dimension, the spacing and the
-    cell volume are fixed at construction, so reading them costs nothing."""
+    Each cell count must be an integer, and is kept as an int; the origin
+    and the extent are kept as tuples of floats, so grids given as lists,
+    tuples or arrays compare and hash alike.  The dimension, the spacing and
+    the cell volume are fixed at construction, so reading them costs
+    nothing."""
     origin: tuple[float, ...]
     extent: tuple[float, ...]
     cells: tuple[int, ...]
@@ -48,6 +51,8 @@ class Grid:
             raise ValueError("origin, extent, cells must have equal length")
         if len(self.cells) not in (1, 2):
             raise ValueError("only dimensions 1 and 2 are supported")
+        for name in ("origin", "extent"):
+            object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
         try:
             object.__setattr__(self, "cells", tuple(operator.index(n) for n in self.cells))
         except TypeError:
@@ -249,19 +254,21 @@ def _clip_line_to_box(grid: Grid, y: np.ndarray, xi: np.ndarray) -> tuple[float,
     return float(t0), float(t1)
 
 
-def sample_at(field, points: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of a Scalar/Vector field at arbitrary points.
+def sample_at(field, *coords: np.ndarray) -> np.ndarray:
+    """Multilinear interpolation of a Scalar/Vector field at arbitrary locations.
 
-    Points within the half-cell margin of the boundary are clamped to the
+    Locations within the half-cell margin of the boundary are clamped to the
     nearest cell center (first-order accurate near the boundary and at kinks).
-    `points` has shape (m, d); scalar fields return (m,), vector fields (m, d).
+    The locations are coordinate arrays that broadcast, (x,) in 1D and (x, y)
+    in 2D; scalar fields return their broadcast shape, vector fields that
+    shape plus (d,).
     """
     g = field.grid
     vals = field.values
     idx = []
     frac = []
-    for a in range(g.dim):
-        x = (points[:, a] - g.origin[a]) / g.spacing[a] - 0.5
+    for a, xa in enumerate(coords):
+        x = (xa - g.origin[a]) / g.spacing[a] - 0.5
         x = np.clip(x, 0.0, g.cells[a] - 1.0)
         i0 = np.minimum(np.floor(x).astype(int), g.cells[a] - 2)
         idx.append(i0)
@@ -269,13 +276,13 @@ def sample_at(field, points: np.ndarray) -> np.ndarray:
     if g.dim == 1:
         i = idx[0]
         t = frac[0]
-        t = t if vals.ndim == 1 else t[:, None]
+        t = t if vals.ndim == 1 else t[..., None]
         return (1 - t) * vals[i] + t * vals[i + 1]
     i, j = idx
     s, t = frac
     if vals.ndim > 2:  # vector: broadcast weights over components
-        s = s[:, None]
-        t = t[:, None]
+        s = s[..., None]
+        t = t[..., None]
     return ((1 - s) * (1 - t) * vals[i, j] + s * (1 - t) * vals[i + 1, j]
             + (1 - s) * t * vals[i, j + 1] + s * t * vals[i + 1, j + 1])
 
@@ -303,8 +310,7 @@ def slice_extract(field, xi, y, samples: int) -> SliceSamples:
     t0, t1 = span
     dt = (t1 - t0) / samples
     t = t0 + dt * (np.arange(samples) + 0.5)
-    pts = y[None, :] + t[:, None] * xi[None, :]
-    vals = sample_at(field, pts)
+    vals = sample_at(field, *(ya + t * xa for ya, xa in zip(y, xi)))
     if vals.ndim == 2:
         vals = vals @ xi
     return SliceSamples(t, vals)

@@ -234,13 +234,15 @@ def slicing_identity_check(u_spec: DisplacementSpec, grid: Grid, directions: int
     clipped line, differentiates by central differences (step ~ 2h), and
     returns the largest error relative to the strain scale.  Only lines with
     samples farther than 2h from the boundary count; DiagnosticError is raised
-    when `directions` such lines are not found in 100 draws per line.  The
-    angles and points equal numpy's `Generator(Philox(seed)).uniform` draws
-    bit for bit, without loading numpy's random package (see `_philox`).
+    when `directions` such lines are not found in 100 draws per line, and
+    ValueError when `directions` is not positive: with no line compared, the
+    max error would read 0 and pass any bound.  The angles and points equal
+    numpy's `Generator(Philox(seed)).uniform` draws bit for bit, without
+    loading numpy's random package (see `_philox`).
     """
-    pts_shape = grid.cells + (grid.dim,)
-    mesh = np.stack(grid.meshgrid(), axis=-1).reshape(-1, grid.dim)
-    u = VectorField(grid, u_spec.u_at(mesh).reshape(pts_shape))
+    if directions <= 0:
+        raise ValueError(f"need at least one direction, got {directions}")
+    u = VectorField(grid, u_spec.u_at(*grid.meshgrid()))
     draws = uniforms(seed)
     h = max(grid.spacing)
     worst = 0.0
@@ -261,15 +263,14 @@ def slicing_identity_check(u_spec: DisplacementSpec, grid: Grid, directions: int
         dt = sl.t[1] - sl.t[0]
         fd = (sl.values[2:] - sl.values[:-2]) / (2.0 * dt)
         mid_t = sl.t[1:-1]
-        pts = y[None, :] + mid_t[:, None] * xi[None, :]
         margin = 2.0 * h
-        lo = np.asarray(grid.origin) + margin
-        hi = np.asarray(grid.origin) + np.asarray(grid.extent) - margin
-        keep = np.all((pts > lo) & (pts < hi), axis=1)
+        coords = [ya + mid_t * xa for ya, xa in zip(y, xi)]
+        keep = np.logical_and.reduce([(x > o + margin) & (x < o + e - margin)
+                                      for x, o, e in zip(coords, grid.origin, grid.extent)])
         if not np.any(keep):
             continue
         found += 1
-        xx, yy, xy = u_spec.e_at(pts[keep])
+        xx, yy, xy = u_spec.e_at(*(x[keep] for x in coords))
         exact = xx * (xi[0] * xi[0]) + 2.0 * xy * (xi[0] * xi[1]) + yy * (xi[1] * xi[1])
         scale = max(float(np.abs(exact).max()), 1.0)
         worst = max(worst, float(np.abs(fd[keep] - exact).max()) / scale)

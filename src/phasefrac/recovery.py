@@ -48,11 +48,14 @@ since g is exactly 0.0 for r <= 0 and 1.0 for r >= its width, smoothstep
 is exactly 1.0 for t >= 1, and x * 1.0 == x.  Every other tile evaluates
 the exact distances at each of its cells.  The displacement u_sharp is
 evaluated at every cell: its jump runs along the whole supporting line of
-a crack, far tiles included.  The tiles write into the preallocated c, z
-and u arrays, which the fields take without a copy, as a
+a crack, far tiles included.  A tile's sample locations are its axes of
+cell centres, broadcast (`np.meshgrid(..., sparse=True)`), never a stack of
+points: the geometry takes coordinate arrays and answers in the tile's
+shape, which is written straight into the tile.  The tiles write into the
+preallocated c, z and u arrays, which the fields take without a copy, as a
 `fields._HandOver`.  Besides those arrays, which the state owns, the build
 holds a few numbers per tile and tile-sized temporaries, under 3 MiB at
-2^14 points whatever the grid size, so they stay in cache.  Every value is
+2^14 cells whatever the grid size, so they stay in cache.  Every value is
 the one a single whole-grid pass gives, bit for bit.
 """
 from __future__ import annotations
@@ -226,26 +229,22 @@ def build_recovery(geometry, eps: float, delta: float, lam: float, grid: Grid,
     if prof_w is not None:
         gap = geometry.phase_boundary_box_distance(first, last) - geometry.tol_geom
         # a box that no edge reaches lies wholly in A or wholly outside
-        c_one = (gap > 0.0) & (geometry.phase_distance(0.5 * (first + last)) == 0.0)
+        c_one = (gap > 0.0) & (geometry.phase_distance(*(0.5 * (first + last)).T) == 0.0)
         c_band = ~c_one & (gap < prof_w.width)
     if prof_v is not None:
         z_band = (geometry.crack_box_distance(first, last) - geometry.tol_geom - lam * delta
                   < prof_v.width)
     for k, tile in enumerate(tiles):
-        pts = np.stack(np.meshgrid(*[x[s] for x, s in zip(centers, tile)], indexing="ij",
-                                   copy=False), axis=-1).reshape(-1, grid.dim)
-        shape = tuple(s.stop - s.start for s in tile)
+        axes = np.meshgrid(*[x[s] for x, s in zip(centers, tile)], indexing="ij", sparse=True)
         if c_one[k]:
             c[tile] = 1.0
         elif c_band[k]:
-            c[tile] = prof_w.g(prof_w.width - geometry.phase_distance(pts)).reshape(shape)
+            c[tile] = prof_w.g(prof_w.width - geometry.phase_distance(*axes))
+        u[tile] = geometry.u_values(*axes)
         if z_band[k]:
-            crack_dist = geometry.crack_distance(pts)
-            z[tile] = prof_v.g(crack_dist - lam * delta).reshape(shape)
-            u_tile = geometry.u_values(pts) * smoothstep(crack_dist / (lam * delta))[:, None]
-        else:
-            u_tile = geometry.u_values(pts)
-        u[tile] = u_tile.reshape(shape + (grid.dim,))
+            crack_dist = geometry.crack_distance(*axes)
+            z[tile] = prof_v.g(crack_dist - lam * delta)
+            u[tile] *= smoothstep(crack_dist / (lam * delta))[..., None]
 
     return DiffuseState(c=ScalarField(grid, _HandOver(c)),
                         u=VectorField(grid, _HandOver(u)),

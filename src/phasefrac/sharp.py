@@ -29,13 +29,22 @@ class GeometryError(ValueError):
     pass
 
 
+def _shape(*coords) -> tuple[int, ...]:
+    """The shape that the coordinate arrays `coords` broadcast to."""
+    return np.broadcast_shapes(*(np.shape(x) for x in coords))
+
+
 # ---------------------------------------------------------------------------
 # geometric primitives
 
 
 @dataclass(frozen=True)
 class SegmentSet:
-    """A finite union of closed line segments, stored as an (m, 2, 2) array."""
+    """A finite union of closed line segments, stored as an (m, 2, 2) array.
+
+    A set of sample locations is a pair of coordinate arrays (x, y) that
+    broadcast, such as a tile's axes x[:, None] and y[None, :]; a distance
+    comes back in their broadcast shape."""
     endpoints: np.ndarray
 
     def __post_init__(self):
@@ -55,15 +64,16 @@ class SegmentSet:
     def total_length(self) -> float:
         return float(self.lengths.sum())
 
-    def distance(self, pts: np.ndarray) -> np.ndarray:
-        """Euclidean distance from each point (m, 2) to the segment union (inf if empty).
+    def distance(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Euclidean distance from each location (x, y) to the segment union
+        (inf if empty), in the broadcast shape of x and y.
 
         The minimum runs over squared distances and one sqrt follows: a
         correctly rounded sqrt is monotone, so this is the minimum of the
         per-segment `_point_segment_distance` bit for bit."""
-        best = np.full(pts.shape[0], np.inf)
+        best = np.full(_shape(x, y), np.inf)
         for a, b in self.endpoints:
-            np.minimum(best, _point_segment_sq_distance(pts, a, b), out=best)
+            np.minimum(best, _point_segment_sq_distance(x, y, a, b), out=best)
         return np.sqrt(best, out=best)
 
     def box_distance(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -86,34 +96,41 @@ class SegmentSet:
                      & (side.min(axis=0) <= 0.0) & (side.max(axis=0) >= 0.0))
             ends = [np.sum(np.maximum(np.maximum(lo - p, p - hi), 0.0) ** 2, axis=1)
                     for p in (a, b)]
-            sq = np.minimum.reduce(ends + [_point_segment_sq_distance(q, a, b) for q in corners])
+            sq = np.minimum.reduce(ends + [_point_segment_sq_distance(*q.T, a, b)
+                                           for q in corners])
             np.minimum(best, np.where(meets, 0.0, sq), out=best)
         return np.sqrt(best, out=best)
 
 
-def _point_segment_sq_distance(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared distance from each point (m, 2) to the closed segment [a, b], on columns.
+def _point_segment_sq_distance(x, y, a, b) -> np.ndarray:
+    """Squared distance from each location (x, y) to the closed segment [a, b],
+    in the broadcast shape of x and y.
 
     The residual is rounded as x - (a + t*ab), not as (x - a) - t*ab, which
     rounds twice past the ends: distances to axis-aligned and degenerate
-    segments then equal the row formula |pts - (a + t*ab)| bit for bit.
+    segments then equal the row formula |p - (a + t*ab)| bit for bit.
     """
     ab = b - a
     denom = float(ab @ ab)
-    x, y = pts[:, 0], pts[:, 1]
     dx, dy = x - a[0], y - a[1]
-    if denom != 0.0:
-        t = np.clip((dx * ab[0] + dy * ab[1]) / denom, 0.0, 1.0)
-        np.subtract(x, a[0] + t * ab[0], out=dx)
-        np.subtract(y, a[1] + t * ab[1], out=dy)
-    dx *= dx  # in place: two fewer block-sized arrays per segment, which shows in sweeps
+    if denom == 0.0:
+        return dx * dx + dy * dy
+    t = np.clip((dx * ab[0] + dy * ab[1]) / denom, 0.0, 1.0)
+    # x - (a + t*ab) in place: no block-sized array beyond t and dx, which shows in sweeps
+    dx = np.multiply(t, ab[0])
+    dx += a[0]
+    np.subtract(x, dx, out=dx)
+    t *= ab[1]
+    t += a[1]
+    dy = np.subtract(y, t, out=t)
+    dx *= dx
     dy *= dy
     return np.add(dx, dy, out=dx)
 
 
-def _point_segment_distance(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distance from each point (m, 2) to the closed segment [a, b]."""
-    return np.sqrt(_point_segment_sq_distance(pts, a, b))
+def _point_segment_distance(x, y, a, b) -> np.ndarray:
+    """Distance from each location (x, y) to the closed segment [a, b]."""
+    return np.sqrt(_point_segment_sq_distance(x, y, a, b))
 
 
 def _orient(p, q, r):
@@ -132,7 +149,10 @@ def _segments_cross(p1, p2, p3, p4) -> bool:
 
 @dataclass(frozen=True)
 class Polygon:
-    """A simple polygon (vertices counter- or clockwise, not self-intersecting)."""
+    """A simple polygon (vertices counter- or clockwise, not self-intersecting).
+
+    `contains` and `distance` take the sample locations as coordinate arrays
+    (x, y) that broadcast and answer in their broadcast shape."""
     vertices: np.ndarray
 
     def __post_init__(self):
@@ -159,10 +179,9 @@ class Polygon:
         x, y = self.vertices[:, 0], self.vertices[:, 1]
         return float(abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))) / 2.0)
 
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        """Crossing-number inside test, vectorized over points (m, 2)."""
-        x, y = pts[:, 0], pts[:, 1]
-        inside = np.zeros(pts.shape[0], dtype=bool)
+    def contains(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Crossing-number inside test, vectorized over the locations (x, y)."""
+        inside = np.zeros(_shape(x, y), dtype=bool)
         v = self.vertices
         n = v.shape[0]
         for i in range(n):
@@ -174,10 +193,10 @@ class Polygon:
             inside ^= cond & (x < xcross)
         return inside
 
-    def distance(self, pts: np.ndarray) -> np.ndarray:
+    def distance(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """dist(x, A): zero inside the closed polygon, edge distance outside."""
-        d = SegmentSet(self.edges).distance(pts)
-        return np.where(self.contains(pts), 0.0, d)
+        d = SegmentSet(self.edges).distance(x, y)
+        return np.where(self.contains(x, y), 0.0, d)
 
 
 def _collinear_overlap(e1: np.ndarray, e2: np.ndarray, tol: float) -> float:
@@ -232,27 +251,30 @@ def _length_in_open_box(edge: np.ndarray, origin, extent, tol: float) -> float:
 class DisplacementSpec:
     """Named closed-form displacement with its symmetric gradient.
 
-    The strain is held as planes, in the order of `fields.sym_gradient`:
-    `e_at(pts)` maps points (m, d) to (xx,) or (xx, yy, xy), each of shape
-    (m,).  `e_const` is set when e(u) is one constant strain off the crack
+    Sample locations are coordinate arrays that broadcast, (x,) in 1D and
+    (x, y) in 2D, such as a tile's axes: `u_at(x, y)` returns their broadcast
+    shape plus a trailing (d,), and a tile's temporaries are tile-sized.  The
+    strain is held as planes, in the order of `fields.sym_gradient`:
+    `e_at(x, y)` returns (xx,) or (xx, yy, xy), each in the broadcast shape.
+    `e_const` is set when e(u) is one constant strain off the crack
     set, as a tuple of plane values, which is what the sharp energy
     evaluator needs; diagnostic specs (quadratic) provide only `e_at`.  An
     affine spec converts its matrix to planes once, where it enters.
     """
     name: str
-    u_at: Callable[[np.ndarray], np.ndarray]
-    e_at: Callable[[np.ndarray], tuple]
+    u_at: Callable[..., np.ndarray]
+    e_at: Callable[..., tuple]
     e_const: Optional[tuple] = None
 
 
-def _constant_strain(planes: tuple) -> Callable[[np.ndarray], tuple]:
+def _constant_strain(planes: tuple) -> Callable[..., tuple]:
     """`e_at` of a strain whose planes take the values `planes` everywhere."""
-    return lambda pts: tuple(np.full(pts.shape[:-1], p) for p in planes)
+    return lambda *coords: tuple(np.full(_shape(*coords), p) for p in planes)
 
 
 def zero_displacement(dim: int = 2) -> DisplacementSpec:
     planes = (0.0,) if dim == 1 else (0.0, 0.0, 0.0)
-    return DisplacementSpec("zero", u_at=lambda pts: np.zeros_like(pts),
+    return DisplacementSpec("zero", u_at=lambda *coords: np.zeros(_shape(*coords) + (dim,)),
                             e_at=_constant_strain(planes), e_const=planes)
 
 
@@ -269,8 +291,11 @@ def affine_displacement(f_matrix, offset=None) -> DisplacementSpec:
     b = np.zeros(2) if offset is None else _vector(offset, "offset")
     planes = sym_planes(0.5 * (f + f.T), 2, "affine_matrix")
 
-    def u_at(pts):
-        return pts @ f.T + b
+    def u_at(x, y):
+        # one product on stacked points: x*f00 + y*f01 written out may round
+        # otherwise where the product fuses the multiply and the add
+        pts = np.stack(np.broadcast_arrays(x, y), axis=-1)
+        return (pts.reshape(-1, 2) @ f.T + b).reshape(pts.shape)
 
     return DisplacementSpec("affine", u_at, e_at=_constant_strain(planes), e_const=planes)
 
@@ -292,8 +317,8 @@ def piecewise_rigid_displacement(line_point, line_dir, u_plus, u_minus,
     tau = tau / nrm
     bp, bm = _vector(u_plus, "u_plus"), _vector(u_minus, "u_minus")
 
-    def u_at(pts):
-        rx, ry = pts[:, 0] - p[0], pts[:, 1] - p[1]
+    def u_at(x, y):
+        rx, ry = x - p[0], y - p[1]
         right = rx * tau[1] - ry * tau[0] <= 0.0  # negative cross: right side
         omega = np.where(right, omega_plus, omega_minus)  # spin omega * (-ry, rx)
         return np.stack([np.where(right, bp[0], bm[0]) - omega * ry,
@@ -305,14 +330,12 @@ def piecewise_rigid_displacement(line_point, line_dir, u_plus, u_minus,
 
 def quadratic_displacement() -> DisplacementSpec:
     """Fixed quadratic field for slicing diagnostics (no constant e(u))."""
-    def u_at(pts):
-        x, y = pts[..., 0], pts[..., 1]
+    def u_at(x, y):
         return np.stack([0.3 * x * x + 0.1 * x * y,
                          -0.2 * y * y + 0.05 * x * x], axis=-1)
 
-    def e_at(pts):
-        x, y = pts[..., 0], pts[..., 1]
-        return 0.6 * x + 0.1 * y, -0.4 * y, 0.5 * (0.1 * x + 0.1 * x)
+    def e_at(x, y):
+        return tuple(np.broadcast_arrays(0.6 * x + 0.1 * y, -0.4 * y, 0.5 * (0.1 * x + 0.1 * x)))
 
     return DisplacementSpec("quadratic", u_at, e_at, e_const=None)
 
@@ -327,11 +350,12 @@ def skew_affine_displacement(omega: float = 0.7) -> DisplacementSpec:
 
 def _interval_distance(lo: np.ndarray, hi: np.ndarray, a, b) -> np.ndarray:
     """Distance from each interval [lo, hi] to the nearest of the closed
-    intervals [a_k, b_k] (inf if none).  A point p is the interval [p, p], and
-    at lo = hi the distance from p is |x - p| bit for bit."""
+    intervals [a_k, b_k] (inf if none), in the shape of lo and hi.  A point p
+    is the interval [p, p], and at lo = hi the distance from p is |x - p| bit
+    for bit."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    gap = np.maximum(np.maximum(lo[:, None] - b, a - hi[:, None]), 0.0)
-    return np.min(gap, axis=1, initial=np.inf)
+    gap = np.maximum(np.maximum(lo[..., None] - b, a - hi[..., None]), 0.0)
+    return np.min(gap, axis=-1, initial=np.inf)
 
 
 def _grid_counts(cells, dim: int) -> tuple[int, ...]:
@@ -425,9 +449,9 @@ class SharpGeometry1D:
     def has_crack(self) -> bool:
         return len(self.crack_points) > 0
 
-    def phase_distance(self, pts: np.ndarray) -> np.ndarray:
-        """Distance to the closure of {c = 1} (zero inside)."""
-        x = pts.reshape(-1)
+    def phase_distance(self, x: np.ndarray) -> np.ndarray:
+        """Distance from each location x to the closure of {c = 1} (zero
+        inside), in the shape of x."""
         one = np.flatnonzero(self.c_pieces)
         return _interval_distance(x, x, np.take(self.bounds, one), np.take(self.bounds, one + 1))
 
@@ -442,15 +466,14 @@ class SharpGeometry1D:
         return _interval_distance(lo.reshape(-1), hi.reshape(-1), self.crack_points,
                                   self.crack_points)
 
-    def crack_distance(self, pts: np.ndarray) -> np.ndarray:
-        x = pts.reshape(-1)
+    def crack_distance(self, x: np.ndarray) -> np.ndarray:
         return _interval_distance(x, x, self.crack_points, self.crack_points)
 
-    def u_values(self, pts: np.ndarray) -> np.ndarray:
-        x = pts.reshape(-1)
+    def u_values(self, x: np.ndarray) -> np.ndarray:
+        """The displacement at each location x, in the shape of x plus (1,)."""
         idx = np.searchsorted(self.bounds[1:-1], x, side="right")
         pieces = np.asarray(self.u_pieces)
-        return (pieces[idx, 0] * x + pieces[idx, 1])[:, None]
+        return (pieces[idx, 0] * x + pieces[idx, 1])[..., None]
 
     def grid(self, cells: tuple[int, ...]) -> Grid:
         """Cell-centered grid on the domain; `cells` holds one count."""
@@ -460,7 +483,12 @@ class SharpGeometry1D:
 
 @dataclass(frozen=True)
 class SharpGeometry2D:
-    """Polygonal phase set A, segment crack set M, closed-form displacement."""
+    """Polygonal phase set A, segment crack set M, closed-form displacement.
+
+    The polygon and the segments lie in the closed box, within `tol_geom`.
+    `phase_distance`, `crack_distance` and `u_values` take coordinate arrays
+    (x, y) that broadcast and answer in their broadcast shape (plus (2,) for
+    u)."""
     origin: tuple[float, float]
     extent: tuple[float, float]
     polygon: Optional[Polygon] = None
@@ -478,10 +506,11 @@ class SharpGeometry2D:
         object.__setattr__(self, "tol_geom", eps)
         lo = np.asarray(self.origin)
         hi = lo + np.asarray(self.extent)
-        if len(self.segments):
-            p = self.segments.endpoints.reshape(-1, 2)
+        # the sharp energy charges the polygon's whole area, so it must not leave the box
+        polygon = np.zeros((0, 2)) if self.polygon is None else self.polygon.vertices
+        for name, p in (("crack segments", self.segments.endpoints), ("polygon", polygon)):
             if np.any(p < lo - eps) or np.any(p > hi + eps):
-                raise GeometryError("crack segments must lie in the closed domain")
+                raise GeometryError(f"{name} must lie in the closed domain")
         # an overlap would be charged twice; crossing segments are allowed
         for (i, a), (j, b) in itertools.combinations(enumerate(self.segments.endpoints, 1), 2):
             overlap = _collinear_overlap(a, b, eps)
@@ -499,10 +528,10 @@ class SharpGeometry2D:
     def has_crack(self) -> bool:
         return len(self.segments) > 0
 
-    def phase_distance(self, pts: np.ndarray) -> np.ndarray:
+    def phase_distance(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         if self.polygon is None:
-            return np.full(pts.shape[0], np.inf)
-        return self.polygon.distance(pts)
+            return np.full(_shape(x, y), np.inf)
+        return self.polygon.distance(x, y)
 
     def phase_boundary_box_distance(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Distance from each box [lo, hi] (lo and hi (k, 2)) to the polygon's
@@ -515,11 +544,11 @@ class SharpGeometry2D:
         """Distance from each box [lo, hi] (lo and hi (k, 2)) to the crack segments."""
         return self.segments.box_distance(lo, hi)
 
-    def crack_distance(self, pts: np.ndarray) -> np.ndarray:
-        return self.segments.distance(pts)
+    def crack_distance(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return self.segments.distance(x, y)
 
-    def u_values(self, pts: np.ndarray) -> np.ndarray:
-        return self.u_spec.u_at(pts)
+    def u_values(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return self.u_spec.u_at(x, y)
 
     def grid(self, cells: tuple[int, ...]) -> Grid:
         """Cell-centered grid on the box; a single count is used on both axes."""
@@ -605,8 +634,7 @@ def distance_field(shape, grid: Grid) -> ScalarField:
     """Exact per-cell-center distance to a polygon (zero inside) or segment set."""
     if not isinstance(shape, (Polygon, SegmentSet)):
         raise TypeError(f"no distance for {type(shape).__name__}")
-    pts = np.stack([m.reshape(-1) for m in grid.meshgrid()], axis=-1)
-    return ScalarField(grid, shape.distance(pts).reshape(grid.cells))
+    return ScalarField.from_function(grid, shape.distance)
 
 
 def minkowski_content_estimate(segments: SegmentSet, r: float, grid: Grid) -> float:

@@ -462,6 +462,18 @@ def test_nonfinite_value_exits_2(tmp_path, capsys, section, key, value):
         assert err.splitlines()[1:] == [f"  - [{section}] {key}: must be finite, got {bad}"]
 
 
+def test_a_polygon_outside_the_box_exits_2(tmp_path, capsys):
+    # the box cuts this polygon to its right half, but the sharp energy
+    # charged its whole area, and the sweep compared with that
+    text = config_with("geometry", "polygon", "0.5 -0.5 1.5 -0.5 1.5 1.5 0.5 1.5")
+    for command in ("sharp", "sweep"):
+        assert main([command, "--config", write_config(tmp_path, text)]) == 2
+        assert capsys.readouterr().err.splitlines()[1:] == [
+            "  - [geometry] polygon must lie in the closed domain"]
+    inside = config_with("geometry", "polygon", "0.5 0 1 0 1 1 0.5 1")
+    assert main(["sharp", "--config", write_config(tmp_path, inside)]) == 0
+
+
 @pytest.mark.parametrize("section,given", [("geometry", "2048"), ("sweep", "4096")])
 @pytest.mark.parametrize("dim,cells,need", [(1, "64 128", "1"), (2, "16 16 16", "1 or 2")])
 def test_cell_counts_of_the_wrong_length_exit_2_and_name_them(tmp_path, capsys, section,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from phasefrac import cli, fields
+from phasefrac.energy import DiffuseState
 from phasefrac.fields import (_CHUNK, _READ_BLOCK, Grid, ScalarField, VectorField, gradient,
                               gradient_adjoint, integrate, read_field, sample_at,
                               slice_extract, sym_gradient, sym_gradient_adjoint,
@@ -47,6 +48,23 @@ def test_grid_fixes_its_counts_spacing_and_cell_volume():
     assert g.spacing == (0.5, 0.25) and g.cell_volume == 0.125
     assert g == Grid((0.0, -1.0), (1.5, 2.0), (3, 8))
     assert ScalarField.full(g, 1.0).values.shape == (3, 8)
+
+
+def test_grid_keeps_its_origin_and_extent_as_floats():
+    # a list or an array used to be kept as given: a list grid was unequal to
+    # the same tuple grid and unhashable, and arrays made `==` raise
+    g = Grid((0.0,), (1.0,), (4,))
+    for same in (Grid([0.0], [1.0], [4]), Grid(np.zeros(1), np.ones(1), np.array([4])),
+                 Grid((0,), (np.float64(1.0),), (4,))):
+        assert same == g and hash(same) == hash(g)
+        assert all(type(x) is float for x in same.origin + same.extent)
+    a = Grid(np.array([0.0, -1.0]), np.array([1.5, 2.0]), (3, 8))
+    assert a == Grid(np.array([0.0, -1.0]), np.array([1.5, 2.0]), (3, 8))
+    assert a != Grid(np.array([0.0, -1.0]), np.array([1.5, 4.0]), (3, 8))
+    state = DiffuseState(c=ScalarField.full(Grid([0.0], [1.0], [4]), 0.5),
+                         u=VectorField.full(g, 0.0), z=ScalarField.full(g, 1.0),
+                         eps=0.1, delta=0.2)
+    assert state.c.grid == state.u.grid
 
 
 @pytest.mark.parametrize("origin,extent", [
@@ -297,9 +315,23 @@ def test_slice_extract_requires_unit_vector(g2):
 
 def test_sample_at_clamps_at_boundary(g1):
     f = ScalarField.from_function(g1, lambda x: x)
-    v = sample_at(f, np.array([[-5.0], [5.0]]))
+    v = sample_at(f, np.array([-5.0, 5.0]))
     assert v[0] == pytest.approx(g1.centers(0)[0])
     assert v[1] == pytest.approx(g1.centers(0)[-1])
+
+
+def test_sample_at_broadcasts_over_axes_bitwise(g2):
+    # locations are coordinate arrays: sparse axes and their flat twin agree
+    rng = np.random.default_rng(4)
+    x, y = rng.uniform(-0.1, 1.1, (23, 1)), rng.uniform(-0.1, 1.1, (1, 19))
+    dense = [c.reshape(-1) for c in np.broadcast_arrays(x, y)]
+    f = ScalarField.from_function(g2, lambda x, y: np.sin(3.0 * x) * y)
+    u = VectorField.from_function(g2, lambda x, y: (x * y, x - y))
+    for field, tail in ((f, ()), (u, (2,))):
+        got = sample_at(field, x, y)
+        assert got.shape == (23, 19) + tail
+        assert np.array_equal(got.reshape(-1).view(np.uint64),
+                              sample_at(field, *dense).reshape(-1).view(np.uint64))
 
 
 def test_field_dump_roundtrip(tmp_path, g2):

@@ -188,6 +188,14 @@ def test_slicing_quadratic_first_order():
     assert rep_c.max_error / rep_f.max_error >= 1.7
 
 
+@pytest.mark.parametrize("directions", [0, -3])
+def test_slicing_refuses_no_directions(directions):
+    # with no line compared, max_error read 0.0 and passed any bound
+    grid = Grid((0.0, 0.0), (1.0, 1.0), (16, 16))
+    with pytest.raises(ValueError, match=f"^need at least one direction, got {directions}$"):
+        slicing_identity_check(quadratic_displacement(), grid, directions)
+
+
 def test_slicing_rejects_grid_without_interior_samples():
     # on 3x3 cells no sample lies farther than 2h from the boundary
     grid = Grid((0.0, 0.0), (1.0, 1.0), (3, 3))

@@ -305,12 +305,12 @@ def test_blocked_recovery_matches_one_block_bitwise(P, monkeypatch, case):
     def recorded(name):
         method = getattr(type(geometry), name)
 
-        def wrapper(self, pts):
-            coords = pts.reshape(-1, grid.dim).T
+        def wrapper(self, *axes):
+            coords = [x.reshape(-1) for x in np.broadcast_arrays(*axes)]
             index = [np.minimum(np.searchsorted(x, p), len(x) - 1) for x, p in zip(centers, coords)]
             hit = np.logical_and.reduce([x[i] == p for x, i, p in zip(centers, index, coords)])
             seen[name][tuple(i[hit] for i in index)] = True
-            return method(self, pts)
+            return method(self, *axes)
         return wrapper
 
     for name in seen:
@@ -355,7 +355,7 @@ def test_blocked_recovery_matches_one_block_bitwise(P, monkeypatch, case):
         first = np.array([[centers[0][16], centers[1][16]]])
         last = np.array([[centers[0][31], centers[1][31]]])
         box = [(x, y) for x in (first[0, 0], last[0, 0]) for y in (first[0, 1], last[0, 1])]
-        assert geometry.polygon.contains(np.array(box + [0.5 * (first[0] + last[0])])).all()
+        assert geometry.polygon.contains(*np.array(box + [0.5 * (first[0] + last[0])]).T).all()
         assert geometry.phase_boundary_box_distance(first, last)[0] == 0.0
         assert (c[tile] < 1.0).any()
     assert (0.0 < c.max()) == geometry.has_phase()

@@ -7,6 +7,7 @@ import os
 import shutil
 import sys
 
+import numpy as np
 import pytest
 
 from phasefrac import fields
@@ -211,7 +212,29 @@ def test_the_partial_tile_recover_cuts_tiles_short_on_both_axes(tmp_path):
     assert same_outputs.compare(ROOT, "recover", same_outputs.PARTIAL_RECOVER) == []
 
 
-@pytest.mark.parametrize("name", ["AFFINE_RECOVER", "PARTIAL_RECOVER"])
+def test_the_slanted_recover_has_no_axis_aligned_edge(tmp_path):
+    config = tmp_path / "run.ini"
+    config.write_text(same_outputs.SLANTED_RECOVER)
+    cfg = parse_config(str(config))
+    polygon, (crack,) = cfg.geometry.polygon, cfg.geometry.segments.endpoints
+    edges = np.concatenate([polygon.edges, [crack]])
+    assert np.all(edges[:, 1] != edges[:, 0])  # slanted: both coordinates move
+    # non-convex: the turns of the boundary change sign
+    d, e = polygon.edges[:, 1] - polygon.edges[:, 0], np.roll(polygon.edges, -1, 0)
+    e = e[:, 1] - e[:, 0]
+    turn = d[:, 0] * e[:, 1] - d[:, 1] * e[:, 0]
+    assert turn.min() < 0.0 < turn.max()
+    assert all(n % math.isqrt(fields._BLOCK) for n in (200, 150))
+    mine = same_outputs.run_cli(ROOT, "recover", str(config), str(tmp_path / "out"))
+    assert mine["exit code"] == b"0" and mine["stderr"] == b""
+    assert b"cells = 200 150\n" in mine["manifest.txt"]
+    c = np.array(mine["c.field"].splitlines()[4:], dtype=float)
+    assert c.size == 200 * 150 and 0.0 < c.mean() < 1.0
+    assert np.count_nonzero((c > 0.0) & (c < 1.0)) > 0
+    assert same_outputs.compare(ROOT, "recover", same_outputs.SLANTED_RECOVER) == []
+
+
+@pytest.mark.parametrize("name", ["AFFINE_RECOVER", "PARTIAL_RECOVER", "SLANTED_RECOVER"])
 def test_sweep_on_the_affine_and_partial_tile_configs(name, tmp_path):
     # sweep.csv holds the energies to 17 digits, where recover prints 12
     text = getattr(same_outputs, name)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -214,6 +215,23 @@ def test_segments_outside_domain_rejected():
                         segments=SegmentSet([[[0.5, 0.5], [1.5, 0.5]]]))
 
 
+def test_polygon_outside_domain_rejected():
+    # the box cuts this polygon to its right half, but the sharp energy
+    # charges a polygon's whole area
+    over = Polygon([(0.5, -0.5), (1.5, -0.5), (1.5, 1.5), (0.5, 1.5)])
+    with pytest.raises(GeometryError, match="^polygon must lie in the closed domain$"):
+        SharpGeometry2D((0.0, 0.0), (1.0, 1.0), polygon=over)
+    # a vertex on the boundary, or past it by less than tol_geom, lies in it
+    tol = SharpGeometry2D((0.0, 0.0), (1.0, 1.0)).tol_geom
+    for past, ok in ((0.0, True), (0.5 * tol, True), (2.0 * tol, False)):
+        poly = Polygon([(0.5, -past), (1.0 + past, 0.0), (1.0, 1.0), (0.5, 1.0)])
+        if ok:
+            SharpGeometry2D((0.0, 0.0), (1.0, 1.0), polygon=poly)
+        else:
+            with pytest.raises(GeometryError, match="polygon must lie"):
+                SharpGeometry2D((0.0, 0.0), (1.0, 1.0), polygon=poly)
+
+
 def test_replace_recomputes_tol_geom():
     # the tolerance follows the domain: 1e-9 of its length or diagonal
     wide = dataclasses.replace(SharpGeometry1D((0.0, 1.0)), domain=(0.0, 1e6))
@@ -385,7 +403,7 @@ def test_segment_distance_bitwise_on_axis_aligned(kind):
             b = a.copy()
         else:
             b[axis] = a[axis]
-        assert np.array_equal(_point_segment_distance(pts, a, b),
+        assert np.array_equal(_point_segment_distance(*pts.T, a, b),
                               _reference_segment_distance(pts, a, b))
 
 
@@ -394,7 +412,7 @@ def test_segment_distance_oblique_to_last_bits():
     pts = _random_points(14)
     for _ in range(20):
         a, b = rng.uniform(0.0, 1.0, 2), rng.uniform(0.0, 1.0, 2)
-        got = _point_segment_distance(pts, a, b)
+        got = _point_segment_distance(*pts.T, a, b)
         assert np.max(np.abs(got - _reference_segment_distance(pts, a, b))) <= 1e-15
 
 
@@ -415,17 +433,17 @@ def test_union_distance_is_the_per_segment_minimum_bitwise():
     pts = _random_points(19)
     for _ in range(5):
         segs = _mixed_segments(rng)
-        ref = np.min([_point_segment_distance(pts, a, b) for a, b in segs], axis=0)
-        assert np.array_equal(SegmentSet(segs).distance(pts), ref)
+        ref = np.min([_point_segment_distance(*pts.T, a, b) for a, b in segs], axis=0)
+        assert np.array_equal(SegmentSet(segs).distance(*pts.T), ref)
     # a polygon with oblique and axis-aligned edges; points inside and outside
     x0, x1 = np.sort(rng.uniform(0.0, 1.0, 2))
     y0, y1 = np.sort(rng.uniform(0.0, 1.0, 2))
     poly = Polygon([(x0, y0), (x1, y0), (x1, y1), (0.5 * (x0 + x1), y1 + 0.3), (x0, y1)])
     pts = np.concatenate([pts, rng.uniform((x0, y0), (x1, y1), (5000, 2))])
-    inside = poly.contains(pts)
+    inside = poly.contains(*pts.T)
     assert 5000 <= np.count_nonzero(inside) < pts.shape[0]
-    edges = np.min([_point_segment_distance(pts, a, b) for a, b in poly.edges], axis=0)
-    assert np.array_equal(poly.distance(pts), np.where(inside, 0.0, edges))
+    edges = np.min([_point_segment_distance(*pts.T, a, b) for a, b in poly.edges], axis=0)
+    assert np.array_equal(poly.distance(*pts.T), np.where(inside, 0.0, edges))
 
 
 def test_phase_boundary_distance_is_the_distance_to_the_jumps_of_c():
@@ -436,9 +454,9 @@ def test_phase_boundary_distance_is_the_distance_to_the_jumps_of_c():
     boundary = g1.phase_boundary_box_distance(x, x)
     assert np.array_equal(boundary, np.minimum(np.abs(x[:, 0] - 0.3), np.abs(x[:, 0] - 0.7)))
     outside = (x[:, 0] < 0.3) | (x[:, 0] > 0.7)  # the crack point at 0.5 is no jump of c
-    assert np.array_equal(g1.phase_distance(x)[outside], boundary[outside])
+    assert np.array_equal(g1.phase_distance(*x.T)[outside], boundary[outside])
     assert np.array_equal(g1.crack_box_distance(x, x), np.abs(x[:, 0] - 0.5))
-    assert np.array_equal(g1.crack_distance(x), np.abs(x[:, 0] - 0.5))
+    assert np.array_equal(g1.crack_distance(*x.T), np.abs(x[:, 0] - 0.5))
     # an interval: 0 when it holds a jump, else the distance of its nearer end
     lo, hi = x[:-80], x[80:]
     want = np.min([np.maximum(np.maximum(lo[:, 0] - p, p - hi[:, 0]), 0.0) for p in (0.3, 0.7)],
@@ -449,7 +467,7 @@ def test_phase_boundary_distance_is_the_distance_to_the_jumps_of_c():
     pts = _random_points(19, 2000)
     poly = Polygon([(0.1, 0.2), (0.9, 0.1), (0.6, 0.8)])
     g2 = SharpGeometry2D((-1.0, -1.0), (3.0, 3.0), polygon=poly)
-    edges = np.min([_point_segment_distance(pts, a, b) for a, b in poly.edges], axis=0)
+    edges = np.min([_point_segment_distance(*pts.T, a, b) for a, b in poly.edges], axis=0)
     assert np.array_equal(g2.phase_boundary_box_distance(pts, pts), edges)
     assert np.all(SharpGeometry2D((-1.0, -1.0), (3.0, 3.0)).phase_boundary_box_distance(pts, pts)
                   == np.inf)
@@ -484,10 +502,10 @@ def test_1d_distances_over_several_pieces_are_per_interval_minima():
         assert same_bits(g.phase_boundary_box_distance(lo[:, None], hi[:, None]), lo, hi,
                          phase_points)
         assert same_bits(g.crack_box_distance(lo[:, None], hi[:, None]), lo, hi, crack_points)
-    assert same_bits(g.phase_distance(x[:, None]), x, x, [(0.2, 0.35), (0.6, 0.7), (0.7, 0.8)])
-    assert same_bits(g.crack_distance(x[:, None]), x, x, crack_points)
+    assert same_bits(g.phase_distance(x), x, x, [(0.2, 0.35), (0.6, 0.7), (0.7, 0.8)])
+    assert same_bits(g.crack_distance(x), x, x, crack_points)
     pts = np.array([0.1, 0.5, 0.75, 0.9])
-    assert np.array_equal(g.u_values(pts[:, None])[:, 0],
+    assert np.array_equal(g.u_values(pts)[:, 0],
                           0.02 * pts + np.array([0.0, 0.01, -0.005, -0.005]))
 
 
@@ -528,7 +546,7 @@ def test_box_distance_is_the_distance_from_a_box_to_the_segments():
 
 
 def test_segment_set_empty_is_infinite():
-    d = SegmentSet(np.zeros((0, 2, 2))).distance(_random_points(15, 5))
+    d = SegmentSet(np.zeros((0, 2, 2))).distance(*_random_points(15, 5).T)
     assert d.shape == (5,) and np.all(d == np.inf)
 
 
@@ -541,7 +559,7 @@ def test_piecewise_rigid_bitwise(omega_plus, omega_minus):
     spec = piecewise_rigid_displacement(p, tau, bp, bm, omega_plus, omega_minus)
     ref = _reference_rigid(pts, p, tau / np.linalg.norm(tau), bp, bm,
                            omega_plus, omega_minus)
-    assert np.array_equal(spec.u_at(pts), ref)
+    assert np.array_equal(spec.u_at(*pts.T), ref)
 
 
 def test_1d_domain_must_be_finite():
@@ -594,7 +612,7 @@ def test_displacement_strain_planes_match_the_matrices_bitwise(name):
     spec, e_matrix, const_matrix = MATRIX_SPECS[name]
     d = 1 if name == "zero_1d" else 2
     pts = np.random.Generator(np.random.Philox(3)).uniform(-1.0, 2.0, size=(257, d))
-    planes = spec.e_at(pts)
+    planes = spec.e_at(*pts.T)
     reference = _matrix_planes(e_matrix(pts))
     assert len(planes) == len(reference) == (1 if d == 1 else 3)
     for got, want in zip(planes, reference):
@@ -606,3 +624,86 @@ def test_displacement_strain_planes_match_the_matrices_bitwise(name):
     else:
         assert np.array_equal(np.array(spec.e_const, dtype=float).view(np.uint64),
                               np.array(_matrix_planes(const_matrix)).view(np.uint64))
+
+
+# The broadcast contract: every method that takes sample locations takes
+# coordinate arrays that broadcast, (x,) in 1D and (x, y) in 2D, and answers
+# in their broadcast shape (plus (d,) for a displacement).  A tile's sparse
+# axes and the same locations flattened give the same bits.
+
+def _bits(a) -> list[int]:
+    return np.ascontiguousarray(a, dtype=float).reshape(-1).view(np.uint64).tolist()
+
+
+_AXES = np.random.default_rng(29).uniform(-0.2, 1.2, (2, 41))
+# off-grid axes of 37 and 41 locations: a sparse pair and its dense, flat twin
+_SPARSE = (_AXES[0, :37, None], _AXES[1, None, :])
+_DENSE = tuple(c.reshape(-1) for c in np.broadcast_arrays(*_SPARSE))
+# a non-convex polygon with slanted edges and a slanted and a vertical crack
+_ARROW = Polygon([(0.1, 0.1), (0.55, 0.2), (0.9, 0.05), (0.75, 0.6), (0.45, 0.4), (0.2, 0.65)])
+_CRACKS = SegmentSet([[[0.3, 0.15], [0.8, 0.55]], [[0.6, 0.0], [0.6, 0.3]]])
+_RIGID = piecewise_rigid_displacement((0.3, 0.15), (0.5, 0.4), (0.01, 0.02), (-0.03, 0.0),
+                                      0.1, -0.2)
+GEOMETRIES = {
+    "2d phase+crack": SharpGeometry2D((0.0, 0.0), (1.0, 1.0), polygon=_ARROW,
+                                      segments=_CRACKS, u_spec=_RIGID),
+    "2d phase": SharpGeometry2D((0.0, 0.0), (1.0, 1.0), polygon=_ARROW,
+                                u_spec=affine_displacement(F_OBLIQUE, (0.1, -0.2))),
+    "2d crack": SharpGeometry2D((0.0, 0.0), (1.0, 1.0), segments=_CRACKS,
+                                u_spec=quadratic_displacement()),
+    "2d empty": SharpGeometry2D((0.0, 0.0), (1.0, 1.0)),
+    "1d phase+crack": SharpGeometry1D((0.0, 1.0), phase_points=(0.3, 0.55), crack_points=(0.7,),
+                                      c_pieces=(0, 1, 0, 0),
+                                      u_pieces=((0.1, 0.0),) * 3 + ((0.1, 0.2),)),
+    "1d phase": SharpGeometry1D((0.0, 1.0), phase_points=(0.3,), c_pieces=(0, 1),
+                                u_pieces=((0.1, 0.0), (0.1, 0.0))),
+    "1d crack": SharpGeometry1D((0.0, 1.0), crack_points=(0.7,),
+                                u_pieces=((0.1, 0.0), (0.1, 0.2))),
+    "1d empty": SharpGeometry1D((0.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("method", ["phase_distance", "crack_distance", "u_values"])
+@pytest.mark.parametrize("name", list(GEOMETRIES))
+def test_geometry_broadcasts_over_a_tile_s_axes_bitwise(name, method):
+    g = GEOMETRIES[name]
+    fn = getattr(g, method)
+    tail = (g.dim,) if method == "u_values" else ()
+    if g.dim == 1:
+        # one axis: any shape in, the same shape out
+        x = _AXES[0]
+        got, flat = fn(x.reshape(1, -1)), fn(x)
+        assert got.shape == (1, x.size) + tail and flat.shape == (x.size,) + tail
+    else:
+        got, flat = fn(*_SPARSE), fn(*_DENSE)
+        assert got.shape == (37, 41) + tail and flat.shape == (37 * 41,) + tail
+    assert _bits(got) == _bits(flat)
+    if method == "phase_distance" and g.has_phase():
+        assert 0 < np.count_nonzero(flat == 0.0) < flat.size  # locations in A and off it
+
+
+def test_polygon_and_segments_broadcast_over_a_tile_s_axes_bitwise():
+    inside = _ARROW.contains(*_SPARSE)
+    assert inside.shape == (37, 41) and inside.reshape(-1).tolist() == \
+        _ARROW.contains(*_DENSE).tolist()
+    assert 0 < np.count_nonzero(inside) < inside.size
+    for shape in (_ARROW, _CRACKS):
+        got = shape.distance(*_SPARSE)
+        assert got.shape == (37, 41) and _bits(got) == _bits(shape.distance(*_DENSE))
+
+
+@pytest.mark.parametrize("name", list(MATRIX_SPECS))
+def test_displacement_broadcasts_over_a_tile_s_axes_bitwise(name):
+    spec = MATRIX_SPECS[name][0]
+    d = 1 if name == "zero_1d" else 2
+    sparse = (_AXES[0].reshape(1, -1),) if d == 1 else _SPARSE
+    dense = (_AXES[0],) if d == 1 else _DENSE
+    shape = (1, 41) if d == 1 else (37, 41)
+    u = spec.u_at(*sparse)
+    assert u.shape == shape + (d,) and spec.u_at(*dense).shape == (math.prod(shape), d)
+    assert _bits(u) == _bits(spec.u_at(*dense))
+    planes, flat = spec.e_at(*sparse), spec.e_at(*dense)
+    assert len(planes) == len(flat) == (1 if d == 1 else 3)
+    for got, want in zip(planes, flat):
+        assert got.shape == shape and want.shape == (math.prod(shape),)
+        assert _bits(got) == _bits(want)

@@ -11,7 +11,9 @@ displacement dumps fields with no two equal neighbours, `recover` on
 PARTIAL_RECOVER, whose grid ends in partial recovery tiles, and `sweep` on
 those two: `sweep` writes the energies to 17 digits where `recover` prints
 12, so these compare the energy pass on a grid with no flat slab and on one
-whose last slab is cut short.  Then `sweep` on SWEEP_1D, a 1D sweep on a
+whose last slab is cut short.  `recover` and `sweep` on SLANTED_RECOVER, a
+non-convex polygon with slanted edges and a slanted crack, compare the
+inside test and the distances where no edge is axis-aligned.  Then `sweep` on SWEEP_1D, a 1D sweep on a
 grid of several energy slabs, `sweep` and `recover` on SWEEP_1D_PIECES, a 1D
 geometry of several pieces whose dumps read back through 64 KiB blocks that
 are one line repeated, blocks with a leading or trailing run and blocks of
@@ -92,6 +94,35 @@ rigid_omega_minus = -0.02
 
 [sweep]
 cells = 300 200
+eps_schedule = 0.015625
+delta_rule = scaled_two_thirds
+delta_scale = 0.18
+lambda = 1e-4
+"""
+
+# a non-convex polygon whose edges are all slanted, crossed by a slanted crack,
+# on 200 x 150 cells, which 128-cell tiles divide on neither axis: every
+# polygon above is axis-aligned, so only this run reaches the slanted-edge
+# crossing of `Polygon.contains` and distances to slanted edges
+SLANTED_RECOVER = """[elastic]
+e0 = 0.3 0.05 0.1
+
+[geometry]
+dim = 2
+origin = 0 0
+extent = 1 0.75
+polygon = 0.1 0.1  0.55 0.2  0.9 0.05  0.75 0.6  0.45 0.4  0.2 0.65
+segments = 0.3 0.15 0.8 0.55
+u_spec = piecewise_rigid
+rigid_point = 0.3 0.15
+rigid_dir = 0.5 0.4
+rigid_plus = 0.002 0.001
+rigid_minus = -0.002 0
+rigid_omega_plus = 0.01
+rigid_omega_minus = -0.02
+
+[sweep]
+cells = 200 150
 eps_schedule = 0.015625
 delta_rule = scaled_two_thirds
 delta_scale = 0.18
@@ -291,6 +322,8 @@ def main(argv: list[str]) -> int:
              ("partial-tile recover", "recover", PARTIAL_RECOVER),
              ("affine sweep", "sweep", AFFINE_RECOVER),
              ("partial-tile sweep", "sweep", PARTIAL_RECOVER),
+             ("slanted recover", "recover", SLANTED_RECOVER),
+             ("slanted sweep", "sweep", SLANTED_RECOVER),
              ("1D sweep", "sweep", SWEEP_1D),
              ("1D sweep over several pieces", "sweep", SWEEP_1D_PIECES),
              ("1D recover over several pieces", "recover", SWEEP_1D_PIECES),
