@@ -22,7 +22,8 @@ slabs of `fields._BLOCK` cells (whole rows, each read with one halo row on
 each side); it holds one cells-sized density array where `evaluate` holds
 about fifteen.  A flat slab, whose rows and halo rows hold one value of c,
 one of z and one of u, bit for bit (a plateau of a recovery), is formed on
-its first row and broadcast.  That rests on each density being a pointwise
+its first row and broadcast, and flat slabs that hold the same bits share
+that one formed row.  That rests on each density being a pointwise
 function of the cell values and the difference planes, so the potentials
 and the degradation must act elementwise, as all of the package's do.
 
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -207,11 +208,17 @@ class EnergyBreakdown:
 
 def _integral(density: np.ndarray, label: str, vol: float) -> float:
     """The midpoint rule, vol times the sum of `density`; a non-finite density
-    raises ValueError naming the term `label` and its first such cell."""
-    if not np.all(np.isfinite(density)):
-        idx = np.unravel_index(int(np.argmax(~np.isfinite(density))), density.shape)
-        raise ValueError(f"non-finite {label} density at cell {tuple(int(i) for i in idx)}")
-    return float(vol * density.sum())
+    raises ValueError naming the term `label` and its first such cell.  A sum
+    is finite only if every term is, so the cells are scanned only when the
+    sum is not; a finite density whose sum overflows finds no such cell and
+    returns inf, which `EnergyBreakdown` refuses."""
+    total = density.sum()
+    if not np.isfinite(total):
+        bad = ~np.isfinite(density)
+        if bad.any():
+            idx = np.unravel_index(int(np.argmax(bad)), density.shape)
+            raise ValueError(f"non-finite {label} density at cell {tuple(int(i) for i in idx)}")
+    return float(vol * total)
 
 
 # The terms of the energy, each written once: the pass (`_evaluate`), the
@@ -375,25 +382,26 @@ def _bit_flat(a: np.ndarray, per_cell: int) -> bool:
     return bool(np.array_equal(bits[per_cell:], bits[:-per_cell]))
 
 
-def _slabs(rows: int, row_cells: int, flat: Callable[[slice], bool]):
+def _slabs(rows: int, row_cells: int, pattern: Callable[[slice], Optional[bytes]]):
     """Slabs of `max(1, _BLOCK // row_cells)` rows, each as (its rows, the
     rows its densities are formed on, those rows with one halo row on each
-    side inside the grid, the formed rows within the haloed ones).  A
-    difference of the haloed rows is the whole grid's difference on the
-    formed rows, bit for bit: centered differences read the same operands,
-    and one-sided ones fall only on the grid's own edge rows.  A slab whose
-    haloed rows `flat` finds bit-constant is formed on its first row alone:
-    each of its differences is x - x, +0.0, so each of its rows has the
-    first row's densities."""
+    side inside the grid, the formed rows within the haloed ones, its flat
+    pattern).  A difference of the haloed rows is the whole grid's difference
+    on the formed rows, bit for bit: centered differences read the same
+    operands, and one-sided ones fall only on the grid's own edge rows.  A
+    slab whose haloed rows `pattern` finds bit-constant, and keys by the bits
+    of one cell (None for any other slab), is formed on its first row alone:
+    each of its differences is x - x, +0.0, so each of its rows has the first
+    row's densities."""
     step = max(1, _BLOCK // row_cells)
     for r0 in range(0, rows, step):
         r1 = min(r0 + step, rows)
         halo, inner = _haloed(r0, r1, rows)
-        formed = r1
-        if flat(halo):
+        formed, key = r1, pattern(halo)
+        if key is not None:
             formed = r0 + 1
             halo, inner = _haloed(r0, formed, rows)
-        yield slice(r0, r1), slice(r0, formed), halo, inner
+        yield slice(r0, r1), slice(r0, formed), halo, inner, key
 
 
 def diffuse_energy(s: DiffuseState, P: PotentialSet, M: ElasticModel) -> EnergyBreakdown:
@@ -402,25 +410,39 @@ def diffuse_energy(s: DiffuseState, P: PotentialSet, M: ElasticModel) -> EnergyB
     is written slab by slab into one cells-sized array and summed once, as
     `evaluate` sums it; besides that array the pass holds only slab-sized
     temporaries.  A slab whose rows and halo rows hold one value of c, one
-    of z and one of u, bit for bit, forms its densities on its first row
-    and broadcasts them: the three densities are pointwise functions of the
-    cell values and the difference planes, and every difference there is
-    +0.0.  So a plateau costs one row per slab, a nonzero e0's elastic
-    density on it included."""
+    of z and one of u, bit for bit, is flat: the three densities are
+    pointwise functions of the cell values and the difference planes, and
+    every difference there is +0.0, so its densities are those of its first
+    row, broadcast.  Flat slabs are keyed by the raw bytes of one cell's c, z
+    and u (0.0 and -0.0 apart), and each density is formed on one row per
+    key: a flat slab whose key an earlier one holds takes that slab's formed
+    row.  So the plateaus of a state cost one row per distinct plateau, a
+    nonzero e0's elastic density on them included."""
     h = s.grid.spacing
     c, u, z, e0 = s.c.values, s.u.values, s.z.values, M.e0_planes(s.grid.dim)
 
-    def flat(halo: slice) -> bool:
-        return _bit_flat(c[halo], 1) and _bit_flat(z[halo], 1) and _bit_flat(u[halo], s.grid.dim)
+    def pattern(halo: slice) -> Optional[bytes]:
+        if not (_bit_flat(c[halo], 1) and _bit_flat(z[halo], 1)
+                and _bit_flat(u[halo], s.grid.dim)):
+            return None
+        row = slice(halo.start, halo.start + 1)
+        return b"".join(a[row].reshape(-1)[:k].tobytes()
+                        for a, k in ((c, 1), (z, 1), (u, s.grid.dim)))
 
-    slabs = list(_slabs(len(c), c.size // len(c), flat))
+    slabs = list(_slabs(len(c), c.size // len(c), pattern))
     density = np.empty(s.grid.cells)
 
     def integral(label: str, slab_density: Callable) -> float:
-        for own, formed, halo, inner in slabs:
+        shared = {}  # each flat pattern's formed density row
+        for own, formed, halo, inner, key in slabs:
+            if key in shared:
+                density[own] = shared[key]
+                continue
             # diff(op, a): `op` (gradient or sym_gradient) of a on the formed rows
-            density[own] = slab_density(
+            density[own] = formed_density = slab_density(
                 formed, lambda op, a: tuple(p[inner] for p in op(a[halo], h)))
+            if key is not None:
+                shared[key] = formed_density
         return _integral(density, label, s.grid.cell_volume)
 
     # each weight is formed after its raw density, so the two sets of
@@ -438,7 +460,7 @@ def diffuse_energy(s: DiffuseState, P: PotentialSet, M: ElasticModel) -> EnergyB
 
     # a flat slab's rows each hold its first row's clamped cells
     clamped = sum(int(np.count_nonzero(_clamp(z[formed])[1])) * (own.stop - own.start)
-                  // (formed.stop - formed.start) for own, formed, _, _ in slabs)
+                  // (formed.stop - formed.start) for own, formed, _, _, _ in slabs)
     return EnergyBreakdown(integral("interfacial", interfacial), integral("elastic", elastic),
                            integral("crack", crack), clamped)
 

@@ -103,7 +103,11 @@ class _Field:
         shape = self.grid.cells + (self.grid.dim,) * self.rank
         if arr.shape != shape:
             raise ValueError(f"field shape {arr.shape} does not match grid {shape}")
-        if not np.all(np.isfinite(arr)):
+        # a sum is finite only if every value is, so scan only when it is not;
+        # finite values whose sum overflows are accepted, without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = arr.sum()
+        if not np.isfinite(total) and not np.all(np.isfinite(arr)):
             raise ValueError("field contains non-finite values")
         arr.setflags(write=False)
         # a view of the frozen array: numpy refuses to make a view writable

@@ -47,16 +47,19 @@ which its formula gives there exactly:
 since g is exactly 0.0 for r <= 0 and 1.0 for r >= its width, smoothstep
 is exactly 1.0 for t >= 1, and x * 1.0 == x.  Every other tile evaluates
 the exact distances at each of its cells.  The displacement u_sharp is
-evaluated at every cell: its jump runs along the whole supporting line of
-a crack, far tiles included.  A tile's sample locations are its axes of
-cell centres, broadcast (`np.meshgrid(..., sparse=True)`), never a stack of
-points: the geometry takes coordinate arrays and answers in the tile's
-shape, which is written straight into the tile.  The tiles write into the
-preallocated c, z and u arrays, which the fields take without a copy, as a
-`fields._HandOver`.  Besides those arrays, which the state owns, the build
-holds a few numbers per tile and tile-sized temporaries, under 3 MiB at
-2^14 cells whatever the grid size, so they stay in cache.  Every value is
-the one a single whole-grid pass gives, bit for bit.
+taken on every tile, since its jump runs along the whole supporting line of
+a crack, far tiles included; a piecewise-rigid u_sharp whose supporting line
+leaves the tile's box of cell centres on one side gives that side's rigid
+map over the tile's axes, without a side test per cell
+(`sharp.piecewise_rigid_displacement`).  A tile's sample locations are its
+axes of cell centres, broadcast (`np.meshgrid(..., sparse=True)`), never a
+stack of points: the geometry takes coordinate arrays and answers in the
+tile's shape, which is written straight into the tile.  The tiles write
+into the preallocated c, z and u arrays, which the fields take without a
+copy, as a `fields._HandOver`.  Besides those arrays, which the state
+owns, the build holds a few numbers per tile and tile-sized temporaries,
+under 3 MiB at 2^14 cells whatever the grid size, so they stay in cache.
+Every value is the one a single whole-grid pass gives, bit for bit.
 """
 from __future__ import annotations
 

@@ -308,6 +308,18 @@ def piecewise_rigid_displacement(line_point, line_dir, u_plus, u_minus,
     The jump is constant across the whole supporting line; the sharp energy
     charges only the declared crack segments, so keep the jump amplitude small
     when the segments do not disconnect the domain.
+
+    `u_at` first takes the side cross rx*tau1 - ry*tau0 at the four corners
+    of the box [min rx, max rx] x [min ry, max ry] of its locations.  x - p,
+    a product with a constant and a difference are each monotone under
+    round-to-nearest, so every location's rounded cross lies between the
+    corners' rounded values, with no tolerance.  When all four are <= 0
+    (right) or all four > 0 (left), every location lies on that side, and
+    u_at returns that side's rigid map, b0 - omega*ry and b1 + omega*rx, over
+    the coordinates as given (a tile's sparse axes stay sparse until the one
+    write): the same operands and operations as the per-location test, so
+    the same bits, -0.0 included.  A NaN corner passes neither test and
+    falls through to that test.
     """
     p = _vector(line_point, "line_point")
     tau = _vector(line_dir, "line_dir")
@@ -317,8 +329,21 @@ def piecewise_rigid_displacement(line_point, line_dir, u_plus, u_minus,
     tau = tau / nrm
     bp, bm = _vector(u_plus, "u_plus"), _vector(u_minus, "u_minus")
 
+    def one_side(b, omega, rx, ry):
+        out = np.empty(_shape(rx, ry) + (2,))
+        out[..., 0] = b[0] - omega * ry
+        out[..., 1] = b[1] + omega * rx
+        return out
+
     def u_at(x, y):
         rx, ry = x - p[0], y - p[1]
+        if np.size(rx) and np.size(ry):
+            corners = (np.array([np.min(rx), np.max(rx)])[:, None] * tau[1]
+                       - np.array([np.min(ry), np.max(ry)]) * tau[0])
+            if np.all(corners <= 0.0):
+                return one_side(bp, omega_plus, rx, ry)
+            if np.all(corners > 0.0):
+                return one_side(bm, omega_minus, rx, ry)
         right = rx * tau[1] - ry * tau[0] <= 0.0  # negative cross: right side
         omega = np.where(right, omega_plus, omega_minus)  # spin omega * (-ry, rx)
         return np.stack([np.where(right, bp[0], bm[0]) - omega * ry,

@@ -173,6 +173,33 @@ def test_nonfinite_names_cell(P, elastic_1d, monkeypatch):
         diffuse_energy(s, P, bad)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_integral_names_the_first_nonfinite_cell(bad):
+    # the sum comes first, and a sum that is not finite sends the scan for
+    # the cell; inf against -inf sums to NaN, and is named all the same
+    density = np.ones((4, 5))
+    density[2, 3], density[3, 1] = bad, -bad
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match=re.escape("non-finite crack density at cell (2, 3)")):
+            energy._integral(density, "crack", 0.5)
+
+
+def test_a_finite_density_whose_sum_overflows_is_refused(P, monkeypatch):
+    # psi = 1e308 and C(e(u) - c e0) = 1 at every cell: each elastic density
+    # is finite, its sum is not, and no cell is named
+    monkeypatch.setitem(DEGRADATIONS, "huge", (lambda z: np.full_like(z, 1e308),
+                                               DEGRADATIONS["quadratic"][1]))
+    M = ElasticModel(e0=np.array([[1.0]]), degradation="huge")
+    g = Grid((0.0,), (1.0,), (16,))
+    s = DiffuseState(ScalarField.full(g, 1.0), VectorField.full(g, 0.0),
+                     ScalarField.full(g, 1.0), 0.1, 0.1)
+    with np.errstate(over="ignore"):
+        for pass_ in (diffuse_energy, lambda *a: evaluate(*a)[0]):
+            with pytest.raises(ValueError, match="e_elastic must be finite and nonnegative, "
+                                                 "got inf"):
+                pass_(s, P, M)
+
+
 @pytest.mark.parametrize("cells", [(64,), (16, 12)])
 def test_rigid_translation_of_u_keeps_the_energy(P, cells):
     # e(u) is a difference of u, so u -> u + 1 moves no term beyond rounding
@@ -490,35 +517,48 @@ def _flat_rows(s, rows, c, z, u):
 
 
 def _flat_case(P, case):
-    """(state, P, M, the slabs of 5 rows formed on one row) of each flat case:
-    slabs of 5 rows have their halo rows in 4:11, 9:16, ... of the 23 rows."""
+    """(state, P, M, the distinct flat patterns among the slabs of 5 rows):
+    slabs of 5 rows have their halo rows in 4:11, 9:16, ... of the 23 rows;
+    flat slabs that hold the same bits form one row between them."""
     dim = 1 if case == "1d" else 2
     s, M = _slab_state(dim)
     u = [0.002, -0.001][:dim]
     if case == "halo":  # rows 5:10 are flat, but their halo row 10 is not
         return _flat_rows(s, slice(0, 10), 0.0, 1.0, u), P, M, 1
+    if case in ("signed zeros", "zeros apart"):
+        w = P.w
+        P = dataclasses.replace(P, w=lambda x: w(x) + np.signbit(x))
     if case == "signed zeros":  # one value but both zeros in rows 5:10; w sees the sign
         s = _flat_rows(s, slice(0, 13), 0.0, 1.0, u)
         c = s.c.values.copy()
         c[7, ::3] = -0.0
-        w = P.w
-        P = dataclasses.replace(P, w=lambda x: w(x) + np.signbit(x))
         return s.replace(c=ScalarField(s.grid, c)), P, M, 1
-    if case == "z outside":
-        return _flat_rows(s, slice(0, 13), 1.0, 1.5, u), P, M, 2
+    if case == "z outside":  # two flat slabs, one pattern
+        return _flat_rows(s, slice(0, 13), 1.0, 1.5, u), P, M, 1
     if case == "one u component":  # c, z and u_0 are flat in rows 0:13, u_1 is not
         flat = _flat_rows(s, slice(0, 13), 1.0, 1.0, u)
         mixed = flat.u.values.copy()
         mixed[..., 1] = s.u.values[..., 1]
         return flat.replace(u=VectorField(s.grid, mixed)), P, M, 0
-    return _flat_rows(s, slice(0, 13), 0.3, 0.7, u), P, M, 2
+    if case == "two plateaus":  # slabs 0:5 and 5:10 at c = 0, 15:20 and 20:23 at c = 1
+        s = _flat_rows(s, slice(0, 11), 0.0, 1.0, u)
+        return _flat_rows(s, slice(14, 23), 1.0, 1.0, u), P, M, 2
+    if case == "zeros apart":  # the two plateaus differ only by the sign of c's zero
+        s = _flat_rows(s, slice(0, 11), 0.0, 1.0, u)
+        return _flat_rows(s, slice(14, 23), -0.0, 1.0, u), P, M, 2
+    if case == "apart":  # slabs 0:5, 15:20 and 20:23 hold one pattern, 5:15 do not
+        s = _flat_rows(s, slice(0, 6), 0.3, 0.7, u)
+        return _flat_rows(s, slice(14, 23), 0.3, 0.7, u), P, M, 1
+    return _flat_rows(s, slice(0, 13), 0.3, 0.7, u), P, M, 1
 
 
-@pytest.mark.parametrize("case", ["halo", "signed zeros", "z outside", "one u component", "1d"])
+@pytest.mark.parametrize("case", ["halo", "signed zeros", "z outside", "one u component", "1d",
+                                  "two plateaus", "zeros apart", "apart"])
 def test_slab_pass_on_flat_slabs_matches_the_whole_array_pass_bitwise(P, monkeypatch, case):
     # a slab whose rows and halo rows hold one value of c, z and u, bit for
-    # bit, forms its densities on its first row, with that row's halo
-    s, P, M, flat_slabs = _flat_case(P, case)
+    # bit, forms its densities on its first row, with that row's halo, unless
+    # an earlier flat slab of the same bits has formed them
+    s, P, M, flat_patterns = _flat_case(P, case)
     want = evaluate(s, P, M)[0]
     if case == "z outside":
         assert want.clamped_cells > 13 * 17
@@ -534,9 +574,10 @@ def test_slab_pass_on_flat_slabs_matches_the_whole_array_pass_bitwise(P, monkeyp
         halo_rows.clear()
         assert _same_energy(diffuse_energy(s, P, M), want), cells
         if cells == 5 * (s.c.values.size // rows):
-            # two gradients, of c and of z, per slab; a slab formed on its
-            # first row reads at most 3 rows, any other slab of 5 rows 4 or more
-            assert sum(n <= 3 for n in halo_rows) == 2 * flat_slabs, halo_rows
+            # two gradients, of c and of z, per distinct flat pattern; a slab
+            # formed on its first row reads at most 3 rows, any other slab of
+            # 5 rows 4 or more
+            assert sum(n <= 3 for n in halo_rows) == 2 * flat_patterns, halo_rows
 
 
 @pytest.mark.parametrize("label,flat", [(label, flat) for flat in (False, True)

@@ -3,6 +3,7 @@ import io
 import os
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,22 @@ def test_field_rejects_nonfinite(g1):
     vals[3] = np.nan
     with pytest.raises(ValueError):
         ScalarField(g1, vals)
+
+
+@pytest.mark.parametrize("signs", ["plus", "mixed"])
+def test_field_accepts_finite_values_whose_sum_overflows(signs):
+    # the finiteness check sums first: a sum of inf, or of NaN from inf -
+    # inf, sends the scan of the values, which finds every one finite
+    g = Grid((0.0,), (1.0,), (256,))
+    vals = np.full(g.cells, 1e308)
+    if signs == "mixed":
+        vals[128:] = -1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isinf(vals.sum()) if signs == "plus" else np.isnan(vals.sum())
+        f = ScalarField(g, vals)
+    assert np.array_equal(f.values, vals)
 
 
 def grad(f):

@@ -258,3 +258,34 @@ def test_the_free_minimize_runs_the_c_step_without_a_mass(tmp_path):
     totals = [float(row.split(",")[-1]) for row in rows]
     assert all(b < a for a, b in zip(totals, totals[1:]))
     assert same_outputs.compare(ROOT, "minimize", same_outputs.MINIMIZE_FREE) == []
+
+
+def test_the_runs_cover_each_config_and_count_38():
+    # three runs per workload and seed, and the runs on the configs above
+    assert len(WORKLOADS) * len(same_outputs.SEEDS) * 3 + len(same_outputs.RUNS) == 38
+    assert [(command, text) for _, command, text in same_outputs.RUNS
+            if text is same_outputs.SIGNED_ZERO_RIGID] == [
+        ("recover", same_outputs.SIGNED_ZERO_RIGID), ("sweep", same_outputs.SIGNED_ZERO_RIGID)]
+
+
+@pytest.mark.parametrize("command", ["recover", "sweep"])
+def test_the_signed_zero_rigid_runs_keep_the_sign_of_u(command, tmp_path):
+    text = same_outputs.SIGNED_ZERO_RIGID
+    config = tmp_path / "run.ini"
+    config.write_text(text)
+    cfg = parse_config(str(config))
+    # the line x = 0.5, 128 cells in, is a seam of the 128-cell tiles, and
+    # 200 cells end in a tile cut short
+    side = math.isqrt(fields._BLOCK)
+    assert cfg.sweep_plan.cells == (256, 200) and 128 % side == 0 and 200 % side
+    mine = same_outputs.run_cli(ROOT, command, str(config), str(tmp_path / "out"))
+    assert mine["exit code"] == b"0" and mine["stderr"] == b""
+    if command == "recover":
+        # u0 is -0.0 on the right of the line above y = 0.5, and 0.0 elsewhere
+        u0 = mine["u0.field"].splitlines()[4:]
+        assert len(u0) == 256 * 200 and set(u0) == {b"0", b"-0"}
+        assert u0.count(b"-0") == 128 * 100
+    else:
+        rows = mine["sweep.csv"].decode().splitlines()[1:]
+        assert len(rows) == 1 and rows[0].endswith(",ok")
+    assert same_outputs.compare(ROOT, command, text) == []

@@ -7,6 +7,7 @@ import pytest
 from phasefrac.energy import ElasticModel
 from phasefrac.fields import Grid, sym_planes
 from phasefrac.potentials import make_default_potentials
+from phasefrac.recovery import _tiles
 from phasefrac.sharp import (GeometryError, Polygon, SegmentSet, SharpGeometry1D,
                              SharpGeometry2D, _point_segment_distance,
                              affine_displacement, distance_field,
@@ -560,6 +561,79 @@ def test_piecewise_rigid_bitwise(omega_plus, omega_minus):
     ref = _reference_rigid(pts, p, tau / np.linalg.norm(tau), bp, bm,
                            omega_plus, omega_minus)
     assert np.array_equal(spec.u_at(*pts.T), ref)
+
+
+_HALF = 127.5 / 256  # the cell centre at a corner of the first 128^2 tile of 256^2
+# cells, line point, line direction, (u_plus, u_minus), (omega_plus, omega_minus),
+# (one-side tiles, tiles taking the per-cell test); the domain is the unit
+# square, or 1.5 x 1 on 300 x 200 cells
+RIGID_TILE_CASES = {
+    # the sweep_2d line x = 0.5, on a seam between tiles
+    "seam": ((1024, 1024), (0.5, 0.3), (0.0, 1.0), ((0.002, 0.0), (-0.002, 0.0)), (0.0, 0.0),
+             (64, 0)),
+    # through the corner cell of the first tile: its cross there is exactly 0,
+    # the right side, so the tile takes one side when its other cells lie on
+    # the right and the per-cell test when they lie on the left
+    "corner right": ((256, 256), (_HALF, _HALF), (-1.0, 1.0), ((0.1, 0.2), (0.3, 0.4)),
+                     (0.0, 0.0), (2, 2)),
+    "corner left": ((256, 256), (_HALF, _HALF), (1.0, -1.0), ((0.1, 0.2), (0.3, 0.4)),
+                    (0.0, 0.0), (1, 3)),
+    # PARTIAL_RECOVER's slanted line, which crosses tiles beyond the end of
+    # its crack segment, on tiles cut short on both axes
+    "slanted": ((300, 200), (0.3, 0.3), (0.6, 0.4), ((0.002, 0.001), (-0.002, 0.0)),
+                (0.01, -0.02), (2, 4)),
+    "horizontal": ((256, 256), (0.3, 0.5), (1.0, 0.0), ((0.1, 0.2), (0.3, 0.4)),
+                   (0.0, 0.0), (4, 0)),
+    "vertical": ((256, 256), (0.3, 0.6), (0.0, -1.0), ((0.1, 0.2), (0.3, 0.4)),
+                 (0.0, 0.0), (2, 2)),
+    # b - omega*ry with b = -0.0 and omega = 0 is -0.0 for ry > 0 and 0.0 for
+    # ry < 0; y = 0.3 lies between centres, so each tile holds ry of both signs
+    "signed zeros": ((256, 256), (0.5, 0.3), (0.0, 1.0), ((-0.0, 0.0), (0.0, -0.0)),
+                     (0.0, 0.0), (4, 0)),
+    "spin": ((256, 256), (0.5, 0.3), (0.0, 1.0), ((0.1, -0.2), (-0.3, 0.4)), (0.3, -0.7),
+             (4, 0)),
+    # a NaN x centre: the tiles holding it fall through to the per-cell test
+    "nan": ((256, 256), (0.5, 0.3), (0.0, 1.0), ((0.1, -0.2), (-0.3, 0.4)), (0.3, -0.7),
+            (2, 2)),
+}
+
+
+@pytest.mark.parametrize("case", list(RIGID_TILE_CASES))
+def test_piecewise_rigid_on_tile_axes_bitwise(monkeypatch, case):
+    cells, p, tau, (bp, bm), (omega_plus, omega_minus), want = RIGID_TILE_CASES[case]
+    grid = Grid((0.0, 0.0), (1.5, 1.0) if cells == (300, 200) else (1.0, 1.0), cells)
+    centers = [grid.centers(a) for a in range(2)]
+    if case == "nan":
+        centers[0][5] = np.nan
+    spec = piecewise_rigid_displacement(p, tau, bp, bm, omega_plus, omega_minus)
+    unit = np.array(tau) / np.linalg.norm(tau)
+    wheres = []
+    where = np.where
+    monkeypatch.setattr(np, "where", lambda *a: wheres.append(1) or where(*a))
+    taken = [0, 0]
+    for tile in _tiles(cells):
+        axes = np.meshgrid(*[x[s] for x, s in zip(centers, tile)], indexing="ij", sparse=True)
+        wheres.clear()
+        got = spec.u_at(*axes)
+        taken[bool(wheres)] += 1
+        assert got.shape == tuple(s.stop - s.start for s in tile) + (2,)
+        bits = got.reshape(-1, 2).view(np.uint64)
+        # the per-cell side test, which a NaN cell takes: its NaN stays in
+        # the components it reaches, where the reference's product spreads it
+        rx, ry = np.broadcast_arrays(axes[0] - p[0], axes[1] - p[1])
+        right = rx * unit[1] - ry * unit[0] <= 0.0
+        omega = np.where(right, omega_plus, omega_minus)
+        per_cell = np.stack([np.where(right, bp[0], bm[0]) - omega * ry,
+                             np.where(right, bp[1], bm[1]) + omega * rx], axis=-1)
+        assert np.array_equal(bits, per_cell.reshape(-1, 2).view(np.uint64)), tile
+        if case != "nan":
+            pts = np.stack(np.broadcast_arrays(*axes), axis=-1).reshape(-1, 2)
+            ref = _reference_rigid(pts, np.array(p), unit, np.array(bp), np.array(bm),
+                                   omega_plus, omega_minus)
+            assert np.array_equal(bits, ref.view(np.uint64)), tile
+    assert tuple(taken) == want
+    if case == "signed zeros":
+        assert np.signbit(spec.u_at(0.25, 0.4)[0]) and not np.signbit(spec.u_at(0.25, 0.2)[0])
 
 
 def test_1d_domain_must_be_finite():

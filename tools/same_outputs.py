@@ -13,7 +13,10 @@ those two: `sweep` writes the energies to 17 digits where `recover` prints
 12, so these compare the energy pass on a grid with no flat slab and on one
 whose last slab is cut short.  `recover` and `sweep` on SLANTED_RECOVER, a
 non-convex polygon with slanted edges and a slanted crack, compare the
-inside test and the distances where no edge is axis-aligned.  Then `sweep` on SWEEP_1D, a 1D sweep on a
+inside test and the distances where no edge is axis-aligned.  `recover` and
+`sweep` on SIGNED_ZERO_RIGID, whose rigid maps hold -0.0 and 0.0 on a grid
+whose tiles all lie on one side of the supporting line, compare the signs
+of u's zeros.  Then `sweep` on SWEEP_1D, a 1D sweep on a
 grid of several energy slabs, `sweep` and `recover` on SWEEP_1D_PIECES, a 1D
 geometry of several pieces whose dumps read back through 64 KiB blocks that
 are one line repeated, blocks with a leading or trailing run and blocks of
@@ -171,6 +174,33 @@ cells = 262144
 eps_schedule = 0.0078125 0.00390625
 """
 
+# criterion 05's geometry with signed zeros in the rigid maps and no spin, on
+# 256 x 200 cells: the supporting line x = 0.5 lies on a seam of 128-cell
+# tiles, so every tile takes one side's map (b0 - omega*ry is -0.0 or 0.0 by
+# the sign of ry), and the last tiles on the y axis are cut short
+SIGNED_ZERO_RIGID = """[elastic]
+e0 = 0
+
+[geometry]
+dim = 2
+origin = 0 0
+extent = 1 1
+polygon = 0.5 0  1 0  1 1  0.5 1
+segments = 0.5 0.25 0.5 0.75
+u_spec = piecewise_rigid
+rigid_point = 0.5 0.5
+rigid_dir = 0 1
+rigid_plus = -0.0 0
+rigid_minus = 0.0 -0.0
+
+[sweep]
+cells = 256 200
+eps_schedule = 0.03125
+delta_rule = scaled_two_thirds
+delta_scale = 0.18
+lambda = 1e-4
+"""
+
 # a 1D minimize without [solver] mass: the workloads' minimize runs all set
 # one, so this is the run that takes the c-step with no mass projection
 MINIMIZE_FREE = """[elastic]
@@ -193,6 +223,23 @@ MINIMIZE_WIDE_SEED = """[run]
 seed = 18446744073709551621
 
 """ + MINIMIZE_FREE
+
+
+# the runs beyond the workloads' own: (label, command, config text)
+RUNS = [("affine sharp", "sharp", AFFINE_SHARP),
+        ("affine recover", "recover", AFFINE_RECOVER),
+        ("partial-tile recover", "recover", PARTIAL_RECOVER),
+        ("affine sweep", "sweep", AFFINE_RECOVER),
+        ("partial-tile sweep", "sweep", PARTIAL_RECOVER),
+        ("slanted recover", "recover", SLANTED_RECOVER),
+        ("slanted sweep", "sweep", SLANTED_RECOVER),
+        ("signed-zero rigid recover", "recover", SIGNED_ZERO_RIGID),
+        ("signed-zero rigid sweep", "sweep", SIGNED_ZERO_RIGID),
+        ("1D sweep", "sweep", SWEEP_1D),
+        ("1D sweep over several pieces", "sweep", SWEEP_1D_PIECES),
+        ("1D recover over several pieces", "recover", SWEEP_1D_PIECES),
+        ("1D minimize without mass", "minimize", MINIMIZE_FREE),
+        ("1D minimize at seed 2^64 + 5", "minimize", MINIMIZE_WIDE_SEED)]
 
 
 # run with a tree's src/ first on the path and the run's OUT as the working
@@ -317,18 +364,7 @@ def main(argv: list[str]) -> int:
     runs = [(f"{name} seed {seed} {command}", command, make_config(name, seed))
             for name, workload in WORKLOADS.items()
             for seed in SEEDS for command in (workload.command, "check", "sharp")]
-    runs += [("affine sharp", "sharp", AFFINE_SHARP),
-             ("affine recover", "recover", AFFINE_RECOVER),
-             ("partial-tile recover", "recover", PARTIAL_RECOVER),
-             ("affine sweep", "sweep", AFFINE_RECOVER),
-             ("partial-tile sweep", "sweep", PARTIAL_RECOVER),
-             ("slanted recover", "recover", SLANTED_RECOVER),
-             ("slanted sweep", "sweep", SLANTED_RECOVER),
-             ("1D sweep", "sweep", SWEEP_1D),
-             ("1D sweep over several pieces", "sweep", SWEEP_1D_PIECES),
-             ("1D recover over several pieces", "recover", SWEEP_1D_PIECES),
-             ("1D minimize without mass", "minimize", MINIMIZE_FREE),
-             ("1D minimize at seed 2^64 + 5", "minimize", MINIMIZE_WIDE_SEED)]
+    runs += RUNS
     failed = 0
     for label, command, config_text in runs:
         found = compare(argv[0], command, config_text)
