@@ -19,13 +19,23 @@ the state with that block replaced; such a trial recomputes only the terms
 the block moves, so an Armijo search costs one pass per step.
 `diffuse_energy` is the energy alone, bit for bit `evaluate`'s, formed over
 slabs of `fields._BLOCK` cells (whole rows, each read with one halo row on
-each side); it holds one cells-sized density array where `evaluate` holds
-about fifteen.  A flat slab, whose rows and halo rows hold one value of c,
-one of z and one of u, bit for bit (a plateau of a recovery), is formed on
-its first row and broadcast, and flat slabs that hold the same bits share
-that one formed row.  That rests on each density being a pointwise
-function of the cell values and the difference planes, so the potentials
-and the degradation must act elementwise, as all of the package's do.
+each side); it holds no cells-sized array where `evaluate` holds about
+fifteen.  A flat slab, whose rows and halo rows hold one value of c, one of
+z and one of u, bit for bit (a plateau of a recovery), is formed on its
+first row, which stands for all its rows, and flat slabs that hold the same
+bits share that one formed row.  That rests on each density being a
+pointwise function of the cell values and the difference planes, so the
+potentials and the degradation must act elementwise, as all of the
+package's do.
+
+Every integral, the whole-array pass's and the slabs', is one `_integral`:
+numpy's pairwise summation tree walked over the density's pieces in
+row-major order, each range inside one formed slab summed by `np.sum`, and
+each range inside a flat slab summed once per pattern, offset within the row
+and length.  So the slabs' sum is `np.sum` of the whole density, bit for bit,
+with no array of it.  That assumes numpy's reduction order, verified on
+numpy 2.4.6; `test_integral_walks_numpys_pairwise_tree` guards it, so a numpy
+that sums in another order fails loudly.
 
 Strains, e0 and stresses are tuples of strain planes, (xx,) in 1D and
 (xx, yy, xy) in 2D (see `fields.sym_gradient`).  In |xi|^2 and in the
@@ -39,8 +49,9 @@ squares in axis order.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -206,19 +217,107 @@ class EnergyBreakdown:
         return self.e_phase + self.e_elastic + self.e_crack
 
 
-def _integral(density: np.ndarray, label: str, vol: float) -> float:
-    """The midpoint rule, vol times the sum of `density`; a non-finite density
-    raises ValueError naming the term `label` and its first such cell.  A sum
-    is finite only if every term is, so the cells are scanned only when the
-    sum is not; a finite density whose sum overflows finds no such cell and
-    returns inf, which `EnergyBreakdown` refuses."""
-    total = density.sum()
-    if not np.isfinite(total):
-        bad = ~np.isfinite(density)
-        if bad.any():
-            idx = np.unravel_index(int(np.argmax(bad)), density.shape)
-            raise ValueError(f"non-finite {label} density at cell {tuple(int(i) for i in idx)}")
-    return float(vol * total)
+# numpy's pairwise summation sums a range of at most this many values in one
+# pass and splits a longer one
+_LEAF = 128
+
+
+class _Flat(NamedTuple):
+    """A flat run of `_integral`'s pieces: `row`, one formed row of a density,
+    repeated `times` times; `key`, the pattern whose runs hold its values."""
+    row: np.ndarray
+    times: int
+    key: bytes
+
+
+def _integral(pieces: Iterable, grid: Grid, label: str) -> float:
+    """The midpoint rule, the cell volume times the sum of a density over
+    `grid`, bit for bit `np.sum` of the whole density array.  The density
+    comes as `pieces` in row-major order, each a formed array or a `_Flat`
+    run, drawn only when the sum reaches them and dropped once it has passed
+    them, so the sum holds one piece at a time (`_PairwiseSum`).
+
+    A non-finite density raises ValueError naming the term `label` and its
+    first such cell.  A sum is finite only if every term is, so a range is
+    scanned only when its sum is not, and the walk scans in row-major order;
+    a finite density whose sum overflows finds no such cell and returns inf,
+    which `EnergyBreakdown` refuses."""
+    total = _PairwiseSum(pieces, grid, label).tree(0, math.prod(grid.cells))
+    return float(grid.cell_volume * total)
+
+
+class _PairwiseSum:
+    """numpy's pairwise tree over the concatenated values of `_integral`'s
+    pieces: a range of more than `_LEAF` values splits at half its length,
+    rounded down to a multiple of 8.  A range inside one formed piece is
+    `np.sum` of that slice, a range of at most `_LEAF` values across pieces is
+    gathered and summed with `np.sum`, and a range inside a flat run depends
+    only on its key, its offset within the row and its length, so it is
+    summed once for those three.  This rests on numpy's reduction order,
+    verified on numpy 2.4.6 and guarded by
+    `test_integral_walks_numpys_pairwise_tree`.  The walk visits the values
+    in row-major order, so it holds only the piece it is in.  A method, not
+    a closure, walks the tree, so no reference cycle keeps the pieces, or the
+    state they are formed from, alive after the sum."""
+
+    def __init__(self, pieces: Iterable, grid: Grid, label: str):
+        self.pieces, self.shape, self.label = iter(pieces), grid.cells, label
+        # the piece the walk is in: its values lo:hi, flattened, and its key
+        self.lo = self.hi = 0
+        self.values, self.key, self.sums = None, None, {}
+
+    def reach(self, lo: int) -> None:
+        """Draw pieces until the one the walk is in holds value lo; the walk
+        runs in row-major order, so a piece it leaves is dropped."""
+        while self.hi <= lo:
+            self.values = None  # freed before the next piece is formed
+            piece = next(self.pieces)
+            flat = isinstance(piece, _Flat)
+            self.values = (piece.row if flat else piece).reshape(-1)
+            self.lo, self.hi = self.hi, self.hi + self.values.size * (piece.times if flat else 1)
+            self.key = piece.key if flat else None
+
+    def checked_sum(self, values: np.ndarray, lo: int):
+        """The sum of `values`, the range from lo on, as `np.sum` gives it;
+        a sum that is not finite has its first non-finite cell named."""
+        total = values.sum()
+        if not math.isfinite(total):
+            bad = ~np.isfinite(values)
+            if bad.any():
+                idx = np.unravel_index(lo + int(np.argmax(bad)), self.shape)
+                raise ValueError(f"non-finite {self.label} density at cell "
+                                 f"{tuple(int(i) for i in idx)}")
+        return total
+
+    def gathered(self, lo: int, hi: int) -> np.ndarray:
+        """The values lo:hi as one array."""
+        parts = []
+        while lo < hi:
+            self.reach(lo)
+            a, b = lo - self.lo, min(hi, self.hi) - self.lo
+            parts.append(self.values[a:b] if self.key is None
+                         else self.values[np.arange(a, b) % self.values.size])
+            lo += b - a
+        return np.concatenate(parts)
+
+    def tree(self, lo: int, n: int):
+        """The sum of lo:lo+n."""
+        self.reach(lo)
+        at = None
+        if lo + n <= self.hi:
+            if self.key is None:
+                return self.checked_sum(self.values[lo - self.lo:lo - self.lo + n], lo)
+            at = (self.key, (lo - self.lo) % self.values.size, n)
+            if at in self.sums:
+                return self.sums[at]
+        if n <= _LEAF:
+            total = self.checked_sum(self.gathered(lo, lo + n), lo)
+        else:
+            half = n // 2 - n // 2 % 8
+            total = self.tree(lo, half) + self.tree(lo + half, n - half)
+        if at is not None:
+            self.sums[at] = total
+        return total
 
 
 # The terms of the energy, each written once: the pass (`_evaluate`), the
@@ -266,13 +365,12 @@ def _z_terms(z: np.ndarray, s: DiffuseState, P: PotentialSet, M: ElasticModel,
     not move, the interfacial raw density and the form.  z moves the clamp,
     both weights and the crack density; they are returned for the gradient:
     (energy, zc, outside, (phase weight, elastic weight), grad z)."""
-    vol = s.grid.cell_volume
     zc, outside = _clamp(z)
     phase_weight, elastic_weight = _phase_weight(zc, s, P), _elastic_weight(zc, s, M)
     gz = gradient(z, s.grid.spacing)
-    energy = EnergyBreakdown(_integral(phase_weight * phase_raw, "interfacial", vol),
-                             _integral(elastic_weight * form, "elastic", vol),
-                             _integral(_crack_density(zc, gz, s, P), "crack", vol),
+    energy = EnergyBreakdown(_integral([phase_weight * phase_raw], s.grid, "interfacial"),
+                             _integral([elastic_weight * form], s.grid, "elastic"),
+                             _integral([_crack_density(zc, gz, s, P)], s.grid, "crack"),
                              int(np.count_nonzero(outside)))
     return energy, zc, outside, (phase_weight, elastic_weight), gz
 
@@ -337,7 +435,6 @@ def evaluate_block(s: DiffuseState, P: PotentialSet, M: ElasticModel, block: str
     the form; for u the strain, the misfit and the form."""
     energy, grads, (phase_weight, elastic_weight, phase_raw, form, e0, strain) = _evaluate(
         s, P, M, block)
-    vol = s.grid.cell_volume
     if block == "z":
         def trial(z: np.ndarray) -> EnergyBreakdown:
             return _z_terms(z, s, P, M, phase_raw, form)[0]
@@ -345,8 +442,8 @@ def evaluate_block(s: DiffuseState, P: PotentialSet, M: ElasticModel, block: str
         def trial(c: np.ndarray) -> EnergyBreakdown:
             raw = _phase_raw(c, gradient(c, s.grid.spacing), s, P)
             form = M.form(_misfit(strain, c, e0))
-            return EnergyBreakdown(_integral(phase_weight * raw, "interfacial", vol),
-                                   _integral(elastic_weight * form, "elastic", vol),
+            return EnergyBreakdown(_integral([phase_weight * raw], s.grid, "interfacial"),
+                                   _integral([elastic_weight * form], s.grid, "elastic"),
                                    energy.e_crack, energy.clamped_cells)
     else:
         trial = _elastic_trial(s, M, elastic_weight, e0, energy)
@@ -358,11 +455,11 @@ def _elastic_trial(s: DiffuseState, M: ElasticModel, weight: np.ndarray, e0: tup
     """The trial of `evaluate_block` for u, from the energy of `s`, its
     elastic weight and e0 as planes: it needs no pass, so the u-step, which
     knows all three, builds it directly."""
-    h, vol, c = s.grid.spacing, s.grid.cell_volume, s.c.values
+    h, c = s.grid.spacing, s.c.values
 
     def trial(u: np.ndarray) -> EnergyBreakdown:
         form = M.form(_misfit(sym_gradient(u, h), c, e0))
-        return EnergyBreakdown(energy.e_phase, _integral(weight * form, "elastic", vol),
+        return EnergyBreakdown(energy.e_phase, _integral([weight * form], s.grid, "elastic"),
                                energy.e_crack, energy.clamped_cells)
     return trial
 
@@ -407,17 +504,18 @@ def _slabs(rows: int, row_cells: int, pattern: Callable[[slice], Optional[bytes]
 def diffuse_energy(s: DiffuseState, P: PotentialSet, M: ElasticModel) -> EnergyBreakdown:
     """The energy alone, bit for bit `evaluate(s, P, M)[0]`, clamp count
     included, formed over slabs of rows (`_slabs`).  Each density, in turn,
-    is written slab by slab into one cells-sized array and summed once, as
-    `evaluate` sums it; besides that array the pass holds only slab-sized
-    temporaries.  A slab whose rows and halo rows hold one value of c, one
-    of z and one of u, bit for bit, is flat: the three densities are
-    pointwise functions of the cell values and the difference planes, and
-    every difference there is +0.0, so its densities are those of its first
-    row, broadcast.  Flat slabs are keyed by the raw bytes of one cell's c, z
-    and u (0.0 and -0.0 apart), and each density is formed on one row per
-    key: a flat slab whose key an earlier one holds takes that slab's formed
-    row.  So the plateaus of a state cost one row per distinct plateau, a
-    nonzero e0's elastic density on them included."""
+    is formed slab by slab as `_integral` draws it, so the pass holds no
+    cells-sized array, only slab-sized temporaries.  A slab whose rows and
+    halo rows hold one value of c, one of z and one of u, bit for bit, is
+    flat: the three densities are pointwise functions of the cell values and
+    the difference planes, and every difference there is +0.0, so its
+    densities are those of its first row, repeated, a `_Flat` run.  Flat
+    slabs are keyed by the raw bytes of one cell's c, z and u (0.0 and -0.0
+    apart), and each density is formed on one row per key: a flat slab whose
+    key an earlier one holds takes that slab's formed row.  So the plateaus
+    of a state cost one row per distinct plateau, a nonzero e0's elastic
+    density on them included, and `_integral` sums each of their ranges once
+    per key."""
     h = s.grid.spacing
     c, u, z, e0 = s.c.values, s.u.values, s.z.values, M.e0_planes(s.grid.dim)
 
@@ -430,20 +528,19 @@ def diffuse_energy(s: DiffuseState, P: PotentialSet, M: ElasticModel) -> EnergyB
                         for a, k in ((c, 1), (z, 1), (u, s.grid.dim)))
 
     slabs = list(_slabs(len(c), c.size // len(c), pattern))
-    density = np.empty(s.grid.cells)
 
-    def integral(label: str, slab_density: Callable) -> float:
+    def pieces(slab_density: Callable):
         shared = {}  # each flat pattern's formed density row
         for own, formed, halo, inner, key in slabs:
-            if key in shared:
-                density[own] = shared[key]
-                continue
             # diff(op, a): `op` (gradient or sym_gradient) of a on the formed rows
-            density[own] = formed_density = slab_density(
-                formed, lambda op, a: tuple(p[inner] for p in op(a[halo], h)))
-            if key is not None:
-                shared[key] = formed_density
-        return _integral(density, label, s.grid.cell_volume)
+            def diff(op, a):
+                return tuple(p[inner] for p in op(a[halo], h))
+            if key is None:
+                yield slab_density(formed, diff)
+                continue
+            if key not in shared:
+                shared[key] = slab_density(formed, diff)
+            yield _Flat(shared[key], own.stop - own.start, key)
 
     # each weight is formed after its raw density, so the two sets of
     # temporaries never overlap
@@ -461,8 +558,9 @@ def diffuse_energy(s: DiffuseState, P: PotentialSet, M: ElasticModel) -> EnergyB
     # a flat slab's rows each hold its first row's clamped cells
     clamped = sum(int(np.count_nonzero(_clamp(z[formed])[1])) * (own.stop - own.start)
                   // (formed.stop - formed.start) for own, formed, _, _, _ in slabs)
-    return EnergyBreakdown(integral("interfacial", interfacial), integral("elastic", elastic),
-                           integral("crack", crack), clamped)
+    return EnergyBreakdown(_integral(pieces(interfacial), s.grid, "interfacial"),
+                           _integral(pieces(elastic), s.grid, "elastic"),
+                           _integral(pieces(crack), s.grid, "crack"), clamped)
 
 
 def mass(c: ScalarField) -> float:

@@ -1,18 +1,23 @@
 import dataclasses
+import gc
+import math
+import os
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from conftest import random_state
-from phasefrac import energy, solver
+from phasefrac import energy, fields, solver
+from phasefrac.cli import parse_config
 from phasefrac.energy import (DEGRADATIONS, ETA_RULES, DiffuseState, ElasticModel,
                               EnergyBreakdown, diffuse_energy, evaluate, evaluate_block,
                               mass, project_mass)
 from phasefrac.fields import Grid, ScalarField, VectorField, gradient, gradient_adjoint
 from phasefrac.potentials import phi_delta
-from phasefrac.recovery import ProfileParams, build_profile
+from phasefrac.recovery import ProfileParams, build_profile, build_recovery
 
 
 def fd_gradient(state, P, M, block, rel_step=1e-6):
@@ -181,23 +186,128 @@ def test_integral_names_the_first_nonfinite_cell(bad):
     density[2, 3], density[3, 1] = bad, -bad
     with np.errstate(invalid="ignore"):
         with pytest.raises(ValueError, match=re.escape("non-finite crack density at cell (2, 3)")):
-            energy._integral(density, "crack", 0.5)
+            energy._integral([density], Grid((0.0, 0.0), (1.0, 1.0), (4, 5)), "crack")
 
 
 def test_a_finite_density_whose_sum_overflows_is_refused(P, monkeypatch):
     # psi = 1e308 and C(e(u) - c e0) = 1 at every cell: each elastic density
-    # is finite, its sum is not, and no cell is named
+    # is finite, its sum is not, and no cell is named.  Every slab is flat in
+    # one pattern, so the tree sum reuses the overflowed sums of its ranges:
+    # a whole-grid slab, slabs of 512 cells (whole subtrees) and of 1000 (off
+    # the splits)
     monkeypatch.setitem(DEGRADATIONS, "huge", (lambda z: np.full_like(z, 1e308),
                                                DEGRADATIONS["quadratic"][1]))
     M = ElasticModel(e0=np.array([[1.0]]), degradation="huge")
-    g = Grid((0.0,), (1.0,), (16,))
+    g = Grid((0.0,), (1.0,), (4096,))
     s = DiffuseState(ScalarField.full(g, 1.0), VectorField.full(g, 0.0),
                      ScalarField.full(g, 1.0), 0.1, 0.1)
+    sums, checked_sum = [], energy._PairwiseSum.checked_sum
+
+    def counted(walk, values, lo):
+        sums.append(values.size)
+        return checked_sum(walk, values, lo)
+    monkeypatch.setattr(energy._PairwiseSum, "checked_sum", counted)
     with np.errstate(over="ignore"):
-        for pass_ in (diffuse_energy, lambda *a: evaluate(*a)[0]):
+        with pytest.raises(ValueError, match="e_elastic must be finite and nonnegative, got inf"):
+            evaluate(s, P, M)
+        for cells in (energy._BLOCK, 512, 1000):
+            monkeypatch.setattr(energy, "_BLOCK", cells)
+            sums.clear()
             with pytest.raises(ValueError, match="e_elastic must be finite and nonnegative, "
                                                  "got inf"):
-                pass_(s, P, M)
+                diffuse_energy(s, P, M)
+            # without the reuse, each of the three terms would sum 4096 / 128
+            # leaves of one pattern
+            assert 0 < len(sums) < 3 * 4096 // 128 and max(sums) <= 128, (cells, sums)
+
+
+def _pieces(rng, shape):
+    """A random array of `shape`, with values over six decades and both signs,
+    cut into runs of rows as pieces for `energy._integral`: each run formed,
+    or flat, one of three rows repeated; (the pieces, the whole array)."""
+    rows = shape[0]
+    pool = [rng.standard_normal((1,) + shape[1:]) * 10.0 ** rng.uniform(-3, 3, (1,) + shape[1:])
+            for _ in range(3)]
+    # short runs put several pieces in one range of 128 values; long ones make
+    # flat runs that span the tree's splits
+    lengths = [1, 2, 3, max(1, 128 // math.prod(shape[1:])), max(2, rows // 5)]
+    pieces, parts, r = [], [], 0
+    while r < rows:
+        n = min(rows - r, int(rng.integers(1, lengths[rng.integers(len(lengths))] + 1)))
+        if rng.random() < 0.5:
+            k = int(rng.integers(3))
+            pieces.append(energy._Flat(pool[k], n, bytes([k])))
+            parts.append(np.repeat(pool[k], n, axis=0))
+        else:
+            pieces.append(rng.standard_normal((n,) + shape[1:])
+                          * 10.0 ** rng.uniform(-3, 3, (n,) + shape[1:]))
+            parts.append(pieces[-1])
+        r += n
+    return pieces, np.concatenate(parts)
+
+
+@pytest.mark.parametrize("shape", [(300, 200), (256, 200), (777, 333), (513, 511), (1024, 1024),
+                                   (64, 64), (1000,), (2 ** 14 + 3,), (256,)])
+def test_integral_walks_numpys_pairwise_tree(shape):
+    # `_integral` sums its pieces by numpy's own pairwise tree, which this
+    # numpy's `np.sum` must follow bit for bit: a numpy that sums in another
+    # order fails here, and the slab pass would no longer match `evaluate`
+    rng = np.random.Generator(np.random.Philox(len(shape) * 7919 + shape[0]))
+    grid = Grid((0.0,) * len(shape), tuple(float(n) for n in shape), shape)
+    assert grid.cell_volume == 1.0
+    orders = set()
+    for _ in range(3):
+        pieces, whole = _pieces(rng, shape)
+        assert any(isinstance(p, energy._Flat) for p in pieces)
+        assert any(not isinstance(p, energy._Flat) for p in pieces)
+        want = np.sum(whole)
+        assert energy._integral(pieces, grid, "test").hex() == float(want).hex()
+        assert energy._integral([whole], grid, "test").hex() == float(want).hex()
+        orders.add(np.cumsum(whole)[-1] == want)
+    # the data tells orders apart: summing in sequence gives other bits
+    assert False in orders
+
+
+def _smoke_states(tmp_path):
+    """(name, state, P, M) for each state the workloads' smoke configs give
+    `diffuse_energy`: each sweep row's recovery, or the solver's start."""
+    from workloads import WORKLOADS, make_config
+    for name in WORKLOADS:
+        config = tmp_path / f"{name}.ini"
+        config.write_text(make_config(name, 0, smoke=True))
+        cfg = parse_config(str(config))
+        plan = cfg.sweep_plan
+        if plan is None:
+            states = [solver.default_state(cfg.solver_grid, cfg.solver_eps, cfg.solver_delta,
+                                           c0=cfg.solver_plan.mass_constraint, seed=cfg.seed)]
+        else:
+            states = [build_recovery(plan.geometry, eps, delta, plan.lam, plan.grid(),
+                                     cfg.potentials, enforce_width=plan.enforce_width)
+                      for eps, delta in zip(plan.eps_schedule, plan.deltas())]
+        for state in states:
+            yield name, state, cfg.potentials, cfg.elastic
+
+
+def test_the_tree_sum_gives_np_sum_on_every_workloads_densities(monkeypatch, tmp_path):
+    # evaluate sums each density as one array, np.sum itself; the slab pass
+    # sums it by the tree over its slabs: default slabs, and slabs of 1000
+    # cells, which end inside the tree's ranges and cut flat runs short
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                                             "perfbench"))
+    kinds, integral = set(), energy._integral
+
+    def seen(pieces, grid, label):
+        pieces = list(pieces)
+        kinds.update(type(p) for p in pieces)
+        return integral(pieces, grid, label)
+    for name, s, P, M in _smoke_states(tmp_path):
+        want = evaluate(s, P, M)[0]
+        for cells in (fields._BLOCK, 1000):
+            monkeypatch.setattr(energy, "_BLOCK", cells)
+            monkeypatch.setattr(energy, "_integral", seen)
+            assert _same_energy(diffuse_energy(s, P, M), want), (name, cells)
+            monkeypatch.setattr(energy, "_integral", integral)
+    assert kinds == {np.ndarray, energy._Flat}
 
 
 @pytest.mark.parametrize("cells", [(64,), (16, 12)])
@@ -610,11 +720,32 @@ def test_slab_pass_names_the_same_nonfinite_cell(P, monkeypatch, label, flat):
             diffuse_energy(s, P, M)
 
 
-@pytest.mark.parametrize("cells,arrays", [(None, 4.0), (1 << 10, 1.5)])
-def test_slab_pass_holds_one_density_array_and_slab_temporaries(P, monkeypatch, cells, arrays):
+@pytest.mark.parametrize("flat", [False, True])
+def test_slab_pass_keeps_nothing_of_the_state_alive(P, monkeypatch, flat):
+    # a sweep row's state must be freed as soon as its energy is known, before
+    # the next row is built: no reference cycle may wait for the collector
+    s, M = _slab_state(2)
+    if flat:
+        s = _flat_rows(s, slice(0, 13), 0.25, 0.5, [0.002, -0.001])
+    monkeypatch.setattr(energy, "_BLOCK", 5 * 17)
+    gc.disable()
+    try:
+        state = weakref.ref(s)
+        diffuse_energy(s, P, M)
+        del s
+        assert state() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("cells,arrays", [(None, 3.0), (1 << 10, 0.5)],
+                         ids=["default_slabs", "slabs_of_1024_cells"])
+def test_slab_pass_holds_only_slab_sized_arrays(P, monkeypatch, cells, arrays):
     # at 256^2 the whole-array pass peaks near 15 cells-sized arrays above the
-    # state; the slab pass holds one density array plus temporaries that scale
-    # with the slab (2^14 cells, a quarter of this grid, by default)
+    # state; the slab pass holds no cells-sized array, since the tree sum
+    # draws each slab's density as it reaches it and drops it once passed,
+    # only temporaries that scale with the slab (2^14 cells, a quarter of this
+    # grid, by default)
     if cells is not None:
         monkeypatch.setattr(energy, "_BLOCK", cells)
     M = ElasticModel(lame_lambda=0.7, lame_mu=0.6, e0=np.array([[0.8, 0.1], [0.1, -0.2]]))

@@ -10,8 +10,9 @@ import sys
 import numpy as np
 import pytest
 
-from phasefrac import fields
+from phasefrac import energy, fields
 from phasefrac.cli import parse_config
+from phasefrac.harness import gamma_sweep
 from phasefrac.sharp import sharp_energy
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -260,9 +261,9 @@ def test_the_free_minimize_runs_the_c_step_without_a_mass(tmp_path):
     assert same_outputs.compare(ROOT, "minimize", same_outputs.MINIMIZE_FREE) == []
 
 
-def test_the_runs_cover_each_config_and_count_38():
+def test_the_runs_cover_each_config_and_count_39():
     # three runs per workload and seed, and the runs on the configs above
-    assert len(WORKLOADS) * len(same_outputs.SEEDS) * 3 + len(same_outputs.RUNS) == 38
+    assert len(WORKLOADS) * len(same_outputs.SEEDS) * 3 + len(same_outputs.RUNS) == 39
     assert [(command, text) for _, command, text in same_outputs.RUNS
             if text is same_outputs.SIGNED_ZERO_RIGID] == [
         ("recover", same_outputs.SIGNED_ZERO_RIGID), ("sweep", same_outputs.SIGNED_ZERO_RIGID)]
@@ -289,3 +290,44 @@ def test_the_signed_zero_rigid_runs_keep_the_sign_of_u(command, tmp_path):
         rows = mine["sweep.csv"].decode().splitlines()[1:]
         assert len(rows) == 1 and rows[0].endswith(",ok")
     assert same_outputs.compare(ROOT, command, text) == []
+
+
+def _tree_splits(lo, n):
+    """The split points of numpy's pairwise tree over values lo:lo+n."""
+    if n <= energy._LEAF:
+        return []
+    half = n // 2 - n // 2 % 8
+    return _tree_splits(lo, half) + [lo + half] + _tree_splits(lo + half, n - half)
+
+
+def test_the_off_split_sweep_splits_inside_slabs_and_flat_runs(monkeypatch, tmp_path):
+    text = same_outputs.FLAT_OFF_SPLITS
+    config = tmp_path / "run.ini"
+    config.write_text(text)
+    cfg = parse_config(str(config))
+    assert cfg.sweep_plan.cells == (600, 500) and cfg.sweep_plan.eps_schedule == (2.0 ** -7,)
+    layouts, integral = [], energy._integral
+
+    def seen(pieces, grid, label):
+        pieces = list(pieces)
+        layouts.append([(p.times * p.row.size, p.key) if isinstance(p, energy._Flat)
+                        else (p.size, None) for p in pieces])
+        return integral(pieces, grid, label)
+    monkeypatch.setattr(energy, "_integral", seen)
+    (row,) = gamma_sweep(cfg.sweep_plan, cfg.potentials, cfg.elastic).rows
+    assert row.status == "ok" and len(layouts) == 3
+    # 19 slabs of 32 rows, the last 8 flat in one pattern
+    layout = layouts[0]
+    assert all(other == layout for other in layouts)
+    assert [n for n, _ in layout] == [32 * 500] * 18 + [24 * 500]
+    assert [key is not None for _, key in layout] == [False] * 11 + [True] * 8
+    assert len({key for _, key in layout[11:]}) == 1
+    # the tree splits inside formed slabs and inside flat slabs
+    starts = np.cumsum([0] + [n for n, _ in layout])
+    inside = {layout[np.searchsorted(starts, x, "right") - 1][1] is not None
+              for x in _tree_splits(0, 600 * 500) if x not in starts}
+    assert inside == {False, True}
+    monkeypatch.setattr(energy, "_integral", integral)
+    mine = same_outputs.run_cli(ROOT, "sweep", str(config), str(tmp_path / "out"))
+    assert mine["exit code"] == b"0" and mine["stderr"] == b""
+    assert same_outputs.compare(ROOT, "sweep", text) == []

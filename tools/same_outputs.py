@@ -16,7 +16,10 @@ non-convex polygon with slanted edges and a slanted crack, compare the
 inside test and the distances where no edge is axis-aligned.  `recover` and
 `sweep` on SIGNED_ZERO_RIGID, whose rigid maps hold -0.0 and 0.0 on a grid
 whose tiles all lie on one side of the supporting line, compare the signs
-of u's zeros.  Then `sweep` on SWEEP_1D, a 1D sweep on a
+of u's zeros, and `sweep` on FLAT_OFF_SPLITS, the same geometry on 600 x 500
+cells, whose flat slabs repeat one pattern and meet the energy sum's split
+points inside slabs and inside their run, so the sum's tree gathers and
+reuses sums across slab seams.  Then `sweep` on SWEEP_1D, a 1D sweep on a
 grid of several energy slabs, `sweep` and `recover` on SWEEP_1D_PIECES, a 1D
 geometry of several pieces whose dumps read back through 64 KiB blocks that
 are one line repeated, blocks with a leading or trailing run and blocks of
@@ -201,6 +204,14 @@ delta_scale = 0.18
 lambda = 1e-4
 """
 
+# SIGNED_ZERO_RIGID's geometry on 600 x 500 cells, 300,000, at eps = 2^-7: the
+# energy pass cuts it into 19 slabs of 32 rows, the last 8 flat in one
+# pattern, and numpy's pairwise tree splits inside slabs and inside that flat
+# run, where the other grids off powers of two hold no flat slab or two, and
+# the power-of-two grids' slabs are whole subtrees of the tree
+FLAT_OFF_SPLITS = SIGNED_ZERO_RIGID.replace("cells = 256 200\neps_schedule = 0.03125",
+                                            "cells = 600 500\neps_schedule = 0.0078125")
+
 # a 1D minimize without [solver] mass: the workloads' minimize runs all set
 # one, so this is the run that takes the c-step with no mass projection
 MINIMIZE_FREE = """[elastic]
@@ -235,6 +246,7 @@ RUNS = [("affine sharp", "sharp", AFFINE_SHARP),
         ("slanted sweep", "sweep", SLANTED_RECOVER),
         ("signed-zero rigid recover", "recover", SIGNED_ZERO_RIGID),
         ("signed-zero rigid sweep", "sweep", SIGNED_ZERO_RIGID),
+        ("sweep with flat slabs off the tree's splits", "sweep", FLAT_OFF_SPLITS),
         ("1D sweep", "sweep", SWEEP_1D),
         ("1D sweep over several pieces", "sweep", SWEEP_1D_PIECES),
         ("1D recover over several pieces", "recover", SWEEP_1D_PIECES),
