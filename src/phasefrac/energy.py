@@ -17,9 +17,12 @@ finite differences in the test suite.
 `evaluate_block` is that pass at one block, which also returns the energy of
 the state with that block replaced; such a trial recomputes only the terms
 the block moves, so an Armijo search costs one pass per step.
-`diffuse_energy` is the energy alone, bit for bit `evaluate`'s, formed over
-slabs of `fields._BLOCK` cells (whole rows, each read with one halo row on
-each side); it holds no cells-sized array where `evaluate` holds about
+`diffuse_energy` is the energy alone, bit for bit `evaluate`'s, in one
+pass over slabs of `fields._BLOCK` cells (whole rows, each read with one
+halo row on each side) from a row source: a state's arrays, or a recovery
+built band by band as the pass reaches it (`recovery.RecoveryBands`, what a
+sweep row uses).  Each slab is read once and its three densities formed
+once; the pass holds no cells-sized array where `evaluate` holds about
 fifteen.  A flat slab, whose rows and halo rows hold one value of c, one of
 z and one of u, bit for bit (a plateau of a recovery), is formed on its
 first row, which stands for all its rows, and flat slabs that hold the same
@@ -28,14 +31,15 @@ pointwise function of the cell values and the difference planes, so the
 potentials and the degradation must act elementwise, as all of the
 package's do.
 
-Every integral, the whole-array pass's and the slabs', is one `_integral`:
-numpy's pairwise summation tree walked over the density's pieces in
-row-major order, each range inside one formed slab summed by `np.sum`, and
-each range inside a flat slab summed once per pattern, offset within the row
-and length.  So the slabs' sum is `np.sum` of the whole density, bit for bit,
-with no array of it.  That assumes numpy's reduction order, verified on
-numpy 2.4.6; `test_integral_walks_numpys_pairwise_tree` guards it, so a numpy
-that sums in another order fails loudly.
+Every integral is `np.sum` of its density, bit for bit.  The whole-array
+pass's is `_integral`, `np.sum` itself.  The slabs' three are `_integrals`:
+numpy's pairwise summation tree walked over each density's pieces in
+row-major order, the three walks fed each slab in lockstep, each range
+inside one formed slab summed by `np.sum`, and each range inside a flat
+slab summed once per pattern, offset within the row and length, with no
+array of the whole density.  That assumes numpy's reduction order, verified
+on numpy 2.4.6; `test_integral_walks_numpys_pairwise_tree` guards it, so a
+numpy that sums in another order fails loudly.
 
 Strains, e0 and stresses are tuples of strain planes, (xx,) in 1D and
 (xx, yy, xy) in 2D (see `fields.sym_gradient`).  In |xi|^2 and in the
@@ -193,6 +197,11 @@ class DiffuseState:
     def grid(self) -> Grid:
         return self.c.grid
 
+    def rows(self, r: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """c, z and u on the rows of the slice r, as views: the row source
+        of `diffuse_energy`."""
+        return self.c.values[r], self.z.values[r], self.u.values[r]
+
     def replace(self, **kw) -> "DiffuseState":
         return dataclasses.replace(self, **kw)
 
@@ -223,31 +232,75 @@ _LEAF = 128
 
 
 class _Flat(NamedTuple):
-    """A flat run of `_integral`'s pieces: `row`, one formed row of a density,
+    """A flat run of a density's pieces (`_integrals`): `row`, one formed row,
     repeated `times` times; `key`, the pattern whose runs hold its values."""
     row: np.ndarray
     times: int
     key: bytes
 
 
-def _integral(pieces: Iterable, grid: Grid, label: str) -> float:
-    """The midpoint rule, the cell volume times the sum of a density over
-    `grid`, bit for bit `np.sum` of the whole density array.  The density
-    comes as `pieces` in row-major order, each a formed array or a `_Flat`
-    run, drawn only when the sum reaches them and dropped once it has passed
-    them, so the sum holds one piece at a time (`_PairwiseSum`).
+def _integral(density: np.ndarray, grid: Grid, label: str) -> float:
+    """The midpoint rule of one whole density array, the cell volume times
+    `np.sum` of it: the tree's root lies inside this one piece, so it is
+    summed and scanned as `_checked_sum` does, with no walk."""
+    return float(grid.cell_volume * _checked_sum(density, 0, grid.cells, label))
 
-    A non-finite density raises ValueError naming the term `label` and its
-    first such cell.  A sum is finite only if every term is, so a range is
-    scanned only when its sum is not, and the walk scans in row-major order;
-    a finite density whose sum overflows finds no such cell and returns inf,
-    which `EnergyBreakdown` refuses."""
-    total = _PairwiseSum(pieces, grid, label).tree(0, math.prod(grid.cells))
-    return float(grid.cell_volume * total)
+
+def _checked_sum(values: np.ndarray, lo: int, shape: tuple, label: str):
+    """The sum of `values`, the row-major cells from lo on of a density over
+    `shape`, as `np.sum` gives it.  A sum is finite only if every term is, so
+    the values are scanned only when it is not: the first non-finite cell
+    raises ValueError naming the term `label` and that cell, and a finite
+    density whose sum overflows returns inf, which `EnergyBreakdown`
+    refuses."""
+    total = values.sum()
+    if not math.isfinite(total):
+        bad = ~np.isfinite(values)
+        if bad.any():
+            idx = np.unravel_index(lo + int(np.argmax(bad)), shape)
+            raise ValueError(f"non-finite {label} density at cell "
+                             f"{tuple(int(i) for i in idx)}")
+    return total
+
+
+def _integrals(slabs: Iterable[tuple], grid: Grid, labels: tuple[str, ...]) -> list[float]:
+    """The midpoint rule of several densities formed together, each bit for
+    bit `_integral` of its whole array.  `slabs` yields, in row-major order,
+    one piece per label for each slab, a formed array or a `_Flat` run, and
+    each density's tree sum (`_PairwiseSum`) takes its piece as the slab
+    comes, so the sums run in lockstep and hold no slab they have passed.
+
+    A non-finite density raises `_checked_sum`'s ValueError for the first
+    term, in the order of `labels`, that has one: a term whose walk fails
+    stops, the terms after it are no longer fed, and the terms before it are
+    walked to their end."""
+    walks = [_PairwiseSum(grid, label).walk() for label in labels]
+    for walk in walks:
+        next(walk)  # to its request for the first piece
+    totals, fault = [None] * len(walks), None
+    for pieces in slabs:
+        for k, (walk, piece) in enumerate(zip(walks, pieces)):
+            try:
+                walk.send(piece)
+            except StopIteration as done:
+                totals[k] = done.value
+            except ValueError as exc:
+                fault, walks = exc, walks[:k]
+                break
+        # dropped before the next slab is formed
+        pieces = piece = None
+        if not walks:
+            break
+    if fault is not None:
+        try:
+            raise fault
+        finally:  # no cycle through this frame keeps the pass alive
+            fault = None
+    return [float(grid.cell_volume * total) for total in totals]
 
 
 class _PairwiseSum:
-    """numpy's pairwise tree over the concatenated values of `_integral`'s
+    """numpy's pairwise tree over the concatenated values of a density's
     pieces: a range of more than `_LEAF` values splits at half its length,
     rounded down to a multiple of 8.  A range inside one formed piece is
     `np.sum` of that slice, a range of at most `_LEAF` values across pieces is
@@ -255,45 +308,39 @@ class _PairwiseSum:
     only on its key, its offset within the row and its length, so it is
     summed once for those three.  This rests on numpy's reduction order,
     verified on numpy 2.4.6 and guarded by
-    `test_integral_walks_numpys_pairwise_tree`.  The walk visits the values
-    in row-major order, so it holds only the piece it is in.  A method, not
-    a closure, walks the tree, so no reference cycle keeps the pieces, or the
-    state they are formed from, alive after the sum."""
+    `test_integral_walks_numpys_pairwise_tree`.
 
-    def __init__(self, pieces: Iterable, grid: Grid, label: str):
-        self.pieces, self.shape, self.label = iter(pieces), grid.cells, label
+    `walk` is a generator that is sent the pieces in row-major order and
+    returns the sum once it has the last.  It visits the values in that
+    order, so it holds only the piece it is in.  The generator refers to the
+    walker, never the other way round, so no reference cycle keeps the
+    pieces alive after the sum."""
+
+    def __init__(self, grid: Grid, label: str):
+        self.shape, self.label = grid.cells, label
         # the piece the walk is in: its values lo:hi, flattened, and its key
         self.lo = self.hi = 0
         self.values, self.key, self.sums = None, None, {}
 
-    def reach(self, lo: int) -> None:
-        """Draw pieces until the one the walk is in holds value lo; the walk
+    def walk(self):
+        return (yield from self.tree(0, math.prod(self.shape)))
+
+    def reach(self, lo: int):
+        """Take pieces until the one the walk is in holds value lo; the walk
         runs in row-major order, so a piece it leaves is dropped."""
         while self.hi <= lo:
             self.values = None  # freed before the next piece is formed
-            piece = next(self.pieces)
+            piece = yield
             flat = isinstance(piece, _Flat)
             self.values = (piece.row if flat else piece).reshape(-1)
             self.lo, self.hi = self.hi, self.hi + self.values.size * (piece.times if flat else 1)
             self.key = piece.key if flat else None
 
-    def checked_sum(self, values: np.ndarray, lo: int):
-        """The sum of `values`, the range from lo on, as `np.sum` gives it;
-        a sum that is not finite has its first non-finite cell named."""
-        total = values.sum()
-        if not math.isfinite(total):
-            bad = ~np.isfinite(values)
-            if bad.any():
-                idx = np.unravel_index(lo + int(np.argmax(bad)), self.shape)
-                raise ValueError(f"non-finite {self.label} density at cell "
-                                 f"{tuple(int(i) for i in idx)}")
-        return total
-
-    def gathered(self, lo: int, hi: int) -> np.ndarray:
+    def gathered(self, lo: int, hi: int):
         """The values lo:hi as one array."""
         parts = []
         while lo < hi:
-            self.reach(lo)
+            yield from self.reach(lo)
             a, b = lo - self.lo, min(hi, self.hi) - self.lo
             parts.append(self.values[a:b] if self.key is None
                          else self.values[np.arange(a, b) % self.values.size])
@@ -302,19 +349,21 @@ class _PairwiseSum:
 
     def tree(self, lo: int, n: int):
         """The sum of lo:lo+n."""
-        self.reach(lo)
+        yield from self.reach(lo)
         at = None
         if lo + n <= self.hi:
             if self.key is None:
-                return self.checked_sum(self.values[lo - self.lo:lo - self.lo + n], lo)
+                return _checked_sum(self.values[lo - self.lo:lo - self.lo + n], lo, self.shape,
+                                    self.label)
             at = (self.key, (lo - self.lo) % self.values.size, n)
             if at in self.sums:
                 return self.sums[at]
         if n <= _LEAF:
-            total = self.checked_sum(self.gathered(lo, lo + n), lo)
+            total = _checked_sum((yield from self.gathered(lo, lo + n)), lo, self.shape,
+                                 self.label)
         else:
             half = n // 2 - n // 2 % 8
-            total = self.tree(lo, half) + self.tree(lo + half, n - half)
+            total = (yield from self.tree(lo, half)) + (yield from self.tree(lo + half, n - half))
         if at is not None:
             self.sums[at] = total
         return total
@@ -368,9 +417,9 @@ def _z_terms(z: np.ndarray, s: DiffuseState, P: PotentialSet, M: ElasticModel,
     zc, outside = _clamp(z)
     phase_weight, elastic_weight = _phase_weight(zc, s, P), _elastic_weight(zc, s, M)
     gz = gradient(z, s.grid.spacing)
-    energy = EnergyBreakdown(_integral([phase_weight * phase_raw], s.grid, "interfacial"),
-                             _integral([elastic_weight * form], s.grid, "elastic"),
-                             _integral([_crack_density(zc, gz, s, P)], s.grid, "crack"),
+    energy = EnergyBreakdown(_integral(phase_weight * phase_raw, s.grid, "interfacial"),
+                             _integral(elastic_weight * form, s.grid, "elastic"),
+                             _integral(_crack_density(zc, gz, s, P), s.grid, "crack"),
                              int(np.count_nonzero(outside)))
     return energy, zc, outside, (phase_weight, elastic_weight), gz
 
@@ -442,8 +491,8 @@ def evaluate_block(s: DiffuseState, P: PotentialSet, M: ElasticModel, block: str
         def trial(c: np.ndarray) -> EnergyBreakdown:
             raw = _phase_raw(c, gradient(c, s.grid.spacing), s, P)
             form = M.form(_misfit(strain, c, e0))
-            return EnergyBreakdown(_integral([phase_weight * raw], s.grid, "interfacial"),
-                                   _integral([elastic_weight * form], s.grid, "elastic"),
+            return EnergyBreakdown(_integral(phase_weight * raw, s.grid, "interfacial"),
+                                   _integral(elastic_weight * form, s.grid, "elastic"),
                                    energy.e_crack, energy.clamped_cells)
     else:
         trial = _elastic_trial(s, M, elastic_weight, e0, energy)
@@ -459,7 +508,7 @@ def _elastic_trial(s: DiffuseState, M: ElasticModel, weight: np.ndarray, e0: tup
 
     def trial(u: np.ndarray) -> EnergyBreakdown:
         form = M.form(_misfit(sym_gradient(u, h), c, e0))
-        return EnergyBreakdown(energy.e_phase, _integral([weight * form], s.grid, "elastic"),
+        return EnergyBreakdown(energy.e_phase, _integral(weight * form, s.grid, "elastic"),
                                energy.e_crack, energy.clamped_cells)
     return trial
 
@@ -479,88 +528,88 @@ def _bit_flat(a: np.ndarray, per_cell: int) -> bool:
     return bool(np.array_equal(bits[per_cell:], bits[:-per_cell]))
 
 
-def _slabs(rows: int, row_cells: int, pattern: Callable[[slice], Optional[bytes]]):
-    """Slabs of `max(1, _BLOCK // row_cells)` rows, each as (its rows, the
-    rows its densities are formed on, those rows with one halo row on each
-    side inside the grid, the formed rows within the haloed ones, its flat
-    pattern).  A difference of the haloed rows is the whole grid's difference
-    on the formed rows, bit for bit: centered differences read the same
-    operands, and one-sided ones fall only on the grid's own edge rows.  A
-    slab whose haloed rows `pattern` finds bit-constant, and keys by the bits
-    of one cell (None for any other slab), is formed on its first row alone:
-    each of its differences is x - x, +0.0, so each of its rows has the first
-    row's densities."""
-    step = max(1, _BLOCK // row_cells)
-    for r0 in range(0, rows, step):
+def _flat_key(c: np.ndarray, z: np.ndarray, u: np.ndarray, dim: int) -> Optional[bytes]:
+    """The raw bytes of one cell's c, z and u when the rows c, z and u hold
+    one value each, bit for bit (0.0 and -0.0 apart); None otherwise."""
+    if not (_bit_flat(c, 1) and _bit_flat(z, 1) and _bit_flat(u, dim)):
+        return None
+    return b"".join(a.reshape(-1)[:k].tobytes() for a, k in ((c, 1), (z, 1), (u, dim)))
+
+
+def diffuse_energy(s, P: PotentialSet, M: ElasticModel) -> EnergyBreakdown:
+    """The energy alone, bit for bit `evaluate(s, P, M)[0]`, clamp count
+    included, in one pass over slabs of `max(1, _BLOCK // row cells)` rows.
+    `s` is a row source: a `DiffuseState`, or anything else with its `grid`,
+    `eps` and `delta` and a method `rows(r)` that gives c, z and u on the
+    rows of the slice r, asked for in increasing order of `r.start`
+    (`recovery.RecoveryBands`, which builds a recovery band by band).
+
+    Each slab's rows are read once, with one halo row on each side inside
+    the grid: a difference of the haloed rows is the whole grid's difference
+    on the slab's rows, bit for bit, since centered differences read the
+    same operands and one-sided ones fall only on the grid's own edge rows.
+    Its three densities are formed together and handed to `_integrals`,
+    whose tree sums take them in lockstep, so the pass holds no cells-sized
+    array, only slab-sized temporaries and what the source holds.  A slab
+    whose rows and halo rows hold one value of c, one of z and one of u, bit
+    for bit, is flat: the densities are pointwise functions of the cell
+    values and the difference planes, and every difference there is x - x,
+    +0.0, so its densities are those of its first row, formed with that
+    row's halo and repeated, a `_Flat` run.  Flat slabs are keyed by the raw
+    bytes of one cell's c, z and u (`_flat_key`), and the densities are
+    formed on one row per key: a flat slab whose key an earlier one holds
+    takes that slab's rows.  So the plateaus of a state cost one row per
+    distinct plateau, and `_integrals` sums each of their ranges once per
+    key."""
+    grid, h = s.grid, s.grid.spacing
+    rows, e0 = grid.cells[0], M.e0_planes(grid.dim)
+    step = max(1, _BLOCK // (math.prod(grid.cells) // rows))
+    shared, clamped = {}, 0  # each flat pattern's three formed density rows
+
+    def inner_diff(op, a, inner):
+        """`op` (gradient or sym_gradient) of the haloed rows a, on `inner`."""
+        return tuple(p[inner] for p in op(a, h))
+
+    # each weight is formed after its raw density, and the elastic density,
+    # with the most temporaries, before the other two, so that no two sets of
+    # temporaries overlap
+    def elastic(c, u, zc, inner):
+        form = M.form(_misfit(inner_diff(sym_gradient, u, inner), c[inner], e0))
+        return _elastic_weight(zc, s, M) * form
+
+    def interfacial(c, zc, inner):
+        raw = _phase_raw(c[inner], inner_diff(gradient, c, inner), s, P)
+        return _phase_weight(zc, s, P) * raw
+
+    def densities(c, z, u, inner):
+        """The three densities on rows `inner` of the haloed rows c, z, u."""
+        zc = _clamp(z[inner])[0]
+        elastic_density = elastic(c, u, zc, inner)
+        return (interfacial(c, zc, inner), elastic_density,
+                _crack_density(zc, inner_diff(gradient, z, inner), s, P))
+
+    def slab(r0):
+        """The densities of the slab from row r0, as pieces; the slab's rows
+        are dropped on return, before the next slab's are read."""
+        nonlocal clamped
         r1 = min(r0 + step, rows)
         halo, inner = _haloed(r0, r1, rows)
-        formed, key = r1, pattern(halo)
-        if key is not None:
-            formed = r0 + 1
-            halo, inner = _haloed(r0, formed, rows)
-        yield slice(r0, r1), slice(r0, formed), halo, inner, key
+        c, z, u = s.rows(halo)
+        key = _flat_key(c, z, u, grid.dim)
+        if key is None:
+            clamped += int(np.count_nonzero(_clamp(z[inner])[1]))
+            return densities(c, z, u, inner)
+        # every row holds the first row's clamped cells and densities
+        clamped += (r1 - r0) * int(np.count_nonzero(_clamp(z[inner][:1])[1]))
+        if key not in shared:
+            first, one = _haloed(r0, r0 + 1, rows)
+            first = slice(first.start - halo.start, first.stop - halo.start)
+            shared[key] = densities(c[first], z[first], u[first], one)
+        return tuple(_Flat(d, r1 - r0, key) for d in shared[key])
 
-
-def diffuse_energy(s: DiffuseState, P: PotentialSet, M: ElasticModel) -> EnergyBreakdown:
-    """The energy alone, bit for bit `evaluate(s, P, M)[0]`, clamp count
-    included, formed over slabs of rows (`_slabs`).  Each density, in turn,
-    is formed slab by slab as `_integral` draws it, so the pass holds no
-    cells-sized array, only slab-sized temporaries.  A slab whose rows and
-    halo rows hold one value of c, one of z and one of u, bit for bit, is
-    flat: the three densities are pointwise functions of the cell values and
-    the difference planes, and every difference there is +0.0, so its
-    densities are those of its first row, repeated, a `_Flat` run.  Flat
-    slabs are keyed by the raw bytes of one cell's c, z and u (0.0 and -0.0
-    apart), and each density is formed on one row per key: a flat slab whose
-    key an earlier one holds takes that slab's formed row.  So the plateaus
-    of a state cost one row per distinct plateau, a nonzero e0's elastic
-    density on them included, and `_integral` sums each of their ranges once
-    per key."""
-    h = s.grid.spacing
-    c, u, z, e0 = s.c.values, s.u.values, s.z.values, M.e0_planes(s.grid.dim)
-
-    def pattern(halo: slice) -> Optional[bytes]:
-        if not (_bit_flat(c[halo], 1) and _bit_flat(z[halo], 1)
-                and _bit_flat(u[halo], s.grid.dim)):
-            return None
-        row = slice(halo.start, halo.start + 1)
-        return b"".join(a[row].reshape(-1)[:k].tobytes()
-                        for a, k in ((c, 1), (z, 1), (u, s.grid.dim)))
-
-    slabs = list(_slabs(len(c), c.size // len(c), pattern))
-
-    def pieces(slab_density: Callable):
-        shared = {}  # each flat pattern's formed density row
-        for own, formed, halo, inner, key in slabs:
-            # diff(op, a): `op` (gradient or sym_gradient) of a on the formed rows
-            def diff(op, a):
-                return tuple(p[inner] for p in op(a[halo], h))
-            if key is None:
-                yield slab_density(formed, diff)
-                continue
-            if key not in shared:
-                shared[key] = slab_density(formed, diff)
-            yield _Flat(shared[key], own.stop - own.start, key)
-
-    # each weight is formed after its raw density, so the two sets of
-    # temporaries never overlap
-    def interfacial(rows, diff):
-        raw = _phase_raw(c[rows], diff(gradient, c), s, P)
-        return _phase_weight(_clamp(z[rows])[0], s, P) * raw
-
-    def elastic(rows, diff):
-        form = M.form(_misfit(diff(sym_gradient, u), c[rows], e0))
-        return _elastic_weight(_clamp(z[rows])[0], s, M) * form
-
-    def crack(rows, diff):
-        return _crack_density(_clamp(z[rows])[0], diff(gradient, z), s, P)
-
-    # a flat slab's rows each hold its first row's clamped cells
-    clamped = sum(int(np.count_nonzero(_clamp(z[formed])[1])) * (own.stop - own.start)
-                  // (formed.stop - formed.start) for own, formed, _, _, _ in slabs)
-    return EnergyBreakdown(_integral(pieces(interfacial), s.grid, "interfacial"),
-                           _integral(pieces(elastic), s.grid, "elastic"),
-                           _integral(pieces(crack), s.grid, "crack"), clamped)
+    terms = _integrals((slab(r0) for r0 in range(0, rows, step)), grid,
+                       ("interfacial", "elastic", "crack"))
+    return EnergyBreakdown(*terms, clamped)
 
 
 def mass(c: ScalarField) -> float:

@@ -20,7 +20,7 @@ from .energy import ElasticModel, EnergyBreakdown, diffuse_energy
 from .fields import Grid, ScalarField, VectorField, slice_extract
 from .potentials import (PotentialSet, _resolve_potential, geodesic_table,
                          geodesic_transform)
-from .recovery import build_recovery
+from .recovery import RecoveryBands
 from .sharp import DisplacementSpec, sharp_energy
 
 CSV_HEADER = "eps,delta,e_phase,e_elastic,e_crack,e_total,e_sharp,rel_err,status"
@@ -121,8 +121,13 @@ def gamma_sweep(plan: SweepPlan, P: PotentialSet, M: ElasticModel) -> SweepTable
     """Embed the configuration at each width, compare energies to the sharp value.
 
     rel_err = (e_total - e_sharp) / max(e_sharp, 1e-12).  Failures of single
-    rows (unresolvable profiles, width violations under enforce_width) are
-    recorded with an error status and the sweep continues.
+    rows (unresolvable profiles, width violations under enforce_width, a
+    non-finite density) are recorded with an error status and the sweep
+    continues.  A row's energy is `diffuse_energy` of `build_recovery`'s
+    state, bit for bit, but the recovery is a `recovery.RecoveryBands`:
+    built one band of tile rows at a time as the energy's slab pass reaches
+    it and dropped once the pass has left it, so a row holds about one band
+    of c, z and u and slab-sized temporaries, whatever the grid size.
     """
     sharp = sharp_energy(plan.geometry, P, M)
     e_sharp = sharp.e_total
@@ -130,10 +135,10 @@ def gamma_sweep(plan: SweepPlan, P: PotentialSet, M: ElasticModel) -> SweepTable
     rows: list[SweepRow] = []
     for eps, delta in zip(plan.eps_schedule, plan.deltas()):
         try:
-            # the state lives only inside this call, so a row's build never
-            # overlaps the previous row's state
-            energy = diffuse_energy(build_recovery(plan.geometry, eps, delta, plan.lam, grid,
-                                                   P, enforce_width=plan.enforce_width), P, M)
+            # the row's recovery is built band by band inside the energy's
+            # slab pass, so no cells-sized c, z or u is ever held
+            energy = diffuse_energy(RecoveryBands(plan.geometry, eps, delta, plan.lam, grid, P,
+                                                  enforce_width=plan.enforce_width), P, M)
         except (ValueError, ArithmeticError) as exc:
             rows.append(SweepRow(eps, delta, None, e_sharp, float("nan"),
                                  status=f"error:{type(exc).__name__}"))

@@ -54,12 +54,21 @@ map over the tile's axes, without a side test per cell
 (`sharp.piecewise_rigid_displacement`).  A tile's sample locations are its
 axes of cell centres, broadcast (`np.meshgrid(..., sparse=True)`), never a
 stack of points: the geometry takes coordinate arrays and answers in the
-tile's shape, which is written straight into the tile.  The tiles write
-into the preallocated c, z and u arrays, which the fields take without a
-copy, as a `fields._HandOver`.  Besides those arrays, which the state
-owns, the build holds a few numbers per tile and tile-sized temporaries,
-under 3 MiB at 2^14 cells whatever the grid size, so they stay in cache.
-Every value is the one a single whole-grid pass gives, bit for bit.
+tile's shape, which is written straight into the tile.
+
+The checks, the profiles and the tiles' plateau decisions are made once per
+recovery (`RecoveryBands`); its `band` builds c, z and u on any range of
+rows from them, each tile that meets the range cut to it.  Every value is the
+one a single whole-grid pass gives, bit for bit, however the rows are cut:
+the formulas are pointwise in the cell centre, and a plateau is the
+formula's own value there.  `build_recovery` builds all rows as one band,
+into arrays the fields take without a copy, as a `fields._HandOver`, since
+`recover` dumps them.  `RecoveryBands` builds one band of tile rows at a
+time, as the energy's slab pass asks for rows, and drops it once the pass
+has left it, so a sweep row holds about one band of c, z and u, never a
+cells-sized array.  Besides its arrays, a build holds a few numbers per
+tile and tile-sized temporaries, under 3 MiB at 2^14 cells whatever the
+grid size.
 """
 from __future__ import annotations
 
@@ -186,13 +195,114 @@ def _transition(f: Callable[[np.ndarray], np.ndarray], lam: float, scale: float,
     return prof
 
 
+def _side(dim: int) -> int:
+    """The side of a recovery tile: `_BLOCK` cells in 1D, isqrt(`_BLOCK`) in 2D."""
+    return _BLOCK if dim == 1 else math.isqrt(_BLOCK)
+
+
 def _tiles(cells: tuple[int, ...]) -> list[tuple[slice, ...]]:
-    """The grid's square tiles of at most `_BLOCK` cells, as index slices:
-    `_BLOCK` cells in 1D, isqrt(`_BLOCK`) per axis in 2D; a tile at the far
-    end of an axis whose count the side does not divide is cut short."""
-    side = _BLOCK if len(cells) == 1 else math.isqrt(_BLOCK)
+    """The grid's square tiles of at most `_BLOCK` cells, as index slices in
+    row-major order, `_side` cells a side; a tile at the far end of an axis
+    whose count the side does not divide is cut short."""
+    side = _side(len(cells))
     return list(itertools.product(*[[slice(s, min(s + side, n)) for s in range(0, n, side)]
                                     for n in cells]))
+
+
+class RecoveryBands:
+    """The diffuse embedding of a sharp configuration on a grid, built on
+    demand.  Construction makes the decisions once: the checks, the
+    profiles, the tiles and which of them the bounds put on a plateau; it
+    raises what `build_recovery` documents.  `band` builds c, z and u on any
+    range of rows from them.  `rows` makes the recovery a row source of
+    `energy.diffuse_energy`: it builds one band of tile rows at a time
+    (`_side` rows: 128 in 2D, `_BLOCK` cells in 1D) as the energy's slab
+    pass asks for rows, and drops it once the pass has left it, so no
+    cells-sized c, z or u is held.  Each cell is built once and holds the
+    bits of `build_recovery`'s state, since the formulas are pointwise in
+    the cell centre and a plateau is the formula's own value."""
+
+    def __init__(self, geometry, eps: float, delta: float, lam: float, grid: Grid,
+                 P: PotentialSet, *, enforce_width: bool):
+        if grid.dim != geometry.dim:
+            raise ValueError("grid and geometry dimensions differ")
+        if eps <= 0 or delta <= 0:
+            raise ValueError("eps and delta must be positive")
+        reason = width_violation(geometry, eps, delta, lam) if enforce_width else None
+        if reason is not None:
+            raise WidthConditionError(reason)
+
+        hmax = max(grid.spacing)
+        self.prof_w = _transition(P.w, lam, eps, hmax, "c") if geometry.has_phase() else None
+        self.prof_v = _transition(P.v, lam, delta, hmax, "z") if geometry.has_crack() else None
+        self.geometry, self.grid, self.eps, self.delta = geometry, grid, eps, delta
+        self.tube = lam * delta
+        self.centers = [grid.centers(a) for a in range(grid.dim)]
+        self.tiles = _tiles(grid.cells)
+        # the rows of a band, one row of tiles, and its count of tiles
+        self.side = _side(grid.dim)
+        self.row_tiles = len(self.tiles) // -(-grid.cells[0] // self.side)
+        # each tile's box of cell centres: its distances, less `tol_geom`, bound
+        # those of every cell centre of the tile
+        first = np.array([[x[s.start] for x, s in zip(self.centers, t)] for t in self.tiles])
+        last = np.array([[x[s.stop - 1] for x, s in zip(self.centers, t)] for t in self.tiles])
+        self.c_one = self.c_band = self.z_band = np.zeros(len(self.tiles), dtype=bool)
+        if self.prof_w is not None:
+            gap = geometry.phase_boundary_box_distance(first, last) - geometry.tol_geom
+            # a box that no edge reaches lies wholly in A or wholly outside
+            self.c_one = (gap > 0.0) & (geometry.phase_distance(*(0.5 * (first + last)).T) == 0.0)
+            self.c_band = ~self.c_one & (gap < self.prof_w.width)
+        if self.prof_v is not None:
+            self.z_band = (geometry.crack_box_distance(first, last) - geometry.tol_geom
+                           - self.tube < self.prof_v.width)
+        self._held = []  # (first row, (c, z, u)) of the built rows `rows` still needs
+        self._built = 0  # rows built so far by `rows`
+
+    def band(self, rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """c, z and u on the rows of the slice `rows`, new arrays: each tile
+        that meets them, cut to them, takes its plateau or its formulas."""
+        cells = (rows.stop - rows.start,) + self.grid.cells[1:]
+        c = np.zeros(cells)  # the c = 0 plateau, and c without a phase
+        z = np.ones(cells)  # the z = 1 plateau, and z without a crack
+        u = np.empty(cells + (self.grid.dim,))
+        geometry, prof_w, prof_v, tube = self.geometry, self.prof_w, self.prof_v, self.tube
+        for k in range(rows.start // self.side * self.row_tiles,
+                       -(-rows.stop // self.side) * self.row_tiles):
+            tile = self.tiles[k]
+            part = (slice(max(tile[0].start, rows.start), min(tile[0].stop, rows.stop)),) + tile[1:]
+            out = (slice(part[0].start - rows.start, part[0].stop - rows.start),) + tile[1:]
+            axes = np.meshgrid(*[x[s] for x, s in zip(self.centers, part)], indexing="ij",
+                               sparse=True)
+            if self.c_one[k]:
+                c[out] = 1.0
+            elif self.c_band[k]:
+                c[out] = prof_w.g(prof_w.width - geometry.phase_distance(*axes))
+            u[out] = geometry.u_values(*axes)
+            if self.z_band[k]:
+                crack_dist = geometry.crack_distance(*axes)
+                z[out] = prof_v.g(crack_dist - tube)
+                u[out] *= smoothstep(crack_dist / tube)[..., None]
+        return c, z, u
+
+    def rows(self, r: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """c, z and u on the rows of the slice r; r.start may not decrease
+        from one call to the next.  Rows before r.start are dropped.  When r
+        reaches past the built rows, the rest of the last band is copied
+        first, so that band is freed before the next is built; rows that lie
+        in one band come as views of it, others as one copy of their parts."""
+        self._held = [(start, arrays) for start, arrays in self._held
+                      if start + len(arrays[0]) > r.start]
+        if r.stop > self._built:
+            self._held = [(start, arrays) if start >= r.start else
+                          (r.start, tuple(a[r.start - start:].copy() for a in arrays))
+                          for start, arrays in self._held]
+            while self._built < r.stop:
+                band = slice(self._built, min(self._built + self.side, self.grid.cells[0]))
+                self._held.append((band.start, self.band(band)))
+                self._built = band.stop
+        parts = [tuple(a[max(r.start - start, 0):r.stop - start] for a in arrays)
+                 for start, arrays in self._held if start < r.stop]
+        return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
 
 def build_recovery(geometry, eps: float, delta: float, lam: float, grid: Grid,
@@ -206,49 +316,11 @@ def build_recovery(geometry, eps: float, delta: float, lam: float, grid: Grid,
     sweeps in the asymptotic regime.  The keyword has no default here: a
     sweep's, and so the CLI's, is `harness.SweepPlan.enforce_width`.  Raises
     ResolutionError when a needed transition is thinner than two cells.
+    The whole grid is one `RecoveryBands.band` of all its rows, into arrays
+    the fields take without a copy.
     """
-    if grid.dim != geometry.dim:
-        raise ValueError("grid and geometry dimensions differ")
-    if eps <= 0 or delta <= 0:
-        raise ValueError("eps and delta must be positive")
-    reason = width_violation(geometry, eps, delta, lam) if enforce_width else None
-    if reason is not None:
-        raise WidthConditionError(reason)
-
-    hmax = max(grid.spacing)
-    prof_w = _transition(P.w, lam, eps, hmax, "c") if geometry.has_phase() else None
-    prof_v = _transition(P.v, lam, delta, hmax, "z") if geometry.has_crack() else None
-
-    c = np.zeros(grid.cells)  # the c = 0 plateau, and c without a phase
-    z = np.ones(grid.cells)  # the z = 1 plateau, and z without a crack
-    u = np.empty(grid.cells + (grid.dim,))
-    centers = [grid.centers(a) for a in range(grid.dim)]
-    tiles = _tiles(grid.cells)
-    # each tile's box of cell centres: its distances, less `tol_geom`, bound
-    # those of every cell centre of the tile
-    first = np.array([[x[s.start] for x, s in zip(centers, t)] for t in tiles])
-    last = np.array([[x[s.stop - 1] for x, s in zip(centers, t)] for t in tiles])
-    c_one = c_band = z_band = np.zeros(len(tiles), dtype=bool)
-    if prof_w is not None:
-        gap = geometry.phase_boundary_box_distance(first, last) - geometry.tol_geom
-        # a box that no edge reaches lies wholly in A or wholly outside
-        c_one = (gap > 0.0) & (geometry.phase_distance(*(0.5 * (first + last)).T) == 0.0)
-        c_band = ~c_one & (gap < prof_w.width)
-    if prof_v is not None:
-        z_band = (geometry.crack_box_distance(first, last) - geometry.tol_geom - lam * delta
-                  < prof_v.width)
-    for k, tile in enumerate(tiles):
-        axes = np.meshgrid(*[x[s] for x, s in zip(centers, tile)], indexing="ij", sparse=True)
-        if c_one[k]:
-            c[tile] = 1.0
-        elif c_band[k]:
-            c[tile] = prof_w.g(prof_w.width - geometry.phase_distance(*axes))
-        u[tile] = geometry.u_values(*axes)
-        if z_band[k]:
-            crack_dist = geometry.crack_distance(*axes)
-            z[tile] = prof_v.g(crack_dist - lam * delta)
-            u[tile] *= smoothstep(crack_dist / (lam * delta))[..., None]
-
+    c, z, u = RecoveryBands(geometry, eps, delta, lam, grid, P,
+                            enforce_width=enforce_width).band(slice(0, grid.cells[0]))
     return DiffuseState(c=ScalarField(grid, _HandOver(c)),
                         u=VectorField(grid, _HandOver(u)),
                         z=ScalarField(grid, _HandOver(z)), eps=eps, delta=delta)

@@ -184,9 +184,14 @@ def test_integral_names_the_first_nonfinite_cell(bad):
     # the cell; inf against -inf sums to NaN, and is named all the same
     density = np.ones((4, 5))
     density[2, 3], density[3, 1] = bad, -bad
+    grid, message = Grid((0.0, 0.0), (1.0, 1.0), (4, 5)), "non-finite crack density at cell (2, 3)"
     with np.errstate(invalid="ignore"):
-        with pytest.raises(ValueError, match=re.escape("non-finite crack density at cell (2, 3)")):
-            energy._integral([density], Grid((0.0, 0.0), (1.0, 1.0), (4, 5)), "crack")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            energy._integral(density, grid, "crack")
+        # the slab pass's sums: the whole array as one slab, and as slabs of one row
+        for slabs in ([(density,)], [(row,) for row in np.split(density, 4)]):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                energy._integrals(slabs, grid, ("crack",))
 
 
 def test_a_finite_density_whose_sum_overflows_is_refused(P, monkeypatch):
@@ -201,12 +206,12 @@ def test_a_finite_density_whose_sum_overflows_is_refused(P, monkeypatch):
     g = Grid((0.0,), (1.0,), (4096,))
     s = DiffuseState(ScalarField.full(g, 1.0), VectorField.full(g, 0.0),
                      ScalarField.full(g, 1.0), 0.1, 0.1)
-    sums, checked_sum = [], energy._PairwiseSum.checked_sum
+    sums, checked_sum = [], energy._checked_sum
 
-    def counted(walk, values, lo):
+    def counted(values, lo, shape, label):
         sums.append(values.size)
-        return checked_sum(walk, values, lo)
-    monkeypatch.setattr(energy._PairwiseSum, "checked_sum", counted)
+        return checked_sum(values, lo, shape, label)
+    monkeypatch.setattr(energy, "_checked_sum", counted)
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="e_elastic must be finite and nonnegative, got inf"):
             evaluate(s, P, M)
@@ -261,8 +266,9 @@ def test_integral_walks_numpys_pairwise_tree(shape):
         assert any(isinstance(p, energy._Flat) for p in pieces)
         assert any(not isinstance(p, energy._Flat) for p in pieces)
         want = np.sum(whole)
-        assert energy._integral(pieces, grid, "test").hex() == float(want).hex()
-        assert energy._integral([whole], grid, "test").hex() == float(want).hex()
+        (got,) = energy._integrals([(p,) for p in pieces], grid, ("test",))
+        assert got.hex() == float(want).hex()
+        assert energy._integral(whole, grid, "test").hex() == float(want).hex()
         orders.add(np.cumsum(whole)[-1] == want)
     # the data tells orders apart: summing in sequence gives other bits
     assert False in orders
@@ -294,19 +300,19 @@ def test_the_tree_sum_gives_np_sum_on_every_workloads_densities(monkeypatch, tmp
     # cells, which end inside the tree's ranges and cut flat runs short
     monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(__file__)),
                                              "perfbench"))
-    kinds, integral = set(), energy._integral
+    kinds, integrals = set(), energy._integrals
 
-    def seen(pieces, grid, label):
-        pieces = list(pieces)
-        kinds.update(type(p) for p in pieces)
-        return integral(pieces, grid, label)
+    def seen(slabs, grid, labels):
+        slabs = list(slabs)
+        kinds.update(type(p) for pieces in slabs for p in pieces)
+        return integrals(slabs, grid, labels)
     for name, s, P, M in _smoke_states(tmp_path):
         want = evaluate(s, P, M)[0]
         for cells in (fields._BLOCK, 1000):
             monkeypatch.setattr(energy, "_BLOCK", cells)
-            monkeypatch.setattr(energy, "_integral", seen)
+            monkeypatch.setattr(energy, "_integrals", seen)
             assert _same_energy(diffuse_energy(s, P, M), want), (name, cells)
-            monkeypatch.setattr(energy, "_integral", integral)
+            monkeypatch.setattr(energy, "_integrals", integrals)
     assert kinds == {np.ndarray, energy._Flat}
 
 
@@ -716,6 +722,41 @@ def test_slab_pass_names_the_same_nonfinite_cell(P, monkeypatch, label, flat):
         evaluate(s, P, M)
     for cells in _SLAB_CELLS[2]:
         monkeypatch.setattr(energy, "_BLOCK", cells)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            diffuse_energy(s, P, M)
+
+
+@pytest.mark.parametrize("early,late", [("elastic", "interfacial"), ("crack", "elastic"),
+                                        ("crack", "interfacial")])
+def test_the_earlier_term_is_named_though_a_later_term_fails_first(P, monkeypatch, early, late):
+    # the three sums run in lockstep: `early`'s density is non-finite in the
+    # first slab and `late`'s only in a later one, yet the message names the
+    # first failing term in the order interfacial, elastic, crack, as the
+    # whole-array pass does
+    s, M = _slab_state(2)
+    c, z = s.c.values.copy(), s.z.values.copy()
+    cells = {early: (2, 4), late: (17, 9)}
+    # each term is non-finite where c (interfacial) or z (elastic, crack)
+    # takes its value, and only there
+    values = {"interfacial": ("c", 0.25), "elastic": ("z", 0.5), "crack": ("z", 0.75)}
+    for term, cell in cells.items():
+        name, value = values[term]
+        (c if name == "c" else z)[cell] = value
+    s = s.replace(c=ScalarField(s.grid, c), z=ScalarField(s.grid, z))
+    for term in cells:
+        if term == "interfacial":
+            P = dataclasses.replace(P, w=_inf_at(0.25, P.w))
+        elif term == "elastic":
+            monkeypatch.setitem(DEGRADATIONS, "inf_at_half", (_inf_at(0.5, M.psi), M.dpsi))
+            M = dataclasses.replace(M, degradation="inf_at_half")
+        else:
+            P = dataclasses.replace(P, v=_inf_at(0.75, P.v))
+    name = min(cells, key=("interfacial", "elastic", "crack").index)
+    message = f"non-finite {name} density at cell {cells[name]}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        evaluate(s, P, M)
+    for cells_per_slab in _SLAB_CELLS[2][:-1]:
+        monkeypatch.setattr(energy, "_BLOCK", cells_per_slab)
         with pytest.raises(ValueError, match=re.escape(message)):
             diffuse_energy(s, P, M)
 

@@ -1,21 +1,35 @@
+import gc
+import importlib.util
 import os
 import subprocess
 import sys
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 import phasefrac
+from phasefrac import energy, harness, recovery
+from phasefrac.cli import parse_config
+from phasefrac.energy import diffuse_energy
 from phasefrac.fields import Grid, ScalarField
 from phasefrac.harness import (DiagnosticError, SweepPlan,
                                compactness_levelset_diagnostic,
                                face_total_variation, gamma_sweep,
                                geodesic_inequality_check, resolve_delta_rule,
                                slicing_identity_check)
-from phasefrac.recovery import ProfileParams, build_profile, build_recovery
-from phasefrac.sharp import (SegmentSet, SharpGeometry1D, SharpGeometry2D,
-                             affine_displacement, quadratic_displacement,
-                             skew_affine_displacement)
+from phasefrac.recovery import (ProfileParams, ResolutionError, WidthConditionError,
+                                build_profile, build_recovery)
+from phasefrac.sharp import (Polygon, SegmentSet, SharpGeometry1D, SharpGeometry2D,
+                             affine_displacement, piecewise_rigid_displacement,
+                             quadratic_displacement, skew_affine_displacement)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_spec = importlib.util.spec_from_file_location(
+    "same_outputs", os.path.join(ROOT, "tools", "same_outputs.py"))
+same_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(same_outputs)
 
 CRACK_1D = SharpGeometry1D((0.0, 1.0), crack_points=(0.5,), c_pieces=(0, 0),
                            u_pieces=((0.0, 0.0), (0.0, 0.1)))
@@ -84,6 +98,167 @@ def test_sweep_schedule_audit(P, elastic_1d_free):
     plan = SweepPlan(CRACK_1D, (0.05, 0.025, 0.0125), cells=(2048,))
     ratios = [e / d for e, d in zip(plan.eps_schedule, plan.deltas())]
     assert all(b < a for a, b in zip(ratios, ratios[1:]))
+
+
+# criterion 05's geometry: the right half in A, a vertical crack on its edge
+CRITERION_05 = SharpGeometry2D(
+    (0.0, 0.0), (1.0, 1.0),
+    polygon=Polygon([(0.5, 0.0), (1.0, 0.0), (1.0, 1.0), (0.5, 1.0)]),
+    segments=SegmentSet([[[0.5, 0.25], [0.5, 0.75]]]),
+    u_spec=piecewise_rigid_displacement((0.5, 0.5), (0.0, 1.0), (0.002, 0.0), (-0.002, 0.0)))
+
+
+def _criterion_05_plan(eps, cells, **kw):
+    return SweepPlan(CRITERION_05, eps, "scaled_two_thirds", delta_scale=0.18, lam=1e-4,
+                     cells=cells, **kw)
+
+
+def _bits(e):
+    return e.e_phase.hex(), e.e_elastic.hex(), e.e_crack.hex(), e.clamped_cells
+
+
+def _same_rows_as_whole_builds(plan, P, M):
+    """Each row of `gamma_sweep` against `diffuse_energy` of the whole
+    `build_recovery` state: the bits of each term and the clamp count, or
+    the status that the whole build's fault gives.  Returns the statuses."""
+    rows = gamma_sweep(plan, P, M).rows
+    for row, eps, delta in zip(rows, plan.eps_schedule, plan.deltas()):
+        try:
+            want = diffuse_energy(build_recovery(plan.geometry, eps, delta, plan.lam, plan.grid(),
+                                                 P, enforce_width=plan.enforce_width), P, M)
+        except (ValueError, ArithmeticError) as exc:
+            assert row.energy is None and row.status == f"error:{type(exc).__name__}", row
+            continue
+        assert row.status == "ok" and _bits(row.energy) == _bits(want), (eps, row.status)
+    return [row.status for row in rows]
+
+
+@pytest.mark.parametrize("name", ["criterion 05", "SLANTED_RECOVER", "SIGNED_ZERO_RIGID",
+                                  "SWEEP_1D_PIECES"])
+def test_sweep_rows_are_the_whole_builds_energies_bit_for_bit(P, elastic_2d_free, name,
+                                                              tmp_path):
+    # the row builds its recovery band by band inside the slab pass; each
+    # term and the clamp count must keep the bits of the whole build's pass
+    if name == "criterion 05":
+        # 384 rows, three bands, in slabs of 16384 // 320 = 51 rows
+        plan, P, M = _criterion_05_plan((2.0 ** -5, 2.0 ** -6), (384, 320)), P, elastic_2d_free
+    else:
+        config = tmp_path / "run.ini"
+        config.write_text(getattr(same_outputs, name))
+        cfg = parse_config(str(config))
+        plan, P, M = cfg.sweep_plan, cfg.potentials, cfg.elastic
+    assert plan.grid().cells[0] > recovery._side(plan.grid().dim)
+    assert set(_same_rows_as_whole_builds(plan, P, M)) == {"ok"}
+
+
+def _tree_splits(lo, n):
+    """The split points of numpy's pairwise tree over values lo:lo+n."""
+    if n <= energy._LEAF:
+        return []
+    half = n // 2 - n // 2 % 8
+    return _tree_splits(lo, half) + [lo + half] + _tree_splits(lo + half, n - half)
+
+
+def test_sweep_rows_keep_their_bits_with_band_seams_inside_slabs(P, monkeypatch, tmp_path):
+    # FLAT_OFF_SPLITS (600 x 500 cells) in slabs of 37 rows, which do not
+    # divide the 128-row bands: formed and flat slabs straddle band seams,
+    # and the tree splits inside a flat slab that straddles one
+    config = tmp_path / "run.ini"
+    config.write_text(same_outputs.FLAT_OFF_SPLITS)
+    cfg = parse_config(str(config))
+    monkeypatch.setattr(energy, "_BLOCK", 37 * 500)
+    layouts, integrals = [], energy._integrals
+
+    def seen(slabs, grid, labels):
+        slabs = list(slabs)
+        layouts.append([isinstance(p, energy._Flat) for p, _, _ in slabs])
+        return integrals(slabs, grid, labels)
+    monkeypatch.setattr(energy, "_integrals", seen)
+    assert _same_rows_as_whole_builds(cfg.sweep_plan, cfg.potentials, cfg.elastic) == ["ok"]
+    band = recovery._side(2)
+    assert 128 % 37 and len(layouts) == 2 and layouts[0] == layouts[1]
+    starts = range(0, 600, 37)
+    straddling = {flat for r0, flat in zip(starts, layouts[0])
+                  if r0 // band != (min(r0 + 37, 600) - 1) // band}
+    assert straddling == {False, True}
+    splits = _tree_splits(0, 600 * 500)
+    assert any(flat and r0 // band != (r0 + 36) // band
+               and any(r0 * 500 < x < (r0 + 37) * 500 for x in splits)
+               for r0, flat in zip(starts, layouts[0][:-1]))
+
+
+def test_failed_rows_keep_their_status(P, elastic_2d_free):
+    # 2^-9 is thinner than two cells of 64: ResolutionError; enforce_width
+    # refuses every row of a geometry with a phase boundary and a crack
+    statuses = _same_rows_as_whole_builds(_criterion_05_plan((2.0 ** -4, 2.0 ** -9), (64, 64)),
+                                          P, elastic_2d_free)
+    assert statuses == ["ok", f"error:{ResolutionError.__name__}"]
+    statuses = _same_rows_as_whole_builds(
+        _criterion_05_plan((2.0 ** -4,), (64, 64), enforce_width=True), P, elastic_2d_free)
+    assert statuses == [f"error:{WidthConditionError.__name__}"]
+
+
+def test_a_nan_displacement_on_one_tile_fails_the_row(P, elastic_2d_free, monkeypatch):
+    # the whole build's field check refuses the NaN; a row built band by band
+    # holds no field, so the density scan must refuse it
+    u_values, plan = SharpGeometry2D.u_values, _criterion_05_plan((2.0 ** -5,), (384, 320))
+    # the tile at rows 128:256, columns 0:128
+    corner = plan.grid().centers(0)[128], plan.grid().centers(1)[0]
+
+    def nan_on_one_tile(self, x, y):
+        u = u_values(self, x, y)
+        return np.full_like(u, np.nan) if (x.flat[0], y.flat[0]) == corner else u
+    monkeypatch.setattr(SharpGeometry2D, "u_values", nan_on_one_tile)
+    with pytest.raises(ValueError, match="non-finite values"):
+        build_recovery(CRITERION_05, 2.0 ** -5, plan.deltas()[0], plan.lam, plan.grid(), P,
+                       enforce_width=False)
+    assert _same_rows_as_whole_builds(plan, P, elastic_2d_free) == ["error:ValueError"]
+
+
+def test_a_1024_squared_row_holds_less_than_one_cells_sized_array(P, elastic_2d_free):
+    # the whole build holds c, z and both u planes, four arrays of 8 MiB at
+    # 1024^2; a row built band by band holds about one band of them
+    plan = _criterion_05_plan((2.0 ** -7,), (1024, 1024))
+    tracemalloc.start()
+    try:
+        (row,) = gamma_sweep(plan, P, elastic_2d_free).rows
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row.status == "ok"
+    assert peak < 1024 * 1024 * 8, peak / 2 ** 20
+
+
+@pytest.mark.parametrize("u_nan", [False, True], ids=["ok_row", "failed_row"])
+def test_a_row_keeps_nothing_of_its_bands_alive(P, elastic_2d_free, monkeypatch, u_nan):
+    # no reference cycle may hold a row's bands until the collector runs
+    made, band = [], recovery.RecoveryBands.band
+
+    def recorded(self, rows):
+        arrays = band(self, rows)
+        made.extend(weakref.ref(a) for a in arrays)
+        return arrays
+    monkeypatch.setattr(recovery.RecoveryBands, "band", recorded)
+    sources, bands = [], harness.RecoveryBands
+
+    def source(*args, **kw):
+        sources.append(bands(*args, **kw))
+        return sources[-1]
+    monkeypatch.setattr(harness, "RecoveryBands", source)
+    if u_nan:
+        u_values = SharpGeometry2D.u_values
+        monkeypatch.setattr(SharpGeometry2D, "u_values",
+                            lambda self, x, y: u_values(self, x, y) * np.nan)
+    plan = _criterion_05_plan((2.0 ** -5,), (384, 320))
+    gc.disable()
+    try:
+        (row,) = gamma_sweep(plan, P, elastic_2d_free).rows
+        alive = weakref.ref(sources.pop())
+        assert row.status == ("error:ValueError" if u_nan else "ok")
+        assert len(made) == 3 * 3 and alive() is None
+        assert [a for a in made if a() is not None] == []
+    finally:
+        gc.enable()
 
 
 def test_geodesic_inequality_constant_field(P):

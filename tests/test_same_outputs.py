@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from phasefrac import energy, fields
+from phasefrac import energy, fields, recovery
 from phasefrac.cli import parse_config
 from phasefrac.harness import gamma_sweep
 from phasefrac.sharp import sharp_energy
@@ -269,6 +269,27 @@ def test_the_runs_cover_each_config_and_count_39():
         ("recover", same_outputs.SIGNED_ZERO_RIGID), ("sweep", same_outputs.SIGNED_ZERO_RIGID)]
 
 
+def test_the_sweep_runs_cover_both_kinds_of_band_seam(tmp_path):
+    # a sweep row builds its recovery in bands of tile rows inside the energy's
+    # slab pass: the runs must hold slabs that cut a band seam (81-row slabs
+    # on PARTIAL_RECOVER, 109 on SLANTED_RECOVER) and slabs that divide the
+    # band, whose seams fall between slabs and are read only as halo rows
+    # (32-row slabs on FLAT_OFF_SPLITS)
+    kinds = {}
+    for label, command, text in same_outputs.RUNS:
+        if command != "sweep":
+            continue
+        config = tmp_path / "run.ini"
+        config.write_text(text)
+        cells = parse_config(str(config)).sweep_plan.cells
+        band, slab = recovery._side(len(cells)), max(1, fields._BLOCK // math.prod(cells[1:]))
+        if cells[0] > band:
+            kinds[label] = band % slab != 0
+    assert kinds["partial-tile sweep"] and kinds["slanted sweep"]
+    assert not kinds["sweep with flat slabs off the tree's splits"]
+    assert set(kinds.values()) == {False, True}
+
+
 @pytest.mark.parametrize("command", ["recover", "sweep"])
 def test_the_signed_zero_rigid_runs_keep_the_sign_of_u(command, tmp_path):
     text = same_outputs.SIGNED_ZERO_RIGID
@@ -306,14 +327,15 @@ def test_the_off_split_sweep_splits_inside_slabs_and_flat_runs(monkeypatch, tmp_
     config.write_text(text)
     cfg = parse_config(str(config))
     assert cfg.sweep_plan.cells == (600, 500) and cfg.sweep_plan.eps_schedule == (2.0 ** -7,)
-    layouts, integral = [], energy._integral
+    layouts, integrals = [], energy._integrals
 
-    def seen(pieces, grid, label):
-        pieces = list(pieces)
-        layouts.append([(p.times * p.row.size, p.key) if isinstance(p, energy._Flat)
-                        else (p.size, None) for p in pieces])
-        return integral(pieces, grid, label)
-    monkeypatch.setattr(energy, "_integral", seen)
+    def seen(slabs, grid, labels):
+        # the pass hands each slab's pieces, one per term, to the three sums
+        slabs = list(slabs)
+        layouts.extend([(p.times * p.row.size, p.key) if isinstance(p, energy._Flat)
+                        else (p.size, None) for p in term] for term in zip(*slabs))
+        return integrals(slabs, grid, labels)
+    monkeypatch.setattr(energy, "_integrals", seen)
     (row,) = gamma_sweep(cfg.sweep_plan, cfg.potentials, cfg.elastic).rows
     assert row.status == "ok" and len(layouts) == 3
     # 19 slabs of 32 rows, the last 8 flat in one pattern
@@ -327,7 +349,7 @@ def test_the_off_split_sweep_splits_inside_slabs_and_flat_runs(monkeypatch, tmp_
     inside = {layout[np.searchsorted(starts, x, "right") - 1][1] is not None
               for x in _tree_splits(0, 600 * 500) if x not in starts}
     assert inside == {False, True}
-    monkeypatch.setattr(energy, "_integral", integral)
+    monkeypatch.setattr(energy, "_integrals", integrals)
     mine = same_outputs.run_cli(ROOT, "sweep", str(config), str(tmp_path / "out"))
     assert mine["exit code"] == b"0" and mine["stderr"] == b""
     assert same_outputs.compare(ROOT, "sweep", text) == []
