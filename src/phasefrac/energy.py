@@ -20,13 +20,15 @@ the block moves, so an Armijo search costs one pass per step.
 `diffuse_energy` is the energy alone, bit for bit `evaluate`'s, in one
 pass over slabs of `fields._BLOCK` cells (whole rows, each read with one
 halo row on each side) from a row source: a state's arrays, or a recovery
-built band by band as the pass reaches it (`recovery.RecoveryBands`, what a
-sweep row uses).  Each slab is read once and its three densities formed
-once; the pass holds no cells-sized array where `evaluate` holds about
-fifteen.  A flat slab, whose rows and halo rows hold one value of c, one of
-z and one of u, bit for bit (a plateau of a recovery), is formed on its
-first row, which stands for all its rows, and flat slabs that hold the same
-bits share that one formed row.  That rests on each density being a
+that proves its plateau slabs and builds the others band by band as the
+pass reaches them (`recovery.RecoveryBands`, what a sweep row uses).  Each
+slab asks its source for its plateau first, and is read once and its three
+densities formed once only when it has none; the pass holds no cells-sized
+array where `evaluate` holds about fifteen.  A flat slab, whose rows and
+halo rows hold one value of c, one of z and one of u, bit for bit (a
+plateau of a recovery), is formed on one row with its halo, built from
+those values, which stands for all its rows, and flat slabs that hold the
+same bits share that one formed row.  That rests on each density being a
 pointwise function of the cell values and the difference planes, so the
 potentials and the degradation must act elementwise, as all of the
 package's do.
@@ -55,7 +57,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -201,6 +203,11 @@ class DiffuseState:
         """c, z and u on the rows of the slice r, as views: the row source
         of `diffuse_energy`."""
         return self.c.values[r], self.z.values[r], self.u.values[r]
+
+    def plateau(self, r: slice) -> Optional[bytes]:
+        """`_flat_key` of the rows of the slice r: the raw bytes of their one
+        value of c, z and u, or None."""
+        return _flat_key(*self.rows(r), self.grid.dim)
 
     def replace(self, **kw) -> "DiffuseState":
         return dataclasses.replace(self, **kw)
@@ -520,6 +527,14 @@ def _haloed(r0: int, r1: int, rows: int) -> tuple[slice, slice]:
     return slice(lo, min(r1 + 1, rows)), slice(r0 - lo, r1 - lo)
 
 
+def _slabs(grid: Grid) -> Iterator[tuple[slice, slice]]:
+    """The slabs of `diffuse_energy`'s pass, `max(1, _BLOCK // row cells)`
+    rows each, in order: each one's haloed rows, and its rows within them."""
+    rows = grid.cells[0]
+    step = max(1, _BLOCK // (math.prod(grid.cells) // rows))
+    return (_haloed(r0, min(r0 + step, rows), rows) for r0 in range(0, rows, step))
+
+
 def _bit_flat(a: np.ndarray, per_cell: int) -> bool:
     """Whether every cell of `a` holds the same bits, -0.0 and 0.0 apart: on
     the flattened uint64 view, each cell's `per_cell` components against
@@ -538,11 +553,15 @@ def _flat_key(c: np.ndarray, z: np.ndarray, u: np.ndarray, dim: int) -> Optional
 
 def diffuse_energy(s, P: PotentialSet, M: ElasticModel) -> EnergyBreakdown:
     """The energy alone, bit for bit `evaluate(s, P, M)[0]`, clamp count
-    included, in one pass over slabs of `max(1, _BLOCK // row cells)` rows.
-    `s` is a row source: a `DiffuseState`, or anything else with its `grid`,
-    `eps` and `delta` and a method `rows(r)` that gives c, z and u on the
-    rows of the slice r, asked for in increasing order of `r.start`
-    (`recovery.RecoveryBands`, which builds a recovery band by band).
+    included, in one pass over the slabs of `_slabs`.  `s` is a row source:
+    a `DiffuseState`, or anything else with its `grid`, `eps` and `delta`
+    and two methods, `plateau(r)`, the raw bytes of one cell's c, z and u
+    when the rows of the slice r hold one value each, bit for bit, as
+    `_flat_key` forms them, else None, and `rows(r)`, c, z and u on those
+    rows (`recovery.RecoveryBands`, which proves a recovery's plateaus from
+    its bounds and builds the other rows band by band).  Each slab asks
+    for its plateau first, and for its rows only when it has none; the
+    slabs ask in increasing order of their rows.
 
     Each slab's rows are read once, with one halo row on each side inside
     the grid: a difference of the haloed rows is the whole grid's difference
@@ -551,20 +570,16 @@ def diffuse_energy(s, P: PotentialSet, M: ElasticModel) -> EnergyBreakdown:
     Its three densities are formed together and handed to `_integrals`,
     whose tree sums take them in lockstep, so the pass holds no cells-sized
     array, only slab-sized temporaries and what the source holds.  A slab
-    whose rows and halo rows hold one value of c, one of z and one of u, bit
-    for bit, is flat: the densities are pointwise functions of the cell
-    values and the difference planes, and every difference there is x - x,
-    +0.0, so its densities are those of its first row, formed with that
-    row's halo and repeated, a `_Flat` run.  Flat slabs are keyed by the raw
-    bytes of one cell's c, z and u (`_flat_key`), and the densities are
-    formed on one row per key: a flat slab whose key an earlier one holds
-    takes that slab's rows.  So the plateaus of a state cost one row per
-    distinct plateau, and `_integrals` sums each of their ranges once per
-    key."""
+    with a plateau is flat: the densities are pointwise functions of the
+    cell values and the difference planes, and every difference there is
+    x - x, +0.0, so its densities are those of any one row formed with its
+    halo, repeated, a `_Flat` run.  They are formed once per key, on a
+    first row with its halo built from the key's values, so the plateaus of
+    a state cost one row per distinct plateau, proved or tested alike, and
+    `_integrals` sums each of their ranges once per key."""
     grid, h = s.grid, s.grid.spacing
     rows, e0 = grid.cells[0], M.e0_planes(grid.dim)
-    step = max(1, _BLOCK // (math.prod(grid.cells) // rows))
-    shared, clamped = {}, 0  # each flat pattern's three formed density rows
+    shared, clamped = {}, 0  # each flat pattern's three formed density rows, clamped cells
 
     def inner_diff(op, a, inner):
         """`op` (gradient or sym_gradient) of the haloed rows a, on `inner`."""
@@ -588,26 +603,35 @@ def diffuse_energy(s, P: PotentialSet, M: ElasticModel) -> EnergyBreakdown:
         return (interfacial(c, zc, inner), elastic_density,
                 _crack_density(zc, inner_diff(gradient, z, inner), s, P))
 
-    def slab(r0):
-        """The densities of the slab from row r0, as pieces; the slab's rows
-        are dropped on return, before the next slab's are read."""
+    def plateau_densities(key, r0):
+        """The densities of row r0 on a plateau whose values are the raw
+        bytes `key`, formed on that row with its halo, and its clamped
+        cells."""
+        halo, one = _haloed(r0, r0 + 1, rows)
+        values = np.frombuffer(key)
+        shape = (halo.stop - halo.start,) + grid.cells[1:]
+        c, z = np.full(shape, values[0]), np.full(shape, values[1])
+        u = np.empty(shape + (grid.dim,))
+        u[...] = values[2:]
+        return densities(c, z, u, one), int(np.count_nonzero(_clamp(z[one])[1]))
+
+    def slab(halo, inner):
+        """The densities of the slab of haloed rows `halo`, as pieces; the
+        slab's rows are dropped on return, before the next slab's are read."""
         nonlocal clamped
-        r1 = min(r0 + step, rows)
-        halo, inner = _haloed(r0, r1, rows)
-        c, z, u = s.rows(halo)
-        key = _flat_key(c, z, u, grid.dim)
+        n = inner.stop - inner.start
+        key = s.plateau(halo)
         if key is None:
+            c, z, u = s.rows(halo)
             clamped += int(np.count_nonzero(_clamp(z[inner])[1]))
             return densities(c, z, u, inner)
-        # every row holds the first row's clamped cells and densities
-        clamped += (r1 - r0) * int(np.count_nonzero(_clamp(z[inner][:1])[1]))
         if key not in shared:
-            first, one = _haloed(r0, r0 + 1, rows)
-            first = slice(first.start - halo.start, first.stop - halo.start)
-            shared[key] = densities(c[first], z[first], u[first], one)
-        return tuple(_Flat(d, r1 - r0, key) for d in shared[key])
+            shared[key] = plateau_densities(key, halo.start + inner.start)
+        formed, row_clamped = shared[key]
+        clamped += n * row_clamped
+        return tuple(_Flat(d, n, key) for d in formed)
 
-    terms = _integrals((slab(r0) for r0 in range(0, rows, step)), grid,
+    terms = _integrals((slab(halo, inner) for halo, inner in _slabs(grid)), grid,
                        ("interfacial", "elastic", "crack"))
     return EnergyBreakdown(*terms, clamped)
 

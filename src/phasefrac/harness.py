@@ -125,9 +125,11 @@ def gamma_sweep(plan: SweepPlan, P: PotentialSet, M: ElasticModel) -> SweepTable
     non-finite density) are recorded with an error status and the sweep
     continues.  A row's energy is `diffuse_energy` of `build_recovery`'s
     state, bit for bit, but the recovery is a `recovery.RecoveryBands`:
-    built one band of tile rows at a time as the energy's slab pass reaches
-    it and dropped once the pass has left it, so a row holds about one band
-    of c, z and u and slab-sized temporaries, whatever the grid size.
+    the slabs its bounds prove flat are never built or tested, and the
+    others are built in bands of at most one row of tiles as the energy's
+    slab pass reaches them, each dropped once the pass has left it, so a
+    row holds about one band of c, z and u and slab-sized temporaries,
+    whatever the grid size, and its time goes on the rows of its layers.
     """
     sharp = sharp_energy(plan.geometry, P, M)
     e_sharp = sharp.e_total
@@ -135,8 +137,8 @@ def gamma_sweep(plan: SweepPlan, P: PotentialSet, M: ElasticModel) -> SweepTable
     rows: list[SweepRow] = []
     for eps, delta in zip(plan.eps_schedule, plan.deltas()):
         try:
-            # the row's recovery is built band by band inside the energy's
-            # slab pass, so no cells-sized c, z or u is ever held
+            # the row's recovery is proved flat or built band by band inside
+            # the energy's slab pass, so no cells-sized c, z or u is ever held
             energy = diffuse_energy(RecoveryBands(plan.geometry, eps, delta, plan.lam, grid, P,
                                                   enforce_width=plan.enforce_width), P, M)
         except (ValueError, ArithmeticError) as exc:

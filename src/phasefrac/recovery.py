@@ -63,8 +63,13 @@ one a single whole-grid pass gives, bit for bit, however the rows are cut:
 the formulas are pointwise in the cell centre, and a plateau is the
 formula's own value there.  `build_recovery` builds all rows as one band,
 into arrays the fields take without a copy, as a `fields._HandOver`, since
-`recover` dumps them.  `RecoveryBands` builds one band of tile rows at a
-time, as the energy's slab pass asks for rows, and drops it once the pass
+`recover` dumps them.  A sweep row asks `RecoveryBands` for each energy
+slab's plateau first: the same bounds, taken on the box of the slab's
+haloed rows across all columns, with the geometry's `u_plateau` for u, put
+most slabs of a row on one plateau of c, z and u, bit for bit, and such a
+slab is never built or tested.  The other slabs' rows are built in bands
+of at most one row of tiles, each starting at the first row asked for and
+ending with its run of unproved slabs, and a band is dropped once the pass
 has left it, so a sweep row holds about one band of c, z and u, never a
 cells-sized array.  Besides its arrays, a build holds a few numbers per
 tile and tile-sized temporaries, under 3 MiB at 2^14 cells whatever the
@@ -80,7 +85,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._quad import cumulative_simpson, simpson
-from .energy import DiffuseState
+from .energy import DiffuseState, _flat_key
+from .energy import _slabs as _energy_slabs
 from .fields import _BLOCK, Grid, ScalarField, VectorField, _HandOver
 from .potentials import PotentialSet
 
@@ -214,13 +220,29 @@ class RecoveryBands:
     demand.  Construction makes the decisions once: the checks, the
     profiles, the tiles and which of them the bounds put on a plateau; it
     raises what `build_recovery` documents.  `band` builds c, z and u on any
-    range of rows from them.  `rows` makes the recovery a row source of
-    `energy.diffuse_energy`: it builds one band of tile rows at a time
-    (`_side` rows: 128 in 2D, `_BLOCK` cells in 1D) as the energy's slab
-    pass asks for rows, and drops it once the pass has left it, so no
-    cells-sized c, z or u is held.  Each cell is built once and holds the
-    bits of `build_recovery`'s state, since the formulas are pointwise in
-    the cell centre and a plateau is the formula's own value."""
+    range of rows from them.  `plateau` and `rows` make the recovery a row
+    source of `energy.diffuse_energy`.
+
+    `plateau(r)` proves, where it can, that the haloed rows r of a slab hold
+    one value of c, of z and of u, bit for bit, without building them.  It
+    takes the rows as one box of cell centres across all columns: the
+    tiles' bounds (`_bounds`) put the box on a plateau of c (1 or 0) and of
+    z = 1, where u is u_sharp with no smoothstep factor, and the geometry's
+    `u_plateau` names u's one value there.  The energy's own slabs are
+    proved together, the first time one is asked for.  A slab that is not
+    proved is built and tested bit by bit, as a state's slab is.
+
+    `rows(r)` builds bands of at most `_side` rows (128 in 2D, `_BLOCK`
+    cells in 1D).  A band starts where the last one stopped, or at r.start
+    when the rows between were never asked for, and stops at the end of the
+    run of unproved slabs that r starts, so the rows of a proved slab that
+    no other slab reads as its halo are never built.  Before a band is
+    built, the rest of the last one that r still needs is copied and the
+    band dropped, so a sweep row holds at most one band of c, z and u and
+    slab-sized copies, never a cells-sized array.  Each built cell is built
+    once and holds the bits of `build_recovery`'s state, since the formulas
+    are pointwise in the cell centre and a plateau is the formula's own
+    value."""
 
     def __init__(self, geometry, eps: float, delta: float, lam: float, grid: Grid,
                  P: PotentialSet, *, enforce_width: bool):
@@ -242,21 +264,97 @@ class RecoveryBands:
         # the rows of a band, one row of tiles, and its count of tiles
         self.side = _side(grid.dim)
         self.row_tiles = len(self.tiles) // -(-grid.cells[0] // self.side)
-        # each tile's box of cell centres: its distances, less `tol_geom`, bound
-        # those of every cell centre of the tile
-        first = np.array([[x[s.start] for x, s in zip(self.centers, t)] for t in self.tiles])
-        last = np.array([[x[s.stop - 1] for x, s in zip(self.centers, t)] for t in self.tiles])
-        self.c_one = self.c_band = self.z_band = np.zeros(len(self.tiles), dtype=bool)
+        self.c_one, self.c_band, self.z_band = self._bounds(
+            np.array([[x[s.start] for x, s in zip(self.centers, t)] for t in self.tiles]),
+            np.array([[x[s.stop - 1] for x, s in zip(self.centers, t)] for t in self.tiles]))
+        self._slabs = None  # (first, stop) of each energy slab's haloed rows: proved key
+        self._held = []  # (first row, (c, z, u)) of the built rows `rows` still needs
+        self._built = 0  # rows built so far by `rows`
+        self._asked = (None, None)  # the rows `rows` gave last, and its answer
+
+    def _bounds(self, first: np.ndarray, last: np.ndarray):
+        """Which boxes of cell centres [first, last] ((k, d)) lie on the c = 1
+        plateau, which in the c-transition (the others take c = 0), and
+        which in the z-transition (the others take z = 1 and u = u_sharp):
+        each box's distances, less `tol_geom`, bound those of every cell
+        centre in it."""
+        geometry, none = self.geometry, np.zeros(len(first), dtype=bool)
+        c_one = c_band = z_band = none
         if self.prof_w is not None:
             gap = geometry.phase_boundary_box_distance(first, last) - geometry.tol_geom
             # a box that no edge reaches lies wholly in A or wholly outside
-            self.c_one = (gap > 0.0) & (geometry.phase_distance(*(0.5 * (first + last)).T) == 0.0)
-            self.c_band = ~self.c_one & (gap < self.prof_w.width)
+            c_one = (gap > 0.0) & (geometry.phase_distance(*(0.5 * (first + last)).T) == 0.0)
+            c_band = ~c_one & (gap < self.prof_w.width)
         if self.prof_v is not None:
-            self.z_band = (geometry.crack_box_distance(first, last) - geometry.tol_geom
-                           - self.tube < self.prof_v.width)
-        self._held = []  # (first row, (c, z, u)) of the built rows `rows` still needs
-        self._built = 0  # rows built so far by `rows`
+            z_band = (geometry.crack_box_distance(first, last) - geometry.tol_geom
+                      - self.tube < self.prof_v.width)
+        return c_one, c_band, z_band
+
+    def _prove(self, halos: list[slice]) -> list[Optional[bytes]]:
+        """For each range of rows, the raw bytes of its one value of c, z
+        and u, as `energy._flat_key` forms them, where the bounds and the
+        geometry's `u_plateau` prove that all its rows hold it; else None."""
+        x, rest = self.centers[0], self.centers[1:]
+        first = np.array([[x[h.start]] + [a[0] for a in rest] for h in halos])
+        last = np.array([[x[h.stop - 1]] + [a[-1] for a in rest] for h in halos])
+        c_one, c_band, z_band = self._bounds(first, last)
+        u_flat, u = self.geometry.u_plateau(first, last)
+        return [np.concatenate(([1.0 if one else 0.0, 1.0], value)).tobytes() if flat else None
+                for one, flat, value in zip(c_one, u_flat & ~c_band & ~z_band, u)]
+
+    def _slab_keys(self) -> dict[tuple[int, int], Optional[bytes]]:
+        """The energy's slabs in order: the first and stop row of each one's
+        haloed rows, to its proved key."""
+        if self._slabs is None:
+            halos = [halo for halo, _ in _energy_slabs(self.grid)]
+            self._slabs = dict(zip([(h.start, h.stop) for h in halos], self._prove(halos)))
+        return self._slabs
+
+    def plateau(self, r: slice) -> Optional[bytes]:
+        """The raw bytes of one cell's c, z and u when the rows of the slice r
+        hold one value each, bit for bit (`energy._flat_key`), else None:
+        proved from the bounds for a slab of the energy's pass when it can
+        be, else built and tested."""
+        key = self._slab_keys().get((r.start, r.stop))
+        if key is None:
+            key = _flat_key(*self.rows(r), self.grid.dim)
+        return key
+
+    def rows(self, r: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """c, z and u on the rows of the slice r; r.start may not decrease
+        from one call to the next.  Rows before r.start are dropped.  When r
+        reaches past the built rows, the rest of the last band is copied
+        first, so that band is freed before the next is built; it starts at
+        the last built row or at r.start, whichever is later, and stops after
+        `_side` rows or at the end of the energy's unproved slabs from r on.
+        Rows that lie in one band come as views of it, others as one copy of
+        their parts, kept until another r is asked for."""
+        if self._asked[0] == (r.start, r.stop):
+            return self._asked[1]
+        self._asked = (None, None)
+        self._held = [(start, arrays) for start, arrays in self._held
+                      if start + len(arrays[0]) > r.start]
+        if r.stop > self._built:
+            self._held = [(start, arrays) if start >= r.start else
+                          (r.start, tuple(a[r.start - start:].copy() for a in arrays))
+                          for start, arrays in self._held]
+            stop = r.stop
+            for (first, last), key in self._slab_keys().items():
+                if first <= r.start or last <= stop:
+                    continue
+                if key is not None:
+                    break
+                stop = last
+            self._built = max(self._built, r.start)
+            while self._built < r.stop:
+                band = slice(self._built, min(self._built + self.side, stop))
+                self._held.append((band.start, self.band(band)))
+                self._built = band.stop
+        parts = [tuple(a[max(r.start - start, 0):r.stop - start] for a in arrays)
+                 for start, arrays in self._held if start < r.stop]
+        self._asked = ((r.start, r.stop),
+                       parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts))))
+        return self._asked[1]
 
     def band(self, rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """c, z and u on the rows of the slice `rows`, new arrays: each tile
@@ -283,26 +381,6 @@ class RecoveryBands:
                 z[out] = prof_v.g(crack_dist - tube)
                 u[out] *= smoothstep(crack_dist / tube)[..., None]
         return c, z, u
-
-    def rows(self, r: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """c, z and u on the rows of the slice r; r.start may not decrease
-        from one call to the next.  Rows before r.start are dropped.  When r
-        reaches past the built rows, the rest of the last band is copied
-        first, so that band is freed before the next is built; rows that lie
-        in one band come as views of it, others as one copy of their parts."""
-        self._held = [(start, arrays) for start, arrays in self._held
-                      if start + len(arrays[0]) > r.start]
-        if r.stop > self._built:
-            self._held = [(start, arrays) if start >= r.start else
-                          (r.start, tuple(a[r.start - start:].copy() for a in arrays))
-                          for start, arrays in self._held]
-            while self._built < r.stop:
-                band = slice(self._built, min(self._built + self.side, self.grid.cells[0]))
-                self._held.append((band.start, self.band(band)))
-                self._built = band.stop
-        parts = [tuple(a[max(r.start - start, 0):r.stop - start] for a in arrays)
-                 for start, arrays in self._held if start < r.stop]
-        return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
 
 def build_recovery(geometry, eps: float, delta: float, lam: float, grid: Grid,

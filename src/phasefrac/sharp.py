@@ -260,11 +260,18 @@ class DisplacementSpec:
     set, as a tuple of plane values, which is what the sharp energy
     evaluator needs; diagnostic specs (quadratic) provide only `e_at`.  An
     affine spec converts its matrix to planes once, where it enters.
+
+    `corners_prove(lo, hi)` takes boxes [lo, hi] (lo and hi (k, 2)) and
+    tells, per box, that `u_at` gives every location of the box the bits it
+    gives the box's four corners whenever those four agree bit for bit
+    (`SharpGeometry2D.u_plateau`, which proves a recovery's plateau slabs).
+    A spec without it (quadratic) proves no box.
     """
     name: str
     u_at: Callable[..., np.ndarray]
     e_at: Callable[..., tuple]
     e_const: Optional[tuple] = None
+    corners_prove: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
 
 def _constant_strain(planes: tuple) -> Callable[..., tuple]:
@@ -273,9 +280,12 @@ def _constant_strain(planes: tuple) -> Callable[..., tuple]:
 
 
 def zero_displacement(dim: int = 2) -> DisplacementSpec:
+    """u = 0.0 everywhere, +0.0 bit for bit (`np.zeros`), so it proves every
+    box."""
     planes = (0.0,) if dim == 1 else (0.0, 0.0, 0.0)
     return DisplacementSpec("zero", u_at=lambda *coords: np.zeros(_shape(*coords) + (dim,)),
-                            e_at=_constant_strain(planes), e_const=planes)
+                            e_at=_constant_strain(planes), e_const=planes,
+                            corners_prove=lambda lo, hi: np.ones(len(lo), dtype=bool))
 
 
 def _vector(value, name: str) -> np.ndarray:
@@ -287,9 +297,14 @@ def _vector(value, name: str) -> np.ndarray:
 
 
 def affine_displacement(f_matrix, offset=None) -> DisplacementSpec:
+    """u(x) = F x + b.  It proves every box when F is zero (-0.0 entries
+    included) and no component of b is -0.0, and no box otherwise: each
+    product is then a signed zero, however the matrix product orders or
+    fuses its sums, and b + (+-0.0) is b, since b is nonzero or +0.0."""
     f = np.asarray(f_matrix, dtype=float)
     b = np.zeros(2) if offset is None else _vector(offset, "offset")
     planes = sym_planes(0.5 * (f + f.T), 2, "affine_matrix")
+    constant = not f.any() and not np.any((b == 0.0) & np.signbit(b))
 
     def u_at(x, y):
         # one product on stacked points: x*f00 + y*f01 written out may round
@@ -297,7 +312,8 @@ def affine_displacement(f_matrix, offset=None) -> DisplacementSpec:
         pts = np.stack(np.broadcast_arrays(x, y), axis=-1)
         return (pts.reshape(-1, 2) @ f.T + b).reshape(pts.shape)
 
-    return DisplacementSpec("affine", u_at, e_at=_constant_strain(planes), e_const=planes)
+    return DisplacementSpec("affine", u_at, e_at=_constant_strain(planes), e_const=planes,
+                            corners_prove=lambda lo, hi: np.full(len(lo), constant))
 
 
 def piecewise_rigid_displacement(line_point, line_dir, u_plus, u_minus,
@@ -320,6 +336,16 @@ def piecewise_rigid_displacement(line_point, line_dir, u_plus, u_minus,
     write): the same operands and operations as the per-location test, so
     the same bits, -0.0 included.  A NaN corner passes neither test and
     falls through to that test.
+
+    `corners_prove` takes the same corner test on each box and proves the
+    boxes that lie on one side whose omega is 0 (-0.0 included).  Without
+    spin each component there is b plus a signed zero, b0 - omega*ry and
+    b1 + omega*rx, whose sign follows the sign of the offset ry or rx; that
+    sign changes at most once along the box, so when the four corners agree
+    bit for bit, every location between them holds the same bits.  So a
+    side whose b holds no -0.0, or whose offsets keep one sign, is proved,
+    and one where b0 = -0.0 and the box spans ry < 0 and ry >= 0 is refused:
+    u0 is 0.0 on one part and -0.0 on the other.
     """
     p = _vector(line_point, "line_point")
     tau = _vector(line_dir, "line_dir")
@@ -335,22 +361,34 @@ def piecewise_rigid_displacement(line_point, line_dir, u_plus, u_minus,
         out[..., 1] = b[1] + omega * rx
         return out
 
+    def sides(rx, ry):
+        """Whether each box [rx] x [ry] of offsets from p (rx, ry (k, 2):
+        least and greatest) lies wholly right, and whether wholly left."""
+        corners = rx[:, :, None] * tau[1] - ry[:, None, :] * tau[0]
+        return np.all(corners <= 0.0, axis=(1, 2)), np.all(corners > 0.0, axis=(1, 2))
+
     def u_at(x, y):
         rx, ry = x - p[0], y - p[1]
         if np.size(rx) and np.size(ry):
-            corners = (np.array([np.min(rx), np.max(rx)])[:, None] * tau[1]
-                       - np.array([np.min(ry), np.max(ry)]) * tau[0])
-            if np.all(corners <= 0.0):
+            (right,), (left,) = sides(np.array([[np.min(rx), np.max(rx)]]),
+                                      np.array([[np.min(ry), np.max(ry)]]))
+            if right:
                 return one_side(bp, omega_plus, rx, ry)
-            if np.all(corners > 0.0):
+            if left:
                 return one_side(bm, omega_minus, rx, ry)
         right = rx * tau[1] - ry * tau[0] <= 0.0  # negative cross: right side
         omega = np.where(right, omega_plus, omega_minus)  # spin omega * (-ry, rx)
         return np.stack([np.where(right, bp[0], bm[0]) - omega * ry,
                          np.where(right, bp[1], bm[1]) + omega * rx], axis=-1)
 
+    def corners_prove(lo, hi):
+        right, left = sides(np.stack([lo[:, 0], hi[:, 0]], axis=1) - p[0],
+                            np.stack([lo[:, 1], hi[:, 1]], axis=1) - p[1])
+        return right & (omega_plus == 0.0) | left & (omega_minus == 0.0)
+
     zero = (0.0, 0.0, 0.0)
-    return DisplacementSpec("piecewise_rigid", u_at, e_at=_constant_strain(zero), e_const=zero)
+    return DisplacementSpec("piecewise_rigid", u_at, e_at=_constant_strain(zero), e_const=zero,
+                            corners_prove=corners_prove)
 
 
 def quadratic_displacement() -> DisplacementSpec:
@@ -383,6 +421,17 @@ def _interval_distance(lo: np.ndarray, hi: np.ndarray, a, b) -> np.ndarray:
     return np.min(gap, axis=-1, initial=np.inf)
 
 
+def _agreeing(corners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """From u at the corners of k boxes ((k, ..., d), the corners of box i
+    at [i]): whether each box's corners hold one finite value, bit for bit,
+    and that value ((k, d), the first corner's)."""
+    k, d = corners.shape[0], corners.shape[-1]
+    values = corners.reshape(k, -1, d)
+    bits = values.view(np.uint64)
+    same = np.all(bits == bits[:, :1], axis=(1, 2)) & np.all(np.isfinite(values), axis=(1, 2))
+    return same, values[:, 0]
+
+
 def _grid_counts(cells, dim: int) -> tuple[int, ...]:
     """`cells` as one count per axis, where a single count serves every axis;
     any other length raises GeometryError naming the counts."""
@@ -402,7 +451,8 @@ class SharpGeometry1D:
     `tol_geom`); `bounds` holds the domain's ends with the breakpoints
     between them, so piece k is [bounds[k], bounds[k + 1]].  c_pieces gives
     the {0,1} value and u_pieces the affine displacement (slope, offset) on
-    each piece.
+    each piece.  `u_plateau` proves u constant, bit for bit, on an interval
+    inside one piece of slope 0.
     """
     domain: tuple[float, float]
     phase_points: tuple[float, ...] = ()
@@ -500,6 +550,20 @@ class SharpGeometry1D:
         pieces = np.asarray(self.u_pieces)
         return (pieces[idx, 0] * x + pieces[idx, 1])[..., None]
 
+    def u_plateau(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Whether `u_values` gives each interval [lo, hi] (lo and hi (k, 1))
+        one finite value, bit for bit, at every location, and that value
+        ((k,) and (k, 1)).  Proved when both ends lie in one piece, the
+        piece's slope is 0 (-0.0 included) and `u_values` gives both ends
+        the same bits: the value is then offset + (+-0.0), a signed zero
+        whose sign follows the sign of x, which changes at most once along
+        the interval, so agreeing ends hold for every location between."""
+        ends = np.concatenate([lo, hi], axis=1)
+        idx = np.searchsorted(self.bounds[1:-1], ends, side="right")
+        flat = (idx[:, 0] == idx[:, 1]) & (np.asarray(self.u_pieces)[idx[:, 0], 0] == 0.0)
+        same, values = _agreeing(self.u_values(ends))
+        return flat & same, values
+
     def grid(self, cells: tuple[int, ...]) -> Grid:
         """Cell-centered grid on the domain; `cells` holds one count."""
         a, b = self.domain
@@ -574,6 +638,18 @@ class SharpGeometry2D:
 
     def u_values(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.u_spec.u_at(x, y)
+
+    def u_plateau(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Whether `u_values` gives each box [lo, hi] (lo and hi (k, 2)) one
+        finite value, bit for bit, at every location, and that value ((k,)
+        and (k, 2)).  Proved where the spec's `corners_prove` holds and
+        `u_values` gives the box's four corners the same bits; a spec
+        without `corners_prove` proves no box."""
+        if self.u_spec.corners_prove is None:
+            return np.zeros(len(lo), dtype=bool), np.zeros((len(lo), 2))
+        same, values = _agreeing(self.u_values(np.stack([lo[:, 0], hi[:, 0]], axis=1)[:, :, None],
+                                               np.stack([lo[:, 1], hi[:, 1]], axis=1)[:, None, :]))
+        return self.u_spec.corners_prove(lo, hi) & same, values
 
     def grid(self, cells: tuple[int, ...]) -> Grid:
         """Cell-centered grid on the box; a single count is used on both axes."""

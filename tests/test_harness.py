@@ -23,7 +23,8 @@ from phasefrac.recovery import (ProfileParams, ResolutionError, WidthConditionEr
                                 build_profile, build_recovery)
 from phasefrac.sharp import (Polygon, SegmentSet, SharpGeometry1D, SharpGeometry2D,
                              affine_displacement, piecewise_rigid_displacement,
-                             quadratic_displacement, skew_affine_displacement)
+                             quadratic_displacement, skew_affine_displacement,
+                             zero_displacement)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _spec = importlib.util.spec_from_file_location(
@@ -118,27 +119,31 @@ def _bits(e):
 
 
 def _same_rows_as_whole_builds(plan, P, M):
-    """Each row of `gamma_sweep` against `diffuse_energy` of the whole
-    `build_recovery` state: the bits of each term and the clamp count, or
-    the status that the whole build's fault gives.  Returns the statuses."""
+    """Each row of `gamma_sweep` against `diffuse_energy` and `evaluate`, the
+    whole-array pass, of the whole `build_recovery` state: the bits of each
+    term and the clamp count, or the status that the whole build's fault
+    gives.  Returns the statuses."""
     rows = gamma_sweep(plan, P, M).rows
     for row, eps, delta in zip(rows, plan.eps_schedule, plan.deltas()):
         try:
-            want = diffuse_energy(build_recovery(plan.geometry, eps, delta, plan.lam, plan.grid(),
-                                                 P, enforce_width=plan.enforce_width), P, M)
+            state = build_recovery(plan.geometry, eps, delta, plan.lam, plan.grid(), P,
+                                   enforce_width=plan.enforce_width)
+            want = diffuse_energy(state, P, M)
         except (ValueError, ArithmeticError) as exc:
             assert row.energy is None and row.status == f"error:{type(exc).__name__}", row
             continue
         assert row.status == "ok" and _bits(row.energy) == _bits(want), (eps, row.status)
+        assert _bits(want) == _bits(energy.evaluate(state, P, M)[0]), eps
     return [row.status for row in rows]
 
 
 @pytest.mark.parametrize("name", ["criterion 05", "SLANTED_RECOVER", "SIGNED_ZERO_RIGID",
-                                  "SWEEP_1D_PIECES"])
+                                  "ZERO_SWEEP", "SWEEP_1D_PIECES"])
 def test_sweep_rows_are_the_whole_builds_energies_bit_for_bit(P, elastic_2d_free, name,
                                                               tmp_path):
-    # the row builds its recovery band by band inside the slab pass; each
-    # term and the clamp count must keep the bits of the whole build's pass
+    # the row proves its plateau slabs and builds the others band by band
+    # inside the slab pass; each term and the clamp count must keep the bits
+    # of the whole build's pass (ZERO_SWEEP's proved slabs hold a misfit)
     if name == "criterion 05":
         # 384 rows, three bands, in slabs of 16384 // 320 = 51 rows
         plan, P, M = _criterion_05_plan((2.0 ** -5, 2.0 ** -6), (384, 320)), P, elastic_2d_free
@@ -229,6 +234,115 @@ def test_a_1024_squared_row_holds_less_than_one_cells_sized_array(P, elastic_2d_
     assert peak < 1024 * 1024 * 8, peak / 2 ** 20
 
 
+def _slab_proofs(geometry, eps, delta, lam, grid, P, slab_rows=None):
+    """For each slab of the energy's pass (or of `slab_rows` rows), the key
+    `RecoveryBands` proves for its haloed rows, with `_flat_key` of those
+    rows as built: [(proved, tested)]."""
+    bands = recovery.RecoveryBands(geometry, eps, delta, lam, grid, P, enforce_width=False)
+    c, z, u = bands.band(slice(0, grid.cells[0]))
+    if slab_rows is None:
+        halos = [halo for halo, _ in energy._slabs(grid)]
+        proved = [bands._slab_keys()[h.start, h.stop] for h in halos]
+    else:
+        rows = grid.cells[0]
+        halos = [energy._haloed(r0, min(r0 + slab_rows, rows), rows)[0]
+                 for r0 in range(0, rows, slab_rows)]
+        proved = bands._prove(halos)
+    return [(key, energy._flat_key(c[h], z[h], u[h], grid.dim)) for key, h in zip(proved, halos)]
+
+
+def _config(text, tmp_path):
+    config = tmp_path / "run.ini"
+    config.write_text(text)
+    return parse_config(str(config))
+
+
+def _on_criterion_05(u_spec):
+    """Criterion 05's phase set and crack with the displacement `u_spec`."""
+    return SharpGeometry2D((0.0, 0.0), (1.0, 1.0), CRITERION_05.polygon, CRITERION_05.segments,
+                           u_spec)
+
+
+# geometries the proofs are checked on, beside the configs of tools/same_outputs.py
+_PROOF_GEOMETRIES = {
+    "criterion 05": CRITERION_05,
+    "u NaN": CRITERION_05,
+    "zero": _on_criterion_05(zero_displacement()),
+    "affine F = 0": _on_criterion_05(affine_displacement(np.zeros((2, 2)), (0.1, 0.0))),
+    # each u0 = -0.0 + (+-0.0) is 0.0 where x > 0 and y > 0, so slabs are
+    # flat, but an offset of -0.0 is never proved
+    "affine F = 0, b0 = -0.0": _on_criterion_05(
+        affine_displacement(np.array([[0.0, -0.0], [-0.0, 0.0]]), (-0.0, 0.1)))}
+
+
+@pytest.mark.parametrize("name,proofs", [
+    ("criterion 05", True), ("SLANTED_RECOVER", False), ("SIGNED_ZERO_RIGID", True),
+    ("FLAT_OFF_SPLITS", True), ("AFFINE_RECOVER", False), ("affine F = 0", True),
+    ("affine F = 0, b0 = -0.0", False), ("zero", True), ("SWEEP_1D", True),
+    ("SWEEP_1D_PIECES", False), ("u NaN", False)])
+def test_every_proved_slab_holds_its_keys_bits(P, monkeypatch, tmp_path, name, proofs):
+    # soundness: a key proved from the bounds is `_flat_key` of the rows as
+    # built, on the energy's slabs and on slabs of 7 and 37 rows
+    if name in _PROOF_GEOMETRIES:
+        plan = _criterion_05_plan((2.0 ** -5, 2.0 ** -6), (384, 320))
+        plan = SweepPlan(_PROOF_GEOMETRIES[name], plan.eps_schedule, plan.delta_rule,
+                         plan.delta_scale, plan.lam, plan.cells)
+    else:
+        plan = _config(getattr(same_outputs, name), tmp_path).sweep_plan
+    if name == "SWEEP_1D":
+        # at its delta_scale of 8 the z-transition reaches every slab
+        plan = SweepPlan(plan.geometry, plan.eps_schedule, plan.delta_rule, 1.0, plan.lam,
+                         plan.cells)
+    if name == "u NaN":
+        u_values = SharpGeometry2D.u_values
+        monkeypatch.setattr(SharpGeometry2D, "u_values",
+                            lambda self, x, y: u_values(self, x, y) * np.nan)
+    seen = []
+    for eps, delta in zip(plan.eps_schedule, plan.deltas()):
+        for slab_rows in (None, 7, 37):
+            found = _slab_proofs(plan.geometry, eps, delta, plan.lam, plan.grid(), P, slab_rows)
+            assert all(tested == proved for proved, tested in found if proved is not None)
+            seen += found
+    assert any(proved is not None for proved, _ in seen) == proofs
+    # a refused flat slab shows the proof is not vacuous where it is absent
+    assert any(tested is not None for _, tested in seen) == (
+        name not in ("SLANTED_RECOVER", "AFFINE_RECOVER", "SWEEP_1D_PIECES"))
+
+
+def test_the_bounds_prove_every_flat_slab_of_the_1024_squared_rows(P):
+    # completeness on the sweep_2d workload's geometry: at 1024^2, 49 of the
+    # 64 slabs are flat at eps = 2^-6 and 55 at 2^-7, and each is proved
+    plan = _criterion_05_plan((2.0 ** -6, 2.0 ** -7), (1024, 1024))
+    counts = []
+    for eps, delta in zip(plan.eps_schedule, plan.deltas()):
+        found = _slab_proofs(plan.geometry, eps, delta, plan.lam, plan.grid(), P)
+        assert [proved for proved, _ in found] == [tested for _, tested in found]
+        counts.append(sum(proved is not None for proved, _ in found))
+    assert counts == [49, 55]
+
+
+def test_a_1024_squared_row_never_builds_a_proved_slabs_inner_rows(P, elastic_2d_free,
+                                                                   monkeypatch):
+    # the rows of a proved slab that no other slab reads as its halo are
+    # never handed to `RecoveryBands.band`, and no row is built twice
+    plan = _criterion_05_plan((2.0 ** -7,), (1024, 1024))
+    built, band = [], recovery.RecoveryBands.band
+
+    def recorded(self, rows):
+        built.extend(range(rows.start, rows.stop))
+        return band(self, rows)
+    monkeypatch.setattr(recovery.RecoveryBands, "band", recorded)
+    (row,) = gamma_sweep(plan, P, elastic_2d_free).rows
+    assert row.status == "ok" and len(built) == len(set(built))
+    bands = recovery.RecoveryBands(CRITERION_05, *plan.eps_schedule, *plan.deltas(), plan.lam,
+                                   plan.grid(), P, enforce_width=False)
+    proved = [(first + 2, last - 2) for (first, last), key in bands._slab_keys().items()
+              if key is not None]
+    assert len(proved) == 55
+    assert not any(a <= r < b for r in built for a, b in proved)
+    assert built
+
+
 @pytest.mark.parametrize("u_nan", [False, True], ids=["ok_row", "failed_row"])
 def test_a_row_keeps_nothing_of_its_bands_alive(P, elastic_2d_free, monkeypatch, u_nan):
     # no reference cycle may hold a row's bands until the collector runs
@@ -255,7 +369,10 @@ def test_a_row_keeps_nothing_of_its_bands_alive(P, elastic_2d_free, monkeypatch,
         (row,) = gamma_sweep(plan, P, elastic_2d_free).rows
         alive = weakref.ref(sources.pop())
         assert row.status == ("error:ValueError" if u_nan else "ok")
-        assert len(made) == 3 * 3 and alive() is None
+        # c, z and u of each band: a NaN u proves no slab, so all 384 rows
+        # are built in three bands; the ok row proves its slabs at rows 0:51
+        # and 255:384 and builds rows 50:256, the unproved run, in two
+        assert len(made) == 3 * (3 if u_nan else 2) and alive() is None
         assert [a for a in made if a() is not None] == []
     finally:
         gc.enable()

@@ -261,12 +261,33 @@ def test_the_free_minimize_runs_the_c_step_without_a_mass(tmp_path):
     assert same_outputs.compare(ROOT, "minimize", same_outputs.MINIMIZE_FREE) == []
 
 
-def test_the_runs_cover_each_config_and_count_39():
+def test_the_runs_cover_each_config_and_count_40():
     # three runs per workload and seed, and the runs on the configs above
-    assert len(WORKLOADS) * len(same_outputs.SEEDS) * 3 + len(same_outputs.RUNS) == 39
+    assert len(WORKLOADS) * len(same_outputs.SEEDS) * 3 + len(same_outputs.RUNS) == 40
     assert [(command, text) for _, command, text in same_outputs.RUNS
             if text is same_outputs.SIGNED_ZERO_RIGID] == [
         ("recover", same_outputs.SIGNED_ZERO_RIGID), ("sweep", same_outputs.SIGNED_ZERO_RIGID)]
+
+
+def test_the_zero_displacement_sweep_proves_plateaus_of_both_phases(tmp_path):
+    text = same_outputs.ZERO_SWEEP
+    config = tmp_path / "run.ini"
+    config.write_text(text)
+    cfg = parse_config(str(config))
+    plan = cfg.sweep_plan
+    assert plan.geometry.u_spec.name == "zero" and plan.cells == (512, 256)
+    for eps, delta in zip(plan.eps_schedule, plan.deltas()):
+        bands = recovery.RecoveryBands(plan.geometry, eps, delta, plan.lam, plan.grid(),
+                                       cfg.potentials, enforce_width=False)
+        keys = [key for key in bands._slab_keys().values() if key is not None]
+        # c = 0 left of the phase set and c = 1 inside it, with z = 1 and u = 0
+        assert {np.frombuffer(key)[0] for key in keys} == {0.0, 1.0}
+        assert all(np.frombuffer(key)[1:].tolist() == [1.0, 0.0, 0.0] for key in keys)
+    mine = same_outputs.run_cli(ROOT, "sweep", str(config), str(tmp_path / "out"))
+    assert mine["exit code"] == b"0" and mine["stderr"] == b""
+    rows = mine["sweep.csv"].decode().splitlines()[1:]
+    assert len(rows) == 2 and all(row.endswith(",ok") for row in rows)
+    assert same_outputs.compare(ROOT, "sweep", text) == []
 
 
 def test_the_sweep_runs_cover_both_kinds_of_band_seam(tmp_path):

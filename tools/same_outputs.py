@@ -19,7 +19,9 @@ whose tiles all lie on one side of the supporting line, compare the signs
 of u's zeros, and `sweep` on FLAT_OFF_SPLITS, the same geometry on 600 x 500
 cells, whose flat slabs repeat one pattern and meet the energy sum's split
 points inside slabs and inside their run, so the sum's tree gathers and
-reuses sums across slab seams.  Then `sweep` on SWEEP_1D, a 1D sweep on a
+reuses sums across slab seams.  `sweep` on ZERO_SWEEP, criterion 05's
+polygon and segment with u = 0, compares the rows whose plateau slabs are
+proved flat through the zero displacement.  Then `sweep` on SWEEP_1D, a 1D sweep on a
 grid of several energy slabs, `sweep` and `recover` on SWEEP_1D_PIECES, a 1D
 geometry of several pieces whose dumps read back through 64 KiB blocks that
 are one line repeated, blocks with a leading or trailing run and blocks of
@@ -212,6 +214,30 @@ lambda = 1e-4
 FLAT_OFF_SPLITS = SIGNED_ZERO_RIGID.replace("cells = 256 200\neps_schedule = 0.03125",
                                             "cells = 600 500\neps_schedule = 0.0078125")
 
+# criterion 05's polygon and segment with u_spec = zero and a misfit, on
+# 512 x 256 cells, eight energy slabs of 64 rows: a sweep row proves its
+# plateau slabs, c = 0 and c = 1 alike, from the bounds and the zero
+# displacement, where the other 2D sweeps prove them through a rigid map or
+# through none
+ZERO_SWEEP = """[elastic]
+e0 = 0.2
+
+[geometry]
+dim = 2
+origin = 0 0
+extent = 1 1
+polygon = 0.5 0  1 0  1 1  0.5 1
+segments = 0.5 0.25 0.5 0.75
+u_spec = zero
+
+[sweep]
+cells = 512 256
+eps_schedule = 0.03125 0.015625
+delta_rule = scaled_two_thirds
+delta_scale = 0.18
+lambda = 1e-4
+"""
+
 # a 1D minimize without [solver] mass: the workloads' minimize runs all set
 # one, so this is the run that takes the c-step with no mass projection
 MINIMIZE_FREE = """[elastic]
@@ -247,6 +273,7 @@ RUNS = [("affine sharp", "sharp", AFFINE_SHARP),
         ("signed-zero rigid recover", "recover", SIGNED_ZERO_RIGID),
         ("signed-zero rigid sweep", "sweep", SIGNED_ZERO_RIGID),
         ("sweep with flat slabs off the tree's splits", "sweep", FLAT_OFF_SPLITS),
+        ("zero-displacement sweep", "sweep", ZERO_SWEEP),
         ("1D sweep", "sweep", SWEEP_1D),
         ("1D sweep over several pieces", "sweep", SWEEP_1D_PIECES),
         ("1D recover over several pieces", "recover", SWEEP_1D_PIECES),
