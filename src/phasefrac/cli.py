@@ -39,7 +39,7 @@ from .fields import Grid, ScalarField, _write_atomic, write_field
 from .harness import SweepPlan, gamma_sweep, resolve_delta_rule
 from .potentials import (PotentialSet, check_admissibility, fracture_density,
                          make_default_potentials, surface_density)
-from .recovery import build_recovery, width_violation
+from .recovery import RecoveryBands, width_violation
 from .sharp import (Polygon, SegmentSet, SharpGeometry1D, SharpGeometry2D,
                     affine_displacement, piecewise_rigid_displacement, sharp_energy,
                     zero_displacement)
@@ -432,9 +432,11 @@ def _cmd_recover(cfg: RunConfig) -> int:
     plan = cfg.sweep_plan
     eps = plan.eps_schedule[-1]
     delta = plan.deltas()[-1]
-    state = build_recovery(cfg.geometry, eps, delta, plan.lam, plan.grid(),
-                           cfg.potentials, enforce_width=plan.enforce_width)
-    b = diffuse_energy(state, cfg.potentials, cfg.elastic)
+    bands = RecoveryBands(cfg.geometry, eps, delta, plan.lam, plan.grid(), cfg.potentials,
+                          enforce_width=plan.enforce_width)
+    state = bands.state()
+    # the energy proves the plateau slabs and reads the others from the state
+    b = diffuse_energy(bands, cfg.potentials, cfg.elastic)
     _write_state(state, cfg.out_dir)
     _emit(cfg, f"recover: eps={eps:g} delta={delta:g} e_total={b.e_total:.12g}")
     return 0

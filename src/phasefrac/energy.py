@@ -19,19 +19,19 @@ the state with that block replaced; such a trial recomputes only the terms
 the block moves, so an Armijo search costs one pass per step.
 `diffuse_energy` is the energy alone, bit for bit `evaluate`'s, in one
 pass over slabs of `fields._BLOCK` cells (whole rows, each read with one
-halo row on each side) from a row source: a state's arrays, or a recovery
+halo row on each side) from a slab source: a state's arrays, or a recovery
 that proves its plateau slabs and builds the others band by band as the
-pass reaches them (`recovery.RecoveryBands`, what a sweep row uses).  Each
-slab asks its source for its plateau first, and is read once and its three
-densities formed once only when it has none; the pass holds no cells-sized
-array where `evaluate` holds about fifteen.  A flat slab, whose rows and
-halo rows hold one value of c, one of z and one of u, bit for bit (a
-plateau of a recovery), is formed on one row with its halo, built from
-those values, which stands for all its rows, and flat slabs that hold the
-same bits share that one formed row.  That rests on each density being a
-pointwise function of the cell values and the difference planes, so the
-potentials and the degradation must act elementwise, as all of the
-package's do.
+pass reaches them (`recovery.RecoveryBands`, what `recover` and a sweep row
+use).  The pass hands the source all its slabs' rows at once, and takes,
+slab by slab, either the rows, which it reads once and forms three
+densities from, or a proved plateau; it holds no cells-sized array where
+`evaluate` holds about fifteen.  A plateau slab, whose rows and halo rows
+hold one value of c, one of z and one of u, bit for bit, is formed on one
+row with its halo, built from those values, which stands for all its rows,
+and plateau slabs that hold the same bits share that one formed row.  That
+rests on each density being a pointwise function of the cell values and
+the difference planes, so the potentials and the degradation must act
+elementwise, as all of the package's do.
 
 Every integral is `np.sum` of its density, bit for bit.  The whole-array
 pass's is `_integral`, `np.sum` itself.  The slabs' three are `_integrals`:
@@ -57,7 +57,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -143,8 +143,8 @@ class ElasticModel:
             raise ValueError(f"e0 must be a 1x1 or 2x2 matrix, got shape {e0.shape}")
         if not np.all(np.isfinite(e0)):
             raise ValueError(f"e0 must be finite, got {e0.tolist()}")
-        if not np.allclose(e0, e0.T, atol=1e-14):
-            raise ValueError("e0 must be symmetric")
+        if not np.allclose(e0, e0.T, rtol=0.0, atol=1e-14):
+            raise ValueError(f"e0 must be symmetric, got {e0.tolist()}")
         object.__setattr__(self, "_e0_planes", sym_planes(e0, e0.shape[0], "e0"))
         for name, table in (("degradation", DEGRADATIONS), ("eta_rule", ETA_RULES)):
             if getattr(self, name) not in table:
@@ -190,24 +190,26 @@ class DiffuseState:
     delta: float
 
     def __post_init__(self):
-        if self.eps <= 0 or self.delta <= 0:
-            raise ValueError("eps and delta must be positive")
+        self.check_lengths(self.eps, self.delta)
         if self.c.grid != self.u.grid or self.c.grid != self.z.grid:
             raise ValueError("c, u, z must share one grid")
+
+    @staticmethod
+    def check_lengths(eps: float, delta: float) -> None:
+        """Raise ValueError naming the values unless 0 < eps < inf and
+        0 < delta < inf; NaN fails too."""
+        if not (0.0 < eps < np.inf and 0.0 < delta < np.inf):
+            raise ValueError(f"need 0 < eps < inf and 0 < delta < inf, got eps {eps}, "
+                             f"delta {delta}")
 
     @property
     def grid(self) -> Grid:
         return self.c.grid
 
-    def rows(self, r: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """c, z and u on the rows of the slice r, as views: the row source
-        of `diffuse_energy`."""
-        return self.c.values[r], self.z.values[r], self.u.values[r]
-
-    def plateau(self, r: slice) -> Optional[bytes]:
-        """`_flat_key` of the rows of the slice r: the raw bytes of their one
-        value of c, z and u, or None."""
-        return _flat_key(*self.rows(r), self.grid.dim)
+    def slabs(self, halos: list[slice]) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """c, z and u on each range of rows in `halos`, as views: the slab
+        source of `diffuse_energy`, which proves no plateau."""
+        return ((self.c.values[r], self.z.values[r], self.u.values[r]) for r in halos)
 
     def replace(self, **kw) -> "DiffuseState":
         return dataclasses.replace(self, **kw)
@@ -527,41 +529,25 @@ def _haloed(r0: int, r1: int, rows: int) -> tuple[slice, slice]:
     return slice(lo, min(r1 + 1, rows)), slice(r0 - lo, r1 - lo)
 
 
-def _slabs(grid: Grid) -> Iterator[tuple[slice, slice]]:
+def _slabs(grid: Grid) -> list[tuple[slice, slice]]:
     """The slabs of `diffuse_energy`'s pass, `max(1, _BLOCK // row cells)`
     rows each, in order: each one's haloed rows, and its rows within them."""
     rows = grid.cells[0]
     step = max(1, _BLOCK // (math.prod(grid.cells) // rows))
-    return (_haloed(r0, min(r0 + step, rows), rows) for r0 in range(0, rows, step))
-
-
-def _bit_flat(a: np.ndarray, per_cell: int) -> bool:
-    """Whether every cell of `a` holds the same bits, -0.0 and 0.0 apart: on
-    the flattened uint64 view, each cell's `per_cell` components against
-    the next cell's."""
-    bits = a.reshape(-1).view(np.uint64)
-    return bool(np.array_equal(bits[per_cell:], bits[:-per_cell]))
-
-
-def _flat_key(c: np.ndarray, z: np.ndarray, u: np.ndarray, dim: int) -> Optional[bytes]:
-    """The raw bytes of one cell's c, z and u when the rows c, z and u hold
-    one value each, bit for bit (0.0 and -0.0 apart); None otherwise."""
-    if not (_bit_flat(c, 1) and _bit_flat(z, 1) and _bit_flat(u, dim)):
-        return None
-    return b"".join(a.reshape(-1)[:k].tobytes() for a, k in ((c, 1), (z, 1), (u, dim)))
+    return [_haloed(r0, min(r0 + step, rows), rows) for r0 in range(0, rows, step)]
 
 
 def diffuse_energy(s, P: PotentialSet, M: ElasticModel) -> EnergyBreakdown:
     """The energy alone, bit for bit `evaluate(s, P, M)[0]`, clamp count
-    included, in one pass over the slabs of `_slabs`.  `s` is a row source:
+    included, in one pass over the slabs of `_slabs`.  `s` is a slab source:
     a `DiffuseState`, or anything else with its `grid`, `eps` and `delta`
-    and two methods, `plateau(r)`, the raw bytes of one cell's c, z and u
-    when the rows of the slice r hold one value each, bit for bit, as
-    `_flat_key` forms them, else None, and `rows(r)`, c, z and u on those
-    rows (`recovery.RecoveryBands`, which proves a recovery's plateaus from
-    its bounds and builds the other rows band by band).  Each slab asks
-    for its plateau first, and for its rows only when it has none; the
-    slabs ask in increasing order of their rows.
+    and a method `slabs(halos)`, handed the haloed rows of every slab at
+    once, as slices in order, that yields for each slab, in that order,
+    either c, z and u on its rows, or the raw bytes of one cell's c, z and
+    u when it proves that all its rows hold those values, bit for bit (a
+    plateau; `recovery.RecoveryBands` proves a recovery's plateaus from its
+    bounds and builds the other rows band by band).  The pass never tests
+    rows for a plateau: a state's slabs are all formed.
 
     Each slab's rows are read once, with one halo row on each side inside
     the grid: a difference of the haloed rows is the whole grid's difference
@@ -569,14 +555,14 @@ def diffuse_energy(s, P: PotentialSet, M: ElasticModel) -> EnergyBreakdown:
     same operands and one-sided ones fall only on the grid's own edge rows.
     Its three densities are formed together and handed to `_integrals`,
     whose tree sums take them in lockstep, so the pass holds no cells-sized
-    array, only slab-sized temporaries and what the source holds.  A slab
-    with a plateau is flat: the densities are pointwise functions of the
-    cell values and the difference planes, and every difference there is
+    array, only slab-sized temporaries and what the source holds.  A
+    plateau slab is flat: the densities are pointwise functions of the cell
+    values and the difference planes, and every difference there is
     x - x, +0.0, so its densities are those of any one row formed with its
     halo, repeated, a `_Flat` run.  They are formed once per key, on a
-    first row with its halo built from the key's values, so the plateaus of
-    a state cost one row per distinct plateau, proved or tested alike, and
-    `_integrals` sums each of their ranges once per key."""
+    first row with its halo built from the key's values, so the plateaus
+    cost one row per distinct key, and `_integrals` sums each of their
+    ranges once per key."""
     grid, h = s.grid, s.grid.spacing
     rows, e0 = grid.cells[0], M.e0_planes(grid.dim)
     shared, clamped = {}, 0  # each flat pattern's three formed density rows, clamped cells
@@ -616,22 +602,25 @@ def diffuse_energy(s, P: PotentialSet, M: ElasticModel) -> EnergyBreakdown:
         return densities(c, z, u, one), int(np.count_nonzero(_clamp(z[one])[1]))
 
     def slab(halo, inner):
-        """The densities of the slab of haloed rows `halo`, as pieces; the
-        slab's rows are dropped on return, before the next slab's are read."""
+        """The densities of the slab of haloed rows `halo`, as pieces, from
+        the source's next answer; the slab's rows are dropped on return,
+        before the next slab's are read."""
         nonlocal clamped
-        n = inner.stop - inner.start
-        key = s.plateau(halo)
-        if key is None:
-            c, z, u = s.rows(halo)
+        got = next(source)
+        if not isinstance(got, bytes):
+            c, z, u = got
             clamped += int(np.count_nonzero(_clamp(z[inner])[1]))
             return densities(c, z, u, inner)
-        if key not in shared:
-            shared[key] = plateau_densities(key, halo.start + inner.start)
-        formed, row_clamped = shared[key]
+        n = inner.stop - inner.start
+        if got not in shared:
+            shared[got] = plateau_densities(got, halo.start + inner.start)
+        formed, row_clamped = shared[got]
         clamped += n * row_clamped
-        return tuple(_Flat(d, n, key) for d in formed)
+        return tuple(_Flat(d, n, got) for d in formed)
 
-    terms = _integrals((slab(halo, inner) for halo, inner in _slabs(grid)), grid,
+    cuts = _slabs(grid)
+    source = s.slabs([halo for halo, _ in cuts])
+    terms = _integrals((slab(halo, inner) for halo, inner in cuts), grid,
                        ("interfacial", "elastic", "crack"))
     return EnergyBreakdown(*terms, clamped)
 

@@ -24,7 +24,7 @@ from typing import ClassVar
 import numpy as np
 
 
-# cells per block of the blocked passes, `recovery.build_recovery`'s square
+# cells per block of the blocked passes, `recovery.RecoveryBands`' square
 # tiles (isqrt(_BLOCK) = 128 a side in 2D) and `energy.diffuse_energy`'s
 # slabs of rows: a block's temporaries take 128 KiB each, whatever the grid size
 _BLOCK = 1 << 14
@@ -79,8 +79,10 @@ class Grid:
 @dataclass(frozen=True)
 class _HandOver:
     """An array given to a field without a copy, by a maker that keeps no
-    reference to it: `read_field` and `recovery.build_recovery`, which fill
-    arrays too large to copy.  The field still checks and freezes it."""
+    writable reference to it: `read_field`, which keeps none, and
+    `recovery.RecoveryBands.state`, which keeps only the field's own
+    read-only view; both fill arrays too large to copy.  The field still
+    checks and freezes it."""
     array: np.ndarray
 
 

@@ -124,12 +124,13 @@ def gamma_sweep(plan: SweepPlan, P: PotentialSet, M: ElasticModel) -> SweepTable
     rows (unresolvable profiles, width violations under enforce_width, a
     non-finite density) are recorded with an error status and the sweep
     continues.  A row's energy is `diffuse_energy` of `build_recovery`'s
-    state, bit for bit, but the recovery is a `recovery.RecoveryBands`:
-    the slabs its bounds prove flat are never built or tested, and the
-    others are built in bands of at most one row of tiles as the energy's
-    slab pass reaches them, each dropped once the pass has left it, so a
-    row holds about one band of c, z and u and slab-sized temporaries,
-    whatever the grid size, and its time goes on the rows of its layers.
+    state, bit for bit, but its slab source is a `recovery.RecoveryBands`
+    that never builds the state: the slabs its bounds prove plateaus are
+    never built or read, and the others are built in bands of at most one
+    row of tiles as the energy's slab pass reaches them, each dropped once
+    the pass has left it, so a row holds about one band of c, z and u and
+    slab-sized temporaries, whatever the grid size, and its time goes on
+    the rows of its layers.
     """
     sharp = sharp_energy(plan.geometry, P, M)
     e_sharp = sharp.e_total

@@ -61,19 +61,21 @@ recovery (`RecoveryBands`); its `band` builds c, z and u on any range of
 rows from them, each tile that meets the range cut to it.  Every value is the
 one a single whole-grid pass gives, bit for bit, however the rows are cut:
 the formulas are pointwise in the cell centre, and a plateau is the
-formula's own value there.  `build_recovery` builds all rows as one band,
-into arrays the fields take without a copy, as a `fields._HandOver`, since
-`recover` dumps them.  A sweep row asks `RecoveryBands` for each energy
-slab's plateau first: the same bounds, taken on the box of the slab's
-haloed rows across all columns, with the geometry's `u_plateau` for u, put
-most slabs of a row on one plateau of c, z and u, bit for bit, and such a
-slab is never built or tested.  The other slabs' rows are built in bands
-of at most one row of tiles, each starting at the first row asked for and
-ending with its run of unproved slabs, and a band is dropped once the pass
-has left it, so a sweep row holds about one band of c, z and u, never a
-cells-sized array.  Besides its arrays, a build holds a few numbers per
-tile and tile-sized temporaries, under 3 MiB at 2^14 cells whatever the
-grid size.
+formula's own value there.  Its `state`, which `build_recovery` returns,
+builds all rows as one band, into arrays the fields take without a copy, as
+a `fields._HandOver`, since `recover` dumps them.  `recover` and a sweep
+row take their energy from the recovery as a slab source
+(`RecoveryBands.slabs`), which proves the energy's plateau slabs first: the
+same bounds, taken on the box of a slab's haloed rows across all columns,
+with the geometry's `u_plateau` for u, put most slabs of a row on one
+plateau of c, z and u, bit for bit, and such a slab is never built or read.
+A sweep row builds the other slabs' rows in bands of at most one row of
+tiles, each starting at the first row a slab needs and ending with its run
+of unproved slabs, and a band is dropped once the pass has left it, so a
+sweep row holds about one band of c, z and u, never a cells-sized array;
+`recover`, which has built its state, reads them from its fields.  Besides
+its arrays, a build holds a few numbers per tile and tile-sized
+temporaries, under 3 MiB at 2^14 cells whatever the grid size.
 """
 from __future__ import annotations
 
@@ -85,8 +87,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._quad import cumulative_simpson, simpson
-from .energy import DiffuseState, _flat_key
-from .energy import _slabs as _energy_slabs
+from .energy import DiffuseState
 from .fields import _BLOCK, Grid, ScalarField, VectorField, _HandOver
 from .potentials import PotentialSet
 
@@ -220,36 +221,31 @@ class RecoveryBands:
     demand.  Construction makes the decisions once: the checks, the
     profiles, the tiles and which of them the bounds put on a plateau; it
     raises what `build_recovery` documents.  `band` builds c, z and u on any
-    range of rows from them.  `plateau` and `rows` make the recovery a row
-    source of `energy.diffuse_energy`.
+    range of rows from them, `state` builds the whole grid as a
+    `DiffuseState`, and `slabs` makes the recovery a slab source of
+    `energy.diffuse_energy`.
 
-    `plateau(r)` proves, where it can, that the haloed rows r of a slab hold
-    one value of c, of z and of u, bit for bit, without building them.  It
-    takes the rows as one box of cell centres across all columns: the
-    tiles' bounds (`_bounds`) put the box on a plateau of c (1 or 0) and of
-    z = 1, where u is u_sharp with no smoothstep factor, and the geometry's
-    `u_plateau` names u's one value there.  The energy's own slabs are
-    proved together, the first time one is asked for.  A slab that is not
-    proved is built and tested bit by bit, as a state's slab is.
-
-    `rows(r)` builds bands of at most `_side` rows (128 in 2D, `_BLOCK`
-    cells in 1D).  A band starts where the last one stopped, or at r.start
-    when the rows between were never asked for, and stops at the end of the
-    run of unproved slabs that r starts, so the rows of a proved slab that
-    no other slab reads as its halo are never built.  Before a band is
-    built, the rest of the last one that r still needs is copied and the
-    band dropped, so a sweep row holds at most one band of c, z and u and
-    slab-sized copies, never a cells-sized array.  Each built cell is built
-    once and holds the bits of `build_recovery`'s state, since the formulas
-    are pointwise in the cell centre and a plateau is the formula's own
-    value."""
+    `slabs(halos)` first proves, where it can, that the haloed rows of a
+    slab hold one value of c, of z and of u, bit for bit, without building
+    them (`_prove`), and yields that value's key for such a slab.  The other
+    slabs' rows are built in bands of at most `_side` rows (128 in 2D,
+    `_BLOCK` cells in 1D).  A band starts where the last one stopped, or at
+    the slab's first row when the rows between were never needed, and stops
+    at the end of the run of unproved slabs that the slab starts, so the
+    rows of a proved slab that no other slab reads as its halo are never
+    built.  Before a band is built, the rest of the last one that the slab
+    still needs is copied and the band dropped, so a sweep row holds at most
+    one band of c, z and u and slab-sized copies, never a cells-sized array.
+    Once `state` has built the whole grid, `slabs` reads the unproved rows
+    from its fields and builds none.  Each built cell is built once and
+    holds the bits of `state`, since the formulas are pointwise in the cell
+    centre and a plateau is the formula's own value."""
 
     def __init__(self, geometry, eps: float, delta: float, lam: float, grid: Grid,
                  P: PotentialSet, *, enforce_width: bool):
         if grid.dim != geometry.dim:
             raise ValueError("grid and geometry dimensions differ")
-        if eps <= 0 or delta <= 0:
-            raise ValueError("eps and delta must be positive")
+        DiffuseState.check_lengths(eps, delta)
         reason = width_violation(geometry, eps, delta, lam) if enforce_width else None
         if reason is not None:
             raise WidthConditionError(reason)
@@ -267,10 +263,7 @@ class RecoveryBands:
         self.c_one, self.c_band, self.z_band = self._bounds(
             np.array([[x[s.start] for x, s in zip(self.centers, t)] for t in self.tiles]),
             np.array([[x[s.stop - 1] for x, s in zip(self.centers, t)] for t in self.tiles]))
-        self._slabs = None  # (first, stop) of each energy slab's haloed rows: proved key
-        self._held = []  # (first row, (c, z, u)) of the built rows `rows` still needs
-        self._built = 0  # rows built so far by `rows`
-        self._asked = (None, None)  # the rows `rows` gave last, and its answer
+        self._whole = None  # c, z and u of the whole grid, once `state` has built them
 
     def _bounds(self, first: np.ndarray, last: np.ndarray):
         """Which boxes of cell centres [first, last] ((k, d)) lie on the c = 1
@@ -292,8 +285,12 @@ class RecoveryBands:
 
     def _prove(self, halos: list[slice]) -> list[Optional[bytes]]:
         """For each range of rows, the raw bytes of its one value of c, z
-        and u, as `energy._flat_key` forms them, where the bounds and the
-        geometry's `u_plateau` prove that all its rows hold it; else None."""
+        and u, in that order, where the bounds and the geometry's
+        `u_plateau` prove that all its rows hold it; else None.  The rows
+        are taken as one box of cell centres across all columns: the tiles'
+        bounds (`_bounds`) put the box on a plateau of c (1 or 0) and of
+        z = 1, where u is u_sharp with no smoothstep factor, and
+        `u_plateau` names u's one value there."""
         x, rest = self.centers[0], self.centers[1:]
         first = np.array([[x[h.start]] + [a[0] for a in rest] for h in halos])
         last = np.array([[x[h.stop - 1]] + [a[-1] for a in rest] for h in halos])
@@ -302,59 +299,42 @@ class RecoveryBands:
         return [np.concatenate(([1.0 if one else 0.0, 1.0], value)).tobytes() if flat else None
                 for one, flat, value in zip(c_one, u_flat & ~c_band & ~z_band, u)]
 
-    def _slab_keys(self) -> dict[tuple[int, int], Optional[bytes]]:
-        """The energy's slabs in order: the first and stop row of each one's
-        haloed rows, to its proved key."""
-        if self._slabs is None:
-            halos = [halo for halo, _ in _energy_slabs(self.grid)]
-            self._slabs = dict(zip([(h.start, h.stop) for h in halos], self._prove(halos)))
-        return self._slabs
-
-    def plateau(self, r: slice) -> Optional[bytes]:
-        """The raw bytes of one cell's c, z and u when the rows of the slice r
-        hold one value each, bit for bit (`energy._flat_key`), else None:
-        proved from the bounds for a slab of the energy's pass when it can
-        be, else built and tested."""
-        key = self._slab_keys().get((r.start, r.stop))
-        if key is None:
-            key = _flat_key(*self.rows(r), self.grid.dim)
-        return key
-
-    def rows(self, r: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """c, z and u on the rows of the slice r; r.start may not decrease
-        from one call to the next.  Rows before r.start are dropped.  When r
-        reaches past the built rows, the rest of the last band is copied
-        first, so that band is freed before the next is built; it starts at
-        the last built row or at r.start, whichever is later, and stops after
-        `_side` rows or at the end of the energy's unproved slabs from r on.
-        Rows that lie in one band come as views of it, others as one copy of
-        their parts, kept until another r is asked for."""
-        if self._asked[0] == (r.start, r.stop):
-            return self._asked[1]
-        self._asked = (None, None)
-        self._held = [(start, arrays) for start, arrays in self._held
-                      if start + len(arrays[0]) > r.start]
-        if r.stop > self._built:
-            self._held = [(start, arrays) if start >= r.start else
-                          (r.start, tuple(a[r.start - start:].copy() for a in arrays))
-                          for start, arrays in self._held]
-            stop = r.stop
-            for (first, last), key in self._slab_keys().items():
-                if first <= r.start or last <= stop:
-                    continue
-                if key is not None:
-                    break
-                stop = last
-            self._built = max(self._built, r.start)
-            while self._built < r.stop:
-                band = slice(self._built, min(self._built + self.side, stop))
-                self._held.append((band.start, self.band(band)))
-                self._built = band.stop
-        parts = [tuple(a[max(r.start - start, 0):r.stop - start] for a in arrays)
-                 for start, arrays in self._held if start < r.stop]
-        self._asked = ((r.start, r.stop),
-                       parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts))))
-        return self._asked[1]
+    def slabs(self, halos: list[slice]):
+        """For each range of rows in `halos`, which must not start before
+        the last, its proved key (`_prove`), or c, z and u on its rows: views
+        of a band when they lie in one, else one copy of their parts.  Rows
+        before a slab's first are dropped as it is reached."""
+        keys = self._prove(halos)
+        # (first row, (c, z, u)) of the built rows still needed, and the
+        # rows built so far
+        held, built = [], 0
+        if self._whole is not None:
+            held, built = [(0, self._whole)], self.grid.cells[0]
+        for k, (r, key) in enumerate(zip(halos, keys)):
+            if key is not None:
+                yield key
+                continue
+            held = [(start, arrays) for start, arrays in held if start + len(arrays[0]) > r.start]
+            if r.stop > built:
+                held = [(start, arrays) if start >= r.start else
+                        (r.start, tuple(a[r.start - start:].copy() for a in arrays))
+                        for start, arrays in held]
+                stop = r.stop
+                for later, proved in zip(halos[k + 1:], keys[k + 1:]):
+                    if later.start <= r.start or later.stop <= stop:
+                        continue
+                    if proved is not None:
+                        break
+                    stop = later.stop
+                built = max(built, r.start)
+                while built < r.stop:
+                    band = slice(built, min(built + self.side, stop))
+                    held.append((band.start, self.band(band)))
+                    built = band.stop
+            parts = [tuple(a[max(r.start - start, 0):r.stop - start] for a in arrays)
+                     for start, arrays in held if start < r.stop]
+            yield parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+            parts = None  # dropped before the next band is built
 
     def band(self, rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """c, z and u on the rows of the slice `rows`, new arrays: each tile
@@ -383,6 +363,18 @@ class RecoveryBands:
         return c, z, u
 
 
+    def state(self) -> DiffuseState:
+        """The whole grid as one `band` of all its rows, in arrays the
+        fields take without a copy (`fields._HandOver`); their frozen views
+        are kept, so that a later `slabs` reads its rows from them."""
+        grid = self.grid
+        c, z, u = self.band(slice(0, grid.cells[0]))
+        state = DiffuseState(c=ScalarField(grid, _HandOver(c)), u=VectorField(grid, _HandOver(u)),
+                             z=ScalarField(grid, _HandOver(z)), eps=self.eps, delta=self.delta)
+        self._whole = state.c.values, state.z.values, state.u.values
+        return state
+
+
 def build_recovery(geometry, eps: float, delta: float, lam: float, grid: Grid,
                    P: PotentialSet, *, enforce_width: bool) -> DiffuseState:
     """Sample the diffuse embedding of a sharp configuration on a grid.
@@ -393,12 +385,9 @@ def build_recovery(geometry, eps: float, delta: float, lam: float, grid: Grid,
     out of the damaged tube); without it, builds anyway, e.g. for energy
     sweeps in the asymptotic regime.  The keyword has no default here: a
     sweep's, and so the CLI's, is `harness.SweepPlan.enforce_width`.  Raises
-    ResolutionError when a needed transition is thinner than two cells.
-    The whole grid is one `RecoveryBands.band` of all its rows, into arrays
-    the fields take without a copy.
+    ResolutionError when a needed transition is thinner than two cells, and
+    ValueError unless 0 < eps < inf and 0 < delta < inf.  The state is
+    `RecoveryBands.state`.
     """
-    c, z, u = RecoveryBands(geometry, eps, delta, lam, grid, P,
-                            enforce_width=enforce_width).band(slice(0, grid.cells[0]))
-    return DiffuseState(c=ScalarField(grid, _HandOver(c)),
-                        u=VectorField(grid, _HandOver(u)),
-                        z=ScalarField(grid, _HandOver(z)), eps=eps, delta=delta)
+    return RecoveryBands(geometry, eps, delta, lam, grid, P,
+                         enforce_width=enforce_width).state()

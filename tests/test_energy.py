@@ -9,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import random_state
+from conftest import FlatSlabs, random_state
 from phasefrac import energy, fields, solver
 from phasefrac.cli import parse_config
 from phasefrac.energy import (DEGRADATIONS, ETA_RULES, DiffuseState, ElasticModel,
@@ -17,7 +17,8 @@ from phasefrac.energy import (DEGRADATIONS, ETA_RULES, DiffuseState, ElasticMode
                               mass, project_mass)
 from phasefrac.fields import Grid, ScalarField, VectorField, gradient, gradient_adjoint
 from phasefrac.potentials import phi_delta
-from phasefrac.recovery import ProfileParams, build_profile, build_recovery
+from phasefrac.recovery import ProfileParams, RecoveryBands, build_profile, build_recovery
+from phasefrac.sharp import SharpGeometry1D
 
 
 def fd_gradient(state, P, M, block, rel_step=1e-6):
@@ -197,7 +198,8 @@ def test_integral_names_the_first_nonfinite_cell(bad):
 def test_a_finite_density_whose_sum_overflows_is_refused(P, monkeypatch):
     # psi = 1e308 and C(e(u) - c e0) = 1 at every cell: each elastic density
     # is finite, its sum is not, and no cell is named.  Every slab is flat in
-    # one pattern, so the tree sum reuses the overflowed sums of its ranges:
+    # one pattern, and a source that yields its key (`FlatSlabs`) makes the
+    # tree sum reuse the overflowed sums of its ranges:
     # a whole-grid slab, slabs of 512 cells (whole subtrees) and of 1000 (off
     # the splits)
     monkeypatch.setitem(DEGRADATIONS, "huge", (lambda z: np.full_like(z, 1e308),
@@ -220,7 +222,7 @@ def test_a_finite_density_whose_sum_overflows_is_refused(P, monkeypatch):
             sums.clear()
             with pytest.raises(ValueError, match="e_elastic must be finite and nonnegative, "
                                                  "got inf"):
-                diffuse_energy(s, P, M)
+                diffuse_energy(FlatSlabs(s), P, M)
             # without the reuse, each of the three terms would sum 4096 / 128
             # leaves of one pattern
             assert 0 < len(sums) < 3 * 4096 // 128 and max(sums) <= 128, (cells, sums)
@@ -297,7 +299,9 @@ def _smoke_states(tmp_path):
 def test_the_tree_sum_gives_np_sum_on_every_workloads_densities(monkeypatch, tmp_path):
     # evaluate sums each density as one array, np.sum itself; the slab pass
     # sums it by the tree over its slabs: default slabs, and slabs of 1000
-    # cells, which end inside the tree's ranges and cut flat runs short
+    # cells, which end inside the tree's ranges and cut flat runs short; the
+    # state's flat slabs come as their keys (`FlatSlabs`), so both kinds of
+    # piece are summed
     monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(__file__)),
                                              "perfbench"))
     kinds, integrals = set(), energy._integrals
@@ -311,7 +315,7 @@ def test_the_tree_sum_gives_np_sum_on_every_workloads_densities(monkeypatch, tmp
         for cells in (fields._BLOCK, 1000):
             monkeypatch.setattr(energy, "_BLOCK", cells)
             monkeypatch.setattr(energy, "_integrals", seen)
-            assert _same_energy(diffuse_energy(s, P, M), want), (name, cells)
+            assert _same_energy(diffuse_energy(FlatSlabs(s), P, M), want), (name, cells)
             monkeypatch.setattr(energy, "_integrals", integrals)
     assert kinds == {np.ndarray, energy._Flat}
 
@@ -357,6 +361,33 @@ def test_elastic_model_names_a_nonfinite_e0(e0):
     # an asymmetric NaN used to read `e0 must be symmetric`
     with pytest.raises(ValueError, match="e0 must be finite"):
         ElasticModel(e0=np.array(e0))
+
+
+@pytest.mark.parametrize("off", [1.00001, 1.0 + 1e-12])
+def test_elastic_model_refuses_an_asymmetric_e0(off):
+    # an off-diagonal pair that numpy's default rtol of 1e-5 calls close
+    # would lose its lower entry to `sym_planes`
+    with pytest.raises(ValueError, match=re.escape(f"e0 must be symmetric, got [[1.0, {off!r}]")):
+        ElasticModel(e0=np.array([[1.0, off], [1.0, 1.0]]))
+    ElasticModel(e0=np.array([[1.0, 1.0 + 1e-15], [1.0, 1.0]]))  # within atol
+
+
+@pytest.mark.parametrize("eps,delta", [(np.nan, 0.1), (0.1, np.nan), (np.inf, 0.1),
+                                       (0.1, np.inf), (0.0, 0.1), (0.1, -1.0)])
+def test_a_state_and_a_recovery_refuse_lengths_outside_zero_to_inf(P, eps, delta):
+    # NaN passed `eps <= 0 or delta <= 0`: a state with eps = NaN failed
+    # later as a non-finite interfacial density, and delta = inf built a
+    # recovery with no crack layer
+    message = re.escape(f"need 0 < eps < inf and 0 < delta < inf, got eps {eps}, "
+                        f"delta {delta}")
+    g = Grid((0.0,), (1.0,), (64,))
+    with pytest.raises(ValueError, match=message):
+        DiffuseState(ScalarField.full(g, 0.5), VectorField.full(g, 0.0),
+                     ScalarField.full(g, 1.0), eps, delta)
+    geometry = SharpGeometry1D((0.0, 1.0), crack_points=(0.5,), c_pieces=(0, 0),
+                               u_pieces=((0.0, 0.0), (0.0, 0.1)))
+    with pytest.raises(ValueError, match=message):
+        RecoveryBands(geometry, eps, delta, 1e-4, g, P, enforce_width=False)
 
 
 @pytest.mark.parametrize("lame", [dict(lame_mu=np.nan), dict(lame_mu=np.inf),
@@ -672,8 +703,9 @@ def _flat_case(P, case):
                                   "two plateaus", "zeros apart", "apart"])
 def test_slab_pass_on_flat_slabs_matches_the_whole_array_pass_bitwise(P, monkeypatch, case):
     # a slab whose rows and halo rows hold one value of c, z and u, bit for
-    # bit, forms its densities on its first row, with that row's halo, unless
-    # an earlier flat slab of the same bits has formed them
+    # bit, and whose source yields that value's key (`FlatSlabs`), forms its
+    # densities on its first row, with that row's halo, unless an earlier
+    # flat slab of the same bits has formed them
     s, P, M, flat_patterns = _flat_case(P, case)
     want = evaluate(s, P, M)[0]
     if case == "z outside":
@@ -687,13 +719,15 @@ def test_slab_pass_on_flat_slabs_matches_the_whole_array_pass_bitwise(P, monkeyp
     rows = len(s.c.values)
     for cells in _SLAB_CELLS[s.grid.dim]:
         monkeypatch.setattr(energy, "_BLOCK", cells)
-        halo_rows.clear()
-        assert _same_energy(diffuse_energy(s, P, M), want), cells
-        if cells == 5 * (s.c.values.size // rows):
-            # two gradients, of c and of z, per distinct flat pattern; a slab
-            # formed on its first row reads at most 3 rows, any other slab of
-            # 5 rows 4 or more
-            assert sum(n <= 3 for n in halo_rows) == 2 * flat_patterns, halo_rows
+        # the state itself yields its rows and never a key: no slab is flat
+        for source, patterns in ((FlatSlabs(s), flat_patterns), (s, 0)):
+            halo_rows.clear()
+            assert _same_energy(diffuse_energy(source, P, M), want), cells
+            if cells == 5 * (s.c.values.size // rows):
+                # two gradients, of c and of z, per distinct flat pattern; a
+                # slab formed on its first row reads at most 3 rows, any other
+                # slab of 5 rows 4 or more
+                assert sum(n <= 3 for n in halo_rows) == 2 * patterns, halo_rows
 
 
 @pytest.mark.parametrize("label,flat", [(label, flat) for flat in (False, True)
@@ -702,7 +736,7 @@ def test_slab_pass_on_flat_slabs_matches_the_whole_array_pass_bitwise(P, monkeyp
                               "flat_elastic", "flat_crack"])
 def test_slab_pass_names_the_same_nonfinite_cell(P, monkeypatch, label, flat):
     s, M = _slab_state(2)
-    if flat:  # rows 0:13 hold one value: its slabs of 1 and 5 rows are flat
+    if flat:  # rows 0:13 hold one value: its slabs of 1 and 5 rows come as keys
         cell = (0, 0)
         s = _flat_rows(s, slice(0, 13), 0.25, 0.5, [0.002, -0.001])
     else:
@@ -723,7 +757,7 @@ def test_slab_pass_names_the_same_nonfinite_cell(P, monkeypatch, label, flat):
     for cells in _SLAB_CELLS[2]:
         monkeypatch.setattr(energy, "_BLOCK", cells)
         with pytest.raises(ValueError, match=re.escape(message)):
-            diffuse_energy(s, P, M)
+            diffuse_energy(FlatSlabs(s) if flat else s, P, M)
 
 
 @pytest.mark.parametrize("early,late", [("elastic", "interfacial"), ("crack", "elastic"),
@@ -772,7 +806,7 @@ def test_slab_pass_keeps_nothing_of_the_state_alive(P, monkeypatch, flat):
     gc.disable()
     try:
         state = weakref.ref(s)
-        diffuse_energy(s, P, M)
+        diffuse_energy(FlatSlabs(s) if flat else s, P, M)
         del s
         assert state() is None
     finally:

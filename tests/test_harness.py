@@ -9,11 +9,12 @@ import weakref
 import numpy as np
 import pytest
 
+from conftest import flat_key
 import phasefrac
-from phasefrac import energy, harness, recovery
+from phasefrac import cli, energy, harness, recovery
 from phasefrac.cli import parse_config
 from phasefrac.energy import diffuse_energy
-from phasefrac.fields import Grid, ScalarField
+from phasefrac.fields import Grid, ScalarField, VectorField
 from phasefrac.harness import (DiagnosticError, SweepPlan,
                                compactness_levelset_diagnostic,
                                face_total_variation, gamma_sweep,
@@ -181,7 +182,14 @@ def test_sweep_rows_keep_their_bits_with_band_seams_inside_slabs(P, monkeypatch,
     monkeypatch.setattr(energy, "_integrals", seen)
     assert _same_rows_as_whole_builds(cfg.sweep_plan, cfg.potentials, cfg.elastic) == ["ok"]
     band = recovery._side(2)
-    assert 128 % 37 and len(layouts) == 2 and layouts[0] == layouts[1]
+    # the row's layout is the whole build's proved one; the whole state's
+    # own pass forms every slab
+    plan = cfg.sweep_plan
+    bands = recovery.RecoveryBands(plan.geometry, plan.eps_schedule[0], plan.deltas()[0],
+                                   plan.lam, plan.grid(), cfg.potentials, enforce_width=False)
+    halos = [halo for halo, _ in energy._slabs(plan.grid())]
+    proved = [key is not None for key in bands._prove(halos)]
+    assert 128 % 37 and len(layouts) == 2 and layouts == [proved, [False] * len(proved)]
     starts = range(0, 600, 37)
     straddling = {flat for r0, flat in zip(starts, layouts[0])
                   if r0 // band != (min(r0 + 37, 600) - 1) // band}
@@ -236,19 +244,18 @@ def test_a_1024_squared_row_holds_less_than_one_cells_sized_array(P, elastic_2d_
 
 def _slab_proofs(geometry, eps, delta, lam, grid, P, slab_rows=None):
     """For each slab of the energy's pass (or of `slab_rows` rows), the key
-    `RecoveryBands` proves for its haloed rows, with `_flat_key` of those
+    `RecoveryBands` proves for its haloed rows, with `flat_key` of those
     rows as built: [(proved, tested)]."""
     bands = recovery.RecoveryBands(geometry, eps, delta, lam, grid, P, enforce_width=False)
     c, z, u = bands.band(slice(0, grid.cells[0]))
     if slab_rows is None:
         halos = [halo for halo, _ in energy._slabs(grid)]
-        proved = [bands._slab_keys()[h.start, h.stop] for h in halos]
     else:
         rows = grid.cells[0]
         halos = [energy._haloed(r0, min(r0 + slab_rows, rows), rows)[0]
                  for r0 in range(0, rows, slab_rows)]
-        proved = bands._prove(halos)
-    return [(key, energy._flat_key(c[h], z[h], u[h], grid.dim)) for key, h in zip(proved, halos)]
+    return [(key, flat_key(c[h], z[h], u[h], grid.dim))
+            for key, h in zip(bands._prove(halos), halos)]
 
 
 def _config(text, tmp_path):
@@ -281,7 +288,7 @@ _PROOF_GEOMETRIES = {
     ("affine F = 0, b0 = -0.0", False), ("zero", True), ("SWEEP_1D", True),
     ("SWEEP_1D_PIECES", False), ("u NaN", False)])
 def test_every_proved_slab_holds_its_keys_bits(P, monkeypatch, tmp_path, name, proofs):
-    # soundness: a key proved from the bounds is `_flat_key` of the rows as
+    # soundness: a key proved from the bounds is `flat_key` of the rows as
     # built, on the energy's slabs and on slabs of 7 and 37 rows
     if name in _PROOF_GEOMETRIES:
         plan = _criterion_05_plan((2.0 ** -5, 2.0 ** -6), (384, 320))
@@ -336,11 +343,45 @@ def test_a_1024_squared_row_never_builds_a_proved_slabs_inner_rows(P, elastic_2d
     assert row.status == "ok" and len(built) == len(set(built))
     bands = recovery.RecoveryBands(CRITERION_05, *plan.eps_schedule, *plan.deltas(), plan.lam,
                                    plan.grid(), P, enforce_width=False)
-    proved = [(first + 2, last - 2) for (first, last), key in bands._slab_keys().items()
+    halos = [halo for halo, _ in energy._slabs(plan.grid())]
+    proved = [(h.start + 2, h.stop - 2) for h, key in zip(halos, bands._prove(halos))
               if key is not None]
     assert len(proved) == 55
     assert not any(a <= r < b for r in built for a, b in proved)
     assert built
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_recover_proves_every_flat_slab_and_keeps_the_bits_of_evaluate(monkeypatch, tmp_path,
+                                                                        seed):
+    # recover_2d at 512^2: `recover` takes its energy from the RecoveryBands
+    # that built its state; its bounds prove all 13 of the 16 slabs that are
+    # flat, and the energy is `evaluate` of the dumped state, bit for bit
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    from workloads import make_config
+    config = tmp_path / "run.ini"
+    config.write_text(make_config("recover_2d", seed))
+    cfg = parse_config(str(config))
+    assert cfg.sweep_plan.cells == (512, 512)
+    calls, pass_ = [], cli.diffuse_energy
+
+    def recorded(source, P, M):
+        calls.append((source, pass_(source, P, M), P, M))
+        return calls[-1][1]
+    monkeypatch.setattr(cli, "diffuse_energy", recorded)
+    assert cli.main(["recover", "--config", str(config), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 0
+    ((bands, got, P, M),) = calls
+    # the views of the state that `recover` built through these bands and dumped
+    c, z, u = bands._whole
+    grid = bands.grid
+    state = energy.DiffuseState(ScalarField(grid, c), VectorField(grid, u), ScalarField(grid, z),
+                                bands.eps, bands.delta)
+    assert _bits(got) == _bits(energy.evaluate(state, P, M)[0])
+    halos = [halo for halo, _ in energy._slabs(grid)]
+    found = [(key, flat_key(c[h], z[h], u[h], 2)) for key, h in zip(bands._prove(halos), halos)]
+    assert [proved for proved, _ in found] == [tested for _, tested in found]
+    assert len(found) == 16 and sum(proved is not None for proved, _ in found) == 13
 
 
 @pytest.mark.parametrize("u_nan", [False, True], ids=["ok_row", "failed_row"])
@@ -498,7 +539,7 @@ def test_slicing_rejects_grid_without_interior_samples():
 DIAGNOSTIC_VIOLATIONS = """
 import numpy as np
 from phasefrac import harness
-from phasefrac.fields import Grid, ScalarField
+from phasefrac.fields import Grid, ScalarField, VectorField
 from phasefrac.harness import (DiagnosticError, compactness_levelset_diagnostic,
                                geodesic_inequality_check)
 from phasefrac.potentials import make_default_potentials

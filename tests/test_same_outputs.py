@@ -261,12 +261,14 @@ def test_the_free_minimize_runs_the_c_step_without_a_mass(tmp_path):
     assert same_outputs.compare(ROOT, "minimize", same_outputs.MINIMIZE_FREE) == []
 
 
-def test_the_runs_cover_each_config_and_count_40():
+def test_the_runs_cover_each_config_and_count_41():
     # three runs per workload and seed, and the runs on the configs above
-    assert len(WORKLOADS) * len(same_outputs.SEEDS) * 3 + len(same_outputs.RUNS) == 40
+    assert len(WORKLOADS) * len(same_outputs.SEEDS) * 3 + len(same_outputs.RUNS) == 41
     assert [(command, text) for _, command, text in same_outputs.RUNS
             if text is same_outputs.SIGNED_ZERO_RIGID] == [
         ("recover", same_outputs.SIGNED_ZERO_RIGID), ("sweep", same_outputs.SIGNED_ZERO_RIGID)]
+    assert [command for _, command, text in same_outputs.RUNS
+            if text is same_outputs.ZERO_SWEEP] == ["sweep", "recover"]
 
 
 def test_the_zero_displacement_sweep_proves_plateaus_of_both_phases(tmp_path):
@@ -279,7 +281,8 @@ def test_the_zero_displacement_sweep_proves_plateaus_of_both_phases(tmp_path):
     for eps, delta in zip(plan.eps_schedule, plan.deltas()):
         bands = recovery.RecoveryBands(plan.geometry, eps, delta, plan.lam, plan.grid(),
                                        cfg.potentials, enforce_width=False)
-        keys = [key for key in bands._slab_keys().values() if key is not None]
+        halos = [halo for halo, _ in energy._slabs(plan.grid())]
+        keys = [key for key in bands._prove(halos) if key is not None]
         # c = 0 left of the phase set and c = 1 inside it, with z = 1 and u = 0
         assert {np.frombuffer(key)[0] for key in keys} == {0.0, 1.0}
         assert all(np.frombuffer(key)[1:].tolist() == [1.0, 0.0, 0.0] for key in keys)
@@ -288,6 +291,11 @@ def test_the_zero_displacement_sweep_proves_plateaus_of_both_phases(tmp_path):
     rows = mine["sweep.csv"].decode().splitlines()[1:]
     assert len(rows) == 2 and all(row.endswith(",ok") for row in rows)
     assert same_outputs.compare(ROOT, "sweep", text) == []
+    # `recover` proves the same plateaus at the final widths and dumps both
+    mine = same_outputs.run_cli(ROOT, "recover", str(config), str(tmp_path / "out"))
+    assert mine["exit code"] == b"0" and mine["stderr"] == b""
+    assert {b"0", b"1"} <= set(mine["c.field"].splitlines()[4:])
+    assert same_outputs.compare(ROOT, "recover", text) == []
 
 
 def test_the_sweep_runs_cover_both_kinds_of_band_seam(tmp_path):

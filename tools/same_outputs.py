@@ -19,11 +19,13 @@ whose tiles all lie on one side of the supporting line, compare the signs
 of u's zeros, and `sweep` on FLAT_OFF_SPLITS, the same geometry on 600 x 500
 cells, whose flat slabs repeat one pattern and meet the energy sum's split
 points inside slabs and inside their run, so the sum's tree gathers and
-reuses sums across slab seams.  `sweep` on ZERO_SWEEP, criterion 05's
-polygon and segment with u = 0, compares the rows whose plateau slabs are
-proved flat through the zero displacement.  Then `sweep` on SWEEP_1D, a 1D sweep on a
-grid of several energy slabs, `sweep` and `recover` on SWEEP_1D_PIECES, a 1D
-geometry of several pieces whose dumps read back through 64 KiB blocks that
+reuses sums across slab seams.  `sweep` and `recover` on ZERO_SWEEP,
+criterion 05's polygon and segment with u = 0, compare the rows and the
+recovery whose plateau slabs, c = 0 and c = 1, are proved flat through the
+zero displacement, and the read-back of that recovery's dumps.  Then
+`sweep` on SWEEP_1D, a 1D sweep on a grid of several energy slabs,
+`sweep` and `recover` on SWEEP_1D_PIECES, a 1D geometry of several pieces
+whose dumps read back through 64 KiB blocks that
 are one line repeated, blocks with a leading or trailing run and blocks of
 distinct lines, and `minimize` on MINIMIZE_FREE, a 1D run
 without a mass constraint, and on MINIMIZE_WIDE_SEED, the same run with a
@@ -215,10 +217,10 @@ FLAT_OFF_SPLITS = SIGNED_ZERO_RIGID.replace("cells = 256 200\neps_schedule = 0.0
                                             "cells = 600 500\neps_schedule = 0.0078125")
 
 # criterion 05's polygon and segment with u_spec = zero and a misfit, on
-# 512 x 256 cells, eight energy slabs of 64 rows: a sweep row proves its
-# plateau slabs, c = 0 and c = 1 alike, from the bounds and the zero
-# displacement, where the other 2D sweeps prove them through a rigid map or
-# through none
+# 512 x 256 cells, eight energy slabs of 64 rows: a sweep row, and `recover`,
+# prove their plateau slabs, c = 0 and c = 1 alike, from the bounds and the
+# zero displacement, where the other 2D runs prove them through a rigid map
+# or through none
 ZERO_SWEEP = """[elastic]
 e0 = 0.2
 
@@ -274,6 +276,7 @@ RUNS = [("affine sharp", "sharp", AFFINE_SHARP),
         ("signed-zero rigid sweep", "sweep", SIGNED_ZERO_RIGID),
         ("sweep with flat slabs off the tree's splits", "sweep", FLAT_OFF_SPLITS),
         ("zero-displacement sweep", "sweep", ZERO_SWEEP),
+        ("zero-displacement recover", "recover", ZERO_SWEEP),
         ("1D sweep", "sweep", SWEEP_1D),
         ("1D sweep over several pieces", "sweep", SWEEP_1D_PIECES),
         ("1D recover over several pieces", "recover", SWEEP_1D_PIECES),
