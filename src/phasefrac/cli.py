@@ -456,8 +456,9 @@ def _cmd_minimize(cfg: RunConfig) -> int:
     _write_state(s, cfg.out_dir)
     counts = Counter(f for sweep in traj.flags for f in sweep)
     histogram = " ".join(f"{f}={n}" for f, n in sorted(counts.items())) or "none"
+    residual = " ".join(f"{b}={r:.3g}" for b, r in traj.residual.items())
     _emit(cfg, f"minimize: {len(traj.energies) - 1} sweeps ({traj.reason}), "
-               f"e_total = {traj.energies[-1].e_total:.12g}, "
+               f"e_total = {traj.energies[-1].e_total:.12g}, residual {residual}, "
                f"u_iters={sum(traj.u_iters)}, flags: {histogram}")
     monotone = np.all(np.diff(traj.totals) <= DESCENT_RTOL * np.abs(traj.totals[:-1]))
     return 0 if monotone else 1

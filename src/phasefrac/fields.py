@@ -352,7 +352,8 @@ def write_field(f: ScalarField, path) -> None:
     finds where every run of bit-equal values ends (bits, not `==`, keep
     -0.0 next to 0.0 two runs); within a chunk each run is formatted once and
     its line repeated, and a chunk inside one run is one line repeated, so a
-    piecewise constant field costs per run, not per cell.  Beyond the field
+    piecewise constant field costs per run, not per cell; a chunk with no two
+    equal neighbours is its formatted text as it stands.  Beyond the field
     the compare takes one byte per value."""
     g = f.grid
 
@@ -372,7 +373,11 @@ def write_field(f: ScalarField, path) -> None:
                 continue
             # the last value of each run in the chunk stands for it
             last = np.append(np.flatnonzero(cut), part.size - 1)
-            lines = (("%.17g\n" * last.size) % tuple(part[last].tolist())).splitlines(True)
+            text = ("%.17g\n" * last.size) % tuple(part[last].tolist())
+            if last.size == part.size:  # no two equal neighbours: each run is one line
+                yield text
+                continue
+            lines = text.splitlines(True)
             counts = np.diff(last, prepend=-1).tolist()
             yield "".join(line * n for line, n in zip(lines, counts))
 

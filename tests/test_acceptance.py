@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import random_state
-from phasefrac.energy import evaluate, mass
+from phasefrac.energy import ElasticModel, evaluate, mass
 from phasefrac.fields import Grid, ScalarField
 from phasefrac.harness import (SweepPlan, compactness_levelset_diagnostic,
                                gamma_sweep, geodesic_inequality_check,
@@ -234,3 +234,30 @@ def test_criterion_11_minkowski_content(P):
         ok = ok and abs(est - mid) <= tol
         details.append(f"r=1/{int(1 / r)}: {est:.4f} in {mid:.4f}+-{tol:.4f}")
     report(11, "Minkowski content", ok, "; ".join(details), t0, 30.0)
+
+
+def test_criterion_12_solver_converges_2d(P):
+    # the minimize_2d workload's problem (isotropic e0 = 1, mass 0.5, eps =
+    # 1/16, delta = eps^(2/3), seed 0) at 32^2, run to convergence.  The
+    # target is one straight interface across the unit square,
+    # sigma (phi(1) + C_delta); a corner droplet costs >= 1.23x as much.
+    # The bound 1.1x and the 20 s budget were fixed before the final run
+    # (measured: 187 sweeps, 1.017x, 1.4 s)
+    t0 = time.time()
+    eps = 1.0 / 16.0
+    delta = eps ** (2 / 3)
+    grid = Grid((0.0, 0.0), (1.0, 1.0), (32, 32))
+    M = ElasticModel(e0=np.eye(2))
+    plan = SolverPlan(max_outer=3000, tol_rel_energy=1e-8, cg_tol=1e-10,
+                      cg_max_iters=150, mass_constraint=0.5)
+    s, traj = alternate(default_state(grid, eps, delta, c0=0.5, seed=0), P, M, plan)
+    tot = traj.totals
+    monotone = bool(np.all(tot[1:] <= tot[:-1] + DESCENT_RTOL * tot[:-1]))
+    drift = abs(mass(s.c) - 0.5)
+    target = surface_density(P) * (float(P.phi(1.0)) + P.c_delta(delta))
+    ok = (traj.reason == "converged" and monotone and drift <= 1e-12
+          and tot[-1] <= 1.1 * target)
+    report(12, "2D solver convergence", ok,
+           f"{len(tot) - 1} sweeps ({traj.reason}), terminal {tot[-1]:.6f} = "
+           f"{tot[-1] / target:.4f} x sigma(phi(1)+C_delta) <= 1.1x, drift={drift:.1e}, "
+           f"monotone={monotone}", t0, 20.0)

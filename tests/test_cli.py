@@ -286,6 +286,7 @@ def test_minimize_command(tmp_path, capsys, monkeypatch):
     assert flags == ["none"] or all(f.count("=") == 1 for f in flags)
     assert not [f for f in flags if f.startswith("u:")]
     assert head.endswith(", u_iters=0, ")  # the 1D u-step is exact, no CG
+    assert re.search(r", residual c=\S+ z=\S+ u=\S+, u_iters=", head)
 
 
 def test_seed_override_changes_manifest(tmp_path):
