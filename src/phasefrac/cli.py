@@ -299,14 +299,23 @@ def parse_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
         cells=SweepPlan.cells if cells is None else tuple(cells),
         enforce_width=sw["enforce_width"])) if sw["eps_schedule"] else None
     # a width whose eta_delta underflows to 0 would drop the elastic floor
-    # where z = 0; each width is judged where it enters, under the chosen rule
+    # where z = 0, and one whose eta_delta overflows makes every elastic
+    # density inf; each width is judged where it enters, under the chosen rule
     eta_rule = f"[elastic] eta_rule = {el['eta_rule']}"
-    eta = ETA_RULES[el["eta_rule"]]
+
+    def eta_fault(delta: float) -> Optional[str]:
+        """Why eta(delta) is not in (0, inf) under the chosen rule, or None."""
+        try:
+            eta = ETA_RULES[el["eta_rule"]](delta)
+        except OverflowError:  # a float's ** raises where * gives inf
+            eta = np.inf
+        if not 0.0 < eta < np.inf:
+            return f"{delta:g} makes eta_delta {'overflow' if eta > 0.0 else 0} under {eta_rule}"
+        return None
     if sweep_plan is not None:
-        violations += [f"[sweep] delta at eps={eps:g}: {delta:g} makes eta_delta 0 under "
-                       f"{eta_rule}" for eps, delta in zip(sweep_plan.eps_schedule,
-                                                           sweep_plan.deltas())
-                       if not eta(delta) > 0.0]
+        faults = ((eps, eta_fault(delta)) for eps, delta in zip(sweep_plan.eps_schedule,
+                                                                 sweep_plan.deltas()))
+        violations += [f"[sweep] delta at eps={eps:g}: {fault}" for eps, fault in faults if fault]
     if sweep_plan is not None and geometry is not None:
         if own_cells:
             attempt("[sweep] cells:", sweep_plan.grid)
@@ -321,8 +330,9 @@ def parse_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
         cg_tol=sol["cg_tol"], cg_max_iters=sol["cg_max_iters"], mass_constraint=sol["mass"]))
     solver_delta = resolve_delta_rule("two_thirds")(sol["eps"]) \
         if sol["delta"] is None else sol["delta"]
-    if not eta(solver_delta) > 0.0:
-        violations.append(f"[solver] delta: {solver_delta:g} makes eta_delta 0 under {eta_rule}")
+    fault = eta_fault(solver_delta)
+    if fault is not None:
+        violations.append(f"[solver] delta: {fault}")
 
     if violations:
         raise ConfigError(violations)
@@ -489,7 +499,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:  # a file at the path, or at one of its parents
         print(f"output directory {cfg.out_dir}: {exc.strerror}", file=sys.stderr)
         return 2
-    _write_manifest(cfg, args.command)
     if sys.platform.startswith("linux"):
         # fix glibc's mmap threshold at its largest value, so every array under
         # 32 MiB comes from the heap: by default it rises with each larger block
@@ -506,10 +515,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     handler = {"check": _cmd_check, "sharp": _cmd_sharp, "sweep": _cmd_sweep,
                "recover": _cmd_recover, "minimize": _cmd_minimize}[args.command]
     try:
+        _write_manifest(cfg, args.command)
         return handler(cfg)
     except (ValueError, ArithmeticError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # an output that cannot be written, or a full disk, which names none
+        print(f"{args.command}: {exc.filename2 or exc.filename or cfg.out_dir}: {exc.strerror}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -24,24 +24,24 @@ that proves its plateau slabs and builds the others band by band as the
 pass reaches them (`recovery.RecoveryBands`, what `recover` and a sweep row
 use).  The pass hands the source all its slabs' rows at once, and takes,
 slab by slab, either the rows, which it reads once and forms three
-densities from, or a proved plateau; it holds no cells-sized array where
-`evaluate` holds about fifteen.  A plateau slab, whose rows and halo rows
-hold one value of c, one of z and one of u, bit for bit, is formed on one
-row with its halo, built from those values, which stands for all its rows,
-and plateau slabs that hold the same bits share that one formed row.  That
-rests on each density being a pointwise function of the cell values and
-the difference planes, so the potentials and the degradation must act
-elementwise, as all of the package's do.
+densities from, or a proved plateau, the raw bytes of its c and z; it
+holds no cells-sized array where `evaluate` holds about fifteen.  On a
+plateau slab every difference is +0.0, whatever u's one value, so each
+density is one number, formed once per plateau from c and z on a block of
+2 cells a side, and a flat run of the slab's cells.  That rests on each
+density being a pointwise function of the cell values and the difference
+planes, so the potentials and the degradation must act elementwise, as all
+of the package's do.
 
 Every integral is `np.sum` of its density, bit for bit.  The whole-array
 pass's is `_integral`, `np.sum` itself.  The slabs' three are `_integrals`:
 numpy's pairwise summation tree walked over each density's pieces in
 row-major order, the three walks fed each slab in lockstep, each range
 inside one formed slab summed by `np.sum`, and each range inside a flat
-slab summed once per pattern, offset within the row and length, with no
-array of the whole density.  That assumes numpy's reduction order, verified
-on numpy 2.4.6; `test_integral_walks_numpys_pairwise_tree` guards it, so a
-numpy that sums in another order fails loudly.
+run summed once per value and length, with no array of the whole density.
+That assumes numpy's reduction order, verified on numpy 2.4.6;
+`test_integral_walks_numpys_pairwise_tree` guards it, so a numpy that sums
+in another order fails loudly.
 
 Strains, e0 and stresses are tuples of strain planes, (xx,) in 1D and
 (xx, yy, xy) in 2D (see `fields.sym_gradient`).  In |xi|^2 and in the
@@ -241,11 +241,10 @@ _LEAF = 128
 
 
 class _Flat(NamedTuple):
-    """A flat run of a density's pieces (`_integrals`): `row`, one formed row,
-    repeated `times` times; `key`, the pattern whose runs hold its values."""
-    row: np.ndarray
-    times: int
-    key: bytes
+    """A flat run of a density's pieces (`_integrals`): `cells` values, each
+    `value`, a numpy float."""
+    value: np.float64
+    cells: int
 
 
 def _integral(density: np.ndarray, grid: Grid, label: str) -> float:
@@ -275,9 +274,10 @@ def _checked_sum(values: np.ndarray, lo: int, shape: tuple, label: str):
 def _integrals(slabs: Iterable[tuple], grid: Grid, labels: tuple[str, ...]) -> list[float]:
     """The midpoint rule of several densities formed together, each bit for
     bit `_integral` of its whole array.  `slabs` yields, in row-major order,
-    one piece per label for each slab, a formed array or a `_Flat` run, and
-    each density's tree sum (`_PairwiseSum`) takes its piece as the slab
-    comes, so the sums run in lockstep and hold no slab they have passed.
+    one piece per label for each slab, a formed array or a `_Flat` run of
+    one value over the slab's cells, and each density's tree sum
+    (`_PairwiseSum`) takes its piece as the slab comes, so the sums run in
+    lockstep and hold no slab they have passed.
 
     A non-finite density raises `_checked_sum`'s ValueError for the first
     term, in the order of `labels`, that has one: a term whose walk fails
@@ -314,9 +314,9 @@ class _PairwiseSum:
     rounded down to a multiple of 8.  A range inside one formed piece is
     `np.sum` of that slice, a range of at most `_LEAF` values across pieces is
     gathered and summed with `np.sum`, and a range inside a flat run depends
-    only on its key, its offset within the row and its length, so it is
-    summed once for those three.  This rests on numpy's reduction order,
-    verified on numpy 2.4.6 and guarded by
+    only on the run's value and its own length, so it is summed once for
+    those two, keyed by the value's bytes (0.0 and -0.0 apart).  This rests
+    on numpy's reduction order, verified on numpy 2.4.6 and guarded by
     `test_integral_walks_numpys_pairwise_tree`.
 
     `walk` is a generator that is sent the pieces in row-major order and
@@ -327,9 +327,10 @@ class _PairwiseSum:
 
     def __init__(self, grid: Grid, label: str):
         self.shape, self.label = grid.cells, label
-        # the piece the walk is in: its values lo:hi, flattened, and its key
+        # the piece the walk is in, its values lo:hi: a formed piece
+        # flattened, or a `_Flat` run
         self.lo = self.hi = 0
-        self.values, self.key, self.sums = None, None, {}
+        self.piece, self.sums = None, {}
 
     def walk(self):
         return (yield from self.tree(0, math.prod(self.shape)))
@@ -338,12 +339,11 @@ class _PairwiseSum:
         """Take pieces until the one the walk is in holds value lo; the walk
         runs in row-major order, so a piece it leaves is dropped."""
         while self.hi <= lo:
-            self.values = None  # freed before the next piece is formed
+            self.piece = None  # freed before the next piece is formed
             piece = yield
             flat = isinstance(piece, _Flat)
-            self.values = (piece.row if flat else piece).reshape(-1)
-            self.lo, self.hi = self.hi, self.hi + self.values.size * (piece.times if flat else 1)
-            self.key = piece.key if flat else None
+            self.piece = piece if flat else piece.reshape(-1)
+            self.lo, self.hi = self.hi, self.hi + (piece.cells if flat else piece.size)
 
     def gathered(self, lo: int, hi: int):
         """The values lo:hi as one array."""
@@ -351,8 +351,8 @@ class _PairwiseSum:
         while lo < hi:
             yield from self.reach(lo)
             a, b = lo - self.lo, min(hi, self.hi) - self.lo
-            parts.append(self.values[a:b] if self.key is None
-                         else self.values[np.arange(a, b) % self.values.size])
+            parts.append(np.full(b - a, self.piece.value) if isinstance(self.piece, _Flat)
+                         else self.piece[a:b])
             lo += b - a
         return np.concatenate(parts)
 
@@ -361,10 +361,10 @@ class _PairwiseSum:
         yield from self.reach(lo)
         at = None
         if lo + n <= self.hi:
-            if self.key is None:
-                return _checked_sum(self.values[lo - self.lo:lo - self.lo + n], lo, self.shape,
+            if not isinstance(self.piece, _Flat):
+                return _checked_sum(self.piece[lo - self.lo:lo - self.lo + n], lo, self.shape,
                                     self.label)
-            at = (self.key, (lo - self.lo) % self.values.size, n)
+            at = (self.piece.value.tobytes(), n)
             if at in self.sums:
                 return self.sums[at]
         if n <= _LEAF:
@@ -543,11 +543,12 @@ def diffuse_energy(s, P: PotentialSet, M: ElasticModel) -> EnergyBreakdown:
     a `DiffuseState`, or anything else with its `grid`, `eps` and `delta`
     and a method `slabs(halos)`, handed the haloed rows of every slab at
     once, as slices in order, that yields for each slab, in that order,
-    either c, z and u on its rows, or the raw bytes of one cell's c, z and
-    u when it proves that all its rows hold those values, bit for bit (a
-    plateau; `recovery.RecoveryBands` proves a recovery's plateaus from its
-    bounds and builds the other rows band by band).  The pass never tests
-    rows for a plateau: a state's slabs are all formed.
+    either c, z and u on its rows, or the raw bytes of one cell's c and z
+    when it proves that all its rows hold those values, bit for bit, with
+    one finite value of u (a plateau; `recovery.RecoveryBands` proves a
+    recovery's plateaus from its bounds and builds the other rows band by
+    band).  The pass never tests rows for a plateau: a state's slabs are all
+    formed.
 
     Each slab's rows are read once, with one halo row on each side inside
     the grid: a difference of the haloed rows is the whole grid's difference
@@ -558,14 +559,13 @@ def diffuse_energy(s, P: PotentialSet, M: ElasticModel) -> EnergyBreakdown:
     array, only slab-sized temporaries and what the source holds.  A
     plateau slab is flat: the densities are pointwise functions of the cell
     values and the difference planes, and every difference there is
-    x - x, +0.0, so its densities are those of any one row formed with its
-    halo, repeated, a `_Flat` run.  They are formed once per key, on a
-    first row with its halo built from the key's values, so the plateaus
-    cost one row per distinct key, and `_integrals` sums each of their
-    ranges once per key."""
+    x - x, +0.0, whatever the value of u, so each density is one number
+    over the slab, a `_Flat` run.  The three numbers are formed once per
+    key, from its c and z (`plateau_densities`), and `_integrals` sums each
+    range of a flat run once per value and length."""
     grid, h = s.grid, s.grid.spacing
-    rows, e0 = grid.cells[0], M.e0_planes(grid.dim)
-    shared, clamped = {}, 0  # each flat pattern's three formed density rows, clamped cells
+    e0, row_cells = M.e0_planes(grid.dim), math.prod(grid.cells[1:])
+    shared, clamped = {}, 0  # `plateau_densities` of each key, clamped cells
 
     def inner_diff(op, a, inner):
         """`op` (gradient or sym_gradient) of the haloed rows a, on `inner`."""
@@ -589,38 +589,37 @@ def diffuse_energy(s, P: PotentialSet, M: ElasticModel) -> EnergyBreakdown:
         return (interfacial(c, zc, inner), elastic_density,
                 _crack_density(zc, inner_diff(gradient, z, inner), s, P))
 
-    def plateau_densities(key, r0):
-        """The densities of row r0 on a plateau whose values are the raw
-        bytes `key`, formed on that row with its halo, and its clamped
-        cells."""
-        halo, one = _haloed(r0, r0 + 1, rows)
-        values = np.frombuffer(key)
-        shape = (halo.stop - halo.start,) + grid.cells[1:]
-        c, z = np.full(shape, values[0]), np.full(shape, values[1])
-        u = np.empty(shape + (grid.dim,))
-        u[...] = values[2:]
-        return densities(c, z, u, one), int(np.count_nonzero(_clamp(z[one])[1]))
+    def plateau_densities(key):
+        """The three densities of a plateau whose c and z are the raw bytes
+        `key`, as numbers, and whether the clamp moves its z.  They are
+        formed on a block of 2 cells a side with u = 0: every difference on
+        a plateau is +0.0 whatever u's one value, so every cell of the
+        plateau holds these."""
+        c, z = (np.full((2,) * grid.dim, value) for value in np.frombuffer(key))
+        u = np.zeros(c.shape + (grid.dim,))
+        formed = densities(c, z, u, slice(None))
+        return tuple(d.flat[0] for d in formed), bool(_clamp(z)[1].flat[0])
 
-    def slab(halo, inner):
-        """The densities of the slab of haloed rows `halo`, as pieces, from
-        the source's next answer; the slab's rows are dropped on return,
-        before the next slab's are read."""
+    def slab(inner):
+        """The densities of the slab whose rows are `inner` of its haloed
+        rows, as pieces, from the source's next answer; the slab's rows are
+        dropped on return, before the next slab's are read."""
         nonlocal clamped
         got = next(source)
         if not isinstance(got, bytes):
             c, z, u = got
             clamped += int(np.count_nonzero(_clamp(z[inner])[1]))
             return densities(c, z, u, inner)
-        n = inner.stop - inner.start
         if got not in shared:
-            shared[got] = plateau_densities(got, halo.start + inner.start)
-        formed, row_clamped = shared[got]
-        clamped += n * row_clamped
-        return tuple(_Flat(d, n, got) for d in formed)
+            shared[got] = plateau_densities(got)
+        values, moved = shared[got]
+        cells = (inner.stop - inner.start) * row_cells
+        clamped += cells * moved
+        return tuple(_Flat(value, cells) for value in values)
 
     cuts = _slabs(grid)
     source = s.slabs([halo for halo, _ in cuts])
-    terms = _integrals((slab(halo, inner) for halo, inner in cuts), grid,
+    terms = _integrals((slab(inner) for _, inner in cuts), grid,
                        ("interfacial", "elastic", "crack"))
     return EnergyBreakdown(*terms, clamped)
 

@@ -333,10 +333,10 @@ def _write_atomic(path, pieces) -> None:
     try:
         with fh:
             fh.writelines(pieces)
+        os.replace(partial, path)
     except BaseException:
         os.remove(partial)
         raise
-    os.replace(partial, path)
 
 
 _CHUNK = 1 << 13  # values formatted by one `%` operation

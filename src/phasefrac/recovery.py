@@ -68,7 +68,9 @@ row take their energy from the recovery as a slab source
 (`RecoveryBands.slabs`), which proves the energy's plateau slabs first: the
 same bounds, taken on the box of a slab's haloed rows across all columns,
 with the geometry's `u_plateau` for u, put most slabs of a row on one
-plateau of c, z and u, bit for bit, and such a slab is never built or read.
+plateau of c, z and u, bit for bit, and such a slab is never built or read:
+its key is the bytes of its c and z, since the energy reads only u's
+differences, +0.0 there.
 A sweep row builds the other slabs' rows in bands of at most one row of
 tiles, each starting at the first row a slab needs and ending with its run
 of unproved slabs, and a band is dropped once the pass has left it, so a
@@ -227,7 +229,8 @@ class RecoveryBands:
 
     `slabs(halos)` first proves, where it can, that the haloed rows of a
     slab hold one value of c, of z and of u, bit for bit, without building
-    them (`_prove`), and yields that value's key for such a slab.  The other
+    them (`_prove`), and yields for such a slab its key, the raw bytes of
+    its c and z.  The other
     slabs' rows are built in bands of at most `_side` rows (128 in 2D,
     `_BLOCK` cells in 1D).  A band starts where the last one stopped, or at
     the slab's first row when the rows between were never needed, and stops
@@ -284,20 +287,22 @@ class RecoveryBands:
         return c_one, c_band, z_band
 
     def _prove(self, halos: list[slice]) -> list[Optional[bytes]]:
-        """For each range of rows, the raw bytes of its one value of c, z
-        and u, in that order, where the bounds and the geometry's
-        `u_plateau` prove that all its rows hold it; else None.  The rows
-        are taken as one box of cell centres across all columns: the tiles'
-        bounds (`_bounds`) put the box on a plateau of c (1 or 0) and of
-        z = 1, where u is u_sharp with no smoothstep factor, and
-        `u_plateau` names u's one value there."""
+        """For each range of rows, the raw bytes of its one value of c and
+        of z, in that order, where the bounds and the geometry's `u_plateau`
+        prove that all its rows hold them with one finite value of u; else
+        None.  The rows are taken as one box of cell centres across all
+        columns: the tiles' bounds (`_bounds`) put the box on a plateau of
+        c (1 or 0) and of z = 1, where u is u_sharp with no smoothstep
+        factor, and `u_plateau` proves u_sharp constant there.  The key
+        holds no u: the energy reads only u's differences, +0.0 on a
+        plateau."""
         x, rest = self.centers[0], self.centers[1:]
         first = np.array([[x[h.start]] + [a[0] for a in rest] for h in halos])
         last = np.array([[x[h.stop - 1]] + [a[-1] for a in rest] for h in halos])
         c_one, c_band, z_band = self._bounds(first, last)
-        u_flat, u = self.geometry.u_plateau(first, last)
-        return [np.concatenate(([1.0 if one else 0.0, 1.0], value)).tobytes() if flat else None
-                for one, flat, value in zip(c_one, u_flat & ~c_band & ~z_band, u)]
+        proved = self.geometry.u_plateau(first, last) & ~c_band & ~z_band
+        return [np.array([float(one), 1.0]).tobytes() if flat else None
+                for one, flat in zip(c_one, proved)]
 
     def slabs(self, halos: list[slice]):
         """For each range of rows in `halos`, which must not start before

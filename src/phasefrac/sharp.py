@@ -264,8 +264,9 @@ class DisplacementSpec:
     `corners_prove(lo, hi)` takes boxes [lo, hi] (lo and hi (k, 2)) and
     tells, per box, that `u_at` gives every location of the box the bits it
     gives the box's four corners whenever those four agree bit for bit
-    (`SharpGeometry2D.u_plateau`, which proves a recovery's plateau slabs).
-    A spec without it (quadratic) proves no box.
+    (`SharpGeometry2D.u_plateau`, which proves that u is one constant on a
+    recovery's plateau slabs, whose energy reads only u's differences).  A
+    spec without it (quadratic) proves no box.
     """
     name: str
     u_at: Callable[..., np.ndarray]
@@ -421,15 +422,13 @@ def _interval_distance(lo: np.ndarray, hi: np.ndarray, a, b) -> np.ndarray:
     return np.min(gap, axis=-1, initial=np.inf)
 
 
-def _agreeing(corners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _agreeing(corners: np.ndarray) -> np.ndarray:
     """From u at the corners of k boxes ((k, ..., d), the corners of box i
-    at [i]): whether each box's corners hold one finite value, bit for bit,
-    and that value ((k, d), the first corner's)."""
-    k, d = corners.shape[0], corners.shape[-1]
-    values = corners.reshape(k, -1, d)
+    at [i]): whether each box's corners hold one finite value, bit for bit
+    ((k,))."""
+    values = corners.reshape(corners.shape[0], -1, corners.shape[-1])
     bits = values.view(np.uint64)
-    same = np.all(bits == bits[:, :1], axis=(1, 2)) & np.all(np.isfinite(values), axis=(1, 2))
-    return same, values[:, 0]
+    return np.all(bits == bits[:, :1], axis=(1, 2)) & np.all(np.isfinite(values), axis=(1, 2))
 
 
 def _grid_counts(cells, dim: int) -> tuple[int, ...]:
@@ -550,19 +549,18 @@ class SharpGeometry1D:
         pieces = np.asarray(self.u_pieces)
         return (pieces[idx, 0] * x + pieces[idx, 1])[..., None]
 
-    def u_plateau(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def u_plateau(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Whether `u_values` gives each interval [lo, hi] (lo and hi (k, 1))
-        one finite value, bit for bit, at every location, and that value
-        ((k,) and (k, 1)).  Proved when both ends lie in one piece, the
-        piece's slope is 0 (-0.0 included) and `u_values` gives both ends
-        the same bits: the value is then offset + (+-0.0), a signed zero
-        whose sign follows the sign of x, which changes at most once along
-        the interval, so agreeing ends hold for every location between."""
+        one finite value, bit for bit, at every location ((k,)).  Proved
+        when both ends lie in one piece, the piece's slope is 0 (-0.0
+        included) and `u_values` gives both ends the same finite bits: the
+        value is then offset + (+-0.0), a signed zero whose sign follows the
+        sign of x, which changes at most once along the interval, so
+        agreeing ends hold for every location between."""
         ends = np.concatenate([lo, hi], axis=1)
         idx = np.searchsorted(self.bounds[1:-1], ends, side="right")
         flat = (idx[:, 0] == idx[:, 1]) & (np.asarray(self.u_pieces)[idx[:, 0], 0] == 0.0)
-        same, values = _agreeing(self.u_values(ends))
-        return flat & same, values
+        return flat & _agreeing(self.u_values(ends))
 
     def grid(self, cells: tuple[int, ...]) -> Grid:
         """Cell-centered grid on the domain; `cells` holds one count."""
@@ -639,17 +637,17 @@ class SharpGeometry2D:
     def u_values(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.u_spec.u_at(x, y)
 
-    def u_plateau(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def u_plateau(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Whether `u_values` gives each box [lo, hi] (lo and hi (k, 2)) one
-        finite value, bit for bit, at every location, and that value ((k,)
-        and (k, 2)).  Proved where the spec's `corners_prove` holds and
-        `u_values` gives the box's four corners the same bits; a spec
-        without `corners_prove` proves no box."""
+        finite value, bit for bit, at every location ((k,)).  Proved where
+        the spec's `corners_prove` holds and `u_values` gives the box's four
+        corners the same finite bits; a spec without `corners_prove` proves
+        no box."""
         if self.u_spec.corners_prove is None:
-            return np.zeros(len(lo), dtype=bool), np.zeros((len(lo), 2))
-        same, values = _agreeing(self.u_values(np.stack([lo[:, 0], hi[:, 0]], axis=1)[:, :, None],
-                                               np.stack([lo[:, 1], hi[:, 1]], axis=1)[:, None, :]))
-        return self.u_spec.corners_prove(lo, hi) & same, values
+            return np.zeros(len(lo), dtype=bool)
+        return self.u_spec.corners_prove(lo, hi) & _agreeing(
+            self.u_values(np.stack([lo[:, 0], hi[:, 0]], axis=1)[:, :, None],
+                          np.stack([lo[:, 1], hi[:, 1]], axis=1)[:, None, :]))
 
     def grid(self, cells: tuple[int, ...]) -> Grid:
         """Cell-centered grid on the box; a single count is used on both axes."""

@@ -399,6 +399,53 @@ def test_an_auto_delta_and_sweep_rows_whose_eta_underflows_exit_2(tmp_path, caps
         "  - [solver] delta: 1e-200 makes eta_delta 0 under [elastic] eta_rule = delta_cubed"]
 
 
+@pytest.mark.parametrize("rule", ["delta_squared", "delta_cubed"])
+@pytest.mark.parametrize("section", ["sweep", "solver"])
+def test_a_delta_whose_eta_overflows_exits_2_and_names_key_and_rule(tmp_path, capsys, rule,
+                                                                    section):
+    # delta ** 3 raised OverflowError out of parse_config, and delta * delta
+    # gave eta_delta = inf, whose run failed on a non-finite elastic density
+    delta = 1e200 if rule == "delta_squared" else 1e120
+    text = MINIMAL_1D.replace("e0 = 0", f"e0 = 0\neta_rule = {rule}")
+    if section == "sweep":
+        text = text.replace("lambda = 1e-4", f"lambda = 1e-4\ndelta_scale = {delta}")
+        command, deltas = "sweep", [delta * eps ** (2.0 / 3.0) for eps in (0.03125, 0.015625)]
+        keys = [f"[sweep] delta at eps={eps:g}" for eps in (0.03125, 0.015625)]
+    else:
+        text += f"\n[solver]\nmax_outer = 2\ndelta = {delta}\n"
+        command, deltas, keys = "minimize", [delta], ["[solver] delta"]
+    assert main([command, "--config", write_config(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[1:] == [
+        f"  - {key}: {d:g} makes eta_delta overflow under [elastic] eta_rule = {rule}"
+        for key, d in zip(keys, deltas)]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["manifest.txt", "sweep.csv"])
+def test_an_output_path_that_cannot_be_written_exits_2_and_names_it(tmp_path, capsys, name):
+    # a directory at an output's path refused the rename, left the
+    # `.partial` file behind and ended in a traceback
+    taken = tmp_path / "out" / name
+    taken.mkdir(parents=True)
+    assert main(["sweep", "--config", write_config(tmp_path, MINIMAL_1D)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"sweep: {taken}: Is a directory\n"
+    assert taken.is_dir() and not list((tmp_path / "out").glob("*.partial"))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_disk_exits_2_and_names_the_output_directory(tmp_path, capsys):
+    # a write to /dev/full fails with ENOSPC, an error that names no file
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "sweep.csv.partial").symlink_to("/dev/full")
+    assert main(["sweep", "--config", write_config(tmp_path, MINIMAL_1D)]) == 2
+    assert capsys.readouterr().err == f"sweep: {out}: No space left on device\n"
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.txt"]
+
+
 # keys read only in a 1D geometry; the others are tried on a 2D one
 ONE_D_KEYS = ("domain", "u_slopes", "u_offsets", "e0")
 

@@ -231,20 +231,20 @@ def test_a_finite_density_whose_sum_overflows_is_refused(P, monkeypatch):
 def _pieces(rng, shape):
     """A random array of `shape`, with values over six decades and both signs,
     cut into runs of rows as pieces for `energy._integral`: each run formed,
-    or flat, one of three rows repeated; (the pieces, the whole array)."""
-    rows = shape[0]
-    pool = [rng.standard_normal((1,) + shape[1:]) * 10.0 ** rng.uniform(-3, 3, (1,) + shape[1:])
-            for _ in range(3)]
+    or flat, one of three values over all its cells; (the pieces, the whole
+    array)."""
+    rows, row_cells = shape[0], math.prod(shape[1:])
+    pool = rng.standard_normal(3) * 10.0 ** rng.uniform(-3, 3, 3)
     # short runs put several pieces in one range of 128 values; long ones make
     # flat runs that span the tree's splits
-    lengths = [1, 2, 3, max(1, 128 // math.prod(shape[1:])), max(2, rows // 5)]
+    lengths = [1, 2, 3, max(1, 128 // row_cells), max(2, rows // 5)]
     pieces, parts, r = [], [], 0
     while r < rows:
         n = min(rows - r, int(rng.integers(1, lengths[rng.integers(len(lengths))] + 1)))
         if rng.random() < 0.5:
-            k = int(rng.integers(3))
-            pieces.append(energy._Flat(pool[k], n, bytes([k])))
-            parts.append(np.repeat(pool[k], n, axis=0))
+            value = pool[rng.integers(3)]
+            pieces.append(energy._Flat(value, n * row_cells))
+            parts.append(np.full((n,) + shape[1:], value))
         else:
             pieces.append(rng.standard_normal((n,) + shape[1:])
                           * 10.0 ** rng.uniform(-3, 3, (n,) + shape[1:]))
@@ -666,7 +666,8 @@ def _flat_rows(s, rows, c, z, u):
 def _flat_case(P, case):
     """(state, P, M, the distinct flat patterns among the slabs of 5 rows):
     slabs of 5 rows have their halo rows in 4:11, 9:16, ... of the 23 rows;
-    flat slabs that hold the same bits form one row between them."""
+    flat slabs that hold the same bits of c and z are formed once between
+    them, whatever their u."""
     dim = 1 if case == "1d" else 2
     s, M = _slab_state(dim)
     u = [0.002, -0.001][:dim]
@@ -693,6 +694,9 @@ def _flat_case(P, case):
     if case == "zeros apart":  # the two plateaus differ only by the sign of c's zero
         s = _flat_rows(s, slice(0, 11), 0.0, 1.0, u)
         return _flat_rows(s, slice(14, 23), -0.0, 1.0, u), P, M, 2
+    if case == "u apart":  # two plateaus of one c and z, but u differs between them
+        s = _flat_rows(s, slice(0, 11), 0.3, 0.7, u)
+        return _flat_rows(s, slice(14, 23), 0.3, 0.7, [0.5, 0.25][:dim]), P, M, 1
     if case == "apart":  # slabs 0:5, 15:20 and 20:23 hold one pattern, 5:15 do not
         s = _flat_rows(s, slice(0, 6), 0.3, 0.7, u)
         return _flat_rows(s, slice(14, 23), 0.3, 0.7, u), P, M, 1
@@ -700,12 +704,12 @@ def _flat_case(P, case):
 
 
 @pytest.mark.parametrize("case", ["halo", "signed zeros", "z outside", "one u component", "1d",
-                                  "two plateaus", "zeros apart", "apart"])
+                                  "two plateaus", "zeros apart", "u apart", "apart"])
 def test_slab_pass_on_flat_slabs_matches_the_whole_array_pass_bitwise(P, monkeypatch, case):
     # a slab whose rows and halo rows hold one value of c, z and u, bit for
-    # bit, and whose source yields that value's key (`FlatSlabs`), forms its
-    # densities on its first row, with that row's halo, unless an earlier
-    # flat slab of the same bits has formed them
+    # bit, and whose source yields the key of its c and z (`FlatSlabs`),
+    # forms its densities on a block of 2 cells a side, unless an earlier
+    # flat slab of the same c and z has formed them
     s, P, M, flat_patterns = _flat_case(P, case)
     want = evaluate(s, P, M)[0]
     if case == "z outside":
@@ -725,8 +729,8 @@ def test_slab_pass_on_flat_slabs_matches_the_whole_array_pass_bitwise(P, monkeyp
             assert _same_energy(diffuse_energy(source, P, M), want), cells
             if cells == 5 * (s.c.values.size // rows):
                 # two gradients, of c and of z, per distinct flat pattern; a
-                # slab formed on its first row reads at most 3 rows, any other
-                # slab of 5 rows 4 or more
+                # plateau's block has 2 rows, any formed slab of 5 rows 4 or
+                # more
                 assert sum(n <= 3 for n in halo_rows) == 2 * patterns, halo_rows
 
 

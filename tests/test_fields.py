@@ -863,3 +863,12 @@ def test_write_atomic_failure_removes_partial_and_keeps_target(tmp_path):
         _write_atomic(path, pieces())
     assert path.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_write_atomic_removes_partial_when_the_rename_fails(tmp_path):
+    # a directory at the path refuses the rename of the written text over it
+    path = tmp_path / "out.txt"
+    path.mkdir()
+    with pytest.raises(IsADirectoryError):
+        _write_atomic(path, ["text\n"])
+    assert path.is_dir() and [p.name for p in tmp_path.iterdir()] == ["out.txt"]

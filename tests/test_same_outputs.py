@@ -262,14 +262,35 @@ def test_the_free_minimize_runs_the_c_step_without_a_mass(tmp_path):
     assert same_outputs.compare(ROOT, "minimize", same_outputs.MINIMIZE_FREE) == []
 
 
-def test_the_runs_cover_each_config_and_count_41():
+def test_the_runs_cover_each_config_and_count_43():
     # three runs per workload and seed, and the runs on the configs above
-    assert len(WORKLOADS) * len(same_outputs.SEEDS) * 3 + len(same_outputs.RUNS) == 41
+    assert len(WORKLOADS) * len(same_outputs.SEEDS) * 3 + len(same_outputs.RUNS) == 43
     assert [(command, text) for _, command, text in same_outputs.RUNS
             if text is same_outputs.SIGNED_ZERO_RIGID] == [
         ("recover", same_outputs.SIGNED_ZERO_RIGID), ("sweep", same_outputs.SIGNED_ZERO_RIGID)]
     assert [command for _, command, text in same_outputs.RUNS
             if text is same_outputs.ZERO_SWEEP] == ["sweep", "recover"]
+    assert [command for _, command, text in same_outputs.RUNS
+            if text is same_outputs.CRACK_ONLY_RIGID] == ["sweep", "recover"]
+
+
+def test_the_crack_only_rigid_runs_prove_slabs_that_share_c_and_z_but_not_u(tmp_path):
+    # the slabs left of the line x = 0.5 take u = (-0.002, 0), those right of
+    # it (0.002, 0); all three proved slabs hold c = 0 and z = 1, one key
+    config = tmp_path / "run.ini"
+    config.write_text(same_outputs.CRACK_ONLY_RIGID)
+    cfg = parse_config(str(config))
+    plan = cfg.sweep_plan
+    assert not plan.geometry.has_phase() and plan.cells == (256, 200)
+    (eps,), (delta,) = plan.eps_schedule, plan.deltas()
+    bands = recovery.RecoveryBands(plan.geometry, eps, delta, plan.lam, plan.grid(),
+                                   cfg.potentials, enforce_width=False)
+    halos = [halo for halo, _ in energy._slabs(plan.grid())]
+    keys = bands._prove(halos)
+    assert [key is not None for key in keys] == [True, False, True, True]
+    assert {key for key in keys if key is not None} == {np.array([0.0, 1.0]).tobytes()}
+    _, _, u = bands.band(slice(0, plan.cells[0]))
+    assert {u[h][..., 0].min() for h, key in zip(halos, keys) if key is not None} == {-0.002, 0.002}
 
 
 def test_the_zero_displacement_sweep_proves_plateaus_of_both_phases(tmp_path):
@@ -284,9 +305,10 @@ def test_the_zero_displacement_sweep_proves_plateaus_of_both_phases(tmp_path):
                                        cfg.potentials, enforce_width=False)
         halos = [halo for halo, _ in energy._slabs(plan.grid())]
         keys = [key for key in bands._prove(halos) if key is not None]
-        # c = 0 left of the phase set and c = 1 inside it, with z = 1 and u = 0
+        # c = 0 left of the phase set and c = 1 inside it, with z = 1; u = 0,
+        # like any constant u, leaves no trace in the key
         assert {np.frombuffer(key)[0] for key in keys} == {0.0, 1.0}
-        assert all(np.frombuffer(key)[1:].tolist() == [1.0, 0.0, 0.0] for key in keys)
+        assert all(np.frombuffer(key).tolist() in ([0.0, 1.0], [1.0, 1.0]) for key in keys)
     mine = same_outputs.run_cli(ROOT, "sweep", str(config), str(tmp_path / "out"))
     assert mine["exit code"] == b"0" and mine["stderr"] == b""
     rows = mine["sweep.csv"].decode().splitlines()[1:]
@@ -362,7 +384,7 @@ def test_the_off_split_sweep_splits_inside_slabs_and_flat_runs(monkeypatch, tmp_
     def seen(slabs, grid, labels):
         # the pass hands each slab's pieces, one per term, to the three sums
         slabs = list(slabs)
-        layouts.extend([(p.times * p.row.size, p.key) if isinstance(p, energy._Flat)
+        layouts.extend([(p.cells, p.value.tobytes()) if isinstance(p, energy._Flat)
                         else (p.size, None) for p in term] for term in zip(*slabs))
         return integrals(slabs, grid, labels)
     monkeypatch.setattr(energy, "_integrals", seen)

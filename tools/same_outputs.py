@@ -22,7 +22,10 @@ points inside slabs and inside their run, so the sum's tree gathers and
 reuses sums across slab seams.  `sweep` and `recover` on ZERO_SWEEP,
 criterion 05's polygon and segment with u = 0, compare the rows and the
 recovery whose plateau slabs, c = 0 and c = 1, are proved flat through the
-zero displacement, and the read-back of that recovery's dumps.  Then
+zero displacement, and the read-back of that recovery's dumps.  `sweep`
+and `recover` on CRACK_ONLY_RIGID, a crack with no phase set whose rigid
+maps differ on the two sides, compare the energy where proved slabs share
+their c and z but not their u.  Then
 `sweep` on SWEEP_1D, a 1D sweep on a grid of several energy slabs,
 `sweep` and `recover` on SWEEP_1D_PIECES, a 1D geometry of several pieces
 whose dumps read back through 64 KiB blocks that
@@ -240,6 +243,32 @@ delta_scale = 0.18
 lambda = 1e-4
 """
 
+# a crack with no phase set, and rigid maps that move the two sides apart
+# without spin, on SIGNED_ZERO_RIGID's 256 x 200 cells: the proved slabs on
+# either side of the line hold one c and one z but two values of u, so the
+# energy forms one plateau for all of them
+CRACK_ONLY_RIGID = """[elastic]
+e0 = 0
+
+[geometry]
+dim = 2
+origin = 0 0
+extent = 1 1
+segments = 0.5 0.25 0.5 0.75
+u_spec = piecewise_rigid
+rigid_point = 0.5 0.5
+rigid_dir = 0 1
+rigid_plus = 0.002 0
+rigid_minus = -0.002 0
+
+[sweep]
+cells = 256 200
+eps_schedule = 0.03125
+delta_rule = scaled_two_thirds
+delta_scale = 0.18
+lambda = 1e-4
+"""
+
 # a 1D minimize without [solver] mass: the workloads' minimize runs all set
 # one, so this is the run that takes the c-step with no mass projection
 MINIMIZE_FREE = """[elastic]
@@ -277,6 +306,8 @@ RUNS = [("affine sharp", "sharp", AFFINE_SHARP),
         ("sweep with flat slabs off the tree's splits", "sweep", FLAT_OFF_SPLITS),
         ("zero-displacement sweep", "sweep", ZERO_SWEEP),
         ("zero-displacement recover", "recover", ZERO_SWEEP),
+        ("crack-only rigid sweep", "sweep", CRACK_ONLY_RIGID),
+        ("crack-only rigid recover", "recover", CRACK_ONLY_RIGID),
         ("1D sweep", "sweep", SWEEP_1D),
         ("1D sweep over several pieces", "sweep", SWEEP_1D_PIECES),
         ("1D recover over several pieces", "recover", SWEEP_1D_PIECES),
