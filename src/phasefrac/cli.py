@@ -403,9 +403,14 @@ def _write_state(state: DiffuseState, out_dir: str) -> None:
 def _cmd_check(cfg: RunConfig) -> int:
     report = check_admissibility(cfg.potentials)
     _emit(cfg, report.summary())
-    _emit(cfg, f"alpha_surf = {surface_density(cfg.potentials):.12g}")
-    _emit(cfg, f"alpha_frac = {fracture_density(cfg.potentials):.12g}")
+    # written before the densities, which an inadmissible potential can leave
+    # unformed; the report's surface_le_fracture check fails then too
     _write_atomic(os.path.join(cfg.out_dir, "admissibility.txt"), [report.summary() + "\n"])
+    for name, density in (("alpha_surf", surface_density), ("alpha_frac", fracture_density)):
+        try:
+            _emit(cfg, f"{name} = {density(cfg.potentials):.12g}")
+        except ValueError as exc:
+            _emit(cfg, f"{name} cannot be formed: {exc}")
     return 0 if report.passed else 1
 
 
@@ -428,6 +433,9 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     table = gamma_sweep(cfg.sweep_plan, cfg.potentials, cfg.elastic)
     _write_atomic(os.path.join(cfg.out_dir, "sweep.csv"), [table.to_csv()])
     bad = [r for r in table.rows if r.status != "ok"]
+    for r in bad:
+        print(f"sweep: eps={r.eps:g}: {r.status.removeprefix('error:')}: {r.message}",
+              file=sys.stderr)
     last = table.rows[-1]
     _emit(cfg, f"sweep: {len(table.rows)} rows, e_sharp = {table.e_sharp:.12g}, "
                f"final rel_err = {last.rel_err:.4g}, failures = {len(bad)}")

@@ -28,20 +28,18 @@ densities from, or a proved plateau, the raw bytes of its c and z; it
 holds no cells-sized array where `evaluate` holds about fifteen.  On a
 plateau slab every difference is +0.0, whatever u's one value, so each
 density is one number, formed once per plateau from c and z on a block of
-2 cells a side, and a flat run of the slab's cells.  That rests on each
+2 cells a side, and a flat piece over the slab.  That rests on each
 density being a pointwise function of the cell values and the difference
 planes, so the potentials and the degradation must act elementwise, as all
 of the package's do.
 
-Every integral is `np.sum` of its density, bit for bit.  The whole-array
-pass's is `_integral`, `np.sum` itself.  The slabs' three are `_integrals`:
-numpy's pairwise summation tree walked over each density's pieces in
-row-major order, the three walks fed each slab in lockstep, each range
-inside one formed slab summed by `np.sum`, and each range inside a flat
-run summed once per value and length, with no array of the whole density.
-That assumes numpy's reduction order, verified on numpy 2.4.6;
-`test_integral_walks_numpys_pairwise_tree` guards it, so a numpy that sums
-in another order fails loudly.
+Every integral is the cell volume times a sum over the grid's slabs
+(`_slab_rows`): `np.sum` of each slab's cells, the partial sums added left
+to right.  The whole-array pass's is `_integral`, a single `np.sum` on a
+grid of one slab; the slab pass's three are `_integrals`, which take each
+slab's pieces as they come and sum a flat one once per value and shape.
+Both passes sum the same values slab by slab in the same order, so they
+agree bit for bit on any numpy, whatever order its `np.sum` adds in.
 
 Strains, e0 and stresses are tuples of strain planes, (xx,) in 1D and
 (xx, yy, xy) in 2D (see `fields.sym_gradient`).  In |xi|^2 and in the
@@ -235,23 +233,21 @@ class EnergyBreakdown:
         return self.e_phase + self.e_elastic + self.e_crack
 
 
-# numpy's pairwise summation sums a range of at most this many values in one
-# pass and splits a longer one
-_LEAF = 128
-
-
 class _Flat(NamedTuple):
-    """A flat run of a density's pieces (`_integrals`): `cells` values, each
-    `value`, a numpy float."""
+    """A flat piece of a density (`_integrals`): one value, a numpy float,
+    in every cell of an array of `shape`."""
     value: np.float64
-    cells: int
+    shape: tuple
 
 
 def _integral(density: np.ndarray, grid: Grid, label: str) -> float:
-    """The midpoint rule of one whole density array, the cell volume times
-    `np.sum` of it: the tree's root lies inside this one piece, so it is
-    summed and scanned as `_checked_sum` does, with no walk."""
-    return float(grid.cell_volume * _checked_sum(density, 0, grid.cells, label))
+    """The midpoint rule of one whole density array, summed over its slabs'
+    rows (`_slab_rows`) as `_integrals` sums them.  A density of at most
+    `_BLOCK` cells is one slab, so its integral is the cell volume times
+    `np.sum` of the array, checked as `_checked_sum` does."""
+    if density.size <= _BLOCK:
+        return float(grid.cell_volume * _checked_sum(density, 0, grid.cells, label))
+    return _integrals(((density[rows],) for rows in _slab_rows(grid)), grid, (label,))[0]
 
 
 def _checked_sum(values: np.ndarray, lo: int, shape: tuple, label: str):
@@ -272,33 +268,39 @@ def _checked_sum(values: np.ndarray, lo: int, shape: tuple, label: str):
 
 
 def _integrals(slabs: Iterable[tuple], grid: Grid, labels: tuple[str, ...]) -> list[float]:
-    """The midpoint rule of several densities formed together, each bit for
-    bit `_integral` of its whole array.  `slabs` yields, in row-major order,
-    one piece per label for each slab, a formed array or a `_Flat` run of
-    one value over the slab's cells, and each density's tree sum
-    (`_PairwiseSum`) takes its piece as the slab comes, so the sums run in
-    lockstep and hold no slab they have passed.
+    """The midpoint rule of several densities formed together.  `slabs`
+    yields, in row-major order, one piece per label for each slab: a formed
+    array, or a `_Flat` one.  Each integral is the cell volume times the
+    `_checked_sum`s of its pieces, added left to right from the first, so
+    one slab gives `np.sum` itself, a -0.0 included.  A flat piece is
+    summed as `np.full` of its value and shape, once per value's bytes (0.0
+    and -0.0 apart) and shape.  Each slab's pieces are dropped before the
+    next slab is formed.
 
     A non-finite density raises `_checked_sum`'s ValueError for the first
-    term, in the order of `labels`, that has one: a term whose walk fails
-    stops, the terms after it are no longer fed, and the terms before it are
-    walked to their end."""
-    walks = [_PairwiseSum(grid, label).walk() for label in labels]
-    for walk in walks:
-        next(walk)  # to its request for the first piece
-    totals, fault = [None] * len(walks), None
+    term, in the order of `labels`, that has one: a term that fails ends the
+    terms after it, the terms before it are summed on, and once the first
+    term has failed no further slab is taken."""
+    totals, flat, fault = [None] * len(labels), {}, None
+    live, lo = len(labels), 0
     for pieces in slabs:
-        for k, (walk, piece) in enumerate(zip(walks, pieces)):
+        for k, piece in enumerate(pieces[:live]):
             try:
-                walk.send(piece)
-            except StopIteration as done:
-                totals[k] = done.value
+                if not isinstance(piece, _Flat):
+                    part = _checked_sum(piece, lo, grid.cells, labels[k])
+                elif (key := (piece.value.tobytes(), piece.shape)) in flat:
+                    part = flat[key]
+                else:
+                    part = flat[key] = _checked_sum(np.full(piece.shape, piece.value), lo,
+                                                    grid.cells, labels[k])
             except ValueError as exc:
-                fault, walks = exc, walks[:k]
+                fault, live = exc, k
                 break
+            totals[k] = part if totals[k] is None else totals[k] + part
+        lo += math.prod(pieces[0].shape)
         # dropped before the next slab is formed
         pieces = piece = None
-        if not walks:
+        if not live:
             break
     if fault is not None:
         try:
@@ -306,76 +308,6 @@ def _integrals(slabs: Iterable[tuple], grid: Grid, labels: tuple[str, ...]) -> l
         finally:  # no cycle through this frame keeps the pass alive
             fault = None
     return [float(grid.cell_volume * total) for total in totals]
-
-
-class _PairwiseSum:
-    """numpy's pairwise tree over the concatenated values of a density's
-    pieces: a range of more than `_LEAF` values splits at half its length,
-    rounded down to a multiple of 8.  A range inside one formed piece is
-    `np.sum` of that slice, a range of at most `_LEAF` values across pieces is
-    gathered and summed with `np.sum`, and a range inside a flat run depends
-    only on the run's value and its own length, so it is summed once for
-    those two, keyed by the value's bytes (0.0 and -0.0 apart).  This rests
-    on numpy's reduction order, verified on numpy 2.4.6 and guarded by
-    `test_integral_walks_numpys_pairwise_tree`.
-
-    `walk` is a generator that is sent the pieces in row-major order and
-    returns the sum once it has the last.  It visits the values in that
-    order, so it holds only the piece it is in.  The generator refers to the
-    walker, never the other way round, so no reference cycle keeps the
-    pieces alive after the sum."""
-
-    def __init__(self, grid: Grid, label: str):
-        self.shape, self.label = grid.cells, label
-        # the piece the walk is in, its values lo:hi: a formed piece
-        # flattened, or a `_Flat` run
-        self.lo = self.hi = 0
-        self.piece, self.sums = None, {}
-
-    def walk(self):
-        return (yield from self.tree(0, math.prod(self.shape)))
-
-    def reach(self, lo: int):
-        """Take pieces until the one the walk is in holds value lo; the walk
-        runs in row-major order, so a piece it leaves is dropped."""
-        while self.hi <= lo:
-            self.piece = None  # freed before the next piece is formed
-            piece = yield
-            flat = isinstance(piece, _Flat)
-            self.piece = piece if flat else piece.reshape(-1)
-            self.lo, self.hi = self.hi, self.hi + (piece.cells if flat else piece.size)
-
-    def gathered(self, lo: int, hi: int):
-        """The values lo:hi as one array."""
-        parts = []
-        while lo < hi:
-            yield from self.reach(lo)
-            a, b = lo - self.lo, min(hi, self.hi) - self.lo
-            parts.append(np.full(b - a, self.piece.value) if isinstance(self.piece, _Flat)
-                         else self.piece[a:b])
-            lo += b - a
-        return np.concatenate(parts)
-
-    def tree(self, lo: int, n: int):
-        """The sum of lo:lo+n."""
-        yield from self.reach(lo)
-        at = None
-        if lo + n <= self.hi:
-            if not isinstance(self.piece, _Flat):
-                return _checked_sum(self.piece[lo - self.lo:lo - self.lo + n], lo, self.shape,
-                                    self.label)
-            at = (self.piece.value.tobytes(), n)
-            if at in self.sums:
-                return self.sums[at]
-        if n <= _LEAF:
-            total = _checked_sum((yield from self.gathered(lo, lo + n)), lo, self.shape,
-                                 self.label)
-        else:
-            half = n // 2 - n // 2 % 8
-            total = (yield from self.tree(lo, half)) + (yield from self.tree(lo + half, n - half))
-        if at is not None:
-            self.sums[at] = total
-        return total
 
 
 # The terms of the energy, each written once: the pass (`_evaluate`), the
@@ -529,12 +461,18 @@ def _haloed(r0: int, r1: int, rows: int) -> tuple[slice, slice]:
     return slice(lo, min(r1 + 1, rows)), slice(r0 - lo, r1 - lo)
 
 
-def _slabs(grid: Grid) -> list[tuple[slice, slice]]:
-    """The slabs of `diffuse_energy`'s pass, `max(1, _BLOCK // row cells)`
-    rows each, in order: each one's haloed rows, and its rows within them."""
+def _slab_rows(grid: Grid) -> list[slice]:
+    """The rows of each slab of a density over `grid`, in order: runs of
+    `max(1, _BLOCK // row cells)` rows, the last one cut short."""
     rows = grid.cells[0]
     step = max(1, _BLOCK // (math.prod(grid.cells) // rows))
-    return [_haloed(r0, min(r0 + step, rows), rows) for r0 in range(0, rows, step)]
+    return [slice(r0, min(r0 + step, rows)) for r0 in range(0, rows, step)]
+
+
+def _slabs(grid: Grid) -> list[tuple[slice, slice]]:
+    """The slabs of `_slab_rows` as `diffuse_energy`'s pass reads them: each
+    one's haloed rows, and its rows within them."""
+    return [_haloed(r.start, r.stop, grid.cells[0]) for r in _slab_rows(grid)]
 
 
 def diffuse_energy(s, P: PotentialSet, M: ElasticModel) -> EnergyBreakdown:
@@ -555,16 +493,16 @@ def diffuse_energy(s, P: PotentialSet, M: ElasticModel) -> EnergyBreakdown:
     on the slab's rows, bit for bit, since centered differences read the
     same operands and one-sided ones fall only on the grid's own edge rows.
     Its three densities are formed together and handed to `_integrals`,
-    whose tree sums take them in lockstep, so the pass holds no cells-sized
-    array, only slab-sized temporaries and what the source holds.  A
-    plateau slab is flat: the densities are pointwise functions of the cell
-    values and the difference planes, and every difference there is
-    x - x, +0.0, whatever the value of u, so each density is one number
-    over the slab, a `_Flat` run.  The three numbers are formed once per
-    key, from its c and z (`plateau_densities`), and `_integrals` sums each
-    range of a flat run once per value and length."""
+    which sums each slab's pieces as they come and drops them, so the pass
+    holds no cells-sized array, only slab-sized temporaries and what the
+    source holds.  A plateau slab is flat: the densities are pointwise
+    functions of the cell values and the difference planes, and every
+    difference there is x - x, +0.0, whatever the value of u, so each
+    density is one number over the slab, a `_Flat` piece.  The three
+    numbers are formed once per key, from its c and z (`plateau_densities`),
+    and `_integrals` sums a flat piece once per value and shape."""
     grid, h = s.grid, s.grid.spacing
-    e0, row_cells = M.e0_planes(grid.dim), math.prod(grid.cells[1:])
+    e0 = M.e0_planes(grid.dim)
     shared, clamped = {}, 0  # `plateau_densities` of each key, clamped cells
 
     def inner_diff(op, a, inner):
@@ -613,9 +551,9 @@ def diffuse_energy(s, P: PotentialSet, M: ElasticModel) -> EnergyBreakdown:
         if got not in shared:
             shared[got] = plateau_densities(got)
         values, moved = shared[got]
-        cells = (inner.stop - inner.start) * row_cells
-        clamped += cells * moved
-        return tuple(_Flat(value, cells) for value in values)
+        shape = (inner.stop - inner.start,) + grid.cells[1:]
+        clamped += math.prod(shape) * moved
+        return tuple(_Flat(value, shape) for value in values)
 
     cuts = _slabs(grid)
     source = s.slabs([halo for halo, _ in cuts])

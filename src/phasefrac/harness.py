@@ -94,6 +94,7 @@ class SweepRow:
     e_sharp: float
     rel_err: float
     status: str = "ok"
+    message: str = ""  # a failed row's error message
 
 
 @dataclass(frozen=True)
@@ -122,15 +123,15 @@ def gamma_sweep(plan: SweepPlan, P: PotentialSet, M: ElasticModel) -> SweepTable
 
     rel_err = (e_total - e_sharp) / max(e_sharp, 1e-12).  Failures of single
     rows (unresolvable profiles, width violations under enforce_width, a
-    non-finite density) are recorded with an error status and the sweep
-    continues.  A row's energy is `diffuse_energy` of `build_recovery`'s
-    state, bit for bit, but its slab source is a `recovery.RecoveryBands`
-    that never builds the state: the slabs its bounds prove plateaus are
-    never built or read, and the others are built in bands of at most one
-    row of tiles as the energy's slab pass reaches them, each dropped once
-    the pass has left it, so a row holds about one band of c, z and u and
-    slab-sized temporaries, whatever the grid size, and its time goes on
-    the rows of its layers.
+    non-finite density) are recorded with an error status, the exception's
+    type, and its message, and the sweep continues.  A row's energy is
+    `diffuse_energy` of `build_recovery`'s state, bit for bit, but its slab
+    source is a `recovery.RecoveryBands` that never builds the state: the
+    slabs its bounds prove plateaus are never built or read, and the others
+    are built in bands of at most one row of tiles as the energy's slab pass
+    reaches them, each dropped once the pass has left it, so a row holds
+    about one band of c, z and u and slab-sized temporaries, whatever the
+    grid size, and its time goes on the rows of its layers.
     """
     sharp = sharp_energy(plan.geometry, P, M)
     e_sharp = sharp.e_total
@@ -144,7 +145,7 @@ def gamma_sweep(plan: SweepPlan, P: PotentialSet, M: ElasticModel) -> SweepTable
                                                   enforce_width=plan.enforce_width), P, M)
         except (ValueError, ArithmeticError) as exc:
             rows.append(SweepRow(eps, delta, None, e_sharp, float("nan"),
-                                 status=f"error:{type(exc).__name__}"))
+                                 status=f"error:{type(exc).__name__}", message=str(exc)))
             continue
         rel = (energy.e_total - e_sharp) / max(e_sharp, 1e-12)
         rows.append(SweepRow(eps, delta, energy, e_sharp, rel))

@@ -51,7 +51,7 @@ def flat_key(c: np.ndarray, z: np.ndarray, u: np.ndarray, dim: int):
 class FlatSlabs:
     """A state as a slab source of `diffuse_energy` that yields `flat_key` for
     each slab whose rows hold one value each, and the rows of the others, so
-    a state's plateau slabs take the pass's `_Flat` runs."""
+    a state's plateau slabs take the pass's `_Flat` pieces."""
 
     def __init__(self, s: DiffuseState):
         self.s, self.grid, self.eps, self.delta = s, s.grid, s.eps, s.delta

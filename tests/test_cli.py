@@ -188,6 +188,22 @@ def test_check_command_failing_potentials(tmp_path, capsys):
     assert main(["check", "--config", write_config(tmp_path, text)]) == 1
 
 
+@pytest.mark.parametrize("setting,alpha,reason", [
+    ("w_scale = -1", "alpha_surf", "surface density must be positive"),
+    ("v_scale = 0", "alpha_frac", "fracture density must be positive")])
+def test_check_names_an_alpha_that_cannot_be_formed(tmp_path, capsys, setting, alpha, reason):
+    # the report is written, and the other alpha printed, before exit 1
+    text = MINIMAL_1D + f"\n[potentials]\n{setting}\n"
+    assert main(["check", "--config", write_config(tmp_path, text)]) == 1
+    out, err = capsys.readouterr()
+    assert f"{alpha} cannot be formed: {reason}\n" in out and err == ""
+    other = {"alpha_surf": "alpha_frac", "alpha_frac": "alpha_surf"}[alpha]
+    assert re.search(f"^{other} = \\S+$", out, re.M)
+    report = (tmp_path / "out" / "admissibility.txt").read_text()
+    assert report.startswith("admissibility at ") and "FAIL" in report
+    assert report in out
+
+
 def test_sharp_command(tmp_path, capsys):
     assert main(["sharp", "--config", write_config(tmp_path, MINIMAL_1D)]) == 0
     out = capsys.readouterr().out
@@ -203,6 +219,27 @@ def test_sweep_command_writes_csv(tmp_path, capsys):
     lines = csv_path.read_text().splitlines()
     assert lines[0].startswith("eps,delta,")
     assert len(lines) == 3
+
+
+def test_a_failed_sweep_row_says_why_on_stderr(tmp_path, capsys):
+    # 64 cells cannot resolve eps = 1e-4: the row fails, and the CSV keeps
+    # only its status
+    text = """[geometry]
+dim = 1
+crack_points = 0.5
+
+[sweep]
+eps_schedule = 0.1 0.0001
+cells = 64
+"""
+    assert main(["sweep", "--config", write_config(tmp_path, text), "--out",
+                 str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert re.fullmatch(r"sweep: eps=0\.0001: ResolutionError: z-transition width \S+ needs "
+                        r"spacing < \S+; refine the grid\n", err), err
+    assert "failures = 1" in out
+    rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
+    assert rows[0].endswith(",ok") and rows[1].endswith(",nan,error:ResolutionError")
 
 
 def test_sweep_delta_scale_scales_sqrt(tmp_path):

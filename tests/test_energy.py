@@ -199,9 +199,8 @@ def test_a_finite_density_whose_sum_overflows_is_refused(P, monkeypatch):
     # psi = 1e308 and C(e(u) - c e0) = 1 at every cell: each elastic density
     # is finite, its sum is not, and no cell is named.  Every slab is flat in
     # one pattern, and a source that yields its key (`FlatSlabs`) makes the
-    # tree sum reuse the overflowed sums of its ranges:
-    # a whole-grid slab, slabs of 512 cells (whole subtrees) and of 1000 (off
-    # the splits)
+    # slab pass reuse the overflowed sum of each slab shape: a whole-grid
+    # slab, slabs of 512 cells (one shape) and of 1000 (a short last one)
     monkeypatch.setitem(DEGRADATIONS, "huge", (lambda z: np.full_like(z, 1e308),
                                                DEGRADATIONS["quadratic"][1]))
     M = ElasticModel(e0=np.array([[1.0]]), degradation="huge")
@@ -211,7 +210,7 @@ def test_a_finite_density_whose_sum_overflows_is_refused(P, monkeypatch):
     sums, checked_sum = [], energy._checked_sum
 
     def counted(values, lo, shape, label):
-        sums.append(values.size)
+        sums.append(values.shape)
         return checked_sum(values, lo, shape, label)
     monkeypatch.setattr(energy, "_checked_sum", counted)
     with np.errstate(over="ignore"):
@@ -223,56 +222,60 @@ def test_a_finite_density_whose_sum_overflows_is_refused(P, monkeypatch):
             with pytest.raises(ValueError, match="e_elastic must be finite and nonnegative, "
                                                  "got inf"):
                 diffuse_energy(FlatSlabs(s), P, M)
-            # without the reuse, each of the three terms would sum 4096 / 128
-            # leaves of one pattern
-            assert 0 < len(sums) < 3 * 4096 // 128 and max(sums) <= 128, (cells, sums)
+            # each term forms at most one flat sum per distinct slab shape
+            shapes = {(rows.stop - rows.start,) for rows in energy._slab_rows(g)}
+            assert 0 < len(sums) <= 3 * len(shapes) and set(sums) == shapes, (cells, sums)
 
 
-def _pieces(rng, shape):
-    """A random array of `shape`, with values over six decades and both signs,
-    cut into runs of rows as pieces for `energy._integral`: each run formed,
-    or flat, one of three values over all its cells; (the pieces, the whole
-    array)."""
-    rows, row_cells = shape[0], math.prod(shape[1:])
-    pool = rng.standard_normal(3) * 10.0 ** rng.uniform(-3, 3, 3)
-    # short runs put several pieces in one range of 128 values; long ones make
-    # flat runs that span the tree's splits
-    lengths = [1, 2, 3, max(1, 128 // row_cells), max(2, rows // 5)]
-    pieces, parts, r = [], [], 0
-    while r < rows:
-        n = min(rows - r, int(rng.integers(1, lengths[rng.integers(len(lengths))] + 1)))
+def _pieces(rng, shape, slabs):
+    """A random array of `shape`, with values over six decades and both
+    signs, cut into the ranges of rows `slabs` as pieces for
+    `energy._integrals`: each piece formed, or flat, one of four values,
+    -0.0 among them, over all its cells; (the pieces, the whole array)."""
+    pool = np.append(rng.standard_normal(3) * 10.0 ** rng.uniform(-3, 3, 3), -0.0)
+    pieces = []
+    for rows in slabs:
+        cut = (rows.stop - rows.start,) + shape[1:]
         if rng.random() < 0.5:
-            value = pool[rng.integers(3)]
-            pieces.append(energy._Flat(value, n * row_cells))
-            parts.append(np.full((n,) + shape[1:], value))
+            pieces.append(energy._Flat(pool[rng.integers(len(pool))], cut))
         else:
-            pieces.append(rng.standard_normal((n,) + shape[1:])
-                          * 10.0 ** rng.uniform(-3, 3, (n,) + shape[1:]))
-            parts.append(pieces[-1])
-        r += n
-    return pieces, np.concatenate(parts)
+            pieces.append(rng.standard_normal(cut) * 10.0 ** rng.uniform(-3, 3, cut))
+    return pieces, np.concatenate([np.full(p.shape, p.value) if isinstance(p, energy._Flat)
+                                   else p for p in pieces])
 
 
 @pytest.mark.parametrize("shape", [(300, 200), (256, 200), (777, 333), (513, 511), (1024, 1024),
                                    (64, 64), (1000,), (2 ** 14 + 3,), (256,)])
-def test_integral_walks_numpys_pairwise_tree(shape):
-    # `_integral` sums its pieces by numpy's own pairwise tree, which this
-    # numpy's `np.sum` must follow bit for bit: a numpy that sums in another
-    # order fails here, and the slab pass would no longer match `evaluate`
+def test_integral_is_the_sum_of_its_slabs(monkeypatch, shape):
+    # an integral is the cell volume times its slabs' `np.sum`s added left
+    # to right from the first: the slab pass's pieces, formed or flat, give
+    # `_integral` of the joined array bit for bit, under slabs of one row,
+    # of 7 rows, the default slabs and one slab for the whole array
     rng = np.random.Generator(np.random.Philox(len(shape) * 7919 + shape[0]))
     grid = Grid((0.0,) * len(shape), tuple(float(n) for n in shape), shape)
     assert grid.cell_volume == 1.0
-    orders = set()
-    for _ in range(3):
-        pieces, whole = _pieces(rng, shape)
-        assert any(isinstance(p, energy._Flat) for p in pieces)
-        assert any(not isinstance(p, energy._Flat) for p in pieces)
-        want = np.sum(whole)
-        (got,) = energy._integrals([(p,) for p in pieces], grid, ("test",))
-        assert got.hex() == float(want).hex()
-        assert energy._integral(whole, grid, "test").hex() == float(want).hex()
-        orders.add(np.cumsum(whole)[-1] == want)
-    # the data tells orders apart: summing in sequence gives other bits
+    row_cells = math.prod(shape[1:])
+    kinds, short, orders = set(), set(), set()
+    for block in (row_cells, 7 * row_cells, 2 ** 14, math.prod(shape)):
+        monkeypatch.setattr(energy, "_BLOCK", block)
+        slabs = energy._slab_rows(grid)
+        short.add(slabs[-1].stop - slabs[-1].start < slabs[0].stop - slabs[0].start)
+        cases = [_pieces(rng, shape, slabs) for _ in range(3)]
+        # and flat pieces of -0.0 alone, whose sum takes the sign `np.sum` gives
+        zeros = [energy._Flat(np.float64(-0.0), p.shape) for p in cases[0][0]]
+        cases.append((zeros, np.full(shape, -0.0)))
+        for pieces, whole in cases:
+            kinds.update(type(p) for p in pieces)
+            want = np.sum(whole[slabs[0]])
+            for rows in slabs[1:]:
+                want = want + np.sum(whole[rows])
+            (got,) = energy._integrals([(p,) for p in pieces], grid, ("test",))
+            assert got.hex() == float(want).hex(), block
+            assert energy._integral(whole, grid, "test").hex() == got.hex(), block
+            if len(slabs) > 1:
+                orders.add(want == np.sum(whole))
+    assert kinds == {np.ndarray, energy._Flat} and True in short
+    # the data tells the slab sums from one `np.sum` of the whole array
     assert False in orders
 
 
@@ -297,11 +300,10 @@ def _smoke_states(tmp_path):
 
 
 def test_the_tree_sum_gives_np_sum_on_every_workloads_densities(monkeypatch, tmp_path):
-    # evaluate sums each density as one array, np.sum itself; the slab pass
-    # sums it by the tree over its slabs: default slabs, and slabs of 1000
-    # cells, which end inside the tree's ranges and cut flat runs short; the
-    # state's flat slabs come as their keys (`FlatSlabs`), so both kinds of
-    # piece are summed
+    # evaluate sums each whole density with `_integral`; the slab pass sums
+    # it slab by slab as its pieces come, under default slabs and slabs of
+    # 1000 cells, which cut flat runs short; the state's flat slabs come as
+    # their keys (`FlatSlabs`), so both kinds of piece are summed
     monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(__file__)),
                                              "perfbench"))
     kinds, integrals = set(), energy._integrals
@@ -311,9 +313,9 @@ def test_the_tree_sum_gives_np_sum_on_every_workloads_densities(monkeypatch, tmp
         kinds.update(type(p) for pieces in slabs for p in pieces)
         return integrals(slabs, grid, labels)
     for name, s, P, M in _smoke_states(tmp_path):
-        want = evaluate(s, P, M)[0]
         for cells in (fields._BLOCK, 1000):
             monkeypatch.setattr(energy, "_BLOCK", cells)
+            want = evaluate(s, P, M)[0]
             monkeypatch.setattr(energy, "_integrals", seen)
             assert _same_energy(diffuse_energy(FlatSlabs(s), P, M), want), (name, cells)
             monkeypatch.setattr(energy, "_integrals", integrals)
@@ -647,10 +649,10 @@ _SLAB_CELLS = {1: (1, 5, 22, 23, 10 ** 6), 2: (1, 5 * 17, 22 * 17, 23 * 17, 10 *
 @pytest.mark.parametrize("dim", [1, 2])
 def test_slab_pass_matches_the_whole_array_pass_bitwise(P, monkeypatch, dim):
     s, M = _slab_state(dim)
-    want = evaluate(s, P, M)[0]
-    assert 0 < want.clamped_cells < s.z.values.size and want.e_elastic > 0.0
     for cells in _SLAB_CELLS[dim]:
         monkeypatch.setattr(energy, "_BLOCK", cells)
+        want = evaluate(s, P, M)[0]
+        assert 0 < want.clamped_cells < s.z.values.size and want.e_elastic > 0.0
         assert _same_energy(diffuse_energy(s, P, M), want), cells
 
 
@@ -711,9 +713,6 @@ def test_slab_pass_on_flat_slabs_matches_the_whole_array_pass_bitwise(P, monkeyp
     # forms its densities on a block of 2 cells a side, unless an earlier
     # flat slab of the same c and z has formed them
     s, P, M, flat_patterns = _flat_case(P, case)
-    want = evaluate(s, P, M)[0]
-    if case == "z outside":
-        assert want.clamped_cells > 13 * 17
     halo_rows = []
 
     def recorded(f, h):
@@ -723,6 +722,9 @@ def test_slab_pass_on_flat_slabs_matches_the_whole_array_pass_bitwise(P, monkeyp
     rows = len(s.c.values)
     for cells in _SLAB_CELLS[s.grid.dim]:
         monkeypatch.setattr(energy, "_BLOCK", cells)
+        want = evaluate(s, P, M)[0]
+        if case == "z outside":
+            assert want.clamped_cells > 13 * 17
         # the state itself yields its rows and never a key: no slab is flat
         for source, patterns in ((FlatSlabs(s), flat_patterns), (s, 0)):
             halo_rows.clear()
@@ -767,10 +769,10 @@ def test_slab_pass_names_the_same_nonfinite_cell(P, monkeypatch, label, flat):
 @pytest.mark.parametrize("early,late", [("elastic", "interfacial"), ("crack", "elastic"),
                                         ("crack", "interfacial")])
 def test_the_earlier_term_is_named_though_a_later_term_fails_first(P, monkeypatch, early, late):
-    # the three sums run in lockstep: `early`'s density is non-finite in the
-    # first slab and `late`'s only in a later one, yet the message names the
-    # first failing term in the order interfacial, elastic, crack, as the
-    # whole-array pass does
+    # the three sums take each slab together: `early`'s density is
+    # non-finite in the first slab and `late`'s only in a later one, yet the
+    # message names the first failing term in the order interfacial,
+    # elastic, crack, as the whole-array pass does
     s, M = _slab_state(2)
     c, z = s.c.values.copy(), s.z.values.copy()
     cells = {early: (2, 4), late: (17, 9)}
@@ -799,6 +801,31 @@ def test_the_earlier_term_is_named_though_a_later_term_fails_first(P, monkeypatc
             diffuse_energy(s, P, M)
 
 
+def test_a_nonfinite_first_term_ends_the_pass(P, monkeypatch):
+    # the interfacial density, the first term, is infinite at one cell of
+    # slab 0: the error is known to be that term's, so the pass names the
+    # cell and asks its source for no later slab
+    s, M = _slab_state(2)
+    c = s.c.values.copy()
+    c[2, 4] = 0.25
+    s = s.replace(c=ScalarField(s.grid, c))
+    P = dataclasses.replace(P, w=_inf_at(0.25, P.w))
+    monkeypatch.setattr(energy, "_BLOCK", 5 * 17)
+    yielded = []
+
+    class Counted:
+        grid, eps, delta = s.grid, s.eps, s.delta
+
+        def slabs(self, halos):
+            for rows in s.slabs(halos):
+                yielded.append(len(halos))
+                yield rows
+    with pytest.raises(ValueError, match=re.escape("non-finite interfacial density at cell "
+                                                   "(2, 4)")):
+        diffuse_energy(Counted(), P, M)
+    assert yielded == [5]
+
+
 @pytest.mark.parametrize("flat", [False, True])
 def test_slab_pass_keeps_nothing_of_the_state_alive(P, monkeypatch, flat):
     # a sweep row's state must be freed as soon as its energy is known, before
@@ -821,8 +848,8 @@ def test_slab_pass_keeps_nothing_of_the_state_alive(P, monkeypatch, flat):
                          ids=["default_slabs", "slabs_of_1024_cells"])
 def test_slab_pass_holds_only_slab_sized_arrays(P, monkeypatch, cells, arrays):
     # at 256^2 the whole-array pass peaks near 15 cells-sized arrays above the
-    # state; the slab pass holds no cells-sized array, since the tree sum
-    # draws each slab's density as it reaches it and drops it once passed,
+    # state; the slab pass holds no cells-sized array, since it sums each
+    # slab's densities as they come and drops them before the next slab,
     # only temporaries that scale with the slab (2^14 cells, a quarter of this
     # grid, by default)
     if cells is not None:

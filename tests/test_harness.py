@@ -157,18 +157,9 @@ def test_sweep_rows_are_the_whole_builds_energies_bit_for_bit(P, elastic_2d_free
     assert set(_same_rows_as_whole_builds(plan, P, M)) == {"ok"}
 
 
-def _tree_splits(lo, n):
-    """The split points of numpy's pairwise tree over values lo:lo+n."""
-    if n <= energy._LEAF:
-        return []
-    half = n // 2 - n // 2 % 8
-    return _tree_splits(lo, half) + [lo + half] + _tree_splits(lo + half, n - half)
-
-
 def test_sweep_rows_keep_their_bits_with_band_seams_inside_slabs(P, monkeypatch, tmp_path):
     # FLAT_OFF_SPLITS (600 x 500 cells) in slabs of 37 rows, which do not
-    # divide the 128-row bands: formed and flat slabs straddle band seams,
-    # and the tree splits inside a flat slab that straddles one
+    # divide the 128-row bands: formed and flat slabs straddle band seams
     config = tmp_path / "run.ini"
     config.write_text(same_outputs.FLAT_OFF_SPLITS)
     cfg = parse_config(str(config))
@@ -176,8 +167,10 @@ def test_sweep_rows_keep_their_bits_with_band_seams_inside_slabs(P, monkeypatch,
     layouts, integrals = [], energy._integrals
 
     def seen(slabs, grid, labels):
+        # the slab passes' three terms; `evaluate` sums each whole density alone
         slabs = list(slabs)
-        layouts.append([isinstance(p, energy._Flat) for p, _, _ in slabs])
+        if len(labels) == 3:
+            layouts.append([isinstance(p, energy._Flat) for p, _, _ in slabs])
         return integrals(slabs, grid, labels)
     monkeypatch.setattr(energy, "_integrals", seen)
     assert _same_rows_as_whole_builds(cfg.sweep_plan, cfg.potentials, cfg.elastic) == ["ok"]
@@ -194,10 +187,6 @@ def test_sweep_rows_keep_their_bits_with_band_seams_inside_slabs(P, monkeypatch,
     straddling = {flat for r0, flat in zip(starts, layouts[0])
                   if r0 // band != (min(r0 + 37, 600) - 1) // band}
     assert straddling == {False, True}
-    splits = _tree_splits(0, 600 * 500)
-    assert any(flat and r0 // band != (r0 + 36) // band
-               and any(r0 * 500 < x < (r0 + 37) * 500 for x in splits)
-               for r0, flat in zip(starts, layouts[0][:-1]))
 
 
 def test_failed_rows_keep_their_status(P, elastic_2d_free):

@@ -144,6 +144,32 @@ def test_an_altered_or_missing_output_is_named(tmp_path):
         "c.field: only in this tree", "extra.csv: only in the other tree"]
 
 
+def test_a_sweep_value_one_ulp_up_is_named_with_its_move(tmp_path):
+    config = tmp_path / "run.ini"
+    config.write_text(make_config("sweep_2d", 0, smoke=True))
+    mine = same_outputs.run_cli(ROOT, "sweep", str(config), str(tmp_path / "out"))
+    lines = mine["sweep.csv"].decode().splitlines(keepends=True)
+    row = lines[1].split(",")
+    column = lines[0].split(",").index("e_elastic")
+    value = float(row[column])
+    up = float(np.nextafter(value, np.inf))
+    row[column] = f"{up:.17g}"
+    other = dict(mine)
+    other["sweep.csv"] = "".join([lines[0], ",".join(row), *lines[2:]]).encode()
+    found = same_outputs.differences(mine, other)
+    assert found[:2] == [
+        f"sweep.csv: line 2 differs ({len(lines)} lines here, {len(lines)} there)",
+        f"sweep.csv: largest move 1 ulp, e_elastic on line 2: {up.hex()} there, "
+        f"{value.hex()} here"]
+    assert all(line.startswith("    ") for line in found[2:])
+    # a field that is not a finite number on both sides names no move
+    row[-1] = "error:ValueError\n"
+    other["sweep.csv"] = "".join([lines[0], ",".join(row), *lines[2:]]).encode()
+    found = same_outputs.differences(mine, other)
+    assert found[0] == f"sweep.csv: line 2 differs ({len(lines)} lines here, {len(lines)} there)"
+    assert all(line.startswith("    ") for line in found[1:])
+
+
 def test_the_1d_sweep_spans_several_energy_slabs(tmp_path):
     config = tmp_path / "run.ini"
     config.write_text(same_outputs.SWEEP_1D)
@@ -338,7 +364,7 @@ def test_the_sweep_runs_cover_both_kinds_of_band_seam(tmp_path):
         if cells[0] > band:
             kinds[label] = band % slab != 0
     assert kinds["partial-tile sweep"] and kinds["slanted sweep"]
-    assert not kinds["sweep with flat slabs off the tree's splits"]
+    assert not kinds["sweep with a flat run over band seams"]
     assert set(kinds.values()) == {False, True}
 
 
@@ -365,42 +391,48 @@ def test_the_signed_zero_rigid_runs_keep_the_sign_of_u(command, tmp_path):
     assert same_outputs.compare(ROOT, command, text) == []
 
 
-def _tree_splits(lo, n):
-    """The split points of numpy's pairwise tree over values lo:lo+n."""
-    if n <= energy._LEAF:
-        return []
-    half = n // 2 - n // 2 % 8
-    return _tree_splits(lo, half) + [lo + half] + _tree_splits(lo + half, n - half)
-
-
 def test_the_off_split_sweep_splits_inside_slabs_and_flat_runs(monkeypatch, tmp_path):
+    # FLAT_OFF_SPLITS's row has flat slabs of two shapes in one pattern over
+    # band seams: the pass sums a flat piece once per value and shape, for
+    # every term, and every later flat slab reuses that sum
     text = same_outputs.FLAT_OFF_SPLITS
     config = tmp_path / "run.ini"
     config.write_text(text)
     cfg = parse_config(str(config))
     assert cfg.sweep_plan.cells == (600, 500) and cfg.sweep_plan.eps_schedule == (2.0 ** -7,)
-    layouts, integrals = [], energy._integrals
+    layouts, integrals, sums, checked_sum = [], energy._integrals, [], energy._checked_sum
 
     def seen(slabs, grid, labels):
         # the pass hands each slab's pieces, one per term, to the three sums
         slabs = list(slabs)
-        layouts.extend([(p.cells, p.value.tobytes()) if isinstance(p, energy._Flat)
-                        else (p.size, None) for p in term] for term in zip(*slabs))
+        layouts.extend([(p.shape, p.value.tobytes()) if isinstance(p, energy._Flat)
+                        else (p.shape, None) for p in term] for term in zip(*slabs))
         return integrals(slabs, grid, labels)
+
+    def counted(values, lo, shape, label):
+        sums.append((values.shape, lo // 500))
+        return checked_sum(values, lo, shape, label)
     monkeypatch.setattr(energy, "_integrals", seen)
+    monkeypatch.setattr(energy, "_checked_sum", counted)
     (row,) = gamma_sweep(cfg.sweep_plan, cfg.potentials, cfg.elastic).rows
     assert row.status == "ok" and len(layouts) == 3
-    # 19 slabs of 32 rows, the last 8 flat in one pattern
+    # 19 slabs of 32 rows, the last cut to 24, the last 8 flat in one pattern
     layout = layouts[0]
     assert all(other == layout for other in layouts)
-    assert [n for n, _ in layout] == [32 * 500] * 18 + [24 * 500]
+    assert [n for (n, _), _ in layout] == [32] * 18 + [24]
     assert [key is not None for _, key in layout] == [False] * 11 + [True] * 8
     assert len({key for _, key in layout[11:]}) == 1
-    # the tree splits inside formed slabs and inside flat slabs
-    starts = np.cumsum([0] + [n for n, _ in layout])
-    inside = {layout[np.searchsorted(starts, x, "right") - 1][1] is not None
-              for x in _tree_splits(0, 600 * 500) if x not in starts}
-    assert inside == {False, True}
+    # the flat slabs span rows 352:600, across the band seams at 384 and 512
+    band = recovery._side(2)
+    assert {r0 // band for r0 in range(352, 600, 32)} == {2, 3, 4}
+    # a sum per formed piece and term, and a flat sum per value and shape,
+    # taken at the first flat slab of that shape: the three terms' flat
+    # values are one, 0.0
+    keys = {(shape, key) for term in layouts for shape, key in term if key is not None}
+    assert len(keys) == 2
+    flat_sums = [s for s in sums if s[1] >= 352]
+    assert len(sums) == 3 * 11 + len(flat_sums) and flat_sums == [((32, 500), 352),
+                                                                   ((24, 500), 576)]
     monkeypatch.setattr(energy, "_integrals", integrals)
     mine = same_outputs.run_cli(ROOT, "sweep", str(config), str(tmp_path / "out"))
     assert mine["exit code"] == b"0" and mine["stderr"] == b""

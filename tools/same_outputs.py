@@ -17,9 +17,9 @@ inside test and the distances where no edge is axis-aligned.  `recover` and
 `sweep` on SIGNED_ZERO_RIGID, whose rigid maps hold -0.0 and 0.0 on a grid
 whose tiles all lie on one side of the supporting line, compare the signs
 of u's zeros, and `sweep` on FLAT_OFF_SPLITS, the same geometry on 600 x 500
-cells, whose flat slabs repeat one pattern and meet the energy sum's split
-points inside slabs and inside their run, so the sum's tree gathers and
-reuses sums across slab seams.  `sweep` and `recover` on ZERO_SWEEP,
+cells, whose flat slabs repeat one pattern in two slab shapes over band
+seams, so the energy reuses one flat sum per value and shape across slabs
+and bands.  `sweep` and `recover` on ZERO_SWEEP,
 criterion 05's polygon and segment with u = 0, compare the rows and the
 recovery whose plateau slabs, c = 0 and c = 1, are proved flat through the
 zero displacement, and the read-back of that recovery's dumps.  `sweep`
@@ -44,15 +44,20 @@ CLI prints them to 12 digits only.  Every output file, stdout, stderr and
 the exit code, and each read-back and sharp digest with its subprocess's
 stderr and exit code, are compared byte for byte; each difference is named,
 and a differing text is shown as a unified diff from the other tree (`-`)
-to this one (`+`), cut after DIFF_LINES lines.
+to this one (`+`), cut after DIFF_LINES lines.  A differing CSV whose lines
+and fields match and differ only in finite numbers also names its largest
+move: the column and line, both values as `float.hex`, and their distance
+in ulps.
 Exit code 0 when all are equal, 1 otherwise.
 Standard library only; perfbench/ is read, never written.
 """
 from __future__ import annotations
 
 import difflib
+import math
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
@@ -212,10 +217,11 @@ lambda = 1e-4
 """
 
 # SIGNED_ZERO_RIGID's geometry on 600 x 500 cells, 300,000, at eps = 2^-7: the
-# energy pass cuts it into 19 slabs of 32 rows, the last 8 flat in one
-# pattern, and numpy's pairwise tree splits inside slabs and inside that flat
-# run, where the other grids off powers of two hold no flat slab or two, and
-# the power-of-two grids' slabs are whole subtrees of the tree
+# energy pass cuts it into 19 slabs of 32 rows, the last one 24, and the last
+# 8, rows 352:600 over the band seams at 384 and 512, are flat in one
+# pattern, so the pass takes one flat sum for its seven flat slabs of 32
+# rows, in three bands, and one for the last; the other grids off powers of
+# two hold no flat slab or two
 FLAT_OFF_SPLITS = SIGNED_ZERO_RIGID.replace("cells = 256 200\neps_schedule = 0.03125",
                                             "cells = 600 500\neps_schedule = 0.0078125")
 
@@ -303,7 +309,7 @@ RUNS = [("affine sharp", "sharp", AFFINE_SHARP),
         ("slanted sweep", "sweep", SLANTED_RECOVER),
         ("signed-zero rigid recover", "recover", SIGNED_ZERO_RIGID),
         ("signed-zero rigid sweep", "sweep", SIGNED_ZERO_RIGID),
-        ("sweep with flat slabs off the tree's splits", "sweep", FLAT_OFF_SPLITS),
+        ("sweep with a flat run over band seams", "sweep", FLAT_OFF_SPLITS),
         ("zero-displacement sweep", "sweep", ZERO_SWEEP),
         ("zero-displacement recover", "recover", ZERO_SWEEP),
         ("crack-only rigid sweep", "sweep", CRACK_ONLY_RIGID),
@@ -390,10 +396,45 @@ def run_cli(tree: str, command: str, config: str, out: str) -> dict[str, bytes]:
     return outputs
 
 
+def _ordered(x: float) -> int:
+    """x's bits as an integer that counts ulps in order, both zeros 0."""
+    n = struct.unpack("<q", struct.pack("<d", x))[0]
+    return n if n >= 0 else -(n & 0x7FFFFFFFFFFFFFFF)
+
+
+def _largest_move(mine: bytes, other: bytes) -> str | None:
+    """For two CSV texts with the same lines and fields that differ only in
+    fields both read as finite floats: the field that moves the most ulps,
+    named by its header column and line, with both values as `float.hex`;
+    None for any other pair."""
+    a, b = ([line.split(",") for line in text.decode(errors="replace").splitlines()]
+            for text in (mine, other))
+    if len(a) != len(b) or any(len(x) != len(y) for x, y in zip(a, b)):
+        return None
+    moves = []
+    for i, (x, y) in enumerate(zip(a, b)):
+        for j, (here, there) in enumerate(zip(x, y)):
+            if here == there:
+                continue
+            try:
+                here, there = float(here), float(there)
+            except ValueError:
+                return None
+            if not (math.isfinite(here) and math.isfinite(there)):
+                return None
+            moves.append((abs(_ordered(here) - _ordered(there)), i, j, here, there))
+    if not moves:
+        return None
+    ulps, i, j, here, there = max(moves, key=lambda move: move[0])
+    return (f"largest move {ulps} ulp{'s' * (ulps != 1)}, {a[0][j]} on line {i + 1}: "
+            f"{there.hex()} there, {here.hex()} here")
+
+
 def differences(mine: dict[str, bytes], other: dict[str, bytes]) -> list[str]:
     """One line per output that differs or that only one side has; a
-    differing text names its first differing line, and its indented unified
-    diff lines follow, at most DIFF_LINES of them."""
+    differing text names its first differing line, a differing CSV then its
+    `_largest_move` where there is one, and its indented unified diff lines
+    follow, at most DIFF_LINES of them."""
     found = []
     for key in sorted(mine.keys() | other.keys()):
         if key not in other:
@@ -404,6 +445,9 @@ def differences(mine: dict[str, bytes], other: dict[str, bytes]) -> list[str]:
             a, b = mine[key].splitlines(), other[key].splitlines()
             k = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
             found.append(f"{key}: line {k + 1} differs ({len(a)} lines here, {len(b)} there)")
+            move = _largest_move(mine[key], other[key]) if key.endswith(".csv") else None
+            if move is not None:
+                found.append(f"{key}: {move}")
             diff = list(difflib.unified_diff(
                 [line.decode(errors="replace") for line in b],
                 [line.decode(errors="replace") for line in a],
