@@ -7,9 +7,14 @@ displacement, so the rigid-motion nullspace needs no deflation.  The
 preconditioner is the fast diagonalization of Lynch, Rice & Thomas (1964):
 the block-diagonal, constant-weight part of the operator, inverted in the
 eigenbasis of the 1D difference operator of each axis.  CG stops when the
-unpreconditioned residual falls to `cg_tol` of its start or after
+unpreconditioned residual falls to a tolerance times its start or after
 `cg_max_iters` iterations (both act only in 2D); a step that hits the cap is
-inexact and its block is flagged `cg_max_iters`.  The z- and c-steps take one
+inexact and its block is flagged `cg_max_iters`.  `alternate` gives each
+sweep's u-step the inexact-Newton forcing tolerance of Dembo, Eisenstat &
+Steihaug (1982) and Eisenstat & Walker (1996), the previous sweep's relative
+energy decrease held between `cg_tol` and `_FORCING_CAP` (`_forcing_tol`):
+a loose solve early, since the z- and c-steps move the state anyway, and one
+as tight as the stop test asks near convergence.  The z- and c-steps take one
 Armijo-accepted (projected) gradient step per sweep.  The z-step moves along
 the L2 gradient, projected on the box [0, 1].  The c-step moves along the
 H^1_eps gradient S_eps(g / vol), S_eps = (I + eps^2 L_N)^-1 with L_N the
@@ -52,10 +57,15 @@ _MAX_BACKTRACKS = 60
 DESCENT_RTOL = 1e-13
 # the amplitude of the jitter that `default_state` adds to its flat start
 _JITTER = 1e-3
+# the loosest CG tolerance `alternate` gives a u-step, and the first sweep's
+_FORCING_CAP = 1e-2
 
 
 @dataclass(frozen=True)
 class SolverPlan:
+    """`cg_tol` is the floor of the u-step's CG tolerance: a sweep of
+    `alternate` solves to `_forcing_tol`, between `cg_tol` and the module
+    constant `_FORCING_CAP`; a direct `minimize_u` call solves to `cg_tol`."""
     max_outer: int = 200
     tol_rel_energy: float = 1e-8
     cg_tol: float = 1e-10
@@ -240,15 +250,16 @@ def _solve_u_1d(u: np.ndarray, weight: np.ndarray, f: np.ndarray,
 
 
 def minimize_u(s: DiffuseState, P: PotentialSet, M: ElasticModel, plan: SolverPlan,
-               before: Optional[EnergyBreakdown] = None
+               before: Optional[EnergyBreakdown] = None, tol: Optional[float] = None
                ) -> tuple[DiffuseState, BlockResult]:
     """Block minimization in u.  1D: the exact closed-form solve, `iters` 0.
     2D: matrix-free CG on dE/du = 0, preconditioned by fast
-    diagonalization, to `cg_tol` of the starting residual, capped at
-    `cg_max_iters` iterations (flagged `cg_max_iters` when it hits the cap);
-    the two settings act only in 2D.  A step that raises the energy by more
-    than `DESCENT_RTOL` relative is rejected (flag `energy_rose`).  `before`
-    is the energy of `s` when the caller knows it; it is evaluated here
+    diagonalization, to `tol` of the starting residual (`cg_tol` when not
+    given; `alternate` passes `_forcing_tol`), capped at `cg_max_iters`
+    iterations (flagged `cg_max_iters` when it hits the cap); `tol` and
+    `cg_max_iters` act only in 2D.  A step that raises the energy by more than
+    `DESCENT_RTOL` relative is rejected (flag `energy_rose`).  `before` is
+    the energy of `s` when the caller knows it; it is evaluated here
     otherwise."""
     grid = s.grid
     weight = _elastic_weight(np.clip(s.z.values, 0.0, 1.0), s, M)
@@ -263,7 +274,7 @@ def minimize_u(s: DiffuseState, P: PotentialSet, M: ElasticModel, plan: SolverPl
         unew, iters, converged = _cg(
             lambda u: _stress_divergence(grid, M, weight, sym_gradient(u, grid.spacing)),
             _fast_diag_preconditioner(grid, M, weight),
-            b, s.u.values, plan.cg_tol, plan.cg_max_iters)
+            b, s.u.values, plan.cg_tol if tol is None else tol, plan.cg_max_iters)
     after = _elastic_trial(s, M, weight, e0, before)(unew)
     if after.e_total > before.e_total * (1.0 + DESCENT_RTOL) + 1e-300:
         # inexact solve raised the energy: keep the old displacement
@@ -364,13 +375,22 @@ def residual(s: DiffuseState, P: PotentialSet, M: ElasticModel,
             for block, g in (("c", gc), ("z", gz), ("u", grads["u"]))}
 
 
+def _forcing_tol(prev: float, cur: float, plan: SolverPlan) -> float:
+    """The CG tolerance of the u-step after a sweep from energy `prev` to
+    `cur`: their relative decrease, the quantity the stop test reads, held
+    between `cg_tol` and `_FORCING_CAP`; so `cg_tol` when the energy did not
+    fall (a u-step may raise it by up to `DESCENT_RTOL`)."""
+    return max(plan.cg_tol, min(_FORCING_CAP, (prev - cur) / max(abs(prev), 1e-300)))
+
+
 def alternate(s0: DiffuseState, P: PotentialSet, M: ElasticModel,
               plan: SolverPlan) -> tuple[DiffuseState, Trajectory]:
     """Sweep (u, z, c) blocks until the relative energy decrease stalls.
 
-    The trajectory records the breakdown after every sweep (index 0 is the
-    start state) and the final state's `residual`; identical plan and seed
-    reproduce it bit for bit.
+    The first sweep's u-step solves to `_FORCING_CAP`, each later one to
+    `_forcing_tol` of the sweep before.  The trajectory records the
+    breakdown after every sweep (index 0 is the start state) and the final
+    state's `residual`; identical plan and seed reproduce it bit for bit.
     """
     s = s0
     if plan.mass_constraint is not None:
@@ -381,8 +401,9 @@ def alternate(s0: DiffuseState, P: PotentialSet, M: ElasticModel,
     reason = "max_outer"
     step_z = _STEP0
     step_c = _STEP0
+    tol = max(plan.cg_tol, _FORCING_CAP)
     for _ in range(plan.max_outer):
-        s, ru = minimize_u(s, P, M, plan, before=energies[-1])
+        s, ru = minimize_u(s, P, M, plan, before=energies[-1], tol=tol)
         s, rz = minimize_z(s, P, M, plan, start_step=step_z)
         if rz.step > 0:
             step_z = min(rz.step / _BACKTRACK_FACTOR, _STEP0)
@@ -396,5 +417,6 @@ def alternate(s0: DiffuseState, P: PotentialSet, M: ElasticModel,
         if prev - cur < plan.tol_rel_energy * max(abs(prev), 1e-300):
             reason = "converged"
             break
+        tol = _forcing_tol(prev, cur, plan)
     return s, Trajectory(tuple(energies), reason, tuple(flags), tuple(u_iters),
                          residual(s, P, M, plan))

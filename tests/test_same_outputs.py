@@ -4,6 +4,7 @@ import importlib.util
 import itertools
 import math
 import os
+import re
 import shutil
 import sys
 
@@ -288,9 +289,20 @@ def test_the_free_minimize_runs_the_c_step_without_a_mass(tmp_path):
     assert same_outputs.compare(ROOT, "minimize", same_outputs.MINIMIZE_FREE) == []
 
 
-def test_the_runs_cover_each_config_and_count_43():
+def test_the_2d_minimize_runs_to_convergence_with_cg(tmp_path):
+    config = tmp_path / "run.ini"
+    config.write_text(same_outputs.MINIMIZE_2D_CONVERGED)
+    mine = same_outputs.run_cli(ROOT, "minimize", str(config), str(tmp_path / "out"))
+    assert mine["exit code"] == b"0" and mine["stderr"] == b""
+    assert re.search(rb" sweeps \(converged\), .*, u_iters=[1-9]\d*, flags: none\n$",
+                     mine["stdout"])
+    assert {"u0.field", "u1.field"} <= mine.keys()
+    assert same_outputs.compare(ROOT, "minimize", same_outputs.MINIMIZE_2D_CONVERGED) == []
+
+
+def test_the_runs_cover_each_config_and_count_44():
     # three runs per workload and seed, and the runs on the configs above
-    assert len(WORKLOADS) * len(same_outputs.SEEDS) * 3 + len(same_outputs.RUNS) == 43
+    assert len(WORKLOADS) * len(same_outputs.SEEDS) * 3 + len(same_outputs.RUNS) == 44
     assert [(command, text) for _, command, text in same_outputs.RUNS
             if text is same_outputs.SIGNED_ZERO_RIGID] == [
         ("recover", same_outputs.SIGNED_ZERO_RIGID), ("sweep", same_outputs.SIGNED_ZERO_RIGID)]

@@ -556,6 +556,47 @@ def test_alternate_2d_smoke(P):
     assert not [f for sweep in traj.flags for f in sweep if f.startswith("u:")]
 
 
+@pytest.mark.parametrize("prev, cur, want", [
+    (1.0, 1.0, 1e-10),                 # no decrease
+    (1.0, 1.0 + 1e-13, 1e-10),         # a rise within DESCENT_RTOL
+    (-2.0, -1.0, 1e-10),               # a rise at negative energy
+    (1.0, 0.5, solver._FORCING_CAP),   # above the cap
+    (2.0, 2.0 - 2e-4, 1e-4),           # in between: the decrease itself
+    (-2.0, -2.0 - 2e-4, 1e-4),         # the same at negative energy
+    (1.0, 1.0 - 1e-12, 1e-10),         # below the floor
+])
+def test_the_forcing_tolerance_is_the_decrease_between_floor_and_cap(prev, cur, want):
+    plan = SolverPlan(cg_tol=1e-10)
+    assert solver._forcing_tol(prev, cur, plan) == pytest.approx(want, rel=1e-9)
+
+
+def test_alternate_hands_each_u_step_the_forcing_tolerance(P, monkeypatch):
+    # the first u-step solves to the cap, each later one to the previous
+    # sweep's relative energy decrease between cg_tol and the cap; a direct
+    # minimize_u call still solves to cg_tol
+    tols = []
+    cg = solver._cg
+
+    def recording_cg(apply_a, apply_p, b, x0, tol, max_iters):
+        tols.append(tol)
+        return cg(apply_a, apply_p, b, x0, tol, max_iters)
+    monkeypatch.setattr(solver, "_cg", recording_cg)
+    g = Grid((0.0, 0.0), (1.0, 1.0), (16, 16))
+    plan = SolverPlan(max_outer=6, tol_rel_energy=1e-14, cg_tol=1e-3, mass_constraint=0.5)
+    s0 = default_state(g, eps=0.125, delta=0.25, c0=0.5, seed=0)
+    _, traj = alternate(s0, P, ElasticModel(e0=np.eye(2)), plan)
+    tot = traj.totals
+    assert len(tols) == len(tot) - 1 == 6 and tols[0] == solver._FORCING_CAP
+    decrease = (tot[:-2] - tot[1:-1]) / np.abs(tot[:-2])
+    assert np.all(decrease > 0.0)
+    assert tols[1:] == list(np.clip(decrease, plan.cg_tol, solver._FORCING_CAP))
+    # the run takes each branch: the cap, the floor and a decrease in between
+    assert {plan.cg_tol, solver._FORCING_CAP} < set(tols[1:])
+    tols.clear()
+    minimize_u(s0, P, ElasticModel(e0=np.eye(2)), plan)
+    assert tols == [plan.cg_tol]
+
+
 def test_philox_stream_equals_numpys_bit_for_bit():
     # seeds of one to five 32-bit words; 14 draws run from the first 4-word
     # Philox block into the fourth, in the ranges default_state and

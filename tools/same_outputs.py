@@ -31,8 +31,10 @@ their c and z but not their u.  Then
 whose dumps read back through 64 KiB blocks that
 are one line repeated, blocks with a leading or trailing run and blocks of
 distinct lines, and `minimize` on MINIMIZE_FREE, a 1D run
-without a mass constraint, and on MINIMIZE_WIDE_SEED, the same run with a
-jitter seed of three 32-bit words.  Each run goes once
+without a mass constraint, on MINIMIZE_WIDE_SEED, the same run with a
+jitter seed of three 32-bit words, and on MINIMIZE_2D_CONVERGED, a 2D run
+to convergence, whose tail takes u-steps at CG tolerances down toward
+`cg_tol`.  Each run goes once
 with this tree's src/ and once with OTHER_TREE's src/, both with the same
 --out path.  After each run, a subprocess with the same tree's src/ reads
 back every `*.field` the run dumped with that tree's `fields.read_field`,
@@ -299,6 +301,27 @@ seed = 18446744073709551621
 """ + MINIMIZE_FREE
 
 
+# a 2D minimize on 16^2 cells at eps/h = 2 run to tol_rel_energy 1e-8 (128
+# sweeps): the workloads' 2D minimize runs stop at a budget of a few sweeps,
+# so this is the run whose last u-steps solve to the small forcing
+# tolerances of a converging tail
+MINIMIZE_2D_CONVERGED = """[elastic]
+e0 = 1
+
+[geometry]
+dim = 2
+origin = 0 0
+extent = 1 1
+cells = 16
+
+[solver]
+max_outer = 2000
+tol_rel_energy = 1e-8
+mass = 0.5
+eps = 0.125
+"""
+
+
 # the runs beyond the workloads' own: (label, command, config text)
 RUNS = [("affine sharp", "sharp", AFFINE_SHARP),
         ("affine recover", "recover", AFFINE_RECOVER),
@@ -318,7 +341,8 @@ RUNS = [("affine sharp", "sharp", AFFINE_SHARP),
         ("1D sweep over several pieces", "sweep", SWEEP_1D_PIECES),
         ("1D recover over several pieces", "recover", SWEEP_1D_PIECES),
         ("1D minimize without mass", "minimize", MINIMIZE_FREE),
-        ("1D minimize at seed 2^64 + 5", "minimize", MINIMIZE_WIDE_SEED)]
+        ("1D minimize at seed 2^64 + 5", "minimize", MINIMIZE_WIDE_SEED),
+        ("2D minimize to convergence", "minimize", MINIMIZE_2D_CONVERGED)]
 
 
 # run with a tree's src/ first on the path and the run's OUT as the working
