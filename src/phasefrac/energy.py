@@ -24,11 +24,12 @@ that proves its plateau slabs and builds the others band by band as the
 pass reaches them (`recovery.RecoveryBands`, what `recover` and a sweep row
 use).  The pass hands the source all its slabs' rows at once, and takes,
 slab by slab, either the rows, which it reads once and forms three
-densities from, or a proved plateau, the raw bytes of its c and z; it
-holds no cells-sized array where `evaluate` holds about fifteen.  On a
-plateau slab every difference is +0.0, whatever u's one value, so each
-density is one number, formed once per plateau from c and z on a block of
-2 cells a side, and a flat piece over the slab.  That rests on each
+densities and a clamp count from, with one clamp of z, or a proved
+plateau, the raw bytes of its c and z; it holds no cells-sized array where
+`evaluate` holds about fifteen.  On a plateau slab every difference is
++0.0, whatever u's one value, so each density is one number, formed once
+per plateau by the same call on a block of 2 cells a side, and a flat
+piece over the slab.  That rests on each
 density being a pointwise function of the cell values and the difference
 planes, so the potentials and the degradation must act elementwise, as all
 of the package's do.
@@ -480,63 +481,51 @@ def diffuse_energy(s, P: PotentialSet, M: ElasticModel) -> EnergyBreakdown:
     included, in one pass over the slabs of `_slabs`.  `s` is a slab source:
     a `DiffuseState`, or anything else with its `grid`, `eps` and `delta`
     and a method `slabs(halos)`, handed the haloed rows of every slab at
-    once, as slices in order, that yields for each slab, in that order,
-    either c, z and u on its rows, or the raw bytes of one cell's c and z
-    when it proves that all its rows hold those values, bit for bit, with
-    one finite value of u (a plateau; `recovery.RecoveryBands` proves a
-    recovery's plateaus from its bounds and builds the other rows band by
-    band).  The pass never tests rows for a plateau: a state's slabs are all
-    formed.
+    once, as slices in order, each starting and stopping no earlier than
+    the one before, that yields for each slab, in that order, either c, z
+    and u on its rows, or the raw bytes of one cell's c and z when it proves
+    that all its rows hold those values, bit for bit, with one finite value
+    of u (a plateau; `recovery.RecoveryBands` proves a recovery's plateaus
+    from its bounds and builds the other rows band by band).  The pass never
+    tests rows for a plateau: a state's slabs are all formed.
 
     Each slab's rows are read once, with one halo row on each side inside
     the grid: a difference of the haloed rows is the whole grid's difference
     on the slab's rows, bit for bit, since centered differences read the
     same operands and one-sided ones fall only on the grid's own edge rows.
-    Its three densities are formed together and handed to `_integrals`,
-    which sums each slab's pieces as they come and drops them, so the pass
-    holds no cells-sized array, only slab-sized temporaries and what the
-    source holds.  A plateau slab is flat: the densities are pointwise
-    functions of the cell values and the difference planes, and every
-    difference there is x - x, +0.0, whatever the value of u, so each
-    density is one number over the slab, a `_Flat` piece.  The three
-    numbers are formed once per key, from its c and z (`plateau_densities`),
-    and `_integrals` sums a flat piece once per value and shape."""
+    One call, `formed`, takes a slab's three densities and its count of
+    clamped cells from a single `_clamp` of its z, and `_integrals` sums
+    each slab's pieces as they come and drops them, so the pass holds no
+    cells-sized array, only slab-sized temporaries and what the source
+    holds.  A plateau slab is flat: the densities are pointwise functions of
+    the cell values and the difference planes, and every difference there
+    is x - x, +0.0, whatever the value of u, so each density is one number
+    over the slab, a `_Flat` piece.  The three numbers, and whether the
+    clamp moves the plateau's z, are formed once per key by the same call,
+    on a block of 2 cells a side with u = 0, and `_integrals` sums a flat
+    piece once per value and shape."""
     grid, h = s.grid, s.grid.spacing
     e0 = M.e0_planes(grid.dim)
-    shared, clamped = {}, 0  # `plateau_densities` of each key, clamped cells
+    shared, clamped = {}, 0  # each key's three numbers and clamp flag, clamped cells
 
     def inner_diff(op, a, inner):
         """`op` (gradient or sym_gradient) of the haloed rows a, on `inner`."""
         return tuple(p[inner] for p in op(a, h))
 
-    # each weight is formed after its raw density, and the elastic density,
-    # with the most temporaries, before the other two, so that no two sets of
-    # temporaries overlap
-    def elastic(c, u, zc, inner):
-        form = M.form(_misfit(inner_diff(sym_gradient, u, inner), c[inner], e0))
-        return _elastic_weight(zc, s, M) * form
-
-    def interfacial(c, zc, inner):
-        raw = _phase_raw(c[inner], inner_diff(gradient, c, inner), s, P)
-        return _phase_weight(zc, s, P) * raw
-
-    def densities(c, z, u, inner):
-        """The three densities on rows `inner` of the haloed rows c, z, u."""
-        zc = _clamp(z[inner])[0]
-        elastic_density = elastic(c, u, zc, inner)
-        return (interfacial(c, zc, inner), elastic_density,
-                _crack_density(zc, inner_diff(gradient, z, inner), s, P))
-
-    def plateau_densities(key):
-        """The three densities of a plateau whose c and z are the raw bytes
-        `key`, as numbers, and whether the clamp moves its z.  They are
-        formed on a block of 2 cells a side with u = 0: every difference on
-        a plateau is +0.0 whatever u's one value, so every cell of the
-        plateau holds these."""
-        c, z = (np.full((2,) * grid.dim, value) for value in np.frombuffer(key))
-        u = np.zeros(c.shape + (grid.dim,))
-        formed = densities(c, z, u, slice(None))
-        return tuple(d.flat[0] for d in formed), bool(_clamp(z)[1].flat[0])
+    def formed(c, z, u, inner):
+        """The three densities on rows `inner` of the haloed rows c, z, u,
+        and the count of cells whose z the clamp moves.  The elastic density,
+        with the most temporaries, comes first and each weight after its raw
+        density, each set of temporaries dropped before the next is formed,
+        so that no two overlap."""
+        zc, outside = _clamp(z[inner])
+        moved, outside = int(np.count_nonzero(outside)), None
+        elastic = M.form(_misfit(inner_diff(sym_gradient, u, inner), c[inner], e0))
+        elastic *= _elastic_weight(zc, s, M)
+        interfacial = _phase_raw(c[inner], inner_diff(gradient, c, inner), s, P)
+        interfacial *= _phase_weight(zc, s, P)
+        return (interfacial, elastic,
+                _crack_density(zc, inner_diff(gradient, z, inner), s, P)), moved
 
     def slab(inner):
         """The densities of the slab whose rows are `inner` of its haloed
@@ -545,11 +534,13 @@ def diffuse_energy(s, P: PotentialSet, M: ElasticModel) -> EnergyBreakdown:
         nonlocal clamped
         got = next(source)
         if not isinstance(got, bytes):
-            c, z, u = got
-            clamped += int(np.count_nonzero(_clamp(z[inner])[1]))
-            return densities(c, z, u, inner)
+            pieces, moved = formed(*got, inner)
+            clamped += moved
+            return pieces
         if got not in shared:
-            shared[got] = plateau_densities(got)
+            c, z = (np.full((2,) * grid.dim, value) for value in np.frombuffer(got))
+            pieces, moved = formed(c, z, np.zeros(c.shape + (grid.dim,)), slice(None))
+            shared[got] = tuple(d.flat[0] for d in pieces), moved > 0
         values, moved = shared[got]
         shape = (inner.stop - inner.start,) + grid.cells[1:]
         clamped += math.prod(shape) * moved

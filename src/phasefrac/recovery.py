@@ -305,10 +305,13 @@ class RecoveryBands:
                 for one, flat in zip(c_one, proved)]
 
     def slabs(self, halos: list[slice]):
-        """For each range of rows in `halos`, which must not start before
-        the last, its proved key (`_prove`), or c, z and u on its rows: views
-        of a band when they lie in one, else one copy of their parts.  Rows
-        before a slab's first are dropped as it is reached."""
+        """For each range of rows in `halos`, its proved key (`_prove`), or
+        c, z and u on its rows: views of a band when they lie in one, else
+        one copy of their parts.  The ranges come in increasing order, as
+        `energy._slabs` cuts them: each starts and stops no earlier than the
+        one before.  So a band stops at the stop of the last unproved range
+        of its run, and rows before a slab's first are dropped as it is
+        reached."""
         keys = self._prove(halos)
         # (first row, (c, z, u)) of the built rows still needed, and the
         # rows built so far
@@ -326,8 +329,6 @@ class RecoveryBands:
                         for start, arrays in held]
                 stop = r.stop
                 for later, proved in zip(halos[k + 1:], keys[k + 1:]):
-                    if later.start <= r.start or later.stop <= stop:
-                        continue
                     if proved is not None:
                         break
                     stop = later.stop

@@ -21,15 +21,10 @@ H^1_eps gradient S_eps(g / vol), S_eps = (I + eps^2 L_N)^-1 with L_N the
 Neumann Laplacian of the cell grid: at the wells of the default W the Hessian
 of W/eps + eps|grad c|^2 is (2/eps)(I + eps^2 D^T D), so the weight eps^2,
 with no knob, takes out the h^2/eps stiffness of a plain L2 step and the
-sweep count no longer grows with the grid (criterion 07's problem: 102
-sweeps at 512 cells and 98 at 2048, against 1863 and 20783 for the L2 step).
-No block raises the energy by more than `DESCENT_RTOL` relative; no claim of
-global minimization is made, the energy is nonconvex, and which minimum a
-run reaches depends on the step.  On a 2D problem with e0 = 0 (32^2, mass
-0.5, eps = 1/16) the H^1_eps step converges to a corner droplet, about 1.23x
-the straight interface's sigma (phi(1) + C_delta), while the L2 step, not
-converged after 3000 sweeps, sits near the straight interface.  `alternate`
-ends with the final state's stationarity `residual`.
+sweep count does not grow with the grid.  No block raises the energy by
+more than `DESCENT_RTOL` relative; no claim of global minimization is made,
+the energy is nonconvex, and which minimum a run reaches depends on the
+step.  `alternate` ends with the final state's stationarity `residual`.
 """
 from __future__ import annotations
 

@@ -628,6 +628,34 @@ def test_a_segment_listed_twice_exits_2_and_names_it(tmp_path, capsys):
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section,key,names", [
+    ("elastic", "psi", "quadratic|linear"), ("elastic", "eta_rule", "delta_squared|delta_cubed"),
+    ("geometry", "u_spec", "zero|affine|piecewise_rigid")])
+def test_an_unknown_name_exits_2_and_names_the_key_and_its_choices(tmp_path, capsys, section,
+                                                                   key, names):
+    text = config_with(section, key, "nope")
+    assert main(["sweep", "--config", write_config(tmp_path, text)]) == 2
+    assert f"  - [{section}] {key}: unknown 'nope' ({names})\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pieces,fault", [("0 0 0", "need 2 pieces, got 3 c / 2 u"),
+                                          ("0 2", "c pieces must be 0 or 1"),
+                                          ("0 1", "c jumps at non-phase point 0.5")])
+def test_faulty_1d_c_pieces_exit_2_and_name_the_fault(tmp_path, capsys, pieces, fault):
+    text = MINIMAL_1D.replace("c_pieces = 0 0", f"c_pieces = {pieces}")
+    assert main(["sharp", "--config", write_config(tmp_path, text)]) == 2
+    assert capsys.readouterr().err == f"invalid config:\n  - [geometry] {fault}\n"
+
+
+@pytest.mark.parametrize("key,value,fault", [
+    ("polygon", "0.5 0  1 0", "polygon: polygon needs at least 3 vertices"),
+    ("rigid_dir", "0 0", "line direction must be nonzero")])
+def test_a_degenerate_2d_geometry_exits_2_and_names_it(tmp_path, capsys, key, value, fault):
+    text = config_with("geometry", key, value)
+    assert main(["sharp", "--config", write_config(tmp_path, text)]) == 2
+    assert capsys.readouterr().err == f"invalid config:\n  - [geometry] {fault}\n"
+
+
 def test_2d_config_parses(tmp_path):
     text = """
 [run]

@@ -392,6 +392,14 @@ def test_a_state_and_a_recovery_refuse_lengths_outside_zero_to_inf(P, eps, delta
         RecoveryBands(geometry, eps, delta, 1e-4, g, P, enforce_width=False)
 
 
+def test_a_state_refuses_fields_on_two_grids():
+    g, other = Grid((0.0,), (1.0,), (64,)), Grid((0.0,), (1.0,), (32,))
+    for c, u, z in ((other, g, g), (g, other, g), (g, g, other)):
+        with pytest.raises(ValueError, match="^c, u, z must share one grid$"):
+            DiffuseState(ScalarField.full(c, 0.5), VectorField.full(u, 0.0),
+                         ScalarField.full(z, 1.0), 0.1, 0.1)
+
+
 @pytest.mark.parametrize("lame", [dict(lame_mu=np.nan), dict(lame_mu=np.inf),
                                   dict(lame_lambda=np.nan), dict(lame_lambda=np.inf)])
 def test_elastic_model_refuses_nonfinite_moduli(lame):
@@ -734,6 +742,42 @@ def test_slab_pass_on_flat_slabs_matches_the_whole_array_pass_bitwise(P, monkeyp
                 # plateau's block has 2 rows, any formed slab of 5 rows 4 or
                 # more
                 assert sum(n <= 3 for n in halo_rows) == 2 * patterns, halo_rows
+
+
+@pytest.mark.parametrize("case", ["formed", "z outside", "two plateaus"])
+def test_each_formed_slab_and_plateau_key_is_clamped_once(P, monkeypatch, case):
+    # one `_clamp` of a formed slab's z gives its densities and its count of
+    # clamped cells, and one of a plateau's block gives its three numbers
+    # and whether the clamp moves its z, once per distinct key
+    if case == "formed":
+        s, M = _slab_state(2)
+        source = s
+    else:
+        s, P, M, _ = _flat_case(P, case)
+        source = FlatSlabs(s)
+    monkeypatch.setattr(energy, "_BLOCK", 5 * 17)
+    want = evaluate(s, P, M)[0]
+    assert want.clamped_cells > 0
+    calls, clamp, answers = [], energy._clamp, []
+
+    def counted(z):
+        calls.append(z.shape)
+        return clamp(z)
+
+    class Recorded:
+        grid, eps, delta = s.grid, s.eps, s.delta
+
+        def slabs(self, halos):
+            for got in source.slabs(halos):
+                answers.append(got if isinstance(got, bytes) else None)
+                yield got
+    monkeypatch.setattr(energy, "_clamp", counted)
+    assert _same_energy(diffuse_energy(Recorded(), P, M), want)
+    keys = {key for key in answers if key is not None}
+    assert len(answers) == 5 and len(keys) == {"formed": 0, "z outside": 1,
+                                               "two plateaus": 2}[case]
+    assert len(calls) == answers.count(None) + len(keys)
+    assert calls.count((2, 2)) == len(keys)
 
 
 @pytest.mark.parametrize("label,flat", [(label, flat) for flat in (False, True)

@@ -1,6 +1,7 @@
 import gc
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -65,6 +66,13 @@ def test_sweep_plan_validation():
 def test_sweep_plan_rejects_nonfinite(schedule, options):
     with pytest.raises(ValueError, match="positive and finite"):
         SweepPlan(CRACK_1D, schedule, delta_rule="scaled_two_thirds", **options)
+
+
+def test_sweep_plan_refuses_an_eps_over_delta_that_does_not_fall(monkeypatch):
+    # every named rule keeps eps/delta falling; delta = eps holds it at 1
+    monkeypatch.setitem(harness._DELTA_RULES, "linear", lambda e: e)
+    with pytest.raises(ValueError, match="^eps/delta must decrease along the schedule$"):
+        SweepPlan(CRACK_1D, (0.1, 0.05), delta_rule="linear")
 
 
 def test_sweep_empty_geometry_zero_rows(P, elastic_1d_free):
@@ -139,12 +147,13 @@ def _same_rows_as_whole_builds(plan, P, M):
 
 
 @pytest.mark.parametrize("name", ["criterion 05", "SLANTED_RECOVER", "SIGNED_ZERO_RIGID",
-                                  "ZERO_SWEEP", "SWEEP_1D_PIECES"])
+                                  "ZERO_SWEEP", "SWEEP_1D_PIECES", "ONE_ROW_LAST_SLAB"])
 def test_sweep_rows_are_the_whole_builds_energies_bit_for_bit(P, elastic_2d_free, name,
                                                               tmp_path):
     # the row proves its plateau slabs and builds the others band by band
     # inside the slab pass; each term and the clamp count must keep the bits
-    # of the whole build's pass (ZERO_SWEEP's proved slabs hold a misfit)
+    # of the whole build's pass (ZERO_SWEEP's proved slabs hold a misfit;
+    # ONE_ROW_LAST_SLAB's 257 rows end in a slab of one row)
     if name == "criterion 05":
         # 384 rows, three bands, in slabs of 16384 // 320 = 51 rows
         plan, P, M = _criterion_05_plan((2.0 ** -5, 2.0 ** -6), (384, 320)), P, elastic_2d_free
@@ -450,6 +459,12 @@ def test_geodesic_near_equality_on_profile(P):
     assert lhs == pytest.approx(1 / 3, abs=1e-6)
 
 
+def test_geodesic_inequality_refuses_a_2d_field(P):
+    g = Grid((0.0, 0.0), (1.0, 1.0), (8, 8))
+    with pytest.raises(ValueError, match="^geodesic inequality check expects a 1D field$"):
+        geodesic_inequality_check(ScalarField.full(g, 0.4), "W", 0.1, P)
+
+
 def test_face_tv_step():
     g = Grid((0.0,), (1.0,), (64,))
     f = ScalarField.from_function(g, lambda x: (x > 0.5).astype(float))
@@ -478,6 +493,17 @@ def test_levelset_diagnostic_1d_two_crossings(P):
     t_star, est, bound = compactness_levelset_diagnostic(st.z, P)
     assert est == 2.0
     assert est <= bound * 1.2
+
+
+def test_levelset_diagnostic_refuses_a_perimeter_past_its_bound(P, monkeypatch):
+    grid = Grid((0.0,), (1.0,), (4096,))
+    z = build_recovery(CRACK_1D, 2.0 ** -7, 0.02, 1e-4, grid, P, enforce_width=True).z
+    _, est, bound = compactness_levelset_diagnostic(z, P)
+    # a share that puts the bound just below the chosen level's perimeter
+    monkeypatch.setattr(harness, "_LEVELSET_GRID_SLACK", est / bound - 1.0 - 1e-6)
+    with pytest.raises(DiagnosticError, match=re.escape(
+            f"level-set perimeter {est:.4g} exceeds bound {bound:.4g} (")):
+        compactness_levelset_diagnostic(z, P)
 
 
 def test_levelset_rejects_out_of_box(P):

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from phasefrac import recovery
+from phasefrac import energy, recovery
 from phasefrac.energy import ElasticModel, diffuse_energy
 from phasefrac.fields import Grid
 from phasefrac.harness import SweepPlan, gamma_sweep
@@ -12,7 +14,7 @@ from phasefrac.recovery import (ProfileParams, ResolutionError,
                                 profile_energy_1d, smoothstep)
 from phasefrac.sharp import (Polygon, SegmentSet, SharpGeometry1D, SharpGeometry2D,
                              affine_displacement, piecewise_rigid_displacement,
-                             sharp_energy_1d)
+                             sharp_energy_1d, zero_displacement)
 
 
 def flat(s):
@@ -99,6 +101,37 @@ def test_smoothstep_shape():
     t = np.linspace(0, 1, 101)
     slopes = np.diff(smoothstep(t)) / np.diff(t)
     assert slopes.max() <= 1.5 + 1e-12
+
+
+def test_a_recovery_refuses_a_grid_of_another_dimension(P):
+    geometry = SharpGeometry1D((0.0, 1.0), crack_points=(0.5,), c_pieces=(0, 0),
+                               u_pieces=((0.0, 0.0), (0.0, 0.1)))
+    grid = Grid((0.0, 0.0), (1.0, 1.0), (64, 64))
+    with pytest.raises(ValueError, match="^grid and geometry dimensions differ$"):
+        recovery.RecoveryBands(geometry, 0.05, 0.1, 1e-4, grid, P, enforce_width=False)
+
+
+def test_a_displacement_without_corners_prove_proves_no_slab(P):
+    # criterion 05's polygon and segment with u = 0: the zero displacement
+    # proves the slabs far from both, and the same u without `corners_prove`
+    # proves none, though its corners agree; the energy keeps its bits
+    grid = Grid((0.0, 0.0), (1.0, 1.0), (256, 256))
+    halos = [halo for halo, _ in energy._slabs(grid)]
+    M = ElasticModel(e0=0.2 * np.eye(2))
+    proofs, energies = [], []
+    for u_spec in (zero_displacement(2),
+                   dataclasses.replace(zero_displacement(2), corners_prove=None)):
+        geometry = SharpGeometry2D(
+            (0.0, 0.0), (1.0, 1.0),
+            polygon=Polygon([(0.5, 0.0), (1.0, 0.0), (1.0, 1.0), (0.5, 1.0)]),
+            segments=SegmentSet([[[0.5, 0.25], [0.5, 0.75]]]), u_spec=u_spec)
+        bands = recovery.RecoveryBands(geometry, 2.0 ** -5, 0.018, 1e-4, grid, P,
+                                       enforce_width=False)
+        proofs.append([key is not None for key in bands._prove(halos)])
+        e = diffuse_energy(bands, P, M)
+        energies.append((e.e_phase.hex(), e.e_elastic.hex(), e.e_crack.hex(), e.clamped_cells))
+    assert any(proofs[0]) and not any(proofs[1])
+    assert energies[0] == energies[1]
 
 
 def test_recovery_empty_geometry(P):

@@ -160,7 +160,7 @@ def test_a_sweep_value_one_ulp_up_is_named_with_its_move(tmp_path):
     found = same_outputs.differences(mine, other)
     assert found[:2] == [
         f"sweep.csv: line 2 differs ({len(lines)} lines here, {len(lines)} there)",
-        f"sweep.csv: largest move 1 ulp, e_elastic on line 2: {up.hex()} there, "
+        f"sweep.csv: largest move {up - value:.3g}, e_elastic on line 2: {up.hex()} there, "
         f"{value.hex()} here"]
     assert all(line.startswith("    ") for line in found[2:])
     # a field that is not a finite number on both sides names no move
@@ -169,6 +169,38 @@ def test_a_sweep_value_one_ulp_up_is_named_with_its_move(tmp_path):
     found = same_outputs.differences(mine, other)
     assert found[0] == f"sweep.csv: line 2 differs ({len(lines)} lines here, {len(lines)} there)"
     assert all(line.startswith("    ") for line in found[1:])
+
+
+def _csv(rows):
+    return "".join(",".join(map(str, row)) + "\n" for row in rows).encode()
+
+
+def test_the_largest_move_is_the_largest_difference_not_the_most_ulps():
+    # e_crack moves from 3e-17 to 2e-14, about 10^16 ulps; e_total moves
+    # 2e-3 relative, far fewer ulps but the larger move
+    header = ("sweep", "e_crack", "e_total")
+    other = _csv([header, (1, 3e-17, 0.4921), (2, 1e-17, 0.4920)])
+    mine = _csv([header, (1, 2e-14, 0.4921), (2, 1e-17, 0.4930)])
+    assert same_outputs._largest_move(mine, other) == (
+        f"largest move {0.4930 - 0.4920:.3g}, e_total on line 3: "
+        f"{(0.4920).hex()} there, {(0.4930).hex()} here")
+
+
+def test_csvs_of_different_lengths_are_compared_on_their_common_lines():
+    # a trajectory that converges one sweep later has one more line
+    header = ("sweep", "e_total")
+    other = _csv([header, (1, 0.5), (2, 0.45), (3, 0.41)])
+    mine = _csv([header, (1, 0.5), (2, 0.44)])
+    assert same_outputs._largest_move(mine, other) == (
+        f"largest move {0.45 - 0.44:.3g}, e_total on line 3: {(0.45).hex()} there, "
+        f"{(0.44).hex()} here")
+    found = same_outputs.differences({"trajectory.csv": mine}, {"trajectory.csv": other})
+    assert found[:2] == ["trajectory.csv: line 3 differs (3 lines here, 4 there)",
+                         f"trajectory.csv: largest move {0.45 - 0.44:.3g}, e_total on line 3: "
+                         f"{(0.45).hex()} there, {(0.44).hex()} here"]
+    # a common line of other fields, or a field that is no number, names no move
+    assert same_outputs._largest_move(_csv([header, (1, 0.5, 7)]), other) is None
+    assert same_outputs._largest_move(_csv([header, (1, "nan")]), other) is None
 
 
 def test_the_1d_sweep_spans_several_energy_slabs(tmp_path):
@@ -300,9 +332,9 @@ def test_the_2d_minimize_runs_to_convergence_with_cg(tmp_path):
     assert same_outputs.compare(ROOT, "minimize", same_outputs.MINIMIZE_2D_CONVERGED) == []
 
 
-def test_the_runs_cover_each_config_and_count_44():
+def test_the_runs_cover_each_config_and_count_45():
     # three runs per workload and seed, and the runs on the configs above
-    assert len(WORKLOADS) * len(same_outputs.SEEDS) * 3 + len(same_outputs.RUNS) == 44
+    assert len(WORKLOADS) * len(same_outputs.SEEDS) * 3 + len(same_outputs.RUNS) == 45
     assert [(command, text) for _, command, text in same_outputs.RUNS
             if text is same_outputs.SIGNED_ZERO_RIGID] == [
         ("recover", same_outputs.SIGNED_ZERO_RIGID), ("sweep", same_outputs.SIGNED_ZERO_RIGID)]
@@ -310,6 +342,29 @@ def test_the_runs_cover_each_config_and_count_44():
             if text is same_outputs.ZERO_SWEEP] == ["sweep", "recover"]
     assert [command for _, command, text in same_outputs.RUNS
             if text is same_outputs.CRACK_ONLY_RIGID] == ["sweep", "recover"]
+
+
+def test_the_one_row_last_slab_sweep_runs_a_band_to_two_equal_stops(tmp_path):
+    # the last two haloed ranges share their stop, and at each width a run of
+    # unproved slabs reaches them, so a band is built through both
+    text = same_outputs.ONE_ROW_LAST_SLAB
+    config = tmp_path / "run.ini"
+    config.write_text(text)
+    cfg = parse_config(str(config))
+    plan = cfg.sweep_plan
+    grid = plan.grid()
+    halos = [halo for halo, _ in energy._slabs(grid)]
+    assert grid.cells == (257, 256) and energy._slab_rows(grid)[-1] == slice(256, 257)
+    assert halos[-2].stop == halos[-1].stop == 257
+    for eps, delta in zip(plan.eps_schedule, plan.deltas()):
+        bands = recovery.RecoveryBands(plan.geometry, eps, delta, plan.lam, grid,
+                                       cfg.potentials, enforce_width=False)
+        assert bands._prove(halos)[-3:] == [None] * 3
+    mine = same_outputs.run_cli(ROOT, "sweep", str(config), str(tmp_path / "out"))
+    assert mine["exit code"] == b"0" and mine["stderr"] == b""
+    rows = mine["sweep.csv"].decode().splitlines()[1:]
+    assert len(rows) == 2 and all(row.endswith(",ok") for row in rows)
+    assert same_outputs.compare(ROOT, "sweep", text) == []
 
 
 def test_the_crack_only_rigid_runs_prove_slabs_that_share_c_and_z_but_not_u(tmp_path):

@@ -266,6 +266,15 @@ def test_minimize_u_2d_at_its_solution(P, elastic_2d_free):
     assert np.all(s2.u.values == 0.0)
 
 
+def test_cg_stops_at_a_direction_of_zero_curvature():
+    # an operator that is zero along the first direction: the start already
+    # minimizes there, so CG returns a copy of it as converged
+    b, x0 = np.array([1.0, -2.0]), np.array([0.5, 0.25])
+    x, iters, converged = solver._cg(lambda x: 0.0 * x, lambda r: r, b, x0, 1e-10, 10)
+    assert iters == 1 and converged
+    assert np.array_equal(x, x0) and x is not x0
+
+
 def test_minimize_u_rejects_a_rise(P, monkeypatch):
     # a CG that returns a worse displacement: the step keeps the old state
     def bad_cg(apply_a, apply_p, b, x0, tol, max_iters):
